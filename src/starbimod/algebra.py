@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .errors import ParseError
 
-_RAT = r"-?\d+(?:/\d+)?"
+_RAT = r"-?\d+(?:/0*[1-9]\d*)?"  # no zero denominator
 _RAT_RE = re.compile(rf"^{_RAT}$")
 
 
@@ -117,7 +117,8 @@ class Scalar:
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real Scalar equals its rational part, so it must hash like it
+        return hash(self.re) if self.im == 0 else hash((self.re, self.im))
 
     def __complex__(self):
         return complex(float(self.re), float(self.im))
@@ -300,6 +301,9 @@ class Poly:
         return self.coeffs == other.coeffs
 
     def __hash__(self):
+        # a constant equals its coefficient (and the zero polynomial 0)
+        if len(self.coeffs) <= 1:
+            return hash(self.coefficient(0))
         return hash(self.coeffs)
 
     def coeff_strings(self) -> list[str]:

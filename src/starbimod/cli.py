@@ -26,6 +26,11 @@ from .sampling import rand_d2_element, rand_gauss_element, rand_poly
 from .selftest import run_all
 
 
+# The probe builds its whole tower at the top degree up front, a Gram of
+# (B+1)^2 exact entries; the shipped moment lists stop at degree 31.
+MAX_PROBE_DEGREE = 64
+
+
 class InputError(Exception):
     """User-facing input problem; exits with status 2."""
 
@@ -102,6 +107,12 @@ def _parse_degrees(text: str) -> list[int]:
         lo, hi = int(lo), int(hi)
     except ValueError as exc:
         raise InputError(f"bad degree range {text!r}; expected A..B") from exc
+    if lo < 0:
+        raise InputError(f"negative degree in range {text!r}")
+    if hi > MAX_PROBE_DEGREE:
+        raise InputError(
+            f"top degree {hi} exceeds the limit of {MAX_PROBE_DEGREE}"
+        )
     if hi < lo:
         raise InputError(f"empty degree range {text!r}")
     if hi - lo < 2:

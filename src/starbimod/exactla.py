@@ -1,6 +1,6 @@
 """Small exact linear algebra over Gaussian rationals.
 
-Only what the form and GNS layers need: hermitian checks, a pivoted
+Only what the form and GNS layers need: hermitian checks, a natural-order
 LDL^H factorisation that doubles as the positive-semidefiniteness gate
 (leading-minor tests are unsound for singular matrices), an exact null
 space, and Gauss-Jordan inversion.  Sizes stay in the low tens, so the
@@ -122,13 +122,6 @@ class Matrix:
             sum((a * v for a, v in zip(r, vec)), ZERO) for r in self.rows
         )
 
-    def submatrix(self, rows, cols) -> "Matrix":
-        return Matrix([[self.rows[i][j] for j in cols] for i in rows])
-
-    def to_complex(self):
-        """Nested lists of Python complex, for the float layer."""
-        return [[complex(x) for x in r] for r in self.rows]
-
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
@@ -157,12 +150,14 @@ def poly_at(p: Poly, m: Matrix) -> Matrix:
 
 
 class LdlResult(NamedTuple):
-    """Pivoted LDL^H data of a hermitian PSD matrix.
+    """LDL^H data of a hermitian PSD matrix, eliminated in natural order.
 
-    ``pivots`` are original indices in elimination order, ``diag`` the
-    positive pivot values, ``lower`` the unit lower triangle in pivot
-    order (lower[a][b] for a > b).  The factorisation covers the rank;
-    the untouched block was verified to vanish.
+    ``pivots`` are the increasing indices that carried a positive pivot,
+    ``diag`` the positive pivot values, ``lower`` the unit lower triangle
+    on those indices (lower[a][b] for a > b).  Skipped indices had a
+    vanishing residual row.  The factor of a leading block is the leading
+    part of the factor of the whole matrix: the pivots below the block
+    size, and the matching leading entries of ``diag`` and ``lower``.
     """
 
     pivots: tuple[int, ...]
@@ -177,59 +172,56 @@ class LdlResult(NamedTuple):
 def ldl_psd(m: Matrix) -> LdlResult:
     """Factor a hermitian matrix, proving positive semidefiniteness.
 
-    Pivots on the largest remaining diagonal entry.  A negative pivot, a
-    complex diagonal entry, or a zero diagonal with a nonzero remaining
-    row disproves PSD and raises NotPositiveError.
+    Eliminates the indices in natural order.  A negative pivot, a complex
+    diagonal entry, or a zero pivot whose residual row does not vanish
+    disproves PSD and raises NotPositiveError; a zero pivot with a
+    vanishing residual row is skipped.
     """
     n = m.nrows
     if n != m.ncols:
         raise DimensionMismatchError("LDL of a non-square matrix")
     if m != m.adjoint():
         raise NotPositiveError("matrix is not hermitian")
-    work = [[m[i, j] for j in range(n)] for i in range(n)]
-    active = list(range(n))
+    # the residual stays hermitian, so only its upper triangle is updated
+    work = [list(r) for r in m.rows]
     pivots: list[int] = []
     diag: list[Fraction] = []
-    cols: list[dict[int, Scalar]] = []
-    while active:
-        best = max(active, key=lambda i: work[i][i].re)
-        pivot = work[best][best]
+    cols: list[list[Scalar]] = []
+    for p in range(n):
+        pivot = work[p][p]
         if not pivot.is_real():
             raise NotPositiveError("non-real diagonal entry")
         if pivot.re < 0:
             raise NotPositiveError(f"negative pivot {pivot.re}")
+        row = work[p]
         if pivot.re == 0:
-            for i in active:
-                for j in active:
-                    if work[i][j]:
-                        raise NotPositiveError(
-                            "zero diagonal with a nonzero residual row"
-                        )
-            break
-        pivots.append(best)
+            if any(row[j] for j in range(p + 1, n)):
+                raise NotPositiveError("zero pivot with a nonzero residual row")
+            continue
+        # col[i] = L[i][p] = conj(row[i]) / pivot, for the indices after p
+        col = [ZERO] * n
+        for i in range(p + 1, n):
+            if row[i]:
+                col[i] = row[i].conjugate() / pivot
+        pivots.append(p)
         diag.append(pivot.re)
-        active.remove(best)
-        col = {i: work[i][best] / pivot for i in active}
         cols.append(col)
-        for i in active:
+        for i in range(p + 1, n):
             li = col[i]
             if not li:
                 continue
-            for j in active:
-                work[i][j] = work[i][j] - li * pivot * col[j].conjugate()
-    r = len(pivots)
-    lower = []
-    for a in range(r):
-        row = []
-        for b in range(r):
-            if a == b:
-                row.append(ONE)
-            elif a > b:
-                row.append(cols[b].get(pivots[a], ZERO))
-            else:
-                row.append(ZERO)
-        lower.append(tuple(row))
-    return LdlResult(tuple(pivots), tuple(diag), tuple(lower))
+            wi = work[i]
+            for j in range(i, n):
+                if row[j]:
+                    wi[j] = wi[j] - li * row[j]
+    lower = tuple(
+        tuple(
+            ONE if a == b else (cols[b][pivots[a]] if a > b else ZERO)
+            for b in range(len(pivots))
+        )
+        for a in range(len(pivots))
+    )
+    return LdlResult(tuple(pivots), tuple(diag), lower)
 
 
 def nullspace(m: Matrix) -> list[tuple[Scalar, ...]]:

@@ -2,7 +2,7 @@
 
 ``build_gns`` turns a moment functional into the truncated quotient data:
 the Hankel Gram matrix G_{jk} = m_{j+k} on the monomials q^0..q^N, an
-exact positivity certificate (pivoted LDL), and an exact basis of the
+exact positivity certificate (natural-order LDL), and an exact basis of the
 kernel polynomials.  No orthonormalisation happens anywhere; all inner
 products go through the Gram matrix so the whole exact path stays in
 rational arithmetic.
@@ -80,6 +80,15 @@ class GnsRealization:
         return P_ONE
 
 
+def hankel_gram(mf: MomentFunctional, degree: int) -> Matrix:
+    """The Gram matrix G_{jk} = m_{j+k} on q^0..q^N; needs moments up to 2N."""
+    ms = mf.moments_up_to(2 * degree)
+    if any(not m.is_real() for m in ms):
+        raise NotPositiveError("moments of a positive functional must be real")
+    n = degree + 1
+    return Matrix([[ms[j + k] for k in range(n)] for j in range(n)])
+
+
 def build_gns(mf: MomentFunctional, degree: int) -> GnsRealization:
     """Build and positivity-check the degree-N truncation.
 
@@ -87,11 +96,7 @@ def build_gns(mf: MomentFunctional, degree: int) -> GnsRealization:
     is not a truncated positive sequence, MomentOutOfRangeError when the
     stored moments are too short.
     """
-    ms = mf.moments_up_to(2 * degree)
-    if any(not m.is_real() for m in ms):
-        raise NotPositiveError("moments of a positive functional must be real")
-    n = degree + 1
-    gram = Matrix([[ms[j + k] for k in range(n)] for j in range(n)])
+    gram = hankel_gram(mf, degree)
     ldl = ldl_psd(gram)
     kernel = tuple(Poly(vec) for vec in nullspace(gram))
     return GnsRealization(mf, degree, gram, kernel, ldl)
@@ -149,7 +154,7 @@ class Functional:
     def tag(self) -> Generator:
         return Generator.D2 if self.kind in self._D2_KINDS else Generator.GAUSS
 
-    def _check_compat(self, x: BimodElement, mf: MomentFunctional):
+    def check_compat(self, x: BimodElement, mf: MomentFunctional):
         if x.tag is not self.tag:
             raise VariantMismatchError(
                 f"{self.kind} expects a {self.tag.value} element, got {x.tag.value}"
@@ -164,7 +169,7 @@ class Functional:
 
     def value(self, x: BimodElement, mf: MomentFunctional) -> Scalar:
         """F(x), exact; depends only on the semantic class of x."""
-        self._check_compat(x, mf)
+        self.check_compat(x, mf)
         if self.kind in self._D2_KINDS:
             h = x.triple()[self._D2_KINDS.index(self.kind)]
             return mf.apply(h)
@@ -219,7 +224,7 @@ class Functional:
         """theta(x) rho(b) phi in atom coordinates, for the gauss-atoms variant."""
         if self.kind != "gauss-atoms":
             raise UnsupportedVariantError("atom coordinates are for gauss-atoms")
-        self._check_compat(x, mf)
+        self.check_compat(x, mf)
         b = Poly.coerce(b)
         p = x.gauss_poly()
         return tuple(
@@ -306,7 +311,7 @@ def check_cauchy_schwarz(
     lhs = func.value(x.act(a.conjugate(), P_ONE), mf)
     gram_aa = mf.pairing(a, a)
     if func.kind == "gauss-atoms":
-        func._check_compat(x, mf)
+        func.check_compat(x, mf)
         p = x.gauss_poly()
         c = _ZERO
         for (pt, w), v in zip(mf.atoms, func.atom_values):

@@ -70,11 +70,6 @@ class MomentFunctional:
     def is_atomic(self) -> bool:
         return self.atoms is not None
 
-    @property
-    def available_degree(self):
-        """Largest stored moment index, or None when all are computable."""
-        return None if self.atoms is not None else len(self.values) - 1
-
     def moment(self, k: int) -> Scalar:
         if k < 0:
             raise MomentOutOfRangeError(f"negative moment index {k}")
@@ -93,6 +88,25 @@ class MomentFunctional:
             if c:
                 acc = acc + c * self.moment(k)
         return acc
+
+    def shifted_values(self, p: Poly, count: int) -> list[Scalar]:
+        """[f(q^s p) for s < count], reading each needed moment once.
+
+        The moments read are those of f(q^(count-1) p) and below it, so
+        this fails exactly where ``apply`` on the top shift would.
+        """
+        terms = [(t, c) for t, c in enumerate(p.coeffs) if c]
+        if count <= 0 or not terms:
+            return [_ZERO] * max(count, 0)
+        low = terms[0][0]
+        ms = [self.moment(k) for k in range(low, count + p.degree)]
+        out = []
+        for s in range(count):
+            acc = _ZERO
+            for t, c in terms:
+                acc = acc + c * ms[s + t - low]
+            out.append(acc)
+        return out
 
     def pairing(self, u: Poly, v: Poly) -> Scalar:
         """The GNS inner product <u, v> = f(v^+ u)."""

@@ -61,6 +61,8 @@ def tokenize(src: str) -> list[Token]:
                     raise ParseError("expected digits after '/'", mark + 1, {"digit"})
                 while pos < n and src[pos].isdigit():
                     pos += 1
+                if int(src[mark + 1 : pos]) == 0:
+                    raise ParseError("zero denominator", mark + 1, {"nonzero denominator"})
             out.append(Token("number", src[start:pos], start))
         elif ch.isalpha():
             if ch not in _SYMBOLS:

@@ -10,26 +10,33 @@ three values within a relative tolerance reads as Bounded, anything else
 as GrowthDetected.  Neither verdict is a proof; the quotient is exact
 data, the verdict a finite-degree heuristic.
 
-The pencil is reduced exactly before any floating point happens: the
-Gram matrix is factored as P G P^T = L D L^H over the rationals (which
-also projects out the exact kernel), the congruence L^-1 H L^-H is done
-in rational arithmetic, and only the final diagonal scaling by d^-1/2 and
-the standard hermitian eigensolve run in doubles.  Moment Gram matrices
+All exact work happens once, at the top degree M of the list.  The form
+H[j][k] = F(q^j x q^k) is built from its Hankel structure (one shifted
+moment sequence per triple component, or one for the Gaussian
+variants) and hermitised exactly.  The Hankel Gram G of degree M is
+factored once as G = L D L^H in natural order, which skips the indices
+of an exact kernel, and the congruence Z = L^-1 H_P L^-H on the pivot
+indices P is done in rational arithmetic.  Natural order nests the
+tower: the degree-N pencil is the leading r_N x r_N block of Z, with r_N
+the number of pivots <= N.  Only the diagonal scaling by d^-1/2 and one
+hermitian eigensolve per degree run in doubles.  Moment Gram matrices
 in the monomial basis are far too ill-conditioned for a float Cholesky,
 so this exact reduction is what keeps degree ten reachable.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from math import sqrt
+from math import comb, perm, sqrt
 
 import numpy as np
 
-from .algebra import Poly, Scalar
+from .algebra import ZERO, Poly, Scalar
 from .bimodule import BimodElement
 from .errors import NotHermitianError, SingularGramError
-from .gns import Functional, build_gns
+from .exactla import LdlResult, ldl_psd
+from .gns import Functional, hankel_gram
 from .moments import MomentFunctional
 
 BOUNDED = "Bounded"
@@ -48,62 +55,83 @@ class ProbeReport:
         return self.verdict == BOUNDED
 
 
-def _quadratic_form_matrix(
+def quadratic_form_matrix(
     func: Functional, x: BimodElement, mf: MomentFunctional, degree: int
-):
-    """H[j][k] = F(q^j * x * q^k) as Scalars, hermitised exactly."""
+) -> list[list[Scalar]]:
+    """H[j][k] = F(q^j * x * q^k) for j, k <= degree, hermitised exactly.
+
+    q^j x q^k has the triple (q^j h0 b, q^j (h0 b' + h1 b), q^j (h0 b'' +
+    2 h1 b' + h2 b)) with b = q^k, so with c_i[s] = f(q^s h_i) the d^2
+    variant F_t reads H[j][k] = sum_r C(t, r) k!/(k-r)! c_(t-r)[j+k-r].
+    The Gaussian variants are Hankel: H[j][k] = c[j+k], c[s] = F(q^s x).
+    """
+    func.check_compat(x, mf)
     n = degree + 1
-    rows = []
-    for j in range(n):
-        qj = Poly.monomial(j)
-        rows.append(
-            [func.value(x.act(qj, Poly.monomial(k)), mf) for k in range(n)]
-        )
+    if func.kind in ("F0", "F1", "F2"):
+        t = int(func.kind[1])
+        triple = x.triple()
+        # the r-th term needs k >= r, so it reaches index 2N - r only
+        terms = [
+            (r, comb(t, r), mf.shifted_values(triple[t - r], 2 * n - 1 - r))
+            for r in range(t + 1)
+            if degree >= r
+        ]
+
+        def entry(j, k):
+            acc = ZERO
+            for r, binom, c in terms:
+                if k >= r:
+                    acc = acc + c[j + k - r] * (binom * perm(k, r))
+            return acc
+
+    else:
+        p = x.gauss_poly()
+        if func.kind == "gauss-poly":
+            c = mf.shifted_values(func.weight * p, 2 * n - 1)
+        else:
+            c = [ZERO] * (2 * n - 1)
+            for (pt, w), v in zip(mf.atoms, func.atom_values):
+                term = p(pt) * (w * v)
+                for s in range(2 * n - 1):
+                    c[s] = c[s] + term
+                    term = term * pt
+
+        def entry(j, k):
+            return c[j + k]
+
+    rows = [[entry(j, k) for k in range(n)] for j in range(n)]
     half = Scalar(1) / Scalar(2)
     return [
-        [
-            (rows[j][k] + rows[k][j].conjugate()) * half
-            for k in range(n)
-        ]
+        [(rows[j][k] + rows[k][j].conjugate()) * half for k in range(n)]
         for j in range(n)
     ]
 
 
-def _pencil_top_eigenvalue(hmat, realization) -> float:
-    """Largest |eigenvalue| of (H, G) via exact congruence reduction."""
-    ldl = realization.ldl
-    r = ldl.rank
-    if r == 0:
-        raise SingularGramError("Gram matrix vanishes at this degree")
+def _reduced_pencil(hmat, ldl: LdlResult) -> list[list[Scalar]]:
+    """Z = L^-1 H_P L^-H on the pivot indices P, exactly.
+
+    The leading r x r block of Z is the reduction of the leading block of
+    H against the factor of the leading block of the Gram.
+    """
     piv = ldl.pivots
-    hp = [[hmat[piv[a]][piv[b]] for b in range(r)] for a in range(r)]
+    r = len(piv)
     lower = ldl.lower
-    # forward solve L Y = H_p (rows)
-    y = [row[:] for row in hp]
+    # forward solve L Y = H_P (rows)
+    z = [[hmat[piv[a]][piv[b]] for b in range(r)] for a in range(r)]
     for a in range(r):
         for b in range(a):
             f = lower[a][b]
             if f:
                 for c in range(r):
-                    y[a][c] = y[a][c] - f * y[b][c]
+                    z[a][c] = z[a][c] - f * z[b][c]
     # right solve Z L^H = Y (columns)
-    z = y
     for c in range(r):
         for b in range(c):
             f = lower[c][b].conjugate()
             if f:
                 for a in range(r):
                     z[a][c] = z[a][c] - z[a][b] * f
-    scale = [1.0 / sqrt(float(d)) for d in ldl.diag]
-    mat = np.array(
-        [
-            [complex(z[a][b]) * scale[a] * scale[b] for b in range(r)]
-            for a in range(r)
-        ]
-    )
-    mat = 0.5 * (mat + mat.conj().T)
-    eig = np.linalg.eigvalsh(mat)
-    return float(np.max(np.abs(eig)))
+    return z
 
 
 def plateau_verdict(lambdas, tolerance: float) -> str:
@@ -131,11 +159,23 @@ def boundedness_probe(
         raise ValueError("need an increasing list of at least three degrees")
     if not x.is_hermitian():
         raise NotHermitianError("probe element must be hermitian")
+    top = degrees[-1]
+    ldl = ldl_psd(hankel_gram(mf, top))
+    z = _reduced_pencil(quadratic_form_matrix(func, x, mf, top), ldl)
+    scale = [1.0 / sqrt(float(d)) for d in ldl.diag]
+    mat = np.array(
+        [
+            [complex(v) * sa * sb for v, sb in zip(row, scale)]
+            for row, sa in zip(z, scale)
+        ]
+    )
+    mat = 0.5 * (mat + mat.conj().T)
     lam = []
     for n in degrees:
-        realization = build_gns(mf, n)
-        hmat = _quadratic_form_matrix(func, x, mf, n)
-        lam.append(_pencil_top_eigenvalue(hmat, realization))
+        r = bisect_right(ldl.pivots, n)
+        if r == 0:
+            raise SingularGramError("Gram matrix vanishes at this degree")
+        lam.append(float(np.max(np.abs(np.linalg.eigvalsh(mat[:r, :r])))))
     return ProbeReport(
         degrees, tuple(lam), tolerance, plateau_verdict(lam, tolerance)
     )

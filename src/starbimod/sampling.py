@@ -65,12 +65,6 @@ def rand_gauss_element(rng: random.Random, max_degree: int = 4) -> BimodElement:
     return BimodElement.gauss(rand_poly(rng, max_degree))
 
 
-def rand_hermitian_d2(rng: random.Random, max_terms: int = 3, max_degree: int = 3):
-    """A hermitian element, built as y + y^+."""
-    y = rand_d2_element(rng, max_terms, max_degree)
-    return y + y.involution()
-
-
 def mu3() -> MomentFunctional:
     """Unit masses at -1, 0, 1."""
     return MomentFunctional.atomic([(-1, 1), (0, 1), (1, 1)])

@@ -181,6 +181,9 @@ class WeylElement:
         return self.terms == other.terms
 
     def __hash__(self):
+        # an element free of d equals its polynomial, so it must hash like it
+        if self.max_d_degree <= 0:
+            return hash(self.d_profile().get(0, Poly()))
         return hash(frozenset(self.terms.items()))
 
     def __repr__(self):

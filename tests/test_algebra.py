@@ -17,6 +17,7 @@ from starbimod.algebra import (
     parse_scalar,
 )
 from starbimod.errors import ParseError
+from starbimod.weyl import WeylElement
 
 fractions = st.fractions(min_value=-40, max_value=40, max_denominator=12)
 scalars = st.builds(Scalar, fractions, fractions)
@@ -62,7 +63,9 @@ class TestScalar:
     def test_literal_roundtrip(self, z):
         assert parse_scalar(format_scalar(z)) == z
 
-    @pytest.mark.parametrize("bad", ["", "i", "1+i", "2//3", "1.5", "2+3"])
+    @pytest.mark.parametrize(
+        "bad", ["", "i", "1+i", "2//3", "1.5", "2+3", "1/0", "2+1/00i"]
+    )
     def test_literal_rejects(self, bad):
         with pytest.raises(ParseError):
             parse_scalar(bad)
@@ -141,3 +144,35 @@ class TestPolyLaws:
     def test_eval_is_a_homomorphism(self, p, r, t):
         assert (p * r)(t) == p(t) * r(t)
         assert (p + r)(t) == p(t) + r(t)
+
+
+# small values, so that equal pairs across the types are drawn often
+tiny_fractions = st.fractions(min_value=-2, max_value=2, max_denominator=2)
+tiny_scalars = st.builds(Scalar, tiny_fractions, st.sampled_from([0, 0, 1]))
+tiny_polys = st.builds(Poly, st.lists(tiny_scalars, max_size=2))
+tiny_weyls = st.builds(
+    WeylElement,
+    st.lists(
+        st.tuples(st.tuples(st.integers(0, 1), st.integers(0, 1)), tiny_scalars),
+        max_size=2,
+    ),
+)
+numbers = st.one_of(
+    st.integers(-2, 2), tiny_fractions, tiny_scalars, tiny_polys, tiny_weyls
+)
+
+
+class TestEqHashContract:
+    @settings(max_examples=400)
+    @given(numbers, numbers)
+    def test_equal_values_hash_alike(self, a, b):
+        if a == b:
+            assert hash(a) == hash(b)
+
+    def test_sets_merge_equal_values(self):
+        assert len({Scalar(1), 1}) == 1
+        assert len({Scalar(Fraction(1, 2)), Fraction(1, 2)}) == 1
+        assert len({Poly.constant(2), 2}) == 1
+        assert len({Poly(), 0}) == 1
+        assert len({WeylElement.one() * 3, 3, Scalar(3), Poly.constant(3)}) == 1
+        assert len({WeylElement.from_poly(Q), Q}) == 1

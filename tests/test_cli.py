@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from starbimod.cli import main
+from starbimod.cli import MAX_PROBE_DEGREE, main
 from starbimod.moments import MomentFunctional
 from starbimod.sampling import mu3
 
@@ -37,6 +37,12 @@ class TestNormalOrder:
     def test_parse_error_exit_code(self, capsys):
         assert main(["normal-order", "q +"]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_zero_denominator_is_a_parse_error(self, capsys):
+        assert main(["normal-order", "1/0"]) == 2
+        err = capsys.readouterr().err
+        assert "zero denominator" in err
+        assert "Traceback" not in err
 
 
 class TestThetaMap:
@@ -148,6 +154,16 @@ class TestChecks:
         )
         assert code == 2
 
+    def test_zero_denominator_measure_rejected(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"type": "moments", "values": ["1", "1/0", "2"]}))
+        code = main(
+            ["gns-check", "--measure", str(bad), "--functional", "F0",
+             "--max-degree", "1", "--trials", "1", "--seed", "0"]
+        )
+        assert code == 2
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_unknown_functional(self, capsys, mu3_file):
         code = main(
             ["gns-check", "--measure", mu3_file, "--functional", "F9",
@@ -226,6 +242,33 @@ class TestProbe:
              "--element", "d^2", "--degrees", "10..2"]
         )
         assert code == 2
+
+    def test_negative_low_degree_refused(self, capsys, mu3_file):
+        code = main(
+            ["probe", "--measure", mu3_file, "--functional", "F0",
+             "--degrees=-1..4"]
+        )
+        assert code == 2
+        assert "negative degree" in capsys.readouterr().err
+
+    def test_top_degree_above_cap_refused(self, capsys, mu3_file):
+        # the tower is built at its top degree at once, so a huge range
+        # must be refused before any Gram is allocated
+        for top in (MAX_PROBE_DEGREE + 1, 100000):
+            code = main(
+                ["probe", "--measure", mu3_file, "--functional", "F0",
+                 "--degrees", f"2..{top}"]
+            )
+            assert code == 2
+            assert "exceeds the limit" in capsys.readouterr().err
+
+    def test_top_degree_at_cap_runs(self, capsys, mu3_file):
+        code = main(
+            ["probe", "--measure", mu3_file, "--functional", "gauss-poly:1",
+             "--degrees", f"{MAX_PROBE_DEGREE - 2}..{MAX_PROBE_DEGREE}"]
+        )
+        assert code == 0
+        assert "verdict: Bounded" in capsys.readouterr().out
 
 
 class TestLemmaCheck:

@@ -5,10 +5,15 @@ import random
 import numpy as np
 import pytest
 
-from starbimod.algebra import P_ONE, Q
+from starbimod.algebra import P_ONE, Poly, Q, Scalar
 from starbimod.bimodule import BimodElement, Generator
-from starbimod.errors import NotHermitianError, SingularGramError
-from starbimod.gns import Functional
+from starbimod.errors import (
+    MomentOutOfRangeError,
+    NotHermitianError,
+    SingularGramError,
+)
+from starbimod.exactla import Matrix, inverse, ldl_psd
+from starbimod.gns import Functional, build_gns, hankel_gram
 from starbimod.moments import MomentFunctional
 from starbimod.probes import (
     BOUNDED,
@@ -17,8 +22,15 @@ from starbimod.probes import (
     generator_probe,
     numerical_radius_norm_check,
     plateau_verdict,
+    quadratic_form_matrix,
 )
-from starbimod.sampling import mu3, rand_d2_element
+from starbimod.sampling import (
+    atoms012,
+    mu3,
+    rand_d2_element,
+    rand_fraction,
+    rand_poly,
+)
 
 D2 = BimodElement.d_squared()
 
@@ -91,6 +103,135 @@ class TestBoundednessProbe:
         report = boundedness_probe(Functional.f0(), D2, mu3(), range(2, 9))
         assert report.verdict == BOUNDED
         assert all(abs(v - 1.0) < 1e-9 for v in report.lambdas)
+
+
+def reference_form(func, x, mf, degree):
+    """H[j][k] = F(q^j x q^k) entry by entry, through act and F, hermitised."""
+    n = degree + 1
+    rows = [
+        [func.value(x.act(Poly.monomial(j), Poly.monomial(k)), mf) for k in range(n)]
+        for j in range(n)
+    ]
+    half = Scalar(1) / Scalar(2)
+    return [
+        [(rows[j][k] + rows[k][j].conjugate()) * half for k in range(n)]
+        for j in range(n)
+    ]
+
+
+def reference_lambda(func, x, mf, degree):
+    """lambda_N from the degree-N realization alone, by dense exact inverses."""
+    ldl = build_gns(mf, degree).ldl
+    h = reference_form(func, x, mf, degree)
+    piv = ldl.pivots
+    linv = inverse(Matrix(ldl.lower))
+    z = linv @ Matrix([[h[a][b] for b in piv] for a in piv]) @ linv.adjoint()
+    scale = np.array([1.0 / np.sqrt(float(d)) for d in ldl.diag])
+    mat = np.array([[complex(v) for v in row] for row in z.rows], dtype=complex)
+    mat = mat * np.outer(scale, scale)
+    mat = 0.5 * (mat + mat.conj().T)
+    return float(np.max(np.abs(np.linalg.eigvalsh(mat))))
+
+
+def hermitian_d2(rng):
+    y = rand_d2_element(rng, 2, 3)
+    return y + y.involution()
+
+
+def hermitian_gauss(rng):
+    return BimodElement.gauss(rand_poly(rng, 3, complex_parts=False))
+
+
+MEASURES = {
+    "mu3": mu3(),
+    "atoms012": atoms012(),
+    "lebesgue": MomentFunctional.lebesgue_unit(64),
+    "gaussian": MomentFunctional.gaussian(64),
+}
+
+
+class TestStructuredForm:
+    @pytest.mark.parametrize("mname", sorted(MEASURES))
+    @pytest.mark.parametrize("degree", [0, 1, 8])
+    def test_matches_entrywise_construction(self, mname, degree):
+        mf = MEASURES[mname]
+        rng = random.Random(degree * 31 + len(mname))
+        cases = [(Functional(k), hermitian_d2(rng)) for k in ("F0", "F1", "F2")]
+        cases.append(
+            (Functional.gauss_poly(rand_poly(rng, 2, nonzero=True)), hermitian_gauss(rng))
+        )
+        if mf.is_atomic:
+            values = [rand_fraction(rng) for _ in mf.atoms]
+            cases.append((Functional.gauss_atoms(values), hermitian_gauss(rng)))
+        for func, x in cases:
+            assert quadratic_form_matrix(func, x, mf, degree) == reference_form(
+                func, x, mf, degree
+            ), func.describe()
+
+    @pytest.mark.parametrize(
+        "func, x, mf",
+        [
+            (Functional.f1(), D2, MomentFunctional.gaussian(64)),
+            (Functional.f2(), hermitian_d2(random.Random(5)), MomentFunctional.lebesgue_unit(64)),
+            (Functional.f1(), hermitian_d2(random.Random(6)), mu3()),
+            (Functional.gauss_poly(Q), BimodElement.gauss(1), atoms012()),
+            (Functional.gauss_atoms([1, -2, 3]), BimodElement.gauss(Q), atoms012()),
+        ],
+    )
+    def test_tower_matches_per_degree_reduction(self, func, x, mf):
+        degrees = range(1, 8)
+        report = boundedness_probe(func, x, mf, degrees)
+        for n, lam in zip(degrees, report.lambdas):
+            ref = reference_lambda(func, x, mf, n)
+            assert abs(lam - ref) <= 1e-12 * max(abs(ref), 1e-300), n
+
+    @pytest.mark.parametrize(
+        "func, x",
+        [
+            (Functional.f0(), None),
+            (Functional.f1(), None),
+            (Functional.f2(), None),
+            (Functional.gauss_poly(Q), BimodElement.gauss(Q * Q)),
+        ],
+    )
+    def test_reads_exactly_the_moments_of_the_entrywise_route(self, func, x):
+        # q^3 g q + q g q^3 has the triple (2q^4, 4q^3, 6q^2), so every
+        # variant needs moments beyond the 2N that the Gram reads
+        if x is None:
+            y = BimodElement(Generator.D2, [(Q**3, Q)])
+            x = y + y.involution()
+        top = 4
+        values = MomentFunctional.gaussian(64).values
+
+        def truncated(length):
+            return MomentFunctional.from_moments(values[:length])
+
+        length = 1
+        while True:
+            try:
+                build_gns(truncated(length), top)
+                reference_form(func, x, truncated(length), top)
+                break
+            except MomentOutOfRangeError:
+                length += 1
+        assert length > 2 * top + 1
+        boundedness_probe(func, x, truncated(length), range(2, top + 1))
+        with pytest.raises(MomentOutOfRangeError):
+            boundedness_probe(func, x, truncated(length - 1), range(2, top + 1))
+
+
+class TestNestedFactor:
+    @pytest.mark.parametrize("mf", [mu3(), MomentFunctional.gaussian(64)])
+    def test_leading_block_factor_is_leading_part(self, mf):
+        gram = hankel_gram(mf, 8)
+        full = ldl_psd(gram)
+        assert list(full.pivots) == sorted(full.pivots)
+        for n in range(1, gram.nrows + 1):
+            block = ldl_psd(Matrix([row[:n] for row in gram.rows[:n]]))
+            r = sum(p < n for p in full.pivots)
+            assert block.pivots == full.pivots[:r]
+            assert block.diag == full.diag[:r]
+            assert block.lower == tuple(row[:r] for row in full.lower[:r])
 
 
 class TestPlateauRule:
