@@ -26,9 +26,15 @@ from .sampling import rand_d2_element, rand_gauss_element, rand_poly
 from .selftest import run_all
 
 
+# Upper limits on size arguments, refused with exit 2 before any work.
 # The probe builds its whole tower at the top degree up front, a Gram of
-# (B+1)^2 exact entries; the shipped moment lists stop at degree 31.
-MAX_PROBE_DEGREE = 64
+# (B+1)^2 exact entries; the shipped moment lists stop at degree 31.  The
+# same cap bounds every other degree argument.  lemma-check holds 10 000
+# sampled vectors of length --max-dim at once.
+MAX_DEGREE = 64
+MAX_DIM = 64
+MAX_TRIALS = 10_000
+_LIMITS = {"max_degree": MAX_DEGREE, "max_dim": MAX_DIM, "trials": MAX_TRIALS}
 
 
 class InputError(Exception):
@@ -109,15 +115,36 @@ def _parse_degrees(text: str) -> list[int]:
         raise InputError(f"bad degree range {text!r}; expected A..B") from exc
     if lo < 0:
         raise InputError(f"negative degree in range {text!r}")
-    if hi > MAX_PROBE_DEGREE:
-        raise InputError(
-            f"top degree {hi} exceeds the limit of {MAX_PROBE_DEGREE}"
-        )
+    if hi > MAX_DEGREE:
+        raise InputError(f"top degree {hi} exceeds the limit of {MAX_DEGREE}")
     if hi < lo:
         raise InputError(f"empty degree range {text!r}")
     if hi - lo < 2:
         raise InputError("need at least three degrees for a verdict")
     return list(range(lo, hi + 1))
+
+
+def _at_least(minimum: int):
+    """argparse type: an integer no smaller than ``minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return parse
+
+
+def _check_limits(args) -> None:
+    for dest, cap in _LIMITS.items():
+        value = getattr(args, dest, None)
+        if value is not None and value > cap:
+            flag = "--" + dest.replace("_", "-")
+            raise InputError(f"{flag} {value} exceeds the limit of {cap}")
 
 
 def _cmd_normal_order(args) -> int:
@@ -326,7 +353,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
                 help="F0 | F1 | F2 | gauss-poly:<expr> | gauss-atoms:<file>",
             )
         if trials:
-            p.add_argument("--trials", type=int, default=200)
+            p.add_argument("--trials", type=_at_least(1), default=200)
             p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("normal-order", help="normal order an expression")
@@ -337,19 +364,22 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("theta-map", help="apply the order-lowering map")
     p.add_argument("--element", required=True, help="expression or JSON file")
     p.add_argument(
-        "--max-degree", type=int, default=None, help="also print the operator table"
+        "--max-degree",
+        type=_at_least(0),
+        default=None,
+        help="also print the operator table",
     )
     common(p)
     p.set_defaults(func=_cmd_theta_map)
 
     p = sub.add_parser("gns-check", help="random exact representation-identity checks")
     common(p, measure=True, functional=True, trials=True)
-    p.add_argument("--max-degree", type=int, default=6)
+    p.add_argument("--max-degree", type=_at_least(0), default=6)
     p.set_defaults(func=_cmd_gns_check)
 
     p = sub.add_parser("cs-check", help="random exact Cauchy-Schwarz checks")
     common(p, measure=True, functional=True, trials=True)
-    p.add_argument("--max-degree", type=int, default=6)
+    p.add_argument("--max-degree", type=_at_least(0), default=6)
     p.set_defaults(func=_cmd_cs_check)
 
     p = sub.add_parser("probe", help="finite-degree boundedness probe")
@@ -361,9 +391,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lemma-check", help="numerical-radius norm bound on random matrices")
     common(p)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-dim", type=int, default=8)
+    p.add_argument("--trials", type=_at_least(1), default=100)
+    p.add_argument("--seed", type=_at_least(0), default=0)
+    p.add_argument("--max-dim", type=_at_least(1), default=8)
     p.set_defaults(func=_cmd_lemma_check)
 
     p = sub.add_parser("selftest", help="run the full acceptance battery")
@@ -376,6 +406,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_arg_parser().parse_args(argv)
     try:
+        _check_limits(args)
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, perm
 
-from .algebra import I, ONE, Poly, Scalar
+from .algebra import I, ONE, ZERO, Poly, Scalar
 
 
 def _normal_dq(n: int, m: int):
@@ -168,11 +168,18 @@ class WeylElement:
         return WeylElement(acc)
 
     def apply(self, p: Poly) -> Poly:
-        """Act as a differential operator: q^m d^n maps p to t^m p^(n)."""
-        out = Poly()
+        """Act as a differential operator: q^m d^n maps p to t^m p^(n).
+
+        The term c q^m d^n sends a t^j to c a j!/(j-n)! t^(j-n+m), so the
+        image is built by shifting coefficient indices in one pass.
+        """
+        a = p.coeffs
+        out = [ZERO] * (len(a) + max((m - n for m, n in self.terms), default=0))
         for (m, n), c in self.terms.items():
-            out = out + Poly.monomial(m, c) * p.derivative(n)
-        return out
+            for j in range(n, len(a)):
+                if not a[j].is_zero():
+                    out[j - n + m] = out[j - n + m] + c * perm(j, n) * a[j]
+        return Poly(out)
 
     def __eq__(self, other):
         other = _coerce(other)

@@ -4,7 +4,14 @@ import json
 
 import pytest
 
-from starbimod.cli import MAX_PROBE_DEGREE, main
+from starbimod.cli import (
+    MAX_DEGREE,
+    MAX_DIM,
+    MAX_TRIALS,
+    _check_limits,
+    build_arg_parser,
+    main,
+)
 from starbimod.moments import MomentFunctional
 from starbimod.sampling import mu3
 
@@ -254,7 +261,7 @@ class TestProbe:
     def test_top_degree_above_cap_refused(self, capsys, mu3_file):
         # the tower is built at its top degree at once, so a huge range
         # must be refused before any Gram is allocated
-        for top in (MAX_PROBE_DEGREE + 1, 100000):
+        for top in (MAX_DEGREE + 1, 100000):
             code = main(
                 ["probe", "--measure", mu3_file, "--functional", "F0",
                  "--degrees", f"2..{top}"]
@@ -265,7 +272,7 @@ class TestProbe:
     def test_top_degree_at_cap_runs(self, capsys, mu3_file):
         code = main(
             ["probe", "--measure", mu3_file, "--functional", "gauss-poly:1",
-             "--degrees", f"{MAX_PROBE_DEGREE - 2}..{MAX_PROBE_DEGREE}"]
+             "--degrees", f"{MAX_DEGREE - 2}..{MAX_DEGREE}"]
         )
         assert code == 0
         assert "verdict: Bounded" in capsys.readouterr().out
@@ -278,3 +285,95 @@ class TestLemmaCheck:
         report = json.loads(capsys.readouterr().out)
         assert report["holds"] is True
         assert report["failures"] == 0
+
+
+MEASURE = "<measure>"
+
+
+def _argv(argv, measure):
+    return [measure if a == MEASURE else a for a in argv]
+
+
+class TestSizeArguments:
+    """Negative and oversized size arguments exit 2 before any work starts."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gns-check", "--measure", MEASURE, "--functional", "F0", "--max-degree", "-1"],
+            ["cs-check", "--measure", MEASURE, "--functional", "F0", "--max-degree", "-1"],
+            ["theta-map", "--element", "d^2", "--max-degree", "-3"],
+            ["lemma-check", "--max-dim", "0"],
+            ["gns-check", "--measure", MEASURE, "--functional", "F0", "--trials", "-5"],
+            ["cs-check", "--measure", MEASURE, "--functional", "F0", "--trials", "0"],
+            ["lemma-check", "--trials", "-1"],
+            ["lemma-check", "--seed", "-1"],
+        ],
+    )
+    def test_below_range_refused(self, capsys, mu3_file, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(_argv(argv, mu3_file))
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "must be at least" in err.strip().splitlines()[-1]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["theta-map", "--element", "d^2", "--max-degree", str(MAX_DEGREE + 1)],
+            ["theta-map", "--element", "d^2", "--max-degree", "100000"],
+            ["gns-check", "--measure", MEASURE, "--functional", "F0",
+             "--max-degree", str(MAX_DEGREE + 1)],
+            ["cs-check", "--measure", MEASURE, "--functional", "F0",
+             "--max-degree", str(MAX_DEGREE + 1)],
+            ["lemma-check", "--max-dim", str(MAX_DIM + 1)],
+            ["gns-check", "--measure", MEASURE, "--functional", "F0",
+             "--trials", str(MAX_TRIALS + 1)],
+            ["cs-check", "--measure", MEASURE, "--functional", "F0",
+             "--trials", str(MAX_TRIALS + 1)],
+            ["lemma-check", "--trials", str(MAX_TRIALS + 1)],
+        ],
+    )
+    def test_above_cap_refused(self, capsys, mu3_file, argv):
+        assert main(_argv(argv, mu3_file)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --")
+        assert "exceeds the limit" in captured.err
+        assert len(captured.err.strip().splitlines()) == 1
+
+    def test_theta_map_table_at_cap(self, capsys):
+        code = main(
+            ["theta-map", "--element", "d^2", "--max-degree", str(MAX_DEGREE), "--json"]
+        )
+        assert code == 0
+        table = json.loads(capsys.readouterr().out)["table"]
+        assert len(table) == MAX_DEGREE + 1
+        assert table[MAX_DEGREE] == ["0"] * (MAX_DEGREE - 1) + [f"{MAX_DEGREE}i"]
+
+    @pytest.mark.parametrize("command", ["gns-check", "cs-check"])
+    def test_check_degree_at_cap(self, capsys, mu3_file, command):
+        code = main(
+            [command, "--measure", mu3_file, "--functional", "F0",
+             "--max-degree", str(MAX_DEGREE), "--trials", "2", "--seed", "4"]
+        )
+        assert code == 0
+        assert "2/2" in capsys.readouterr().out
+
+    def test_lemma_dim_at_cap(self, capsys):
+        code = main(
+            ["lemma-check", "--max-dim", str(MAX_DIM), "--trials", "2", "--seed", "1"]
+        )
+        assert code == 0
+        assert "2/2" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["gns-check", "cs-check", "lemma-check"])
+    def test_trials_at_cap_accepted(self, mu3_file, command):
+        # a full run at the cap takes minutes, so only the gate is exercised
+        argv = [command, "--trials", str(MAX_TRIALS)]
+        if command != "lemma-check":
+            argv += ["--measure", mu3_file, "--functional", "F0"]
+        args = build_arg_parser().parse_args(argv)
+        assert args.trials == MAX_TRIALS
+        _check_limits(args)

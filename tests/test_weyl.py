@@ -2,9 +2,42 @@
 
 import random
 
+import sympy
+
 from starbimod.algebra import I, Poly, Q, Scalar
-from starbimod.sampling import rand_weyl
+from starbimod.sampling import rand_scalar, rand_weyl
 from starbimod.weyl import D, P, QW, WeylElement
+
+T = sympy.Symbol("t")
+
+
+def _sym(c: Scalar):
+    return sympy.Rational(c.re.numerator, c.re.denominator) + sympy.I * sympy.Rational(
+        c.im.numerator, c.im.denominator
+    )
+
+
+def _sym_poly(p: Poly) -> sympy.Poly:
+    return sympy.Poly([_sym(c) for c in reversed(p.coeffs)] or [0], T, domain=sympy.QQ_I)
+
+
+def sympy_apply(u: WeylElement, p: Poly) -> sympy.Poly:
+    """sum c t^m (d/dt)^n p over the terms c q^m d^n of u, computed by sympy."""
+    f = _sym_poly(p)
+    image = sympy.Poly(0, T, domain=sympy.QQ_I)
+    for (m, n), c in u.terms.items():
+        derivative = f.diff((T, n)) if n else f
+        image += sympy.Poly(_sym(c) * T**m, T, domain=sympy.QQ_I) * derivative
+    return image
+
+
+def rand_nonmonomial(rng, degree: int) -> Poly:
+    """Dense Gaussian-rational polynomial with nonzero constant and top terms."""
+    coeffs = [rand_scalar(rng) for _ in range(degree + 1)]
+    for k in (0, degree):
+        while coeffs[k].is_zero():
+            coeffs[k] = rand_scalar(rng)
+    return Poly(coeffs)
 
 
 class TestPinnedProducts:
@@ -73,6 +106,48 @@ class TestApply:
     def test_linear_in_argument(self):
         u = QW * D + D
         assert u.apply(Q * Q + Q) == u.apply(Q * Q) + u.apply(Q)
+
+
+class TestApplyAgainstSympy:
+    """``apply`` checked exactly against sympy's derivative over QQ(i)."""
+
+    def check(self, u, p):
+        assert _sym_poly(u.apply(p)) == sympy_apply(u, p)
+
+    def test_random_elements_on_dense_polys(self):
+        rng = random.Random(21)
+        for _ in range(300):
+            u = rand_weyl(rng, max_terms=4, max_exp=6)
+            p = rand_nonmonomial(rng, rng.randint(1, 9))
+            self.check(u, p)
+
+    def test_derivative_order_above_degree(self):
+        rng = random.Random(22)
+        p = rand_nonmonomial(rng, 3)
+        for n in (3, 4, 7):
+            u = WeylElement.monomial(2, n, rand_scalar(rng) + I)
+            self.check(u, p)
+        assert WeylElement.monomial(5, 4, 2).apply(p).is_zero()
+        assert WeylElement.d_power(3).apply(p).degree == 0
+
+    def test_zero_polynomial(self):
+        rng = random.Random(23)
+        u = rand_weyl(rng)
+        self.check(u, Poly())
+        assert u.apply(Poly()).is_zero()
+
+    def test_zero_element(self):
+        p = rand_nonmonomial(random.Random(24), 5)
+        self.check(WeylElement.zero(), p)
+        assert WeylElement.zero().apply(p).is_zero()
+
+    def test_pure_q_and_pure_d_terms(self):
+        rng = random.Random(25)
+        for _ in range(20):
+            p = rand_nonmonomial(rng, rng.randint(1, 6))
+            c = rand_scalar(rng) + I
+            self.check(WeylElement.monomial(rng.randint(0, 5), 0, c), p)
+            self.check(WeylElement.monomial(0, rng.randint(1, 5), c), p)
 
 
 class TestOracle:
