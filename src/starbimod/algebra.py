@@ -4,12 +4,25 @@ Everything here is exact.  A ``Scalar`` is a complex number with rational
 real and imaginary parts (``fractions.Fraction`` keeps them reduced with
 positive denominators), a ``Poly`` is a dense univariate polynomial in the
 hermitian generator q with Scalar coefficients and no trailing zeros.
+
+Products run in integers.  ``gauss_numerators`` writes a batch of Scalar
+sequences as Gaussian-integer numerators (a real and an imaginary int
+list) over one shared denominator, the lcm of all their denominators.
+``sum_of_products`` accumulates sum_j u_j * v_j, and optionally the same
+sums against the derivatives of the v_j, over a list of polynomial pairs
+in plain ints, and ``gauss_scalar`` builds each output coefficient once
+as a reduced Fraction pair.  ``Poly.__mul__`` is its one-pair case, the
+d^2 coefficient triple its three fused sums, and ``Matrix.__matmul__``
+takes integer dot products of rows and columns converted the same way.
+The stored forms stay as above; no gcd is taken inside a product.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import count
+from math import lcm
 
 from .errors import ParseError
 
@@ -245,19 +258,10 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):
-            c = Scalar.coerce(other)
-            return Poly([a * c for a in self.coeffs])
-        if not isinstance(other, Poly):
+            other = Poly.constant(other)
+        elif not isinstance(other, Poly):
             return NotImplemented
-        if not self.coeffs or not other.coeffs:
-            return Poly()
-        out = [ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for j, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for k, b in enumerate(other.coeffs):
-                out[j + k] = out[j + k] + a * b
-        return Poly(out)
+        return sum_of_products([(self, other)])[0]
 
     __rmul__ = __mul__
 
@@ -346,3 +350,74 @@ class Poly:
 P_ZERO = Poly()
 P_ONE = Poly.constant(1)
 Q = Poly.monomial(1)
+
+
+def gauss_numerators(seqs):
+    """Gaussian-integer numerators of Scalar sequences over one denominator.
+
+    Returns ``(nums, den)``: ``den`` is the least common denominator of
+    every real and imaginary part, and ``nums`` holds one ``(re, im)``
+    pair of int lists per sequence, with ``seq[k] == (re[k] + im[k]*i) / den``.
+    """
+    dens = {c.re.denominator for seq in seqs for c in seq}
+    dens.update(c.im.denominator for seq in seqs for c in seq)
+    den = lcm(*dens)
+    nums = [
+        (
+            [c.re.numerator * (den // c.re.denominator) for c in seq],
+            [c.im.numerator * (den // c.im.denominator) for c in seq],
+        )
+        for seq in seqs
+    ]
+    return nums, den
+
+
+def gauss_scalar(re: int, im: int, den: int) -> Scalar:
+    """The Scalar (re + im*i) / den, each part reduced once."""
+    return Scalar(_over(re, den), _over(im, den))
+
+
+def _over(n: int, den: int) -> Fraction:
+    # Fraction(n) skips the gcd, which n/1 and 0/den do not need
+    return Fraction(n) if den == 1 or not n else Fraction(n, den)
+
+
+def sum_of_products(pairs, derivatives: int = 0) -> tuple[Poly, ...]:
+    """The sums sum_j u_j * v_j^(r) for r = 0..derivatives, over (u_j, v_j).
+
+    The u_j share one denominator and the v_j another; the derivatives are
+    taken on the integer numerators, every sum is accumulated in ints, and
+    each output coefficient is reduced once.
+    """
+    pairs = [(u, v) for u, v in pairs if u.coeffs and v.coeffs]
+    us, du = gauss_numerators([u.coeffs for u, _ in pairs])
+    vs, dv = gauss_numerators([v.coeffs for _, v in pairs])
+    size = max((len(u.coeffs) + len(v.coeffs) - 1 for u, v in pairs), default=0)
+    den = du * dv
+    out = []
+    for r in range(derivatives + 1):
+        if r:
+            vs = [(_derive(vr), _derive(vi)) for vr, vi in vs]
+        acc_re = [0] * size
+        acc_im = [0] * size
+        for (ur, ui), (vr, vi) in zip(us, vs):
+            _convolve_into(acc_re, acc_im, ur, ui, vr, vi)
+        out.append(Poly([gauss_scalar(x, y, den) for x, y in zip(acc_re, acc_im)]))
+    return tuple(out)
+
+
+def _derive(cs: list[int]) -> list[int]:
+    return [k * c for k, c in enumerate(cs[1:], 1)]
+
+
+def _convolve_into(acc_re, acc_im, ur, ui, vr, vi) -> None:
+    """acc += u * v on Gaussian-integer coefficient lists."""
+    for j, (ar, ai) in enumerate(zip(ur, ui)):
+        if ai:
+            for k, br, bi in zip(count(j), vr, vi):
+                acc_re[k] += ar * br - ai * bi
+                acc_im[k] += ar * bi + ai * br
+        elif ar:
+            for k, br, bi in zip(count(j), vr, vi):
+                acc_re[k] += ar * br
+                acc_im[k] += ar * bi

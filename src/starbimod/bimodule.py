@@ -23,7 +23,7 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 
-from .algebra import I, P_ONE, Poly, Q, Scalar
+from .algebra import I, P_ONE, Poly, Q, Scalar, sum_of_products
 from .errors import NotHermitianError, TagMismatchError
 from .weyl import WeylElement
 
@@ -50,9 +50,7 @@ class BimodElement:
             pairs.append((a, b))
         if tag is Generator.GAUSS and pairs:
             # the weight commutes: a * g * b = g * (a*b)
-            total = Poly()
-            for a, b in pairs:
-                total = total + a * b
+            (total,) = sum_of_products(pairs)
             pairs = [(P_ONE, total)] if total else []
         object.__setattr__(self, "tag", tag)
         object.__setattr__(self, "terms", tuple(pairs))
@@ -143,14 +141,7 @@ class BimodElement:
     def triple(self) -> tuple[Poly, Poly, Poly]:
         """Classifying triple (sum a b, sum a b', sum a b'') of a D2 element."""
         self._require(Generator.D2, "coefficient triple")
-        h0 = Poly()
-        h1 = Poly()
-        h2 = Poly()
-        for a, b in self.terms:
-            h0 = h0 + a * b
-            h1 = h1 + a * b.derivative()
-            h2 = h2 + a * b.derivative(2)
-        return h0, h1, h2
+        return sum_of_products(self.terms, derivatives=2)
 
     def gauss_poly(self) -> Poly:
         """Canonical polynomial factor of a GAUSS element."""

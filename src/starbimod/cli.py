@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import random
 import sys
@@ -137,6 +138,17 @@ def _at_least(minimum: int):
         return value
 
     return parse
+
+
+def _tolerance(text: str) -> float:
+    """argparse type: a finite float >= 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
+    return value
 
 
 def _check_limits(args) -> None:
@@ -319,7 +331,13 @@ def _cmd_selftest(args) -> int:
     payload = {
         "check": "selftest",
         "results": [
-            {"index": r.index, "name": r.name, "passed": r.passed, "detail": r.detail}
+            {
+                "index": r.index,
+                "name": r.name,
+                "passed": r.passed,
+                "detail": r.detail,
+                "elapsed_s": r.elapsed_s,
+            }
             for r in results
         ],
         "passed": all(r.passed for r in results),
@@ -386,7 +404,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     common(p, measure=True, functional=True)
     p.add_argument("--element", default=None, help="expression or JSON file")
     p.add_argument("--degrees", default="2..10", help="degree range A..B")
-    p.add_argument("--tolerance", type=float, default=1e-3)
+    p.add_argument("--tolerance", type=_tolerance, default=1e-3)
     p.set_defaults(func=_cmd_probe)
 
     p = sub.add_parser("lemma-check", help="numerical-radius norm bound on random matrices")

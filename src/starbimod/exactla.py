@@ -10,9 +10,10 @@ cubic algorithms are fine.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import NamedTuple
 
-from .algebra import ONE, ZERO, Poly, Scalar
+from .algebra import ONE, ZERO, Poly, Scalar, gauss_numerators, gauss_scalar
 from .errors import DimensionMismatchError, NotPositiveError
 
 
@@ -77,10 +78,6 @@ class Matrix:
     def __neg__(self):
         return Matrix([[-a for a in r] for r in self.rows])
 
-    def scale(self, c) -> "Matrix":
-        c = Scalar.coerce(c)
-        return Matrix([[a * c for a in r] for r in self.rows])
-
     def __matmul__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
@@ -89,18 +86,21 @@ class Matrix:
                 f"cannot multiply {self.nrows}x{self.ncols} by "
                 f"{other.nrows}x{other.ncols}"
             )
-        cols = other.ncols
-        out = []
-        for r in self.rows:
-            row = []
-            for j in range(cols):
-                acc = ZERO
-                for k, a in enumerate(r):
-                    if a:
-                        acc = acc + a * other.rows[k][j]
-                row.append(acc)
-            out.append(row)
-        return Matrix(out)
+        rows = [gauss_numerators([r]) for r in self.rows]
+        cols = [gauss_numerators([c]) for c in zip(*other.rows)]
+        return Matrix(
+            [
+                [
+                    gauss_scalar(
+                        sum(map(mul, rr, cr)) - sum(map(mul, ri, ci)),
+                        sum(map(mul, rr, ci)) + sum(map(mul, ri, cr)),
+                        dr * dc,
+                    )
+                    for [(cr, ci)], dc in cols
+                ]
+                for [(rr, ri)], dr in rows
+            ]
+        )
 
     def adjoint(self) -> "Matrix":
         """Conjugate transpose."""
@@ -143,9 +143,14 @@ def poly_at(p: Poly, m: Matrix) -> Matrix:
     if m.nrows != m.ncols:
         raise DimensionMismatchError("polynomial of a non-square matrix")
     n = m.nrows
-    acc = Matrix.zeros(n, n)
-    for c in reversed(p.coeffs):
-        acc = (acc @ m) + Matrix.identity(n).scale(c)
+    if not p.coeffs:
+        return Matrix.zeros(n, n)
+    acc = Matrix.diagonal([p.coeffs[-1]] * n)
+    for c in reversed(p.coeffs[:-1]):
+        rows = [list(r) for r in (acc @ m).rows]
+        for i in range(n):
+            rows[i][i] = rows[i][i] + c
+        acc = Matrix(rows)
     return acc
 
 

@@ -10,6 +10,12 @@ Grammar (LL(1), juxtaposition is not multiplication):
 ``p`` elaborates to -i*d, so every well-formed input lands in the
 normal-ordered ambient algebra.  Errors carry the byte offset and the
 token kinds that would have been accepted.
+
+A power may raise the degree of its base to at most ``MAX_EXPONENT``:
+``x^n`` is refused when n times the larger of the q- and d-degree of x
+exceeds it.  Measuring against the base's degree bounds nested powers
+too, and a constant base counts as degree 1, so no power multiplies
+more than ``MAX_EXPONENT`` times.
 """
 
 from __future__ import annotations
@@ -20,6 +26,9 @@ from typing import NamedTuple
 from .algebra import I, Scalar
 from .errors import ParseError
 from .weyl import WeylElement
+
+
+MAX_EXPONENT = 64
 
 
 class Token(NamedTuple):
@@ -129,7 +138,16 @@ class _Parser:
             if tok.kind != "number" or "/" in tok.text:
                 self.fail({"nonnegative integer"})
             self.advance()
-            value = value ** int(tok.text)
+            n = int(tok.text)
+            degree = max(value.max_q_degree, value.max_d_degree, 1)
+            if n * degree > MAX_EXPONENT:
+                raise ParseError(
+                    f"power {n} of a degree-{degree} base exceeds the limit of "
+                    f"{MAX_EXPONENT}",
+                    tok.offset,
+                    {f"exponent <= {MAX_EXPONENT // degree}"},
+                )
+            value = value ** n
         return -value if negate else value
 
     def parse_atom(self) -> WeylElement:

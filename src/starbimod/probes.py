@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from math import comb, perm, sqrt
+from math import comb, isfinite, perm, sqrt
 
 import numpy as np
 
@@ -135,7 +135,14 @@ def _reduced_pencil(hmat, ldl: LdlResult) -> list[list[Scalar]]:
 
 
 def plateau_verdict(lambdas, tolerance: float) -> str:
-    """Bounded iff the final three values agree within the relative tolerance."""
+    """Bounded iff the final three values agree within the relative tolerance.
+
+    The tolerance must be a finite number >= 0; anything else raises
+    ValueError, since a negative or NaN one reads every tail as growth and
+    an infinite one every tail as bounded.
+    """
+    if not (isfinite(tolerance) and tolerance >= 0):
+        raise ValueError(f"tolerance must be finite and >= 0, got {tolerance!r}")
     tail = list(lambdas)[-3:]
     scale = max(abs(v) for v in tail)
     if scale == 0.0:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -54,6 +54,7 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
+    elapsed_s: float | None = None  # wall time, set by run_all
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -457,4 +458,10 @@ ALL_CHECKS = (
 
 
 def run_all() -> list[CheckResult]:
-    return [check() for check in ALL_CHECKS]
+    """Run every criterion in order, recording each one's wall time."""
+    results = []
+    for check in ALL_CHECKS:
+        started = time.perf_counter()
+        result = check()
+        results.append(replace(result, elapsed_s=time.perf_counter() - started))
+    return results

@@ -12,7 +12,9 @@ from starbimod.cli import (
     build_arg_parser,
     main,
 )
+from starbimod import selftest
 from starbimod.moments import MomentFunctional
+from starbimod.probes import BOUNDED, GROWTH, plateau_verdict
 from starbimod.sampling import mu3
 
 
@@ -44,6 +46,18 @@ class TestNormalOrder:
     def test_parse_error_exit_code(self, capsys):
         assert main(["normal-order", "q +"]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_huge_exponent_refused(self, capsys):
+        assert main(["normal-order", "q^100000000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "exceeds the limit" in captured.err
+        assert len(captured.err.strip().splitlines()) == 1
+
+    def test_nested_power_refused(self, capsys):
+        assert main(["normal-order", "(q^8)^9"]) == 2
+        assert "offset 6" in capsys.readouterr().err
 
     def test_zero_denominator_is_a_parse_error(self, capsys):
         assert main(["normal-order", "1/0"]) == 2
@@ -276,6 +290,65 @@ class TestProbe:
         )
         assert code == 0
         assert "verdict: Bounded" in capsys.readouterr().out
+
+
+class TestProbeTolerance:
+    ARGV = ["probe", "--functional", "gauss-poly:q", "--degrees", "2..6"]
+
+    @pytest.mark.parametrize("value", ["-1", "-1e-9", "nan", "inf", "-inf", "abc"])
+    def test_bad_tolerance_refused(self, capsys, mu3_file, value):
+        with pytest.raises(SystemExit) as exc:
+            main(self.ARGV + ["--measure", mu3_file, f"--tolerance={value}"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "--tolerance" in err.strip().splitlines()[-1]
+
+    @pytest.mark.parametrize("value", ["0", "1e-3"])
+    def test_valid_tolerance_keeps_verdict(self, capsys, mu3_file, value):
+        code = main(self.ARGV + ["--measure", mu3_file, "--tolerance", value])
+        assert code == 0
+        assert "verdict: Bounded" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("value", [-1.0, float("nan"), float("inf"), float("-inf")])
+    def test_plateau_verdict_rejects(self, value):
+        with pytest.raises(ValueError):
+            plateau_verdict([1.0, 1.0, 1.0], value)
+
+    def test_plateau_verdict_at_zero_tolerance(self):
+        assert plateau_verdict([1.0, 2.0, 2.0, 2.0], 0.0) == BOUNDED
+        assert plateau_verdict([1.0, 2.0, 2.0, 2.5], 0.0) == GROWTH
+
+
+class TestSelftestReport:
+    @staticmethod
+    def _fake(index, passed):
+        def check():
+            return selftest.CheckResult(index, f"fake-{index}", passed, "detail")
+
+        return check
+
+    def test_json_results_carry_elapsed_time(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            selftest, "ALL_CHECKS", (self._fake(1, True), self._fake(2, True))
+        )
+        assert main(["selftest", "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["passed"] is True
+        for entry, index in zip(report["results"], (1, 2)):
+            assert set(entry) == {"index", "name", "passed", "detail", "elapsed_s"}
+            assert entry["index"] == index
+            assert isinstance(entry["elapsed_s"], float) and entry["elapsed_s"] >= 0
+
+    def test_text_output_and_exit_code_unchanged(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            selftest, "ALL_CHECKS", (self._fake(1, True), self._fake(2, False))
+        )
+        assert main(["selftest"]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "PASS   1 fake-1: detail",
+            "FAIL   2 fake-2: detail",
+        ]
 
 
 class TestLemmaCheck:

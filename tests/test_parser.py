@@ -7,7 +7,7 @@ import pytest
 
 from starbimod.algebra import I, Scalar
 from starbimod.errors import ParseError
-from starbimod.parser import parse_expression, tokenize
+from starbimod.parser import MAX_EXPONENT, parse_expression, tokenize
 from starbimod.sampling import rand_weyl
 from starbimod.weyl import WeylElement
 
@@ -93,6 +93,39 @@ class TestErrors:
     def test_stray_character(self):
         with pytest.raises(ParseError):
             parse_expression("q & d")
+
+
+class TestExponentCap:
+    """x^n is refused when n times the degree of x exceeds MAX_EXPONENT."""
+
+    @pytest.mark.parametrize(
+        "src, offset",
+        [
+            ("q^100000000", 2),
+            (f"q^{MAX_EXPONENT + 1}", 2),
+            (f"d^{MAX_EXPONENT + 1}", 2),
+            ("(q^8)^9", 6),
+            ("((q^2)^4)^9", 10),
+            ("(q*d^2)^33", 8),
+            ("2 + (q+d)^65", 10),
+            ("2^100000000", 2),
+            (f"i^{MAX_EXPONENT + 1}", 2),
+        ],
+    )
+    def test_refused_at_exponent_offset(self, src, offset):
+        with pytest.raises(ParseError) as info:
+            parse_expression(src)
+        assert info.value.offset == offset
+        assert "exceeds the limit" in str(info.value)
+
+    def test_degree_at_cap_accepted(self):
+        assert parse_expression(f"q^{MAX_EXPONENT}") == WeylElement.q_power(MAX_EXPONENT)
+        assert parse_expression("(q^8)^8") == WeylElement.q_power(64)
+        assert parse_expression(f"d^{MAX_EXPONENT}") == WeylElement.d_power(MAX_EXPONENT)
+        assert parse_expression("i^64") == WeylElement.one()
+
+    def test_zero_exponent(self):
+        assert parse_expression("(q+d)^0") == WeylElement.one()
 
 
 class TestTokenizer:
