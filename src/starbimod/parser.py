@@ -16,6 +16,14 @@ A power may raise the degree of its base to at most ``MAX_EXPONENT``:
 exceeds it.  Measuring against the base's degree bounds nested powers
 too, and a constant base counts as degree 1, so no power multiplies
 more than ``MAX_EXPONENT`` times.
+
+No number in a parsed expression has more than ``MAX_DIGITS`` decimal
+digits, in a numerator or a denominator.  A longer literal is refused at
+its offset, a longer sum or product at its operator, and a longer power
+at its exponent.  ``x^n`` is refused before it is computed when n times
+the bit length of the largest numerator or denominator of x exceeds the
+bit length of 10^MAX_DIGITS.  This keeps every result well inside the
+interpreter's limit on int-to-string conversion, so it can be printed.
 """
 
 from __future__ import annotations
@@ -29,6 +37,8 @@ from .weyl import WeylElement
 
 
 MAX_EXPONENT = 64
+MAX_DIGITS = 1000
+_LIMIT = 10**MAX_DIGITS
 
 
 class Token(NamedTuple):
@@ -61,15 +71,13 @@ def tokenize(src: str) -> list[Token]:
             pos += 1
         elif ch.isdigit():
             start = pos
-            while pos < n and src[pos].isdigit():
-                pos += 1
+            pos = _digits_end(src, pos)
             if pos < n and src[pos] == "/":
                 mark = pos
                 pos += 1
                 if pos >= n or not src[pos].isdigit():
                     raise ParseError("expected digits after '/'", mark + 1, {"digit"})
-                while pos < n and src[pos].isdigit():
-                    pos += 1
+                pos = _digits_end(src, pos)
                 if int(src[mark + 1 : pos]) == 0:
                     raise ParseError("zero denominator", mark + 1, {"nonzero denominator"})
             out.append(Token("number", src[start:pos], start))
@@ -84,6 +92,42 @@ def tokenize(src: str) -> list[Token]:
             raise ParseError(f"unexpected character {ch!r}", pos, set())
     out.append(Token("end", "", n))
     return out
+
+
+def _digits_end(src: str, start: int) -> int:
+    """End of the digit run at ``start``, refusing one above MAX_DIGITS."""
+    pos = start
+    while pos < len(src) and src[pos].isdigit():
+        pos += 1
+    if pos - start > MAX_DIGITS:
+        raise ParseError(
+            f"number of {pos - start} digits exceeds the limit of {MAX_DIGITS}",
+            start,
+            {f"at most {MAX_DIGITS} digits"},
+        )
+    return pos
+
+
+def _parts(value: WeylElement):
+    for c in value.terms.values():
+        for part in (c.re, c.im):
+            yield abs(part.numerator)
+            yield part.denominator
+
+
+def _too_long(offset: int) -> ParseError:
+    return ParseError(
+        f"result has a number of more than {MAX_DIGITS} digits, exceeding the limit",
+        offset,
+        {f"numbers of at most {MAX_DIGITS} digits"},
+    )
+
+
+def _check_size(value: WeylElement, offset: int) -> WeylElement:
+    """Refuse a value with a numerator or denominator above MAX_DIGITS digits."""
+    if any(part >= _LIMIT for part in _parts(value)):
+        raise _too_long(offset)
+    return value
 
 
 _Q = WeylElement.q_power(1)
@@ -114,16 +158,16 @@ class _Parser:
     def parse_expr(self) -> WeylElement:
         value = self.parse_term()
         while self.current.kind == "op" and self.current.text in "+-":
-            op = self.advance().text
+            op = self.advance()
             rhs = self.parse_term()
-            value = value + rhs if op == "+" else value - rhs
+            value = _check_size(value + rhs if op.text == "+" else value - rhs, op.offset)
         return value
 
     def parse_term(self) -> WeylElement:
         value = self.parse_factor()
         while self.current.kind == "op" and self.current.text == "*":
-            self.advance()
-            value = value * self.parse_factor()
+            op = self.advance()
+            value = _check_size(value * self.parse_factor(), op.offset)
         return value
 
     def parse_factor(self) -> WeylElement:
@@ -147,7 +191,10 @@ class _Parser:
                     tok.offset,
                     {f"exponent <= {MAX_EXPONENT // degree}"},
                 )
-            value = value ** n
+            bits = max((part.bit_length() for part in _parts(value)), default=0)
+            if n * bits > _LIMIT.bit_length():
+                raise _too_long(tok.offset)
+            value = _check_size(value**n, tok.offset)
         return -value if negate else value
 
     def parse_atom(self) -> WeylElement:

@@ -16,7 +16,11 @@ moment sequence per triple component, or one for the Gaussian
 variants) and hermitised exactly.  The Hankel Gram G of degree M is
 factored once as G = L D L^H in natural order, which skips the indices
 of an exact kernel, and the congruence Z = L^-1 H_P L^-H on the pivot
-indices P is done in rational arithmetic.  Natural order nests the
+indices P is done once.  All three steps run on Gaussian-integer
+numerators over shared denominators: the form is summed and hermitised
+on them, ``ldl_psd`` eliminates fraction-free, the rows of L^-1 are
+integer rows over one denominator each, and each entry of Z is an
+integer dot product reduced once.  Natural order nests the
 tower: the degree-N pencil is the leading r_N x r_N block of Z, with r_N
 the number of pivots <= N.  Only the diagonal scaling by d^-1/2 and one
 hermitian eigensolve per degree run in doubles.  Moment Gram matrices
@@ -28,14 +32,14 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from math import comb, isfinite, perm, sqrt
+from math import comb, gcd, isfinite, lcm, perm, sqrt
 
 import numpy as np
 
-from .algebra import ZERO, Poly, Scalar
+from .algebra import ZERO, Poly, Scalar, gauss_numerators, gauss_scalar
 from .bimodule import BimodElement
 from .errors import NotHermitianError, SingularGramError
-from .exactla import LdlResult, ldl_psd
+from .exactla import LdlResult, gauss_dot, ldl_psd
 from .gns import Functional, hankel_gram
 from .moments import MomentFunctional
 
@@ -45,10 +49,20 @@ GROWTH = "GrowthDetected"
 
 @dataclass(frozen=True)
 class ProbeReport:
+    """lambda_N per degree and the verdict, with the exact data behind them.
+
+    ``pivots`` are the pivot indices of the top-degree Gram, ``ranks`` the
+    r_N of each degree, and ``max_bits`` the largest bit length of a
+    numerator or denominator in the reduced pencil Z.
+    """
+
     degrees: tuple[int, ...]
     lambdas: tuple[float, ...]
     tolerance: float
     verdict: str
+    pivots: tuple[int, ...] = ()
+    ranks: tuple[int, ...] = ()
+    max_bits: int = 0
 
     @property
     def bounded(self) -> bool:
@@ -58,12 +72,24 @@ class ProbeReport:
 def quadratic_form_matrix(
     func: Functional, x: BimodElement, mf: MomentFunctional, degree: int
 ) -> list[list[Scalar]]:
-    """H[j][k] = F(q^j * x * q^k) for j, k <= degree, hermitised exactly.
+    """H[j][k] = F(q^j * x * q^k) for j, k <= degree, hermitised exactly."""
+    re, im, den = form_numerators(func, x, mf, degree)
+    return [
+        [gauss_scalar(a, b, den) for a, b in zip(rr, ri)] for rr, ri in zip(re, im)
+    ]
+
+
+def form_numerators(
+    func: Functional, x: BimodElement, mf: MomentFunctional, degree: int
+) -> tuple[list[list[int]], list[list[int]], int]:
+    """The hermitised form (H + H^H)/2 as Gaussian-integer rows ``(re, im, den)``.
 
     q^j x q^k has the triple (q^j h0 b, q^j (h0 b' + h1 b), q^j (h0 b'' +
     2 h1 b' + h2 b)) with b = q^k, so with c_i[s] = f(q^s h_i) the d^2
     variant F_t reads H[j][k] = sum_r C(t, r) k!/(k-r)! c_(t-r)[j+k-r].
     The Gaussian variants are Hankel: H[j][k] = c[j+k], c[s] = F(q^s x).
+    The sequences c share one denominator; the entries are summed and
+    hermitised on their numerators.
     """
     func.check_compat(x, mf)
     n = degree + 1
@@ -76,14 +102,15 @@ def quadratic_form_matrix(
             for r in range(t + 1)
             if degree >= r
         ]
-
-        def entry(j, k):
-            acc = ZERO
-            for r, binom, c in terms:
-                if k >= r:
-                    acc = acc + c[j + k - r] * (binom * perm(k, r))
-            return acc
-
+        seqs, den = gauss_numerators([c for _, _, c in terms])
+        re = [[0] * n for _ in range(n)]
+        im = [[0] * n for _ in range(n)]
+        for (r, binom, _), (cr, ci) in zip(terms, seqs):
+            for k in range(r, n):
+                f = binom * perm(k, r)
+                for j in range(n):
+                    re[j][k] += f * cr[j + k - r]
+                    im[j][k] += f * ci[j + k - r]
     else:
         p = x.gauss_poly()
         if func.kind == "gauss-poly":
@@ -95,43 +122,65 @@ def quadratic_form_matrix(
                 for s in range(2 * n - 1):
                     c[s] = c[s] + term
                     term = term * pt
+        [(cr, ci)], den = gauss_numerators([c])
+        re = [cr[j : j + n] for j in range(n)]
+        im = [ci[j : j + n] for j in range(n)]
+    # (H + H^H) / 2 over the doubled denominator
+    return (
+        [[a + b for a, b in zip(row, col)] for row, col in zip(re, zip(*re))],
+        [[a - b for a, b in zip(row, col)] for row, col in zip(im, zip(*im))],
+        2 * den,
+    )
 
-        def entry(j, k):
-            return c[j + k]
 
-    rows = [[entry(j, k) for k in range(n)] for j in range(n)]
-    half = Scalar(1) / Scalar(2)
-    return [
-        [(rows[j][k] + rows[k][j].conjugate()) * half for k in range(n)]
-        for j in range(n)
-    ]
+def _reduced_pencil(form, ldl: LdlResult) -> list[list[Scalar]]:
+    """Z = U H_P U^H with U = L^-1 on the pivot indices P, exactly.
 
-
-def _reduced_pencil(hmat, ldl: LdlResult) -> list[list[Scalar]]:
-    """Z = L^-1 H_P L^-H on the pivot indices P, exactly.
-
-    The leading r x r block of Z is the reduction of the leading block of
-    H against the factor of the leading block of the Gram.
+    ``form`` is the hermitian H as ``(re, im, den)`` rows.  Each row of U
+    is a Gaussian-integer row over its own denominator, so every entry of
+    Z is an integer dot product over du_a * den * du_c, reduced once.  The
+    leading r x r block of Z is the reduction of the leading block of H
+    against the factor of the leading block of the Gram.
     """
+    re, im, den = form
     piv = ldl.pivots
-    r = len(piv)
-    lower = ldl.lower
-    # forward solve L Y = H_P (rows)
-    z = [[hmat[piv[a]][piv[b]] for b in range(r)] for a in range(r)]
-    for a in range(r):
-        for b in range(a):
-            f = lower[a][b]
-            if f:
-                for c in range(r):
-                    z[a][c] = z[a][c] - f * z[b][c]
-    # right solve Z L^H = Y (columns)
-    for c in range(r):
-        for b in range(c):
-            f = lower[c][b].conjugate()
-            if f:
-                for a in range(r):
-                    z[a][c] = z[a][c] - z[a][b] * f
+    inv = _inverse_rows(ldl.lower)
+    h_cols = [([re[b][c] for b in piv], [im[b][c] for b in piv]) for c in piv]
+    u_conj = [(ur, [-v for v in ui]) for ur, ui, _ in inv]
+    z = [[None] * len(piv) for _ in piv]
+    for a, (ur, ui, da) in enumerate(inv):
+        # row a of Y = U H_P, on integers over da * den
+        yr, yi = zip(*(gauss_dot(ur, ui, *col) for col in h_cols))
+        for c in range(a, len(piv)):
+            v = gauss_scalar(*gauss_dot(yr, yi, *u_conj[c]), da * den * inv[c][2])
+            z[a][c] = v
+            z[c][a] = v.conjugate()
     return z
+
+
+def _inverse_rows(lower) -> list[tuple[list[int], list[int], int]]:
+    """Rows of L^-1 for a unit lower triangular L, each ``(re, im, den)``.
+
+    Row a is e_a - sum_(c<a) L[a][c] U_c over the product of its own
+    denominators, then divided by the gcd of its entries and denominator.
+    """
+    out = []
+    for a, row in enumerate(lower):
+        [(lr, li)], dl = gauss_numerators([row[:a]])
+        used = [(c, lr[c], li[c]) for c in range(a) if lr[c] or li[c]]
+        dd = dl * lcm(*(out[c][2] for c, _, _ in used))
+        nr = [0] * a + [dd]
+        ni = [0] * (a + 1)
+        for c, xr, xi in used:
+            ur, ui, dc = out[c]
+            f = dd // (dl * dc)
+            xr, xi = xr * f, xi * f
+            for b, (vr, vi) in enumerate(zip(ur, ui)):
+                nr[b] -= xr * vr - xi * vi
+                ni[b] -= xr * vi + xi * vr
+        g = gcd(dd, *nr, *ni)
+        out.append(([v // g for v in nr], [v // g for v in ni], dd // g))
+    return out
 
 
 def plateau_verdict(lambdas, tolerance: float) -> str:
@@ -168,7 +217,7 @@ def boundedness_probe(
         raise NotHermitianError("probe element must be hermitian")
     top = degrees[-1]
     ldl = ldl_psd(hankel_gram(mf, top))
-    z = _reduced_pencil(quadratic_form_matrix(func, x, mf, top), ldl)
+    z = _reduced_pencil(form_numerators(func, x, mf, top), ldl)
     scale = [1.0 / sqrt(float(d)) for d in ldl.diag]
     mat = np.array(
         [
@@ -177,14 +226,28 @@ def boundedness_probe(
         ]
     )
     mat = 0.5 * (mat + mat.conj().T)
-    lam = []
-    for n in degrees:
-        r = bisect_right(ldl.pivots, n)
-        if r == 0:
-            raise SingularGramError("Gram matrix vanishes at this degree")
-        lam.append(float(np.max(np.abs(np.linalg.eigvalsh(mat[:r, :r])))))
+    ranks = tuple(bisect_right(ldl.pivots, n) for n in degrees)
+    if ranks[0] == 0:
+        raise SingularGramError("Gram matrix vanishes at this degree")
+    lam = [float(np.max(np.abs(np.linalg.eigvalsh(mat[:r, :r])))) for r in ranks]
+    max_bits = max(
+        (
+            part.bit_length()
+            for row in z
+            for v in row
+            for c in (v.re, v.im)
+            for part in (c.numerator, c.denominator)
+        ),
+        default=0,
+    )
     return ProbeReport(
-        degrees, tuple(lam), tolerance, plateau_verdict(lam, tolerance)
+        degrees,
+        tuple(lam),
+        tolerance,
+        plateau_verdict(lam, tolerance),
+        ldl.pivots,
+        ranks,
+        max_bits,
     )
 
 

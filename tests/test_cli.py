@@ -1,8 +1,12 @@
 """Command-line behaviour: reports, exit codes, determinism."""
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from starbimod.cli import (
     MAX_DEGREE,
@@ -58,6 +62,19 @@ class TestNormalOrder:
     def test_nested_power_refused(self, capsys):
         assert main(["normal-order", "(q^8)^9"]) == 2
         assert "offset 6" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "expression",
+        ["1" * 5000, "q^" + "9" * 5000, "((2^64)^64)^64", "((2^64)^64)^64*d"],
+    )
+    def test_numbers_beyond_the_digit_limit_refused(self, capsys, expression):
+        for argv in (["normal-order", expression], ["theta-map", "--element", expression]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ")
+            assert "limit" in captured.err
+            assert len(captured.err.strip().splitlines()) == 1
 
     def test_zero_denominator_is_a_parse_error(self, capsys):
         assert main(["normal-order", "1/0"]) == 2
@@ -257,6 +274,34 @@ class TestProbe:
         report = json.loads(capsys.readouterr().out)
         assert report["verdict"] == "Bounded"
 
+    @pytest.mark.parametrize(
+        "measure, functional, pivots, ranks",
+        [
+            ("mu3", "gauss-poly:q", [0, 1, 2], [3] * 7),
+            ("gauss", "F1", list(range(8)), list(range(3, 9))),
+        ],
+    )
+    def test_json_diagnostics(
+        self, capsys, mu3_file, gauss_file, measure, functional, pivots, ranks
+    ):
+        path = mu3_file if measure == "mu3" else gauss_file
+        top = 2 + len(ranks) - 1
+        argv = ["probe", "--measure", path, "--functional", functional]
+        argv += ["--degrees", f"2..{top}"]
+        assert main(argv + ["--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert list(report) == ["check", "inputs", "lambdas", "verdict", "diagnostics"]
+        diagnostics = report["diagnostics"]
+        assert diagnostics["pivots"] == pivots
+        assert diagnostics["ranks"] == ranks
+        assert isinstance(diagnostics["max_bits"], int) and diagnostics["max_bits"] > 0
+        # text output is the lambdas and the verdict only
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == [
+            f"degree {n}: lambda = {v}" for n, v in zip(range(2, top + 1), report["lambdas"])
+        ] + [f"verdict: {report['verdict']}"]
+
     def test_bad_degree_range(self, capsys, mu3_file):
         code = main(
             ["probe", "--measure", mu3_file, "--functional", "F0",
@@ -450,3 +495,57 @@ class TestSizeArguments:
         args = build_arg_parser().parse_args(argv)
         assert args.trials == MAX_TRIALS
         _check_limits(args)
+
+
+# A random expression grammar for the CLI contract: literals up to and far
+# beyond the digit limit (and the interpreter's int-string limit), zero
+# denominators, powers at and beyond the exponent cap, and nested powers.
+# A compound base takes only small or refused exponents, so each example
+# stays fast.
+_digits = st.one_of(
+    st.integers(0, 10**12).map(str),
+    st.sampled_from(["0", "00", "1" * 999, "7" * 1000, "9" * 1001, "1" * 5000]),
+)
+_literals = st.one_of(_digits, st.builds("{}/{}".format, _digits, _digits))
+_refused = st.sampled_from(["65", "100000000", "9" * 5000])
+_atoms = st.one_of(st.sampled_from(["q", "p", "d", "i", "(2^64)"]), _literals)
+_atom_powers = st.builds(
+    "{}^{}".format, _atoms, st.one_of(st.integers(0, 64).map(str), _refused)
+)
+
+
+def _compound(inner):
+    return st.one_of(
+        st.builds("({}){}({})".format, inner, st.sampled_from("+-*"), inner),
+        st.builds("({})^{}".format, inner, st.one_of(st.integers(0, 2).map(str), _refused)),
+        st.builds("-{}".format, inner),
+    )
+
+
+_expressions = st.recursive(st.one_of(_atoms, _atom_powers), _compound, max_leaves=5)
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refusals
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestContract:
+    """Every argv ends in exit 0 or 2, never in a traceback."""
+
+    @given(_expressions, st.sampled_from(["normal-order", "theta-map"]))
+    @settings(max_examples=120, deadline=None)
+    def test_random_expressions(self, expression, command):
+        argv = [command, expression] if command == "normal-order" else [command, "--element", expression]
+        code, out, err = _run(argv)
+        assert code in (0, 2), (argv, err)
+        assert "Traceback" not in err
+        if code == 2:
+            assert out == "" and err.strip()
+        else:
+            assert out.strip() and err == ""

@@ -1,8 +1,9 @@
-"""The integer product kernel checked against sympy over QQ(i).
+"""The integer kernels checked against sympy over QQ(i).
 
 ``Poly.__mul__``, ``BimodElement.triple`` and ``Matrix.__matmul__`` all
-compute in Gaussian-integer numerators over shared denominators.  Each is
-compared here with sympy's own arithmetic over the Gaussian rationals, on
+compute in Gaussian-integer numerators over shared denominators, and
+``ldl_psd`` eliminates fraction-free on them.  Each is compared here with
+sympy's own arithmetic over the Gaussian rationals, on
 seeded inputs as tall as the shipped measures: the 43-digit integers of
 the Gaussian moments and denominators up to 129, as in the Lebesgue
 moments 1/(k+1) paired up to degree 64.  Zero polynomials and entries,
@@ -13,14 +14,18 @@ import random
 from fractions import Fraction
 from math import gcd
 
+import pytest
 import sympy
 from sympy import QQ_I
 from sympy.polys.matrices import DomainMatrix
 
 from starbimod.algebra import Poly, Scalar
 from starbimod.bimodule import BimodElement, Generator
-from starbimod.exactla import Matrix, poly_at
+from starbimod.errors import NotPositiveError
+from starbimod.exactla import Matrix, ldl_psd, poly_at
+from starbimod.gns import hankel_gram
 from starbimod.moments import MomentFunctional
+from starbimod.sampling import atoms012, mu3
 
 T = sympy.Symbol("t")
 
@@ -217,3 +222,103 @@ class TestPolyAt:
         m = Matrix([[1, 2], [3, Scalar(0, 1)]])
         assert poly_at(Poly(), m) == Matrix.zeros(2, 2)
         assert poly_at(Poly([Scalar(2, -1)]), m) == Matrix.diagonal([Scalar(2, -1)] * 2)
+
+
+def _scalar_of(z) -> Scalar:
+    """The Scalar of a QQ_I element."""
+    return Scalar(
+        Fraction(int(z.x.numerator), int(z.x.denominator)),
+        Fraction(int(z.y.numerator), int(z.y.denominator)),
+    )
+
+
+def _conj(z):
+    return QQ_I(z.x, -z.y)
+
+
+class TestLdl:
+    """L D L^H against sympy, on Hankel Grams and rank-deficient B^H B."""
+
+    @staticmethod
+    def _check(gram: Matrix):
+        res = ldl_psd(gram)
+        g = TestMatmul._dm(gram)
+        n, r = gram.nrows, res.rank
+        # natural order: a pivot exactly where the leading block gains rank
+        ranks = [g.extract(list(range(k)), list(range(k))).rank() if k else 0 for k in range(n + 1)]
+        assert list(res.pivots) == [k for k in range(n) if ranks[k + 1] > ranks[k]]
+        assert r == ranks[n]
+        # L D L^H equals G on the pivot indices, exactly
+        lower = DomainMatrix([[_qq(c) for c in row] for row in res.lower], (r, r), QQ_I)
+        for a in range(r):
+            assert res.lower[a][a] == 1
+            assert all(res.lower[a][b] == 0 for b in range(a + 1, r))
+        d = DomainMatrix.diag([QQ_I(sympy.Rational(v.numerator, v.denominator), 0) for v in res.diag], QQ_I, (r, r))
+        lh = DomainMatrix([[_conj(lower[b, a].element) for b in range(r)] for a in range(r)], (r, r), QQ_I)
+        assert (lower * d * lh).to_dense() == g.extract(list(res.pivots), list(res.pivots)).to_dense()
+        assert all(v > 0 for v in res.diag)
+        _assert_lowest_terms(Scalar(v) for v in res.diag)
+        _assert_lowest_terms(c for row in res.lower for c in row)
+        return res
+
+    @pytest.mark.parametrize(
+        "mf, degrees",
+        [
+            (MomentFunctional.gaussian(64), (0, 1, 5, 12)),
+            (MomentFunctional.lebesgue_unit(64), (0, 1, 5, 12)),
+            (atoms012(), (1, 2, 6)),
+            (mu3(), (3, 5, 9)),
+        ],
+        ids=["gauss64", "lebesgue01-64", "atoms012", "mu3"],
+    )
+    def test_hankel_grams(self, mf, degrees):
+        for n in degrees:
+            res = self._check(hankel_gram(mf, n))
+            if mf.is_atomic:
+                assert res.rank == min(n + 1, len(mf.atoms))
+
+    def test_rank_deficient_gaussian_complex(self):
+        rng = random.Random(81)
+        middle_skips = 0
+        for _ in range(25):
+            n = rng.randint(2, 6)
+            k = rng.randint(1, n - 1)
+            cols = [[_scalar(rng, rng.choice(SHAPES)) for _ in range(k)] for _ in range(n)]
+            # some columns repeat an earlier one times a Gaussian factor
+            for j in range(1, n):
+                if rng.random() < 0.3:
+                    f = _scalar(rng, "complex")
+                    cols[j] = [f * c for c in cols[rng.randrange(j)]]
+            b = TestMatmul._dm(Matrix(list(zip(*cols))))
+            bh = DomainMatrix([[_conj(b[i, j].element) for i in range(k)] for j in range(n)], (n, k), QQ_I)
+            gram = bh * b
+            res = self._check(Matrix([[_scalar_of(z) for z in row] for row in gram.to_list()]))
+            assert res.rank == b.rank() <= k
+            middle_skips += res.pivots != tuple(range(res.rank))
+        assert middle_skips >= 5
+
+    def test_skipped_pivot_in_the_middle(self):
+        # column 1 repeats column 0, so index 1 is skipped and 2 still pivots
+        gram = Matrix([[2, 2, Scalar(0, 1)], [2, 2, Scalar(0, 1)], [Scalar(0, -1), Scalar(0, -1), 3]])
+        assert self._check(gram).pivots == (0, 2)
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([[1, 2], [3, 1]], "not hermitian"),
+            ([[1, Scalar(0, 1)], [Scalar(0, 1), 1]], "not hermitian"),
+            ([[Scalar(1, 1)]], "non-real diagonal"),
+            ([[-1]], "negative pivot -1"),
+            ([[1, 2], [2, 1]], "negative pivot -3"),
+            ([[Fraction(1, 3), 1], [1, Fraction(1, 5)]], "negative pivot -14/5"),
+            ([[0, 1], [1, 0]], "zero pivot with a nonzero residual row"),
+            ([[1, 1, 0], [1, 1, 1], [0, 1, 1]], "zero pivot with a nonzero residual row"),
+        ],
+    )
+    def test_not_positive(self, rows, message):
+        with pytest.raises(NotPositiveError, match=message):
+            ldl_psd(Matrix(rows))
+
+    def test_empty_and_zero_matrices(self):
+        assert ldl_psd(Matrix([])).rank == 0
+        assert ldl_psd(Matrix.zeros(3, 3)).pivots == ()

@@ -7,7 +7,7 @@ import pytest
 
 from starbimod.algebra import I, Scalar
 from starbimod.errors import ParseError
-from starbimod.parser import MAX_EXPONENT, parse_expression, tokenize
+from starbimod.parser import MAX_DIGITS, MAX_EXPONENT, parse_expression, tokenize
 from starbimod.sampling import rand_weyl
 from starbimod.weyl import WeylElement
 
@@ -126,6 +126,50 @@ class TestExponentCap:
 
     def test_zero_exponent(self):
         assert parse_expression("(q+d)^0") == WeylElement.one()
+
+
+class TestNumberSize:
+    """No numerator or denominator of a parsed value has more than MAX_DIGITS digits."""
+
+    @pytest.mark.parametrize(
+        "src, offset",
+        [
+            ("1" * 5000, 0),
+            ("7" * (MAX_DIGITS + 1), 0),
+            ("q + 1/" + "3" * (MAX_DIGITS + 1), 6),
+            ("q^" + "9" * 5000, 2),
+        ],
+    )
+    def test_long_literal_refused_at_its_offset(self, src, offset):
+        with pytest.raises(ParseError) as info:
+            parse_expression(src)
+        assert info.value.offset == offset
+        assert f"exceeds the limit of {MAX_DIGITS}" in str(info.value)
+
+    def test_literal_at_the_limit_accepted(self):
+        big = "9" * MAX_DIGITS
+        assert parse_expression(big) == WeylElement.monomial(0, 0, int(big))
+        assert parse_expression(f"1/{big}") == WeylElement.monomial(0, 0, Fraction(1, int(big)))
+
+    @pytest.mark.parametrize(
+        "src, offset",
+        [
+            ("((2^64)^64)^64", 8),  # 2^4096 has 1234 digits
+            ("(1/2^64)^64", 9),  # so does its reciprocal
+            ("(2^64)^64", 7),
+            ("9" * 600 + "*" + "9" * 600, 600),
+            ("1/" + "9" * 600 + " + 1/1" + "0" * 600, 603),  # coprime denominators
+        ],
+    )
+    def test_long_result_refused(self, src, offset):
+        with pytest.raises(ParseError) as info:
+            parse_expression(src)
+        assert info.value.offset == offset
+        assert f"more than {MAX_DIGITS} digits" in str(info.value)
+
+    def test_results_within_the_limit_accepted(self):
+        assert parse_expression("((2^8)^8)^8") == WeylElement.monomial(0, 0, 2**512)
+        assert parse_expression("(2*q + 1)^64").coefficient(64, 0) == 2**64
 
 
 class TestTokenizer:

@@ -4,8 +4,11 @@ import random
 
 import numpy as np
 import pytest
+import sympy
+from sympy import QQ_I
+from sympy.polys.matrices import DomainMatrix
 
-from starbimod.algebra import P_ONE, Poly, Q, Scalar
+from starbimod.algebra import P_ONE, Poly, Q, Scalar, gauss_numerators
 from starbimod.bimodule import BimodElement, Generator
 from starbimod.errors import (
     MomentOutOfRangeError,
@@ -18,7 +21,9 @@ from starbimod.moments import MomentFunctional
 from starbimod.probes import (
     BOUNDED,
     GROWTH,
+    _reduced_pencil,
     boundedness_probe,
+    form_numerators,
     generator_probe,
     numerical_radius_norm_check,
     plateau_verdict,
@@ -218,6 +223,114 @@ class TestStructuredForm:
         boundedness_probe(func, x, truncated(length), range(2, top + 1))
         with pytest.raises(MomentOutOfRangeError):
             boundedness_probe(func, x, truncated(length - 1), range(2, top + 1))
+
+
+def _dm(rows) -> DomainMatrix:
+    n = len(rows)
+    return DomainMatrix(
+        [
+            [
+                QQ_I(
+                    sympy.Rational(c.re.numerator, c.re.denominator),
+                    sympy.Rational(c.im.numerator, c.im.denominator),
+                )
+                for c in row
+            ]
+            for row in rows
+        ],
+        (n, n),
+        QQ_I,
+    )
+
+
+def _adjoint(m: DomainMatrix) -> DomainMatrix:
+    n = m.shape[0]
+    return DomainMatrix(
+        [[QQ_I(m[j, i].element.x, -m[j, i].element.y) for j in range(n)] for i in range(n)],
+        (n, n),
+        QQ_I,
+    )
+
+
+def congruence_cases():
+    rng = random.Random(17)
+    cases = []
+    for mname, top in (("mu3", 7), ("atoms012", 6), ("lebesgue", 6), ("gaussian", 6)):
+        mf = MEASURES[mname]
+        funcs = [(Functional(kind), hermitian_d2(rng)) for kind in ("F0", "F1", "F2")]
+        weight = rand_poly(rng, 2, nonzero=True)
+        funcs.append((Functional.gauss_poly(weight), hermitian_gauss(rng)))
+        if mf.is_atomic:
+            values = [rand_fraction(rng) for _ in mf.atoms]
+            funcs.append((Functional.gauss_atoms(values), hermitian_gauss(rng)))
+        cases += [
+            pytest.param(mname, top, func, x, id=f"{mname}-{func.kind}") for func, x in funcs
+        ]
+    return cases
+
+
+class TestPencilCongruence:
+    """Z = L^-1 H_P L^-H, checked with sympy rather than the triangular solves."""
+
+    @pytest.mark.parametrize("mname, top, func, x", congruence_cases())
+    def test_congruence_restores_the_form(self, mname, top, func, x):
+        mf = MEASURES[mname]
+        ldl = ldl_psd(hankel_gram(mf, top))
+        z = _reduced_pencil(form_numerators(func, x, mf, top), ldl)
+        h = reference_form(func, x, mf, top)
+        piv = ldl.pivots
+        lower = _dm(ldl.lower)
+        expected = _dm([[h[a][b] for b in piv] for a in piv])
+        assert (lower * _dm(z) * _adjoint(lower)).to_dense() == expected.to_dense()
+        # max_bits reads the reduced entries of the same Z, here from sympy
+        linv = lower.inv()
+        zs = (linv * expected * _adjoint(linv)).to_list()
+        bits = max(
+            (
+                abs(int(part)).bit_length()
+                for row in zs
+                for v in row
+                for q in (v.x, v.y)
+                for part in (q.numerator, q.denominator)
+            ),
+            default=0,
+        )
+        report = boundedness_probe(func, x, mf, range(top - 2, top + 1))
+        assert report.max_bits == bits
+        assert report.pivots == piv
+
+    def test_complex_factor(self):
+        # moment Grams are real; a Gaussian-complex Gram B^H B exercises the
+        # conjugations of the congruence
+        rng = random.Random(23)
+
+        def scalar():
+            return Scalar(rand_fraction(rng), rand_fraction(rng))
+
+        for _ in range(20):
+            n = rng.randint(1, 6)
+            b = Matrix([[scalar() for _ in range(n)] for _ in range(rng.randint(1, n))])
+            ldl = ldl_psd(b.adjoint() @ b)
+            y = Matrix([[scalar() for _ in range(n)] for _ in range(n)])
+            h = y + y.adjoint()
+            nums, den = gauss_numerators(h.rows)
+            z = _reduced_pencil(([r for r, _ in nums], [i for _, i in nums], den), ldl)
+            piv = ldl.pivots
+            lower = _dm(ldl.lower)
+            expected = _dm([[h[a, c] for c in piv] for a in piv])
+            assert (lower * _dm(z) * _adjoint(lower)).to_dense() == expected.to_dense()
+
+    @pytest.mark.parametrize("mname, top, func, x", congruence_cases())
+    def test_leading_block_is_the_lower_degree_reduction(self, mname, top, func, x):
+        mf = MEASURES[mname]
+        ldl = ldl_psd(hankel_gram(mf, top))
+        z = _reduced_pencil(form_numerators(func, x, mf, top), ldl)
+        for n in range(top):
+            small = ldl_psd(hankel_gram(mf, n))
+            r = small.rank
+            assert r == sum(p <= n for p in ldl.pivots)
+            zn = _reduced_pencil(form_numerators(func, x, mf, n), small)
+            assert zn == [row[:r] for row in z[:r]], n
 
 
 class TestNestedFactor:
