@@ -4,6 +4,7 @@ from .algebra import Poly, Scalar, format_scalar, parse_scalar
 from .bimodule import BimodElement, Generator, verify_quadratic_certificate
 from .errors import (
     DimensionMismatchError,
+    DoubleRangeError,
     MomentMismatchError,
     MomentOutOfRangeError,
     NotHermitianError,
@@ -39,6 +40,7 @@ __all__ = [
     "ActionTable",
     "BimodElement",
     "DimensionMismatchError",
+    "DoubleRangeError",
     "FormMatrix",
     "Functional",
     "Generator",

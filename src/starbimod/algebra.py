@@ -2,19 +2,26 @@
 
 Everything here is exact.  A ``Scalar`` is a complex number with rational
 real and imaginary parts (``fractions.Fraction`` keeps them reduced with
-positive denominators), a ``Poly`` is a dense univariate polynomial in the
-hermitian generator q with Scalar coefficients and no trailing zeros.
+positive denominators).  A ``Poly`` is a dense univariate polynomial in
+the hermitian generator q, stored as Gaussian-integer numerators over one
+denominator, ``(re, im, den)`` with coefficient k equal to
+(re[k] + im[k]*i) / den, in canonical form: den > 0, gcd(den, *re, *im)
+== 1, and no trailing zero coefficient; the zero polynomial is
+((), (), 1).  Equality and hashing are structural on that form.
 
-Products run in integers.  ``gauss_numerators`` writes a batch of Scalar
-sequences as Gaussian-integer numerators (a real and an imaginary int
-list) over one shared denominator, the lcm of all their denominators.
-``sum_of_products`` accumulates sum_j u_j * v_j, and optionally the same
-sums against the derivatives of the v_j, over a list of polynomial pairs
-in plain ints, and ``gauss_scalar`` builds each output coefficient once
-as a reduced Fraction pair.  ``Poly.__mul__`` is its one-pair case, the
-d^2 coefficient triple its three fused sums, and ``Matrix.__matmul__``
-takes integer dot products of rows and columns converted the same way.
-The stored forms stay as above; no gcd is taken inside a product.
+Every Poly operation runs on the numerators and normalises its result
+once: sums and differences over the lcm of the two denominators, scalar
+products, the conjugate (negate ``im``), derivatives, Horner evaluation
+at a rational or Gaussian point, and ``sum_of_products``, which brings
+the left and the right factors each to a common denominator by integer
+rescaling and accumulates sum_j u_j * v_j, and optionally the same sums
+against the derivatives of the v_j, in plain ints.  ``Poly.__mul__`` is
+its one-pair case and the d^2 coefficient triple its three fused sums.
+
+Scalars meet numerators only at the boundaries: ``Poly(seq)`` and
+``gauss_numerators`` convert Scalars in, over the lcm of their
+denominators; ``Poly.coeffs``, ``coefficient`` and ``gauss_scalar``
+build reduced Scalars out, for the parser, JSON, text and ``Matrix``.
 """
 
 from __future__ import annotations
@@ -22,7 +29,8 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import count
-from math import lcm
+from math import gcd, lcm, perm
+from operator import mul
 
 from .errors import ParseError
 
@@ -162,6 +170,8 @@ def parse_scalar(text: str) -> Scalar:
 
     Accepts the emitted form (``2+-3i``) and the tolerant variant ``2-3i``.
     """
+    if not isinstance(text, str):
+        raise ParseError(f"expected a scalar literal string, got {text!r}", 0)
     s = text.strip()
     if _RAT_RE.match(s):
         return Scalar(Fraction(s))
@@ -181,30 +191,50 @@ def parse_scalar(text: str) -> Scalar:
     raise ParseError(f"bad scalar literal: {text!r}", 0)
 
 
-class Poly:
-    """Polynomial in q with Scalar coefficients, canonical (no trailing zeros)."""
+def parse_real(text: str) -> Fraction:
+    """Parse a scalar literal that must be real."""
+    z = parse_scalar(text)
+    if not z.is_real():
+        raise ParseError(f"expected a real literal: {text!r}", 0)
+    return z.re
 
-    __slots__ = ("coeffs",)
+
+class Poly:
+    """Polynomial in q with Gaussian-rational coefficients, in canonical form.
+
+    Stored as Gaussian-integer numerators over one denominator: the
+    coefficient of q^k is (re[k] + im[k]*i) / den, with den > 0,
+    gcd(den, *re, *im) == 1 and no trailing zero coefficient.  The zero
+    polynomial is ((), (), 1).
+    """
+
+    __slots__ = ("re", "im", "den")
 
     def __init__(self, coeffs=()):
-        cs = [Scalar.coerce(c) for c in coeffs]
-        while cs and cs[-1].is_zero():
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        [(re, im)], den = gauss_numerators([[Scalar.coerce(c) for c in coeffs]])
+        _store(self, re, im, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
 
     @classmethod
+    def from_numerators(cls, re, im, den: int) -> "Poly":
+        """The polynomial with coefficients (re[k] + im[k]*i) / den, den > 0."""
+        p = object.__new__(cls)
+        _store(p, re, im, den)
+        return p
+
+    @classmethod
     def monomial(cls, power: int, coeff=ONE) -> "Poly":
-        c = Scalar.coerce(coeff)
-        if c.is_zero():
+        cr, ci, cd = _parts(Scalar.coerce(coeff))
+        if not (cr or ci):
             return cls()
-        return cls([ZERO] * power + [c])
+        pad = (0,) * power
+        return cls.from_numerators(pad + (cr,), pad + (ci,), cd)
 
     @classmethod
     def constant(cls, value) -> "Poly":
-        return cls([Scalar.coerce(value)])
+        return cls.monomial(0, value)
 
     @staticmethod
     def coerce(value) -> "Poly":
@@ -215,38 +245,51 @@ class Poly:
         raise TypeError(f"cannot coerce {type(value).__name__} to Poly")
 
     @property
+    def coeffs(self) -> tuple[Scalar, ...]:
+        """The coefficients as Scalars, from q^0 up (a view, built per call)."""
+        den = self.den
+        return tuple([gauss_scalar(a, b, den) for a, b in zip(self.re, self.im)])
+
+    @property
     def degree(self) -> int:
         """Degree of the polynomial, -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.re) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.re
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.re)
 
     def coefficient(self, k: int) -> Scalar:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else ZERO
+        if 0 <= k < len(self.re):
+            return gauss_scalar(self.re[k], self.im[k], self.den)
+        return ZERO
+
+    def _combine(self, other: "Poly", sign: int) -> "Poly":
+        """self + sign * other over the lcm of the two denominators."""
+        den = lcm(self.den, other.den)
+        f, g = den // self.den, sign * (den // other.den)
+        n = max(len(self.re), len(other.re))
+        pad = [0] * (n - len(self.re))
+        re = [f * c for c in self.re] + pad
+        im = [f * c for c in self.im] + pad
+        for k, (a, b) in enumerate(zip(other.re, other.im)):
+            re[k] += g * a
+            im[k] += g * b
+        return Poly.from_numerators(re, im, den)
 
     def __add__(self, other):
         if not isinstance(other, (Poly, int, Fraction, Scalar)):
             return NotImplemented
-        other = Poly.coerce(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(
-            [self.coefficient(k) + other.coefficient(k) for k in range(n)]
-        )
+        return self._combine(Poly.coerce(other), 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if not isinstance(other, (Poly, int, Fraction, Scalar)):
             return NotImplemented
-        other = Poly.coerce(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(
-            [self.coefficient(k) - other.coefficient(k) for k in range(n)]
-        )
+        return self._combine(Poly.coerce(other), -1)
 
     def __rsub__(self, other):
         if not isinstance(other, (Poly, int, Fraction, Scalar)):
@@ -254,12 +297,19 @@ class Poly:
         return Poly.coerce(other) - self
 
     def __neg__(self):
-        return Poly([-c for c in self.coeffs])
+        return Poly.from_numerators(
+            [-c for c in self.re], [-c for c in self.im], self.den
+        )
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):
-            other = Poly.constant(other)
-        elif not isinstance(other, Poly):
+            cr, ci, cd = _parts(Scalar.coerce(other))
+            return Poly.from_numerators(
+                [a * cr - b * ci for a, b in zip(self.re, self.im)],
+                [a * ci + b * cr for a, b in zip(self.re, self.im)],
+                self.den * cd,
+            )
+        if not isinstance(other, Poly):
             return NotImplemented
         return sum_of_products([(self, other)])[0]
 
@@ -279,36 +329,50 @@ class Poly:
 
     def conjugate(self) -> "Poly":
         """The involution of C[q]: conjugate coefficients, q fixed."""
-        return Poly([c.conjugate() for c in self.coeffs])
+        return Poly.from_numerators(self.re, [-c for c in self.im], self.den)
 
     def derivative(self, order: int = 1) -> "Poly":
         if order < 0:
             raise ValueError("negative derivative order")
-        p = self
-        for _ in range(order):
-            p = Poly([p.coeffs[k] * k for k in range(1, len(p.coeffs))])
-        return p
+        ks = range(order, len(self.re))
+        return Poly.from_numerators(
+            [perm(k, order) * self.re[k] for k in ks],
+            [perm(k, order) * self.im[k] for k in ks],
+            self.den,
+        )
 
     def __call__(self, point) -> Scalar:
-        """Horner evaluation at an exact point."""
-        pt = Scalar.coerce(point)
-        acc = ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * pt + c
-        return acc
+        """Horner evaluation at an exact point, in integers.
+
+        With the point (a + b*i) / e and n the degree, the sum
+        sum_k c_k (a + b*i)^k e^(n-k) is accumulated homogeneously and
+        divided by den * e^n once.
+        """
+        if not self.re:
+            return ZERO
+        a, b, e = _parts(Scalar.coerce(point))
+        acc_re, acc_im = self.re[-1], self.im[-1]
+        scale = 1
+        for cr, ci in zip(reversed(self.re[:-1]), reversed(self.im[:-1])):
+            scale *= e
+            acc_re, acc_im = (
+                acc_re * a - acc_im * b + cr * scale,
+                acc_re * b + acc_im * a + ci * scale,
+            )
+        return gauss_scalar(acc_re, acc_im, self.den * scale)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):
             other = Poly.constant(other)
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.den == other.den and self.re == other.re and self.im == other.im
 
     def __hash__(self):
         # a constant equals its coefficient (and the zero polynomial 0)
-        if len(self.coeffs) <= 1:
+        if len(self.re) <= 1:
             return hash(self.coefficient(0))
-        return hash(self.coeffs)
+        return hash((self.re, self.im, self.den))
 
     def coeff_strings(self) -> list[str]:
         """Coefficient list in the scalar literal grammar (JSON form)."""
@@ -322,11 +386,12 @@ class Poly:
         return f"Poly({list(self.coeffs)!r})"
 
     def __str__(self):
-        if not self.coeffs:
+        coeffs = self.coeffs
+        if not coeffs:
             return "0"
         parts = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
+        for k in range(len(coeffs) - 1, -1, -1):
+            c = coeffs[k]
             if c.is_zero():
                 continue
             mono = "" if k == 0 else ("q" if k == 1 else f"q^{k}")
@@ -347,7 +412,31 @@ class Poly:
         return out
 
 
-P_ZERO = Poly()
+def _store(p: Poly, re, im, den: int) -> None:
+    """Set p to (re + im*i) / den in canonical form: one gcd, no trailing zeros."""
+    n = len(re)
+    while n and not (re[n - 1] or im[n - 1]):
+        n -= 1
+    # tuples are built from lists: a tuple fed by a generator is resized
+    # into place, which bypasses and overfills the tuple free lists
+    re, im = tuple(re[:n]), tuple(im[:n])
+    g = gcd(den, *re, *im)
+    if g != 1:
+        re = tuple([c // g for c in re])
+        im = tuple([c // g for c in im])
+        den //= g
+    object.__setattr__(p, "re", re)
+    object.__setattr__(p, "im", im)
+    object.__setattr__(p, "den", den)
+
+
+def _parts(c: Scalar) -> tuple[int, int, int]:
+    """(re, im, den) with c == (re + im*i) / den and den the lcm of its parts'."""
+    rd, id_ = c.re.denominator, c.im.denominator
+    den = rd if rd == id_ else lcm(rd, id_)
+    return c.re.numerator * (den // rd), c.im.numerator * (den // id_), den
+
+
 P_ONE = Poly.constant(1)
 Q = Poly.monomial(1)
 
@@ -382,17 +471,31 @@ def _over(n: int, den: int) -> Fraction:
     return Fraction(n) if den == 1 or not n else Fraction(n, den)
 
 
+def gauss_dot(ar, ai, br, bi) -> tuple[int, int]:
+    """(re, im) of sum_k a_k b_k for Gaussian integers a = ar + ai*i, b = br + bi*i.
+
+    The sum runs over the shorter of the two sequences.
+    """
+    return (
+        sum(map(mul, ar, br)) - sum(map(mul, ai, bi)),
+        sum(map(mul, ar, bi)) + sum(map(mul, ai, br)),
+    )
+
+
 def sum_of_products(pairs, derivatives: int = 0) -> tuple[Poly, ...]:
     """The sums sum_j u_j * v_j^(r) for r = 0..derivatives, over (u_j, v_j).
 
-    The u_j share one denominator and the v_j another; the derivatives are
-    taken on the integer numerators, every sum is accumulated in ints, and
-    each output coefficient is reduced once.
+    The u_j are brought to the lcm of their denominators, and so are the
+    v_j, by integer rescaling; the derivatives are taken on the integer
+    numerators, every sum is accumulated in ints, and each output is
+    normalised once.
     """
-    pairs = [(u, v) for u, v in pairs if u.coeffs and v.coeffs]
-    us, du = gauss_numerators([u.coeffs for u, _ in pairs])
-    vs, dv = gauss_numerators([v.coeffs for _, v in pairs])
-    size = max((len(u.coeffs) + len(v.coeffs) - 1 for u, v in pairs), default=0)
+    pairs = [(u, v) for u, v in pairs if u.re and v.re]
+    du = lcm(*(u.den for u, _ in pairs))
+    dv = lcm(*(v.den for _, v in pairs))
+    us = [_rescaled(u, du) for u, _ in pairs]
+    vs = [_rescaled(v, dv) for _, v in pairs]
+    size = max((len(u.re) + len(v.re) - 1 for u, v in pairs), default=0)
     den = du * dv
     out = []
     for r in range(derivatives + 1):
@@ -402,8 +505,16 @@ def sum_of_products(pairs, derivatives: int = 0) -> tuple[Poly, ...]:
         acc_im = [0] * size
         for (ur, ui), (vr, vi) in zip(us, vs):
             _convolve_into(acc_re, acc_im, ur, ui, vr, vi)
-        out.append(Poly([gauss_scalar(x, y, den) for x, y in zip(acc_re, acc_im)]))
+        out.append(Poly.from_numerators(acc_re, acc_im, den))
     return tuple(out)
+
+
+def _rescaled(p: Poly, den: int):
+    """The numerators of p over ``den``, a multiple of p.den."""
+    f = den // p.den
+    if f == 1:
+        return p.re, p.im
+    return [f * c for c in p.re], [f * c for c in p.im]
 
 
 def _derive(cs: list[int]) -> list[int]:

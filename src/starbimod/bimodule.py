@@ -218,8 +218,17 @@ class BimodElement:
         }
 
     @classmethod
-    def from_json(cls, data: dict) -> "BimodElement":
-        tag = Generator(data["tag"])
+    def from_json(cls, data) -> "BimodElement":
+        """Read ``{"tag": "d2" | "gauss", "terms": [[a, b], ..]}``, with a and b
+        coefficient lists of scalar literals; any other shape raises ValueError."""
+        if not isinstance(data, dict) or not isinstance(data.get("terms"), list):
+            raise ValueError('an element is an object with "tag" and a "terms" list')
+        tag = Generator(data.get("tag"))
+        if not all(
+            isinstance(t, list) and len(t) == 2 and all(isinstance(p, list) for p in t)
+            for t in data["terms"]
+        ):
+            raise ValueError("each term is a pair of coefficient lists")
         terms = [
             (Poly.from_coeff_strings(a), Poly.from_coeff_strings(b))
             for a, b in data["terms"]

@@ -12,13 +12,12 @@ import math
 import os
 import random
 import sys
-from fractions import Fraction
 
 import numpy as np
 
-from .algebra import Poly, format_scalar
+from .algebra import Poly, format_scalar, parse_real
 from .bimodule import BimodElement, Generator
-from .errors import StarBimodError
+from .errors import ParseError, StarBimodError
 from .gns import Functional, build_gns, check_cauchy_schwarz, check_identity
 from .moments import MomentFunctional
 from .parser import parse_expression
@@ -59,7 +58,7 @@ def _load_measure(path: str) -> MomentFunctional:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return MomentFunctional.from_json(json.load(fh))
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, ParseError) as exc:
         raise InputError(f"cannot read measure {path}: {exc}") from exc
 
 
@@ -81,8 +80,11 @@ def _load_functional(text: str) -> Functional:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
-            return Functional.gauss_atoms([Fraction(v) for v in data["values"]])
-        except (OSError, ValueError, KeyError) as exc:
+            values = data.get("values") if isinstance(data, dict) else None
+            if not isinstance(values, list):
+                raise ValueError('expected an object with a "values" list')
+            return Functional.gauss_atoms([parse_real(v) for v in values])
+        except (OSError, ValueError, ParseError) as exc:
             raise InputError(f"cannot read atom weights {path}: {exc}") from exc
     raise InputError(
         f"unknown functional {text!r}; use F0, F1, F2, gauss-poly:<expr>, "
@@ -99,7 +101,7 @@ def _load_element(text: str | None, func: Functional | None) -> BimodElement:
         try:
             with open(text, "r", encoding="utf-8") as fh:
                 return BimodElement.from_json(json.load(fh))
-        except (OSError, ValueError, KeyError) as exc:
+        except (OSError, ValueError, ParseError) as exc:
             raise InputError(f"cannot read element {text}: {exc}") from exc
     value = parse_expression(text)
     try:

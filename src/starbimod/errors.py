@@ -52,3 +52,7 @@ class MomentMismatchError(StarBimodError):
 
 class SingularGramError(StarBimodError):
     """The Gram matrix has no positive part left after kernel projection."""
+
+
+class DoubleRangeError(StarBimodError):
+    """A probe's scaled pencil has an entry beyond the double range."""

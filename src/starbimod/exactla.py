@@ -5,7 +5,8 @@ LDL^H factorisation that doubles as the positive-semidefiniteness gate
 (leading-minor tests are unsound for singular matrices), an exact null
 space, and inversion.  Products and the LDL^H run in Gaussian integers:
 ``Matrix.__matmul__`` takes integer dot products of rows and columns
-over their own denominators, and ``ldl_psd`` eliminates
+over their own denominators, ``poly_at`` runs Horner on the numerators
+of the polynomial and of the matrix, and ``ldl_psd`` eliminates
 fraction-free (Bareiss) on the numerators of the whole matrix over one
 shared denominator, building each output entry once.  ``nullspace`` and
 ``inverse`` still run Gauss-Jordan on Scalars.  Sizes stay in the low
@@ -18,7 +19,7 @@ from fractions import Fraction
 from operator import mul
 from typing import NamedTuple
 
-from .algebra import ONE, ZERO, Poly, Scalar, gauss_numerators, gauss_scalar
+from .algebra import ONE, ZERO, Poly, Scalar, gauss_dot, gauss_numerators, gauss_scalar
 from .errors import DimensionMismatchError, NotPositiveError
 
 
@@ -145,28 +146,41 @@ class Matrix:
             raise DimensionMismatchError("shape mismatch")
 
 
-def gauss_dot(ar, ai, br, bi) -> tuple[int, int]:
-    """(re, im) of sum_k a_k b_k for Gaussian integers a = ar + ai*i, b = br + bi*i."""
-    return (
-        sum(map(mul, ar, br)) - sum(map(mul, ai, bi)),
-        sum(map(mul, ar, bi)) + sum(map(mul, ai, br)),
-    )
-
-
 def poly_at(p: Poly, m: Matrix) -> Matrix:
-    """Evaluate a polynomial at a square matrix (Horner)."""
+    """Evaluate a polynomial at a square matrix (Horner, in integers).
+
+    With m = A / e over one denominator and n the degree, the sum
+    sum_k c_k A^k e^(n-k) is accumulated on the numerators of p and A,
+    as in ``Poly.__call__``, and each entry is divided by p.den * e^n once.
+    """
     if m.nrows != m.ncols:
         raise DimensionMismatchError("polynomial of a non-square matrix")
     n = m.nrows
-    if not p.coeffs:
+    if not p.re:
         return Matrix.zeros(n, n)
-    acc = Matrix.diagonal([p.coeffs[-1]] * n)
-    for c in reversed(p.coeffs[:-1]):
-        rows = [list(r) for r in (acc @ m).rows]
+    nums, e = gauss_numerators(m.rows)
+    cols = list(zip(zip(*[r for r, _ in nums]), zip(*[i for _, i in nums])))
+    acc_re = [[p.re[-1] if i == j else 0 for j in range(n)] for i in range(n)]
+    acc_im = [[p.im[-1] if i == j else 0 for j in range(n)] for i in range(n)]
+    scale = 1
+    for cr, ci in zip(reversed(p.re[:-1]), reversed(p.im[:-1])):
+        scale *= e
+        rows = [
+            [gauss_dot(ar, ai, br, bi) for br, bi in cols]
+            for ar, ai in zip(acc_re, acc_im)
+        ]
+        acc_re = [[x for x, _ in row] for row in rows]
+        acc_im = [[y for _, y in row] for row in rows]
         for i in range(n):
-            rows[i][i] = rows[i][i] + c
-        acc = Matrix(rows)
-    return acc
+            acc_re[i][i] += cr * scale
+            acc_im[i][i] += ci * scale
+    den = p.den * scale
+    return Matrix(
+        [
+            [gauss_scalar(a, b, den) for a, b in zip(ar, ai)]
+            for ar, ai in zip(acc_re, acc_im)
+        ]
+    )
 
 
 class LdlResult(NamedTuple):

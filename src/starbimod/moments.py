@@ -5,13 +5,33 @@ nonnegative rational weights, and every moment of it is computable.  A
 moment-list source stores f(q^k) directly up to a truncation; whether it
 really is a positive functional is checked later, by the exact Gram
 factorisation in the GNS layer.
+
+Moments are held the way ``Poly`` holds coefficients: Gaussian-integer
+numerators ``(re, im)`` over one denominator.  A moment list converts its
+values once, at construction, to that canonical form (gcd of the
+denominator and all numerators 1).  An atomic measure fills the same
+kind of table on demand, up to the highest index read so far, over the
+denominator W * X^top (W and X the lcms of the weight and point
+denominators).  ``apply`` and ``shifted_values`` are integer dot products
+of a polynomial's numerators with that table, and every returned value
+is reduced to a ``Scalar`` once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
-from .algebra import Poly, Scalar, format_scalar, parse_scalar
+from .algebra import (
+    Poly,
+    Scalar,
+    format_scalar,
+    gauss_dot,
+    gauss_numerators,
+    gauss_scalar,
+    parse_real,
+    parse_scalar,
+)
 from .errors import MomentOutOfRangeError
 
 _ZERO = Scalar(0)
@@ -20,7 +40,9 @@ _ZERO = Scalar(0)
 class MomentFunctional:
     """f(p) = integral of p against a measure, exactly."""
 
-    __slots__ = ("atoms", "values")
+    # _nums is the moment table (re, im, den); an atomic measure's table
+    # is a cache that grows, and is not part of ==, hash or repr
+    __slots__ = ("atoms", "_nums")
 
     def __init__(self, atoms=None, values=None):
         if (atoms is None) == (values is None):
@@ -34,12 +56,11 @@ class MomentFunctional:
                     raise ValueError(f"negative atom weight {w}")
                 pts.append((x, w))
             object.__setattr__(self, "atoms", tuple(pts))
-            object.__setattr__(self, "values", None)
+            object.__setattr__(self, "_nums", ((), (), 1))
         else:
+            [(re, im)], den = gauss_numerators([[Scalar.coerce(v) for v in values]])
             object.__setattr__(self, "atoms", None)
-            object.__setattr__(
-                self, "values", tuple(Scalar.coerce(v) for v in values)
-            )
+            object.__setattr__(self, "_nums", (tuple(re), tuple(im), den))
 
     def __setattr__(self, name, value):
         raise AttributeError("MomentFunctional is immutable")
@@ -70,24 +91,63 @@ class MomentFunctional:
     def is_atomic(self) -> bool:
         return self.atoms is not None
 
+    @property
+    def values(self) -> tuple[Scalar, ...] | None:
+        """The stored moments of a moment list as Scalars; None when atomic."""
+        if self.atoms is not None:
+            return None
+        re, im, den = self._nums
+        return tuple([gauss_scalar(a, b, den) for a, b in zip(re, im)])
+
+    def _numerators(self, top: int, low: int = 0, reads: Poly | None = None):
+        """The moment table ``(re, im, den)``, reaching at least index ``top``.
+
+        An atomic measure extends its cache to ``top``.  A moment list that
+        stops short raises at the first index it lacks among those the
+        caller reads: every index from ``low`` up, or with ``reads`` the
+        indices of that polynomial's nonzero coefficients.
+        """
+        re, im, den = self._nums
+        if top < len(re):
+            return self._nums
+        if self.atoms is None:
+            k = max(low, len(re))
+            while reads is not None and not (reads.re[k] or reads.im[k]):
+                k += 1
+            raise MomentOutOfRangeError(
+                f"moment {k} beyond stored truncation {len(re) - 1}"
+            )
+        return self._extend(top)
+
+    def _extend(self, top: int):
+        """Fill the atomic cache: m_k = sum w x^k over W * X^top, k <= top."""
+        x_den = lcm(*(x.denominator for x, _ in self.atoms))
+        w_den = lcm(*(w.denominator for _, w in self.atoms))
+        xs = [x.numerator * (x_den // x.denominator) for x, _ in self.atoms]
+        terms = [w.numerator * (w_den // w.denominator) for _, w in self.atoms]
+        re = []
+        for _ in range(top + 1):
+            re.append(sum(terms))
+            terms = [t * x for t, x in zip(terms, xs)]
+        # m_k is re[k] / (W X^k); bring each to W X^top
+        scale = 1
+        for k in range(top, -1, -1):
+            re[k] *= scale
+            scale *= x_den
+        nums = (tuple(re), (0,) * (top + 1), w_den * x_den**top)
+        object.__setattr__(self, "_nums", nums)
+        return nums
+
     def moment(self, k: int) -> Scalar:
         if k < 0:
             raise MomentOutOfRangeError(f"negative moment index {k}")
-        if self.atoms is not None:
-            return Scalar(sum(w * x**k for x, w in self.atoms))
-        if k >= len(self.values):
-            raise MomentOutOfRangeError(
-                f"moment {k} beyond stored truncation {len(self.values) - 1}"
-            )
-        return self.values[k]
+        re, im, den = self._numerators(k, low=k)
+        return gauss_scalar(re[k], im[k], den)
 
     def apply(self, p: Poly) -> Scalar:
-        """f(p) by linearity in the moments."""
-        acc = _ZERO
-        for k, c in enumerate(p.coeffs):
-            if c:
-                acc = acc + c * self.moment(k)
-        return acc
+        """f(p) by linearity in the moments: one integer dot product."""
+        mr, mi, den = self._numerators(p.degree, reads=p)
+        return gauss_scalar(*gauss_dot(p.re, p.im, mr, mi), p.den * den)
 
     def shifted_values(self, p: Poly, count: int) -> list[Scalar]:
         """[f(q^s p) for s < count], reading each needed moment once.
@@ -95,33 +155,33 @@ class MomentFunctional:
         The moments read are those of f(q^(count-1) p) and below it, so
         this fails exactly where ``apply`` on the top shift would.
         """
-        terms = [(t, c) for t, c in enumerate(p.coeffs) if c]
-        if count <= 0 or not terms:
+        if count <= 0 or not p.re:
             return [_ZERO] * max(count, 0)
-        low = terms[0][0]
-        ms = [self.moment(k) for k in range(low, count + p.degree)]
-        out = []
-        for s in range(count):
-            acc = _ZERO
-            for t, c in terms:
-                acc = acc + c * ms[s + t - low]
-            out.append(acc)
-        return out
+        low = next(k for k, (a, b) in enumerate(zip(p.re, p.im)) if a or b)
+        mr, mi, den = self._numerators(count - 1 + p.degree, low=low)
+        n, d = len(p.re), p.den * den
+        return [
+            gauss_scalar(*gauss_dot(p.re, p.im, mr[s : s + n], mi[s : s + n]), d)
+            for s in range(count)
+        ]
 
     def pairing(self, u: Poly, v: Poly) -> Scalar:
         """The GNS inner product <u, v> = f(v^+ u)."""
         return self.apply(v.conjugate() * u)
 
     def moments_up_to(self, degree: int) -> tuple[Scalar, ...]:
-        return tuple(self.moment(k) for k in range(degree + 1))
+        re, im, den = self._numerators(degree)
+        return tuple([gauss_scalar(re[k], im[k], den) for k in range(degree + 1)])
 
     def __eq__(self, other):
         if not isinstance(other, MomentFunctional):
             return NotImplemented
-        return self.atoms == other.atoms and self.values == other.values
+        if self.atoms is not None or other.atoms is not None:
+            return self.atoms == other.atoms
+        return self._nums == other._nums
 
     def __hash__(self):
-        return hash((self.atoms, self.values))
+        return hash(self.atoms if self.atoms is not None else self._nums)
 
     def __repr__(self):
         if self.atoms is not None:
@@ -137,12 +197,25 @@ class MomentFunctional:
         return {"type": "moments", "values": [format_scalar(v) for v in self.values]}
 
     @classmethod
-    def from_json(cls, data: dict) -> "MomentFunctional":
-        kind = data.get("type")
+    def from_json(cls, data) -> "MomentFunctional":
+        """Read ``{"type": "atomic", "atoms": [{"x": .., "w": ..}, ..]}`` or
+        ``{"type": "moments", "values": [..]}``.
+
+        Every number is a string in the scalar literal grammar, and atoms
+        are real.  Any other shape raises ValueError.
+        """
+        kind = data.get("type") if isinstance(data, dict) else None
         if kind == "atomic":
-            return cls(
-                atoms=[(Fraction(a["x"]), Fraction(a["w"])) for a in data["atoms"]]
-            )
+            atoms = data.get("atoms")
+            if not isinstance(atoms, list) or not all(
+                isinstance(a, dict) and "x" in a and "w" in a for a in atoms
+            ):
+                raise ValueError('"atoms" must be a list of {"x": .., "w": ..} objects')
+            return cls(atoms=[(parse_real(a["x"]), parse_real(a["w"])) for a in atoms])
         if kind == "moments":
-            return cls(values=[parse_scalar(v) for v in data["values"]])
-        raise ValueError(f"unknown measure type {kind!r}")
+            values = data.get("values")
+            if not isinstance(values, list):
+                raise ValueError('"values" must be a list of scalar literals')
+            return cls(values=[parse_scalar(v) for v in values])
+        got = repr(kind) if isinstance(data, dict) else f"a JSON {type(data).__name__}"
+        raise ValueError(f'a measure has "type" "atomic" or "moments", got {got}')

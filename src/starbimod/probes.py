@@ -23,7 +23,8 @@ integer rows over one denominator each, and each entry of Z is an
 integer dot product reduced once.  Natural order nests the
 tower: the degree-N pencil is the leading r_N x r_N block of Z, with r_N
 the number of pivots <= N.  Only the diagonal scaling by d^-1/2 and one
-hermitian eigensolve per degree run in doubles.  Moment Gram matrices
+hermitian eigensolve per degree run in doubles, and the scaling takes
+the exact power of two out of each pivot before any float conversion.  Moment Gram matrices
 in the monomial basis are far too ill-conditioned for a float Cholesky,
 so this exact reduction is what keeps degree ten reachable.
 """
@@ -36,10 +37,10 @@ from math import comb, gcd, isfinite, lcm, perm, sqrt
 
 import numpy as np
 
-from .algebra import ZERO, Poly, Scalar, gauss_numerators, gauss_scalar
+from .algebra import ZERO, Poly, Scalar, gauss_dot, gauss_numerators, gauss_scalar
 from .bimodule import BimodElement
-from .errors import NotHermitianError, SingularGramError
-from .exactla import LdlResult, gauss_dot, ldl_psd
+from .errors import DoubleRangeError, NotHermitianError, SingularGramError
+from .exactla import LdlResult, ldl_psd
 from .gns import Functional, hankel_gram
 from .moments import MomentFunctional
 
@@ -183,6 +184,52 @@ def _inverse_rows(lower) -> list[tuple[list[int], list[int], int]]:
     return out
 
 
+def _scaled_pencil(z, diag) -> np.ndarray:
+    """D^-1/2 Z D^-1/2 in doubles, hermitised, for any size of pivot.
+
+    Each pivot is split exactly as d = 4^e * r with 1 <= r < 4, so entry
+    (a, b) is Z_ab * 2^-(e_a + e_b) / sqrt(r_a r_b).  The power of two is
+    an integer shift of the entry's numerator or denominator before its
+    float conversion, so pivots beyond the double range (moments near
+    1e400 or 1e-400) neither overflow nor vanish.  An entry that is itself
+    beyond it, as for a lambda near 1e400, raises DoubleRangeError.
+    """
+    exps, roots = [], []
+    for d in diag:
+        n, m = d.numerator, d.denominator
+        k = n.bit_length() - m.bit_length()  # floor(log2 d) is k or k - 1
+        if (n << max(-k, 0)) < (m << max(k, 0)):
+            k -= 1
+        e = k >> 1
+        exps.append(e)
+        roots.append(sqrt(_shifted(n, m, 2 * e)))
+    try:
+        mat = np.array(
+            [
+                [
+                    complex(
+                        _shifted(v.re.numerator, v.re.denominator, ea + eb),
+                        _shifted(v.im.numerator, v.im.denominator, ea + eb),
+                    )
+                    / (ra * rb)
+                    for v, eb, rb in zip(row, exps, roots)
+                ]
+                for row, ea, ra in zip(z, exps, roots)
+            ]
+        )
+    except OverflowError:
+        raise DoubleRangeError(
+            "the scaled pencil has an entry beyond the double range, so lambda does too"
+        ) from None
+    # halving first keeps a sum of two finite entries finite
+    return 0.5 * mat + 0.5 * mat.conj().T
+
+
+def _shifted(n: int, m: int, s: int) -> float:
+    """The double nearest (n / m) * 2^-s, correctly rounded."""
+    return n / (m << s) if s >= 0 else (n << -s) / m
+
+
 def plateau_verdict(lambdas, tolerance: float) -> str:
     """Bounded iff the final three values agree within the relative tolerance.
 
@@ -218,14 +265,7 @@ def boundedness_probe(
     top = degrees[-1]
     ldl = ldl_psd(hankel_gram(mf, top))
     z = _reduced_pencil(form_numerators(func, x, mf, top), ldl)
-    scale = [1.0 / sqrt(float(d)) for d in ldl.diag]
-    mat = np.array(
-        [
-            [complex(v) * sa * sb for v, sb in zip(row, scale)]
-            for row, sa in zip(z, scale)
-        ]
-    )
-    mat = 0.5 * (mat + mat.conj().T)
+    mat = _scaled_pencil(z, ldl.diag)
     ranks = tuple(bisect_right(ldl.pivots, n) for n in degrees)
     if ranks[0] == 0:
         raise SingularGramError("Gram matrix vanishes at this degree")

@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, perm
 
-from .algebra import I, ONE, ZERO, Poly, Scalar
+from .algebra import I, ONE, Poly, Scalar, gauss_numerators
 
 
 def _normal_dq(n: int, m: int):
@@ -171,15 +171,21 @@ class WeylElement:
         """Act as a differential operator: q^m d^n maps p to t^m p^(n).
 
         The term c q^m d^n sends a t^j to c a j!/(j-n)! t^(j-n+m), so the
-        image is built by shifting coefficient indices in one pass.
+        image is built by shifting coefficient indices in one pass, on the
+        numerators of p and of the term coefficients over one denominator.
         """
-        a = p.coeffs
-        out = [ZERO] * (len(a) + max((m - n for m, n in self.terms), default=0))
-        for (m, n), c in self.terms.items():
-            for j in range(n, len(a)):
-                if not a[j].is_zero():
-                    out[j - n + m] = out[j - n + m] + c * perm(j, n) * a[j]
-        return Poly(out)
+        [(cr, ci)], cd = gauss_numerators([self.terms.values()])
+        ar, ai = p.re, p.im
+        size = len(ar) + max((m - n for m, n in self.terms), default=0)
+        out_re = [0] * size
+        out_im = [0] * size
+        for (m, n), tr, ti in zip(self.terms, cr, ci):
+            for j in range(n, len(ar)):
+                if ar[j] or ai[j]:
+                    f, k = perm(j, n), j - n + m
+                    out_re[k] += f * (tr * ar[j] - ti * ai[j])
+                    out_im[k] += f * (tr * ai[j] + ti * ar[j])
+        return Poly.from_numerators(out_re, out_im, p.den * cd)
 
     def __eq__(self, other):
         other = _coerce(other)
@@ -265,5 +271,4 @@ def _complex_expr(c: Scalar) -> str:
 
 
 D = WeylElement.d_power(1)
-QW = WeylElement.q_power(1)
 P = WeylElement.p_generator()

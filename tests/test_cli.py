@@ -3,6 +3,7 @@
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -547,5 +548,175 @@ class TestContract:
         assert "Traceback" not in err
         if code == 2:
             assert out == "" and err.strip()
+        else:
+            assert out.strip() and err == ""
+
+
+FILE = "<file>"
+
+
+class TestMalformedJson:
+    """Wrongly shaped JSON inputs exit 2 with one error line, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, content",
+        [
+            (["gns-check", "--measure", FILE, "--functional", "F0"], [1, 2, 3]),
+            (
+                ["cs-check", "--measure", FILE, "--functional", "F0"],
+                {"type": "moments", "values": [1, 0, 1]},
+            ),
+            (
+                ["gns-check", "--measure", FILE, "--functional", "F0"],
+                {"type": "atomic", "atoms": {"x": "1", "w": "1"}},
+            ),
+            (["gns-check", "--measure", MEASURE, "--functional", f"gauss-atoms:{FILE}"], [1]),
+            (
+                ["probe", "--measure", MEASURE, "--functional", f"gauss-atoms:{FILE}"],
+                {"values": ["1/0"]},
+            ),
+            (["probe", "--measure", MEASURE, "--functional", "F0", "--element", FILE], [1]),
+        ],
+    )
+    def test_exit_2_with_one_error_line(self, capsys, tmp_path, mu3_file, argv, content):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(content))
+        argv = [a.replace(FILE, str(path)) for a in _argv(argv, mu3_file)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+class TestProbeMomentRange:
+    """Moments far outside the double range still give a verdict."""
+
+    BIG = "1" + "0" * 400
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [BIG, "0", BIG, "0", "3" + "0" * 400],
+            [f"1/{BIG}", "0", f"1/{BIG}", "0", f"3/{BIG}"],
+        ],
+        ids=["1e400", "1e-400"],
+    )
+    def test_scaled_gaussian_moments(self, capsys, tmp_path, values):
+        path = tmp_path / "scaled.json"
+        path.write_text(json.dumps({"type": "moments", "values": values}))
+        argv = ["probe", "--measure", str(path), "--functional", "F0", "--degrees", "0..2"]
+        assert main(argv) == 0
+        # F0 of d^2 is the Gram form itself, so every lambda is 1
+        assert capsys.readouterr().out.splitlines() == [
+            "degree 0: lambda = 1",
+            "degree 1: lambda = 1",
+            "degree 2: lambda = 1",
+            "verdict: Bounded",
+        ]
+
+
+    def test_lambda_beyond_the_double_range_refused(self, capsys, tmp_path):
+        path = tmp_path / "far-atom.json"
+        path.write_text(json.dumps({"type": "atomic", "atoms": [{"x": self.BIG, "w": "1"}]}))
+        argv = ["probe", "--measure", str(path), "--functional", "gauss-poly:q", "--degrees", "0..2"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "double range" in captured.err
+        assert len(captured.err.strip().splitlines()) == 1
+
+
+# Random measure JSON for the measure-driven commands: moments and atoms
+# far beyond the double range either way, non-real and invalid literals,
+# negative and zero weights, repeated atoms, short moment lists, and the
+# wrong shapes.
+_BIG = "1" + "0" * 400
+_rationals = st.one_of(
+    st.integers(-3, 3).map(str),
+    st.sampled_from([_BIG, f"-{_BIG}", f"1/{_BIG}", f"3/{_BIG}", "1/2", "-7/3"]),
+)
+_literals_json = st.one_of(
+    _rationals,
+    st.builds("{}+{}i".format, _rationals, _rationals),
+    st.sampled_from(["i", "1/0", "0.5", "1e400", "", 1, 2.5, None, [1]]),
+)
+_wrong_shapes = st.sampled_from(
+    [
+        [1, 2, 3],
+        "moments",
+        None,
+        {},
+        {"type": "moments", "values": [1, 0, 1]},
+        {"type": "moments", "values": "101"},
+        {"type": "atomic", "atoms": {"x": "1", "w": "1"}},
+        {"type": "atomic", "atoms": [["1", "1"]]},
+        {"type": "atomic", "atoms": [{"x": "1"}]},
+        {"type": "gaussian", "values": ["1"]},
+    ]
+)
+
+
+def _gaussian_moments(scale: str, count: int) -> list[str]:
+    values = MomentFunctional.gaussian(count).values
+    return [str(v.re * Fraction(scale)) for v in values]
+
+
+_measures_json = st.one_of(
+    st.builds(
+        lambda atoms: {"type": "atomic", "atoms": atoms},
+        st.lists(
+            st.fixed_dictionaries({"x": _rationals, "w": _rationals}),
+            max_size=4,
+        ),
+    ),
+    st.builds(
+        lambda values: {"type": "moments", "values": values},
+        st.lists(_literals_json, max_size=8),
+    ),
+    st.builds(
+        lambda scale, count: {"type": "moments", "values": _gaussian_moments(scale, count)},
+        st.sampled_from(["1", _BIG, f"1/{_BIG}"]),
+        st.integers(1, 9),
+    ),
+    _wrong_shapes,
+)
+_atom_values_json = st.one_of(
+    st.builds(lambda values: {"values": values}, st.lists(_rationals, max_size=4)),
+    st.builds(lambda values: {"values": values}, st.lists(_literals_json, max_size=3)),
+    _wrong_shapes,
+)
+
+
+class TestMeasureContract:
+    """gns-check, cs-check and probe end in exit 0, 1 or 2 on any measure JSON."""
+
+    @given(
+        _measures_json,
+        _atom_values_json,
+        st.sampled_from(["gns-check", "cs-check", "probe"]),
+        st.sampled_from(["F0", "F1", "F2", "gauss-poly:q", "gauss-poly:1", "gauss-atoms"]),
+        st.integers(0, 2),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_random_measures(self, tmp_path_factory, measure, atom_values, command, functional, degree):
+        folder = tmp_path_factory.getbasetemp()
+        measure_path = folder / "contract-measure.json"
+        measure_path.write_text(json.dumps(measure))
+        if functional == "gauss-atoms":
+            values_path = folder / "contract-atom-values.json"
+            values_path.write_text(json.dumps(atom_values))
+            functional = f"gauss-atoms:{values_path}"
+        argv = [command, "--measure", str(measure_path), "--functional", functional]
+        if command == "probe":
+            argv += ["--degrees", f"{degree}..{degree + 2}"]
+        else:
+            argv += ["--max-degree", str(degree), "--trials", "2"]
+        code, out, err = _run(argv)
+        assert code in (0, 1, 2), (argv, err)
+        assert "Traceback" not in err
+        if code == 2:
+            lines = err.strip().splitlines()
+            assert out == "" and len(lines) == 1 and lines[0].startswith("error: ")
         else:
             assert out.strip() and err == ""

@@ -1,8 +1,9 @@
 """The integer kernels checked against sympy over QQ(i).
 
-``Poly.__mul__``, ``BimodElement.triple`` and ``Matrix.__matmul__`` all
-compute in Gaussian-integer numerators over shared denominators, and
-``ldl_psd`` eliminates fraction-free on them.  Each is compared here with
+``Poly`` and ``MomentFunctional`` store Gaussian-integer numerators over
+one denominator, ``Poly.__mul__``, ``BimodElement.triple`` and
+``Matrix.__matmul__`` compute on such numerators, and ``ldl_psd``
+eliminates fraction-free on them.  Each is compared here with
 sympy's own arithmetic over the Gaussian rationals, on
 seeded inputs as tall as the shipped measures: the 43-digit integers of
 the Gaussian moments and denominators up to 129, as in the Lebesgue
@@ -10,9 +11,11 @@ moments 1/(k+1) paired up to degree 64.  Zero polynomials and entries,
 and purely real and purely imaginary inputs, are drawn on purpose.
 """
 
+import json
 import random
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 import sympy
@@ -21,7 +24,7 @@ from sympy.polys.matrices import DomainMatrix
 
 from starbimod.algebra import Poly, Scalar
 from starbimod.bimodule import BimodElement, Generator
-from starbimod.errors import NotPositiveError
+from starbimod.errors import MomentOutOfRangeError, NotPositiveError
 from starbimod.exactla import Matrix, ldl_psd, poly_at
 from starbimod.gns import hankel_gram
 from starbimod.moments import MomentFunctional
@@ -72,6 +75,16 @@ def _poly(rng, shape: str, max_degree: int = 7) -> Poly:
     return Poly([_scalar(rng, shape) for _ in range(rng.randint(0, max_degree) + 1)])
 
 
+def _assert_canonical(p: Poly):
+    """The stored form: den > 0, content coprime to den, no trailing zero."""
+    assert type(p.re) is tuple and type(p.im) is tuple
+    assert len(p.re) == len(p.im)
+    assert all(type(c) is int for c in p.re + p.im)
+    assert p.den > 0
+    assert gcd(p.den, *p.re, *p.im) == 1
+    assert not p.re or p.re[-1] or p.im[-1]
+
+
 def _assert_lowest_terms(scalars):
     for c in scalars:
         for part in (c.re, c.im):
@@ -89,6 +102,7 @@ class TestPolyProduct:
             product = a * b
             assert _sym_poly(product) == _sym_poly(a) * _sym_poly(b)
             _assert_lowest_terms(product.coeffs)
+            _assert_canonical(product)
 
     def test_every_shape_pair(self):
         rng = random.Random(42)
@@ -108,6 +122,7 @@ class TestPolyProduct:
                 for product in (a * factor, factor * a):
                     assert _sym_poly(product) == expected
                     _assert_lowest_terms(product.coeffs)
+                    _assert_canonical(product)
 
     def test_zero_operands(self):
         rng = random.Random(44)
@@ -125,6 +140,80 @@ class TestPolyProduct:
         product = a * b
         assert _sym_poly(product) == _sym_poly(a) * _sym_poly(b)
         assert all(c.is_real() for c in product.coeffs)
+
+
+class TestPolyOperations:
+    """Sums, derivatives, conjugates and evaluations on the stored numerators."""
+
+    def test_sums_and_differences(self):
+        rng = random.Random(45)
+        for _ in range(300):
+            a = _poly(rng, rng.choice(SHAPES))
+            b = _poly(rng, rng.choice(SHAPES))
+            for result, expected in (
+                (a + b, _sym_poly(a) + _sym_poly(b)),
+                (a - b, _sym_poly(a) - _sym_poly(b)),
+                (-a, -_sym_poly(a)),
+            ):
+                assert _sym_poly(result) == expected
+                _assert_canonical(result)
+
+    def test_cancellation_to_zero_and_lower_degree(self):
+        rng = random.Random(46)
+        for _ in range(50):
+            a = _poly(rng, "complex")
+            top = Poly.monomial(a.degree + 1, Scalar(Fraction(1, MAX_DEN), TALL[-1]))
+            assert a - a == Poly() and (a - a).den == 1
+            _assert_canonical((a + top) - top)
+            assert (a + top) - top == a
+
+    def test_derivatives(self):
+        rng = random.Random(47)
+        for _ in range(200):
+            a = _poly(rng, rng.choice(SHAPES))
+            for order in range(4):
+                result = a.derivative(order)
+                expected = _sym_poly(a).diff((T, order)) if order else _sym_poly(a)
+                assert _sym_poly(result) == expected
+                _assert_canonical(result)
+
+    def test_conjugate(self):
+        rng = random.Random(48)
+        for _ in range(200):
+            a = _poly(rng, rng.choice(SHAPES))
+            result = a.conjugate()
+            expected = [_conj(c) for c in _coeffs(_sym_poly(a))]
+            assert _coeffs(_sym_poly(result)) == expected
+            _assert_canonical(result)
+
+    @pytest.mark.parametrize("shape", ["real", "complex"])
+    def test_evaluation(self, shape):
+        rng = random.Random(49)
+        for _ in range(200):
+            a = _poly(rng, rng.choice(SHAPES))
+            point = _scalar(rng, shape)
+            value = a(point)
+            assert _qq(value) == QQ_I.from_sympy(_sym_poly(a).eval(_qq(point)))
+            _assert_lowest_terms([value])
+
+    def test_evaluation_at_plain_numbers(self):
+        rng = random.Random(50)
+        a = _poly(rng, "complex")
+        for point in (0, 3, Fraction(-2, MAX_DEN)):
+            assert _qq(a(point)) == QQ_I.from_sympy(_sym_poly(a).eval(_qq(Scalar(point))))
+
+    def test_constructors_are_canonical(self):
+        rng = random.Random(51)
+        for _ in range(100):
+            coeffs = [_scalar(rng, rng.choice(SHAPES)) for _ in range(rng.randint(0, 6))]
+            coeffs += [Scalar(0)] * rng.randint(0, 2)
+            p = Poly(coeffs)
+            _assert_canonical(p)
+            assert p.coeffs == tuple(coeffs[: p.degree + 1])
+            c = coeffs[0] if coeffs else Scalar(0)
+            for q in (Poly.constant(c), Poly.monomial(rng.randint(0, 5), c), p * c):
+                _assert_canonical(q)
+        assert Poly().re == () and Poly().im == () and Poly().den == 1
 
 
 class TestTriple:
@@ -149,6 +238,7 @@ class TestTriple:
             assert [_sym_poly(h) for h in triple] == self._sympy_triple(x)
             for h in triple:
                 _assert_lowest_terms(h.coeffs)
+                _assert_canonical(h)
 
     def test_zero_element(self):
         assert BimodElement.zero().triple() == (Poly(), Poly(), Poly())
@@ -234,6 +324,11 @@ def _scalar_of(z) -> Scalar:
 
 def _conj(z):
     return QQ_I(z.x, -z.y)
+
+
+def _coeffs(p: sympy.Poly) -> list:
+    """Coefficients of a sympy polynomial as QQ_I elements, top first; [] for 0."""
+    return [QQ_I.from_sympy(c) for c in p.all_coeffs()] if not p.is_zero else []
 
 
 class TestLdl:
@@ -322,3 +417,114 @@ class TestLdl:
     def test_empty_and_zero_matrices(self):
         assert ldl_psd(Matrix([])).rank == 0
         assert ldl_psd(Matrix.zeros(3, 3)).pivots == ()
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _file_measure(name: str) -> MomentFunctional:
+    return MomentFunctional.from_json(json.loads((ROOT / "measures" / name).read_text()))
+
+
+def _cluster() -> MomentFunctional:
+    """Sixteen atoms x = 1/n with weights 1/2^n, n = 1..16."""
+    return MomentFunctional.atomic([(Fraction(1, n), Fraction(1, 2**n)) for n in range(1, 17)])
+
+
+# each measure with its moments computed by sympy, independently of the class
+def _oracle_moments(name: str, count: int) -> list:
+    rat = sympy.Rational
+    if name == "gauss64":
+        ms = [sympy.factorial2(k - 1) if k % 2 == 0 else 0 for k in range(count)]
+    elif name == "lebesgue01-64":
+        ms = [rat(1, k + 1) for k in range(count)]
+    elif name == "mu3":
+        ms = [sum(rat(x) ** k for x in (-1, 0, 1)) for k in range(count)]
+    else:
+        ms = [sum(rat(1, 2**n) * rat(1, n) ** k for n in range(1, 17)) for k in range(count)]
+    return [QQ_I(m, 0) for m in ms]
+
+
+MEASURES = {
+    "gauss64": lambda: _file_measure("gauss64.json"),
+    "lebesgue01-64": lambda: _file_measure("lebesgue01-64.json"),
+    "mu3": lambda: _file_measure("mu3.json"),
+    "cluster": _cluster,
+}
+
+
+def _sym_apply(p: Poly, ms) -> object:
+    coeffs = [_qq(c) for c in p.coeffs]
+    return sum((c * m for c, m in zip(coeffs, ms)), QQ_I(0))
+
+
+class TestMoments:
+    """apply, pairing, shifted_values and moments_up_to against sympy."""
+
+    @pytest.mark.parametrize("name", list(MEASURES))
+    def test_apply_and_pairing(self, name):
+        mf = MEASURES[name]()
+        ms = _oracle_moments(name, 64)
+        rng = random.Random(91)
+        for _ in range(60):
+            p = _poly(rng, rng.choice(SHAPES), max_degree=40)
+            assert _qq(mf.apply(p)) == _sym_apply(p, ms)
+            u = _poly(rng, rng.choice(SHAPES), max_degree=20)
+            v = _poly(rng, rng.choice(SHAPES), max_degree=20)
+            v_conj = [_conj(c) for c in _coeffs(_sym_poly(v))]
+            vu = _sym_poly(u) * sympy.Poly.from_list(v_conj or [0], T, domain=QQ_I)
+            expected = sum((c * m for c, m in zip(reversed(_coeffs(vu)), ms)), QQ_I(0))
+            value = mf.pairing(u, v)
+            assert _qq(value) == expected
+            _assert_lowest_terms([value])
+
+    @pytest.mark.parametrize("name", list(MEASURES))
+    def test_shifted_values_and_moments_up_to(self, name):
+        mf = MEASURES[name]()
+        ms = _oracle_moments(name, 64)
+        rng = random.Random(92)
+        for _ in range(20):
+            p = _poly(rng, rng.choice(SHAPES), max_degree=12)
+            count = rng.randint(0, 64 - max(p.degree, 0))
+            shifted = mf.shifted_values(p, count)
+            for s, value in enumerate(shifted):
+                assert _qq(value) == _sym_apply(p, ms[s:])
+            assert len(shifted) == count
+            _assert_lowest_terms(shifted)
+        for degree in (0, 1, 17, 63):
+            got = mf.moments_up_to(degree)
+            assert [_qq(m) for m in got] == ms[: degree + 1]
+            _assert_lowest_terms(got)
+
+    def test_moment_list_is_stored_canonically(self):
+        for name in ("gauss64", "lebesgue01-64"):
+            re, im, den = MEASURES[name]()._nums
+            assert den > 0 and gcd(den, *re, *im) == 1
+        mf = MomentFunctional.from_moments([Fraction(2, 6), Scalar(Fraction(1, 3), 2)])
+        assert mf._nums == ((1, 1), (0, 6), 3)
+        assert mf.values == (Scalar(Fraction(1, 3)), Scalar(Fraction(1, 3), 2))
+
+    def test_out_of_range_index_is_the_first_moment_read(self):
+        mf = MomentFunctional.from_moments([1, 0, 1, 0, 3])
+        cases = [
+            (lambda: mf.apply(Poly.monomial(7) + Poly.monomial(2)), 7),
+            (lambda: mf.apply(Poly.monomial(9) + Poly.monomial(6) + Poly.monomial(3)), 6),
+            (lambda: mf.shifted_values(Poly.monomial(2), 4), 5),
+            (lambda: mf.shifted_values(Poly.monomial(6), 1), 6),
+            (lambda: mf.moments_up_to(5), 5),
+            (lambda: mf.moment(9), 9),
+        ]
+        for call, index in cases:
+            with pytest.raises(MomentOutOfRangeError, match=f"^moment {index} beyond stored truncation 4$"):
+                call()
+
+    def test_atomic_cache_is_not_part_of_equality(self):
+        a, b = _cluster(), _cluster()
+        before = (hash(a), repr(a))
+        assert a.moment(3) == b.moment(3)
+        a.apply(Poly.monomial(40))
+        assert a._nums[2] != b._nums[2]  # the caches differ in reach
+        assert a == b and hash(a) == hash(b) == before[0] and repr(a) == before[1]
+        assert a.moment(3) == b.moment(3)
+        assert len({a, b}) == 1
+

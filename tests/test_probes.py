@@ -1,6 +1,7 @@
 """Float-side probes: boundedness plateaus and the numerical-radius bound."""
 
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from sympy.polys.matrices import DomainMatrix
 from starbimod.algebra import P_ONE, Poly, Q, Scalar, gauss_numerators
 from starbimod.bimodule import BimodElement, Generator
 from starbimod.errors import (
+    DoubleRangeError,
     MomentOutOfRangeError,
     NotHermitianError,
     SingularGramError,
@@ -97,6 +99,24 @@ class TestBoundednessProbe:
         mf = MomentFunctional.atomic([(0, 0)])
         with pytest.raises(SingularGramError):
             boundedness_probe(Functional.f0(), D2, mf, range(2, 5))
+
+    @pytest.mark.parametrize("scale", [10**400, Fraction(1, 10**400)], ids=["1e400", "1e-400"])
+    def test_moments_beyond_the_double_range(self, scale):
+        # scaling every moment by c scales the Gram and the form alike, so
+        # the pencil and its lambdas do not change
+        plain = MomentFunctional.gaussian(32)
+        scaled = MomentFunctional.from_moments([v * scale for v in plain.values])
+        for func in (Functional.f1(), Functional.f2()):
+            want = boundedness_probe(func, D2, plain, range(2, 9))
+            got = boundedness_probe(func, D2, scaled, range(2, 9))
+            assert got.verdict == want.verdict
+            assert all(abs(g - w) <= 1e-12 * w for g, w in zip(got.lambdas, want.lambdas))
+
+    def test_lambda_beyond_the_double_range_refused(self):
+        # one atom at 10^400: q acts as multiplication by 10^400
+        mf = MomentFunctional.atomic([(10**400, 1)])
+        with pytest.raises(DoubleRangeError):
+            generator_probe(mf, range(0, 3))
 
     def test_generator_probe_on_three_atoms(self):
         report = generator_probe(mu3(), range(2, 9))

@@ -6,9 +6,10 @@ import sympy
 
 from starbimod.algebra import I, Poly, Q, Scalar
 from starbimod.sampling import rand_scalar, rand_weyl
-from starbimod.weyl import D, P, QW, WeylElement
+from starbimod.weyl import D, P, WeylElement
 
 T = sympy.Symbol("t")
+QW = WeylElement.q_power(1)
 
 
 def _sym(c: Scalar):
