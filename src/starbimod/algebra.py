@@ -36,6 +36,8 @@ from .errors import ParseError
 
 _RAT = r"-?\d+(?:/0*[1-9]\d*)?"  # no zero denominator
 _RAT_RE = re.compile(rf"^{_RAT}$")
+_DIGITS_RE = re.compile(r"\d+")
+MAX_DIGITS = 1000  # digits of a literal's or a parsed number's numerator or denominator
 
 
 def _frac(value) -> Fraction:
@@ -168,11 +170,15 @@ def format_scalar(z: Scalar) -> str:
 def parse_scalar(text: str) -> Scalar:
     """Parse the scalar literal grammar.
 
-    Accepts the emitted form (``2+-3i``) and the tolerant variant ``2-3i``.
+    Accepts the emitted form (``2+-3i``) and the tolerant variant ``2-3i``,
+    with no number of more than ``MAX_DIGITS`` digits.
     """
     if not isinstance(text, str):
         raise ParseError(f"expected a scalar literal string, got {text!r}", 0)
     s = text.strip()
+    longest = max(map(len, _DIGITS_RE.findall(s)), default=0)
+    if longest > MAX_DIGITS:
+        raise ParseError(f"number of {longest} digits exceeds the limit of {MAX_DIGITS}", 0)
     if _RAT_RE.match(s):
         return Scalar(Fraction(s))
     if not s.endswith("i"):

@@ -20,7 +20,7 @@ from .bimodule import BimodElement, Generator
 from .errors import ParseError, StarBimodError
 from .gns import Functional, build_gns, check_cauchy_schwarz, check_identity
 from .moments import MomentFunctional
-from .parser import parse_expression
+from .parser import MAX_DIGITS, exceeds_digits, parse_expression
 from .probes import boundedness_probe, numerical_radius_norm_check
 from .sampling import rand_d2_element, rand_gauss_element, rand_poly
 from .selftest import run_all
@@ -181,6 +181,8 @@ def _cmd_theta_map(args) -> int:
     if element.tag is not Generator.D2:
         raise InputError("theta-map needs an element of the d^2 span")
     image = element.theta_map()
+    if exceeds_digits(image):
+        raise InputError(f"the image has a number of more than {MAX_DIGITS} digits")
     report = {
         "check": "theta-map",
         "inputs": {"element": args.element},

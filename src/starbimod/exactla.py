@@ -2,20 +2,23 @@
 
 Only what the form and GNS layers need: hermitian checks, a natural-order
 LDL^H factorisation that doubles as the positive-semidefiniteness gate
-(leading-minor tests are unsound for singular matrices), an exact null
-space, and inversion.  Products and the LDL^H run in Gaussian integers:
-``Matrix.__matmul__`` takes integer dot products of rows and columns
-over their own denominators, ``poly_at`` runs Horner on the numerators
-of the polynomial and of the matrix, and ``ldl_psd`` eliminates
-fraction-free (Bareiss) on the numerators of the whole matrix over one
-shared denominator, building each output entry once.  ``nullspace`` and
-``inverse`` still run Gauss-Jordan on Scalars.  Sizes stay in the low
+(leading-minor tests are unsound for singular matrices), the kernel basis
+read off that factor, and inversion.  All but ``inverse`` (Gauss-Jordan
+on Scalars) run in Gaussian integers: ``Matrix.__matmul__`` takes integer
+dot products of rows and columns over their own denominators,
+``poly_at`` runs Horner on the numerators of the polynomial and of the
+matrix, ``ldl_psd`` eliminates fraction-free (Bareiss) on the numerators
+of the whole matrix over one shared denominator, and ``nullspace``
+solves the kernel through the integer rows of L^-1, with no second
+elimination; each output entry is built once.  Sizes stay in the low
 tens, so the cubic algorithms are fine.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
+from math import gcd, lcm
 from operator import mul
 from typing import NamedTuple
 
@@ -71,18 +74,6 @@ class Matrix:
                 for r1, r2 in zip(self.rows, other.rows)
             ]
         )
-
-    def __sub__(self, other):
-        self._same_shape(other)
-        return Matrix(
-            [
-                [a - b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.rows, other.rows)
-            ]
-        )
-
-    def __neg__(self):
-        return Matrix([[-a for a in r] for r in self.rows])
 
     def __matmul__(self, other):
         if not isinstance(other, Matrix):
@@ -264,44 +255,62 @@ def ldl_psd(m: Matrix) -> LdlResult:
     return LdlResult(tuple(pivots), tuple(diag), lower)
 
 
-def nullspace(m: Matrix) -> list[tuple[Scalar, ...]]:
-    """Exact null space basis via reduced row echelon form.
+def nullspace(gram: Matrix, ldl: LdlResult) -> list[tuple[Scalar, ...]]:
+    """Kernel basis of a hermitian PSD matrix, read off ``ldl = ldl_psd(gram)``.
 
-    One basis vector per free column, entry 1 at the free index; the
-    result is deterministic and canonical for a given matrix.
+    For a skipped index s, with P the pivots below s, U = L^-1 on P and g
+    column s of the Gram on P, v = e_s - U^H D^-1 U g is the one kernel
+    vector with 1 at s and weight only on P: the reduced-row-echelon basis
+    vector of the free column s.  It is summed on Gaussian-integer
+    numerators over one denominator, and each entry is reduced once.
     """
-    rows = [list(r) for r in m.rows]
-    nr, nc = len(rows), m.ncols
-    pivot_cols: list[int] = []
-    rank = 0
-    for col in range(nc):
-        sel = None
-        for i in range(rank, nr):
-            if rows[i][col]:
-                sel = i
-                break
-        if sel is None:
-            continue
-        rows[rank], rows[sel] = rows[sel], rows[rank]
-        inv = ONE / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for i in range(nr):
-            if i != rank and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
-        pivot_cols.append(col)
-        rank += 1
-        if rank == nr:
-            break
-    free = [c for c in range(nc) if c not in pivot_cols]
+    skipped = [s for s in range(gram.nrows) if s not in ldl.pivots]
+    inv = _inverse_rows(ldl.lower[: bisect_left(ldl.pivots, max(skipped, default=0))])
+    # D^-1 with the two row denominators of U^H D^-1 U, over one lcm
+    dens = [d.numerator * du * du for d, (_, _, du) in zip(ldl.diag, inv)]
+    common = lcm(*dens)
+    weights = [d.denominator * (common // e) for d, e in zip(ldl.diag, dens)]
     basis = []
-    for fc in free:
-        vec = [ZERO] * nc
-        vec[fc] = ONE
-        for r_idx, pc in enumerate(pivot_cols):
-            vec[pc] = -rows[r_idx][fc]
+    for s in skipped:
+        below = ldl.pivots[: bisect_left(ldl.pivots, s)]
+        [(gr, gi)], dg = gauss_numerators([[gram.rows[b][s] for b in below]])
+        vr, vi = [0] * len(below), [0] * len(below)
+        for (ur, ui, _), f in zip(inv, weights[: len(below)]):
+            wr, wi = (f * w for w in gauss_dot(ur, ui, gr, gi))
+            for b, (xr, xi) in enumerate(zip(ur, ui)):  # v -= conj(u_a) w_a
+                vr[b] -= xr * wr + xi * wi
+                vi[b] -= xr * wi - xi * wr
+        vec = [ZERO] * gram.nrows
+        vec[s] = ONE
+        for b, re, im in zip(below, vr, vi):
+            vec[b] = gauss_scalar(re, im, common * dg)
         basis.append(tuple(vec))
     return basis
+
+
+def _inverse_rows(lower) -> list[tuple[list[int], list[int], int]]:
+    """Rows of L^-1 for a unit lower triangular L, each ``(re, im, den)``.
+
+    Row a is e_a - sum_(c<a) L[a][c] U_c over the product of its own
+    denominators, then divided by the gcd of its entries and denominator.
+    """
+    out = []
+    for a, row in enumerate(lower):
+        [(lr, li)], dl = gauss_numerators([row[:a]])
+        used = [(c, lr[c], li[c]) for c in range(a) if lr[c] or li[c]]
+        dd = dl * lcm(*(out[c][2] for c, _, _ in used))
+        nr = [0] * a + [dd]
+        ni = [0] * (a + 1)
+        for c, xr, xi in used:
+            ur, ui, dc = out[c]
+            f = dd // (dl * dc)
+            xr, xi = xr * f, xi * f
+            for b, (vr, vi) in enumerate(zip(ur, ui)):
+                nr[b] -= xr * vr - xi * vi
+                ni[b] -= xr * vi + xi * vr
+        g = gcd(dd, *nr, *ni)
+        out.append(([v // g for v in nr], [v // g for v in ni], dd // g))
+    return out
 
 
 def inverse(m: Matrix) -> Matrix:

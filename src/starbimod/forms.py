@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from .algebra import Poly
 from .errors import DimensionMismatchError
-from .exactla import Matrix, inverse, ldl_psd, poly_at
+from .exactla import Matrix, ldl_psd, poly_at
 
 
 class ActionTable:
@@ -99,11 +99,6 @@ def form_from_operator(t: Matrix, table: ActionTable) -> FormMatrix:
     if t.nrows != table.dim or t.ncols != table.dim:
         raise DimensionMismatchError("operator and action dimensions differ")
     return FormMatrix(table.gram @ t)
-
-
-def operator_adjoint(t: Matrix, table: ActionTable) -> Matrix:
-    """G^-1 t^H G; defined only for invertible Gram matrices."""
-    return inverse(table.gram) @ t.adjoint() @ table.gram
 
 
 def weak_commutant_test(t: Matrix, table: ActionTable) -> bool:

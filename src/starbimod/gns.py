@@ -3,9 +3,10 @@
 ``build_gns`` turns a moment functional into the truncated quotient data:
 the Hankel Gram matrix G_{jk} = m_{j+k} on the monomials q^0..q^N, an
 exact positivity certificate (natural-order LDL), and an exact basis of the
-kernel polynomials.  No orthonormalisation happens anywhere; all inner
-products go through the Gram matrix so the whole exact path stays in
-rational arithmetic.
+kernel polynomials, solved from that same LDL (one per skipped index s,
+monic in q^s, on the pivot monomials below it).  No orthonormalisation
+happens anywhere; all inner products go through the Gram matrix so the
+whole exact path stays in rational arithmetic.
 
 ``Functional`` bundles the five functional variants on the bimodules:
 
@@ -37,26 +38,21 @@ from .errors import (
     UnsupportedVariantError,
     VariantMismatchError,
 )
-from .exactla import Matrix, ldl_psd, nullspace
+from .exactla import LdlResult, Matrix, ldl_psd, nullspace
 from .moments import MomentFunctional
 
 _ZERO = Scalar(0)
 
 
+@dataclass(frozen=True, eq=False, slots=True)
 class GnsRealization:
     """Truncated quotient data of a moment functional."""
 
-    __slots__ = ("functional", "degree", "gram", "kernel", "ldl")
-
-    def __init__(self, functional, degree, gram, kernel, ldl):
-        object.__setattr__(self, "functional", functional)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "gram", gram)
-        object.__setattr__(self, "kernel", kernel)
-        object.__setattr__(self, "ldl", ldl)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GnsRealization is immutable")
+    functional: MomentFunctional
+    degree: int
+    gram: Matrix
+    kernel: tuple[Poly, ...]
+    ldl: LdlResult
 
     @property
     def rank(self) -> int:
@@ -66,18 +62,6 @@ class GnsRealization:
     def pivots(self) -> tuple[int, ...]:
         """Monomial exponents spanning a positive-definite complement."""
         return self.ldl.pivots
-
-    @property
-    def shift_table(self) -> dict[int, int]:
-        """The generator action on monomial indices, q^k -> q^(k+1)."""
-        return {k: k + 1 for k in range(self.degree)}
-
-    def pairing(self, u: Poly, v: Poly) -> Scalar:
-        return self.functional.pairing(u, v)
-
-    def cyclic_vector(self) -> Poly:
-        """phi = the class of the constant 1."""
-        return P_ONE
 
 
 def hankel_gram(mf: MomentFunctional, degree: int) -> Matrix:
@@ -98,7 +82,7 @@ def build_gns(mf: MomentFunctional, degree: int) -> GnsRealization:
     """
     gram = hankel_gram(mf, degree)
     ldl = ldl_psd(gram)
-    kernel = tuple(Poly(vec) for vec in nullspace(gram))
+    kernel = tuple(Poly(vec) for vec in nullspace(gram, ldl))
     return GnsRealization(mf, degree, gram, kernel, ldl)
 
 

@@ -31,13 +31,12 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .algebra import I, Scalar
+from .algebra import MAX_DIGITS, I, Scalar
 from .errors import ParseError
 from .weyl import WeylElement
 
 
 MAX_EXPONENT = 64
-MAX_DIGITS = 1000
 _LIMIT = 10**MAX_DIGITS
 
 
@@ -123,9 +122,14 @@ def _too_long(offset: int) -> ParseError:
     )
 
 
+def exceeds_digits(value: WeylElement) -> bool:
+    """Has a numerator or denominator of the value more than MAX_DIGITS digits?"""
+    return any(part >= _LIMIT for part in _parts(value))
+
+
 def _check_size(value: WeylElement, offset: int) -> WeylElement:
     """Refuse a value with a numerator or denominator above MAX_DIGITS digits."""
-    if any(part >= _LIMIT for part in _parts(value)):
+    if exceeds_digits(value):
         raise _too_long(offset)
     return value
 

@@ -23,8 +23,8 @@ integer rows over one denominator each, and each entry of Z is an
 integer dot product reduced once.  Natural order nests the
 tower: the degree-N pencil is the leading r_N x r_N block of Z, with r_N
 the number of pivots <= N.  Only the diagonal scaling by d^-1/2 and one
-hermitian eigensolve per degree run in doubles, and the scaling takes
-the exact power of two out of each pivot before any float conversion.  Moment Gram matrices
+hermitian eigensolve per degree run in doubles, on entries whose exact
+powers of two are put back on each lambda afterwards.  Moment Gram matrices
 in the monomial basis are far too ill-conditioned for a float Cholesky,
 so this exact reduction is what keeps degree ten reachable.
 """
@@ -33,14 +33,15 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from math import comb, gcd, isfinite, lcm, perm, sqrt
+from math import comb, inf, isfinite, ldexp, perm, sqrt
+from sys import float_info
 
 import numpy as np
 
 from .algebra import ZERO, Poly, Scalar, gauss_dot, gauss_numerators, gauss_scalar
 from .bimodule import BimodElement
 from .errors import DoubleRangeError, NotHermitianError, SingularGramError
-from .exactla import LdlResult, ldl_psd
+from .exactla import LdlResult, _inverse_rows, ldl_psd
 from .gns import Functional, hankel_gram
 from .moments import MomentFunctional
 
@@ -68,16 +69,6 @@ class ProbeReport:
     @property
     def bounded(self) -> bool:
         return self.verdict == BOUNDED
-
-
-def quadratic_form_matrix(
-    func: Functional, x: BimodElement, mf: MomentFunctional, degree: int
-) -> list[list[Scalar]]:
-    """H[j][k] = F(q^j * x * q^k) for j, k <= degree, hermitised exactly."""
-    re, im, den = form_numerators(func, x, mf, degree)
-    return [
-        [gauss_scalar(a, b, den) for a, b in zip(rr, ri)] for rr, ri in zip(re, im)
-    ]
 
 
 def form_numerators(
@@ -159,40 +150,17 @@ def _reduced_pencil(form, ldl: LdlResult) -> list[list[Scalar]]:
     return z
 
 
-def _inverse_rows(lower) -> list[tuple[list[int], list[int], int]]:
-    """Rows of L^-1 for a unit lower triangular L, each ``(re, im, den)``.
-
-    Row a is e_a - sum_(c<a) L[a][c] U_c over the product of its own
-    denominators, then divided by the gcd of its entries and denominator.
-    """
-    out = []
-    for a, row in enumerate(lower):
-        [(lr, li)], dl = gauss_numerators([row[:a]])
-        used = [(c, lr[c], li[c]) for c in range(a) if lr[c] or li[c]]
-        dd = dl * lcm(*(out[c][2] for c, _, _ in used))
-        nr = [0] * a + [dd]
-        ni = [0] * (a + 1)
-        for c, xr, xi in used:
-            ur, ui, dc = out[c]
-            f = dd // (dl * dc)
-            xr, xi = xr * f, xi * f
-            for b, (vr, vi) in enumerate(zip(ur, ui)):
-                nr[b] -= xr * vr - xi * vi
-                ni[b] -= xr * vi + xi * vr
-        g = gcd(dd, *nr, *ni)
-        out.append(([v // g for v in nr], [v // g for v in ni], dd // g))
-    return out
-
-
-def _scaled_pencil(z, diag) -> np.ndarray:
-    """D^-1/2 Z D^-1/2 in doubles, hermitised, for any size of pivot.
+def _block_lambdas(z, diag, ranks) -> list[float]:
+    """max |eigenvalue| of each leading r x r block of D^-1/2 Z D^-1/2.
 
     Each pivot is split exactly as d = 4^e * r with 1 <= r < 4, so entry
-    (a, b) is Z_ab * 2^-(e_a + e_b) / sqrt(r_a r_b).  The power of two is
-    an integer shift of the entry's numerator or denominator before its
-    float conversion, so pivots beyond the double range (moments near
-    1e400 or 1e-400) neither overflow nor vanish.  An entry that is itself
-    beyond it, as for a lambda near 1e400, raises DoubleRangeError.
+    (a, b) is Z_ab * 2^-(e_a + e_b) / sqrt(r_a r_b); bit lengths give its
+    power of two t to within one.  The largest t of the pencil is taken out
+    of every entry as an integer shift before the float conversion and put
+    back on each lambda with ldexp; a block whose own largest t is far
+    below is converted again with its own.  So no entry overflows or
+    vanishes, only an exactly zero block gives 0, and a lambda outside the
+    normal double range raises DoubleRangeError.
     """
     exps, roots = [], []
     for d in diag:
@@ -203,26 +171,53 @@ def _scaled_pencil(z, diag) -> np.ndarray:
         e = k >> 1
         exps.append(e)
         roots.append(sqrt(_shifted(n, m, 2 * e)))
-    try:
+    tops = [-inf]  # the largest t of each leading block, -inf while it is zero
+    for c, ec in enumerate(exps):
+        column = [(row[c], ea) for row, ea in zip(z[: c + 1], exps)]
+        bits = [
+            x.numerator.bit_length() - x.denominator.bit_length() - ea - ec
+            for v, ea in column
+            for x in (v.re, v.im)
+            if x
+        ]
+        tops.append(max([tops[-1], *bits]))
+
+    def block(size: int, shift: int) -> np.ndarray:
+        # the upper triangle, then its conjugate below: Z is hermitian
         mat = np.array(
             [
-                [
+                [0j] * a
+                + [
                     complex(
-                        _shifted(v.re.numerator, v.re.denominator, ea + eb),
-                        _shifted(v.im.numerator, v.im.denominator, ea + eb),
+                        _shifted(v.re.numerator, v.re.denominator, ea + eb + shift),
+                        _shifted(v.im.numerator, v.im.denominator, ea + eb + shift),
                     )
                     / (ra * rb)
-                    for v, eb, rb in zip(row, exps, roots)
+                    for v, eb, rb in zip(row[a:size], exps[a:], roots[a:])
                 ]
-                for row, ea, ra in zip(z, exps, roots)
+                for a, (row, ea, ra) in enumerate(zip(z[:size], exps, roots))
             ]
         )
-    except OverflowError:
-        raise DoubleRangeError(
-            "the scaled pencil has an entry beyond the double range, so lambda does too"
-        ) from None
-    # halving first keeps a sum of two finite entries finite
-    return 0.5 * mat + 0.5 * mat.conj().T
+        return mat + np.triu(mat, 1).conj().T
+
+    top = tops[-1]
+    whole = block(len(diag), top) if top > -inf else None
+    lambdas = []
+    for r in ranks:
+        t = tops[r]
+        if t == -inf:
+            lambdas.append(0.0)
+            continue
+        # 900 binary orders below the top, the block's entries are still normal
+        shift, mat = (top, whole[:r, :r]) if t > top - 900 else (t, block(r, t))
+        try:
+            lam = ldexp(float(np.max(np.abs(np.linalg.eigvalsh(mat)))), shift)
+        except OverflowError:
+            raise DoubleRangeError("lambda is above the double range") from None
+        if lam < float_info.min:
+            raise DoubleRangeError("lambda is below the normal double range")
+        lambdas.append(lam)
+    return lambdas
 
 
 def _shifted(n: int, m: int, s: int) -> float:
@@ -265,16 +260,16 @@ def boundedness_probe(
     top = degrees[-1]
     ldl = ldl_psd(hankel_gram(mf, top))
     z = _reduced_pencil(form_numerators(func, x, mf, top), ldl)
-    mat = _scaled_pencil(z, ldl.diag)
     ranks = tuple(bisect_right(ldl.pivots, n) for n in degrees)
     if ranks[0] == 0:
         raise SingularGramError("Gram matrix vanishes at this degree")
-    lam = [float(np.max(np.abs(np.linalg.eigvalsh(mat[:r, :r])))) for r in ranks]
+    lam = _block_lambdas(z, ldl.diag, ranks)
+    # Z is hermitian, so its upper triangle holds every bit length
     max_bits = max(
         (
             part.bit_length()
-            for row in z
-            for v in row
+            for a, row in enumerate(z)
+            for v in row[a:]
             for c in (v.re, v.im)
             for part in (c.numerator, c.denominator)
         ),

@@ -616,6 +616,18 @@ class TestProbeMomentRange:
         ]
 
 
+    def test_lambda_below_the_double_range_refused(self, capsys, tmp_path):
+        # q acts with eigenvalues 10^-400 and 2*10^-400, far below any double
+        atoms = [{"x": f"1/{self.BIG}", "w": "1"}, {"x": f"2/{self.BIG}", "w": "1"}]
+        path = tmp_path / "tiny-atoms.json"
+        path.write_text(json.dumps({"type": "atomic", "atoms": atoms}))
+        argv = ["probe", "--measure", str(path), "--functional", "gauss-poly:q", "--degrees", "0..2"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "double range" in captured.err
+        assert len(captured.err.strip().splitlines()) == 1
+
     def test_lambda_beyond_the_double_range_refused(self, capsys, tmp_path):
         path = tmp_path / "far-atom.json"
         path.write_text(json.dumps({"type": "atomic", "atoms": [{"x": self.BIG, "w": "1"}]}))
@@ -714,6 +726,52 @@ class TestMeasureContract:
             argv += ["--max-degree", str(degree), "--trials", "2"]
         code, out, err = _run(argv)
         assert code in (0, 1, 2), (argv, err)
+        assert "Traceback" not in err
+        if code == 2:
+            lines = err.strip().splitlines()
+            assert out == "" and len(lines) == 1 and lines[0].startswith("error: ")
+        else:
+            assert out.strip() and err == ""
+
+
+# Random element JSON for theta-map: literals up to and beyond the digit
+# cap, bad tags, and the wrong shapes at every level.  Three or more terms
+# over distinct 1000-digit denominators sum to a coefficient beyond the
+# cap, though each literal is within it.
+_AT_CAP = ["9" * 1000, *(f"1/{10**999 + k}" for k in (1, 3, 7, 9, 13))]
+_element_literals = st.one_of(
+    _literals_json, st.sampled_from(["9" * 4000, "1/" + "7" * 1001, *_AT_CAP])
+)
+_coefficients = st.one_of(st.lists(_element_literals, max_size=3), _element_literals)
+_terms = st.lists(
+    st.one_of(st.tuples(_coefficients, _coefficients).map(list), _coefficients),
+    max_size=4,
+)
+_long_pairs = st.lists(st.sampled_from(_AT_CAP), min_size=1, max_size=2)
+_elements_json = st.one_of(
+    st.fixed_dictionaries(
+        {"tag": st.sampled_from(["d2", "d2", "gauss", "D2", "", None, 1]), "terms": _terms}
+    ),
+    st.fixed_dictionaries(
+        {"tag": st.just("d2"), "terms": st.lists(st.tuples(_long_pairs, _long_pairs).map(list), min_size=3, max_size=4)}
+    ),
+    st.sampled_from([[1], "d2", None, {}, {"tag": "d2"}, {"tag": "d2", "terms": {}}]),
+)
+
+
+class TestElementContract:
+    """theta-map --element <file> ends in exit 0 or 2 on any element JSON."""
+
+    @given(_elements_json, st.booleans(), st.sampled_from([None, 0, 3]))
+    @settings(max_examples=100, deadline=None)
+    def test_random_elements(self, tmp_path_factory, element, as_json, max_degree):
+        path = tmp_path_factory.getbasetemp() / "contract-element.json"
+        path.write_text(json.dumps(element))
+        argv = ["theta-map", "--element", str(path)]
+        argv += ["--json"] if as_json else []
+        argv += ["--max-degree", str(max_degree)] if max_degree is not None else []
+        code, out, err = _run(argv)
+        assert code in (0, 2), (argv, err)
         assert "Traceback" not in err
         if code == 2:
             lines = err.strip().splitlines()

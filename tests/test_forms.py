@@ -11,10 +11,14 @@ from starbimod.forms import (
     ActionTable,
     FormMatrix,
     form_from_operator,
-    operator_adjoint,
     weak_commutant_test,
 )
 from starbimod.sampling import rand_poly, rand_scalar
+
+
+def operator_adjoint(t: Matrix, table: ActionTable) -> Matrix:
+    """G^-1 t^H G; defined only for invertible Gram matrices."""
+    return inverse(table.gram) @ t.adjoint() @ table.gram
 
 
 def diag_table():

@@ -25,8 +25,8 @@ from sympy.polys.matrices import DomainMatrix
 from starbimod.algebra import Poly, Scalar
 from starbimod.bimodule import BimodElement, Generator
 from starbimod.errors import MomentOutOfRangeError, NotPositiveError
-from starbimod.exactla import Matrix, ldl_psd, poly_at
-from starbimod.gns import hankel_gram
+from starbimod.exactla import Matrix, ldl_psd, nullspace, poly_at
+from starbimod.gns import build_gns, hankel_gram
 from starbimod.moments import MomentFunctional
 from starbimod.sampling import atoms012, mu3
 
@@ -331,6 +331,24 @@ def _coeffs(p: sympy.Poly) -> list:
     return [QQ_I.from_sympy(c) for c in p.all_coeffs()] if not p.is_zero else []
 
 
+def _rank_deficient_grams():
+    """25 seeded B^H B with Gaussian B of k < n columns, some repeating an
+    earlier column times a Gaussian factor; yields (G, rank B, k)."""
+    rng = random.Random(81)
+    for _ in range(25):
+        n = rng.randint(2, 6)
+        k = rng.randint(1, n - 1)
+        cols = [[_scalar(rng, rng.choice(SHAPES)) for _ in range(k)] for _ in range(n)]
+        for j in range(1, n):
+            if rng.random() < 0.3:
+                f = _scalar(rng, "complex")
+                cols[j] = [f * c for c in cols[rng.randrange(j)]]
+        b = TestMatmul._dm(Matrix(list(zip(*cols))))
+        bh = DomainMatrix([[_conj(b[i, j].element) for i in range(k)] for j in range(n)], (n, k), QQ_I)
+        gram = bh * b
+        yield Matrix([[_scalar_of(z) for z in row] for row in gram.to_list()]), b.rank(), k
+
+
 class TestLdl:
     """L D L^H against sympy, on Hankel Grams and rank-deficient B^H B."""
 
@@ -373,22 +391,10 @@ class TestLdl:
                 assert res.rank == min(n + 1, len(mf.atoms))
 
     def test_rank_deficient_gaussian_complex(self):
-        rng = random.Random(81)
         middle_skips = 0
-        for _ in range(25):
-            n = rng.randint(2, 6)
-            k = rng.randint(1, n - 1)
-            cols = [[_scalar(rng, rng.choice(SHAPES)) for _ in range(k)] for _ in range(n)]
-            # some columns repeat an earlier one times a Gaussian factor
-            for j in range(1, n):
-                if rng.random() < 0.3:
-                    f = _scalar(rng, "complex")
-                    cols[j] = [f * c for c in cols[rng.randrange(j)]]
-            b = TestMatmul._dm(Matrix(list(zip(*cols))))
-            bh = DomainMatrix([[_conj(b[i, j].element) for i in range(k)] for j in range(n)], (n, k), QQ_I)
-            gram = bh * b
-            res = self._check(Matrix([[_scalar_of(z) for z in row] for row in gram.to_list()]))
-            assert res.rank == b.rank() <= k
+        for gram, rank_b, k in _rank_deficient_grams():
+            res = self._check(gram)
+            assert res.rank == rank_b <= k
             middle_skips += res.pivots != tuple(range(res.rank))
         assert middle_skips >= 5
 
@@ -417,6 +423,63 @@ class TestLdl:
     def test_empty_and_zero_matrices(self):
         assert ldl_psd(Matrix([])).rank == 0
         assert ldl_psd(Matrix.zeros(3, 3)).pivots == ()
+
+
+class TestNullspace:
+    """The kernel read off the LDL against sympy's nullspace over QQ(i).
+
+    sympy reduces the matrix to echelon form itself; each of its basis
+    vectors, scaled to 1 at its last nonzero entry, is the vector of one
+    skipped index.
+    """
+
+    @staticmethod
+    def _check(gram: Matrix, kernel):
+        g = TestMatmul._dm(gram)
+        n = gram.nrows
+        expected = g.nullspace(divide_last=True).to_list() if n else []
+        assert [[_qq(c) for c in v] for v in kernel] == expected
+        pivots = ldl_psd(gram).pivots
+        skipped = [s for s in range(n) if s not in pivots]
+        assert len(kernel) == len(skipped)
+        for v, s in zip(kernel, skipped):
+            # 1 at the skipped index, weight only on the pivots below it
+            assert v[s] == 1
+            assert all(not c for b, c in enumerate(v) if b > s or (b != s and b not in pivots))
+            assert (g * DomainMatrix([[_qq(c)] for c in v], (n, 1), QQ_I)).is_zero_matrix
+            _assert_lowest_terms(v)
+
+    @pytest.mark.parametrize(
+        "mf",
+        [mu3(), atoms012(), MomentFunctional.atomic([(Fraction(-3, 2), Fraction(5, 7))])],
+        ids=["mu3", "atoms012", "point-mass"],
+    )
+    def test_hankel_grams(self, mf):
+        for n in range(15):
+            realization = build_gns(mf, n)
+            vectors = nullspace(realization.gram, realization.ldl)
+            self._check(realization.gram, vectors)
+            assert realization.kernel == tuple(Poly(v) for v in vectors)
+            assert len(vectors) == max(0, n + 1 - len(mf.atoms))
+
+    def test_rank_deficient_gaussian_complex(self):
+        complex_kernels = 0
+        for gram, rank_b, _ in _rank_deficient_grams():
+            vectors = nullspace(gram, ldl_psd(gram))
+            self._check(gram, vectors)
+            assert len(vectors) == gram.nrows - rank_b
+            complex_kernels += any(c.im for v in vectors for c in v)
+        assert complex_kernels >= 5
+
+    def test_skipped_indices_in_the_middle(self):
+        gram = Matrix([[2, 2, Scalar(0, 1)], [2, 2, Scalar(0, 1)], [Scalar(0, -1), Scalar(0, -1), 3]])
+        assert nullspace(gram, ldl_psd(gram)) == [(Scalar(-1), Scalar(1), Scalar(0))]
+
+    def test_full_rank_empty_and_zero_matrices(self):
+        for gram in (Matrix.identity(3), Matrix([])):
+            assert nullspace(gram, ldl_psd(gram)) == []
+        zero = Matrix.zeros(2, 2)
+        assert nullspace(zero, ldl_psd(zero)) == [(1, 0), (0, 1)]
 
 
 ROOT = Path(__file__).resolve().parents[1]

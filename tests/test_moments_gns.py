@@ -116,11 +116,6 @@ class TestBuildGns:
         with pytest.raises(NotPositiveError):
             build_gns(MomentFunctional.from_moments([Scalar(1), Scalar(0, 1), Scalar(1)]), 1)
 
-    def test_cyclic_vector_and_shift(self):
-        realization = build_gns(mu3(), 4)
-        assert realization.cyclic_vector() == P_ONE
-        assert realization.shift_table == {0: 1, 1: 2, 2: 3, 3: 4}
-
 
 class TestFunctionalValues:
     def test_f0_counts_mass(self):

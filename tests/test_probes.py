@@ -9,7 +9,7 @@ import sympy
 from sympy import QQ_I
 from sympy.polys.matrices import DomainMatrix
 
-from starbimod.algebra import P_ONE, Poly, Q, Scalar, gauss_numerators
+from starbimod.algebra import P_ONE, Poly, Q, Scalar, gauss_numerators, gauss_scalar
 from starbimod.bimodule import BimodElement, Generator
 from starbimod.errors import (
     DoubleRangeError,
@@ -29,7 +29,6 @@ from starbimod.probes import (
     generator_probe,
     numerical_radius_norm_check,
     plateau_verdict,
-    quadratic_form_matrix,
 )
 from starbimod.sampling import (
     atoms012,
@@ -118,6 +117,28 @@ class TestBoundednessProbe:
         with pytest.raises(DoubleRangeError):
             generator_probe(mf, range(0, 3))
 
+    def test_lambda_below_the_double_range_refused(self):
+        # q acts as multiplication by 10^-400 and 2*10^-400
+        tiny = Fraction(1, 10**400)
+        mf = MomentFunctional.atomic([(tiny, 1), (2 * tiny, 1)])
+        with pytest.raises(DoubleRangeError, match="below"):
+            generator_probe(mf, range(0, 3))
+
+    def test_small_block_under_a_large_top_keeps_its_scale(self):
+        # lambda_0 = m1/m0 is about 1e-300 while the top lambda is 1e100, so
+        # one power of two for the whole pencil would flush block 0 to zero
+        mf = MomentFunctional.atomic([(Fraction(1, 10**300), 1), (10**100, Fraction(1, 10**700))])
+        report = generator_probe(mf, range(0, 3))
+        exact = mf.moment(1).re / mf.moment(0).re
+        assert abs(report.lambdas[0] - float(exact)) <= 1e-12 * float(exact)
+        assert all(abs(v - 1e100) <= 1e-12 * 1e100 for v in report.lambdas[1:])
+
+    def test_zero_pencil_is_bounded(self):
+        # one atom at 0: multiplication by q is the zero operator
+        report = generator_probe(MomentFunctional.atomic([(0, 1)]), range(0, 3))
+        assert report.lambdas == (0.0, 0.0, 0.0)
+        assert report.verdict == BOUNDED
+
     def test_generator_probe_on_three_atoms(self):
         report = generator_probe(mu3(), range(2, 9))
         assert report.verdict == BOUNDED
@@ -173,6 +194,12 @@ MEASURES = {
     "lebesgue": MomentFunctional.lebesgue_unit(64),
     "gaussian": MomentFunctional.gaussian(64),
 }
+
+
+def quadratic_form_matrix(func, x, mf, degree):
+    """H[j][k] = F(q^j * x * q^k) for j, k <= degree, hermitised exactly."""
+    re, im, den = form_numerators(func, x, mf, degree)
+    return [[gauss_scalar(a, b, den) for a, b in zip(rr, ri)] for rr, ri in zip(re, im)]
 
 
 class TestStructuredForm:
