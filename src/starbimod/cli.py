@@ -54,12 +54,22 @@ def _emit(report: dict, as_json: bool, text_lines=None):
             print(line)
 
 
-def _load_measure(path: str) -> MomentFunctional:
+def _load_json(path: str, what: str, build):
+    """``build`` applied to the JSON file at ``path``.
+
+    A file that cannot be read, parsed or built is an InputError, and so is
+    JSON nested beyond the interpreter's recursion limit, which the
+    decoder reports as a RecursionError.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return MomentFunctional.from_json(json.load(fh))
-    except (OSError, ValueError, ParseError) as exc:
-        raise InputError(f"cannot read measure {path}: {exc}") from exc
+            return build(json.load(fh))
+    except (OSError, ValueError, ParseError, RecursionError) as exc:
+        raise InputError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def _load_measure(path: str) -> MomentFunctional:
+    return _load_json(path, "measure", MomentFunctional.from_json)
 
 
 def _expression_poly(text: str) -> Poly:
@@ -76,20 +86,18 @@ def _load_functional(text: str) -> Functional:
     if text.startswith("gauss-poly:"):
         return Functional.gauss_poly(_expression_poly(text[len("gauss-poly:") :]))
     if text.startswith("gauss-atoms:"):
-        path = text[len("gauss-atoms:") :]
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-            values = data.get("values") if isinstance(data, dict) else None
-            if not isinstance(values, list):
-                raise ValueError('expected an object with a "values" list')
-            return Functional.gauss_atoms([parse_real(v) for v in values])
-        except (OSError, ValueError, ParseError) as exc:
-            raise InputError(f"cannot read atom weights {path}: {exc}") from exc
+        return _load_json(text[len("gauss-atoms:") :], "atom weights", _atom_weights)
     raise InputError(
         f"unknown functional {text!r}; use F0, F1, F2, gauss-poly:<expr>, "
         "gauss-atoms:<file>"
     )
+
+
+def _atom_weights(data) -> Functional:
+    values = data.get("values") if isinstance(data, dict) else None
+    if not isinstance(values, list):
+        raise ValueError('expected an object with a "values" list')
+    return Functional.gauss_atoms([parse_real(v) for v in values])
 
 
 def _load_element(text: str | None, func: Functional | None) -> BimodElement:
@@ -98,11 +106,7 @@ def _load_element(text: str | None, func: Functional | None) -> BimodElement:
             return BimodElement.d_squared()
         return BimodElement.gauss(1)
     if os.path.exists(text):
-        try:
-            with open(text, "r", encoding="utf-8") as fh:
-                return BimodElement.from_json(json.load(fh))
-        except (OSError, ValueError, ParseError) as exc:
-            raise InputError(f"cannot read element {text}: {exc}") from exc
+        return _load_json(text, "element", BimodElement.from_json)
     value = parse_expression(text)
     try:
         return BimodElement.from_weyl(value)

@@ -3,12 +3,12 @@
 Only what the form and GNS layers need: hermitian checks, a natural-order
 LDL^H factorisation that doubles as the positive-semidefiniteness gate
 (leading-minor tests are unsound for singular matrices), the kernel basis
-read off that factor, and inversion.  All but ``inverse`` (Gauss-Jordan
-on Scalars) run in Gaussian integers: ``Matrix.__matmul__`` takes integer
-dot products of rows and columns over their own denominators,
-``poly_at`` runs Horner on the numerators of the polynomial and of the
-matrix, ``ldl_psd`` eliminates fraction-free (Bareiss) on the numerators
-of the whole matrix over one shared denominator, and ``nullspace``
+read off that factor, and inversion.  A ``Matrix`` stores Gaussian-integer
+numerator rows over one denominator, as ``Poly`` does its coefficients,
+and all but ``inverse`` (Gauss-Jordan on the Scalar view) run on those
+integers: ``Matrix.__matmul__``, ``__add__`` and ``adjoint`` normalise
+each result once, ``poly_at`` is Horner through them, ``ldl_psd``
+eliminates fraction-free (Bareiss) on the numerators, and ``nullspace``
 solves the kernel through the integer rows of L^-1, with no second
 elimination; each output entry is built once.  Sizes stay in the low
 tens, so the cubic algorithms are fine.
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from operator import mul
 from typing import NamedTuple
@@ -27,52 +28,76 @@ from .errors import DimensionMismatchError, NotPositiveError
 
 
 class Matrix:
-    """Immutable rectangular matrix of Scalars."""
+    """Immutable rectangular matrix of Gaussian rationals, in canonical form.
 
-    __slots__ = ("rows",)
+    Stored as Gaussian-integer numerator rows over one denominator: entry
+    (i, j) is (re[i][j] + im[i][j]*i) / den, with den > 0 and gcd(den,
+    every numerator) == 1.  Equality and hashing are structural on that
+    form; ``rows`` and ``m[i, j]`` are Scalar views, built per call.
+    """
+
+    __slots__ = ("re", "im", "den")
 
     def __init__(self, rows):
-        rs = tuple(tuple(Scalar.coerce(x) for x in row) for row in rows)
-        if rs and any(len(r) != len(rs[0]) for r in rs):
+        rows = [[Scalar.coerce(x) for x in row] for row in rows]
+        if rows and any(len(r) != len(rows[0]) for r in rows):
             raise DimensionMismatchError("ragged rows")
-        object.__setattr__(self, "rows", rs)
+        nums, den = gauss_numerators(rows)
+        _store(self, [r for r, _ in nums], [i for _, i in nums], den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
     @classmethod
+    def from_numerators(cls, re, im, den: int) -> "Matrix":
+        """The matrix (re + im*i) / den of two int row lists of one shape, den > 0."""
+        m = object.__new__(cls)
+        _store(m, re, im, den)
+        return m
+
+    @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
+        return cls.diagonal([1] * n)
 
     @classmethod
     def zeros(cls, r: int, c: int) -> "Matrix":
-        return cls([[ZERO] * c for _ in range(r)])
+        return cls.from_numerators([[0] * c] * r, [[0] * c] * r, 1)
 
     @classmethod
     def diagonal(cls, entries) -> "Matrix":
-        es = [Scalar.coerce(e) for e in entries]
-        n = len(es)
-        return cls([[es[i] if i == j else ZERO for j in range(n)] for i in range(n)])
+        es = list(entries)
+        return cls([[e if i == j else 0 for j in range(len(es))] for i, e in enumerate(es)])
+
+    @property
+    def rows(self) -> tuple[tuple[Scalar, ...], ...]:
+        """The entries as Scalars, row by row (a view, built per call)."""
+        den = self.den
+        return tuple(
+            tuple([gauss_scalar(a, b, den) for a, b in zip(rr, ri)])
+            for rr, ri in zip(self.re, self.im)
+        )
 
     @property
     def nrows(self) -> int:
-        return len(self.rows)
+        return len(self.re)
 
     @property
     def ncols(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
+        return len(self.re[0]) if self.re else 0
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.rows[i][j]
+        return gauss_scalar(self.re[i][j], self.im[i][j], self.den)
 
     def __add__(self, other):
-        self._same_shape(other)
-        return Matrix(
-            [
-                [a + b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.rows, other.rows)
-            ]
+        if self.nrows != other.nrows or self.ncols != other.ncols:
+            raise DimensionMismatchError("shape mismatch")
+        den = lcm(self.den, other.den)
+        f, g = den // self.den, den // other.den
+        return Matrix.from_numerators(
+            [[f * a + g * b for a, b in zip(r1, r2)] for r1, r2 in zip(self.re, other.re)],
+            [[f * a + g * b for a, b in zip(r1, r2)] for r1, r2 in zip(self.im, other.im)],
+            den,
         )
 
     def __matmul__(self, other):
@@ -83,95 +108,75 @@ class Matrix:
                 f"cannot multiply {self.nrows}x{self.ncols} by "
                 f"{other.nrows}x{other.ncols}"
             )
-        rows = [gauss_numerators([r]) for r in self.rows]
-        cols = [gauss_numerators([c]) for c in zip(*other.rows)]
+        rows = list(zip(self.re, self.im))
+        cols = list(zip(zip(*other.re), zip(*other.im)))
         # gauss_dot inlined: a call per entry cost about 15% on the 2x2 and
         # 3x3 products of the form layer
-        return Matrix(
+        return Matrix.from_numerators(
             [
-                [
-                    gauss_scalar(
-                        sum(map(mul, rr, cr)) - sum(map(mul, ri, ci)),
-                        sum(map(mul, rr, ci)) + sum(map(mul, ri, cr)),
-                        dr * dc,
-                    )
-                    for [(cr, ci)], dc in cols
-                ]
-                for [(rr, ri)], dr in rows
-            ]
+                [sum(map(mul, rr, cr)) - sum(map(mul, ri, ci)) for cr, ci in cols]
+                for rr, ri in rows
+            ],
+            [
+                [sum(map(mul, rr, ci)) + sum(map(mul, ri, cr)) for cr, ci in cols]
+                for rr, ri in rows
+            ],
+            self.den * other.den,
         )
 
     def adjoint(self) -> "Matrix":
         """Conjugate transpose."""
-        return Matrix(
-            [
-                [self.rows[i][j].conjugate() for i in range(self.nrows)]
-                for j in range(self.ncols)
-            ]
+        return Matrix.from_numerators(
+            list(zip(*self.re)), [[-x for x in col] for col in zip(*self.im)], self.den
         )
 
     def is_hermitian(self) -> bool:
         return self.nrows == self.ncols and self == self.adjoint()
 
-    def apply(self, vec):
-        """Matrix times a vector of Scalars."""
-        if len(vec) != self.ncols:
-            raise DimensionMismatchError("vector length mismatch")
-        return tuple(
-            sum((a * v for a, v in zip(r, vec)), ZERO) for r in self.rows
-        )
-
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return self.rows == other.rows
+        return self.den == other.den and self.re == other.re and self.im == other.im
 
     def __hash__(self):
-        return hash(self.rows)
+        return hash((self.re, self.im, self.den))
 
     def __repr__(self):
         return f"Matrix({[list(map(str, r)) for r in self.rows]!r})"
 
-    def _same_shape(self, other):
-        if self.nrows != other.nrows or self.ncols != other.ncols:
-            raise DimensionMismatchError("shape mismatch")
+
+def _store(m: Matrix, re, im, den: int) -> None:
+    """Set m to (re + im*i) / den in canonical form, with one gcd."""
+    g = gcd(den, *chain.from_iterable(re), *chain.from_iterable(im))
+    if g != 1:
+        re = [[x // g for x in row] for row in re]
+        im = [[x // g for x in row] for row in im]
+        den //= g
+    # tuples are built from lists, as in algebra._store
+    object.__setattr__(m, "re", tuple([tuple(row) for row in re]))
+    object.__setattr__(m, "im", tuple([tuple(row) for row in im]))
+    object.__setattr__(m, "den", den)
 
 
 def poly_at(p: Poly, m: Matrix) -> Matrix:
-    """Evaluate a polynomial at a square matrix (Horner, in integers).
+    """Evaluate a polynomial at a square matrix: Horner through ``@`` and ``+``.
 
-    With m = A / e over one denominator and n the degree, the sum
-    sum_k c_k A^k e^(n-k) is accumulated on the numerators of p and A,
-    as in ``Poly.__call__``, and each entry is divided by p.den * e^n once.
+    Each step's constant c_k * I is built from the numerators of p; its
+    Scalar coefficients would cost a conversion in and out per step.
     """
     if m.nrows != m.ncols:
         raise DimensionMismatchError("polynomial of a non-square matrix")
     n = m.nrows
-    if not p.re:
-        return Matrix.zeros(n, n)
-    nums, e = gauss_numerators(m.rows)
-    cols = list(zip(zip(*[r for r, _ in nums]), zip(*[i for _, i in nums])))
-    acc_re = [[p.re[-1] if i == j else 0 for j in range(n)] for i in range(n)]
-    acc_im = [[p.im[-1] if i == j else 0 for j in range(n)] for i in range(n)]
-    scale = 1
-    for cr, ci in zip(reversed(p.re[:-1]), reversed(p.im[:-1])):
-        scale *= e
-        rows = [
-            [gauss_dot(ar, ai, br, bi) for br, bi in cols]
-            for ar, ai in zip(acc_re, acc_im)
-        ]
-        acc_re = [[x for x, _ in row] for row in rows]
-        acc_im = [[y for _, y in row] for row in rows]
-        for i in range(n):
-            acc_re[i][i] += cr * scale
-            acc_im[i][i] += ci * scale
-    den = p.den * scale
-    return Matrix(
-        [
-            [gauss_scalar(a, b, den) for a, b in zip(ar, ai)]
-            for ar, ai in zip(acc_re, acc_im)
-        ]
-    )
+    eye = [[int(i == j) for j in range(n)] for i in range(n)]
+    acc = Matrix.zeros(n, n)
+    for cr, ci in zip(reversed(p.re), reversed(p.im)):
+        constant = Matrix.from_numerators(
+            [[cr * e for e in row] for row in eye],
+            [[ci * e for e in row] for row in eye],
+            p.den,
+        )
+        acc = acc @ m + constant
+    return acc
 
 
 class LdlResult(NamedTuple):
@@ -210,15 +215,11 @@ def ldl_psd(m: Matrix) -> LdlResult:
     n = m.nrows
     if n != m.ncols:
         raise DimensionMismatchError("LDL of a non-square matrix")
-    nums, den = gauss_numerators(m.rows)
-    if any(nums[k][1][k] for k in range(n)):
+    if any(m.im[k][k] for k in range(n)):
         raise NotPositiveError("non-real diagonal entry")
-    if any(
-        re[j] != nums[j][0][i] or im[j] != -nums[j][1][i]
-        for i, (re, im) in enumerate(nums)
-        for j in range(i + 1, n)
-    ):
+    if m != m.adjoint():
         raise NotPositiveError("matrix is not hermitian")
+    nums = [(list(re), list(im)) for re, im in zip(m.re, m.im)]
     # the residual stays hermitian, so only its upper triangle is updated;
     # a pivot's row is final once it is eliminated
     pivots: list[int] = []
@@ -227,13 +228,13 @@ def ldl_psd(m: Matrix) -> LdlResult:
     for p, (pr, pi) in enumerate(nums):
         pivot = pr[p]
         if pivot < 0:
-            raise NotPositiveError(f"negative pivot {Fraction(pivot, prev * den)}")
+            raise NotPositiveError(f"negative pivot {Fraction(pivot, prev * m.den)}")
         if pivot == 0:
             if any(pr[p + 1 :]) or any(pi[p + 1 :]):
                 raise NotPositiveError("zero pivot with a nonzero residual row")
             continue
         pivots.append(p)
-        diag.append(Fraction(pivot, prev * den))
+        diag.append(Fraction(pivot, prev * m.den))
         for i in range(p + 1, n):
             xr, xi = pr[i], -pi[i]  # a_ip = conj(a_pi)
             wr, wi = nums[i]
@@ -273,7 +274,7 @@ def nullspace(gram: Matrix, ldl: LdlResult) -> list[tuple[Scalar, ...]]:
     basis = []
     for s in skipped:
         below = ldl.pivots[: bisect_left(ldl.pivots, s)]
-        [(gr, gi)], dg = gauss_numerators([[gram.rows[b][s] for b in below]])
+        gr, gi = [gram.re[b][s] for b in below], [gram.im[b][s] for b in below]
         vr, vi = [0] * len(below), [0] * len(below)
         for (ur, ui, _), f in zip(inv, weights[: len(below)]):
             wr, wi = (f * w for w in gauss_dot(ur, ui, gr, gi))
@@ -283,7 +284,7 @@ def nullspace(gram: Matrix, ldl: LdlResult) -> list[tuple[Scalar, ...]]:
         vec = [ZERO] * gram.nrows
         vec[s] = ONE
         for b, re, im in zip(below, vr, vi):
-            vec[b] = gauss_scalar(re, im, common * dg)
+            vec[b] = gauss_scalar(re, im, common * gram.den)
         basis.append(tuple(vec))
     return basis
 
@@ -318,7 +319,7 @@ def inverse(m: Matrix) -> Matrix:
     n = m.nrows
     if n != m.ncols:
         raise DimensionMismatchError("inverse of a non-square matrix")
-    work = [list(r) + list(Matrix.identity(n).rows[i]) for i, r in enumerate(m.rows)]
+    work = [list(r) + list(e) for r, e in zip(m.rows, Matrix.identity(n).rows)]
     for col in range(n):
         sel = next((i for i in range(col, n) if work[i][col]), None)
         if sel is None:

@@ -7,7 +7,8 @@ M with x(phi, psi) = psi^H M phi, so the two-sided action reads
 
     a * x * b  <->  R(a^+)^H  M  R(b),
 
-and the involution is the conjugate transpose.
+and the involution is the conjugate transpose.  R, G and M are exact
+``Matrix`` values, so all of these are products and adjoints of them.
 """
 
 from __future__ import annotations
@@ -74,13 +75,9 @@ class FormMatrix:
         return FormMatrix(self.mat.adjoint())
 
     def value(self, phi, psi):
-        """Evaluate the form on coordinate vectors."""
-        row = self.mat.apply(phi)
-        acc = None
-        for p, r in zip(psi, row):
-            term = p.conjugate() * r
-            acc = term if acc is None else acc + term
-        return acc
+        """Evaluate the form on coordinate vectors: the 1x1 product psi^H M phi."""
+        row = Matrix([[c] for c in psi]).adjoint()
+        return (row @ self.mat @ Matrix([[c] for c in phi]))[0, 0]
 
     def __eq__(self, other):
         if not isinstance(other, FormMatrix):

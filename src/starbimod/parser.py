@@ -24,6 +24,10 @@ at its exponent.  ``x^n`` is refused before it is computed when n times
 the bit length of the largest numerator or denominator of x exceeds the
 bit length of 10^MAX_DIGITS.  This keeps every result well inside the
 interpreter's limit on int-to-string conversion, so it can be printed.
+
+Parentheses nest at most ``MAX_NESTING`` deep: each level costs a few
+frames of the recursive descent, so a deeper ``(`` is refused at its
+offset before the interpreter's recursion limit is reached.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ from .weyl import WeylElement
 
 
 MAX_EXPONENT = 64
+MAX_NESTING = 100
 _LIMIT = 10**MAX_DIGITS
 
 
@@ -144,6 +149,7 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0  # parentheses open at the current token
 
     @property
     def current(self) -> Token:
@@ -210,11 +216,19 @@ class _Parser:
             self.advance()
             return WeylElement.monomial(0, 0, Scalar(Fraction(tok.text)))
         if tok.kind == "lparen":
+            if self.depth == MAX_NESTING:
+                raise ParseError(
+                    f"parentheses nested more than {MAX_NESTING} deep",
+                    tok.offset,
+                    {f"at most {MAX_NESTING} nested '('"},
+                )
             self.advance()
+            self.depth += 1
             value = self.parse_expr()
             if self.current.kind != "rparen":
                 self.fail({")"})
             self.advance()
+            self.depth -= 1
             return value
         self.fail({"q", "p", "d", "i", "number", "("})
 

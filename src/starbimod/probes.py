@@ -18,15 +18,16 @@ factored once as G = L D L^H in natural order, which skips the indices
 of an exact kernel, and the congruence Z = L^-1 H_P L^-H on the pivot
 indices P is done once.  All three steps run on Gaussian-integer
 numerators over shared denominators: the form is summed and hermitised
-on them, ``ldl_psd`` eliminates fraction-free, the rows of L^-1 are
-integer rows over one denominator each, and each entry of Z is an
-integer dot product reduced once.  Natural order nests the
-tower: the degree-N pencil is the leading r_N x r_N block of Z, with r_N
-the number of pivots <= N.  Only the diagonal scaling by d^-1/2 and one
-hermitian eigensolve per degree run in doubles, on entries whose exact
-powers of two are put back on each lambda afterwards.  Moment Gram matrices
-in the monomial basis are far too ill-conditioned for a float Cholesky,
-so this exact reduction is what keeps degree ten reachable.
+on them into a ``Matrix``, ``ldl_psd`` eliminates fraction-free on the
+Gram's stored numerators, the rows of L^-1 are integer rows over one
+denominator each, and each entry of Z is an integer dot product reduced
+once.  Natural order nests the tower: the degree-N pencil is the leading
+r_N x r_N block of Z, with r_N the number of pivots <= N.  Only the
+diagonal scaling by d^-1/2 and one hermitian eigensolve per degree run
+in doubles, on entries whose exact powers of two are put back on each
+lambda afterwards.  Moment Gram matrices in the monomial basis are far
+too ill-conditioned for a float Cholesky, so this exact reduction is
+what keeps degree ten reachable.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import numpy as np
 from .algebra import ZERO, Poly, Scalar, gauss_dot, gauss_numerators, gauss_scalar
 from .bimodule import BimodElement
 from .errors import DoubleRangeError, NotHermitianError, SingularGramError
-from .exactla import LdlResult, _inverse_rows, ldl_psd
+from .exactla import LdlResult, Matrix, _inverse_rows, ldl_psd
 from .gns import Functional, hankel_gram
 from .moments import MomentFunctional
 
@@ -73,8 +74,8 @@ class ProbeReport:
 
 def form_numerators(
     func: Functional, x: BimodElement, mf: MomentFunctional, degree: int
-) -> tuple[list[list[int]], list[list[int]], int]:
-    """The hermitised form (H + H^H)/2 as Gaussian-integer rows ``(re, im, den)``.
+) -> Matrix:
+    """The hermitised form (H + H^H)/2, a ``Matrix`` of Gaussian-integer numerators.
 
     q^j x q^k has the triple (q^j h0 b, q^j (h0 b' + h1 b), q^j (h0 b'' +
     2 h1 b' + h2 b)) with b = q^k, so with c_i[s] = f(q^s h_i) the d^2
@@ -118,23 +119,23 @@ def form_numerators(
         re = [cr[j : j + n] for j in range(n)]
         im = [ci[j : j + n] for j in range(n)]
     # (H + H^H) / 2 over the doubled denominator
-    return (
+    return Matrix.from_numerators(
         [[a + b for a, b in zip(row, col)] for row, col in zip(re, zip(*re))],
         [[a - b for a, b in zip(row, col)] for row, col in zip(im, zip(*im))],
         2 * den,
     )
 
 
-def _reduced_pencil(form, ldl: LdlResult) -> list[list[Scalar]]:
+def _reduced_pencil(form: Matrix, ldl: LdlResult) -> list[list[Scalar]]:
     """Z = U H_P U^H with U = L^-1 on the pivot indices P, exactly.
 
-    ``form`` is the hermitian H as ``(re, im, den)`` rows.  Each row of U
-    is a Gaussian-integer row over its own denominator, so every entry of
-    Z is an integer dot product over du_a * den * du_c, reduced once.  The
-    leading r x r block of Z is the reduction of the leading block of H
-    against the factor of the leading block of the Gram.
+    ``form`` is the hermitian H.  Each row of U is a Gaussian-integer row
+    over its own denominator, so every entry of Z is an integer dot
+    product of the numerators of H over du_a * den * du_c, reduced once.
+    The leading r x r block of Z is the reduction of the leading block of
+    H against the factor of the leading block of the Gram.
     """
-    re, im, den = form
+    re, im, den = form.re, form.im, form.den
     piv = ldl.pivots
     inv = _inverse_rows(ldl.lower)
     h_cols = [([re[b][c] for b in piv], [im[b][c] for b in piv]) for c in piv]

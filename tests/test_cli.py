@@ -19,6 +19,7 @@ from starbimod.cli import (
 )
 from starbimod import selftest
 from starbimod.moments import MomentFunctional
+from starbimod.parser import MAX_NESTING
 from starbimod.probes import BOUNDED, GROWTH, plateau_verdict
 from starbimod.sampling import mu3
 
@@ -552,6 +553,43 @@ class TestContract:
             assert out.strip() and err == ""
 
 
+# Flag values for lemma-check: valid ones, integers out of range, and text
+# that is no integer (including one longer than int() accepts)
+_NOT_INTEGERS = ["", "x", "1.5", "1e3", "0x10", "2 2", "9" * 5000]
+
+
+def _flag_values(valid, out_of_range):
+    return st.one_of(map(st.sampled_from, (valid, out_of_range, _NOT_INTEGERS)))
+
+
+class TestLemmaContract:
+    """lemma-check ends in exit 0 or 2, never in a traceback."""
+
+    # --trials is always given: the default of 100 trials costs about 0.5 s a run
+    @given(
+        _flag_values(["1", "2", "3"], ["0", "-1", str(MAX_TRIALS + 1), str(10**30)]),
+        st.none() | _flag_values(["0", "7", str(2**64)], ["-1", "-99"]),
+        st.none()
+        | _flag_values(["1", "3", str(MAX_DIM)], ["0", "-2", str(MAX_DIM + 1), str(10**30)]),
+        st.booleans(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_random_flags(self, trials, seed, max_dim, as_json):
+        argv = ["lemma-check", "--trials", trials]
+        for flag, value in (("--seed", seed), ("--max-dim", max_dim)):
+            if value is not None:
+                argv += [flag, value]
+        if as_json:
+            argv.append("--json")
+        code, out, err = _run(argv)
+        assert code in (0, 2), (argv, err)
+        assert "Traceback" not in err
+        if code == 2:
+            assert out == "" and err.strip()
+        else:
+            assert out.strip() and err == ""
+
+
 FILE = "<file>"
 
 
@@ -587,6 +625,43 @@ class TestMalformedJson:
         assert captured.out == ""
         lines = captured.err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+DEEP_EXPRESSION = "(" * 300 + "q" + ")" * 300
+
+
+class TestDeepNesting:
+    """Input nested past the parser's limit or the JSON decoder's recursion
+    limit exits 2 with one error line, never with a RecursionError."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["normal-order", DEEP_EXPRESSION],
+            ["theta-map", "--element", DEEP_EXPRESSION],
+            ["gns-check", "--measure", MEASURE, "--functional", f"gauss-poly:{DEEP_EXPRESSION}"],
+            ["gns-check", "--measure", FILE, "--functional", "F0"],
+            ["probe", "--measure", MEASURE, "--functional", "F0", "--element", FILE],
+            ["theta-map", "--element", FILE],
+            ["cs-check", "--measure", MEASURE, "--functional", f"gauss-atoms:{FILE}"],
+        ],
+    )
+    def test_exit_2_with_one_error_line(self, tmp_path, mu3_file, argv):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        argv = [a.replace(FILE, str(path)) for a in _argv(argv, mu3_file)]
+        code, out, err = _run(argv)
+        assert code == 2
+        assert out == "" and "Traceback" not in err
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    def test_nesting_at_the_limit_runs(self, capsys):
+        at_limit = "(" * MAX_NESTING + "q" + ")" * MAX_NESTING
+        assert main(["normal-order", at_limit]) == 0
+        assert capsys.readouterr().out.strip() == "q"
+        assert main(["normal-order", f"({at_limit})"]) == 2
+        assert f"(offset {MAX_NESTING})" in capsys.readouterr().err
 
 
 class TestProbeMomentRange:

@@ -1,9 +1,9 @@
 """The integer kernels checked against sympy over QQ(i).
 
-``Poly`` and ``MomentFunctional`` store Gaussian-integer numerators over
-one denominator, ``Poly.__mul__``, ``BimodElement.triple`` and
-``Matrix.__matmul__`` compute on such numerators, and ``ldl_psd``
-eliminates fraction-free on them.  Each is compared here with
+``Poly``, ``MomentFunctional`` and ``Matrix`` store Gaussian-integer
+numerators over one denominator, ``Poly.__mul__``, ``BimodElement.triple``
+and ``Matrix.__matmul__``, ``__add__`` and ``adjoint`` compute on such
+numerators, and ``ldl_psd`` eliminates fraction-free on them.  Each is compared here with
 sympy's own arithmetic over the Gaussian rationals, on
 seeded inputs as tall as the shipped measures: the 43-digit integers of
 the Gaussian moments and denominators up to 129, as in the Lebesgue
@@ -24,8 +24,9 @@ from sympy.polys.matrices import DomainMatrix
 
 from starbimod.algebra import Poly, Scalar
 from starbimod.bimodule import BimodElement, Generator
-from starbimod.errors import MomentOutOfRangeError, NotPositiveError
+from starbimod.errors import DimensionMismatchError, MomentOutOfRangeError, NotPositiveError
 from starbimod.exactla import Matrix, ldl_psd, nullspace, poly_at
+from starbimod.forms import FormMatrix
 from starbimod.gns import build_gns, hankel_gram
 from starbimod.moments import MomentFunctional
 from starbimod.sampling import atoms012, mu3
@@ -312,6 +313,138 @@ class TestPolyAt:
         m = Matrix([[1, 2], [3, Scalar(0, 1)]])
         assert poly_at(Poly(), m) == Matrix.zeros(2, 2)
         assert poly_at(Poly([Scalar(2, -1)]), m) == Matrix.diagonal([Scalar(2, -1)] * 2)
+
+
+def _assert_canonical_matrix(m: Matrix):
+    """The stored form: int rows of one shape, den > 0, content coprime to den."""
+    assert type(m.re) is tuple and type(m.im) is tuple and len(m.re) == len(m.im)
+    rows = m.re + m.im
+    assert all(type(r) is tuple and len(r) == m.ncols for r in rows)
+    assert all(type(x) is int for r in rows for x in r)
+    assert type(m.den) is int and m.den > 0
+    assert gcd(m.den, *[x for r in rows for x in r]) == 1
+
+
+def _adjoint_dm(d: DomainMatrix) -> DomainMatrix:
+    rows, cols = d.shape
+    return DomainMatrix(
+        [[_conj(d[i, j].element) for i in range(rows)] for j in range(cols)], (cols, rows), QQ_I
+    )
+
+
+class TestMatrixRepresentation:
+    """Matrix stores Gaussian-integer numerator rows over one denominator.
+
+    Every result of ``@``, ``adjoint``, ``+`` and ``poly_at`` is checked
+    against sympy over QQ(i) and for the canonical form; a matrix reached
+    by different routes is one stored value.
+    """
+
+    def test_products_sums_and_adjoints(self):
+        rng = random.Random(63)
+        for _ in range(120):
+            n, k, p = (rng.randint(1, 4) for _ in range(3))
+            a = TestMatmul._matrix(rng, n, k, rng.choice(SHAPES))
+            b = TestMatmul._matrix(rng, k, p, rng.choice(SHAPES))
+            c = TestMatmul._matrix(rng, n, k, rng.choice(SHAPES))
+            da, db, dc = (TestMatmul._dm(m) for m in (a, b, c))
+            for result, expected in (
+                (a @ b, da * db),
+                (a + c, da + dc),
+                (a.adjoint(), _adjoint_dm(da)),
+            ):
+                assert TestMatmul._dm(result) == expected.to_dense()
+                _assert_canonical_matrix(result)
+
+    def test_cancellations_reduce_the_denominator(self):
+        rng = random.Random(64)
+        for _ in range(40):
+            n = rng.randint(1, 4)
+            a = TestMatmul._matrix(rng, n, n, "complex")
+            minus_a = Matrix.from_numerators(
+                [[-x for x in r] for r in a.re], [[-x for x in r] for r in a.im], a.den
+            )
+            zero = a + minus_a
+            assert zero == Matrix.zeros(n, n) and zero.den == 1
+            # sums with the adjoint, products with zero and double adjoints stay canonical
+            for result in (a + a.adjoint(), a @ Matrix.zeros(n, n), a.adjoint().adjoint()):
+                _assert_canonical_matrix(result)
+            assert a.adjoint().adjoint() == a
+            assert (a + a.adjoint()).is_hermitian()
+        half = Matrix([[Fraction(1, 2), Scalar(0, Fraction(1, 2))]])
+        assert (half + half).den == 1 and (half + half) == Matrix([[1, Scalar(0, 1)]])
+
+    def test_poly_at_is_canonical(self):
+        rng = random.Random(72)
+        for _ in range(40):
+            n = rng.randint(1, 4)
+            m = TestMatmul._matrix(rng, n, n, rng.choice(SHAPES))
+            p = _poly(rng, rng.choice(SHAPES), max_degree=4)
+            _assert_canonical_matrix(poly_at(p, m))
+        m = Matrix([[Fraction(1, 3), 0], [0, Fraction(2, 3)]])
+        # (3q)(m) = diag(1, 2): every denominator cancels
+        assert poly_at(Poly([0, 3]), m).den == 1
+
+    def test_same_matrix_by_three_routes(self):
+        rng = random.Random(65)
+        for _ in range(60):
+            n, k = rng.randint(1, 4), rng.randint(1, 4)
+            rows = [[_scalar(rng, rng.choice(SHAPES)) for _ in range(k)] for _ in range(n)]
+            m = Matrix(rows)
+            _assert_canonical_matrix(m)
+            f = rng.choice([2, 6, MAX_DEN, TALL[-1]])
+            scaled = Matrix.from_numerators(
+                [[f * x for x in r] for r in m.re], [[f * x for x in r] for r in m.im], f * m.den
+            )
+            for other in (scaled, m @ Matrix.identity(k), Matrix.identity(n) @ m):
+                assert other == m and hash(other) == hash(m)
+                assert (other.re, other.im, other.den) == (m.re, m.im, m.den)
+            assert m.rows == tuple(tuple(r) for r in rows)
+            assert all(m[i, j] == rows[i][j] for i in range(n) for j in range(k))
+            _assert_lowest_terms(c for r in m.rows for c in r)
+
+    def test_ints_fractions_and_scalars_build_one_value(self):
+        as_ints = Matrix([[1, -2], [0, 3]])
+        as_fractions = Matrix([[Fraction(2, 2), Fraction(-4, 2)], [Fraction(0), Fraction(9, 3)]])
+        as_scalars = Matrix([[Scalar(1), Scalar(-2)], [Scalar(0), Scalar(3)]])
+        assert as_ints == as_fractions == as_scalars
+        assert hash(as_ints) == hash(as_fractions) == hash(as_scalars)
+        assert as_ints.re == ((1, -2), (0, 3)) and as_ints.im == ((0, 0), (0, 0))
+        assert as_ints.den == 1
+        assert Matrix([]).re == () and Matrix([]).den == 1
+
+    def test_immutable(self):
+        m = Matrix([[1]])
+        for name in ("re", "im", "den", "rows"):
+            with pytest.raises(AttributeError):
+                setattr(m, name, ())
+
+
+class TestFormValue:
+    """FormMatrix.value, the 1x1 product psi^H M phi, against sympy."""
+
+    def test_seeded_complex_inputs(self):
+        rng = random.Random(91)
+        for _ in range(80):
+            n = rng.randint(1, 4)
+            m = TestMatmul._matrix(rng, n, n, rng.choice(SHAPES))
+            phi = [_scalar(rng, rng.choice(SHAPES)) for _ in range(n)]
+            psi = [_scalar(rng, rng.choice(SHAPES)) for _ in range(n)]
+            col = DomainMatrix([[_qq(c)] for c in phi], (n, 1), QQ_I)
+            row = DomainMatrix([[_conj(_qq(c)) for c in psi]], (1, n), QQ_I)
+            expected = (row * TestMatmul._dm(m) * col)[0, 0].element
+            value = FormMatrix(m).value(phi, psi)
+            assert _qq(value) == expected
+            _assert_lowest_terms([value])
+
+    def test_plain_number_vectors_and_shape_checks(self):
+        x = FormMatrix(Matrix([[1, Scalar(0, 1)], [2, Fraction(1, 2)]]))
+        # psi^H M phi = conj(psi) . (M phi), with M phi = (1 + i, 2 + 1/2)
+        assert x.value([1, 1], [Scalar(0, 1), 2]) == Scalar(6, -1)
+        with pytest.raises(DimensionMismatchError):
+            x.value([1, 1, 1], [1, 1])
+        with pytest.raises(DimensionMismatchError):
+            x.value([1, 1], [1])
 
 
 def _scalar_of(z) -> Scalar:

@@ -7,7 +7,7 @@ import pytest
 
 from starbimod.algebra import I, Scalar
 from starbimod.errors import ParseError
-from starbimod.parser import MAX_DIGITS, MAX_EXPONENT, parse_expression, tokenize
+from starbimod.parser import MAX_DIGITS, MAX_EXPONENT, MAX_NESTING, parse_expression, tokenize
 from starbimod.sampling import rand_weyl
 from starbimod.weyl import WeylElement
 
@@ -126,6 +126,29 @@ class TestExponentCap:
 
     def test_zero_exponent(self):
         assert parse_expression("(q+d)^0") == WeylElement.one()
+
+
+class TestNestingCap:
+    """A '(' more than MAX_NESTING deep is refused at its offset."""
+
+    @pytest.mark.parametrize(
+        "prefix",
+        ["", "q + ", "-", "2*(q - 1) + "],
+    )
+    def test_refused_at_the_first_paren_too_deep(self, prefix):
+        src = prefix + "(" * 300 + "q" + ")" * 300
+        with pytest.raises(ParseError) as info:
+            parse_expression(src)
+        assert info.value.offset == len(prefix) + MAX_NESTING
+        assert "nested more than" in str(info.value)
+
+    def test_depth_counts_open_parentheses_only(self):
+        deep = "(" * MAX_NESTING + "q" + ")" * MAX_NESTING
+        assert parse_expression(deep) == WeylElement.q_power(1)
+        # closed groups do not add up: a long run of siblings at the limit parses
+        assert parse_expression(" + ".join([deep] * 50)) == parse_expression("50*q")
+        with pytest.raises(ParseError):
+            parse_expression(f"({deep})")
 
 
 class TestNumberSize:
