@@ -5,13 +5,13 @@ LDL^H factorisation that doubles as the positive-semidefiniteness gate
 (leading-minor tests are unsound for singular matrices), the kernel basis
 read off that factor, and inversion.  A ``Matrix`` stores Gaussian-integer
 numerator rows over one denominator, as ``Poly`` does its coefficients,
-and all but ``inverse`` (Gauss-Jordan on the Scalar view) run on those
-integers: ``Matrix.__matmul__``, ``__add__`` and ``adjoint`` normalise
-each result once, ``poly_at`` is Horner through them, ``ldl_psd``
-eliminates fraction-free (Bareiss) on the numerators, and ``nullspace``
-solves the kernel through the integer rows of L^-1, with no second
-elimination; each output entry is built once.  Sizes stay in the low
-tens, so the cubic algorithms are fine.
+and every routine runs on those integers: ``Matrix.__matmul__``,
+``__add__`` and ``adjoint`` normalise each result once, ``poly_at`` runs
+Horner and ``inverse`` fraction-free Gauss-Jordan on the numerators and
+build one matrix at the end, ``ldl_psd`` eliminates fraction-free
+(Bareiss), and ``nullspace`` solves the kernel through the integer rows
+of L^-1, with no second elimination; each output entry is built once.
+Sizes stay in the low tens, so the cubic algorithms are fine.
 """
 
 from __future__ import annotations
@@ -108,20 +108,9 @@ class Matrix:
                 f"cannot multiply {self.nrows}x{self.ncols} by "
                 f"{other.nrows}x{other.ncols}"
             )
-        rows = list(zip(self.re, self.im))
         cols = list(zip(zip(*other.re), zip(*other.im)))
-        # gauss_dot inlined: a call per entry cost about 15% on the 2x2 and
-        # 3x3 products of the form layer
         return Matrix.from_numerators(
-            [
-                [sum(map(mul, rr, cr)) - sum(map(mul, ri, ci)) for cr, ci in cols]
-                for rr, ri in rows
-            ],
-            [
-                [sum(map(mul, rr, ci)) + sum(map(mul, ri, cr)) for cr, ci in cols]
-                for rr, ri in rows
-            ],
-            self.den * other.den,
+            *_products(self.re, self.im, cols), self.den * other.den
         )
 
     def adjoint(self) -> "Matrix":
@@ -145,6 +134,20 @@ class Matrix:
         return f"Matrix({[list(map(str, r)) for r in self.rows]!r})"
 
 
+def _products(re, im, cols) -> tuple[list[list[int]], list[list[int]]]:
+    """Numerator rows of (re + im*i) times the Gaussian-integer ``cols``.
+
+    ``cols`` holds each column as a (real, imaginary) pair of int tuples.
+    """
+    rows = list(zip(re, im))
+    # gauss_dot inlined: a call per entry cost about 15% on the 2x2 and
+    # 3x3 products of the form layer
+    return (
+        [[sum(map(mul, rr, cr)) - sum(map(mul, ri, ci)) for cr, ci in cols] for rr, ri in rows],
+        [[sum(map(mul, rr, ci)) + sum(map(mul, ri, cr)) for cr, ci in cols] for rr, ri in rows],
+    )
+
+
 def _store(m: Matrix, re, im, den: int) -> None:
     """Set m to (re + im*i) / den in canonical form, with one gcd."""
     g = gcd(den, *chain.from_iterable(re), *chain.from_iterable(im))
@@ -159,24 +162,29 @@ def _store(m: Matrix, re, im, den: int) -> None:
 
 
 def poly_at(p: Poly, m: Matrix) -> Matrix:
-    """Evaluate a polynomial at a square matrix: Horner through ``@`` and ``+``.
+    """Evaluate a polynomial at a square matrix: Horner on the numerators.
 
-    Each step's constant c_k * I is built from the numerators of p; its
-    Scalar coefficients would cost a conversion in and out per step.
+    With m = A / d and p = (c_k) / pden of degree N, S <- S A + c_k
+    d^(N-k) I runs on Gaussian integers from S = c_N I, and the result is
+    S / (pden d^N), normalised once.
     """
     if m.nrows != m.ncols:
         raise DimensionMismatchError("polynomial of a non-square matrix")
     n = m.nrows
-    eye = [[int(i == j) for j in range(n)] for i in range(n)]
-    acc = Matrix.zeros(n, n)
-    for cr, ci in zip(reversed(p.re), reversed(p.im)):
-        constant = Matrix.from_numerators(
-            [[cr * e for e in row] for row in eye],
-            [[ci * e for e in row] for row in eye],
-            p.den,
-        )
-        acc = acc @ m + constant
-    return acc
+    if not p.re:
+        return Matrix.zeros(n, n)
+    cols = list(zip(zip(*m.re), zip(*m.im)))
+    top = len(p.re) - 1
+    sr = [[p.re[top] if i == j else 0 for j in range(n)] for i in range(n)]
+    si = [[p.im[top] if i == j else 0 for j in range(n)] for i in range(n)]
+    scale = 1
+    for cr, ci in zip(reversed(p.re[:top]), reversed(p.im[:top])):
+        scale *= m.den
+        sr, si = _products(sr, si, cols)
+        for i in range(n):
+            sr[i][i] += cr * scale
+            si[i][i] += ci * scale
+    return Matrix.from_numerators(sr, si, p.den * scale)
 
 
 class LdlResult(NamedTuple):
@@ -315,20 +323,41 @@ def _inverse_rows(lower) -> list[tuple[list[int], list[int], int]]:
 
 
 def inverse(m: Matrix) -> Matrix:
-    """Exact inverse by Gauss-Jordan; raises on singular input."""
+    """Exact inverse by fraction-free Gauss-Jordan; raises on singular input.
+
+    Eliminates [A | den I] for m = A / den on Gaussian integers: with p
+    the pivot, row_i <- p row_i - f row_p, then row_i is divided by the
+    gcd of its numerators.  Row i ends as p_i e_i | B_i, so row i of the
+    inverse is B_i conj(p_i) / |p_i|^2; all rows go over lcm |p_i|^2.
+    """
     n = m.nrows
     if n != m.ncols:
         raise DimensionMismatchError("inverse of a non-square matrix")
-    work = [list(r) + list(e) for r, e in zip(m.rows, Matrix.identity(n).rows)]
+    den = m.den
+    re = [list(r) + [den if i == j else 0 for j in range(n)] for i, r in enumerate(m.re)]
+    im = [list(r) + [0] * n for r in m.im]
     for col in range(n):
-        sel = next((i for i in range(col, n) if work[i][col]), None)
+        sel = next((i for i in range(col, n) if re[i][col] or im[i][col]), None)
         if sel is None:
             raise ZeroDivisionError("singular matrix")
-        work[col], work[sel] = work[sel], work[col]
-        inv = ONE / work[col][col]
-        work[col] = [x * inv for x in work[col]]
+        re[col], re[sel] = re[sel], re[col]
+        im[col], im[sel] = im[sel], im[col]
+        pr, pi, yr, yi = re[col][col], im[col][col], re[col], im[col]
         for i in range(n):
-            if i != col and work[i][col]:
-                f = work[i][col]
-                work[i] = [x - f * y for x, y in zip(work[i], work[col])]
-    return Matrix([row[n:] for row in work])
+            fr, fi = re[i][col], im[i][col]
+            if i == col or not (fr or fi):
+                continue
+            xr, xi = re[i], im[i]
+            nr = [pr * a - pi * b - fr * c + fi * d for a, b, c, d in zip(xr, xi, yr, yi)]
+            ni = [pr * b + pi * a - fr * d - fi * c for a, b, c, d in zip(xr, xi, yr, yi)]
+            g = gcd(*nr, *ni)
+            re[i], im[i] = [v // g for v in nr], [v // g for v in ni]
+    norms = [re[i][i] ** 2 + im[i][i] ** 2 for i in range(n)]
+    common = lcm(*norms)
+    out_re, out_im = [], []
+    for i, norm in enumerate(norms):
+        # B_i conj(p_i) scaled to the common denominator
+        pr, pi, f = re[i][i], -im[i][i], common // norm
+        out_re.append([f * (pr * a - pi * b) for a, b in zip(re[i][n:], im[i][n:])])
+        out_im.append([f * (pr * b + pi * a) for a, b in zip(re[i][n:], im[i][n:])])
+    return Matrix.from_numerators(out_re, out_im, common)

@@ -13,7 +13,7 @@ and the involution is the conjugate transpose.  R, G and M are exact
 
 from __future__ import annotations
 
-from .algebra import Poly
+from .algebra import ZERO, Poly
 from .errors import DimensionMismatchError
 from .exactla import Matrix, ldl_psd, poly_at
 
@@ -76,6 +76,8 @@ class FormMatrix:
 
     def value(self, phi, psi):
         """Evaluate the form on coordinate vectors: the 1x1 product psi^H M phi."""
+        if not (self.dim or phi or psi):
+            return ZERO  # the empty sum; a Matrix has no 1x0 shape
         row = Matrix([[c] for c in psi]).adjoint()
         return (row @ self.mat @ Matrix([[c] for c in phi]))[0, 0]
 

@@ -65,12 +65,15 @@ class GnsRealization:
 
 
 def hankel_gram(mf: MomentFunctional, degree: int) -> Matrix:
-    """The Gram matrix G_{jk} = m_{j+k} on q^0..q^N; needs moments up to 2N."""
-    ms = mf.moments_up_to(2 * degree)
-    if any(not m.is_real() for m in ms):
-        raise NotPositiveError("moments of a positive functional must be real")
+    """The Gram matrix G_{jk} = m_{j+k} on q^0..q^N; needs moments up to 2N.
+
+    Built from Hankel slices of the moment table's numerators.
+    """
+    re, im, den = mf.numerators(2 * degree)
     n = degree + 1
-    return Matrix([[ms[j + k] for k in range(n)] for j in range(n)])
+    if any(im[k] for k in range(2 * n - 1)):
+        raise NotPositiveError("moments of a positive functional must be real")
+    return Matrix.from_numerators([re[j : j + n] for j in range(n)], [[0] * n] * n, den)
 
 
 def build_gns(mf: MomentFunctional, degree: int) -> GnsRealization:

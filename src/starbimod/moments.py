@@ -14,7 +14,8 @@ kind of table on demand, up to the highest index read so far, over the
 denominator W * X^top (W and X the lcms of the weight and point
 denominators).  ``apply`` and ``shifted_values`` are integer dot products
 of a polynomial's numerators with that table, and every returned value
-is reduced to a ``Scalar`` once.
+is reduced to a ``Scalar`` once; ``numerators`` hands out the table
+itself, which the Hankel Gram of the GNS layer slices.
 """
 
 from __future__ import annotations
@@ -99,7 +100,7 @@ class MomentFunctional:
         re, im, den = self._nums
         return tuple([gauss_scalar(a, b, den) for a, b in zip(re, im)])
 
-    def _numerators(self, top: int, low: int = 0, reads: Poly | None = None):
+    def numerators(self, top: int, low: int = 0, reads: Poly | None = None):
         """The moment table ``(re, im, den)``, reaching at least index ``top``.
 
         An atomic measure extends its cache to ``top``.  A moment list that
@@ -141,12 +142,12 @@ class MomentFunctional:
     def moment(self, k: int) -> Scalar:
         if k < 0:
             raise MomentOutOfRangeError(f"negative moment index {k}")
-        re, im, den = self._numerators(k, low=k)
+        re, im, den = self.numerators(k, low=k)
         return gauss_scalar(re[k], im[k], den)
 
     def apply(self, p: Poly) -> Scalar:
         """f(p) by linearity in the moments: one integer dot product."""
-        mr, mi, den = self._numerators(p.degree, reads=p)
+        mr, mi, den = self.numerators(p.degree, reads=p)
         return gauss_scalar(*gauss_dot(p.re, p.im, mr, mi), p.den * den)
 
     def shifted_values(self, p: Poly, count: int) -> list[Scalar]:
@@ -158,7 +159,7 @@ class MomentFunctional:
         if count <= 0 or not p.re:
             return [_ZERO] * max(count, 0)
         low = next(k for k, (a, b) in enumerate(zip(p.re, p.im)) if a or b)
-        mr, mi, den = self._numerators(count - 1 + p.degree, low=low)
+        mr, mi, den = self.numerators(count - 1 + p.degree, low=low)
         n, d = len(p.re), p.den * den
         return [
             gauss_scalar(*gauss_dot(p.re, p.im, mr[s : s + n], mi[s : s + n]), d)
@@ -170,7 +171,7 @@ class MomentFunctional:
         return self.apply(v.conjugate() * u)
 
     def moments_up_to(self, degree: int) -> tuple[Scalar, ...]:
-        re, im, den = self._numerators(degree)
+        re, im, den = self.numerators(degree)
         return tuple([gauss_scalar(re[k], im[k], den) for k in range(degree + 1)])
 
     def __eq__(self, other):

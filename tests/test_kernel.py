@@ -25,7 +25,8 @@ from sympy.polys.matrices import DomainMatrix
 from starbimod.algebra import Poly, Scalar
 from starbimod.bimodule import BimodElement, Generator
 from starbimod.errors import DimensionMismatchError, MomentOutOfRangeError, NotPositiveError
-from starbimod.exactla import Matrix, ldl_psd, nullspace, poly_at
+from starbimod import selftest
+from starbimod.exactla import Matrix, inverse, ldl_psd, nullspace, poly_at
 from starbimod.forms import FormMatrix
 from starbimod.gns import build_gns, hankel_gram
 from starbimod.moments import MomentFunctional
@@ -297,22 +298,124 @@ class TestPolyAt:
 
     def test_random_polys_and_matrices(self):
         rng = random.Random(71)
-        for _ in range(40):
+        fractional = 0
+        for _ in range(60):
             n = rng.randint(1, 4)
             m = TestMatmul._matrix(rng, n, n, rng.choice(SHAPES))
-            p = _poly(rng, rng.choice(SHAPES), max_degree=5)
+            p = _poly(rng, rng.choice(SHAPES), max_degree=8)
+            fractional += m.den > 1 and p.degree > 0
             dm = TestMatmul._dm(m)
             expected = DomainMatrix.zeros((n, n), QQ_I)
             power = DomainMatrix.eye(n, QQ_I)
             for c in p.coeffs:
                 expected += power * _qq(c)
                 power = power * dm
-            assert TestMatmul._dm(poly_at(p, m)) == expected.to_dense()
+            result = poly_at(p, m)
+            assert TestMatmul._dm(result) == expected.to_dense()
+            _assert_canonical_matrix(result)
+        # the powers of the matrix denominator in the constants are exercised
+        assert fractional >= 20
 
     def test_constant_and_zero_polynomials(self):
         m = Matrix([[1, 2], [3, Scalar(0, 1)]])
         assert poly_at(Poly(), m) == Matrix.zeros(2, 2)
         assert poly_at(Poly([Scalar(2, -1)]), m) == Matrix.diagonal([Scalar(2, -1)] * 2)
+
+    def test_empty_matrix(self):
+        empty = poly_at(Poly([1, Scalar(0, 2)]), Matrix([]))
+        assert empty == Matrix([]) and (empty.nrows, empty.ncols) == (0, 0)
+        with pytest.raises(DimensionMismatchError):
+            poly_at(Poly([1]), Matrix([[1, 2]]))
+
+
+class TestInverse:
+    """Fraction-free Gauss-Jordan inversion, against sympy's inverse over QQ(i)."""
+
+    @staticmethod
+    def _check(m: Matrix):
+        inv = inverse(m)
+        assert TestMatmul._dm(inv) == TestMatmul._dm(m).inv().to_dense()
+        _assert_canonical_matrix(inv)
+        assert m @ inv == Matrix.identity(m.nrows)
+
+    def test_seeded_invertible_matrices(self):
+        rng = random.Random(73)
+        checked = {n: 0 for n in range(1, 5)}
+        while min(checked.values()) < 30:
+            n = rng.randint(1, 4)
+            m = TestMatmul._matrix(rng, n, n, rng.choice(SHAPES))
+            if TestMatmul._dm(m).rank() < n:
+                continue
+            self._check(m)
+            checked[n] += 1
+
+    def test_leading_zeros_force_row_swaps(self):
+        i = Scalar(0, 1)
+        for rows in (
+            [[0, i], [Scalar(2, 3), Fraction(1, 5)]],
+            [[0, 1, 0], [0, Scalar(1, -2), i], [Scalar(0, Fraction(3, 7)), 0, 1]],
+            [[1, 2, 3], [2, 4, i], [Scalar(1, 1), 0, 0]],  # zero pivot in column 1
+            [[0, 0, 0, i], [0, 0, Scalar(2, 1), 0], [0, 5, 0, 0], [Scalar(1, -1), 0, 0, 0]],
+        ):
+            self._check(Matrix(rows))
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[0]],
+            [[0, 1], [0, Scalar(2, 1)]],  # zero first column
+            [[0, 1, 1], [0, Scalar(0, 1), 2], [0, 3, Fraction(1, 2)]],
+            [[1, Scalar(0, 1)], [Scalar(0, 1), -1]],  # row 2 is i * row 1
+            [[0, 1, 1], [1, 0, 0], [1, 1, 1]],  # a row swap, then a vanishing column
+            [[1, 2, 3], [4, 5, 6], [7, 8, 9]],
+        ],
+    )
+    def test_singular_inputs_raise(self, rows):
+        m = Matrix(rows)
+        assert TestMatmul._dm(m).rank() < m.nrows
+        with pytest.raises(ZeroDivisionError):
+            inverse(m)
+
+    def test_seeded_rank_deficient_matrices(self):
+        rng = random.Random(74)
+        for _ in range(40):
+            n = rng.randint(2, 4)
+            rows = [list(r) for r in TestMatmul._matrix(rng, n - 1, n, rng.choice(SHAPES)).rows]
+            f = _scalar(rng, "complex")
+            rows.insert(rng.randrange(n), [f * c for c in rows[rng.randrange(n - 1)]])
+            with pytest.raises(ZeroDivisionError):
+                inverse(Matrix(rows))
+
+    def test_empty_and_non_square(self):
+        empty = inverse(Matrix([]))
+        assert empty == Matrix([]) and (empty.nrows, empty.ncols) == (0, 0)
+        with pytest.raises(DimensionMismatchError):
+            inverse(Matrix([[1, 2]]))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_criterion_8_tables(self, dim, monkeypatch):
+        """The seeded tables of criterion 8 (gen = G^-1 S) against sympy's G^-1 S."""
+        seen = []
+
+        class _Recorder:
+            def __init__(self, gram):
+                self.gram = gram
+
+            def __matmul__(self, s):
+                seen.append((self.gram, s))
+                return inverse(self.gram) @ s
+
+        monkeypatch.setattr(selftest, "inverse", _Recorder)
+        rng = random.Random(606)
+        for _ in range(20):
+            seen.clear()
+            table = selftest._random_action_table(rng, dim)
+            if not seen:  # the diagonal draws take no inverse
+                continue
+            [(gram, s)] = seen
+            assert gram == table.gram
+            expected = TestMatmul._dm(gram).inv() * TestMatmul._dm(s)
+            assert TestMatmul._dm(table.gen) == expected.to_dense()
 
 
 def _assert_canonical_matrix(m: Matrix):
@@ -436,6 +539,12 @@ class TestFormValue:
             value = FormMatrix(m).value(phi, psi)
             assert _qq(value) == expected
             _assert_lowest_terms([value])
+
+    def test_dimension_zero_is_the_empty_sum(self):
+        x = FormMatrix(Matrix([]))
+        assert x.value([], []) == Scalar(0)
+        with pytest.raises(DimensionMismatchError):
+            x.value([1], [])
 
     def test_plain_number_vectors_and_shape_checks(self):
         x = FormMatrix(Matrix([[1, Scalar(0, 1)], [2, Fraction(1, 2)]]))
@@ -691,6 +800,25 @@ class TestMoments:
             got = mf.moments_up_to(degree)
             assert [_qq(m) for m in got] == ms[: degree + 1]
             _assert_lowest_terms(got)
+
+    @pytest.mark.parametrize("name", list(MEASURES))
+    def test_hankel_gram(self, name):
+        mf = MEASURES[name]()
+        ms = _oracle_moments(name, 64)
+        for degree in (0, 1, 7, 31):
+            gram = hankel_gram(mf, degree)
+            n = degree + 1
+            expected = DomainMatrix([[ms[j + k] for k in range(n)] for j in range(n)], (n, n), QQ_I)
+            assert TestMatmul._dm(gram) == expected
+            _assert_canonical_matrix(gram)
+
+    def test_hankel_gram_refusals(self):
+        complex_moments = MomentFunctional.from_moments([1, 0, Scalar(1, 1), 0, 3])
+        assert hankel_gram(complex_moments, 0) == Matrix([[1]])
+        with pytest.raises(NotPositiveError, match="^moments of a positive functional must be real$"):
+            hankel_gram(complex_moments, 1)
+        with pytest.raises(MomentOutOfRangeError, match="^moment 5 beyond stored truncation 4$"):
+            hankel_gram(complex_moments, 3)
 
     def test_moment_list_is_stored_canonically(self):
         for name in ("gauss64", "lebesgue01-64"):
