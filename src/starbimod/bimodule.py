@@ -169,14 +169,7 @@ class BimodElement:
     def weyl(self) -> WeylElement:
         """Normal-ordered embedding of a D2 element: h0*d^2 + 2*h1*d + h2."""
         h0, h1, h2 = self.triple()
-        acc: list = []
-        for m, c in enumerate(h0.coeffs):
-            acc.append(((m, 2), c))
-        for m, c in enumerate(h1.coeffs):
-            acc.append(((m, 1), c * 2))
-        for m, c in enumerate(h2.coeffs):
-            acc.append(((m, 0), c))
-        return WeylElement(acc)
+        return WeylElement.from_profile({2: h0, 1: 2 * h1, 0: h2})
 
     def weyl_by_products(self) -> WeylElement:
         """Embedding computed term by term in the ambient algebra.
@@ -194,12 +187,7 @@ class BimodElement:
     def theta_map(self) -> WeylElement:
         """Order-lowering homomorphism: i*(h0*d + h1) from the triple."""
         h0, h1, _ = self.triple()
-        acc: list = []
-        for m, c in enumerate(h0.coeffs):
-            acc.append(((m, 1), c * I))
-        for m, c in enumerate(h1.coeffs):
-            acc.append(((m, 0), c * I))
-        return WeylElement(acc)
+        return WeylElement.from_profile({1: h0 * I, 0: h1 * I})
 
     def schrodinger_table(self, degree: int) -> list[Poly]:
         """Image polynomials of the monomials q^0..q^degree under the

@@ -157,12 +157,9 @@ class Functional:
     def value(self, x: BimodElement, mf: MomentFunctional) -> Scalar:
         """F(x), exact; depends only on the semantic class of x."""
         self.check_compat(x, mf)
-        if self.kind in self._D2_KINDS:
-            h = x.triple()[self._D2_KINDS.index(self.kind)]
-            return mf.apply(h)
+        if self.kind != "gauss-atoms":
+            return mf.apply(self.coefficient_poly(x))
         p = x.gauss_poly()
-        if self.kind == "gauss-poly":
-            return mf.apply(self.weight * p)
         acc = _ZERO
         for (pt, w), v in zip(mf.atoms, self.atom_values):
             acc = acc + p(pt) * (w * v)

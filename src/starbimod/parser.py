@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 from .algebra import MAX_DIGITS, I, Scalar
 from .errors import ParseError
-from .weyl import WeylElement
+from .weyl import D, P, WeylElement
 
 
 MAX_EXPONENT = 64
@@ -140,8 +140,6 @@ def _check_size(value: WeylElement, offset: int) -> WeylElement:
 
 
 _Q = WeylElement.q_power(1)
-_D = WeylElement.d_power(1)
-_P = WeylElement.p_generator()
 _I = WeylElement.monomial(0, 0, I)
 
 
@@ -211,7 +209,7 @@ class _Parser:
         tok = self.current
         if tok.kind == "sym":
             self.advance()
-            return {"q": _Q, "d": _D, "p": _P, "i": _I}[tok.text]
+            return {"q": _Q, "d": D, "p": P, "i": _I}[tok.text]
         if tok.kind == "number":
             self.advance()
             return WeylElement.monomial(0, 0, Scalar(Fraction(tok.text)))

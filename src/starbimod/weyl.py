@@ -1,9 +1,13 @@
 """The ambient noncommutative algebra: one pair of generators q, d with dq = qd + 1.
 
 Elements are kept in normal-ordered form, all q powers to the left of all
-d powers, as a map (m, n) -> coefficient for the monomial q^m d^n.  The
-generator d is i*p for the hermitian generator p, so the single rewrite
-rule has integer coefficients:
+d powers.  Like a ``Poly``, an element is stored as Gaussian-integer
+numerators over one denominator: ``nums`` maps (m, n) to the read-only
+pair (re, im) of the coefficient (re + im*i) / den of q^m d^n, with
+den > 0, gcd(den, every numerator) == 1 and no zero entry.  Every
+operation runs on the integers and normalises its result once; ``terms``
+is a Scalar view built per read.  The generator d is i*p for the
+hermitian generator p, so the single rewrite rule has integer coefficients:
 
     d^n q^m = sum_k  C(n, k) * m!/(m-k)! * q^(m-k) d^(n-k).
 
@@ -15,9 +19,11 @@ the soundness oracle for the rewriting.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, perm
+from itertools import chain
+from math import comb, gcd, lcm, perm
+from types import MappingProxyType
 
-from .algebra import I, ONE, Poly, Scalar, gauss_numerators
+from .algebra import I, ONE, Poly, Scalar, gauss_numerators, gauss_scalar
 
 
 def _normal_dq(n: int, m: int):
@@ -29,20 +35,12 @@ def _normal_dq(n: int, m: int):
 class WeylElement:
     """Normal-ordered element sum c_{mn} q^m d^n."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("nums", "den")
 
     def __init__(self, terms=()):
-        data: dict[tuple[int, int], Scalar] = {}
-        items = terms.items() if isinstance(terms, dict) else terms
-        for (m, n), c in items:
-            c = Scalar.coerce(c)
-            if (m, n) in data:
-                c = data[(m, n)] + c
-            if c.is_zero():
-                data.pop((m, n), None)
-            else:
-                data[(m, n)] = c
-        object.__setattr__(self, "terms", data)
+        items = list(terms.items() if isinstance(terms, dict) else terms)
+        [(re, im)], den = gauss_numerators([[Scalar.coerce(c) for _, c in items]])
+        _store(self, (((m, n), a, b) for ((m, n), _), a, b in zip(items, re, im)), den)
 
     def __setattr__(self, name, value):
         raise AttributeError("WeylElement is immutable")
@@ -57,7 +55,7 @@ class WeylElement:
 
     @classmethod
     def monomial(cls, m: int, n: int, coeff=ONE) -> "WeylElement":
-        return cls({(m, n): Scalar.coerce(coeff)})
+        return cls({(m, n): coeff})
 
     @classmethod
     def q_power(cls, m: int) -> "WeylElement":
@@ -73,45 +71,67 @@ class WeylElement:
         return cls.monomial(0, 1, -I)
 
     @classmethod
+    def from_profile(cls, profile: dict[int, Poly]) -> "WeylElement":
+        """The element sum_n h_n(q) d^n of {n: h_n}; the inverse of ``d_profile``."""
+        den = lcm(*(h.den for h in profile.values()))
+        triples = [
+            ((m, n), den // h.den * a, den // h.den * b)
+            for n, h in profile.items()
+            for m, (a, b) in enumerate(zip(h.re, h.im))
+        ]
+        return _new(triples, den)
+
+    @classmethod
     def from_poly(cls, p: Poly) -> "WeylElement":
-        return cls({(m, 0): c for m, c in enumerate(p.coeffs) if not c.is_zero()})
+        return cls.from_profile({0: p})
+
+    @property
+    def terms(self) -> dict[tuple[int, int], Scalar]:
+        """The coefficients as Scalars, keyed by (m, n) (a new dict per read)."""
+        den = self.den
+        return {mn: gauss_scalar(a, b, den) for mn, (a, b) in self.nums.items()}
 
     def coefficient(self, m: int, n: int) -> Scalar:
-        return self.terms.get((m, n), Scalar(0))
+        return gauss_scalar(*self.nums.get((m, n), (0, 0)), self.den)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.nums)
 
     @property
     def max_q_degree(self) -> int:
-        return max((m for m, _ in self.terms), default=-1)
+        return max((m for m, _ in self.nums), default=-1)
 
     @property
     def max_d_degree(self) -> int:
-        return max((n for _, n in self.terms), default=-1)
+        return max((n for _, n in self.nums), default=-1)
 
     def d_profile(self) -> dict[int, Poly]:
         """Coefficient polynomial of each d power: n -> sum_m c_{mn} q^m."""
-        out: dict[int, list] = {}
-        for (m, n), c in self.terms.items():
-            out.setdefault(n, []).append((m, c))
-        profile = {}
-        for n, pairs in out.items():
-            top = max(m for m, _ in pairs)
-            coeffs = [Scalar(0)] * (top + 1)
-            for m, c in pairs:
-                coeffs[m] = c
-            profile[n] = Poly(coeffs)
-        return profile
+        out: dict[int, tuple[list, list]] = {}
+        for (m, n), (a, b) in self.nums.items():
+            re, im = out.setdefault(n, ([], []))
+            if m >= len(re):
+                re += [0] * (m + 1 - len(re))
+                im += [0] * (m + 1 - len(im))
+            re[m], im[m] = a, b
+        return {n: Poly.from_numerators(*nums, self.den) for n, nums in out.items()}
+
+    def _combine(self, other: "WeylElement", sign: int) -> "WeylElement":
+        """self + sign * other over the lcm of the two denominators."""
+        den = lcm(self.den, other.den)
+        f, g = den // self.den, sign * (den // other.den)
+        triples = [(mn, f * a, f * b) for mn, (a, b) in self.nums.items()]
+        triples += [(mn, g * a, g * b) for mn, (a, b) in other.nums.items()]
+        return _new(triples, den)
 
     def __add__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return WeylElement(list(self.terms.items()) + list(other.terms.items()))
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
@@ -119,32 +139,27 @@ class WeylElement:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
-        return _coerce(other) - self
+        return -self + other
 
     def __neg__(self):
-        return WeylElement({mn: -c for mn, c in self.terms.items()})
+        return _new(((mn, -a, -b) for mn, (a, b) in self.nums.items()), self.den)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Scalar)):
-            c = Scalar.coerce(other)
-            return WeylElement({mn: v * c for mn, v in self.terms.items()})
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        acc: list = []
-        for (m1, n1), c1 in self.terms.items():
-            for (m2, n2), c2 in other.terms.items():
-                c = c1 * c2
+        triples = []
+        for (m1, n1), (a1, b1) in self.nums.items():
+            for (m2, n2), (a2, b2) in other.nums.items():
+                cr, ci = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2
                 for (mm, nn), k in _normal_dq(n1, m2):
-                    acc.append(((m1 + mm, nn + n2), c * k))
-        return WeylElement(acc)
+                    triples.append(((m1 + mm, nn + n2), k * cr, k * ci))
+        return _new(triples, self.den * other.den)
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, Scalar)):
-            return self * other
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -160,44 +175,42 @@ class WeylElement:
 
     def involution(self) -> "WeylElement":
         """Antilinear involution with q^+ = q and d^+ = -d."""
-        acc: list = []
-        for (m, n), c in self.terms.items():
-            cc = c.conjugate() * ((-1) ** n)
-            for (mm, nn), k in _normal_dq(n, m):
-                acc.append(((mm, nn), cc * k))
-        return WeylElement(acc)
+        triples = []
+        for (m, n), (a, b) in self.nums.items():
+            s = (-1) ** n
+            triples += [(mn, s * k * a, -s * k * b) for mn, k in _normal_dq(n, m)]
+        return _new(triples, self.den)
 
     def apply(self, p: Poly) -> Poly:
         """Act as a differential operator: q^m d^n maps p to t^m p^(n).
 
         The term c q^m d^n sends a t^j to c a j!/(j-n)! t^(j-n+m), so the
         image is built by shifting coefficient indices in one pass, on the
-        numerators of p and of the term coefficients over one denominator.
+        numerators of p and of the element.
         """
-        [(cr, ci)], cd = gauss_numerators([self.terms.values()])
         ar, ai = p.re, p.im
-        size = len(ar) + max((m - n for m, n in self.terms), default=0)
+        size = len(ar) + max((m - n for m, n in self.nums), default=0)
         out_re = [0] * size
         out_im = [0] * size
-        for (m, n), tr, ti in zip(self.terms, cr, ci):
+        for (m, n), (tr, ti) in self.nums.items():
             for j in range(n, len(ar)):
                 if ar[j] or ai[j]:
                     f, k = perm(j, n), j - n + m
                     out_re[k] += f * (tr * ar[j] - ti * ai[j])
                     out_im[k] += f * (tr * ai[j] + ti * ar[j])
-        return Poly.from_numerators(out_re, out_im, p.den * cd)
+        return Poly.from_numerators(out_re, out_im, p.den * self.den)
 
     def __eq__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.terms == other.terms
+        return self.den == other.den and self.nums == other.nums
 
     def __hash__(self):
         # an element free of d equals its polynomial, so it must hash like it
         if self.max_d_degree <= 0:
             return hash(self.d_profile().get(0, Poly()))
-        return hash(frozenset(self.terms.items()))
+        return hash((frozenset(self.nums.items()), self.den))
 
     def __repr__(self):
         return f"WeylElement({dict(sorted(self.terms.items()))!r})"
@@ -207,21 +220,44 @@ class WeylElement:
 
     def to_expression(self) -> str:
         """Canonical expression string, parseable by the expression grammar."""
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return "0"
-        keys = sorted(self.terms, key=lambda mn: (mn[0] + mn[1], mn[0]), reverse=True)
-        parts = [_term_expr(m, n, self.terms[(m, n)]) for m, n in keys]
+        keys = sorted(terms, key=lambda mn: (mn[0] + mn[1], mn[0]), reverse=True)
+        parts = [_term_expr(m, n, terms[(m, n)]) for m, n in keys]
         out = parts[0]
         for p in parts[1:]:
             out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
         return out
 
 
+def _store(u: WeylElement, triples, den: int) -> None:
+    """Set u to the sum of the ((m, n), re, im) triples over den; one gcd."""
+    acc: dict = {}
+    for mn, a, b in triples:
+        c = acc.get(mn)
+        if c is None:
+            acc[mn] = [a, b]
+        else:
+            c[0] += a
+            c[1] += b
+    g = gcd(den, *chain.from_iterable(acc.values()))
+    nums = {mn: (a // g, b // g) for mn, (a, b) in acc.items() if a or b}
+    object.__setattr__(u, "nums", MappingProxyType(nums))
+    object.__setattr__(u, "den", den // g)
+
+
+def _new(triples, den: int) -> WeylElement:
+    u = object.__new__(WeylElement)
+    _store(u, triples, den)
+    return u
+
+
 def _coerce(value):
     if isinstance(value, WeylElement):
         return value
     if isinstance(value, (int, Fraction, Scalar)):
-        return WeylElement({(0, 0): Scalar.coerce(value)})
+        return WeylElement({(0, 0): value})
     if isinstance(value, Poly):
         return WeylElement.from_poly(value)
     return NotImplemented
@@ -232,42 +268,16 @@ def _term_expr(m: int, n: int, c: Scalar) -> str:
         ([f"q^{m}" if m > 1 else "q"] if m else [])
         + ([f"d^{n}" if n > 1 else "d"] if n else [])
     )
-    if not mono:
-        if c.is_real():
-            return str(c.re)
-        if c.re == 0:
-            im = c.im
-            if im == 1:
-                return "i"
-            if im == -1:
-                return "-i"
-            return f"{im}*i"
-        return f"({_complex_expr(c)})"
-    if c == ONE:
-        return mono
-    if c == -ONE:
-        return f"-{mono}"
-    if c.is_real():
-        return f"{c.re}*{mono}"
-    if c.re == 0:
-        im = c.im
-        if im == 1:
-            return f"i*{mono}"
-        if im == -1:
-            return f"-i*{mono}"
-        return f"{im}*i*{mono}"
-    return f"({_complex_expr(c)})*{mono}"
-
-
-def _complex_expr(c: Scalar) -> str:
-    im = c.im
-    if im == 1:
-        tail = "i"
-    elif im == -1:
-        tail = "-i"
+    im = "i" if c.im == 1 else "-i" if c.im == -1 else f"{c.im}*i"
+    if c.re and c.im:
+        coeff = f"({c.re} - {im[1:]})" if im.startswith("-") else f"({c.re} + {im})"
     else:
-        tail = f"{im}*i"
-    return f"{c.re} + {tail}" if not tail.startswith("-") else f"{c.re} - {tail[1:]}"
+        coeff = im if c.im else str(c.re)
+    if not mono:
+        return coeff
+    if coeff in ("1", "-1"):
+        return coeff[:-1] + mono
+    return f"{coeff}*{mono}"
 
 
 D = WeylElement.d_power(1)

@@ -1,11 +1,15 @@
 """Normal ordering against the differential-operator oracle."""
 
 import random
+from fractions import Fraction
+from math import gcd
 
+import pytest
 import sympy
 
 from starbimod.algebra import I, Poly, Q, Scalar
-from starbimod.sampling import rand_scalar, rand_weyl
+from starbimod.parser import parse_expression
+from starbimod.sampling import rand_poly, rand_scalar, rand_weyl
 from starbimod.weyl import D, P, WeylElement
 
 T = sympy.Symbol("t")
@@ -206,3 +210,150 @@ class TestStructure:
         assert WeylElement.from_poly(p * r) == (
             WeylElement.from_poly(p) * WeylElement.from_poly(r)
         )
+
+
+def assert_canonical(u: WeylElement):
+    """den > 0, gcd(den, every numerator) == 1, no zero entry, int tuples."""
+    assert isinstance(u.den, int) and u.den > 0
+    parts = [x for pair in u.nums.values() for x in pair]
+    assert all(type(x) is int for x in parts)
+    assert all(type(pair) is tuple and any(pair) for pair in u.nums.values())
+    assert gcd(u.den, *parts) == 1
+
+
+def rand_profile(rng) -> dict:
+    """d powers 0..3 with seeded Gaussian-rational polynomials (zero ones too)."""
+    return {n: rand_poly(rng, 4) for n in rng.sample(range(4), rng.randint(1, 4))}
+
+
+class TestCanonicalStorage:
+    def test_results_are_canonical(self):
+        rng = random.Random(31)
+        for _ in range(150):
+            u = rand_weyl(rng)
+            v = rand_weyl(rng)
+            c = rand_scalar(rng)
+            results = [u, u + v, u - v, u - u, -u, u * v, u * c, c * u, 3 * u]
+            results += [u + Fraction(1, 3), u.involution(), v * u.involution()]
+            for w in results:
+                assert_canonical(w)
+        for _ in range(100):
+            assert_canonical(WeylElement.from_profile(rand_profile(rng)))
+
+    def test_zero_is_empty_over_one(self):
+        u = rand_weyl(random.Random(32))
+        for z in (WeylElement.zero(), u - u, u * 0, WeylElement.from_profile({})):
+            assert dict(z.nums) == {} and z.den == 1
+
+    def test_from_profile_inverts_d_profile(self):
+        rng = random.Random(33)
+        for _ in range(200):
+            u = rand_weyl(rng, max_terms=6)
+            assert WeylElement.from_profile(u.d_profile()) == u
+
+    def test_from_profile_matches_constructor(self):
+        rng = random.Random(34)
+        mixed = 0
+        for _ in range(200):
+            profile = rand_profile(rng)
+            mixed += len({h.den for h in profile.values() if h}) > 1
+            expected = WeylElement(
+                [((m, n), c) for n, h in profile.items() for m, c in enumerate(h.coeffs)]
+            )
+            assert WeylElement.from_profile(profile) == expected
+        assert mixed > 50
+
+    def test_involution_conjugates(self):
+        c = Scalar(Fraction(1, 2), 3)
+        assert WeylElement.monomial(2, 0, c).involution() == WeylElement.monomial(
+            2, 0, c.conjugate()
+        )
+        assert (I * D).involution() == I * D
+
+
+class TestImmutable:
+    def test_terms_view_does_not_write_through(self):
+        u = parse_expression("q*d + 1")
+        h, s = hash(u), {u}
+        view = u.terms
+        view[(5, 5)] = Scalar(7)
+        view[(0, 0)] = Scalar(2)
+        assert u.to_expression() == "q*d + 1"
+        assert u == WeylElement([((1, 1), 1), ((0, 0), 1)])
+        assert hash(u) == h and u in s
+
+    def test_numerators_are_read_only(self):
+        u = parse_expression("q*d + 1/2")
+        with pytest.raises(TypeError):
+            u.nums[(5, 5)] = (7, 0)
+        with pytest.raises(TypeError):
+            u.nums[(1, 1)][0] = 7
+        with pytest.raises(AttributeError):
+            u.nums = {}
+        with pytest.raises(AttributeError):
+            u.den = 1
+        assert u.to_expression() == "q*d + 1/2"
+
+    def test_shared_generators_stay_intact(self):
+        for src in ("q", "d", "p", "i"):
+            parse_expression(src).terms[(0, 0)] = Scalar(5)
+        D.terms[(3, 3)] = Scalar(1)
+        P.terms[(0, 1)] = Scalar(1)
+        assert parse_expression("d*q") == WeylElement([((1, 1), 1), ((0, 0), 1)])
+        assert parse_expression("d*q").to_expression() == "q*d + 1"
+        assert parse_expression("p").to_expression() == "-i*d"
+
+    def test_foreign_operand_is_a_type_error(self):
+        for op in (lambda u: "a" - u, lambda u: u - "a", lambda u: "a" * u):
+            with pytest.raises(TypeError):
+                op(WeylElement.one())
+
+
+_EXPRESSIONS = [
+    ((0, 0), Scalar(1), "1"),
+    ((0, 0), Scalar(-1), "-1"),
+    ((0, 0), Scalar(Fraction(3, 4)), "3/4"),
+    ((0, 0), Scalar(Fraction(-3, 4)), "-3/4"),
+    ((0, 0), Scalar(0, 1), "i"),
+    ((0, 0), Scalar(0, -1), "-i"),
+    ((0, 0), Scalar(0, Fraction(5, 2)), "5/2*i"),
+    ((0, 0), Scalar(0, Fraction(-5, 2)), "-5/2*i"),
+    ((0, 0), Scalar(2, 1), "(2 + i)"),
+    ((0, 0), Scalar(2, -1), "(2 - i)"),
+    ((0, 0), Scalar(Fraction(-1, 3), Fraction(3, 2)), "(-1/3 + 3/2*i)"),
+    ((0, 0), Scalar(Fraction(1, 2), Fraction(-7, 3)), "(1/2 - 7/3*i)"),
+    ((1, 2), Scalar(1), "q*d^2"),
+    ((1, 2), Scalar(-1), "-q*d^2"),
+    ((2, 0), Scalar(Fraction(3, 4)), "3/4*q^2"),
+    ((0, 1), Scalar(Fraction(-3, 4)), "-3/4*d"),
+    ((1, 1), Scalar(0, 1), "i*q*d"),
+    ((1, 1), Scalar(0, -1), "-i*q*d"),
+    ((3, 0), Scalar(0, Fraction(5, 2)), "5/2*i*q^3"),
+    ((0, 3), Scalar(0, Fraction(-5, 2)), "-5/2*i*d^3"),
+    ((1, 2), Scalar(2, 1), "(2 + i)*q*d^2"),
+    ((1, 2), Scalar(2, -1), "(2 - i)*q*d^2"),
+    ((1, 0), Scalar(1, 1), "(1 + i)*q"),
+    ((0, 1), Scalar(-1, -1), "(-1 - i)*d"),
+    ((2, 2), Scalar(Fraction(-1, 3), Fraction(3, 2)), "(-1/3 + 3/2*i)*q^2*d^2"),
+    ((2, 2), Scalar(Fraction(1, 2), Fraction(-7, 3)), "(1/2 - 7/3*i)*q^2*d^2"),
+]
+
+
+class TestToExpression:
+    @pytest.mark.parametrize("mn, c, text", _EXPRESSIONS)
+    def test_single_term(self, mn, c, text):
+        u = WeylElement({mn: c})
+        assert u.to_expression() == text
+        assert parse_expression(text) == u
+
+    def test_sum_order_and_signs(self):
+        u = WeylElement(
+            {
+                (0, 0): Scalar(1, -1),
+                (0, 1): Scalar(Fraction(-3, 4)),
+                (2, 0): 1,
+                (1, 1): Scalar(0, -2),
+            }
+        )
+        assert u.to_expression() == "q^2 - 2*i*q*d - 3/4*d + (1 - i)"
+        assert WeylElement.zero().to_expression() == "0"
