@@ -10,7 +10,7 @@ and every routine runs on those integers: ``Matrix.__matmul__``,
 Horner and ``inverse`` fraction-free Gauss-Jordan on the numerators and
 build one matrix at the end, ``ldl_psd`` eliminates fraction-free
 (Bareiss), and ``nullspace`` solves the kernel through the integer rows
-of L^-1, with no second elimination; each output entry is built once.
+of L^-1, with no second elimination; each output is normalised once.
 Sizes stay in the low tens, so the cubic algorithms are fine.
 """
 
@@ -23,7 +23,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import NamedTuple
 
-from .algebra import ONE, ZERO, Poly, Scalar, gauss_dot, gauss_numerators, gauss_scalar
+from .algebra import Poly, Scalar, gauss_dot, gauss_numerators, gauss_scalar
 from .errors import DimensionMismatchError, NotPositiveError
 
 
@@ -32,27 +32,29 @@ class Matrix:
 
     Stored as Gaussian-integer numerator rows over one denominator: entry
     (i, j) is (re[i][j] + im[i][j]*i) / den, with den > 0 and gcd(den,
-    every numerator) == 1.  Equality and hashing are structural on that
-    form; ``rows`` and ``m[i, j]`` are Scalar views, built per call.
+    every numerator) == 1, and the column count ``ncols``, so a matrix
+    with no rows keeps its shape.  Equality and hashing are structural on
+    that form; ``rows`` and ``m[i, j]`` are Scalar views, built per call.
     """
 
-    __slots__ = ("re", "im", "den")
+    __slots__ = ("re", "im", "den", "ncols")
 
     def __init__(self, rows):
         rows = [[Scalar.coerce(x) for x in row] for row in rows]
-        if rows and any(len(r) != len(rows[0]) for r in rows):
+        ncols = len(rows[0]) if rows else 0
+        if any(len(r) != ncols for r in rows):
             raise DimensionMismatchError("ragged rows")
         nums, den = gauss_numerators(rows)
-        _store(self, [r for r, _ in nums], [i for _, i in nums], den)
+        _store(self, [r for r, _ in nums], [i for _, i in nums], den, ncols)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
     @classmethod
-    def from_numerators(cls, re, im, den: int) -> "Matrix":
+    def from_numerators(cls, re, im, den: int, ncols: int) -> "Matrix":
         """The matrix (re + im*i) / den of two int row lists of one shape, den > 0."""
         m = object.__new__(cls)
-        _store(m, re, im, den)
+        _store(m, re, im, den, ncols)
         return m
 
     @classmethod
@@ -61,7 +63,7 @@ class Matrix:
 
     @classmethod
     def zeros(cls, r: int, c: int) -> "Matrix":
-        return cls.from_numerators([[0] * c] * r, [[0] * c] * r, 1)
+        return cls.from_numerators([[0] * c] * r, [[0] * c] * r, 1, c)
 
     @classmethod
     def diagonal(cls, entries) -> "Matrix":
@@ -81,10 +83,6 @@ class Matrix:
     def nrows(self) -> int:
         return len(self.re)
 
-    @property
-    def ncols(self) -> int:
-        return len(self.re[0]) if self.re else 0
-
     def __getitem__(self, ij):
         i, j = ij
         return gauss_scalar(self.re[i][j], self.im[i][j], self.den)
@@ -98,6 +96,7 @@ class Matrix:
             [[f * a + g * b for a, b in zip(r1, r2)] for r1, r2 in zip(self.re, other.re)],
             [[f * a + g * b for a, b in zip(r1, r2)] for r1, r2 in zip(self.im, other.im)],
             den,
+            self.ncols,
         )
 
     def __matmul__(self, other):
@@ -108,15 +107,19 @@ class Matrix:
                 f"cannot multiply {self.nrows}x{self.ncols} by "
                 f"{other.nrows}x{other.ncols}"
             )
-        cols = list(zip(zip(*other.re), zip(*other.im)))
+        # with no rows, each of other's ncols columns is empty
+        cols = list(zip(zip(*other.re), zip(*other.im))) or [((), ())] * other.ncols
         return Matrix.from_numerators(
-            *_products(self.re, self.im, cols), self.den * other.den
+            *_products(self.re, self.im, cols), self.den * other.den, other.ncols
         )
 
     def adjoint(self) -> "Matrix":
         """Conjugate transpose."""
         return Matrix.from_numerators(
-            list(zip(*self.re)), [[-x for x in col] for col in zip(*self.im)], self.den
+            list(zip(*self.re)) or [()] * self.ncols,
+            [[-x for x in col] for col in zip(*self.im)] or [()] * self.ncols,
+            self.den,
+            self.nrows,
         )
 
     def is_hermitian(self) -> bool:
@@ -125,10 +128,15 @@ class Matrix:
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return self.den == other.den and self.re == other.re and self.im == other.im
+        return (
+            self.den == other.den
+            and self.ncols == other.ncols
+            and self.re == other.re
+            and self.im == other.im
+        )
 
     def __hash__(self):
-        return hash((self.re, self.im, self.den))
+        return hash((self.re, self.im, self.den, self.ncols))
 
     def __repr__(self):
         return f"Matrix({[list(map(str, r)) for r in self.rows]!r})"
@@ -148,7 +156,7 @@ def _products(re, im, cols) -> tuple[list[list[int]], list[list[int]]]:
     )
 
 
-def _store(m: Matrix, re, im, den: int) -> None:
+def _store(m: Matrix, re, im, den: int, ncols: int) -> None:
     """Set m to (re + im*i) / den in canonical form, with one gcd."""
     g = gcd(den, *chain.from_iterable(re), *chain.from_iterable(im))
     if g != 1:
@@ -159,6 +167,7 @@ def _store(m: Matrix, re, im, den: int) -> None:
     object.__setattr__(m, "re", tuple([tuple(row) for row in re]))
     object.__setattr__(m, "im", tuple([tuple(row) for row in im]))
     object.__setattr__(m, "den", den)
+    object.__setattr__(m, "ncols", ncols)
 
 
 def poly_at(p: Poly, m: Matrix) -> Matrix:
@@ -184,7 +193,7 @@ def poly_at(p: Poly, m: Matrix) -> Matrix:
         for i in range(n):
             sr[i][i] += cr * scale
             si[i][i] += ci * scale
-    return Matrix.from_numerators(sr, si, p.den * scale)
+    return Matrix.from_numerators(sr, si, p.den * scale, n)
 
 
 class LdlResult(NamedTuple):
@@ -192,15 +201,16 @@ class LdlResult(NamedTuple):
 
     ``pivots`` are the increasing indices that carried a positive pivot,
     ``diag`` the positive pivot values, ``lower`` the unit lower triangle
-    on those indices (lower[a][b] for a > b).  Skipped indices had a
-    vanishing residual row.  The factor of a leading block is the leading
-    part of the factor of the whole matrix: the pivots below the block
-    size, and the matching leading entries of ``diag`` and ``lower``.
+    on those indices: lower[a][b] for b < a, a triple (re, im, den) in
+    lowest terms.  Skipped indices had a vanishing residual row.  The
+    factor of a leading block is the leading part of the factor of the
+    whole matrix: the pivots below the block size, and the matching
+    leading entries of ``diag`` and ``lower``.
     """
 
     pivots: tuple[int, ...]
     diag: tuple[Fraction, ...]
-    lower: tuple[tuple[Scalar, ...], ...]
+    lower: tuple[tuple[tuple[int, int, int], ...], ...]
 
     @property
     def rank(self) -> int:
@@ -214,11 +224,11 @@ def ldl_psd(m: Matrix) -> LdlResult:
     Gaussian-integer numerators A of m = A / den: with p the pivot and
     prev the previous one (1 at first), a_ij <- (p a_ij - a_ip a_pj) / prev
     is an exact division by a real integer.  Then d_k = p_k / (prev den)
-    and L[i][k] = conj(a_ki) / p_k.  A complex diagonal entry, a
-    non-hermitian input, a negative pivot, or a zero pivot whose residual
-    row does not vanish disproves PSD and raises NotPositiveError; a zero
-    pivot with a vanishing residual row is skipped and keeps prev, so the
-    divisions stay exact.
+    and L[i][k] = conj(a_ki) / p_k, reduced once.  A complex diagonal
+    entry, a non-hermitian input, a negative pivot, or a zero pivot whose
+    residual row does not vanish disproves PSD and raises
+    NotPositiveError; a zero pivot with a vanishing residual row is
+    skipped and keeps prev, so the divisions stay exact.
     """
     n = m.nrows
     if n != m.ncols:
@@ -253,25 +263,26 @@ def ldl_psd(m: Matrix) -> LdlResult:
         prev = pivot
     # L[a][b] = conj(a_ba) / p_b on the pivot indices
     lower = tuple(
-        tuple(
-            gauss_scalar(nums[b][0][a], -nums[b][1][a], nums[b][0][b])
-            if a > b
-            else (ONE if a == b else ZERO)
-            for b in pivots
-        )
-        for a in pivots
+        tuple([_reduced(nums[b][0][a], -nums[b][1][a], nums[b][0][b]) for b in pivots[:k]])
+        for k, a in enumerate(pivots)
     )
     return LdlResult(tuple(pivots), tuple(diag), lower)
 
 
-def nullspace(gram: Matrix, ldl: LdlResult) -> list[tuple[Scalar, ...]]:
+def _reduced(re: int, im: int, den: int) -> tuple[int, int, int]:
+    """(re + im*i) / den for den > 0, as the triple in lowest terms."""
+    g = gcd(re, im, den)
+    return (re, im, den) if g == 1 else (re // g, im // g, den // g)
+
+
+def nullspace(gram: Matrix, ldl: LdlResult) -> list[Poly]:
     """Kernel basis of a hermitian PSD matrix, read off ``ldl = ldl_psd(gram)``.
 
     For a skipped index s, with P the pivots below s, U = L^-1 on P and g
     column s of the Gram on P, v = e_s - U^H D^-1 U g is the one kernel
     vector with 1 at s and weight only on P: the reduced-row-echelon basis
     vector of the free column s.  It is summed on Gaussian-integer
-    numerators over one denominator, and each entry is reduced once.
+    numerators over one denominator and returned as the ``Poly`` of v.
     """
     skipped = [s for s in range(gram.nrows) if s not in ldl.pivots]
     inv = _inverse_rows(ldl.lower[: bisect_left(ldl.pivots, max(skipped, default=0))])
@@ -279,6 +290,7 @@ def nullspace(gram: Matrix, ldl: LdlResult) -> list[tuple[Scalar, ...]]:
     dens = [d.numerator * du * du for d, (_, _, du) in zip(ldl.diag, inv)]
     common = lcm(*dens)
     weights = [d.denominator * (common // e) for d, e in zip(ldl.diag, dens)]
+    den = common * gram.den
     basis = []
     for s in skipped:
         below = ldl.pivots[: bisect_left(ldl.pivots, s)]
@@ -289,30 +301,29 @@ def nullspace(gram: Matrix, ldl: LdlResult) -> list[tuple[Scalar, ...]]:
             for b, (xr, xi) in enumerate(zip(ur, ui)):  # v -= conj(u_a) w_a
                 vr[b] -= xr * wr + xi * wi
                 vi[b] -= xr * wi - xi * wr
-        vec = [ZERO] * gram.nrows
-        vec[s] = ONE
-        for b, re, im in zip(below, vr, vi):
-            vec[b] = gauss_scalar(re, im, common * gram.den)
-        basis.append(tuple(vec))
+        re, im = [0] * (s + 1), [0] * (s + 1)
+        re[s] = den
+        for b, xr, xi in zip(below, vr, vi):
+            re[b], im[b] = xr, xi
+        basis.append(Poly.from_numerators(re, im, den))
     return basis
 
 
 def _inverse_rows(lower) -> list[tuple[list[int], list[int], int]]:
-    """Rows of L^-1 for a unit lower triangular L, each ``(re, im, den)``.
+    """Rows of U = L^-1 for L as in ``LdlResult.lower``, each ``(re, im, den)``.
 
-    Row a is e_a - sum_(c<a) L[a][c] U_c over the product of its own
-    denominators, then divided by the gcd of its entries and denominator.
+    Row a is e_a - sum_(c<a) L[a][c] U_c over the lcm of the denominator
+    products of its terms, then divided by the gcd of its entries and den.
     """
     out = []
     for a, row in enumerate(lower):
-        [(lr, li)], dl = gauss_numerators([row[:a]])
-        used = [(c, lr[c], li[c]) for c in range(a) if lr[c] or li[c]]
-        dd = dl * lcm(*(out[c][2] for c, _, _ in used))
+        used = [(c, xr, xi, xd) for c, (xr, xi, xd) in enumerate(row) if xr or xi]
+        dd = lcm(*(xd * out[c][2] for c, _, _, xd in used))
         nr = [0] * a + [dd]
         ni = [0] * (a + 1)
-        for c, xr, xi in used:
+        for c, xr, xi, xd in used:
             ur, ui, dc = out[c]
-            f = dd // (dl * dc)
+            f = dd // (xd * dc)
             xr, xi = xr * f, xi * f
             for b, (vr, vi) in enumerate(zip(ur, ui)):
                 nr[b] -= xr * vr - xi * vi
@@ -360,4 +371,4 @@ def inverse(m: Matrix) -> Matrix:
         pr, pi, f = re[i][i], -im[i][i], common // norm
         out_re.append([f * (pr * a - pi * b) for a, b in zip(re[i][n:], im[i][n:])])
         out_im.append([f * (pr * b + pi * a) for a, b in zip(re[i][n:], im[i][n:])])
-    return Matrix.from_numerators(out_re, out_im, common)
+    return Matrix.from_numerators(out_re, out_im, common, n)

@@ -77,7 +77,7 @@ class FormMatrix:
     def value(self, phi, psi):
         """Evaluate the form on coordinate vectors: the 1x1 product psi^H M phi."""
         if not (self.dim or phi or psi):
-            return ZERO  # the empty sum; a Matrix has no 1x0 shape
+            return ZERO  # the empty sum; Matrix([]) is 0x0, not a 0x1 column
         row = Matrix([[c] for c in psi]).adjoint()
         return (row @ self.mat @ Matrix([[c] for c in phi]))[0, 0]
 

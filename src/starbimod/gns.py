@@ -73,19 +73,19 @@ def hankel_gram(mf: MomentFunctional, degree: int) -> Matrix:
     n = degree + 1
     if any(im[k] for k in range(2 * n - 1)):
         raise NotPositiveError("moments of a positive functional must be real")
-    return Matrix.from_numerators([re[j : j + n] for j in range(n)], [[0] * n] * n, den)
+    return Matrix.from_numerators([re[j : j + n] for j in range(n)], [[0] * n] * n, den, n)
 
 
 def build_gns(mf: MomentFunctional, degree: int) -> GnsRealization:
     """Build and positivity-check the degree-N truncation.
 
-    Needs moments up to 2N.  Raises NotPositiveError when the moment data
-    is not a truncated positive sequence, MomentOutOfRangeError when the
-    stored moments are too short.
+    Needs moments up to 2N; the kernel is the Polys of ``nullspace``.
+    Raises NotPositiveError when the moment data is not a truncated
+    positive sequence, MomentOutOfRangeError when the moments are short.
     """
     gram = hankel_gram(mf, degree)
     ldl = ldl_psd(gram)
-    kernel = tuple(Poly(vec) for vec in nullspace(gram, ldl))
+    kernel = tuple(nullspace(gram, ldl))
     return GnsRealization(mf, degree, gram, kernel, ldl)
 
 

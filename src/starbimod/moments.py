@@ -13,9 +13,9 @@ denominator and all numerators 1).  An atomic measure fills the same
 kind of table on demand, up to the highest index read so far, over the
 denominator W * X^top (W and X the lcms of the weight and point
 denominators).  ``apply`` and ``shifted_values`` are integer dot products
-of a polynomial's numerators with that table, and every returned value
-is reduced to a ``Scalar`` once; ``numerators`` hands out the table
-itself, which the Hankel Gram of the GNS layer slices.
+of a polynomial's numerators with that table (``apply`` reduces its value
+to a ``Scalar`` once, ``shifted_values`` keeps the numerators), and
+``numerators`` hands out the table, which the GNS Hankel Gram slices.
 """
 
 from __future__ import annotations
@@ -34,9 +34,6 @@ from .algebra import (
     parse_scalar,
 )
 from .errors import MomentOutOfRangeError
-
-_ZERO = Scalar(0)
-
 
 class MomentFunctional:
     """f(p) = integral of p against a measure, exactly."""
@@ -150,21 +147,19 @@ class MomentFunctional:
         mr, mi, den = self.numerators(p.degree, reads=p)
         return gauss_scalar(*gauss_dot(p.re, p.im, mr, mi), p.den * den)
 
-    def shifted_values(self, p: Poly, count: int) -> list[Scalar]:
-        """[f(q^s p) for s < count], reading each needed moment once.
+    def shifted_values(self, p: Poly, count: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+        """[f(q^s p) for s < count] as ``(re, im, den)``, over p.den times the table's den.
 
         The moments read are those of f(q^(count-1) p) and below it, so
         this fails exactly where ``apply`` on the top shift would.
         """
         if count <= 0 or not p.re:
-            return [_ZERO] * max(count, 0)
+            return (0,) * max(count, 0), (0,) * max(count, 0), 1
         low = next(k for k, (a, b) in enumerate(zip(p.re, p.im)) if a or b)
         mr, mi, den = self.numerators(count - 1 + p.degree, low=low)
-        n, d = len(p.re), p.den * den
-        return [
-            gauss_scalar(*gauss_dot(p.re, p.im, mr[s : s + n], mi[s : s + n]), d)
-            for s in range(count)
-        ]
+        n = len(p.re)
+        re, im = zip(*[gauss_dot(p.re, p.im, mr[s : s + n], mi[s : s + n]) for s in range(count)])
+        return re, im, p.den * den
 
     def pairing(self, u: Poly, v: Poly) -> Scalar:
         """The GNS inner product <u, v> = f(v^+ u)."""

@@ -33,6 +33,7 @@ offset before the interpreter's recursion limit is reached.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from typing import NamedTuple
 
 from .algebra import MAX_DIGITS, I, Scalar
@@ -127,9 +128,27 @@ def _too_long(offset: int) -> ParseError:
     )
 
 
+def _stored_max(value: WeylElement) -> int:
+    """The largest stored numerator (in absolute value) or denominator.
+
+    A reduced coefficient part is at most its stored numerator and divides
+    the denominator, so no part exceeds this; the Scalar view of the parts
+    is read only when this reaches a cap.
+    """
+    return max([value.den, *map(abs, chain.from_iterable(value.nums.values()))])
+
+
 def exceeds_digits(value: WeylElement) -> bool:
     """Has a numerator or denominator of the value more than MAX_DIGITS digits?"""
-    return any(part >= _LIMIT for part in _parts(value))
+    return _stored_max(value) >= _LIMIT and any(part >= _LIMIT for part in _parts(value))
+
+
+def _power_too_long(value: WeylElement, n: int) -> bool:
+    """Does n times the largest bit length of a part exceed that of 10^MAX_DIGITS?"""
+    cap = _LIMIT.bit_length()
+    if n * _stored_max(value).bit_length() <= cap:
+        return False
+    return n * max((part.bit_length() for part in _parts(value)), default=0) > cap
 
 
 def _check_size(value: WeylElement, offset: int) -> WeylElement:
@@ -199,8 +218,7 @@ class _Parser:
                     tok.offset,
                     {f"exponent <= {MAX_EXPONENT // degree}"},
                 )
-            bits = max((part.bit_length() for part in _parts(value)), default=0)
-            if n * bits > _LIMIT.bit_length():
+            if _power_too_long(value, n):
                 raise _too_long(tok.offset)
             value = _check_size(value**n, tok.offset)
         return -value if negate else value

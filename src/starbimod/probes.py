@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from math import comb, inf, isfinite, ldexp, perm, sqrt
+from math import comb, inf, isfinite, lcm, ldexp, perm, sqrt
 from sys import float_info
 
 import numpy as np
@@ -81,8 +81,9 @@ def form_numerators(
     2 h1 b' + h2 b)) with b = q^k, so with c_i[s] = f(q^s h_i) the d^2
     variant F_t reads H[j][k] = sum_r C(t, r) k!/(k-r)! c_(t-r)[j+k-r].
     The Gaussian variants are Hankel: H[j][k] = c[j+k], c[s] = F(q^s x).
-    The sequences c share one denominator; the entries are summed and
-    hermitised on their numerators.
+    The sequences c are brought to the lcm of their denominators (only
+    gauss-atoms sums Scalars); the entries are summed and hermitised on
+    the numerators.
     """
     func.check_compat(x, mf)
     n = degree + 1
@@ -95,19 +96,19 @@ def form_numerators(
             for r in range(t + 1)
             if degree >= r
         ]
-        seqs, den = gauss_numerators([c for _, _, c in terms])
+        den = lcm(*(d for _, _, (_, _, d) in terms))
         re = [[0] * n for _ in range(n)]
         im = [[0] * n for _ in range(n)]
-        for (r, binom, _), (cr, ci) in zip(terms, seqs):
+        for r, binom, (cr, ci, d) in terms:
             for k in range(r, n):
-                f = binom * perm(k, r)
+                f = binom * perm(k, r) * (den // d)
                 for j in range(n):
                     re[j][k] += f * cr[j + k - r]
                     im[j][k] += f * ci[j + k - r]
     else:
         p = x.gauss_poly()
         if func.kind == "gauss-poly":
-            c = mf.shifted_values(func.weight * p, 2 * n - 1)
+            cr, ci, den = mf.shifted_values(func.weight * p, 2 * n - 1)
         else:
             c = [ZERO] * (2 * n - 1)
             for (pt, w), v in zip(mf.atoms, func.atom_values):
@@ -115,7 +116,7 @@ def form_numerators(
                 for s in range(2 * n - 1):
                     c[s] = c[s] + term
                     term = term * pt
-        [(cr, ci)], den = gauss_numerators([c])
+            [(cr, ci)], den = gauss_numerators([c])
         re = [cr[j : j + n] for j in range(n)]
         im = [ci[j : j + n] for j in range(n)]
     # (H + H^H) / 2 over the doubled denominator
@@ -123,6 +124,7 @@ def form_numerators(
         [[a + b for a, b in zip(row, col)] for row, col in zip(re, zip(*re))],
         [[a - b for a, b in zip(row, col)] for row, col in zip(im, zip(*im))],
         2 * den,
+        n,
     )
 
 

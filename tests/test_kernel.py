@@ -13,6 +13,7 @@ and purely real and purely imaginary inputs, are drawn on purpose.
 
 import json
 import random
+import sys
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
@@ -22,15 +23,19 @@ import sympy
 from sympy import QQ_I
 from sympy.polys.matrices import DomainMatrix
 
+from starbimod import algebra
 from starbimod.algebra import Poly, Scalar
 from starbimod.bimodule import BimodElement, Generator
 from starbimod.errors import DimensionMismatchError, MomentOutOfRangeError, NotPositiveError
 from starbimod import selftest
 from starbimod.exactla import Matrix, inverse, ldl_psd, nullspace, poly_at
 from starbimod.forms import FormMatrix
-from starbimod.gns import build_gns, hankel_gram
+from starbimod.gns import Functional, build_gns, hankel_gram
 from starbimod.moments import MomentFunctional
-from starbimod.sampling import atoms012, mu3
+from starbimod.probes import boundedness_probe
+from starbimod.sampling import atoms012, mu3, rand_d2_element, rand_poly
+
+from exact_views import assert_canonical_triple, lower_scalars, sequence_scalars, vector_scalars
 
 T = sympy.Symbol("t")
 
@@ -465,7 +470,7 @@ class TestMatrixRepresentation:
             n = rng.randint(1, 4)
             a = TestMatmul._matrix(rng, n, n, "complex")
             minus_a = Matrix.from_numerators(
-                [[-x for x in r] for r in a.re], [[-x for x in r] for r in a.im], a.den
+                [[-x for x in r] for r in a.re], [[-x for x in r] for r in a.im], a.den, n
             )
             zero = a + minus_a
             assert zero == Matrix.zeros(n, n) and zero.den == 1
@@ -497,7 +502,7 @@ class TestMatrixRepresentation:
             _assert_canonical_matrix(m)
             f = rng.choice([2, 6, MAX_DEN, TALL[-1]])
             scaled = Matrix.from_numerators(
-                [[f * x for x in r] for r in m.re], [[f * x for x in r] for r in m.im], f * m.den
+                [[f * x for x in r] for r in m.re], [[f * x for x in r] for r in m.im], f * m.den, k
             )
             for other in (scaled, m @ Matrix.identity(k), Matrix.identity(n) @ m):
                 assert other == m and hash(other) == hash(m)
@@ -521,6 +526,37 @@ class TestMatrixRepresentation:
         for name in ("re", "im", "den", "rows"):
             with pytest.raises(AttributeError):
                 setattr(m, name, ())
+
+
+class TestEmptyShapes:
+    """A matrix with no rows or no columns keeps both dimensions."""
+
+    def test_zero_columns(self):
+        m = Matrix.zeros(2, 0)
+        assert (m.nrows, m.ncols) == (2, 0)
+        assert (m.adjoint().nrows, m.adjoint().ncols) == (0, 2)
+        assert m.adjoint().adjoint() == m
+        assert m.adjoint() @ m == Matrix([])
+        assert m @ m.adjoint() == Matrix.zeros(2, 2)
+        assert m + m == m
+
+    def test_zero_rows(self):
+        m = Matrix.zeros(0, 3)
+        assert (m.nrows, m.ncols) == (0, 3)
+        assert m.adjoint() == Matrix.zeros(3, 0)
+        assert m @ Matrix.identity(3) == m
+        assert Matrix.zeros(3, 0) @ m == Matrix.zeros(3, 3)
+        with pytest.raises(DimensionMismatchError):
+            m @ Matrix.identity(2)
+
+    def test_shape_is_part_of_equality_and_hash(self):
+        shapes = [(0, 0), (0, 1), (0, 3), (1, 0), (2, 0)]
+        zeros = [Matrix.zeros(r, c) for r, c in shapes]
+        assert len(set(zeros)) == len(shapes)
+        assert all(a != b for i, a in enumerate(zeros) for b in zeros[i + 1 :])
+        assert Matrix.zeros(0, 0) == Matrix([]) and Matrix.zeros(1, 0) == Matrix([[]])
+        for (r, c), m in zip(shapes, zeros):
+            assert hash(m) == hash(Matrix.zeros(r, c))
 
 
 class TestFormValue:
@@ -604,16 +640,20 @@ class TestLdl:
         assert list(res.pivots) == [k for k in range(n) if ranks[k + 1] > ranks[k]]
         assert r == ranks[n]
         # L D L^H equals G on the pivot indices, exactly
-        lower = DomainMatrix([[_qq(c) for c in row] for row in res.lower], (r, r), QQ_I)
+        rows = lower_scalars(res)
+        lower = DomainMatrix([[_qq(c) for c in row] for row in rows], (r, r), QQ_I)
         for a in range(r):
-            assert res.lower[a][a] == 1
-            assert all(res.lower[a][b] == 0 for b in range(a + 1, r))
+            assert len(res.lower[a]) == a  # only the strictly lower part is stored
+            assert rows[a][a] == 1
+            assert all(rows[a][b] == 0 for b in range(a + 1, r))
         d = DomainMatrix.diag([QQ_I(sympy.Rational(v.numerator, v.denominator), 0) for v in res.diag], QQ_I, (r, r))
         lh = DomainMatrix([[_conj(lower[b, a].element) for b in range(r)] for a in range(r)], (r, r), QQ_I)
         assert (lower * d * lh).to_dense() == g.extract(list(res.pivots), list(res.pivots)).to_dense()
         assert all(v > 0 for v in res.diag)
         _assert_lowest_terms(Scalar(v) for v in res.diag)
-        _assert_lowest_terms(c for row in res.lower for c in row)
+        for row in res.lower:
+            for entry in row:
+                assert_canonical_triple(entry)
         return res
 
     @pytest.mark.parametrize(
@@ -679,17 +719,19 @@ class TestNullspace:
     def _check(gram: Matrix, kernel):
         g = TestMatmul._dm(gram)
         n = gram.nrows
+        vectors = [vector_scalars(p, n) for p in kernel]
         expected = g.nullspace(divide_last=True).to_list() if n else []
-        assert [[_qq(c) for c in v] for v in kernel] == expected
+        assert [[_qq(c) for c in v] for v in vectors] == expected
         pivots = ldl_psd(gram).pivots
         skipped = [s for s in range(n) if s not in pivots]
         assert len(kernel) == len(skipped)
-        for v, s in zip(kernel, skipped):
+        for p, v, s in zip(kernel, vectors, skipped):
             # 1 at the skipped index, weight only on the pivots below it
-            assert v[s] == 1
+            assert v[s] == 1 and p.degree == s
             assert all(not c for b, c in enumerate(v) if b > s or (b != s and b not in pivots))
             assert (g * DomainMatrix([[_qq(c)] for c in v], (n, 1), QQ_I)).is_zero_matrix
             _assert_lowest_terms(v)
+            _assert_canonical(p)
 
     @pytest.mark.parametrize(
         "mf",
@@ -701,7 +743,7 @@ class TestNullspace:
             realization = build_gns(mf, n)
             vectors = nullspace(realization.gram, realization.ldl)
             self._check(realization.gram, vectors)
-            assert realization.kernel == tuple(Poly(v) for v in vectors)
+            assert realization.kernel == tuple(vectors)
             assert len(vectors) == max(0, n + 1 - len(mf.atoms))
 
     def test_rank_deficient_gaussian_complex(self):
@@ -710,18 +752,19 @@ class TestNullspace:
             vectors = nullspace(gram, ldl_psd(gram))
             self._check(gram, vectors)
             assert len(vectors) == gram.nrows - rank_b
-            complex_kernels += any(c.im for v in vectors for c in v)
+            complex_kernels += any(any(v.im) for v in vectors)
         assert complex_kernels >= 5
 
     def test_skipped_indices_in_the_middle(self):
         gram = Matrix([[2, 2, Scalar(0, 1)], [2, 2, Scalar(0, 1)], [Scalar(0, -1), Scalar(0, -1), 3]])
-        assert nullspace(gram, ldl_psd(gram)) == [(Scalar(-1), Scalar(1), Scalar(0))]
+        [v] = nullspace(gram, ldl_psd(gram))
+        assert vector_scalars(v, 3) == (Scalar(-1), Scalar(1), Scalar(0))
 
     def test_full_rank_empty_and_zero_matrices(self):
         for gram in (Matrix.identity(3), Matrix([])):
             assert nullspace(gram, ldl_psd(gram)) == []
         zero = Matrix.zeros(2, 2)
-        assert nullspace(zero, ldl_psd(zero)) == [(1, 0), (0, 1)]
+        assert [vector_scalars(v, 2) for v in nullspace(zero, ldl_psd(zero))] == [(1, 0), (0, 1)]
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -791,11 +834,12 @@ class TestMoments:
         for _ in range(20):
             p = _poly(rng, rng.choice(SHAPES), max_degree=12)
             count = rng.randint(0, 64 - max(p.degree, 0))
-            shifted = mf.shifted_values(p, count)
+            re, im, den = mf.shifted_values(p, count)
+            assert all(type(x) is int for x in (*re, *im, den)) and den > 0
+            shifted = sequence_scalars((re, im, den))
             for s, value in enumerate(shifted):
                 assert _qq(value) == _sym_apply(p, ms[s:])
-            assert len(shifted) == count
-            _assert_lowest_terms(shifted)
+            assert len(shifted) == len(im) == count
         for degree in (0, 1, 17, 63):
             got = mf.moments_up_to(degree)
             assert [_qq(m) for m in got] == ms[: degree + 1]
@@ -852,3 +896,39 @@ class TestMoments:
         assert a.moment(3) == b.moment(3)
         assert len({a, b}) == 1
 
+
+
+class TestGramRouteStaysOnNumerators:
+    """build_gns and the probe pass integers from the moment table to the
+    pencil: no Scalar sequence is turned back into numerators on the way."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        original = algebra.gauss_numerators
+        counts = []
+
+        def counted(seqs):
+            counts.append(len(seqs))
+            return original(seqs)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "starbimod" and getattr(module, "gauss_numerators", None) is original:
+                monkeypatch.setattr(module, "gauss_numerators", counted)
+        return counts
+
+    @pytest.mark.parametrize("name", ["gauss64", "mu3"])
+    def test_no_gauss_numerators_in_build_gns_or_the_probe(self, name, calls):
+        mf = MEASURES[name]()
+        rng = random.Random(3)
+        y = rand_d2_element(rng, 2, 3)
+        x = y + y.involution()
+        gauss = BimodElement.gauss(rand_poly(rng, 3, complex_parts=False))
+        weight = rand_poly(rng, 2, nonzero=True)
+        calls.clear()
+        build_gns(mf, 12)
+        for kind in ("F0", "F1", "F2"):
+            boundedness_probe(Functional(kind), x, mf, range(2, 13))
+        boundedness_probe(Functional.gauss_poly(weight), gauss, mf, range(2, 13))
+        assert calls == []
+        Poly([1, Fraction(1, 2)])
+        assert calls == [1]  # the wrapper was live: Poly(...) converts Scalars in

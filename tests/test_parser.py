@@ -7,6 +7,7 @@ import pytest
 
 from starbimod.algebra import I, Scalar
 from starbimod.errors import ParseError
+from starbimod import parser
 from starbimod.parser import MAX_DIGITS, MAX_EXPONENT, MAX_NESTING, parse_expression, tokenize
 from starbimod.sampling import rand_weyl
 from starbimod.weyl import WeylElement
@@ -193,6 +194,76 @@ class TestNumberSize:
     def test_results_within_the_limit_accepted(self):
         assert parse_expression("((2^8)^8)^8") == WeylElement.monomial(0, 0, 2**512)
         assert parse_expression("(2*q + 1)^64").coefficient(64, 0) == 2**64
+
+
+def _view_parts(value):
+    for c in value.terms.values():
+        for part in (c.re, c.im):
+            yield abs(part.numerator)
+            yield part.denominator
+
+
+def _view_exceeds(value) -> bool:
+    """The digit cap read off the reduced Scalar parts alone."""
+    return any(part >= 10**MAX_DIGITS for part in _view_parts(value))
+
+
+def _view_power_refused(value, n: int) -> bool:
+    """The power guard read off the reduced Scalar parts alone."""
+    bits = max((part.bit_length() for part in _view_parts(value)), default=0)
+    return n * bits > (10**MAX_DIGITS).bit_length()
+
+
+def _near_cap_values(rng):
+    """Seeded elements whose parts straddle the cap; the denominators of
+    the parts are coprime, so the stored numerators run far above them."""
+    for _ in range(150):
+        terms = {}
+        for _ in range(rng.randint(1, 3)):
+            parts = []
+            for _ in range(2):
+                digits = rng.choice([1, 40, 960, 995, 999, 1000, 1001])
+                num = rng.randrange(10 ** (digits - 1), 10**digits) * rng.choice((1, -1))
+                den = rng.choice([1, 7, 3**20, 10**39 + 7, 10**999, 10**1000 - 1, 10**1000])
+                parts.append(Fraction(num, den) if rng.random() < 0.8 else 0)
+            terms[(rng.randint(0, 3), rng.randint(0, 3))] = Scalar(*parts)
+        yield WeylElement(terms)
+
+
+class TestSizeGuardOnNumerators:
+    """The size guards compare the stored numerators first and read the
+    reduced parts only near the cap; every decision matches the rule on
+    the reduced parts."""
+
+    HAND_BUILT = [
+        WeylElement(),
+        WeylElement.monomial(0, 0, Scalar(Fraction(7 * (10**MAX_DIGITS - 1), 7), Fraction(1, 7))),
+        WeylElement.monomial(0, 0, Scalar(10**MAX_DIGITS, Fraction(1, 7))),
+        WeylElement.monomial(2, 1, Scalar(Fraction(1, 10**MAX_DIGITS - 1), Fraction(1, 3))),
+        WeylElement.monomial(0, 0, Fraction(1, 10**MAX_DIGITS)),
+        WeylElement({(0, 0): Fraction(10**MAX_DIGITS - 1, 3), (1, 0): Fraction(1, 7)}),
+    ]
+
+    def test_seeded_and_hand_built_values(self):
+        values = self.HAND_BUILT + list(_near_cap_values(random.Random(11)))
+        outcomes = set()
+        for value in values:
+            stored = max([value.den, *(abs(x) for pair in value.nums.values() for x in pair)])
+            expected = _view_exceeds(value)
+            assert parser.exceeds_digits(value) == expected
+            outcomes.add((stored >= 10**MAX_DIGITS, expected))
+            for n in (1, 2, 3, 4, 64):
+                assert parser._power_too_long(value, n) == _view_power_refused(value, n)
+        # stored numerators at the cap with reduced parts below it, and above it
+        assert outcomes == {(False, False), (True, False), (True, True)}
+
+    def test_stored_numerator_at_the_cap_is_accepted(self):
+        nines = "9" * MAX_DIGITS
+        value = parse_expression(f"{nines} + 1/7*i")
+        assert value.nums[(0, 0)][0] == 7 * int(nines)  # stored over the den 7
+        assert parse_expression(f"({nines} + 1/7*i)^1") == value
+        with pytest.raises(ParseError, match="digits"):
+            parse_expression(f"({nines} + 1/7*i)*10")
 
 
 class TestTokenizer:
