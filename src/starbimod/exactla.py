@@ -88,6 +88,8 @@ class Matrix:
         return gauss_scalar(self.re[i][j], self.im[i][j], self.den)
 
     def __add__(self, other):
+        if not isinstance(other, Matrix):
+            return NotImplemented
         if self.nrows != other.nrows or self.ncols != other.ncols:
             raise DimensionMismatchError("shape mismatch")
         den = lcm(self.den, other.den)
@@ -139,6 +141,8 @@ class Matrix:
         return hash((self.re, self.im, self.den, self.ncols))
 
     def __repr__(self):
+        if not self.re:
+            return f"Matrix.zeros(0, {self.ncols})"
         return f"Matrix({[list(map(str, r)) for r in self.rows]!r})"
 
 
@@ -230,13 +234,22 @@ def ldl_psd(m: Matrix) -> LdlResult:
     NotPositiveError; a zero pivot with a vanishing residual row is
     skipped and keeps prev, so the divisions stay exact.
     """
-    n = m.nrows
-    if n != m.ncols:
+    if m.nrows != m.ncols:
         raise DimensionMismatchError("LDL of a non-square matrix")
-    if any(m.im[k][k] for k in range(n)):
+    if any(m.im[k][k] for k in range(m.nrows)):
         raise NotPositiveError("non-real diagonal entry")
     if m != m.adjoint():
         raise NotPositiveError("matrix is not hermitian")
+    return hermitian_ldl(m)
+
+
+def hermitian_ldl(m: Matrix) -> LdlResult:
+    """``ldl_psd`` without its shape and hermitian checks.
+
+    For a caller that has already found m hermitian, so that its adjoint
+    is built once; the PSD gate of the elimination is unchanged.
+    """
+    n = m.nrows
     nums = [(list(re), list(im)) for re, im in zip(m.re, m.im)]
     # the residual stays hermitian, so only its upper triangle is updated;
     # a pivot's row is final once it is eliminated

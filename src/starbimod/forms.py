@@ -9,19 +9,28 @@ M with x(phi, psi) = psi^H M phi, so the two-sided action reads
 
 and the involution is the conjugate transpose.  R, G and M are exact
 ``Matrix`` values, so all of these are products and adjoints of them.
+An ``ActionTable`` evaluates each polynomial at R once and keeps the
+result, with the adjoint that a left factor needs, for its lifetime; a
+side whose polynomial is the unit acts without a product, as R(1) = I.
 """
 
 from __future__ import annotations
 
 from .algebra import ZERO, Poly
 from .errors import DimensionMismatchError
-from .exactla import Matrix, ldl_psd, poly_at
+from .exactla import Matrix, hermitian_ldl, poly_at
 
 
 class ActionTable:
-    """Generator action R and Gram matrix G on a dim-dimensional domain."""
+    """Generator action R and Gram matrix G on a dim-dimensional domain.
 
-    __slots__ = ("dim", "gen", "gram")
+    A table evaluates each polynomial p at R once: it keeps R(p) and the
+    left factor R(p^+)^H of ``FormMatrix.act`` under separate keys, both
+    keyed on the canonical numerators of p (``Poly.__hash__`` of a
+    constant builds Fractions).  The kept matrices are immutable.
+    """
+
+    __slots__ = ("dim", "gen", "gram", "_memo")
 
     def __init__(self, gen: Matrix, gram: Matrix):
         if gen.nrows != gen.ncols or gram.nrows != gram.ncols:
@@ -30,19 +39,33 @@ class ActionTable:
             raise DimensionMismatchError("generator and Gram sizes differ")
         if not gram.is_hermitian():
             raise ValueError("Gram matrix must be hermitian")
-        ldl_psd(gram)  # raises NotPositiveError when indefinite
+        hermitian_ldl(gram)  # raises NotPositiveError when indefinite
         if gram @ gen != gen.adjoint() @ gram:
             raise ValueError("generator is not hermitian for the Gram form")
         object.__setattr__(self, "dim", gen.nrows)
         object.__setattr__(self, "gen", gen)
         object.__setattr__(self, "gram", gram)
+        object.__setattr__(self, "_memo", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("ActionTable is immutable")
 
     def operator(self, a: Poly) -> Matrix:
         """The polynomial a evaluated at the generator matrix."""
-        return poly_at(Poly.coerce(a), self.gen)
+        p = Poly.coerce(a)
+        key = (p.re, p.im, p.den)
+        out = self._memo.get(key)
+        if out is None:
+            out = self._memo[key] = poly_at(p, self.gen)
+        return out
+
+    def left_factor(self, a: Poly) -> Matrix:
+        """R(a^+)^H, the factor that a contributes to a * x * b."""
+        key = ("left", a.re, a.im, a.den)
+        out = self._memo.get(key)
+        if out is None:
+            out = self._memo[key] = self.operator(a.conjugate()).adjoint()
+        return out
 
 
 class FormMatrix:
@@ -63,12 +86,19 @@ class FormMatrix:
         return self.mat.nrows
 
     def act(self, a, b, table: ActionTable) -> "FormMatrix":
-        """The two-sided action a * x * b for polynomials a, b."""
+        """The two-sided action a * x * b for polynomials a, b.
+
+        A unit side contributes no product, since R(1) = I.
+        """
         if self.dim != table.dim:
             raise DimensionMismatchError("form and action dimensions differ")
-        left = table.operator(Poly.coerce(a).conjugate()).adjoint()
-        right = table.operator(Poly.coerce(b))
-        return FormMatrix(left @ self.mat @ right)
+        a, b = Poly.coerce(a), Poly.coerce(b)
+        mat = self.mat
+        if not _is_unit(a):
+            mat = table.left_factor(a) @ mat
+        if not _is_unit(b):
+            mat = mat @ table.operator(b)
+        return FormMatrix(mat)
 
     def involution(self) -> "FormMatrix":
         """x^+(phi, psi) = conjugate of x(psi, phi)."""
@@ -91,6 +121,10 @@ class FormMatrix:
 
     def __repr__(self):
         return f"FormMatrix({self.mat!r})"
+
+
+def _is_unit(p: Poly) -> bool:
+    return p.den == 1 and p.re == (1,) and p.im == (0,)
 
 
 def form_from_operator(t: Matrix, table: ActionTable) -> FormMatrix:

@@ -1,12 +1,15 @@
 """Sesquilinear forms over a represented polynomial algebra."""
 
 import random
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
-from starbimod.algebra import I, P_ONE, Q, Scalar
+from starbimod import forms, selftest
+from starbimod.algebra import I, P_ONE, Q, Poly, Scalar
 from starbimod.errors import DimensionMismatchError, NotPositiveError
-from starbimod.exactla import Matrix, inverse
+from starbimod.exactla import Matrix, inverse, ldl_psd, poly_at
 from starbimod.forms import (
     ActionTable,
     FormMatrix,
@@ -51,6 +54,35 @@ def random_table(rng: random.Random, dim: int) -> ActionTable:
     return ActionTable(inverse(gram) @ Matrix(s), gram)
 
 
+def random_hermitian(rng: random.Random, dim: int) -> Matrix:
+    s = [[Scalar(0)] * dim for _ in range(dim)]
+    for i in range(dim):
+        s[i][i] = Scalar(rng.randint(-2, 2))
+        for j in range(i):
+            z = rand_scalar(rng)
+            s[i][j] = z
+            s[j][i] = z.conjugate()
+    return Matrix(s)
+
+
+def diagonal_table(rng: random.Random, dim: int) -> ActionTable:
+    """The diagonal draw of criterion 8: the Gram may be singular."""
+    gram = Matrix.diagonal([rng.randint(0, 3) for _ in range(dim)])
+    return ActionTable(Matrix.diagonal([rng.randint(-2, 2) for _ in range(dim)]), gram)
+
+
+def singular_table(rng: random.Random, dim: int) -> ActionTable:
+    """A dense Gram B^H B of rank dim - 1, and gen = S G, which is not hermitian."""
+    rows = [
+        [rand_scalar(rng) if j < i else Scalar(rng.randint(1, 3) if j == i else 0) for j in range(dim)]
+        for i in range(dim - 1)
+    ]
+    b = Matrix(rows + [[0] * dim])
+    gram = b.adjoint() @ b
+    assert ldl_psd(gram).rank == dim - 1
+    return ActionTable(random_hermitian(rng, dim) @ gram, gram)
+
+
 def random_form(rng: random.Random, dim: int) -> FormMatrix:
     return FormMatrix(
         Matrix([[rand_scalar(rng) for _ in range(dim)] for _ in range(dim)])
@@ -81,6 +113,104 @@ class TestActionTable:
     def test_operator_evaluates_polynomials(self):
         table = diag_table()
         assert table.operator(Q * Q + 1) == Matrix.diagonal([1, 2])
+
+    def test_gram_adjoint_built_once_per_table(self, monkeypatch):
+        grams = []
+        adjoint = Matrix.adjoint
+
+        def counting(m):
+            grams.append(m)
+            return adjoint(m)
+
+        monkeypatch.setattr(Matrix, "adjoint", counting)
+        rng = random.Random(73)
+        for make in (random_table, diagonal_table, singular_table):
+            for dim in (2, 3):
+                table = make(rng, dim)
+                grams.clear()
+                ActionTable(table.gen, table.gram)
+                assert sum(m is table.gram for m in grams) == 1
+
+
+class TestActionMemo:
+    """A table evaluates each polynomial once; a unit side takes no product."""
+
+    @staticmethod
+    def polys(rng: random.Random) -> list:
+        iq = Poly.monomial(1, I)
+        minus_iq = Poly.monomial(1, -I)
+        # i*q and -i*q, and i*q + 1 and -i*q + 1, share their real numerators
+        assert iq.re == minus_iq.re and (iq + 1).re == (minus_iq + 1).re
+        return [
+            P_ONE,
+            1,
+            Poly.constant(2),
+            Poly.constant(I),
+            Fraction(-1, 3),
+            Poly(),
+            Q,
+            iq,
+            minus_iq,
+            iq + 1,
+            minus_iq + 1,
+            rand_poly(rng, 2),
+            rand_poly(rng, 2),
+        ]
+
+    @staticmethod
+    def oracle(x: FormMatrix, a, b, gen: Matrix) -> FormMatrix:
+        """a * x * b from poly_at alone: R(a^+)^H M R(b)."""
+        a, b = Poly.coerce(a), Poly.coerce(b)
+        return FormMatrix(poly_at(a.conjugate(), gen).adjoint() @ x.mat @ poly_at(b, gen))
+
+    @pytest.mark.parametrize("make", [random_table, diagonal_table, singular_table])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_act_against_poly_at(self, make, dim):
+        rng = random.Random(79 + dim)
+        for _ in range(3):
+            table = make(rng, dim)
+            x = random_form(rng, dim)
+            polys = self.polys(rng)
+            cases = [(a, b, self.oracle(x, a, b, table.gen)) for a in polys for b in polys]
+            for _ in range(3):  # first calls, then calls the table has seen
+                rng.shuffle(cases)
+                for a, b, expected in cases:
+                    assert x.act(a, b, table) == expected
+            for a in polys:
+                assert table.operator(a) == poly_at(Poly.coerce(a), table.gen)
+
+    def test_criterion_8_evaluates_each_polynomial_once_per_table(self, monkeypatch):
+        calls = Counter()
+        gens = []
+        evaluate = forms.poly_at
+
+        def counting(p, m):
+            gens.append(m)  # keeps m alive, so its id names one table
+            calls[id(m), p.re, p.im, p.den] += 1
+            return evaluate(p, m)
+
+        monkeypatch.setattr(forms, "poly_at", counting)
+        result = selftest.bimodule_axiom_suites(trials=12)
+        assert result.passed
+        assert len({id(m) for m in gens}) == 12
+        assert max(calls.values()) == 1
+
+    def test_unit_sides_take_no_evaluation_or_product(self, monkeypatch):
+        rng = random.Random(83)
+        table = random_table(rng, 3)
+        x = random_form(rng, 3)
+        products = []
+        matmul = Matrix.__matmul__
+
+        def counting(m, other):
+            products.append(m)
+            return matmul(m, other)
+
+        monkeypatch.setattr(forms, "poly_at", None)  # any evaluation fails
+        monkeypatch.setattr(Matrix, "__matmul__", counting)
+        assert x.act(P_ONE, 1, table) == x
+        assert x.act(Poly.constant(Fraction(2, 2)), Poly([Scalar(1, 0)]), table) == x
+        assert products == []
 
 
 class TestFormAction:

@@ -521,6 +521,13 @@ class TestMatrixRepresentation:
         assert as_ints.den == 1
         assert Matrix([]).re == () and Matrix([]).den == 1
 
+    def test_sum_with_a_non_matrix_is_a_type_error(self):
+        for other in (1, Fraction(1, 2), Scalar(0, 1), Poly([1]), [[1, 0], [0, 1]]):
+            with pytest.raises(TypeError):
+                Matrix.identity(2) + other
+            with pytest.raises(TypeError):
+                other + Matrix.identity(2)
+
     def test_immutable(self):
         m = Matrix([[1]])
         for name in ("re", "im", "den", "rows"):
@@ -557,6 +564,12 @@ class TestEmptyShapes:
         assert Matrix.zeros(0, 0) == Matrix([]) and Matrix.zeros(1, 0) == Matrix([[]])
         for (r, c), m in zip(shapes, zeros):
             assert hash(m) == hash(Matrix.zeros(r, c))
+
+    def test_unequal_shapes_have_distinct_reprs(self):
+        ms = [Matrix.zeros(0, 0), Matrix.zeros(0, 3), Matrix.zeros(2, 0), Matrix.zeros(2, 2)]
+        assert len({repr(m) for m in ms}) == len(ms)
+        for m in ms[:2]:  # a rowless repr rebuilds its matrix
+            assert eval(repr(m), {"Matrix": Matrix}) == m
 
 
 class TestFormValue:
