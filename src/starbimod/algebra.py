@@ -392,30 +392,43 @@ class Poly:
         return f"Poly({list(self.coeffs)!r})"
 
     def __str__(self):
-        coeffs = self.coeffs
-        if not coeffs:
-            return "0"
-        parts = []
-        for k in range(len(coeffs) - 1, -1, -1):
-            c = coeffs[k]
-            if c.is_zero():
-                continue
-            mono = "" if k == 0 else ("q" if k == 1 else f"q^{k}")
-            if k == 0:
-                body = format_scalar(c)
-            elif c == ONE:
-                body = mono
-            elif c == -ONE:
-                body = f"-{mono}"
-            elif c.is_real() or c.re == 0:
-                body = f"{format_scalar(c)}*{mono}"
-            else:
-                body = f"({format_scalar(c)})*{mono}"
-            parts.append(body)
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        """The polynomial in the expression grammar, highest power first."""
+        terms = [(power_text("q", k), c) for k, c in enumerate(self.coeffs) if c]
+        return format_sum(reversed(terms))
+
+
+def power_text(var: str, k: int) -> str:
+    """``var^k`` in the expression grammar: "" for k = 0, ``var`` for k = 1."""
+    return "" if k == 0 else var if k == 1 else f"{var}^{k}"
+
+
+def format_sum(terms) -> str:
+    """The sum of (monomial text, nonzero Scalar) terms in the expression grammar.
+
+    Terms are joined in the given order and a leading minus becomes the
+    joining sign; the empty sum is "0".  Both ``Poly`` and
+    ``WeylElement`` print through here, so the parser reads either back.
+    """
+    parts = [_term_expr(mono, c) for mono, c in terms]
+    if not parts:
+        return "0"
+    out = parts[0]
+    for p in parts[1:]:
+        out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
+    return out
+
+
+def _term_expr(mono: str, c: Scalar) -> str:
+    im = "i" if c.im == 1 else "-i" if c.im == -1 else f"{c.im}*i"
+    if c.re and c.im:
+        coeff = f"({c.re} - {im[1:]})" if im.startswith("-") else f"({c.re} + {im})"
+    else:
+        coeff = im if c.im else str(c.re)
+    if not mono:
+        return coeff
+    if coeff in ("1", "-1"):
+        return coeff[:-1] + mono
+    return f"{coeff}*{mono}"
 
 
 def _store(p: Poly, re, im, den: int) -> None:

@@ -75,29 +75,22 @@ class BimodElement:
     def from_weyl(cls, u: WeylElement) -> "BimodElement":
         """Rebuild a D2 element from a normal-ordered value with d-degree <= 2.
 
-        The target triple (t0, t1, t2) is realised by explicit pairs; any
-        such triple is reachable, so membership only constrains the
-        d-degree.
+        The target triple (t0, t1, t2) is realised by the canonical pairs
+        (A, 1), (B, q), (C, q^2), the only ones whose right factors are
+        1, q, q^2: C = t2/2, B = t1 - t2*q, A = t0 - B*q - C*q^2.  Any
+        triple is reachable, so membership only constrains the d-degree.
         """
         if u.max_d_degree > 2:
             raise ValueError(
                 f"d-degree {u.max_d_degree} exceeds 2; not in the d^2 span"
             )
         profile = u.d_profile()
-        t0 = profile.get(2, Poly())
-        t1 = profile.get(1, Poly()) * Fraction(1, 2)
-        t2 = profile.get(0, Poly())
-        pairs = [(t0, P_ONE)]
-        # (0, t1, 0) = t1*g*q - (t1*q)*g*1
-        pairs += [(t1, Q), (-(t1 * Q), P_ONE)]
-        # (0, 0, t2) = (t2/2)*g*q^2 - (t2*q)*g*q + (t2*q^2/2)*g*1
         half = Fraction(1, 2)
-        pairs += [
-            (t2 * half, Q * Q),
-            (-(t2 * Q), Q),
-            (t2 * Q * Q * half, P_ONE),
-        ]
-        return cls(Generator.D2, pairs)
+        t2 = profile.get(0, Poly())
+        c = t2 * half
+        b = profile.get(1, Poly()) * half - t2 * Q
+        a = profile.get(2, Poly()) - b * Q - c * Q * Q
+        return cls(Generator.D2, [(a, P_ONE), (b, Q), (c, Q * Q)])
 
     def _require(self, tag: Generator, what: str):
         if self.tag is not tag:

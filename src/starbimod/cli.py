@@ -13,15 +13,13 @@ import os
 import random
 import sys
 
-import numpy as np
-
 from .algebra import Poly, format_scalar, parse_real
 from .bimodule import BimodElement, Generator
 from .errors import ParseError, StarBimodError
 from .gns import Functional, build_gns, check_cauchy_schwarz, check_identity
 from .moments import MomentFunctional
 from .parser import MAX_DIGITS, exceeds_digits, parse_expression
-from .probes import boundedness_probe, numerical_radius_norm_check
+from .probes import boundedness_probe, norm_bound_trials
 from .sampling import rand_d2_element, rand_gauss_element, rand_poly
 from .selftest import run_all
 
@@ -310,16 +308,7 @@ def _cmd_probe(args) -> int:
 
 
 def _cmd_lemma_check(args) -> int:
-    rng = np.random.default_rng(args.seed)
-    failures = 0
-    worst = 0.0
-    for n in range(args.trials):
-        dim = int(rng.integers(1, args.max_dim + 1))
-        t = rng.uniform(-1, 1, (dim, dim)) + 1j * rng.uniform(-1, 1, (dim, dim))
-        report = numerical_radius_norm_check(t, seed=args.seed + n + 1)
-        worst = max(worst, report.norm - report.bound)
-        if not report.holds:
-            failures += 1
+    failures, worst = norm_bound_trials(args.trials, args.seed, args.max_dim, args.seed + 1)
     payload = {
         "check": "lemma-check",
         "inputs": {

@@ -14,8 +14,15 @@ whole exact path stays in rational arithmetic.
   coefficient triple of the argument,
 * gauss-poly carries a polynomial weight w and sends w(q)p(q)exp(-q^2)
   to f(w p),
-* gauss-atoms carries one exact value per atom of an atomic measure and
-  is evaluated in atom coordinates.
+* gauss-atoms carries one exact value v_i per atom x_i of an atomic
+  measure and is evaluated in atom coordinates, on the atom images
+  v_i p(x_i) of ``atom_images``.
+
+The operator theta(x) of the polynomial variants is stated once, as the
+terms (r, c, h) of ``theta_terms`` with theta(x) b = sum c h b^(r): the
+Leibniz terms (r, C(t, r), h_(t-r)) of F_t, or the single term
+(0, 1, w p) of gauss-poly.  ``theta`` sums them, and the probe's
+quadratic form reads the same list.
 
 The central check, ``check_identity``, verifies
 
@@ -29,8 +36,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
-from .algebra import P_ONE, Poly, Scalar
+from .algebra import P_ONE, Poly, Scalar, sum_of_products
 from .bimodule import BimodElement, Generator
 from .errors import (
     MomentMismatchError,
@@ -141,36 +149,25 @@ class Functional:
     def tag(self) -> Generator:
         return Generator.D2 if self.kind in self._D2_KINDS else Generator.GAUSS
 
-    def check_compat(self, x: BimodElement, mf: MomentFunctional):
+    def _check_tag(self, x: BimodElement):
         if x.tag is not self.tag:
             raise VariantMismatchError(
                 f"{self.kind} expects a {self.tag.value} element, got {x.tag.value}"
             )
-        if self.kind == "gauss-atoms":
-            if not mf.is_atomic:
-                raise VariantMismatchError("gauss-atoms needs an atomic measure")
-            if len(self.atom_values) != len(mf.atoms):
-                raise VariantMismatchError(
-                    f"{len(self.atom_values)} values for {len(mf.atoms)} atoms"
-                )
 
     def value(self, x: BimodElement, mf: MomentFunctional) -> Scalar:
         """F(x), exact; depends only on the semantic class of x."""
-        self.check_compat(x, mf)
         if self.kind != "gauss-atoms":
             return mf.apply(self.coefficient_poly(x))
-        p = x.gauss_poly()
-        acc = _ZERO
-        for (pt, w), v in zip(mf.atoms, self.atom_values):
-            acc = acc + p(pt) * (w * v)
-        return acc
+        re = im = 0
+        for (_, w), u in zip(mf.atoms, self.atom_images(x, mf)):
+            re += u.re * w
+            im += u.im * w
+        return Scalar(re, im)
 
     def coefficient_poly(self, x: BimodElement) -> Poly:
         """The polynomial h with F(a^+ . x) = f(a^+ h); Cauchy-Schwarz partner."""
-        if x.tag is not self.tag:
-            raise VariantMismatchError(
-                f"{self.kind} expects a {self.tag.value} element"
-            )
+        self._check_tag(x)
         if self.kind in self._D2_KINDS:
             return x.triple()[self._D2_KINDS.index(self.kind)]
         if self.kind == "gauss-poly":
@@ -179,42 +176,53 @@ class Functional:
             "gauss-atoms has no polynomial partner; use atom coordinates"
         )
 
-    def theta(self, x: BimodElement, b) -> Poly:
-        """The image polynomial theta(x) applied to b * phi.
+    def theta_terms(self, x: BimodElement) -> list[tuple[int, int, Poly]]:
+        """theta(x) as terms (r, c, h), with theta(x) b = sum c * h * b^(r).
 
-        F0: h0 b; F1: h1 b + h0 b'; F2: h2 b + 2 h1 b' + h0 b'';
-        gauss-poly: w p b.  The gauss-atoms operator leaves polynomial
-        coordinates and is not available here.
+        F_t: (r, C(t, r), h_(t-r)) for r = 0..t over the triple of x;
+        gauss-poly: (0, 1, w p).  The gauss-atoms operator leaves
+        polynomial coordinates and has no terms.
         """
-        b = Poly.coerce(b)
         if self.kind == "gauss-atoms":
             raise UnsupportedVariantError(
                 "gauss-atoms acts on atom coordinates, not polynomials"
             )
-        if x.tag is not self.tag:
-            raise VariantMismatchError(
-                f"{self.kind} expects a {self.tag.value} element"
-            )
+        self._check_tag(x)
         if self.kind == "gauss-poly":
-            return self.weight * x.gauss_poly() * b
-        h0, h1, h2 = x.triple()
-        if self.kind == "F0":
-            return h0 * b
-        if self.kind == "F1":
-            return h1 * b + h0 * b.derivative()
-        return h2 * b + 2 * (h1 * b.derivative()) + h0 * b.derivative(2)
+            return [(0, 1, self.weight * x.gauss_poly())]
+        t = self._D2_KINDS.index(self.kind)
+        triple = x.triple()
+        return [(r, comb(t, r), triple[t - r]) for r in range(t + 1)]
+
+    def theta(self, x: BimodElement, b) -> Poly:
+        """The image polynomial theta(x) applied to b * phi: ``theta_terms`` summed."""
+        b = Poly.coerce(b)
+        # the unit factor and b^(0) = b cost no product
+        pairs = [
+            (h * c if c != 1 else h, b.derivative(r) if r else b)
+            for r, c, h in self.theta_terms(x)
+        ]
+        return sum_of_products(pairs)[0]
+
+    def atom_images(self, x: BimodElement, mf: MomentFunctional) -> list[Scalar]:
+        """The gauss-atoms images v_i p(x_i) of x = p exp(-q^2), one per atom x_i."""
+        if self.kind != "gauss-atoms":
+            raise UnsupportedVariantError("atom coordinates are for gauss-atoms")
+        self._check_tag(x)
+        if not mf.is_atomic:
+            raise VariantMismatchError("gauss-atoms needs an atomic measure")
+        if len(self.atom_values) != len(mf.atoms):
+            raise VariantMismatchError(
+                f"{len(self.atom_values)} values for {len(mf.atoms)} atoms"
+            )
+        p = x.gauss_poly()
+        return [p(pt) * v for (pt, _), v in zip(mf.atoms, self.atom_values)]
 
     def theta_atom_vector(self, x: BimodElement, b, mf: MomentFunctional):
         """theta(x) rho(b) phi in atom coordinates, for the gauss-atoms variant."""
-        if self.kind != "gauss-atoms":
-            raise UnsupportedVariantError("atom coordinates are for gauss-atoms")
-        self.check_compat(x, mf)
+        images = self.atom_images(x, mf)
         b = Poly.coerce(b)
-        p = x.gauss_poly()
-        return tuple(
-            Scalar.coerce(v) * p(pt) * b(pt)
-            for (pt, _), v in zip(mf.atoms, self.atom_values)
-        )
+        return tuple(u * b(pt) for (pt, _), u in zip(mf.atoms, images))
 
     def describe(self) -> str:
         if self.kind == "gauss-poly":
@@ -295,12 +303,9 @@ def check_cauchy_schwarz(
     lhs = func.value(x.act(a.conjugate(), P_ONE), mf)
     gram_aa = mf.pairing(a, a)
     if func.kind == "gauss-atoms":
-        func.check_compat(x, mf)
-        p = x.gauss_poly()
         c = _ZERO
-        for (pt, w), v in zip(mf.atoms, func.atom_values):
-            hv = Scalar.coerce(v) * p(pt)
-            c = c + hv * hv.conjugate() * w
+        for (_, w), u in zip(mf.atoms, func.atom_images(x, mf)):
+            c = c + u * u.conjugate() * w
     else:
         h = func.coefficient_poly(x)
         c = mf.apply(h.conjugate() * h)

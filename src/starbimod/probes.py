@@ -11,12 +11,13 @@ as GrowthDetected.  Neither verdict is a proof; the quotient is exact
 data, the verdict a finite-degree heuristic.
 
 All exact work happens once, at the top degree M of the list.  The form
-H[j][k] = F(q^j x q^k) is built from its Hankel structure (one shifted
-moment sequence per triple component, or one for the Gaussian
-variants) and hermitised exactly.  The Hankel Gram G of degree M is
-factored once as G = L D L^H in natural order, which skips the indices
-of an exact kernel, and the congruence Z = L^-1 H_P L^-H on the pivot
-indices P is done once.  All three steps run on Gaussian-integer
+H[j][k] = F(q^j x q^k) is built from its Hankel structure, one shifted
+moment sequence per term of ``Functional.theta_terms`` (gauss-atoms
+feeds its one sequence of weighted atom images instead), and hermitised
+exactly.  The Hankel Gram G of degree M is factored once as
+G = L D L^H in natural order, which skips the indices of an exact
+kernel, and the congruence Z = L^-1 H_P L^-H on the pivot indices P is
+done once.  All three steps run on Gaussian-integer
 numerators over shared denominators: the form is summed and hermitised
 on them into a ``Matrix``, ``ldl_psd`` eliminates fraction-free on the
 Gram's stored numerators, the rows of L^-1 are integer rows over one
@@ -28,13 +29,17 @@ in doubles, on entries whose exact powers of two are put back on each
 lambda afterwards.  Moment Gram matrices in the monomial basis are far
 too ill-conditioned for a float Cholesky, so this exact reduction is
 what keeps degree ten reachable.
+
+The numerical-radius check of the norm lemma lives here too, with its
+sampling loop ``norm_bound_trials``; this module is the only one that
+uses numpy.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from math import comb, inf, isfinite, lcm, ldexp, perm, sqrt
+from math import inf, isfinite, lcm, ldexp, perm, sqrt
 from sys import float_info
 
 import numpy as np
@@ -77,48 +82,40 @@ def form_numerators(
 ) -> Matrix:
     """The hermitised form (H + H^H)/2, a ``Matrix`` of Gaussian-integer numerators.
 
-    q^j x q^k has the triple (q^j h0 b, q^j (h0 b' + h1 b), q^j (h0 b'' +
-    2 h1 b' + h2 b)) with b = q^k, so with c_i[s] = f(q^s h_i) the d^2
-    variant F_t reads H[j][k] = sum_r C(t, r) k!/(k-r)! c_(t-r)[j+k-r].
-    The Gaussian variants are Hankel: H[j][k] = c[j+k], c[s] = F(q^s x).
-    The sequences c are brought to the lcm of their denominators (only
-    gauss-atoms sums Scalars); the entries are summed and hermitised on
-    the numerators.
+    q^j x q^k = q^j theta(x) q^k, and ``theta_terms`` gives theta(x) q^k =
+    sum c h (q^k)^(r) = sum c k!/(k-r)! h q^(k-r), so with the shifted
+    moment sequence s[m] = f(q^m h) of each term H[j][k] = sum c k!/(k-r)!
+    s[j+k-r].  gauss-atoms has one term with r = 0, c = 1 and the sequence
+    s[m] = sum_i w_i v_i p(x_i) x_i^m of its atom images.  The sequences
+    are brought to the lcm of their denominators; the entries are summed
+    and hermitised on the numerators.
     """
-    func.check_compat(x, mf)
     n = degree + 1
-    if func.kind in ("F0", "F1", "F2"):
-        t = int(func.kind[1])
-        triple = x.triple()
+    if func.kind == "gauss-atoms":
+        s = [ZERO] * (2 * n - 1)
+        for (pt, w), u in zip(mf.atoms, func.atom_images(x, mf)):
+            term = u * w
+            for m in range(2 * n - 1):
+                s[m] = s[m] + term
+                term = term * pt
+        [(sr, si)], den = gauss_numerators([s])
+        seqs = [(0, 1, (sr, si, den))]
+    else:
         # the r-th term needs k >= r, so it reaches index 2N - r only
-        terms = [
-            (r, comb(t, r), mf.shifted_values(triple[t - r], 2 * n - 1 - r))
-            for r in range(t + 1)
+        seqs = [
+            (r, c, mf.shifted_values(h, 2 * n - 1 - r))
+            for r, c, h in func.theta_terms(x)
             if degree >= r
         ]
-        den = lcm(*(d for _, _, (_, _, d) in terms))
-        re = [[0] * n for _ in range(n)]
-        im = [[0] * n for _ in range(n)]
-        for r, binom, (cr, ci, d) in terms:
-            for k in range(r, n):
-                f = binom * perm(k, r) * (den // d)
-                for j in range(n):
-                    re[j][k] += f * cr[j + k - r]
-                    im[j][k] += f * ci[j + k - r]
-    else:
-        p = x.gauss_poly()
-        if func.kind == "gauss-poly":
-            cr, ci, den = mf.shifted_values(func.weight * p, 2 * n - 1)
-        else:
-            c = [ZERO] * (2 * n - 1)
-            for (pt, w), v in zip(mf.atoms, func.atom_values):
-                term = p(pt) * (w * v)
-                for s in range(2 * n - 1):
-                    c[s] = c[s] + term
-                    term = term * pt
-            [(cr, ci)], den = gauss_numerators([c])
-        re = [cr[j : j + n] for j in range(n)]
-        im = [ci[j : j + n] for j in range(n)]
+    den = lcm(*(d for _, _, (_, _, d) in seqs))
+    re = [[0] * n for _ in range(n)]
+    im = [[0] * n for _ in range(n)]
+    for r, c, (sr, si, d) in seqs:
+        for k in range(r, n):
+            f = c * perm(k, r) * (den // d)
+            for j in range(n):
+                re[j][k] += f * sr[j + k - r]
+                im[j][k] += f * si[j + k - r]
     # (H + H^H) / 2 over the doubled denominator
     return Matrix.from_numerators(
         [[a + b for a, b in zip(row, col)] for row, col in zip(re, zip(*re))],
@@ -349,3 +346,26 @@ def numerical_radius_norm_check(
     radius = float(np.max(quads))
     norm = float(np.linalg.norm(t, 2))
     return NormBoundReport(radius, norm, tolerance)
+
+
+def norm_bound_trials(
+    trials: int, seed: int, max_dim: int, sample_seed: int
+) -> tuple[int, float]:
+    """Run ``numerical_radius_norm_check`` on random complex matrices.
+
+    Trial n draws a dimension in 1..max_dim and entries with real and
+    imaginary parts uniform in [-1, 1) from one generator seeded with
+    ``seed``, and samples unit vectors with the seed sample_seed + n.
+    Returns the number of failed trials and the largest norm - 4 * radius.
+    """
+    rng = np.random.default_rng(seed)
+    failures = 0
+    worst = 0.0
+    for n in range(trials):
+        dim = int(rng.integers(1, max_dim + 1))
+        t = rng.uniform(-1, 1, (dim, dim)) + 1j * rng.uniform(-1, 1, (dim, dim))
+        report = numerical_radius_norm_check(t, seed=sample_seed + n)
+        worst = max(worst, report.norm - report.bound)
+        if not report.holds:
+            failures += 1
+    return failures, worst

@@ -13,8 +13,6 @@ import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-import numpy as np
-
 from .algebra import I, P_ONE, Poly, Q, Scalar
 from .bimodule import BimodElement, Generator
 from .errors import MomentMismatchError, NotPositiveError
@@ -34,7 +32,7 @@ from .probes import (
     GROWTH,
     boundedness_probe,
     generator_probe,
-    numerical_radius_norm_check,
+    norm_bound_trials,
 )
 from .sampling import (
     atoms012,
@@ -218,16 +216,7 @@ def cauchy_schwarz_suite(trials: int = 1000, seed: int = 404) -> CheckResult:
 
 
 def norm_bound_suite(trials: int = 1000, seed: int = 505) -> CheckResult:
-    rng = np.random.default_rng(seed)
-    failures = 0
-    worst = 0.0
-    for n in range(trials):
-        dim = int(rng.integers(1, 9))
-        t = rng.uniform(-1, 1, (dim, dim)) + 1j * rng.uniform(-1, 1, (dim, dim))
-        report = numerical_radius_norm_check(t, samples=10_000, seed=1000 + n)
-        worst = max(worst, report.norm - report.bound)
-        if not report.holds:
-            failures += 1
+    failures, worst = norm_bound_trials(trials, seed, max_dim=8, sample_seed=1000)
     return CheckResult(
         7,
         "norm-vs-numerical-radius",

@@ -23,7 +23,7 @@ from itertools import chain
 from math import comb, gcd, lcm, perm
 from types import MappingProxyType
 
-from .algebra import I, ONE, Poly, Scalar, gauss_numerators, gauss_scalar
+from .algebra import I, ONE, Poly, Scalar, format_sum, gauss_numerators, gauss_scalar, power_text
 
 
 def _normal_dq(n: int, m: int):
@@ -221,14 +221,11 @@ class WeylElement:
     def to_expression(self) -> str:
         """Canonical expression string, parseable by the expression grammar."""
         terms = self.terms
-        if not terms:
-            return "0"
         keys = sorted(terms, key=lambda mn: (mn[0] + mn[1], mn[0]), reverse=True)
-        parts = [_term_expr(m, n, terms[(m, n)]) for m, n in keys]
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        return format_sum(
+            ("*".join(filter(None, (power_text("q", m), power_text("d", n)))), terms[(m, n)])
+            for m, n in keys
+        )
 
 
 def _store(u: WeylElement, triples, den: int) -> None:
@@ -261,23 +258,6 @@ def _coerce(value):
     if isinstance(value, Poly):
         return WeylElement.from_poly(value)
     return NotImplemented
-
-
-def _term_expr(m: int, n: int, c: Scalar) -> str:
-    mono = "*".join(
-        ([f"q^{m}" if m > 1 else "q"] if m else [])
-        + ([f"d^{n}" if n > 1 else "d"] if n else [])
-    )
-    im = "i" if c.im == 1 else "-i" if c.im == -1 else f"{c.im}*i"
-    if c.re and c.im:
-        coeff = f"({c.re} - {im[1:]})" if im.startswith("-") else f"({c.re} + {im})"
-    else:
-        coeff = im if c.im else str(c.re)
-    if not mono:
-        return coeff
-    if coeff in ("1", "-1"):
-        return coeff[:-1] + mono
-    return f"{coeff}*{mono}"
 
 
 D = WeylElement.d_power(1)

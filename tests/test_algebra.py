@@ -1,5 +1,6 @@
 """Scalar and polynomial layer: exact arithmetic, involution, literals."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from starbimod.algebra import (
     parse_scalar,
 )
 from starbimod.errors import ParseError
+from starbimod.parser import parse_expression
 from starbimod.weyl import WeylElement
 
 fractions = st.fractions(min_value=-40, max_value=40, max_denominator=12)
@@ -111,6 +113,30 @@ class TestPolyBasics:
         strings = p.coeff_strings()
         assert strings == ["1", "0", "-1/2i"]
         assert Poly.from_coeff_strings(strings) == p
+
+
+class TestPolyText:
+    def test_pinned_examples(self):
+        assert str(Poly()) == "0"
+        assert str(Poly([Scalar(1), Scalar(0, 1), Fraction(1, 2)])) == "1/2*q^2 + i*q + 1"
+        assert str(Poly([0, Scalar(2, -3)])) == "(2 - 3*i)*q"
+        assert str(-Q * Q - 1) == "-q^2 - 1"
+
+    def test_parser_reads_it_back(self):
+        rng = random.Random(41)
+
+        def frac():
+            return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+
+        draws = [
+            lambda: rng.choice([ONE, -ONE, I, -I]),
+            lambda: Scalar(0, frac()),
+            lambda: Scalar(frac(), frac()),
+            lambda: Scalar(0),
+        ]
+        for _ in range(200):
+            p = Poly([rng.choice(draws)() for _ in range(rng.randint(1, 6))])
+            assert parse_expression(str(p)) == WeylElement.from_poly(p), str(p)
 
 
 class TestPolyLaws:

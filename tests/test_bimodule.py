@@ -176,7 +176,11 @@ class TestFromWeyl:
         rng = random.Random(37)
         for _ in range(100):
             x = rand_d2_element(rng, 3, 3)
-            assert BimodElement.from_weyl(x.weyl()).equivalent(x)
+            y = BimodElement.from_weyl(x.weyl())
+            assert y.equivalent(x)
+            assert y.triple() == x.triple()
+            assert len(y.terms) <= 3
+            assert all(b in (P_ONE, Q, Q * Q) for _, b in y.terms)
 
 
 class TestQuadraticCertificates:

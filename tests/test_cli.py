@@ -151,6 +151,14 @@ class TestChecks:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("command", ["gns-check", "cs-check"])
+    def test_echoed_functional_replays(self, capsys, mu3_file, command):
+        argv = [command, "--measure", mu3_file, "--trials", "3", "--json", "--functional"]
+        assert main(argv + ["gauss-poly:i*q + 1/2*q^2 - (2 - 3*i)*q^3"]) == 0
+        echoed = json.loads(capsys.readouterr().out)["inputs"]["functional"]
+        assert main(argv + [echoed]) == 0
+        assert json.loads(capsys.readouterr().out)["inputs"]["functional"] == echoed
+
     def test_cs_check_passes(self, capsys, mu3_file):
         code = main(
             [

@@ -149,6 +149,26 @@ class TestFunctionalValues:
         with pytest.raises(VariantMismatchError):
             func.value(BimodElement.gauss(1), MomentFunctional.gaussian(8))
 
+    def test_gauss_atoms_checks_in_order(self):
+        func = Functional.gauss_atoms([1, 2, 3])
+        with pytest.raises(UnsupportedVariantError):
+            Functional.f0().theta_atom_vector(D2, Q, mu3())
+        calls = [
+            func.value,
+            lambda x, mf: func.theta_atom_vector(x, "not a polynomial", mf),
+            lambda x, mf: check_cauchy_schwarz(func, Q, x, mf),
+        ]
+        four_atoms = MomentFunctional.atomic([(0, 1), (1, 1), (2, 1), (3, 1)])
+        for call in calls:
+            with pytest.raises(VariantMismatchError, match="expects a gauss element"):
+                call(D2, MomentFunctional.gaussian(8))
+            with pytest.raises(VariantMismatchError, match="atomic measure"):
+                call(BimodElement.gauss(1), MomentFunctional.gaussian(8))
+            with pytest.raises(VariantMismatchError, match="3 values for 4 atoms"):
+                call(BimodElement.gauss(1), four_atoms)
+        with pytest.raises(TypeError):
+            func.theta_atom_vector(BimodElement.gauss(1), "not a polynomial", mu3())
+
     def test_value_is_class_function(self):
         rng = random.Random(83)
         for _ in range(80):
@@ -176,6 +196,19 @@ class TestThetaPolynomials:
     def test_atom_variant_has_no_polynomial_operator(self):
         with pytest.raises(UnsupportedVariantError):
             Functional.gauss_atoms([1, 2, 3]).theta(BimodElement.gauss(1), Q)
+
+    def test_theta_is_the_right_action_read_off(self):
+        # F(a x b) = f(a theta(x) b) for every a, so theta(x) b is the
+        # coefficient polynomial of x b; no theta formula is used here
+        rng = random.Random(97)
+        for _ in range(60):
+            x = rand_d2_element(rng, 3, 3)
+            b = rand_poly(rng, 4)
+            for func in (Functional.f0(), Functional.f1(), Functional.f2()):
+                assert func.theta(x, b) == func.coefficient_poly(x.act(P_ONE, b))
+            func = Functional.gauss_poly(rand_poly(rng, 2))
+            y = rand_gauss_element(rng, 3)
+            assert func.theta(y, b) == func.coefficient_poly(y.act(P_ONE, b))
 
     def test_theta_respects_classes(self):
         rng = random.Random(89)
