@@ -14,9 +14,10 @@ once: sums and differences over the lcm of the two denominators, scalar
 products, the conjugate (negate ``im``), derivatives, Horner evaluation
 at a rational or Gaussian point, and ``sum_of_products``, which brings
 the left and the right factors each to a common denominator by integer
-rescaling and accumulates sum_j u_j * v_j, and optionally the same sums
-against the derivatives of the v_j, in plain ints.  ``Poly.__mul__`` is
-its one-pair case and the d^2 coefficient triple its three fused sums.
+rescaling and accumulates, in plain ints, sum_j u_j * v_j^(r) for each
+derivative order r it is asked for.  ``Poly.__mul__`` is its one-pair
+case at order 0, the d^2 coefficient triple its orders 0, 1, 2, and a
+functional F_t reads order t alone.
 
 Scalars meet numerators only at the boundaries: ``Poly(seq)`` and
 ``gauss_numerators`` convert Scalars in, over the lcm of their
@@ -267,6 +268,10 @@ class Poly:
     def __bool__(self):
         return bool(self.re)
 
+    def is_one(self) -> bool:
+        """True for the constant polynomial 1."""
+        return self.den == 1 and self.re == (1,) and self.im == (0,)
+
     def coefficient(self, k: int) -> Scalar:
         if 0 <= k < len(self.re):
             return gauss_scalar(self.re[k], self.im[k], self.den)
@@ -501,28 +506,32 @@ def gauss_dot(ar, ai, br, bi) -> tuple[int, int]:
     )
 
 
-def sum_of_products(pairs, derivatives: int = 0) -> tuple[Poly, ...]:
-    """The sums sum_j u_j * v_j^(r) for r = 0..derivatives, over (u_j, v_j).
+def sum_of_products(pairs, orders=(0,)) -> tuple[Poly, ...]:
+    """The sums sum_j u_j * v_j^(r) over (u_j, v_j), one per derivative order r.
 
+    ``orders`` lists the derivative orders r ascending, and only those
+    sums are formed: (0,) is sum_j u_j v_j, (0, 1, 2) the d^2 triple.
     The u_j are brought to the lcm of their denominators, and so are the
-    v_j, by integer rescaling; the derivatives are taken on the integer
-    numerators, every sum is accumulated in ints, and each output is
-    normalised once.
+    v_j, by integer rescaling; the derivatives are taken step by step on
+    the integer numerators, every sum is accumulated in ints, and each
+    output is normalised once.
     """
     pairs = [(u, v) for u, v in pairs if u.re and v.re]
     du = lcm(*(u.den for u, _ in pairs))
     dv = lcm(*(v.den for _, v in pairs))
-    us = [_rescaled(u, du) for u, _ in pairs]
-    vs = [_rescaled(v, dv) for _, v in pairs]
-    size = max((len(u.re) + len(v.re) - 1 for u, v in pairs), default=0)
+    terms = [(_rescaled(u, du), _rescaled(v, dv)) for u, v in pairs]
     den = du * dv
     out = []
-    for r in range(derivatives + 1):
-        if r:
-            vs = [(_derive(vr), _derive(vi)) for vr, vi in vs]
+    at = 0
+    for r in orders:
+        for _ in range(r - at):
+            # a v_j of degree below the order has no derivative left
+            terms = [(u, (_derive(vr), _derive(vi))) for u, (vr, vi) in terms if len(vr) > 1]
+        at = r
+        size = max((len(ur) + len(vr) - 1 for (ur, _), (vr, _) in terms), default=0)
         acc_re = [0] * size
         acc_im = [0] * size
-        for (ur, ui), (vr, vi) in zip(us, vs):
+        for (ur, ui), (vr, vi) in terms:
             _convolve_into(acc_re, acc_im, ur, ui, vr, vi)
         out.append(Poly.from_numerators(acc_re, acc_im, den))
     return tuple(out)

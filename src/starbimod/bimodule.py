@@ -97,10 +97,17 @@ class BimodElement:
             raise TagMismatchError(f"{what} needs a {tag.value} element")
 
     def act(self, a, b) -> "BimodElement":
-        """The two-sided action a * x * b, termwise on the pairs."""
+        """The two-sided action a * x * b, termwise on the pairs.
+
+        A unit side contributes no product.
+        """
         a = Poly.coerce(a)
         b = Poly.coerce(b)
-        return BimodElement(self.tag, [(a * aj, bj * b) for aj, bj in self.terms])
+        left, right = a.is_one(), b.is_one()
+        return BimodElement(
+            self.tag,
+            [(aj if left else a * aj, bj if right else bj * b) for aj, bj in self.terms],
+        )
 
     def involution(self) -> "BimodElement":
         """(a * g * b)^+ = b^+ * g * a^+; both generators are hermitian."""
@@ -131,10 +138,15 @@ class BimodElement:
 
     __rmul__ = __mul__
 
+    def components(self, orders) -> tuple[Poly, ...]:
+        """The triple components h_r = sum a_j b_j^(r) of a D2 element, for
+        the ascending orders r in ``orders``; no other component is formed."""
+        self._require(Generator.D2, "coefficient triple")
+        return sum_of_products(self.terms, orders)
+
     def triple(self) -> tuple[Poly, Poly, Poly]:
         """Classifying triple (sum a b, sum a b', sum a b'') of a D2 element."""
-        self._require(Generator.D2, "coefficient triple")
-        return sum_of_products(self.terms, derivatives=2)
+        return self.components((0, 1, 2))
 
     def gauss_poly(self) -> Poly:
         """Canonical polynomial factor of a GAUSS element."""

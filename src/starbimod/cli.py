@@ -91,6 +91,15 @@ def _load_functional(text: str) -> Functional:
     )
 
 
+def _functional_echo(func: Functional, text: str) -> str:
+    """The functional as a report echoes it, in a form ``--functional`` reads back.
+
+    gauss-atoms is echoed as given, since its argument names the file
+    of atom values; the others print their canonical form.
+    """
+    return text if func.kind == "gauss-atoms" else func.describe()
+
+
 def _atom_weights(data) -> Functional:
     values = data.get("values") if isinstance(data, dict) else None
     if not isinstance(values, list):
@@ -227,7 +236,7 @@ def _cmd_gns_check(args) -> int:
         "check": "gns-check",
         "inputs": {
             "measure": args.measure,
-            "functional": func.describe(),
+            "functional": _functional_echo(func, args.functional),
             "max_degree": args.max_degree,
             "trials": args.trials,
             "seed": args.seed,
@@ -260,7 +269,7 @@ def _cmd_cs_check(args) -> int:
         "check": "cs-check",
         "inputs": {
             "measure": args.measure,
-            "functional": func.describe(),
+            "functional": _functional_echo(func, args.functional),
             "max_degree": args.max_degree,
             "trials": args.trials,
             "seed": args.seed,
@@ -286,7 +295,7 @@ def _cmd_probe(args) -> int:
         "check": "probe",
         "inputs": {
             "measure": args.measure,
-            "functional": func.describe(),
+            "functional": _functional_echo(func, args.functional),
             "element": args.element or "<generator>",
             "degrees": args.degrees,
             "tolerance": _fmt_float(args.tolerance),

@@ -94,9 +94,9 @@ class FormMatrix:
             raise DimensionMismatchError("form and action dimensions differ")
         a, b = Poly.coerce(a), Poly.coerce(b)
         mat = self.mat
-        if not _is_unit(a):
+        if not a.is_one():
             mat = table.left_factor(a) @ mat
-        if not _is_unit(b):
+        if not b.is_one():
             mat = mat @ table.operator(b)
         return FormMatrix(mat)
 
@@ -121,10 +121,6 @@ class FormMatrix:
 
     def __repr__(self):
         return f"FormMatrix({self.mat!r})"
-
-
-def _is_unit(p: Poly) -> bool:
-    return p.den == 1 and p.re == (1,) and p.im == (0,)
 
 
 def form_from_operator(t: Matrix, table: ActionTable) -> FormMatrix:

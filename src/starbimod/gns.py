@@ -11,34 +11,41 @@ whole exact path stays in rational arithmetic.
 ``Functional`` bundles the five functional variants on the bimodules:
 
 * F0/F1/F2 on the d^2 bimodule pick off f(h0), f(h1), f(h2) of the
-  coefficient triple of the argument,
+  coefficient triple of the argument; F_t forms its one component h_t
+  and no other,
 * gauss-poly carries a polynomial weight w and sends w(q)p(q)exp(-q^2)
   to f(w p),
 * gauss-atoms carries one exact value v_i per atom x_i of an atomic
   measure and is evaluated in atom coordinates, on the atom images
-  v_i p(x_i) of ``atom_images``.
+  v_i p(x_i) of ``atom_images``.  The images are Gaussian integers over
+  one denominator, and its value, Cauchy-Schwarz bound and identity sides
+  are integer sums over the atoms, reduced once at the end.
 
 The operator theta(x) of the polynomial variants is stated once, as the
 terms (r, c, h) of ``theta_terms`` with theta(x) b = sum c h b^(r): the
-Leibniz terms (r, C(t, r), h_(t-r)) of F_t, or the single term
-(0, 1, w p) of gauss-poly.  ``theta`` sums them, and the probe's
-quadratic form reads the same list.
+Leibniz terms (r, C(t, r), h_(t-r)) of F_t, which need the components
+h_0..h_t only, or the single term (0, 1, w p) of gauss-poly.  ``theta``
+sums them, and the probe's quadratic form reads the same list.
 
 The central check, ``check_identity``, verifies
 
     F(a * x * b) = < theta(x) rho(b) phi, rho(a^+) phi >
 
 exactly, computing the two sides along genuinely different routes (act
-then classify, versus classify then multiply out).
+then classify, versus classify then multiply out).  The left side reads
+component t of the acted element's own pairs; it must never be computed
+from the triple of x by the closed form of the action, whose component t
+is term for term the Leibniz sum of the right side.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
+from operator import mul
 
-from .algebra import P_ONE, Poly, Scalar, sum_of_products
+from .algebra import P_ONE, Poly, Scalar, gauss_scalar, sum_of_products
 from .bimodule import BimodElement, Generator
 from .errors import (
     MomentMismatchError,
@@ -48,8 +55,6 @@ from .errors import (
 )
 from .exactla import LdlResult, Matrix, ldl_psd, nullspace
 from .moments import MomentFunctional
-
-_ZERO = Scalar(0)
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -159,17 +164,18 @@ class Functional:
         """F(x), exact; depends only on the semantic class of x."""
         if self.kind != "gauss-atoms":
             return mf.apply(self.coefficient_poly(x))
-        re = im = 0
-        for (_, w), u in zip(mf.atoms, self.atom_images(x, mf)):
-            re += u.re * w
-            im += u.im * w
-        return Scalar(re, im)
+        re, im, den = self.atom_images(x, mf)
+        _, _, ws, w_den = mf.atom_numerators()
+        return gauss_scalar(sum(map(mul, re, ws)), sum(map(mul, im, ws)), den * w_den)
 
     def coefficient_poly(self, x: BimodElement) -> Poly:
-        """The polynomial h with F(a^+ . x) = f(a^+ h); Cauchy-Schwarz partner."""
+        """The polynomial h with F(a^+ . x) = f(a^+ h); Cauchy-Schwarz partner.
+
+        F_t reads the one triple component h_t.
+        """
         self._check_tag(x)
         if self.kind in self._D2_KINDS:
-            return x.triple()[self._D2_KINDS.index(self.kind)]
+            return x.components((self._D2_KINDS.index(self.kind),))[0]
         if self.kind == "gauss-poly":
             return self.weight * x.gauss_poly()
         raise UnsupportedVariantError(
@@ -191,8 +197,8 @@ class Functional:
         if self.kind == "gauss-poly":
             return [(0, 1, self.weight * x.gauss_poly())]
         t = self._D2_KINDS.index(self.kind)
-        triple = x.triple()
-        return [(r, comb(t, r), triple[t - r]) for r in range(t + 1)]
+        hs = x.components(range(t + 1))
+        return [(r, comb(t, r), hs[t - r]) for r in range(t + 1)]
 
     def theta(self, x: BimodElement, b) -> Poly:
         """The image polynomial theta(x) applied to b * phi: ``theta_terms`` summed."""
@@ -204,8 +210,12 @@ class Functional:
         ]
         return sum_of_products(pairs)[0]
 
-    def atom_images(self, x: BimodElement, mf: MomentFunctional) -> list[Scalar]:
-        """The gauss-atoms images v_i p(x_i) of x = p exp(-q^2), one per atom x_i."""
+    def atom_images(self, x: BimodElement, mf: MomentFunctional):
+        """The gauss-atoms images v_i p(x_i) of x = p exp(-q^2), one per atom x_i.
+
+        Returned as ``(re, im, den)``: the image at atom i is
+        (re[i] + im[i]*i) / den.
+        """
         if self.kind != "gauss-atoms":
             raise UnsupportedVariantError("atom coordinates are for gauss-atoms")
         self._check_tag(x)
@@ -215,14 +225,23 @@ class Functional:
             raise VariantMismatchError(
                 f"{len(self.atom_values)} values for {len(mf.atoms)} atoms"
             )
-        p = x.gauss_poly()
-        return [p(pt) * v for (pt, _), v in zip(mf.atoms, self.atom_values)]
+        re, im, den = mf.at_atoms(x.gauss_poly())
+        v_den = lcm(*(v.denominator for v in self.atom_values))
+        vs = [v.numerator * (v_den // v.denominator) for v in self.atom_values]
+        return [a * v for a, v in zip(re, vs)], [b * v for b, v in zip(im, vs)], den * v_den
 
     def theta_atom_vector(self, x: BimodElement, b, mf: MomentFunctional):
-        """theta(x) rho(b) phi in atom coordinates, for the gauss-atoms variant."""
-        images = self.atom_images(x, mf)
-        b = Poly.coerce(b)
-        return tuple(u * b(pt) for (pt, _), u in zip(mf.atoms, images))
+        """theta(x) rho(b) phi in atom coordinates, for the gauss-atoms variant.
+
+        Returned as ``(re, im, den)``, entry i being v_i p(x_i) b(x_i).
+        """
+        re, im, den = self.atom_images(x, mf)
+        br, bi, b_den = mf.at_atoms(Poly.coerce(b))
+        return (
+            [u * c - v * d for u, v, c, d in zip(re, im, br, bi)],
+            [u * d + v * c for u, v, c, d in zip(re, im, br, bi)],
+            den * b_den,
+        )
 
     def describe(self) -> str:
         if self.kind == "gauss-poly":
@@ -265,11 +284,15 @@ def check_identity(
     b = Poly.coerce(b)
     lhs = func.value(x.act(a, b), mf)
     if func.kind == "gauss-atoms":
-        vec = func.theta_atom_vector(x, b, mf)
-        right = [a.conjugate()(pt) for pt, _ in mf.atoms]
-        rhs = _ZERO
-        for (pt, w), u, r in zip(mf.atoms, vec, right):
-            rhs = rhs + u * r.conjugate() * w
+        ur, ui, u_den = func.theta_atom_vector(x, b, mf)
+        # rho(a^+) phi in atom coordinates, conjugated by the inner product
+        rr, ri, r_den = mf.at_atoms(a.conjugate())
+        _, _, ws, w_den = mf.atom_numerators()
+        re = im = 0
+        for u, v, c, d, w in zip(ur, ui, rr, ri, ws):
+            re += (u * c + v * d) * w
+            im += (v * c - u * d) * w
+        rhs = gauss_scalar(re, im, u_den * r_den * w_den)
     else:
         image = func.theta(x, b)
         rhs = mf.apply(a * image)
@@ -303,9 +326,9 @@ def check_cauchy_schwarz(
     lhs = func.value(x.act(a.conjugate(), P_ONE), mf)
     gram_aa = mf.pairing(a, a)
     if func.kind == "gauss-atoms":
-        c = _ZERO
-        for (_, w), u in zip(mf.atoms, func.atom_images(x, mf)):
-            c = c + u * u.conjugate() * w
+        re, im, den = func.atom_images(x, mf)
+        _, _, ws, w_den = mf.atom_numerators()
+        c = Fraction(sum((u * u + v * v) * w for u, v, w in zip(re, im, ws)), den * den * w_den)
     else:
         h = func.coefficient_poly(x)
         c = mf.apply(h.conjugate() * h)

@@ -16,6 +16,12 @@ denominators).  ``apply`` and ``shifted_values`` are integer dot products
 of a polynomial's numerators with that table (``apply`` reduces its value
 to a ``Scalar`` once, ``shifted_values`` keeps the numerators), and
 ``numerators`` hands out the table, which the GNS Hankel Gram slices.
+
+An atomic measure also gives its points and weights as integers over X
+and W (``atom_numerators``), and ``at_atoms`` evaluates a polynomial at
+every atom by integer Horner; the gauss-atoms functional sums on those.
+``power_sums`` forms sum_i c_i x_i^k on integers, for the moment table
+and for the probe's gauss-atoms sequence.
 """
 
 from __future__ import annotations
@@ -35,12 +41,34 @@ from .algebra import (
 )
 from .errors import MomentOutOfRangeError
 
+
+def power_sums(re, im, xs, x_den: int, top: int):
+    """sum_i c_i x_i^k for k <= top, with c_i = re[i] + im[i]*i and x_i = xs[i] / X.
+
+    Returns ``(re, im)``, two int lists of the sums over X^top.
+    """
+    out_re, out_im = [], []
+    for _ in range(top + 1):
+        out_re.append(sum(re))
+        out_im.append(sum(im))
+        re = [c * x for c, x in zip(re, xs)]
+        im = [c * x for c, x in zip(im, xs)]
+    # the k-th sum is over X^k; bring each to X^top
+    scale = 1
+    for k in range(top, -1, -1):
+        out_re[k] *= scale
+        out_im[k] *= scale
+        scale *= x_den
+    return out_re, out_im
+
+
 class MomentFunctional:
     """f(p) = integral of p against a measure, exactly."""
 
     # _nums is the moment table (re, im, den); an atomic measure's table
-    # is a cache that grows, and is not part of ==, hash or repr
-    __slots__ = ("atoms", "_nums")
+    # is a cache that grows, and is not part of ==, hash or repr.
+    # _atom_nums is (xs, X, ws, W) of an atomic measure, else None.
+    __slots__ = ("atoms", "_nums", "_atom_nums")
 
     def __init__(self, atoms=None, values=None):
         if (atoms is None) == (values is None):
@@ -55,10 +83,20 @@ class MomentFunctional:
                 pts.append((x, w))
             object.__setattr__(self, "atoms", tuple(pts))
             object.__setattr__(self, "_nums", ((), (), 1))
+            x_den = lcm(*(x.denominator for x, _ in pts))
+            w_den = lcm(*(w.denominator for _, w in pts))
+            nums = (
+                tuple([x.numerator * (x_den // x.denominator) for x, _ in pts]),
+                x_den,
+                tuple([w.numerator * (w_den // w.denominator) for _, w in pts]),
+                w_den,
+            )
+            object.__setattr__(self, "_atom_nums", nums)
         else:
             [(re, im)], den = gauss_numerators([[Scalar.coerce(v) for v in values]])
             object.__setattr__(self, "atoms", None)
             object.__setattr__(self, "_nums", (tuple(re), tuple(im), den))
+            object.__setattr__(self, "_atom_nums", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("MomentFunctional is immutable")
@@ -119,22 +157,45 @@ class MomentFunctional:
 
     def _extend(self, top: int):
         """Fill the atomic cache: m_k = sum w x^k over W * X^top, k <= top."""
-        x_den = lcm(*(x.denominator for x, _ in self.atoms))
-        w_den = lcm(*(w.denominator for _, w in self.atoms))
-        xs = [x.numerator * (x_den // x.denominator) for x, _ in self.atoms]
-        terms = [w.numerator * (w_den // w.denominator) for _, w in self.atoms]
-        re = []
-        for _ in range(top + 1):
-            re.append(sum(terms))
-            terms = [t * x for t, x in zip(terms, xs)]
-        # m_k is re[k] / (W X^k); bring each to W X^top
-        scale = 1
-        for k in range(top, -1, -1):
-            re[k] *= scale
-            scale *= x_den
+        xs, x_den, ws, w_den = self._atom_nums
+        re, _ = power_sums(ws, (0,) * len(ws), xs, x_den, top)
         nums = (tuple(re), (0,) * (top + 1), w_den * x_den**top)
         object.__setattr__(self, "_nums", nums)
         return nums
+
+    def atom_numerators(self):
+        """``(xs, X, ws, W)``: atom i sits at xs[i] / X with weight ws[i] / W.
+
+        X and W are the lcms of the point and the weight denominators.
+        """
+        if self._atom_nums is None:
+            raise ValueError("a moment list has no atoms")
+        return self._atom_nums
+
+    def at_atoms(self, p: Poly):
+        """p(x_i) at every atom as ``(re, im, den)``: p(x_i) = (re[i] + im[i]*i) / den.
+
+        Horner on the numerators, homogeneous in X: with n the degree,
+        sum_k c_k xs_i^k X^(n-k) over p.den * X^n.
+        """
+        xs, x_den, _, _ = self.atom_numerators()
+        if not p.re:
+            return [0] * len(xs), [0] * len(xs), 1
+        # c_k X^(n-k), highest power first
+        scaled = []
+        scale = 1
+        for cr, ci in zip(reversed(p.re), reversed(p.im)):
+            scaled.append((cr * scale, ci * scale))
+            scale *= x_den
+        re, im = [], []
+        for x in xs:
+            acc_re = acc_im = 0
+            for cr, ci in scaled:
+                acc_re = acc_re * x + cr
+                acc_im = acc_im * x + ci
+            re.append(acc_re)
+            im.append(acc_im)
+        return re, im, p.den * (scale // x_den)
 
     def moment(self, k: int) -> Scalar:
         if k < 0:

@@ -44,12 +44,12 @@ from sys import float_info
 
 import numpy as np
 
-from .algebra import ZERO, Poly, Scalar, gauss_dot, gauss_numerators, gauss_scalar
+from .algebra import Poly, Scalar, gauss_dot, gauss_scalar
 from .bimodule import BimodElement
 from .errors import DoubleRangeError, NotHermitianError, SingularGramError
 from .exactla import LdlResult, Matrix, _inverse_rows, ldl_psd
 from .gns import Functional, hankel_gram
-from .moments import MomentFunctional
+from .moments import MomentFunctional, power_sums
 
 BOUNDED = "Bounded"
 GROWTH = "GrowthDetected"
@@ -92,14 +92,13 @@ def form_numerators(
     """
     n = degree + 1
     if func.kind == "gauss-atoms":
-        s = [ZERO] * (2 * n - 1)
-        for (pt, w), u in zip(mf.atoms, func.atom_images(x, mf)):
-            term = u * w
-            for m in range(2 * n - 1):
-                s[m] = s[m] + term
-                term = term * pt
-        [(sr, si)], den = gauss_numerators([s])
-        seqs = [(0, 1, (sr, si, den))]
+        re, im, den = func.atom_images(x, mf)
+        xs, x_den, ws, w_den = mf.atom_numerators()
+        top = 2 * n - 2
+        sr, si = power_sums(
+            [u * w for u, w in zip(re, ws)], [v * w for v, w in zip(im, ws)], xs, x_den, top
+        )
+        seqs = [(0, 1, (sr, si, den * w_den * x_den**top))]
     else:
         # the r-th term needs k >= r, so it reaches index 2N - r only
         seqs = [
@@ -356,11 +355,12 @@ def norm_bound_trials(
     Trial n draws a dimension in 1..max_dim and entries with real and
     imaginary parts uniform in [-1, 1) from one generator seeded with
     ``seed``, and samples unit vectors with the seed sample_seed + n.
-    Returns the number of failed trials and the largest norm - 4 * radius.
+    Returns the number of failed trials and the largest norm - 4 * radius,
+    which is negative when every trial keeps the bound (-inf for no trial).
     """
     rng = np.random.default_rng(seed)
     failures = 0
-    worst = 0.0
+    worst = -inf
     for n in range(trials):
         dim = int(rng.integers(1, max_dim + 1))
         t = rng.uniform(-1, 1, (dim, dim)) + 1j * rng.uniform(-1, 1, (dim, dim))

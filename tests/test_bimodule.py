@@ -49,6 +49,40 @@ class TestActionAndInvolution:
         x = rand_d2_element(rng)
         assert x.act(P_ONE, P_ONE).equivalent(x)
 
+    def test_unit_side_takes_no_product(self, monkeypatch):
+        rng = random.Random(5)
+        x = rand_d2_element(rng, 4, 4)
+        a = rand_poly(rng, 4, nonzero=True)
+        b = rand_poly(rng, 4, nonzero=True)
+        # the product route, built before the counter is live
+        by_products = {
+            "left": [(P_ONE * aj, bj * b) for aj, bj in x.terms],
+            "right": [(a * aj, bj * P_ONE) for aj, bj in x.terms],
+        }
+        products = []
+        original = Poly.__mul__
+
+        def counted(self, other):
+            products.append(other)
+            return original(self, other)
+
+        monkeypatch.setattr(Poly, "__mul__", counted)
+        n = len(x.terms)
+        cases = [
+            ("left", P_ONE, b, n),
+            ("left", Poly.constant(Fraction(2, 2)), b, n),
+            ("right", a, 1, n),
+            ("right", a, P_ONE, n),
+        ]
+        for side, left, right, count in cases:
+            products.clear()
+            acted = x.act(left, right)
+            assert len(products) == count, (side, left, right)
+            assert acted.terms == BimodElement(Generator.D2, by_products[side]).terms
+        products.clear()
+        assert x.act(1, P_ONE).terms == x.terms
+        assert products == []
+
     def test_gauss_absorption(self):
         p = rand_poly(random.Random(4), 3)
         x = BimodElement.gauss(p).act(Q, Q)

@@ -20,7 +20,7 @@ from starbimod.cli import (
 from starbimod import selftest
 from starbimod.moments import MomentFunctional
 from starbimod.parser import MAX_NESTING
-from starbimod.probes import BOUNDED, GROWTH, plateau_verdict
+from starbimod.probes import BOUNDED, GROWTH, norm_bound_trials, plateau_verdict
 from starbimod.sampling import mu3
 
 
@@ -151,13 +151,18 @@ class TestChecks:
         )
         assert code == 0
 
-    @pytest.mark.parametrize("command", ["gns-check", "cs-check"])
-    def test_echoed_functional_replays(self, capsys, mu3_file, command):
-        argv = [command, "--measure", mu3_file, "--trials", "3", "--json", "--functional"]
-        assert main(argv + ["gauss-poly:i*q + 1/2*q^2 - (2 - 3*i)*q^3"]) == 0
-        echoed = json.loads(capsys.readouterr().out)["inputs"]["functional"]
-        assert main(argv + [echoed]) == 0
-        assert json.loads(capsys.readouterr().out)["inputs"]["functional"] == echoed
+    @pytest.mark.parametrize("command", ["gns-check", "cs-check", "probe"])
+    def test_echoed_functional_replays(self, capsys, tmp_path, mu3_file, command):
+        values = tmp_path / "values.json"
+        values.write_text(json.dumps({"values": ["1", "-1/2", "0"]}))
+        argv = [command, "--measure", mu3_file, "--json", "--functional"]
+        if command != "probe":
+            argv[1:1] = ["--trials", "3"]
+        for functional in ("gauss-poly:i*q + 1/2*q^2 - (2 - 3*i)*q^3", f"gauss-atoms:{values}"):
+            assert main(argv + [functional]) == 0
+            echoed = json.loads(capsys.readouterr().out)["inputs"]["functional"]
+            assert main(argv + [echoed]) == 0
+            assert json.loads(capsys.readouterr().out)["inputs"]["functional"] == echoed
 
     def test_cs_check_passes(self, capsys, mu3_file):
         code = main(
@@ -413,6 +418,13 @@ class TestLemmaCheck:
         report = json.loads(capsys.readouterr().out)
         assert report["holds"] is True
         assert report["failures"] == 0
+
+    def test_reports_the_real_slack(self, capsys):
+        assert main(["lemma-check", "--json", "--seed", "0", "--trials", "50"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        _, worst = norm_bound_trials(50, 0, 8, 1)
+        assert report["max_slack"] == f"{worst:.17g}"
+        assert float(report["max_slack"]) < 0
 
 
 MEASURE = "<measure>"

@@ -250,6 +250,28 @@ class TestTriple:
     def test_zero_element(self):
         assert BimodElement.zero().triple() == (Poly(), Poly(), Poly())
 
+    @pytest.mark.parametrize(
+        "orders", [(0,), (1,), (2,), (0, 1), (0, 1, 2)], ids=lambda o: "".join(map(str, o))
+    )
+    def test_components_match_triple_and_sympy(self, orders):
+        rng = random.Random(53 + len(orders))
+        elements = [BimodElement.zero()]
+        for _ in range(80):
+            pairs = []
+            for _ in range(rng.randint(1, 4)):
+                # right factors of degree 0 and 1 lose their higher derivatives
+                degree = rng.choice((0, 1, 2, 7))
+                pairs.append((_poly(rng, rng.choice(SHAPES)), _poly(rng, rng.choice(SHAPES), degree)))
+            elements.append(BimodElement(Generator.D2, pairs))
+        for x in elements:
+            parts = x.components(orders)
+            triple = x.triple()
+            expected = self._sympy_triple(x)
+            assert parts == tuple(triple[r] for r in orders)
+            assert [_sym_poly(h) for h in parts] == [expected[r] for r in orders]
+            for h in parts:
+                _assert_canonical(h)
+
     def test_constant_right_factors_have_no_derivative_terms(self):
         a = Poly([Scalar(TALL[-1], 0), Scalar(0, Fraction(1, MAX_DEN))])
         x = BimodElement(Generator.D2, [(a, Poly([3]))])
@@ -942,6 +964,9 @@ class TestGramRouteStaysOnNumerators:
         for kind in ("F0", "F1", "F2"):
             boundedness_probe(Functional(kind), x, mf, range(2, 13))
         boundedness_probe(Functional.gauss_poly(weight), gauss, mf, range(2, 13))
+        if mf.is_atomic:
+            values = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in mf.atoms]
+            boundedness_probe(Functional.gauss_atoms(values), gauss, mf, range(2, 13))
         assert calls == []
         Poly([1, Fraction(1, 2)])
         assert calls == [1]  # the wrapper was live: Poly(...) converts Scalars in

@@ -28,6 +28,7 @@ from starbimod.sampling import (
     atoms012,
     mu3,
     rand_d2_element,
+    rand_fraction,
     rand_gauss_element,
     rand_poly,
 )
@@ -349,6 +350,79 @@ class TestCauchySchwarz:
                 func, rand_poly(rng, 4), rand_gauss_element(rng, 3), mu3()
             )
             assert report.holds
+
+
+# The gauss-atoms sums as Scalar loops: the reference the integer sums
+# of Functional and check_* must reproduce exactly.
+def _ref_images(func, x, mf):
+    p = x.gauss_poly()
+    return [p(pt) * v for (pt, _), v in zip(mf.atoms, func.atom_values)]
+
+
+def _ref_value(func, x, mf):
+    re = im = 0
+    for (_, w), u in zip(mf.atoms, _ref_images(func, x, mf)):
+        re += u.re * w
+        im += u.im * w
+    return Scalar(re, im)
+
+
+def _ref_theta_atom_vector(func, x, b, mf):
+    return tuple(u * b(pt) for (pt, _), u in zip(mf.atoms, _ref_images(func, x, mf)))
+
+
+def _ref_identity(func, a, x, b, mf):
+    lhs = _ref_value(func, x.act(a, b), mf)
+    rhs = Scalar(0)
+    for (pt, w), u in zip(mf.atoms, _ref_theta_atom_vector(func, x, b, mf)):
+        rhs = rhs + u * a.conjugate()(pt).conjugate() * w
+    return lhs, rhs
+
+
+def _ref_cauchy_schwarz(func, a, x, mf):
+    lhs = _ref_value(func, x.act(a.conjugate(), P_ONE), mf)
+    c = Scalar(0)
+    for (_, w), u in zip(mf.atoms, _ref_images(func, x, mf)):
+        c = c + u * u.conjugate() * w
+    return lhs.abs2(), (c * mf.pairing(a, a)).re
+
+
+def _cluster():
+    """Sixteen atoms x = 1/n with weights 1/2^n, n = 1..16."""
+    return MomentFunctional.atomic([(Fraction(1, n), Fraction(1, 2**n)) for n in range(1, 17)])
+
+
+class TestGaussAtomsIntegerSums:
+    """value, theta_atom_vector, check_identity and check_cauchy_schwarz of
+    gauss-atoms against the Scalar loops, exactly."""
+
+    @staticmethod
+    def _cases(mf, seed):
+        rng = random.Random(seed)
+        zero = Poly()
+        for n in range(40):
+            values = [rand_fraction(rng) for _ in mf.atoms]
+            values[n % len(values)] = Fraction(0)
+            values[(n + 1) % len(values)] = -abs(rand_fraction(rng)) or Fraction(-1)
+            x = BimodElement.gauss(zero) if n % 10 == 0 else rand_gauss_element(rng, 4)
+            a = zero if n % 10 == 3 else rand_poly(rng, 5)
+            b = zero if n % 10 == 7 else rand_poly(rng, 5)
+            yield Functional.gauss_atoms(values), a, x, b
+
+    @pytest.mark.parametrize("name", ["mu3", "atoms012", "cluster"])
+    def test_against_scalar_loops(self, name):
+        mf = {"mu3": mu3, "atoms012": atoms012, "cluster": _cluster}[name]()
+        for func, a, x, b in self._cases(mf, 131):
+            assert func.value(x, mf) == _ref_value(func, x, mf)
+            re, im, den = func.theta_atom_vector(x, b, mf)
+            vector = tuple(Scalar(Fraction(u, den), Fraction(v, den)) for u, v in zip(re, im))
+            assert vector == _ref_theta_atom_vector(func, x, b, mf)
+            report = check_identity(func, a, x, b, mf)
+            assert (report.lhs, report.rhs) == _ref_identity(func, a, x, b, mf)
+            assert report.equal
+            cs = check_cauchy_schwarz(func, a, x, mf)
+            assert (cs.lhs_squared, cs.bound) == _ref_cauchy_schwarz(func, a, x, mf)
+            assert type(cs.lhs_squared) is Fraction and type(cs.bound) is Fraction
 
 
 class TestUniqueness:

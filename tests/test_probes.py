@@ -9,6 +9,7 @@ import sympy
 from sympy import QQ_I
 from sympy.polys.matrices import DomainMatrix
 
+from starbimod import probes
 from starbimod.algebra import P_ONE, Poly, Q, Scalar
 from starbimod.bimodule import BimodElement, Generator
 from starbimod.errors import (
@@ -27,6 +28,7 @@ from starbimod.probes import (
     boundedness_probe,
     form_numerators,
     generator_probe,
+    norm_bound_trials,
     numerical_radius_norm_check,
     plateau_verdict,
 )
@@ -434,3 +436,18 @@ class TestNumericalRadiusBound:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             numerical_radius_norm_check(np.zeros((2, 3)))
+
+    def test_trials_report_the_largest_margin(self, monkeypatch):
+        reports = []
+        original = probes.numerical_radius_norm_check
+
+        def recorded(*args, **kwargs):
+            reports.append(original(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(probes, "numerical_radius_norm_check", recorded)
+        failures, worst = norm_bound_trials(50, 0, 8, 1)
+        assert failures == 0 and len(reports) == 50
+        # every trial keeps the bound, so the largest norm - 4 * radius is negative
+        assert worst == max(r.norm - r.bound for r in reports)
+        assert worst < 0
