@@ -15,9 +15,11 @@ products, the conjugate (negate ``im``), derivatives, Horner evaluation
 at a rational or Gaussian point, and ``sum_of_products``, which brings
 the left and the right factors each to a common denominator by integer
 rescaling and accumulates, in plain ints, sum_j u_j * v_j^(r) for each
-derivative order r it is asked for.  ``Poly.__mul__`` is its one-pair
-case at order 0, the d^2 coefficient triple its orders 0, 1, 2, and a
-functional F_t reads order t alone.
+derivative order r it is asked for: the d^2 coefficient triple is its
+orders 0, 1, 2, and a functional F_t reads order t alone.
+``Poly.__mul__`` convolves its one pair directly, over the product of the
+two canonical denominators, and a zero or a unit factor costs it no
+product.
 
 Scalars meet numerators only at the boundaries: ``Poly(seq)`` and
 ``gauss_numerators`` convert Scalars in, over the lcm of their
@@ -233,7 +235,7 @@ class Poly:
 
     @classmethod
     def monomial(cls, power: int, coeff=ONE) -> "Poly":
-        cr, ci, cd = _parts(Scalar.coerce(coeff))
+        cr, ci, cd = (1, 0, 1) if coeff is ONE else _parts(Scalar.coerce(coeff))
         if not (cr or ci):
             return cls()
         pad = (0,) * power
@@ -322,7 +324,17 @@ class Poly:
             )
         if not isinstance(other, Poly):
             return NotImplemented
-        return sum_of_products([(self, other)])[0]
+        # a zero or a unit factor costs no product
+        if not self.re or other.is_one():
+            return self
+        if not other.re or self.is_one():
+            return other
+        # both factors are canonical, so the product is over den * den as it is
+        size = len(self.re) + len(other.re) - 1
+        acc_re = [0] * size
+        acc_im = [0] * size
+        _convolve_into(acc_re, acc_im, self.re, self.im, other.re, other.im)
+        return Poly.from_numerators(acc_re, acc_im, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -514,9 +526,13 @@ def sum_of_products(pairs, orders=(0,)) -> tuple[Poly, ...]:
     The u_j are brought to the lcm of their denominators, and so are the
     v_j, by integer rescaling; the derivatives are taken step by step on
     the integer numerators, every sum is accumulated in ints, and each
-    output is normalised once.
+    output is normalised once.  A single product goes to ``Poly.__mul__``,
+    which needs none of that set-up and skips a unit factor.
     """
     pairs = [(u, v) for u, v in pairs if u.re and v.re]
+    if len(pairs) == 1 and tuple(orders) == (0,):
+        ((u, v),) = pairs
+        return (u * v,)
     du = lcm(*(u.den for u, _ in pairs))
     dv = lcm(*(v.den for _, v in pairs))
     terms = [(_rescaled(u, du), _rescaled(v, dv)) for u, v in pairs]

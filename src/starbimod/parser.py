@@ -14,8 +14,9 @@ token kinds that would have been accepted.
 A power may raise the degree of its base to at most ``MAX_EXPONENT``:
 ``x^n`` is refused when n times the larger of the q- and d-degree of x
 exceeds it.  Measuring against the base's degree bounds nested powers
-too, and a constant base counts as degree 1, so no power multiplies
-more than ``MAX_EXPONENT`` times.
+too, and a constant base counts as degree 1, so no exponent exceeds
+``MAX_EXPONENT``; square-and-multiply forms ``x^n`` in at most
+2*floor(log2 n) products.
 
 No number in a parsed expression has more than ``MAX_DIGITS`` decimal
 digits, in a numerator or a denominator.  A longer literal is refused at
@@ -32,13 +33,12 @@ offset before the interpreter's recursion limit is reached.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import chain
 from typing import NamedTuple
 
-from .algebra import MAX_DIGITS, I, Scalar
+from .algebra import MAX_DIGITS, I
 from .errors import ParseError
-from .weyl import D, P, WeylElement
+from .weyl import D, P, WeylElement, _new
 
 
 MAX_EXPONENT = 64
@@ -230,7 +230,8 @@ class _Parser:
             return {"q": _Q, "d": D, "p": P, "i": _I}[tok.text]
         if tok.kind == "number":
             self.advance()
-            return WeylElement.monomial(0, 0, Scalar(Fraction(tok.text)))
+            num, _, den = tok.text.partition("/")
+            return _new([((0, 0), int(num), 0)], int(den or 1))
         if tok.kind == "lparen":
             if self.depth == MAX_NESTING:
                 raise ParseError(

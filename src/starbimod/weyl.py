@@ -155,8 +155,12 @@ class WeylElement:
         for (m1, n1), (a1, b1) in self.nums.items():
             for (m2, n2), (a2, b2) in other.nums.items():
                 cr, ci = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2
-                for (mm, nn), k in _normal_dq(n1, m2):
-                    triples.append(((m1 + mm, nn + n2), k * cr, k * ci))
+                if n1 and m2:
+                    for (mm, nn), k in _normal_dq(n1, m2):
+                        triples.append(((m1 + mm, nn + n2), k * cr, k * ci))
+                else:
+                    # q^m1 d^n1 q^m2 d^n2 is already normal-ordered
+                    triples.append(((m1 + m2, n1 + n2), cr, ci))
         return _new(triples, self.den * other.den)
 
     def __rmul__(self, other):
@@ -166,12 +170,21 @@ class WeylElement:
         return other * self
 
     def __pow__(self, n: int):
+        """Square-and-multiply from the base: x^n costs at most 2*floor(log2 n)
+        products, and no square beyond the last one the result needs."""
         if n < 0:
             raise ValueError("negative power")
-        out = WeylElement.one()
-        for _ in range(n):
-            out = out * self
-        return out
+        if not n:
+            return _ONE
+        out = None
+        base = self
+        while True:
+            if n & 1:
+                out = base if out is None else out * base
+            n >>= 1
+            if not n:
+                return out
+            base = base * base
 
     def involution(self) -> "WeylElement":
         """Antilinear involution with q^+ = q and d^+ = -d."""
@@ -186,18 +199,22 @@ class WeylElement:
 
         The term c q^m d^n sends a t^j to c a j!/(j-n)! t^(j-n+m), so the
         image is built by shifting coefficient indices in one pass, on the
-        numerators of p and of the element.
+        numerators of p and of the element.  The loop visits only the
+        nonzero coefficients of p, each against every term.
         """
-        ar, ai = p.re, p.im
-        size = len(ar) + max((m - n for m, n in self.nums), default=0)
-        out_re = [0] * size
-        out_im = [0] * size
-        for (m, n), (tr, ti) in self.nums.items():
-            for j in range(n, len(ar)):
-                if ar[j] or ai[j]:
-                    f, k = perm(j, n), j - n + m
-                    out_re[k] += f * (tr * ar[j] - ti * ai[j])
-                    out_im[k] += f * (tr * ai[j] + ti * ar[j])
+        terms = self.nums.items()
+        re, im = p.re, p.im
+        # the largest key (m, n) has the largest q power m
+        out_re = [0] * (len(re) + max(self.nums, default=(0, 0))[0])
+        out_im = out_re[:]
+        for j, a in enumerate(re):
+            b = im[j]
+            if a or b:
+                for (m, n), (tr, ti) in terms:
+                    if j >= n:
+                        f, k = perm(j, n), j - n + m
+                        out_re[k] += f * (tr * a - ti * b)
+                        out_im[k] += f * (tr * b + ti * a)
         return Poly.from_numerators(out_re, out_im, p.den * self.den)
 
     def __eq__(self, other):
@@ -260,5 +277,6 @@ def _coerce(value):
     return NotImplemented
 
 
+_ONE = WeylElement.one()
 D = WeylElement.d_power(1)
 P = WeylElement.p_generator()

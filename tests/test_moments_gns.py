@@ -439,3 +439,44 @@ class TestUniqueness:
     def test_mismatch_detected(self):
         with pytest.raises(MomentMismatchError):
             check_intertwiner(mu3(), atoms012(), 4)
+
+
+class TestUnitWeightProducts:
+    """gauss-poly with weight 1 convolves no unit factor, and its results hold."""
+
+    A = Poly([1, Scalar(0, 1)])
+    B = Poly([Fraction(-1, 2), 0, 2])
+    X = BimodElement.gauss(Poly([3, Scalar(Fraction(1, 3), 1), 0, -1]))
+    PINNED = [
+        (mu3, Scalar(Fraction(9, 2), -2), Fraction(1105, 9), Fraction(1345, 9)),
+        (
+            lambda: MomentFunctional.gaussian(40),
+            Scalar(-1, Fraction(-80, 3)),
+            Fraction(208, 9),
+            Fraction(416, 9),
+        ),
+    ]
+
+    @pytest.mark.parametrize("measure, value, lhs_squared, bound", PINNED)
+    def test_convolutions_and_results(self, measure, value, lhs_squared, bound, monkeypatch):
+        from starbimod import algebra
+
+        mf = measure()
+        func = Functional.gauss_poly(P_ONE)
+        calls = []
+        original = algebra._convolve_into
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(algebra, "_convolve_into", counted)
+        report = check_identity(func, self.A, self.X, self.B, mf)
+        # p * b and a * (p b) on the left; theta(x) b and a * image on the right
+        assert len(calls) == 4
+        assert report.lhs == report.rhs == value
+        calls.clear()
+        cs = check_cauchy_schwarz(func, self.A, self.X, mf)
+        # a^+ * p, h^+ * h and a^+ * a
+        assert len(calls) == 3
+        assert (cs.lhs_squared, cs.bound) == (lhs_squared, bound)

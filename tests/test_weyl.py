@@ -357,3 +357,115 @@ class TestToExpression:
         )
         assert u.to_expression() == "q^2 - 2*i*q*d - 3/4*d + (1 - i)"
         assert WeylElement.zero().to_expression() == "0"
+
+
+def _assert_canonical_poly(p: Poly):
+    """den > 0, gcd(den, every numerator) == 1, no trailing zero, int tuples."""
+    assert isinstance(p.den, int) and p.den > 0
+    assert type(p.re) is tuple and type(p.im) is tuple and len(p.re) == len(p.im)
+    assert all(type(x) is int for x in p.re + p.im)
+    assert not p.re or p.re[-1] or p.im[-1]
+    assert gcd(p.den, *p.re, *p.im) == 1
+
+
+class TestSquareAndMultiply:
+    def bases(self):
+        rng = random.Random(41)
+        return [
+            WeylElement.zero(),
+            WeylElement.one(),
+            WeylElement.monomial(0, 0, rand_scalar(rng) + I),
+            QW,
+            WeylElement.monomial(2, 0, Fraction(-1, 3)),
+            D,
+            WeylElement.monomial(0, 2, I),
+            QW + D,
+            P,
+            rand_weyl(rng, 3, 2),
+            rand_weyl(rng, 2, 3),
+        ]
+
+    def test_power_is_the_repeated_product(self):
+        for x in self.bases():
+            folded = WeylElement.one()
+            for n in range(10):
+                power = x**n
+                assert power == folded, (x, n)
+                assert power.den == folded.den and dict(power.nums) == dict(folded.nums)
+                assert_canonical(power)
+                folded = folded * x
+
+    def test_negative_exponent_raises(self):
+        for x in (WeylElement.zero(), QW, QW + D):
+            with pytest.raises(ValueError):
+                x**-1
+
+    def test_parser_products_are_logarithmic(self, monkeypatch):
+        calls = []
+        original = WeylElement.__mul__
+
+        def counted(self, other):
+            calls.append(other)
+            return original(self, other)
+
+        monkeypatch.setattr(WeylElement, "__mul__", counted)
+        assert parse_expression("q^64") == WeylElement.q_power(64)
+        assert len(calls) <= 12
+        expected = (QW + D) * (QW + D) * (QW + D) * (QW + D) * (QW + D)
+        calls.clear()
+        assert parse_expression("(q + d)^5") == expected
+        assert len(calls) <= 5
+
+
+class TestApplyNonzeroCoefficients:
+    """``apply`` reads only the nonzero coefficients of its argument."""
+
+    def check(self, u, p):
+        image = u.apply(p)
+        _assert_canonical_poly(image)
+        assert _sym_poly(image) == sympy_apply(u, p)
+
+    def elements(self):
+        rng = random.Random(43)
+        return [WeylElement.zero(), QW * D, D * D] + [rand_weyl(rng) for _ in range(20)]
+
+    def test_monomials(self):
+        for u in self.elements():
+            for k in range(13):
+                self.check(u, Poly.monomial(k))
+
+    def test_zero_polynomial(self):
+        for u in self.elements():
+            self.check(u, Poly())
+
+    def test_sparse_polynomials_with_interior_zeros(self):
+        rng = random.Random(44)
+        for u in self.elements():
+            degree = rng.randint(2, 10)
+            coeffs = [Scalar(0)] * (degree + 1)
+            for k in {0, degree, *rng.sample(range(degree + 1), 2)}:
+                coeffs[k] = rand_scalar(rng) + I
+            self.check(u, Poly(coeffs))
+
+    def test_oracle_takes_no_product(self, monkeypatch):
+        from starbimod import algebra, weyl
+
+        def refuse(*args):
+            raise AssertionError("the oracle must not use the product")
+
+        u = rand_weyl(random.Random(45))
+        expected = [sympy_apply(u, Poly.monomial(k)) for k in range(8)]
+        monkeypatch.setattr(WeylElement, "__mul__", refuse)
+        monkeypatch.setattr(weyl, "_normal_dq", refuse)
+        monkeypatch.setattr(algebra, "sum_of_products", refuse)
+        assert [_sym_poly(u.apply(Poly.monomial(k))) for k in range(8)] == expected
+
+
+class TestParsedLiterals:
+    @pytest.mark.parametrize("text", ["0", "3/6", "0/5", "12/4", "7", "10/15"])
+    def test_literal_matches_the_scalar_route(self, text):
+        value = parse_expression(text)
+        old = WeylElement.monomial(0, 0, Scalar(Fraction(text)))
+        assert value == old
+        assert value.den == old.den and dict(value.nums) == dict(old.nums)
+        assert_canonical(value)
