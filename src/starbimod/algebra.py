@@ -339,16 +339,7 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative polynomial power")
-        out = Poly.constant(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return power(self, n, P_ONE)
 
     def conjugate(self) -> "Poly":
         """The involution of C[q]: conjugate coefficients, q fixed."""
@@ -563,6 +554,23 @@ def _rescaled(p: Poly, den: int):
 
 def _derive(cs: list[int]) -> list[int]:
     return [k * c for k, c in enumerate(cs[1:], 1)]
+
+
+def power(base, n: int, one):
+    """base**n by square-and-multiply, ``one`` for n == 0: at most
+    2*floor(log2 n) products, and no square beyond the last one the result needs."""
+    if n < 0:
+        raise ValueError("negative power")
+    if not n:
+        return one
+    out = None
+    while True:
+        if n & 1:
+            out = base if out is None else out * base
+        n >>= 1
+        if not n:
+            return out
+        base = base * base
 
 
 def _convolve_into(acc_re, acc_im, ur, ui, vr, vi) -> None:

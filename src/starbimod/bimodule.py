@@ -120,6 +120,9 @@ class BimodElement:
             return NotImplemented
         if self.tag is not other.tag:
             raise TagMismatchError("cannot add elements over different generators")
+        if self.tag is Generator.GAUSS:
+            # add the canonical polynomials; no product with the unit left factor
+            return BimodElement.gauss(self.gauss_poly() + other.gauss_poly())
         return BimodElement(self.tag, self.terms + other.terms)
 
     def __sub__(self, other):

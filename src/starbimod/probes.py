@@ -30,15 +30,16 @@ lambda afterwards.  Moment Gram matrices in the monomial basis are far
 too ill-conditioned for a float Cholesky, so this exact reduction is
 what keeps degree ten reachable.
 
-The numerical-radius check of the norm lemma lives here too, with its
-sampling loop ``norm_bound_trials``; this module is the only one that
-uses numpy.
+The norm lemma ||T|| <= 4 w(T) is decided here too, exactly: floats only
+pick two vectors and a bound, from which exact arithmetic proves the
+lemma or refuses it.  This module is the only one that uses numpy.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from fractions import Fraction
 from math import inf, isfinite, lcm, ldexp, perm, sqrt
 from sys import float_info
 
@@ -46,8 +47,9 @@ import numpy as np
 
 from .algebra import Poly, Scalar, gauss_dot, gauss_scalar
 from .bimodule import BimodElement
-from .errors import DoubleRangeError, NotHermitianError, SingularGramError
+from .errors import DoubleRangeError, NotHermitianError, NotPositiveError, SingularGramError
 from .exactla import LdlResult, Matrix, _inverse_rows, ldl_psd
+from .forms import FormMatrix
 from .gns import Functional, hankel_gram
 from .moments import MomentFunctional, power_sums
 
@@ -304,68 +306,67 @@ def generator_probe(
 
 @dataclass(frozen=True)
 class NormBoundReport:
-    """Numerical-radius estimate against the operator norm."""
+    """Exact bounds on w(T)^2 and ||T||^2, and the decision of ||T|| <= 4 w(T)."""
 
-    radius_estimate: float
-    norm: float
-    tolerance: float
-
-    @property
-    def bound(self) -> float:
-        return 4.0 * self.radius_estimate
-
-    @property
-    def holds(self) -> bool:
-        return self.norm <= self.bound + self.tolerance
+    radius_sq: Fraction  # lb <= w(T)^2, exact at the two seed vectors
+    norm_sq: Fraction  # c, proved to bound ||T||^2 unless the LDL refused it
+    certified: bool  # the LDL proved c, and c <= 16 lb
+    slack: float  # sqrt(c) - 4 sqrt(lb), signed as c - 16 lb; inf if c was refused
 
 
-def numerical_radius_norm_check(
-    t, samples: int = 10_000, seed: int = 0, tolerance: float = 1e-9
-) -> NormBoundReport:
-    """Estimate sup |<T eta, eta>| over unit vectors; check norm <= 4 sup.
+def _norm_sq_at_most(t: Matrix, c: Fraction) -> bool:
+    """Whether ``ldl_psd`` proves ||T||^2 <= c, that is c I - T^H T >= 0."""
+    n = t.nrows
+    try:
+        ldl_psd(Matrix.diagonal([c] * n) + Matrix.diagonal([-1] * n) @ t.adjoint() @ t)
+    except NotPositiveError:
+        return False
+    return True
 
-    The estimate combines random unit vectors with eigenvector seeds of
-    the hermitian and antihermitian parts; the seeds alone already put
-    the estimate within a factor two of the true numerical radius, which
-    makes the factor-four bound robust to sampling error.
+
+def numerical_radius_norm_check(t) -> NormBoundReport:
+    """Decide ||T|| <= 4 w(T) exactly, w the numerical radius.
+
+    T is exact, a double being a dyadic rational.  The top-|eigenvalue|
+    eigenvectors eta of the hermitian and antihermitian parts of T reach
+    |eta^H T eta| >= ||T|| |eta|^2 / 2; the float eigensolve only picks them,
+    and lb = max |eta^H T eta|^2 / |eta|^4 <= w(T)^2 is exact.  The LDL proves
+    ||T||^2 <= c, c the float norm squared raised by 1e-9, or refuses it.
     """
     t = np.asarray(t, dtype=complex)
-    if t.ndim != 2 or t.shape[0] != t.shape[1]:
-        raise ValueError("need a square matrix")
-    n = t.shape[0]
-    rng = np.random.default_rng(seed)
-    block = rng.standard_normal((samples, n)) + 1j * rng.standard_normal((samples, n))
-    block /= np.linalg.norm(block, axis=1, keepdims=True)
-    herm = 0.5 * (t + t.conj().T)
-    skew = (t - t.conj().T) / 2j
-    _, vh = np.linalg.eigh(herm)
-    _, vs = np.linalg.eigh(skew)
-    block = np.vstack([block, vh.T, vs.T])
-    quads = np.abs((block.conj() * (block @ t.T)).sum(axis=1))
-    radius = float(np.max(quads))
-    norm = float(np.linalg.norm(t, 2))
-    return NormBoundReport(radius, norm, tolerance)
+    if t.ndim != 2 or t.shape[0] != t.shape[1] or not t.size:
+        raise ValueError("need a nonempty square matrix")
+    n = len(t)
+    seeds = []
+    for part in (t + t.conj().T, (t - t.conj().T) / 1j):
+        w, v = np.linalg.eigh(part)
+        seeds.append(v[:, np.argmax(np.abs(w))])
+    exact = [[Scalar(Fraction(z.real), Fraction(z.imag)) for z in row] for row in (*t, *seeds)]
+    form = FormMatrix(Matrix(exact[:n]))
+    lb = max(form.value(eta, eta).abs2() / sum(x.abs2() for x in eta) ** 2 for eta in exact[n:])
+    c = Fraction(float(np.linalg.norm(t, 2)) ** 2 * (1 + 1e-9))
+    proved = _norm_sq_at_most(form.mat, c)
+    scale = sqrt(c) + 4 * sqrt(lb)
+    slack = (float(c - 16 * lb) / scale if scale else 0.0) if proved else inf
+    return NormBoundReport(lb, c, proved and c <= 16 * lb, slack)
 
 
-def norm_bound_trials(
-    trials: int, seed: int, max_dim: int, sample_seed: int
-) -> tuple[int, float]:
+def norm_bound_trials(trials: int, seed: int, max_dim: int) -> tuple[int, float]:
     """Run ``numerical_radius_norm_check`` on random complex matrices.
 
     Trial n draws a dimension in 1..max_dim and entries with real and
     imaginary parts uniform in [-1, 1) from one generator seeded with
-    ``seed``, and samples unit vectors with the seed sample_seed + n.
-    Returns the number of failed trials and the largest norm - 4 * radius,
-    which is negative when every trial keeps the bound (-inf for no trial).
+    ``seed``.  Returns the number of trials not certified and the largest
+    slack, at most 0 when all are certified (-inf for no trial).
     """
     rng = np.random.default_rng(seed)
     failures = 0
     worst = -inf
-    for n in range(trials):
+    for _ in range(trials):
         dim = int(rng.integers(1, max_dim + 1))
         t = rng.uniform(-1, 1, (dim, dim)) + 1j * rng.uniform(-1, 1, (dim, dim))
-        report = numerical_radius_norm_check(t, seed=sample_seed + n)
-        worst = max(worst, report.norm - report.bound)
-        if not report.holds:
+        report = numerical_radius_norm_check(t)
+        worst = max(worst, report.slack)
+        if not report.certified:
             failures += 1
     return failures, worst

@@ -23,7 +23,8 @@ from itertools import chain
 from math import comb, gcd, lcm, perm
 from types import MappingProxyType
 
-from .algebra import I, ONE, Poly, Scalar, format_sum, gauss_numerators, gauss_scalar, power_text
+from .algebra import I, ONE, Poly, Scalar, format_sum, gauss_numerators, gauss_scalar
+from .algebra import power, power_text
 
 
 def _normal_dq(n: int, m: int):
@@ -170,21 +171,7 @@ class WeylElement:
         return other * self
 
     def __pow__(self, n: int):
-        """Square-and-multiply from the base: x^n costs at most 2*floor(log2 n)
-        products, and no square beyond the last one the result needs."""
-        if n < 0:
-            raise ValueError("negative power")
-        if not n:
-            return _ONE
-        out = None
-        base = self
-        while True:
-            if n & 1:
-                out = base if out is None else out * base
-            n >>= 1
-            if not n:
-                return out
-            base = base * base
+        return power(self, n, _ONE)
 
     def involution(self) -> "WeylElement":
         """Antilinear involution with q^+ = q and d^+ = -d."""

@@ -2,11 +2,13 @@
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from starbimod import algebra
 from starbimod.algebra import (
     I,
     ONE,
@@ -113,6 +115,28 @@ class TestPolyBasics:
         strings = p.coeff_strings()
         assert strings == ["1", "0", "-1/2i"]
         assert Poly.from_coeff_strings(strings) == p
+
+
+class TestPolyPower:
+    def test_convolutions_per_power(self, monkeypatch):
+        calls = []
+        original = algebra._convolve_into
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(algebra, "_convolve_into", counted)
+        for n in range(10):
+            calls.clear()
+            result = (Q + 1) ** n
+            # floor(log2 n) squares and popcount(n) - 1 multiplications
+            assert len(calls) == (n.bit_length() + bin(n).count("1") - 2 if n else 0)
+            assert result == Poly([comb(n, k) for k in range(n + 1)])
+
+    def test_negative_power_raises(self):
+        with pytest.raises(ValueError):
+            Q ** -1
 
 
 class TestPolyText:

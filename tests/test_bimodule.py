@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from starbimod import algebra
 from starbimod.algebra import I, P_ONE, Poly, Q, Scalar
 from starbimod.bimodule import (
     BimodElement,
@@ -99,6 +100,29 @@ class TestActionAndInvolution:
     def test_empty_term_list_is_zero(self):
         assert BimodElement.zero().is_zero()
         assert BimodElement.zero(Generator.GAUSS).is_zero()
+
+
+class TestGaussSum:
+    def test_sum_adds_the_polynomials(self, monkeypatch):
+        x, y = BimodElement.gauss(Q + 1), BimodElement.gauss(Q)
+        # the sum as the constructor folds the concatenated pairs
+        folded = BimodElement(Generator.GAUSS, x.terms + y.terms)
+        calls = []
+        original = algebra._convolve_into
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(algebra, "_convolve_into", counted)
+        total = x + y
+        assert calls == []
+        assert total.equivalent(folded)
+        assert total.gauss_poly() == Q * 2 + 1
+
+    def test_cancelling_sum_is_zero(self):
+        total = BimodElement.gauss(Q) + BimodElement.gauss(-Q)
+        assert total.is_zero() and total.terms == ()
 
 
 class TestTriple:

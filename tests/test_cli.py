@@ -418,11 +418,12 @@ class TestLemmaCheck:
         report = json.loads(capsys.readouterr().out)
         assert report["holds"] is True
         assert report["failures"] == 0
+        assert report["certified"] == 5
 
     def test_reports_the_real_slack(self, capsys):
         assert main(["lemma-check", "--json", "--seed", "0", "--trials", "50"]) == 0
         report = json.loads(capsys.readouterr().out)
-        _, worst = norm_bound_trials(50, 0, 8, 1)
+        _, worst = norm_bound_trials(50, 0, 8)
         assert report["max_slack"] == f"{worst:.17g}"
         assert float(report["max_slack"]) < 0
 

@@ -410,32 +410,44 @@ class TestPlateauRule:
 
 class TestNumericalRadiusBound:
     def test_nilpotent_shift(self):
+        # ||T|| = 1 and w(T) = 1/2: the lemma holds at 4, and the exact bounds
+        # refuse the constant 1.9, below the sharp 2
         report = numerical_radius_norm_check(np.array([[0, 1], [0, 0]]))
-        assert abs(report.radius_estimate - 0.5) < 1e-9
-        assert abs(report.norm - 1.0) < 1e-12
-        assert report.holds
+        assert report.certified and report.slack < 0
+        assert Fraction(1, 4) - Fraction(1, 10**12) < report.radius_sq <= Fraction(1, 4)
+        assert 1 <= report.norm_sq <= 1 + Fraction(1, 10**8)
+        assert report.norm_sq > Fraction(19, 10) ** 2 * report.radius_sq
+
+    def test_upper_bound_is_exact_both_ways(self):
+        t = Matrix([[0, Scalar(1, 1)], [0, 0]])  # ||T||^2 = 2
+        assert probes._norm_sq_at_most(t, Fraction(2))
+        assert not probes._norm_sq_at_most(t, Fraction(199, 100))
 
     def test_hermitian_case(self):
         report = numerical_radius_norm_check(np.diag([1.0, -1.0]))
-        assert abs(report.radius_estimate - 1.0) < 1e-9
-        assert report.norm <= 4 * report.radius_estimate + 1e-9
+        assert report.radius_sq == 1
+        assert report.certified and report.slack < 0
 
     def test_zero_matrix(self):
         report = numerical_radius_norm_check(np.zeros((3, 3)))
-        assert report.radius_estimate == 0.0
-        assert report.norm == 0.0
-        assert report.holds
+        assert report.radius_sq == report.norm_sq == 0
+        assert report.certified and report.slack == 0
 
     def test_random_matrices(self):
         rng = np.random.default_rng(7)
-        for n in range(50):
+        for _ in range(50):
             dim = int(rng.integers(1, 9))
             t = rng.uniform(-1, 1, (dim, dim)) + 1j * rng.uniform(-1, 1, (dim, dim))
-            assert numerical_radius_norm_check(t, seed=n).holds
+            report = numerical_radius_norm_check(t)
+            assert report.certified and report.slack < 0
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             numerical_radius_norm_check(np.zeros((2, 3)))
+
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError):
+            numerical_radius_norm_check(np.zeros((0, 0)))
 
     def test_trials_report_the_largest_margin(self, monkeypatch):
         reports = []
@@ -446,8 +458,8 @@ class TestNumericalRadiusBound:
             return reports[-1]
 
         monkeypatch.setattr(probes, "numerical_radius_norm_check", recorded)
-        failures, worst = norm_bound_trials(50, 0, 8, 1)
+        failures, worst = norm_bound_trials(50, 0, 8)
         assert failures == 0 and len(reports) == 50
-        # every trial keeps the bound, so the largest norm - 4 * radius is negative
-        assert worst == max(r.norm - r.bound for r in reports)
+        # every trial is certified, so the largest sqrt(c) - 4 sqrt(lb) is negative
+        assert worst == max(r.slack for r in reports)
         assert worst < 0
