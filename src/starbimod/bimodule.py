@@ -131,10 +131,15 @@ class BimodElement:
         return self + (-other)
 
     def __neg__(self):
+        if self.tag is Generator.GAUSS:
+            # scale the canonical polynomial; no product with a constant left factor
+            return BimodElement.gauss(-self.gauss_poly())
         return BimodElement(self.tag, [(-a, b) for a, b in self.terms])
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):
+            if self.tag is Generator.GAUSS:
+                return BimodElement.gauss(self.gauss_poly() * other)
             c = Scalar.coerce(other)
             return BimodElement(self.tag, [(a * c, b) for a, b in self.terms])
         return NotImplemented

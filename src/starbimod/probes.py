@@ -20,15 +20,20 @@ kernel, and the congruence Z = L^-1 H_P L^-H on the pivot indices P is
 done once.  All three steps run on Gaussian-integer
 numerators over shared denominators: the form is summed and hermitised
 on them into a ``Matrix``, ``ldl_psd`` eliminates fraction-free on the
-Gram's stored numerators, the rows of L^-1 are integer rows over one
-denominator each, and each entry of Z is an integer dot product reduced
-once.  Natural order nests the tower: the degree-N pencil is the leading
-r_N x r_N block of Z, with r_N the number of pivots <= N.  Only the
-diagonal scaling by d^-1/2 and one hermitian eigensolve per degree run
-in doubles, on entries whose exact powers of two are put back on each
-lambda afterwards.  Moment Gram matrices in the monomial basis are far
-too ill-conditioned for a float Cholesky, so this exact reduction is
-what keeps degree ten reachable.
+Gram's stored numerators, and the rows of U = L^-1 are integer rows over
+one denominator du_a each.  Z is kept as a ``Pencil``: integer numerators
+N with Z[a][c] = N[a][c] / (du_a den du_c), formed as the products U H_P
+and (U H_P) U^H on the real and imaginary parts, where a part that is
+zero everywhere takes no product (U is real for every moment Gram, and
+H for every real element and functional).  One gcd per nonzero part of
+Z gives the reduced bit lengths behind ``max_bits`` and the float
+shifts; nothing on this path builds a ``Scalar``.  Natural order nests
+the tower: the degree-N pencil is the leading r_N x r_N block of Z, with
+r_N the number of pivots <= N.  Only the diagonal scaling by d^-1/2 and
+one hermitian eigensolve per degree run in doubles, on entries whose
+exact powers of two are put back on each lambda afterwards.  Moment Gram
+matrices in the monomial basis are far too ill-conditioned for a float
+Cholesky, so this exact reduction is what keeps degree ten reachable.
 
 The norm lemma ||T|| <= 4 w(T) is decided here too, exactly: floats only
 pick two vectors and a bound, from which exact arithmetic proves the
@@ -40,12 +45,14 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf, isfinite, lcm, ldexp, perm, sqrt
+from math import copysign, frexp, gcd, inf, isfinite, lcm, ldexp, perm, sqrt
+from operator import mul
 from sys import float_info
+from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import Poly, Scalar, gauss_dot, gauss_scalar
+from .algebra import Poly, Scalar
 from .bimodule import BimodElement
 from .errors import DoubleRangeError, NotHermitianError, NotPositiveError, SingularGramError
 from .exactla import LdlResult, Matrix, _inverse_rows, ldl_psd
@@ -106,62 +113,134 @@ def form_numerators(
         seqs = [
             (r, c, mf.shifted_values(h, 2 * n - 1 - r))
             for r, c, h in func.theta_terms(x)
-            if degree >= r
+            if degree >= r and not h.is_zero()
         ]
     den = lcm(*(d for _, _, (_, _, d) in seqs))
+    # column k of H, H[j][k] for j < n, is re[k] + i im[k]; a zero part adds nothing
     re = [[0] * n for _ in range(n)]
     im = [[0] * n for _ in range(n)]
     for r, c, (sr, si, d) in seqs:
-        for k in range(r, n):
-            f = c * perm(k, r) * (den // d)
-            for j in range(n):
-                re[j][k] += f * sr[j + k - r]
-                im[j][k] += f * si[j + k - r]
+        for acc, seq in ((re, sr), (im, si)) if any(si) else ((re, sr),):
+            for k in range(r, n):
+                f = c * perm(k, r) * (den // d)
+                acc[k] = [a + f * b for a, b in zip(acc[k], seq[k - r : k - r + n])]
     # (H + H^H) / 2 over the doubled denominator
     return Matrix.from_numerators(
-        [[a + b for a, b in zip(row, col)] for row, col in zip(re, zip(*re))],
-        [[a - b for a, b in zip(row, col)] for row, col in zip(im, zip(*im))],
+        [[a + b for a, b in zip(col, row)] for col, row in zip(re, zip(*re))],
+        [[b - a for a, b in zip(col, row)] for col, row in zip(im, zip(*im))],
         2 * den,
         n,
     )
 
 
-def _reduced_pencil(form: Matrix, ldl: LdlResult) -> list[list[Scalar]]:
+class Pencil(NamedTuple):
+    """Z = L^-1 H_P L^-H on integers: Z[a][c] = (re[a][c] + i im[a][c]) / (du[a] den du[c]).
+
+    ``re`` and ``im`` are the hermitian Gaussian-integer numerators, ``du``
+    the row denominators of U = L^-1 and ``den`` the form's denominator.
+    Entries are not reduced; ``reduced_bits`` takes each part to lowest terms.
+    """
+
+    re: list[list[int]]
+    im: list[list[int]]
+    du: list[int]
+    den: int
+
+    def reduced_bits(self) -> tuple[list[list[tuple[int, int]]], int]:
+        """The upper triangle's nonzero parts in lowest terms, by bit length.
+
+        Per column c, the pairs (a, n_bits - d_bits) of each nonzero part
+        n / d of Z[a][c], a <= c; and the largest bit length of a reduced
+        numerator or denominator, 1 (the denominator of a zero) if none is
+        larger.  One gcd per nonzero part.
+        """
+        cols = []
+        top = 1
+        for c, dc in enumerate(self.du):
+            col = []
+            for a in range(c + 1):
+                d = self.du[a] * self.den * dc
+                for x in (self.re[a][c], self.im[a][c]):
+                    if x:
+                        g = gcd(x, d)
+                        nb, db = (x // g).bit_length(), (d // g).bit_length()
+                        top = max(top, nb, db)
+                        col.append((a, nb - db))
+            cols.append(col)
+        return cols, top
+
+
+def _times_rows(ar, ai, br, bi, upper=False):
+    """(re, im) of A B^T for Gaussian-integer matrices A = ar + i ai, B = br + i bi.
+
+    Entry (a, c) is the dot product of row a of A with row c of B, over the
+    shorter of the two.  An imaginary part given as None is zero everywhere
+    and takes no product; the result's is None when both are.  With
+    ``upper``, row a holds the entries c >= a only.
+    """
+
+    def prod(x, y):
+        return [
+            [sum(map(mul, row, col)) for col in (y[a:] if upper else y)]
+            for a, row in enumerate(x)
+        ]
+
+    re = prod(ar, br)
+    if ai is not None and bi is not None:
+        re = [[u - v for u, v in zip(p, q)] for p, q in zip(re, prod(ai, bi))]
+    im = None
+    for x, y in ((ar, bi), (ai, br)):
+        if x is not None and y is not None:
+            part = prod(x, y)
+            im = part if im is None else [[u + v for u, v in zip(p, q)] for p, q in zip(im, part)]
+    return re, im
+
+
+def _reduced_pencil(form: Matrix, ldl: LdlResult) -> Pencil:
     """Z = U H_P U^H with U = L^-1 on the pivot indices P, exactly.
 
     ``form`` is the hermitian H.  Each row of U is a Gaussian-integer row
-    over its own denominator, so every entry of Z is an integer dot
-    product of the numerators of H over du_a * den * du_c, reduced once.
-    The leading r x r block of Z is the reduction of the leading block of
-    H against the factor of the leading block of the Gram.
+    over its own denominator, so Y = U H_P and Z = Y U^H are integer
+    products on the real and imaginary parts, and a part that is zero
+    everywhere takes none: a moment Gram is real, so U is, and a real
+    element and functional give a real H.  The leading r x r block of Z is
+    the reduction of the leading block of H against the factor of the
+    leading block of the Gram.
     """
-    re, im, den = form.re, form.im, form.den
     piv = ldl.pivots
     inv = _inverse_rows(ldl.lower)
-    h_cols = [([re[b][c] for b in piv], [im[b][c] for b in piv]) for c in piv]
-    u_conj = [(ur, [-v for v in ui]) for ur, ui, _ in inv]
-    z = [[None] * len(piv) for _ in piv]
-    for a, (ur, ui, da) in enumerate(inv):
-        # row a of Y = U H_P, on integers over da * den
-        yr, yi = zip(*(gauss_dot(ur, ui, *col) for col in h_cols))
-        for c in range(a, len(piv)):
-            v = gauss_scalar(*gauss_dot(yr, yi, *u_conj[c]), da * den * inv[c][2])
-            z[a][c] = v
-            z[c][a] = v.conjugate()
-    return z
+    ur = [row for row, _, _ in inv]
+    ui = [row for _, row, _ in inv] if any(any(row) for _, row, _ in inv) else None
+    hr = [[form.re[b][c] for b in piv] for c in piv]  # the columns of H_P
+    hi = [[form.im[b][c] for b in piv] for c in piv] if any(map(any, form.im)) else None
+    yr, yi = _times_rows(ur, ui, hr, hi)
+    # Z[a][c] = sum_b Y[a][b] conj(U[c][b]); only c >= a is formed
+    uc = None if ui is None else [[-v for v in row] for row in ui]
+    zr, zi = _times_rows(yr, yi, ur, uc, upper=True)
+    n = len(piv)
+    re = [[0] * n for _ in range(n)]
+    im = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for c in range(a, n):
+            re[a][c] = re[c][a] = zr[a][c - a]
+            if zi is not None:
+                im[c][a] = -zi[a][c - a]
+                im[a][c] = zi[a][c - a]
+    return Pencil(re, im, [d for _, _, d in inv], form.den)
 
 
-def _block_lambdas(z, diag, ranks) -> list[float]:
+def _block_lambdas(z: Pencil, cols, diag, ranks) -> list[float]:
     """max |eigenvalue| of each leading r x r block of D^-1/2 Z D^-1/2.
 
-    Each pivot is split exactly as d = 4^e * r with 1 <= r < 4, so entry
-    (a, b) is Z_ab * 2^-(e_a + e_b) / sqrt(r_a r_b); bit lengths give its
-    power of two t to within one.  The largest t of the pencil is taken out
-    of every entry as an integer shift before the float conversion and put
-    back on each lambda with ldexp; a block whose own largest t is far
-    below is converted again with its own.  So no entry overflows or
-    vanishes, only an exactly zero block gives 0, and a lambda outside the
-    normal double range raises DoubleRangeError.
+    ``cols`` is the first value of ``z.reduced_bits()``.  Each pivot is
+    split exactly as d = 4^e * r with 1 <= r < 4, so entry (a, b) is
+    Z_ab * 2^-(e_a + e_b) / sqrt(r_a r_b); the bit lengths of its reduced
+    parts give its power of two t to within one.  The largest t of the
+    pencil is taken out of every entry as an integer shift before the
+    float conversion and put back on each lambda with ldexp; a block whose
+    own largest t is far below is converted again with its own.  So no
+    entry overflows or vanishes, only an exactly zero block gives 0, and a
+    lambda outside the normal double range raises DoubleRangeError.
     """
     exps, roots = [], []
     for d in diag:
@@ -173,32 +252,21 @@ def _block_lambdas(z, diag, ranks) -> list[float]:
         exps.append(e)
         roots.append(sqrt(_shifted(n, m, 2 * e)))
     tops = [-inf]  # the largest t of each leading block, -inf while it is zero
-    for c, ec in enumerate(exps):
-        column = [(row[c], ea) for row, ea in zip(z[: c + 1], exps)]
-        bits = [
-            x.numerator.bit_length() - x.denominator.bit_length() - ea - ec
-            for v, ea in column
-            for x in (v.re, v.im)
-            if x
-        ]
-        tops.append(max([tops[-1], *bits]))
+    for ec, col in zip(exps, cols):
+        tops.append(max([tops[-1], *(t - exps[a] - ec for a, t in col)]))
+    zr, zi, du, den = z
+    dens = [d * den for d in du]
 
     def block(size: int, shift: int) -> np.ndarray:
+        def entry(a: int, c: int) -> complex:
+            x, y = zr[a][c], zi[a][c]
+            if not (x or y):
+                return 0j
+            d, s = dens[a] * du[c], exps[a] + exps[c] + shift
+            return complex(_shifted(x, d, s), _shifted(y, d, s)) / (roots[a] * roots[c])
+
         # the upper triangle, then its conjugate below: Z is hermitian
-        mat = np.array(
-            [
-                [0j] * a
-                + [
-                    complex(
-                        _shifted(v.re.numerator, v.re.denominator, ea + eb + shift),
-                        _shifted(v.im.numerator, v.im.denominator, ea + eb + shift),
-                    )
-                    / (ra * rb)
-                    for v, eb, rb in zip(row[a:size], exps[a:], roots[a:])
-                ]
-                for a, (row, ea, ra) in enumerate(zip(z[:size], exps, roots))
-            ]
-        )
+        mat = np.array([[0j] * a + [entry(a, c) for c in range(a, size)] for a in range(size)])
         return mat + np.triu(mat, 1).conj().T
 
     top = tops[-1]
@@ -264,18 +332,9 @@ def boundedness_probe(
     ranks = tuple(bisect_right(ldl.pivots, n) for n in degrees)
     if ranks[0] == 0:
         raise SingularGramError("Gram matrix vanishes at this degree")
-    lam = _block_lambdas(z, ldl.diag, ranks)
     # Z is hermitian, so its upper triangle holds every bit length
-    max_bits = max(
-        (
-            part.bit_length()
-            for a, row in enumerate(z)
-            for v in row[a:]
-            for c in (v.re, v.im)
-            for part in (c.numerator, c.denominator)
-        ),
-        default=0,
-    )
+    cols, max_bits = z.reduced_bits()
+    lam = _block_lambdas(z, cols, ldl.diag, ranks)
     return ProbeReport(
         degrees,
         tuple(lam),
@@ -332,22 +391,38 @@ def numerical_radius_norm_check(t) -> NormBoundReport:
     |eta^H T eta| >= ||T|| |eta|^2 / 2; the float eigensolve only picks them,
     and lb = max |eta^H T eta|^2 / |eta|^4 <= w(T)^2 is exact.  The LDL proves
     ||T||^2 <= c, c the float norm squared raised by 1e-9, or refuses it.
+    The float steps run on S = T / 2^e, whose largest real or imaginary part
+    lies in [1/2, 1), so no finite T overflows or underflows them: c is
+    4^e times the bound on ||S||^2, and the slack is formed on S and scaled
+    back by 2^e.  An infinite or NaN entry raises ValueError.
     """
     t = np.asarray(t, dtype=complex)
     if t.ndim != 2 or t.shape[0] != t.shape[1] or not t.size:
         raise ValueError("need a nonempty square matrix")
+    if not np.isfinite(t).all():
+        raise ValueError("need finite entries")
     n = len(t)
+    e = frexp(float(max(np.abs(t.real).max(), np.abs(t.imag).max())))[1]
+    s = np.ldexp(t.real, -e) + 1j * np.ldexp(t.imag, -e)
     seeds = []
-    for part in (t + t.conj().T, (t - t.conj().T) / 1j):
+    for part in (s + s.conj().T, (s - s.conj().T) / 1j):
         w, v = np.linalg.eigh(part)
         seeds.append(v[:, np.argmax(np.abs(w))])
     exact = [[Scalar(Fraction(z.real), Fraction(z.imag)) for z in row] for row in (*t, *seeds)]
     form = FormMatrix(Matrix(exact[:n]))
     lb = max(form.value(eta, eta).abs2() / sum(x.abs2() for x in eta) ** 2 for eta in exact[n:])
-    c = Fraction(float(np.linalg.norm(t, 2)) ** 2 * (1 + 1e-9))
+    unit = Fraction(4) ** e
+    c = Fraction(float(np.linalg.norm(s, 2)) ** 2 * (1 + 1e-9)) * unit
     proved = _norm_sq_at_most(form.mat, c)
-    scale = sqrt(c) + 4 * sqrt(lb)
-    slack = (float(c - 16 * lb) / scale if scale else 0.0) if proved else inf
+    slack = inf
+    if proved:
+        cs, ls = c / unit, lb / unit
+        root = sqrt(cs) + 4 * sqrt(ls)
+        slack = float(cs - 16 * ls) / root if root else 0.0
+        try:
+            slack = ldexp(slack, e)
+        except OverflowError:  # |slack| beyond the double range
+            slack = copysign(inf, slack)
     return NormBoundReport(lb, c, proved and c <= 16 * lb, slack)
 
 

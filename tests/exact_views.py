@@ -1,8 +1,9 @@
 """Scalar views of the integer data that the LDL, kernel and moment routines return.
 
 ``ldl_psd`` keeps L's strictly lower entries as triples (re, im, den),
-``nullspace`` returns each kernel vector as a ``Poly`` and
-``MomentFunctional.shifted_values`` returns ``(re, im, den)`` sequences.
+``nullspace`` returns each kernel vector as a ``Poly``,
+``MomentFunctional.shifted_values`` returns ``(re, im, den)`` sequences and
+the probe's ``_reduced_pencil`` returns a ``Pencil`` of integer numerators.
 The tests compare them with sympy and with each other through these
 views, built here with ``gauss_scalar`` and nothing else.
 """
@@ -19,6 +20,14 @@ def lower_scalars(ldl) -> tuple[tuple[Scalar, ...], ...]:
         tuple(gauss_scalar(*row[b]) if b < a else Scalar(int(a == b)) for b in range(r))
         for a, row in enumerate(ldl.lower)
     )
+
+
+def pencil_scalars(z) -> list[list[Scalar]]:
+    """The entries of a ``probes.Pencil`` as Scalars, row by row."""
+    return [
+        [gauss_scalar(a, b, z.du[i] * z.den * dc) for a, b, dc in zip(rr, ri, z.du)]
+        for i, (rr, ri) in enumerate(zip(z.re, z.im))
+    ]
 
 
 def vector_scalars(p, n: int) -> tuple[Scalar, ...]:

@@ -102,23 +102,44 @@ class TestActionAndInvolution:
         assert BimodElement.zero(Generator.GAUSS).is_zero()
 
 
+def count_convolutions(monkeypatch) -> list:
+    """The argument tuples of every ``algebra._convolve_into`` call from now on."""
+    calls = []
+    original = algebra._convolve_into
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(algebra, "_convolve_into", counted)
+    return calls
+
+
 class TestGaussSum:
     def test_sum_adds_the_polynomials(self, monkeypatch):
         x, y = BimodElement.gauss(Q + 1), BimodElement.gauss(Q)
         # the sum as the constructor folds the concatenated pairs
         folded = BimodElement(Generator.GAUSS, x.terms + y.terms)
-        calls = []
-        original = algebra._convolve_into
-
-        def counted(*args):
-            calls.append(args)
-            return original(*args)
-
-        monkeypatch.setattr(algebra, "_convolve_into", counted)
+        calls = count_convolutions(monkeypatch)
         total = x + y
         assert calls == []
         assert total.equivalent(folded)
         assert total.gauss_poly() == Q * 2 + 1
+
+    def test_negation_and_multiples_scale_the_polynomial(self, monkeypatch):
+        x, y = BimodElement.gauss(Q + 1), BimodElement.gauss(Q)
+        # each as the constructor folds the scaled left factors
+        folded = [
+            BimodElement(Generator.GAUSS, [(a * c, b) for a, b in x.terms])
+            for c in (-1, 3, Fraction(1, 2), I)
+        ]
+        folded.append(BimodElement(Generator.GAUSS, [*x.terms, *((-a, b) for a, b in y.terms)]))
+        calls = count_convolutions(monkeypatch)
+        got = [-x, x * 3, Fraction(1, 2) * x, x * I, x - y]
+        assert calls == []
+        assert [g.gauss_poly() for g in got] == [f.gauss_poly() for f in folded]
+        assert got[0].gauss_poly() == -Q - 1 and got[4].gauss_poly() == P_ONE
+        assert (x * 0).terms == () and (-BimodElement.zero(Generator.GAUSS)).terms == ()
 
     def test_cancelling_sum_is_zero(self):
         total = BimodElement.gauss(Q) + BimodElement.gauss(-Q)

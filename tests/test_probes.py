@@ -1,7 +1,10 @@
 """Float-side probes: boundedness plateaus and the numerical-radius bound."""
 
+import json
 import random
 from fractions import Fraction
+from math import factorial, inf
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +21,7 @@ from starbimod.errors import (
     NotHermitianError,
     SingularGramError,
 )
-from starbimod.exactla import Matrix, inverse, ldl_psd
+from starbimod.exactla import Matrix, _inverse_rows, inverse, ldl_psd
 from starbimod.gns import Functional, build_gns, hankel_gram
 from starbimod.moments import MomentFunctional
 from starbimod.probes import (
@@ -40,7 +43,7 @@ from starbimod.sampling import (
     rand_poly,
 )
 
-from exact_views import lower_scalars
+from exact_views import lower_scalars, pencil_scalars
 
 D2 = BimodElement.d_squared()
 
@@ -326,7 +329,7 @@ class TestPencilCongruence:
     def test_congruence_restores_the_form(self, mname, top, func, x):
         mf = MEASURES[mname]
         ldl = ldl_psd(hankel_gram(mf, top))
-        z = _reduced_pencil(form_numerators(func, x, mf, top), ldl)
+        z = pencil_scalars(_reduced_pencil(form_numerators(func, x, mf, top), ldl))
         h = reference_form(func, x, mf, top)
         piv = ldl.pivots
         lower = _dm(lower_scalars(ldl))
@@ -363,7 +366,7 @@ class TestPencilCongruence:
             ldl = ldl_psd(b.adjoint() @ b)
             y = Matrix([[scalar() for _ in range(n)] for _ in range(n)])
             h = y + y.adjoint()
-            z = _reduced_pencil(h, ldl)
+            z = pencil_scalars(_reduced_pencil(h, ldl))
             piv = ldl.pivots
             lower = _dm(lower_scalars(ldl))
             expected = _dm([[h[a, c] for c in piv] for a in piv])
@@ -373,12 +376,12 @@ class TestPencilCongruence:
     def test_leading_block_is_the_lower_degree_reduction(self, mname, top, func, x):
         mf = MEASURES[mname]
         ldl = ldl_psd(hankel_gram(mf, top))
-        z = _reduced_pencil(form_numerators(func, x, mf, top), ldl)
+        z = pencil_scalars(_reduced_pencil(form_numerators(func, x, mf, top), ldl))
         for n in range(top):
             small = ldl_psd(hankel_gram(mf, n))
             r = small.rank
             assert r == sum(p <= n for p in ldl.pivots)
-            zn = _reduced_pencil(form_numerators(func, x, mf, n), small)
+            zn = pencil_scalars(_reduced_pencil(form_numerators(func, x, mf, n), small))
             assert zn == [row[:r] for row in z[:r]], n
 
 
@@ -395,6 +398,83 @@ class TestNestedFactor:
             assert block.diag == full.diag[:r]
             assert lower_scalars(block) == tuple(row[:r] for row in lower_scalars(full)[:r])
             assert block.lower == full.lower[:r]
+
+
+def hermite_top_zero(n: int) -> float:
+    """The largest zero of He_n, by Newton's method from the right.
+
+    He_n and He_n' = n He_(n-1) are evaluated by the recurrence
+    He_(k+1) = q He_k - k He_(k-1).  All zeros are real and, by Gershgorin
+    on the Jacobi matrix, below 2 sqrt(n), so the iterates fall
+    monotonically onto the largest.
+    """
+
+    def pair(q):
+        prev, cur = 1.0, q
+        for k in range(1, n):
+            prev, cur = cur, q * cur - k * prev
+        return cur, prev
+
+    q = 2 * n**0.5
+    while True:
+        value, below = pair(q)
+        nxt = q - value / (n * below)
+        if nxt >= q:  # rounding noise: the fall has stopped
+            return q
+        q = nxt
+
+
+class TestHermiteOracle:
+    """F1 on d^2 over the Gaussian moments, against the monic Hermite polynomials.
+
+    U = L^-1 has the coefficients of He_k as its rows and D = diag(k!), and
+    theta(d^2) under F1 is d/dq with He_k' = k He_(k-1), so the pencil is
+    k!/2 at (k-1, k) and its mirror.  D^-1/2 Z D^-1/2 is half the Jacobi
+    matrix of He with off-diagonal sqrt(k), and lambda_N is half the
+    largest zero of He_(N+1).
+    """
+
+    TOP = 30
+    GAUSS64 = MomentFunctional.from_json(
+        json.loads((Path(__file__).resolve().parents[1] / "measures" / "gauss64.json").read_text())
+    )
+
+    def test_factor_is_hermite(self):
+        ldl = ldl_psd(hankel_gram(self.GAUSS64, self.TOP))
+        assert ldl.pivots == tuple(range(self.TOP + 1))
+        assert ldl.diag == tuple(factorial(k) for k in range(self.TOP + 1))
+        # the coefficients of He_k from q^0 up, by the recurrence
+        he = [[1], [0, 1]]
+        for k in range(1, self.TOP):
+            up = [0, *he[k]]
+            he.append([a - k * b for a, b in zip(up, he[k - 1] + [0, 0])])
+        assert _inverse_rows(ldl.lower) == [(h, [0] * len(h), 1) for h in he]
+
+    def test_integer_pencil_is_the_derivative(self):
+        mf = self.GAUSS64
+        ldl = ldl_psd(hankel_gram(mf, self.TOP))
+        z = _reduced_pencil(form_numerators(Functional.f1(), D2, mf, self.TOP), ldl)
+        for a in range(self.TOP + 1):
+            for c in range(self.TOP + 1):
+                k = max(a, c)
+                want = Fraction(factorial(k), 2) if abs(a - c) == 1 else 0
+                assert Fraction(z.re[a][c], z.du[a] * z.den * z.du[c]) == want, (a, c)
+                assert z.im[a][c] == 0
+
+    def test_lambda_is_half_the_top_hermite_zero(self):
+        degrees = range(2, self.TOP + 1)
+        report = boundedness_probe(Functional.f1(), D2, self.GAUSS64, degrees)
+        for n, lam in zip(degrees, report.lambdas):
+            want = hermite_top_zero(n + 1) / 2
+            assert abs(lam - want) <= 1e-12 * want, n
+
+    def test_generator_lambda_is_the_top_hermite_zero(self):
+        # q acts as the Jacobi matrix J itself, whose zeros are symmetric
+        degrees = range(2, self.TOP + 1)
+        report = generator_probe(self.GAUSS64, degrees)
+        for n, lam in zip(degrees, report.lambdas):
+            want = hermite_top_zero(n + 1)
+            assert abs(lam - want) <= 1e-12 * want, n
 
 
 class TestPlateauRule:
@@ -440,6 +520,30 @@ class TestNumericalRadiusBound:
             t = rng.uniform(-1, 1, (dim, dim)) + 1j * rng.uniform(-1, 1, (dim, dim))
             report = numerical_radius_norm_check(t)
             assert report.certified and report.slack < 0
+
+    def test_magnitude_beyond_the_squared_double_range(self):
+        # ||T||^2 = 1e400 is not a double; the float steps run on T / 2^e
+        report = numerical_radius_norm_check(np.array([[1e200, 0], [0, 1.0]]))
+        assert report.certified and report.slack < 0
+        assert report.radius_sq == Fraction(1e200) ** 2
+        assert report.radius_sq <= report.norm_sq <= report.radius_sq * (1 + Fraction(1, 10**8))
+        assert abs(report.slack + 3e200) <= 1e-8 * 3e200
+        # here the slack itself, about -4e308, is beyond the double range
+        report = numerical_radius_norm_check(np.array([[1e308, 1e308j], [1e308, -1e308]]))
+        assert report.certified and report.slack == -inf
+
+    def test_magnitude_below_the_squared_double_range(self):
+        # ||T||^2 = 1e-400 underflows as a double, which left c = 0 unproved
+        report = numerical_radius_norm_check(1e-200 * np.eye(2))
+        assert report.certified and report.slack < 0
+        assert report.radius_sq == Fraction(1e-200) ** 2
+        assert report.radius_sq <= report.norm_sq <= report.radius_sq * (1 + Fraction(1, 10**8))
+        assert abs(report.slack + 3e-200) <= 1e-8 * 3e-200
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(0, np.inf)])
+    def test_rejects_non_finite_entries(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            numerical_radius_norm_check(np.array([[bad, 0], [0, 1]]))
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
