@@ -8,6 +8,16 @@ monic in q^s, on the pivot monomials below it).  No orthonormalisation
 happens anywhere; all inner products go through the Gram matrix so the
 whole exact path stays in rational arithmetic.
 
+The Gram, its factor and the kernel belong to f alone, not to a bimodule
+functional or an element.  ``gram_factor`` is the one route to the
+factor: each ``MomentFunctional`` object keeps the factor of the largest
+degree M asked so far, with the rows of U = L^-1 filled in on the first
+read, and a degree N <= M gets its leading part (the pivots <= N and the
+matching entries of D, L and U), which is exact because natural-order
+elimination nests.  A larger degree is factored afresh and replaces the
+entry, once its positivity gate has passed.  So the gate of ``build_gns``,
+its kernel and every probe at or below M share one elimination.
+
 ``Functional`` bundles the five functional variants on the bimodules:
 
 * F0/F1/F2 on the d^2 bimodule pick off f(h0), f(h1), f(h2) of the
@@ -40,10 +50,12 @@ is term for term the Leibniz sum of the right side.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
 from operator import mul
+from typing import NamedTuple
 
 from .algebra import P_ONE, Poly, Scalar, gauss_scalar, sum_of_products
 from .bimodule import BimodElement, Generator
@@ -53,7 +65,7 @@ from .errors import (
     UnsupportedVariantError,
     VariantMismatchError,
 )
-from .exactla import LdlResult, Matrix, ldl_psd, nullspace
+from .exactla import LdlResult, Matrix, _inverse_rows, ldl_psd, nullspace
 from .moments import MomentFunctional
 
 
@@ -89,17 +101,66 @@ def hankel_gram(mf: MomentFunctional, degree: int) -> Matrix:
     return Matrix.from_numerators([re[j : j + n] for j in range(n)], [[0] * n] * n, den, n)
 
 
+class GramFactor(NamedTuple):
+    """The natural-order factor of a measure's degree-N Hankel Gram.
+
+    ``ldl`` is ``ldl_psd(hankel_gram(mf, N))``.  ``rows`` holds the rows of
+    U = L^-1 computed so far, a leading part of them; it is one list shared
+    by every factor read from the same cache entry, so each row is
+    computed once per measure.
+    """
+
+    degree: int
+    ldl: LdlResult
+    rows: list
+
+    def inverse_rows(self, count: int) -> list:
+        """The first ``count`` rows of U = L^-1, each ``(re, im, den)``."""
+        return _inverse_rows(self.ldl.lower[:count], self.rows)[:count]
+
+
+def gram_factor(mf: MomentFunctional, degree: int) -> GramFactor:
+    """The factor of ``hankel_gram(mf, degree)``, through the measure's cache.
+
+    At or below the cached degree this is the cached factor's leading
+    part; above it the Gram is built and factored, raising as
+    ``hankel_gram`` and ``ldl_psd`` do, and the factor is cached.
+    """
+    return _cached_factor(mf, degree) or _new_factor(mf, hankel_gram(mf, degree))
+
+
+def _cached_factor(mf: MomentFunctional, degree: int) -> GramFactor | None:
+    """The leading part of mf's cached factor for ``degree``; None above it."""
+    top = mf._gram_factor
+    if top is None or degree > top.degree:
+        return None
+    if degree == top.degree:
+        return top
+    pivots, diag, lower = top.ldl
+    r = bisect_right(pivots, degree)
+    return GramFactor(degree, LdlResult(pivots[:r], diag[:r], lower[:r]), top.rows)
+
+
+def _new_factor(mf: MomentFunctional, gram: Matrix) -> GramFactor:
+    """Factor a Hankel Gram of mf and cache it on mf, once ``ldl_psd`` has passed it."""
+    factor = GramFactor(gram.nrows - 1, ldl_psd(gram), [])
+    object.__setattr__(mf, "_gram_factor", factor)
+    return factor
+
+
 def build_gns(mf: MomentFunctional, degree: int) -> GnsRealization:
     """Build and positivity-check the degree-N truncation.
 
     Needs moments up to 2N; the kernel is the Polys of ``nullspace``.
     Raises NotPositiveError when the moment data is not a truncated
     positive sequence, MomentOutOfRangeError when the moments are short.
+    The factor is ``gram_factor``'s, built here only above the cached
+    degree.
     """
     gram = hankel_gram(mf, degree)
-    ldl = ldl_psd(gram)
-    kernel = tuple(nullspace(gram, ldl))
-    return GnsRealization(mf, degree, gram, kernel, ldl)
+    factor = _cached_factor(mf, degree) or _new_factor(mf, gram)
+    kernel = tuple(nullspace(gram, factor.ldl, factor.inverse_rows))
+    return GnsRealization(mf, degree, gram, kernel, factor.ldl)
 
 
 class Functional:

@@ -14,20 +14,24 @@ All exact work happens once, at the top degree M of the list.  The form
 H[j][k] = F(q^j x q^k) is built from its Hankel structure, one shifted
 moment sequence per term of ``Functional.theta_terms`` (gauss-atoms
 feeds its one sequence of weighted atom images instead), and hermitised
-exactly.  The Hankel Gram G of degree M is factored once as
-G = L D L^H in natural order, which skips the indices of an exact
-kernel, and the congruence Z = L^-1 H_P L^-H on the pivot indices P is
-done once.  All three steps run on Gaussian-integer
-numerators over shared denominators: the form is summed and hermitised
-on them into a ``Matrix``, ``ldl_psd`` eliminates fraction-free on the
-Gram's stored numerators, and the rows of U = L^-1 are integer rows over
-one denominator du_a each.  Z is kept as a ``Pencil``: integer numerators
-N with Z[a][c] = N[a][c] / (du_a den du_c), formed as the products U H_P
-and (U H_P) U^H on the real and imaginary parts, where a part that is
-zero everywhere takes no product (U is real for every moment Gram, and
-H for every real element and functional).  One gcd per nonzero part of
-Z gives the reduced bit lengths behind ``max_bits`` and the float
-shifts; nothing on this path builds a ``Scalar``.  Natural order nests
+exactly.  The factor G = L D L^H of the Hankel Gram G of degree M, in
+natural order, which skips the indices of an exact kernel, is read from
+``gns.gram_factor``: a measure object factors its Gram once, at the
+largest degree asked of it, and the gate of ``build_gns`` and every probe
+at or below that degree read its leading part, with the rows of
+U = L^-1 computed on the first read.  The congruence Z = L^-1 H_P L^-H on
+the pivot indices P is done once per probe.  All three steps run on
+Gaussian-integer numerators over shared denominators: the form is summed
+and hermitised on them into a ``Matrix``, ``ldl_psd`` eliminates
+fraction-free on the Gram's stored numerators, and the rows of U are
+integer rows over one denominator du_a each.  Z is kept as a
+``Pencil``: integer numerators N with Z[a][c] = N[a][c] / (du_a den du_c),
+formed as the products U H_P and (U H_P) U^H on the real and imaginary
+parts, where a part that is zero everywhere takes no product (U is real
+for every moment Gram, and H for every real element and functional).
+One gcd per nonzero part of Z gives the reduced bit lengths behind
+``max_bits`` and the float shifts; nothing on this path builds a
+``Scalar``.  Natural order nests
 the tower: the degree-N pencil is the leading r_N x r_N block of Z, with
 r_N the number of pivots <= N.  Only the diagonal scaling by d^-1/2 and
 one hermitian eigensolve per degree run in doubles, on entries whose
@@ -55,9 +59,9 @@ import numpy as np
 from .algebra import Poly, Scalar
 from .bimodule import BimodElement
 from .errors import DoubleRangeError, NotHermitianError, NotPositiveError, SingularGramError
-from .exactla import LdlResult, Matrix, _inverse_rows, ldl_psd
+from .exactla import Matrix, ldl_psd
 from .forms import FormMatrix
-from .gns import Functional, hankel_gram
+from .gns import Functional, gram_factor
 from .moments import MomentFunctional, power_sums
 
 BOUNDED = "Bounded"
@@ -196,19 +200,18 @@ def _times_rows(ar, ai, br, bi, upper=False):
     return re, im
 
 
-def _reduced_pencil(form: Matrix, ldl: LdlResult) -> Pencil:
+def _reduced_pencil(form: Matrix, piv, inv) -> Pencil:
     """Z = U H_P U^H with U = L^-1 on the pivot indices P, exactly.
 
-    ``form`` is the hermitian H.  Each row of U is a Gaussian-integer row
-    over its own denominator, so Y = U H_P and Z = Y U^H are integer
-    products on the real and imaginary parts, and a part that is zero
-    everywhere takes none: a moment Gram is real, so U is, and a real
-    element and functional give a real H.  The leading r x r block of Z is
-    the reduction of the leading block of H against the factor of the
-    leading block of the Gram.
+    ``form`` is the hermitian H, ``piv`` the pivots P and ``inv`` the rows
+    of U as ``_inverse_rows`` gives them.  Each row of U is a
+    Gaussian-integer row over its own denominator, so Y = U H_P and
+    Z = Y U^H are integer products on the real and imaginary parts, and a
+    part that is zero everywhere takes none: a moment Gram is real, so U
+    is, and a real element and functional give a real H.  The leading
+    r x r block of Z is the reduction of the leading block of H against
+    the factor of the leading block of the Gram.
     """
-    piv = ldl.pivots
-    inv = _inverse_rows(ldl.lower)
     ur = [row for row, _, _ in inv]
     ui = [row for _, row, _ in inv] if any(any(row) for _, row, _ in inv) else None
     hr = [[form.re[b][c] for b in piv] for c in piv]  # the columns of H_P
@@ -327,8 +330,10 @@ def boundedness_probe(
     if not x.is_hermitian():
         raise NotHermitianError("probe element must be hermitian")
     top = degrees[-1]
-    ldl = ldl_psd(hankel_gram(mf, top))
-    z = _reduced_pencil(form_numerators(func, x, mf, top), ldl)
+    factor = gram_factor(mf, top)
+    ldl = factor.ldl
+    form = form_numerators(func, x, mf, top)
+    z = _reduced_pencil(form, ldl.pivots, factor.inverse_rows(ldl.rank))
     ranks = tuple(bisect_right(ldl.pivots, n) for n in degrees)
     if ranks[0] == 0:
         raise SingularGramError("Gram matrix vanishes at this degree")

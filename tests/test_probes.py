@@ -3,7 +3,7 @@
 import json
 import random
 from fractions import Fraction
-from math import factorial, inf
+from math import comb, factorial, inf
 from pathlib import Path
 
 import numpy as np
@@ -12,17 +12,18 @@ import sympy
 from sympy import QQ_I
 from sympy.polys.matrices import DomainMatrix
 
-from starbimod import probes
+from starbimod import exactla, probes
 from starbimod.algebra import P_ONE, Poly, Q, Scalar
 from starbimod.bimodule import BimodElement, Generator
 from starbimod.errors import (
     DoubleRangeError,
     MomentOutOfRangeError,
     NotHermitianError,
+    NotPositiveError,
     SingularGramError,
 )
 from starbimod.exactla import Matrix, _inverse_rows, inverse, ldl_psd
-from starbimod.gns import Functional, build_gns, hankel_gram
+from starbimod.gns import Functional, build_gns, check_intertwiner, gram_factor, hankel_gram
 from starbimod.moments import MomentFunctional
 from starbimod.probes import (
     BOUNDED,
@@ -46,6 +47,11 @@ from starbimod.sampling import (
 from exact_views import lower_scalars, pencil_scalars
 
 D2 = BimodElement.d_squared()
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def file_measure(name: str) -> MomentFunctional:
+    return MomentFunctional.from_json(json.loads((ROOT / "measures" / name).read_text()))
 
 
 class TestBoundednessProbe:
@@ -278,6 +284,11 @@ class TestStructuredForm:
             boundedness_probe(func, x, truncated(length - 1), range(2, top + 1))
 
 
+def fresh_pencil(form, ldl):
+    """The reduced pencil against ``ldl`` and its own rows of L^-1, no cache involved."""
+    return _reduced_pencil(form, ldl.pivots, _inverse_rows(ldl.lower))
+
+
 def _dm(rows) -> DomainMatrix:
     n = len(rows)
     return DomainMatrix(
@@ -329,7 +340,7 @@ class TestPencilCongruence:
     def test_congruence_restores_the_form(self, mname, top, func, x):
         mf = MEASURES[mname]
         ldl = ldl_psd(hankel_gram(mf, top))
-        z = pencil_scalars(_reduced_pencil(form_numerators(func, x, mf, top), ldl))
+        z = pencil_scalars(fresh_pencil(form_numerators(func, x, mf, top), ldl))
         h = reference_form(func, x, mf, top)
         piv = ldl.pivots
         lower = _dm(lower_scalars(ldl))
@@ -366,7 +377,7 @@ class TestPencilCongruence:
             ldl = ldl_psd(b.adjoint() @ b)
             y = Matrix([[scalar() for _ in range(n)] for _ in range(n)])
             h = y + y.adjoint()
-            z = pencil_scalars(_reduced_pencil(h, ldl))
+            z = pencil_scalars(fresh_pencil(h, ldl))
             piv = ldl.pivots
             lower = _dm(lower_scalars(ldl))
             expected = _dm([[h[a, c] for c in piv] for a in piv])
@@ -376,12 +387,12 @@ class TestPencilCongruence:
     def test_leading_block_is_the_lower_degree_reduction(self, mname, top, func, x):
         mf = MEASURES[mname]
         ldl = ldl_psd(hankel_gram(mf, top))
-        z = pencil_scalars(_reduced_pencil(form_numerators(func, x, mf, top), ldl))
+        z = pencil_scalars(fresh_pencil(form_numerators(func, x, mf, top), ldl))
         for n in range(top):
             small = ldl_psd(hankel_gram(mf, n))
             r = small.rank
             assert r == sum(p <= n for p in ldl.pivots)
-            zn = pencil_scalars(_reduced_pencil(form_numerators(func, x, mf, n), small))
+            zn = pencil_scalars(fresh_pencil(form_numerators(func, x, mf, n), small))
             assert zn == [row[:r] for row in z[:r]], n
 
 
@@ -398,6 +409,187 @@ class TestNestedFactor:
             assert block.diag == full.diag[:r]
             assert lower_scalars(block) == tuple(row[:r] for row in lower_scalars(full)[:r])
             assert block.lower == full.lower[:r]
+
+
+def cluster() -> MomentFunctional:
+    """Sixteen atoms x = 1/n with weights 1/2^n, n = 1..16."""
+    return MomentFunctional.atomic([(Fraction(1, n), Fraction(1, 2**n)) for n in range(1, 17)])
+
+
+# each call builds a new object, so no two tests share a cached factor
+CACHE_MEASURES = {
+    "gauss64": lambda: file_measure("gauss64.json"),
+    "lebesgue01-64": lambda: file_measure("lebesgue01-64.json"),
+    "mu3": mu3,
+    "atoms012": atoms012,
+    "cluster": cluster,
+}
+
+
+def count_eliminations(monkeypatch) -> list:
+    """The matrices of every ``exactla.hermitian_ldl`` call from now on."""
+    calls = []
+    original = exactla.hermitian_ldl
+
+    def counted(m):
+        calls.append(m)
+        return original(m)
+
+    monkeypatch.setattr(exactla, "hermitian_ldl", counted)
+    return calls
+
+
+def assert_fresh_factor(factor, name, degree):
+    """``factor`` is the degree-N factor of a new measure: its LDL and rows of L^-1."""
+    ldl = ldl_psd(hankel_gram(CACHE_MEASURES[name](), degree))
+    assert factor.degree == degree
+    assert factor.ldl == ldl
+    assert factor.inverse_rows(ldl.rank) == _inverse_rows(ldl.lower)
+
+
+class TestGramFactorCache:
+    """``gram_factor`` keeps one factor per measure object, at the largest degree asked.
+
+    Every read at or below that degree must be the factor a new measure
+    would compute, every read above it must fail where a new measure fails,
+    and no two objects share a factor, however equal.
+    """
+
+    @pytest.mark.parametrize("name", sorted(CACHE_MEASURES))
+    @pytest.mark.parametrize("tower", [(6, 12), (12, 6)], ids=["short-first", "long-first"])
+    def test_every_degree_reads_the_fresh_factor(self, name, tower):
+        mf = CACHE_MEASURES[name]()
+        for top in tower:
+            gram_factor(mf, top)
+            # an atomic measure's moment table grows past the factored degree
+            mf.moment(40)
+            # ascending, so the rows of L^-1 grow in steps; then a low degree again
+            for n in (*range(top + 1), 3):
+                assert_fresh_factor(gram_factor(mf, n), name, n)
+
+    @pytest.mark.parametrize("name", sorted(CACHE_MEASURES))
+    def test_build_gns_reads_the_fresh_factor(self, name):
+        mf = CACHE_MEASURES[name]()
+        build_gns(mf, 12)
+        for n in (0, 2, 5, 12):
+            realization = build_gns(mf, n)
+            fresh = build_gns(CACHE_MEASURES[name](), n)
+            assert realization.ldl == fresh.ldl
+            assert realization.gram == fresh.gram
+            assert realization.kernel == fresh.kernel
+
+    @pytest.mark.parametrize("name", sorted(CACHE_MEASURES))
+    def test_probe_reports_do_not_depend_on_the_cache(self, name):
+        degrees = range(2, 9)
+        x = hermitian_d2(random.Random(41))
+
+        def reports(warm):
+            mf = CACHE_MEASURES[name]()
+            warm(mf)
+            return (
+                boundedness_probe(Functional.f1(), x, mf, degrees),
+                boundedness_probe(Functional.f2(), x, mf, degrees),
+                generator_probe(mf, degrees),
+            )
+
+        cold = reports(lambda mf: None)
+        warmers = (
+            lambda mf: build_gns(mf, 8),
+            lambda mf: build_gns(mf, 14),
+            lambda mf: generator_probe(mf, range(4, 13)),
+            lambda mf: generator_probe(mf, range(0, 4)),
+            lambda mf: gram_factor(mf, 5).inverse_rows(2),
+        )
+        for warm in warmers:
+            assert reports(warm) == cold
+
+    # moments PSD to degree 4 that fail at degree 5 in three ways
+    GAUSS = MomentFunctional.gaussian(9).values
+    FAILING = {
+        "negative-pivot": ([*GAUSS, 0, 0], NotPositiveError),
+        "non-real": ([*GAUSS, Scalar(0, 1), 945], NotPositiveError),
+        "short": (GAUSS, MomentOutOfRangeError),
+    }
+
+    @pytest.mark.parametrize("case", sorted(FAILING))
+    def test_a_failed_gate_is_never_cached(self, case, monkeypatch):
+        values, error = self.FAILING[case]
+        with pytest.raises(error) as fresh:
+            build_gns(MomentFunctional.from_moments(values), 5)
+        message = str(fresh.value)
+        fresh_ldls = [
+            ldl_psd(hankel_gram(MomentFunctional.from_moments(values), n)) for n in range(5)
+        ]
+        mf = MomentFunctional.from_moments(values)
+        gram_factor(mf, 4)
+        calls = count_eliminations(monkeypatch)
+        for _ in range(2):
+            for request in (
+                lambda: gram_factor(mf, 5),
+                lambda: build_gns(mf, 5),
+                lambda: generator_probe(mf, range(3, 6)),
+                lambda: boundedness_probe(Functional.f0(), D2, mf, range(2, 6)),
+            ):
+                with pytest.raises(error) as got:
+                    request()
+                assert str(got.value) == message
+            # degrees <= 4 are still served from the cache, with no elimination
+            before = len(calls)
+            assert [gram_factor(mf, n).ldl for n in range(5)] == fresh_ldls
+            generator_probe(mf, range(1, 4))
+            assert len(calls) == before
+
+    @pytest.mark.parametrize("name", sorted(CACHE_MEASURES))
+    def test_equal_measures_never_share_a_factor(self, name, monkeypatch):
+        a, b = CACHE_MEASURES[name](), CACHE_MEASURES[name]()
+        assert a == b and hash(a) == hash(b)
+        calls = count_eliminations(monkeypatch)
+        gram_factor(a, 8)
+        gram_factor(b, 8)
+        assert len(calls) == 2
+        # criterion 10 builds both realizations from their own factors
+        check_intertwiner(a, b, 6)
+        assert len(calls) == 2
+        assert gram_factor(a, 6).rows is not gram_factor(b, 6).rows
+
+    @pytest.mark.parametrize("name", sorted(CACHE_MEASURES))
+    def test_value_semantics_ignore_the_factor(self, name):
+        mf = CACHE_MEASURES[name]()
+        before = (hash(mf), repr(mf), mf.to_json())
+        gram_factor(mf, 10).inverse_rows(3)
+        assert (hash(mf), repr(mf), mf.to_json()) == before
+        assert mf == CACHE_MEASURES[name]()
+        with pytest.raises(AttributeError):
+            mf._gram_factor = None
+
+
+class TestOneEliminationPerMeasure:
+    """The probe's saving: the Gram of a measure object is eliminated once."""
+
+    @pytest.mark.parametrize("name", sorted(CACHE_MEASURES))
+    def test_cold_probe_eliminates_once_and_a_warm_one_never(self, name, monkeypatch):
+        mf = CACHE_MEASURES[name]()
+        calls = count_eliminations(monkeypatch)
+        generator_probe(mf, range(2, 11))
+        assert len(calls) == 1
+        boundedness_probe(Functional.f1(), D2, mf, range(2, 11))
+        boundedness_probe(Functional.gauss_poly(Q), BimodElement.gauss(1), mf, range(2, 8))
+        assert len(calls) == 1
+        # a higher tower eliminates once more, and then reads that factor
+        generator_probe(mf, range(2, 15))
+        generator_probe(mf, range(2, 11))
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("name", sorted(CACHE_MEASURES))
+    @pytest.mark.parametrize("gate", [10, 14])
+    def test_probe_after_build_gns_at_or_above_its_top(self, name, gate, monkeypatch):
+        mf = CACHE_MEASURES[name]()
+        build_gns(mf, gate)
+        calls = count_eliminations(monkeypatch)
+        boundedness_probe(Functional.f2(), D2, mf, range(2, 11))
+        generator_probe(mf, range(2, 11))
+        build_gns(mf, 10)
+        assert calls == []
 
 
 def hermite_top_zero(n: int) -> float:
@@ -424,6 +616,87 @@ def hermite_top_zero(n: int) -> float:
         q = nxt
 
 
+def hermite_rows(top: int) -> list[list[int]]:
+    """The coefficients of He_0..He_top from q^0 up, by He_(k+1) = q He_k - k He_(k-1)."""
+    he = [[1], [0, 1]]
+    for k in range(1, top):
+        up = [0, *he[k]]
+        he.append([a - k * b for a, b in zip(up, he[k - 1] + [0, 0])])
+    return he[: top + 1]
+
+
+def legendre_rows(top: int) -> list[list[Fraction]]:
+    """The coefficients of the monic shifted Legendre polynomials on [0, 1], k <= top.
+
+    By the explicit sum sum_j (-1)^(k+j) C(k, j) C(k+j, j) q^j / C(2k, k).
+    """
+    return [
+        [
+            Fraction((-1) ** (k + j) * comb(k, j) * comb(k + j, j), comb(2 * k, k))
+            for j in range(k + 1)
+        ]
+        for k in range(top + 1)
+    ]
+
+
+def row_fractions(rows) -> list[list[Fraction]]:
+    """Rows of U = L^-1 as ``_inverse_rows`` gives them, as Fractions; each must be real."""
+    assert all(not any(im) for _, im, _ in rows)
+    return [[Fraction(v, den) for v in re] for re, _, den in rows]
+
+
+# the two continuous sample measures: their U rows and pivots D_k in closed form
+CLASSICAL = {
+    "gauss64": (
+        lambda top: [[Fraction(c) for c in row] for row in hermite_rows(top)],
+        lambda k: Fraction(factorial(k)),
+    ),
+    "lebesgue01-64": (
+        legendre_rows,
+        lambda k: Fraction(factorial(k) ** 4, factorial(2 * k) ** 2 * (2 * k + 1)),
+    ),
+}
+
+
+class TestClassicalFactors:
+    """The Gram factors of gauss64 and lebesgue01-64 at N = 30, against closed forms.
+
+    Row k of U = L^-1 is the monic Hermite He_k on gauss64 and the monic
+    shifted Legendre polynomial on lebesgue01-64; D_k is k! and
+    (k!)^4 / (((2k)!)^2 (2k + 1)).  The families are built by their own
+    recurrence or sum, never from an LDL.
+    """
+
+    TOP = 30
+
+    def test_factor_is_shifted_legendre(self):
+        # gauss64's is TestHermiteOracle.test_factor_is_hermite
+        rows, pivot = CLASSICAL["lebesgue01-64"]
+        ldl = ldl_psd(hankel_gram(file_measure("lebesgue01-64.json"), self.TOP))
+        assert ldl.pivots == tuple(range(self.TOP + 1))
+        assert ldl.diag == tuple(pivot(k) for k in range(self.TOP + 1))
+        assert row_fractions(_inverse_rows(ldl.lower)) == rows(self.TOP)
+
+    @pytest.mark.parametrize("name", sorted(CLASSICAL))
+    def test_cached_reads_below_the_top(self, name, monkeypatch):
+        rows, pivot = CLASSICAL[name]
+        mf = file_measure(f"{name}.json")
+        gram_factor(mf, self.TOP)
+        calls = count_eliminations(monkeypatch)
+        for n in (10, 20, self.TOP):
+            factor = gram_factor(mf, n)
+            assert factor.ldl.pivots == tuple(range(n + 1))
+            assert factor.ldl.diag == tuple(pivot(k) for k in range(n + 1))
+            assert row_fractions(factor.inverse_rows(n + 1)) == rows(n)
+        assert calls == []
+
+    @pytest.mark.parametrize("name", sorted(CLASSICAL))
+    def test_empty_kernel(self, name):
+        realization = build_gns(file_measure(f"{name}.json"), self.TOP)
+        assert realization.kernel == ()
+        assert realization.rank == self.TOP + 1
+
+
 class TestHermiteOracle:
     """F1 on d^2 over the Gaussian moments, against the monic Hermite polynomials.
 
@@ -435,25 +708,19 @@ class TestHermiteOracle:
     """
 
     TOP = 30
-    GAUSS64 = MomentFunctional.from_json(
-        json.loads((Path(__file__).resolve().parents[1] / "measures" / "gauss64.json").read_text())
-    )
+    GAUSS64 = file_measure("gauss64.json")
 
     def test_factor_is_hermite(self):
         ldl = ldl_psd(hankel_gram(self.GAUSS64, self.TOP))
         assert ldl.pivots == tuple(range(self.TOP + 1))
         assert ldl.diag == tuple(factorial(k) for k in range(self.TOP + 1))
-        # the coefficients of He_k from q^0 up, by the recurrence
-        he = [[1], [0, 1]]
-        for k in range(1, self.TOP):
-            up = [0, *he[k]]
-            he.append([a - k * b for a, b in zip(up, he[k - 1] + [0, 0])])
+        he = hermite_rows(self.TOP)
         assert _inverse_rows(ldl.lower) == [(h, [0] * len(h), 1) for h in he]
 
     def test_integer_pencil_is_the_derivative(self):
         mf = self.GAUSS64
         ldl = ldl_psd(hankel_gram(mf, self.TOP))
-        z = _reduced_pencil(form_numerators(Functional.f1(), D2, mf, self.TOP), ldl)
+        z = fresh_pencil(form_numerators(Functional.f1(), D2, mf, self.TOP), ldl)
         for a in range(self.TOP + 1):
             for c in range(self.TOP + 1):
                 k = max(a, c)
