@@ -288,21 +288,18 @@ def _reduced(re: int, im: int, den: int) -> tuple[int, int, int]:
     return (re, im, den) if g == 1 else (re // g, im // g, den // g)
 
 
-def nullspace(gram: Matrix, ldl: LdlResult, inverse_rows=None) -> list[Poly]:
+def nullspace(gram: Matrix, ldl: LdlResult, rows) -> list[Poly]:
     """Kernel basis of a hermitian PSD matrix, read off ``ldl = ldl_psd(gram)``.
 
-    For a skipped index s, with P the pivots below s, U = L^-1 on P and g
-    column s of the Gram on P, v = e_s - U^H D^-1 U g is the one kernel
-    vector with 1 at s and weight only on P: the reduced-row-echelon basis
-    vector of the free column s.  It is summed on Gaussian-integer
+    ``rows`` are the rows of U = L^-1, as ``_inverse_rows(ldl.lower)``
+    gives them.  For a skipped index s, with P the pivots below s, U on P
+    and g column s of the Gram on P, v = e_s - U^H D^-1 U g is the one
+    kernel vector with 1 at s and weight only on P: the reduced-row-echelon
+    basis vector of the free column s.  It is summed on Gaussian-integer
     numerators over one denominator and returned as the ``Poly`` of v.
-    ``inverse_rows(k)`` gives the first k rows of U as ``_inverse_rows``
-    does, for a caller that keeps them (the GNS layer's cached factor);
-    without it they are computed here.
     """
     skipped = [s for s in range(gram.nrows) if s not in ldl.pivots]
-    k = bisect_left(ldl.pivots, max(skipped, default=0))
-    inv = _inverse_rows(ldl.lower[:k]) if inverse_rows is None else inverse_rows(k)
+    inv = rows[: bisect_left(ldl.pivots, max(skipped, default=0))]
     # D^-1 with the two row denominators of U^H D^-1 U, over one lcm
     dens = [d.numerator * du * du for d, (_, _, du) in zip(ldl.diag, inv)]
     common = lcm(*dens)
@@ -326,17 +323,14 @@ def nullspace(gram: Matrix, ldl: LdlResult, inverse_rows=None) -> list[Poly]:
     return basis
 
 
-def _inverse_rows(lower, out=None) -> list[tuple[list[int], list[int], int]]:
+def _inverse_rows(lower) -> list[tuple[list[int], list[int], int]]:
     """Rows of U = L^-1 for L as in ``LdlResult.lower``, each ``(re, im, den)``.
 
     Row a is e_a - sum_(c<a) L[a][c] U_c over the lcm of the denominator
     products of its terms, then divided by the gcd of its entries and den.
-    ``out``, if given, is a list holding the leading rows already; it is
-    extended in place to one row per row of ``lower`` and returned.
     """
-    out = [] if out is None else out
-    for a in range(len(out), len(lower)):
-        row = lower[a]
+    out = []
+    for a, row in enumerate(lower):
         used = [(c, xr, xi, xd) for c, (xr, xi, xd) in enumerate(row) if xr or xi]
         dd = lcm(*(xd * out[c][2] for c, _, _, xd in used))
         nr = [0] * a + [dd]

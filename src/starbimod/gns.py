@@ -11,12 +11,13 @@ whole exact path stays in rational arithmetic.
 The Gram, its factor and the kernel belong to f alone, not to a bimodule
 functional or an element.  ``gram_factor`` is the one route to the
 factor: each ``MomentFunctional`` object keeps the factor of the largest
-degree M asked so far, with the rows of U = L^-1 filled in on the first
-read, and a degree N <= M gets its leading part (the pivots <= N and the
-matching entries of D, L and U), which is exact because natural-order
-elimination nests.  A larger degree is factored afresh and replaces the
-entry, once its positivity gate has passed.  So the gate of ``build_gns``,
-its kernel and every probe at or below M share one elimination.
+degree M asked so far, complete with the rows of U = L^-1, and a degree
+N <= M gets its leading part (the pivots <= N and the matching entries
+of D, L and U), which is exact because natural-order elimination nests
+and row a of U depends only on rows <= a of L.  A larger degree is
+factored afresh and replaces the entry whole, once its positivity gate
+has passed.  So the gate of ``build_gns``, its kernel and every probe at
+or below M share one elimination.
 
 ``Functional`` bundles the five functional variants on the bimodules:
 
@@ -104,19 +105,13 @@ def hankel_gram(mf: MomentFunctional, degree: int) -> Matrix:
 class GramFactor(NamedTuple):
     """The natural-order factor of a measure's degree-N Hankel Gram.
 
-    ``ldl`` is ``ldl_psd(hankel_gram(mf, N))``.  ``rows`` holds the rows of
-    U = L^-1 computed so far, a leading part of them; it is one list shared
-    by every factor read from the same cache entry, so each row is
-    computed once per measure.
+    ``ldl`` is ``ldl_psd(hankel_gram(mf, N))`` and ``rows`` the rows of
+    U = L^-1 as ``_inverse_rows(ldl.lower)`` gives them, one per pivot.
     """
 
     degree: int
     ldl: LdlResult
-    rows: list
-
-    def inverse_rows(self, count: int) -> list:
-        """The first ``count`` rows of U = L^-1, each ``(re, im, den)``."""
-        return _inverse_rows(self.ldl.lower[:count], self.rows)[:count]
+    rows: tuple
 
 
 def gram_factor(mf: MomentFunctional, degree: int) -> GramFactor:
@@ -138,12 +133,13 @@ def _cached_factor(mf: MomentFunctional, degree: int) -> GramFactor | None:
         return top
     pivots, diag, lower = top.ldl
     r = bisect_right(pivots, degree)
-    return GramFactor(degree, LdlResult(pivots[:r], diag[:r], lower[:r]), top.rows)
+    return GramFactor(degree, LdlResult(pivots[:r], diag[:r], lower[:r]), top.rows[:r])
 
 
 def _new_factor(mf: MomentFunctional, gram: Matrix) -> GramFactor:
     """Factor a Hankel Gram of mf and cache it on mf, once ``ldl_psd`` has passed it."""
-    factor = GramFactor(gram.nrows - 1, ldl_psd(gram), [])
+    ldl = ldl_psd(gram)
+    factor = GramFactor(gram.nrows - 1, ldl, tuple(_inverse_rows(ldl.lower)))
     object.__setattr__(mf, "_gram_factor", factor)
     return factor
 
@@ -159,7 +155,7 @@ def build_gns(mf: MomentFunctional, degree: int) -> GnsRealization:
     """
     gram = hankel_gram(mf, degree)
     factor = _cached_factor(mf, degree) or _new_factor(mf, gram)
-    kernel = tuple(nullspace(gram, factor.ldl, factor.inverse_rows))
+    kernel = tuple(nullspace(gram, factor.ldl, factor.rows))
     return GnsRealization(mf, degree, gram, kernel, factor.ldl)
 
 

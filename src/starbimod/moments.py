@@ -69,9 +69,10 @@ class MomentFunctional:
     # is a cache that grows, and is not part of ==, hash or repr.
     # _atom_nums is (xs, X, ws, W) of an atomic measure, else None.
     # _gram_factor is the factor of the Hankel Gram at the largest degree
-    # factored so far, a ``gns.GramFactor`` set by ``gns.gram_factor`` once
-    # its positivity gate has passed, else None; a cache of this object
-    # alone, not part of ==, hash, repr or to_json.
+    # factored so far, a complete ``gns.GramFactor`` (the LDL and every row
+    # of L^-1) set by ``gns.gram_factor`` once its positivity gate has
+    # passed, else None; replaced whole, never changed in place; a cache of
+    # this object alone, not part of ==, hash, repr or to_json.
     __slots__ = ("atoms", "_nums", "_atom_nums", "_gram_factor")
 
     def __init__(self, atoms=None, values=None):

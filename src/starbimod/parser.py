@@ -74,13 +74,13 @@ def tokenize(src: str) -> list[Token]:
         elif ch == ")":
             out.append(Token("rparen", ch, pos))
             pos += 1
-        elif ch.isdigit():
+        elif ch.isdecimal():
             start = pos
             pos = _digits_end(src, pos)
             if pos < n and src[pos] == "/":
                 mark = pos
                 pos += 1
-                if pos >= n or not src[pos].isdigit():
+                if pos >= n or not src[pos].isdecimal():
                     raise ParseError("expected digits after '/'", mark + 1, {"digit"})
                 pos = _digits_end(src, pos)
                 if int(src[mark + 1 : pos]) == 0:
@@ -102,7 +102,7 @@ def tokenize(src: str) -> list[Token]:
 def _digits_end(src: str, start: int) -> int:
     """End of the digit run at ``start``, refusing one above MAX_DIGITS."""
     pos = start
-    while pos < len(src) and src[pos].isdigit():
+    while pos < len(src) and src[pos].isdecimal():
         pos += 1
     if pos - start > MAX_DIGITS:
         raise ParseError(

@@ -17,9 +17,9 @@ feeds its one sequence of weighted atom images instead), and hermitised
 exactly.  The factor G = L D L^H of the Hankel Gram G of degree M, in
 natural order, which skips the indices of an exact kernel, is read from
 ``gns.gram_factor``: a measure object factors its Gram once, at the
-largest degree asked of it, and the gate of ``build_gns`` and every probe
-at or below that degree read its leading part, with the rows of
-U = L^-1 computed on the first read.  The congruence Z = L^-1 H_P L^-H on
+largest degree asked of it, together with the rows of U = L^-1, and the
+gate of ``build_gns`` and every probe at or below that degree read its
+leading part.  The congruence Z = L^-1 H_P L^-H on
 the pivot indices P is done once per probe.  All three steps run on
 Gaussian-integer numerators over shared denominators: the form is summed
 and hermitised on them into a ``Matrix``, ``ldl_psd`` eliminates
@@ -333,7 +333,7 @@ def boundedness_probe(
     factor = gram_factor(mf, top)
     ldl = factor.ldl
     form = form_numerators(func, x, mf, top)
-    z = _reduced_pencil(form, ldl.pivots, factor.inverse_rows(ldl.rank))
+    z = _reduced_pencil(form, ldl.pivots, factor.rows)
     ranks = tuple(bisect_right(ldl.pivots, n) for n in degrees)
     if ranks[0] == 0:
         raise SingularGramError("Gram matrix vanishes at this degree")

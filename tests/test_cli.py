@@ -573,6 +573,22 @@ class TestContract:
         else:
             assert out.strip() and err == ""
 
+    # str.isdigit accepts '²', which int() refuses; a number is decimal digits only
+    @pytest.mark.parametrize(
+        "expression, offset", [("²", 0), ("q^²", 2), ("1/²", 2), ("2²", 1)]
+    )
+    @pytest.mark.parametrize("command", ["normal-order", "theta-map"])
+    def test_non_decimal_digits_refused_at_their_offset(self, expression, offset, command):
+        argv = [command, expression] if command == "normal-order" else [command, "--element", expression]
+        code, out, err = _run(argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and f"(offset {offset})" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_decimal_digits_of_any_script_are_numbers(self):
+        assert _run(["normal-order", "٣*q"]) == (0, "3*q\n", "")
+
 
 # Flag values for lemma-check: valid ones, integers out of range, and text
 # that is no integer (including one longer than int() accepts)

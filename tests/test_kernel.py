@@ -28,7 +28,7 @@ from starbimod.algebra import Poly, Scalar
 from starbimod.bimodule import BimodElement, Generator
 from starbimod.errors import DimensionMismatchError, MomentOutOfRangeError, NotPositiveError
 from starbimod import selftest
-from starbimod.exactla import Matrix, inverse, ldl_psd, nullspace, poly_at
+from starbimod.exactla import Matrix, _inverse_rows, inverse, ldl_psd, nullspace, poly_at
 from starbimod.forms import FormMatrix
 from starbimod.gns import Functional, build_gns, hankel_gram
 from starbimod.moments import MomentFunctional
@@ -742,6 +742,12 @@ class TestLdl:
         assert ldl_psd(Matrix.zeros(3, 3)).pivots == ()
 
 
+def kernel_of(gram: Matrix) -> list:
+    """``nullspace`` of gram against its own LDL and rows of L^-1."""
+    ldl = ldl_psd(gram)
+    return nullspace(gram, ldl, _inverse_rows(ldl.lower))
+
+
 class TestNullspace:
     """The kernel read off the LDL against sympy's nullspace over QQ(i).
 
@@ -776,7 +782,8 @@ class TestNullspace:
     def test_hankel_grams(self, mf):
         for n in range(15):
             realization = build_gns(mf, n)
-            vectors = nullspace(realization.gram, realization.ldl)
+            ldl = realization.ldl
+            vectors = nullspace(realization.gram, ldl, _inverse_rows(ldl.lower))
             self._check(realization.gram, vectors)
             assert realization.kernel == tuple(vectors)
             assert len(vectors) == max(0, n + 1 - len(mf.atoms))
@@ -784,7 +791,7 @@ class TestNullspace:
     def test_rank_deficient_gaussian_complex(self):
         complex_kernels = 0
         for gram, rank_b, _ in _rank_deficient_grams():
-            vectors = nullspace(gram, ldl_psd(gram))
+            vectors = kernel_of(gram)
             self._check(gram, vectors)
             assert len(vectors) == gram.nrows - rank_b
             complex_kernels += any(any(v.im) for v in vectors)
@@ -792,14 +799,14 @@ class TestNullspace:
 
     def test_skipped_indices_in_the_middle(self):
         gram = Matrix([[2, 2, Scalar(0, 1)], [2, 2, Scalar(0, 1)], [Scalar(0, -1), Scalar(0, -1), 3]])
-        [v] = nullspace(gram, ldl_psd(gram))
+        [v] = kernel_of(gram)
         assert vector_scalars(v, 3) == (Scalar(-1), Scalar(1), Scalar(0))
 
     def test_full_rank_empty_and_zero_matrices(self):
         for gram in (Matrix.identity(3), Matrix([])):
-            assert nullspace(gram, ldl_psd(gram)) == []
+            assert kernel_of(gram) == []
         zero = Matrix.zeros(2, 2)
-        assert [vector_scalars(v, 2) for v in nullspace(zero, ldl_psd(zero))] == [(1, 0), (0, 1)]
+        assert [vector_scalars(v, 2) for v in kernel_of(zero)] == [(1, 0), (0, 1)]
 
 
 ROOT = Path(__file__).resolve().parents[1]

@@ -2,6 +2,8 @@
 
 import json
 import random
+import sys
+import threading
 from fractions import Fraction
 from math import comb, factorial, inf
 from pathlib import Path
@@ -12,7 +14,7 @@ import sympy
 from sympy import QQ_I
 from sympy.polys.matrices import DomainMatrix
 
-from starbimod import exactla, probes
+from starbimod import exactla, gns, probes
 from starbimod.algebra import P_ONE, Poly, Q, Scalar
 from starbimod.bimodule import BimodElement, Generator
 from starbimod.errors import (
@@ -444,7 +446,7 @@ def assert_fresh_factor(factor, name, degree):
     ldl = ldl_psd(hankel_gram(CACHE_MEASURES[name](), degree))
     assert factor.degree == degree
     assert factor.ldl == ldl
-    assert factor.inverse_rows(ldl.rank) == _inverse_rows(ldl.lower)
+    assert factor.rows[: ldl.rank] == tuple(_inverse_rows(ldl.lower))
 
 
 class TestGramFactorCache:
@@ -498,7 +500,7 @@ class TestGramFactorCache:
             lambda mf: build_gns(mf, 14),
             lambda mf: generator_probe(mf, range(4, 13)),
             lambda mf: generator_probe(mf, range(0, 4)),
-            lambda mf: gram_factor(mf, 5).inverse_rows(2),
+            lambda mf: gram_factor(mf, 5).rows[:2],
         )
         for warm in warmers:
             assert reports(warm) == cold
@@ -556,11 +558,62 @@ class TestGramFactorCache:
     def test_value_semantics_ignore_the_factor(self, name):
         mf = CACHE_MEASURES[name]()
         before = (hash(mf), repr(mf), mf.to_json())
-        gram_factor(mf, 10).inverse_rows(3)
+        gram_factor(mf, 10).rows[:3]
         assert (hash(mf), repr(mf), mf.to_json()) == before
         assert mf == CACHE_MEASURES[name]()
         with pytest.raises(AttributeError):
             mf._gram_factor = None
+
+    @pytest.mark.parametrize("name", sorted(CACHE_MEASURES))
+    def test_every_read_holds_all_its_rows(self, name, monkeypatch):
+        mf = CACHE_MEASURES[name]()
+        calls = []
+        original = gns._inverse_rows
+
+        def counted(lower):
+            calls.append(lower)
+            return original(lower)
+
+        monkeypatch.setattr(gns, "_inverse_rows", counted)
+        for top in (6, 12):
+            factor = gram_factor(mf, top)
+            assert isinstance(factor.rows, tuple) and len(factor.rows) == factor.ldl.rank
+            assert len(calls) == 1
+            calls.clear()
+            for n in (*range(top + 1), 3):
+                factor = gram_factor(mf, n)
+                assert isinstance(factor.rows, tuple) and len(factor.rows) == factor.ldl.rank
+            build_gns(mf, top)
+            assert calls == []
+
+    def test_two_threads_probing_one_measure(self):
+        # the gate at the top factors the Gram, so both probes read one cached factor
+        degrees = range(2, 15)
+        func = Functional.f1()
+        want = boundedness_probe(func, D2, file_measure("lebesgue01-64.json"), degrees)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                mf = file_measure("lebesgue01-64.json")
+                build_gns(mf, degrees[-1])
+                start = threading.Barrier(2, timeout=60)
+                got = []
+
+                def probe():
+                    start.wait()
+                    got.append(boundedness_probe(func, D2, mf, degrees))
+
+                threads = [threading.Thread(target=probe) for _ in range(2)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+                assert got == [want, want]
+                assert boundedness_probe(func, D2, mf, degrees) == want
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestOneEliminationPerMeasure:
@@ -687,7 +740,7 @@ class TestClassicalFactors:
             factor = gram_factor(mf, n)
             assert factor.ldl.pivots == tuple(range(n + 1))
             assert factor.ldl.diag == tuple(pivot(k) for k in range(n + 1))
-            assert row_fractions(factor.inverse_rows(n + 1)) == rows(n)
+            assert row_fractions(factor.rows[: n + 1]) == rows(n)
         assert calls == []
 
     @pytest.mark.parametrize("name", sorted(CLASSICAL))
