@@ -37,10 +37,23 @@ from operator import mul
 
 from .errors import ParseError
 
-_RAT = r"-?\d+(?:/0*[1-9]\d*)?"  # no zero denominator
-_RAT_RE = re.compile(rf"^{_RAT}$")
+_RAT_RE = re.compile(r"^-?\d+(?:/\d+)?$")  # decimal digits of any script
 _DIGITS_RE = re.compile(r"\d+")
 MAX_DIGITS = 1000  # digits of a literal's or a parsed number's numerator or denominator
+
+
+def _rational(text: str) -> Fraction | None:
+    """The value of a rational literal, or None if ``text`` is not one.
+
+    Numerator and denominator take the same decimal digits, of any
+    script; a zero denominator makes no literal.
+    """
+    if _RAT_RE.match(text):
+        try:
+            return Fraction(text)
+        except ZeroDivisionError:
+            pass
+    return None
 
 
 def _frac(value) -> Fraction:
@@ -49,9 +62,10 @@ def _frac(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        if not _RAT_RE.match(value):
+        q = _rational(value)
+        if q is None:
             raise ParseError(f"not a rational literal: {value!r}", 0)
-        return Fraction(value)
+        return q
     raise TypeError(f"cannot build a rational from {type(value).__name__}")
 
 
@@ -182,20 +196,21 @@ def parse_scalar(text: str) -> Scalar:
     longest = max(map(len, _DIGITS_RE.findall(s)), default=0)
     if longest > MAX_DIGITS:
         raise ParseError(f"number of {longest} digits exceeds the limit of {MAX_DIGITS}", 0)
-    if _RAT_RE.match(s):
-        return Scalar(Fraction(s))
+    whole = _rational(s)
+    if whole is not None:
+        return Scalar(whole)
     if not s.endswith("i"):
         raise ParseError(f"bad scalar literal: {text!r}", 0)
     body = s[:-1]
-    if _RAT_RE.match(body):
-        return Scalar(0, Fraction(body))
+    im = _rational(body)
+    if im is not None:
+        return Scalar(0, im)
     # combined form: <rat> then a sign then <rat>
     for idx in range(1, len(body)):
         if body[idx] in "+-" and body[idx - 1].isdigit():
-            re_part, sign, im_part = body[:idx], body[idx], body[idx + 1 :]
-            if _RAT_RE.match(re_part) and _RAT_RE.match(im_part):
-                im = Fraction(im_part)
-                return Scalar(Fraction(re_part), im if sign == "+" else -im)
+            real, im = _rational(body[:idx]), _rational(body[idx + 1 :])
+            if real is not None and im is not None:
+                return Scalar(real, im if body[idx] == "+" else -im)
             break
     raise ParseError(f"bad scalar literal: {text!r}", 0)
 

@@ -1,23 +1,26 @@
 """GNS-style realization of a moment functional and the paired bimodule functionals.
 
 ``build_gns`` turns a moment functional into the truncated quotient data:
-the Hankel Gram matrix G_{jk} = m_{j+k} on the monomials q^0..q^N, an
-exact positivity certificate (natural-order LDL), and an exact basis of the
-kernel polynomials, solved from that same LDL (one per skipped index s,
-monic in q^s, on the pivot monomials below it).  No orthonormalisation
-happens anywhere; all inner products go through the Gram matrix so the
-whole exact path stays in rational arithmetic.
+an exact positivity certificate of the Hankel Gram matrix
+G_{jk} = m_{j+k} on the monomials q^0..q^N (natural-order LDL, with the
+rows of U = L^-1), and an exact basis of the kernel polynomials, solved
+from that same LDL (one per skipped index s, monic in q^s, on the pivot
+monomials below it).  No orthonormalisation happens anywhere; all inner
+products go through the Gram matrix so the whole exact path stays in
+rational arithmetic.
 
-The Gram, its factor and the kernel belong to f alone, not to a bimodule
-functional or an element.  ``gram_factor`` is the one route to the
-factor: each ``MomentFunctional`` object keeps the factor of the largest
-degree M asked so far, complete with the rows of U = L^-1, and a degree
-N <= M gets its leading part (the pivots <= N and the matching entries
-of D, L and U), which is exact because natural-order elimination nests
-and row a of U depends only on rows <= a of L.  A larger degree is
-factored afresh and replaces the entry whole, once its positivity gate
-has passed.  So the gate of ``build_gns``, its kernel and every probe at
-or below M share one elimination.
+The realization belongs to f alone, not to a bimodule functional or an
+element, and ``build_gns`` is the one route to it: each
+``MomentFunctional`` object keeps the realization of the largest degree
+M asked so far, and a degree N <= M gets its leading part (the pivots
+<= N, the matching entries of D, L and U, and the kernel vectors of the
+skipped indices <= N).  That is exact because natural-order elimination
+nests, row a of U depends only on rows <= a of L, and the kernel vector
+of a skipped index s only on the leading block up to s.  A larger degree
+is realized afresh and replaces the entry whole, once its positivity
+gate has passed.  So the gate, the kernel and every probe at or below M
+share one elimination.  The Gram itself is not kept: ``gram`` builds it
+from the moment table on each read.
 
 ``Functional`` bundles the five functional variants on the bimodules:
 
@@ -56,7 +59,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
 from operator import mul
-from typing import NamedTuple
 
 from .algebra import P_ONE, Poly, Scalar, gauss_scalar, sum_of_products
 from .bimodule import BimodElement, Generator
@@ -72,13 +74,24 @@ from .moments import MomentFunctional
 
 @dataclass(frozen=True, eq=False, slots=True)
 class GnsRealization:
-    """Truncated quotient data of a moment functional."""
+    """Truncated quotient data of a moment functional at degree N.
+
+    ``ldl`` is ``ldl_psd`` of the Hankel Gram, ``rows`` the rows of
+    U = L^-1 as ``_inverse_rows(ldl.lower)`` gives them, one per pivot, and
+    ``kernel`` the kernel polynomials of ``nullspace``, one per skipped
+    index.
+    """
 
     functional: MomentFunctional
     degree: int
-    gram: Matrix
-    kernel: tuple[Poly, ...]
     ldl: LdlResult
+    rows: tuple
+    kernel: tuple[Poly, ...]
+
+    @property
+    def gram(self) -> Matrix:
+        """The Hankel Gram, built afresh on every read."""
+        return hankel_gram(self.functional, self.degree)
 
     @property
     def rank(self) -> int:
@@ -102,61 +115,28 @@ def hankel_gram(mf: MomentFunctional, degree: int) -> Matrix:
     return Matrix.from_numerators([re[j : j + n] for j in range(n)], [[0] * n] * n, den, n)
 
 
-class GramFactor(NamedTuple):
-    """The natural-order factor of a measure's degree-N Hankel Gram.
+def build_gns(mf: MomentFunctional, degree: int) -> GnsRealization:
+    """The positivity-checked degree-N truncation, through the measure's cache.
 
-    ``ldl`` is ``ldl_psd(hankel_gram(mf, N))`` and ``rows`` the rows of
-    U = L^-1 as ``_inverse_rows(ldl.lower)`` gives them, one per pivot.
+    Above the cached degree M (or on a new measure) the Gram is built and
+    factored, and the realization is cached once ``ldl_psd`` has passed it;
+    this raises NotPositiveError when the moment data is not a truncated
+    positive sequence, MomentOutOfRangeError when the moments are short.
+    At or below M it is the cached realization's leading part.
     """
-
-    degree: int
-    ldl: LdlResult
-    rows: tuple
-
-
-def gram_factor(mf: MomentFunctional, degree: int) -> GramFactor:
-    """The factor of ``hankel_gram(mf, degree)``, through the measure's cache.
-
-    At or below the cached degree this is the cached factor's leading
-    part; above it the Gram is built and factored, raising as
-    ``hankel_gram`` and ``ldl_psd`` do, and the factor is cached.
-    """
-    return _cached_factor(mf, degree) or _new_factor(mf, hankel_gram(mf, degree))
-
-
-def _cached_factor(mf: MomentFunctional, degree: int) -> GramFactor | None:
-    """The leading part of mf's cached factor for ``degree``; None above it."""
-    top = mf._gram_factor
+    top = mf._gns
     if top is None or degree > top.degree:
-        return None
+        gram = hankel_gram(mf, degree)
+        ldl = ldl_psd(gram)
+        rows = tuple(_inverse_rows(ldl.lower))
+        top = GnsRealization(mf, degree, ldl, rows, tuple(nullspace(gram, ldl, rows)))
+        object.__setattr__(mf, "_gns", top)
     if degree == top.degree:
         return top
     pivots, diag, lower = top.ldl
     r = bisect_right(pivots, degree)
-    return GramFactor(degree, LdlResult(pivots[:r], diag[:r], lower[:r]), top.rows[:r])
-
-
-def _new_factor(mf: MomentFunctional, gram: Matrix) -> GramFactor:
-    """Factor a Hankel Gram of mf and cache it on mf, once ``ldl_psd`` has passed it."""
-    ldl = ldl_psd(gram)
-    factor = GramFactor(gram.nrows - 1, ldl, tuple(_inverse_rows(ldl.lower)))
-    object.__setattr__(mf, "_gram_factor", factor)
-    return factor
-
-
-def build_gns(mf: MomentFunctional, degree: int) -> GnsRealization:
-    """Build and positivity-check the degree-N truncation.
-
-    Needs moments up to 2N; the kernel is the Polys of ``nullspace``.
-    Raises NotPositiveError when the moment data is not a truncated
-    positive sequence, MomentOutOfRangeError when the moments are short.
-    The factor is ``gram_factor``'s, built here only above the cached
-    degree.
-    """
-    gram = hankel_gram(mf, degree)
-    factor = _cached_factor(mf, degree) or _new_factor(mf, gram)
-    kernel = tuple(nullspace(gram, factor.ldl, factor.rows))
-    return GnsRealization(mf, degree, gram, kernel, factor.ldl)
+    ldl = LdlResult(pivots[:r], diag[:r], lower[:r])
+    return GnsRealization(mf, degree, ldl, top.rows[:r], top.kernel[: degree + 1 - r])
 
 
 class Functional:

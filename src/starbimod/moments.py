@@ -68,12 +68,12 @@ class MomentFunctional:
     # _nums is the moment table (re, im, den); an atomic measure's table
     # is a cache that grows, and is not part of ==, hash or repr.
     # _atom_nums is (xs, X, ws, W) of an atomic measure, else None.
-    # _gram_factor is the factor of the Hankel Gram at the largest degree
-    # factored so far, a complete ``gns.GramFactor`` (the LDL and every row
-    # of L^-1) set by ``gns.gram_factor`` once its positivity gate has
-    # passed, else None; replaced whole, never changed in place; a cache of
-    # this object alone, not part of ==, hash, repr or to_json.
-    __slots__ = ("atoms", "_nums", "_atom_nums", "_gram_factor")
+    # _gns is the ``gns.GnsRealization`` at the largest degree realized so
+    # far (the LDL of the Hankel Gram, every row of L^-1 and the kernel),
+    # set by ``gns.build_gns`` once its positivity gate has passed, else
+    # None; replaced whole, never changed in place; a cache of this object
+    # alone, not part of ==, hash, repr or to_json.
+    __slots__ = ("atoms", "_nums", "_atom_nums", "_gns")
 
     def __init__(self, atoms=None, values=None):
         if (atoms is None) == (values is None):
@@ -102,7 +102,7 @@ class MomentFunctional:
             object.__setattr__(self, "atoms", None)
             object.__setattr__(self, "_nums", (tuple(re), tuple(im), den))
             object.__setattr__(self, "_atom_nums", None)
-        object.__setattr__(self, "_gram_factor", None)
+        object.__setattr__(self, "_gns", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("MomentFunctional is immutable")

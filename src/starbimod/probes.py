@@ -16,23 +16,23 @@ moment sequence per term of ``Functional.theta_terms`` (gauss-atoms
 feeds its one sequence of weighted atom images instead), and hermitised
 exactly.  The factor G = L D L^H of the Hankel Gram G of degree M, in
 natural order, which skips the indices of an exact kernel, is read from
-``gns.gram_factor``: a measure object factors its Gram once, at the
-largest degree asked of it, together with the rows of U = L^-1, and the
-gate of ``build_gns`` and every probe at or below that degree read its
-leading part.  The congruence Z = L^-1 H_P L^-H on
-the pivot indices P is done once per probe.  All three steps run on
-Gaussian-integer numerators over shared denominators: the form is summed
-and hermitised on them into a ``Matrix``, ``ldl_psd`` eliminates
-fraction-free on the Gram's stored numerators, and the rows of U are
-integer rows over one denominator du_a each.  Z is kept as a
-``Pencil``: integer numerators N with Z[a][c] = N[a][c] / (du_a den du_c),
-formed as the products U H_P and (U H_P) U^H on the real and imaginary
-parts, where a part that is zero everywhere takes no product (U is real
-for every moment Gram, and H for every real element and functional).
-One gcd per nonzero part of Z gives the reduced bit lengths behind
-``max_bits`` and the float shifts; nothing on this path builds a
-``Scalar``.  Natural order nests
-the tower: the degree-N pencil is the leading r_N x r_N block of Z, with
+the degree-M ``gns.build_gns`` realization, which also holds the rows
+of U = L^-1 and the kernel K: a measure object caches one realization,
+at the largest degree asked of it, and the positivity gate and every
+probe at or below that degree read its leading part.  The congruence
+Z = L^-1 H_P L^-H on the pivot indices P is done once per probe.  All
+three steps run on Gaussian-integer numerators over shared denominators:
+the form is summed and hermitised on them into a ``Matrix``,
+``ldl_psd`` eliminates fraction-free on the Gram's stored numerators,
+and the rows of U are integer rows over one denominator du_a each.  Z is
+kept as a ``Pencil``: integer numerators N with
+Z[a][c] = N[a][c] / (du_a den du_c), formed as the products U H_P and
+(U H_P) U^H on the real and imaginary parts, where a part that is zero
+everywhere takes no product (U is real for every moment Gram, and H for
+every real element and functional).  One gcd per nonzero part of Z
+gives the reduced bit lengths behind ``max_bits`` and the float shifts;
+nothing on this path builds a ``Scalar``.  Natural order nests the
+tower: the degree-N pencil is the leading r_N x r_N block of Z, with
 r_N the number of pivots <= N.  Only the diagonal scaling by d^-1/2 and
 one hermitian eigensolve per degree run in doubles, on entries whose
 exact powers of two are put back on each lambda afterwards.  Moment Gram
@@ -61,7 +61,7 @@ from .bimodule import BimodElement
 from .errors import DoubleRangeError, NotHermitianError, NotPositiveError, SingularGramError
 from .exactla import Matrix, ldl_psd
 from .forms import FormMatrix
-from .gns import Functional, gram_factor
+from .gns import Functional, build_gns
 from .moments import MomentFunctional, power_sums
 
 BOUNDED = "Bounded"
@@ -322,18 +322,20 @@ def boundedness_probe(
 ) -> ProbeReport:
     """Track lambda_N over the degree list and classify the tail.
 
-    The element must be hermitian so the quadratic form is real-valued.
+    The degrees must be strictly increasing, since a repeated degree would
+    read as a plateau, and the element hermitian so the quadratic form is
+    real-valued.
     """
     degrees = tuple(degrees)
-    if len(degrees) < 3 or list(degrees) != sorted(degrees):
+    if len(degrees) < 3 or any(a >= b for a, b in zip(degrees, degrees[1:])):
         raise ValueError("need an increasing list of at least three degrees")
     if not x.is_hermitian():
         raise NotHermitianError("probe element must be hermitian")
     top = degrees[-1]
-    factor = gram_factor(mf, top)
-    ldl = factor.ldl
+    realization = build_gns(mf, top)
+    ldl = realization.ldl
     form = form_numerators(func, x, mf, top)
-    z = _reduced_pencil(form, ldl.pivots, factor.rows)
+    z = _reduced_pencil(form, ldl.pivots, realization.rows)
     ranks = tuple(bisect_right(ldl.pivots, n) for n in degrees)
     if ranks[0] == 0:
         raise SingularGramError("Gram matrix vanishes at this degree")

@@ -57,6 +57,13 @@ class TestScalar:
             ("2+-3i", Scalar(2, -3)),
             ("2-3i", Scalar(2, -3)),
             ("-5/3", Scalar(Fraction(-5, 3))),
+            # a denominator takes the decimal digits of any script, as a numerator does
+            ("٣", Scalar(3)),
+            ("٣+1i", Scalar(3, 1)),
+            ("1/٣", Scalar(Fraction(1, 3))),
+            ("2+1/٣i", Scalar(2, Fraction(1, 3))),
+            ("-٣/٠٤", Scalar(Fraction(-3, 4))),
+            ("1/३-٥/۶i", Scalar(Fraction(1, 3), Fraction(-5, 6))),
         ],
     )
     def test_literal_parse(self, text, value):
@@ -68,11 +75,18 @@ class TestScalar:
         assert parse_scalar(format_scalar(z)) == z
 
     @pytest.mark.parametrize(
-        "bad", ["", "i", "1+i", "2//3", "1.5", "2+3", "1/0", "2+1/00i"]
+        "bad",
+        # a zero denominator is refused in every script, never divided by
+        ["", "i", "1+i", "2//3", "1.5", "2+3", "1/0", "2+1/00i", "1/٠", "2+1/٠٠i", "1/०i"],
     )
     def test_literal_rejects(self, bad):
         with pytest.raises(ParseError):
             parse_scalar(bad)
+
+    def test_rational_constructor_takes_the_same_literals(self):
+        assert Scalar("1/٣", "-٣/٠٤") == Scalar(Fraction(1, 3), Fraction(-3, 4))
+        with pytest.raises(ParseError):
+            Scalar("1/٠")
 
 
 class TestPolyBasics:

@@ -217,6 +217,18 @@ class TestChecks:
         assert code == 2
         assert "Traceback" not in capsys.readouterr().err
 
+    def test_measure_with_decimal_digits_of_any_script(self, capsys, tmp_path):
+        # the moments (1/3)^k at 2k, 0 at odd indices: atoms +-1/sqrt(3) with weights 1/2
+        path = tmp_path / "arabic.json"
+        values = ["١", "٠", "1/٣", "٠", "1/٩", "٠", "1/٢٧", "٠", "1/٨١"]
+        path.write_text(json.dumps({"type": "moments", "values": values}))
+        code = main(
+            ["gns-check", "--measure", str(path), "--functional", "F0",
+             "--max-degree", "1", "--trials", "1", "--seed", "0"]
+        )
+        assert code == 0
+        assert capsys.readouterr().err == ""
+
     def test_unknown_functional(self, capsys, mu3_file):
         code = main(
             ["gns-check", "--measure", mu3_file, "--functional", "F9",

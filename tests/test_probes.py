@@ -4,6 +4,7 @@ import json
 import random
 import sys
 import threading
+from collections import Counter
 from fractions import Fraction
 from math import comb, factorial, inf
 from pathlib import Path
@@ -25,7 +26,7 @@ from starbimod.errors import (
     SingularGramError,
 )
 from starbimod.exactla import Matrix, _inverse_rows, inverse, ldl_psd
-from starbimod.gns import Functional, build_gns, check_intertwiner, gram_factor, hankel_gram
+from starbimod.gns import Functional, build_gns, check_intertwiner, hankel_gram
 from starbimod.moments import MomentFunctional
 from starbimod.probes import (
     BOUNDED,
@@ -108,6 +109,17 @@ class TestBoundednessProbe:
             boundedness_probe(
                 Functional.f0(), D2, MomentFunctional.gaussian(32), [2, 3]
             )
+
+    @pytest.mark.parametrize(
+        "degrees", [[2, 10, 10, 10], [2, 2, 3], [2, 3, 3], [3, 2, 4]], ids=str
+    )
+    def test_requires_strictly_increasing_degrees(self, degrees):
+        # three copies of lambda_10 would read as a plateau: Bounded, where
+        # the tower 2..10 grows
+        mf = MomentFunctional.gaussian(64)
+        assert generator_probe(mf, range(2, 11)).verdict == GROWTH
+        with pytest.raises(ValueError, match="need an increasing list of at least three degrees"):
+            generator_probe(mf, degrees)
 
     def test_zero_measure_has_no_positive_part(self):
         mf = MomentFunctional.atomic([(0, 0)])
@@ -418,13 +430,36 @@ def cluster() -> MomentFunctional:
     return MomentFunctional.atomic([(Fraction(1, n), Fraction(1, 2**n)) for n in range(1, 17)])
 
 
-# each call builds a new object, so no two tests share a cached factor
+# each call builds a new object, so no two tests share a cached realization
 CACHE_MEASURES = {
     "gauss64": lambda: file_measure("gauss64.json"),
     "lebesgue01-64": lambda: file_measure("lebesgue01-64.json"),
     "mu3": mu3,
     "atoms012": atoms012,
     "cluster": cluster,
+}
+
+
+def criterion_11_measures() -> dict:
+    """Makers of the 50 random atomic measures of ``selftest.psd_gate``, in its draw order."""
+    rng = random.Random(707)
+    makers = {}
+    for k in range(50):
+        atoms = [
+            (Fraction(rng.randint(-4, 4), rng.randint(1, 3)), Fraction(rng.randint(0, 3)))
+            for _ in range(rng.randint(1, 5))
+        ]
+        makers[f"random{k}"] = lambda atoms=atoms: MomentFunctional.atomic(atoms)
+    return makers
+
+
+# atomic measures, which have kernels, each with the degree M cached first
+KERNEL_CASES = {
+    "mu3": (mu3, 12),
+    "atoms012": (atoms012, 12),
+    "point-mass": (lambda: MomentFunctional.atomic([(Fraction(-3, 2), Fraction(5, 7))]), 12),
+    "cluster": (cluster, 18),
+    **{name: (make, 12) for name, make in criterion_11_measures().items()},
 }
 
 
@@ -450,11 +485,12 @@ def assert_fresh_factor(factor, name, degree):
 
 
 class TestGramFactorCache:
-    """``gram_factor`` keeps one factor per measure object, at the largest degree asked.
+    """``build_gns`` keeps one realization per measure object, at the largest degree asked.
 
-    Every read at or below that degree must be the factor a new measure
-    would compute, every read above it must fail where a new measure fails,
-    and no two objects share a factor, however equal.
+    Every read at or below that degree must be the realization a new
+    measure would compute (its factor, rows of L^-1, kernel and Gram),
+    every read above it must fail where a new measure fails, and no two
+    objects share a realization, however equal.
     """
 
     @pytest.mark.parametrize("name", sorted(CACHE_MEASURES))
@@ -462,12 +498,12 @@ class TestGramFactorCache:
     def test_every_degree_reads_the_fresh_factor(self, name, tower):
         mf = CACHE_MEASURES[name]()
         for top in tower:
-            gram_factor(mf, top)
+            build_gns(mf, top)
             # an atomic measure's moment table grows past the factored degree
             mf.moment(40)
             # ascending, so the rows of L^-1 grow in steps; then a low degree again
             for n in (*range(top + 1), 3):
-                assert_fresh_factor(gram_factor(mf, n), name, n)
+                assert_fresh_factor(build_gns(mf, n), name, n)
 
     @pytest.mark.parametrize("name", sorted(CACHE_MEASURES))
     def test_build_gns_reads_the_fresh_factor(self, name):
@@ -500,7 +536,7 @@ class TestGramFactorCache:
             lambda mf: build_gns(mf, 14),
             lambda mf: generator_probe(mf, range(4, 13)),
             lambda mf: generator_probe(mf, range(0, 4)),
-            lambda mf: gram_factor(mf, 5).rows[:2],
+            lambda mf: build_gns(mf, 5).rows[:2],
         )
         for warm in warmers:
             assert reports(warm) == cold
@@ -523,11 +559,10 @@ class TestGramFactorCache:
             ldl_psd(hankel_gram(MomentFunctional.from_moments(values), n)) for n in range(5)
         ]
         mf = MomentFunctional.from_moments(values)
-        gram_factor(mf, 4)
+        build_gns(mf, 4)
         calls = count_eliminations(monkeypatch)
         for _ in range(2):
             for request in (
-                lambda: gram_factor(mf, 5),
                 lambda: build_gns(mf, 5),
                 lambda: generator_probe(mf, range(3, 6)),
                 lambda: boundedness_probe(Functional.f0(), D2, mf, range(2, 6)),
@@ -537,7 +572,7 @@ class TestGramFactorCache:
                 assert str(got.value) == message
             # degrees <= 4 are still served from the cache, with no elimination
             before = len(calls)
-            assert [gram_factor(mf, n).ldl for n in range(5)] == fresh_ldls
+            assert [build_gns(mf, n).ldl for n in range(5)] == fresh_ldls
             generator_probe(mf, range(1, 4))
             assert len(calls) == before
 
@@ -546,23 +581,23 @@ class TestGramFactorCache:
         a, b = CACHE_MEASURES[name](), CACHE_MEASURES[name]()
         assert a == b and hash(a) == hash(b)
         calls = count_eliminations(monkeypatch)
-        gram_factor(a, 8)
-        gram_factor(b, 8)
+        build_gns(a, 8)
+        build_gns(b, 8)
         assert len(calls) == 2
         # criterion 10 builds both realizations from their own factors
         check_intertwiner(a, b, 6)
         assert len(calls) == 2
-        assert gram_factor(a, 6).rows is not gram_factor(b, 6).rows
+        assert build_gns(a, 6).rows is not build_gns(b, 6).rows
 
     @pytest.mark.parametrize("name", sorted(CACHE_MEASURES))
     def test_value_semantics_ignore_the_factor(self, name):
         mf = CACHE_MEASURES[name]()
         before = (hash(mf), repr(mf), mf.to_json())
-        gram_factor(mf, 10).rows[:3]
+        build_gns(mf, 10).rows[:3]
         assert (hash(mf), repr(mf), mf.to_json()) == before
         assert mf == CACHE_MEASURES[name]()
         with pytest.raises(AttributeError):
-            mf._gram_factor = None
+            mf._gns = None
 
     @pytest.mark.parametrize("name", sorted(CACHE_MEASURES))
     def test_every_read_holds_all_its_rows(self, name, monkeypatch):
@@ -576,18 +611,60 @@ class TestGramFactorCache:
 
         monkeypatch.setattr(gns, "_inverse_rows", counted)
         for top in (6, 12):
-            factor = gram_factor(mf, top)
+            factor = build_gns(mf, top)
             assert isinstance(factor.rows, tuple) and len(factor.rows) == factor.ldl.rank
             assert len(calls) == 1
             calls.clear()
             for n in (*range(top + 1), 3):
-                factor = gram_factor(mf, n)
+                factor = build_gns(mf, n)
                 assert isinstance(factor.rows, tuple) and len(factor.rows) == factor.ldl.rank
             build_gns(mf, top)
             assert calls == []
 
+    @pytest.mark.parametrize("case", list(KERNEL_CASES))
+    def test_every_read_has_the_fresh_kernel_and_gram(self, case):
+        make, top = KERNEL_CASES[case]
+        mf = make()
+        build_gns(mf, top)
+        for n in range(top + 1):
+            realization = build_gns(mf, n)
+            fresh = build_gns(make(), n)
+            assert realization.degree == n
+            assert realization.ldl == fresh.ldl
+            assert realization.rows == fresh.rows
+            assert realization.kernel == fresh.kernel
+            assert realization.gram == fresh.gram
+
+    @pytest.mark.parametrize("name", sorted(CACHE_MEASURES))
+    def test_a_warm_read_computes_nothing(self, name, monkeypatch):
+        mf = CACHE_MEASURES[name]()
+        counts = Counter()
+        for module, attr in (
+            (gns, "hankel_gram"),
+            (exactla, "hermitian_ldl"),
+            (gns, "_inverse_rows"),
+            (gns, "nullspace"),
+        ):
+
+            def counted(*args, _attr=attr, _original=getattr(module, attr)):
+                counts[_attr] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(module, attr, counted)
+        top = build_gns(mf, 12)
+        assert counts == {"hankel_gram": 1, "hermitian_ldl": 1, "_inverse_rows": 1, "nullspace": 1}
+        counts.clear()
+        for n in range(13):
+            build_gns(mf, n)
+        boundedness_probe(Functional.f1(), D2, mf, range(2, 13))
+        generator_probe(mf, range(2, 11))
+        assert counts == {}
+        # a Gram read builds the Gram from the moments, and nothing else
+        top.gram
+        assert counts == {"hankel_gram": 1}
+
     def test_two_threads_probing_one_measure(self):
-        # the gate at the top factors the Gram, so both probes read one cached factor
+        # the gate at the top realizes the measure, so both probes read one cached realization
         degrees = range(2, 15)
         func = Functional.f1()
         want = boundedness_probe(func, D2, file_measure("lebesgue01-64.json"), degrees)
@@ -734,10 +811,10 @@ class TestClassicalFactors:
     def test_cached_reads_below_the_top(self, name, monkeypatch):
         rows, pivot = CLASSICAL[name]
         mf = file_measure(f"{name}.json")
-        gram_factor(mf, self.TOP)
+        build_gns(mf, self.TOP)
         calls = count_eliminations(monkeypatch)
         for n in (10, 20, self.TOP):
-            factor = gram_factor(mf, n)
+            factor = build_gns(mf, n)
             assert factor.ldl.pivots == tuple(range(n + 1))
             assert factor.ldl.diag == tuple(pivot(k) for k in range(n + 1))
             assert row_fractions(factor.rows[: n + 1]) == rows(n)
