@@ -218,7 +218,12 @@ def _random_case(rng, func, mf, max_degree):
     return a, x, b
 
 
-def _cmd_gns_check(args) -> int:
+def _run_trials(args, check: str, key: str, claim: str, trial) -> int:
+    """Gate the measure, then run ``trial(func, a, x, b, mf)`` on seeded random cases.
+
+    ``trial`` returns None when a case passes and otherwise the fields that
+    the first failure adds to the report.
+    """
     mf = _load_measure(args.measure)
     func = _load_functional(args.functional)
     build_gns(mf, args.max_degree)  # positivity gate
@@ -227,13 +232,13 @@ def _cmd_gns_check(args) -> int:
     witness = None
     for _ in range(args.trials):
         a, x, b = _random_case(rng, func, mf, args.max_degree)
-        report = check_identity(func, a, x, b, mf)
-        if not report.equal:
+        found = trial(func, a, x, b, mf)
+        if found is not None:
             failures += 1
             if witness is None:
-                witness = report
+                witness = found
     payload = {
-        "check": "gns-check",
+        "check": check,
         "inputs": {
             "measure": args.measure,
             "functional": _functional_echo(func, args.functional),
@@ -242,47 +247,35 @@ def _cmd_gns_check(args) -> int:
             "seed": args.seed,
         },
         "failures": failures,
-        "equal": failures == 0,
+        key: failures == 0,
+        **(witness or {}),
     }
-    if witness is not None:
-        payload["lhs"] = format_scalar(witness.lhs)
-        payload["rhs"] = format_scalar(witness.rhs)
     _emit(
         payload,
         args.json,
-        [f"identity holds on {args.trials - failures}/{args.trials} random cases"],
+        [f"{claim} on {args.trials - failures}/{args.trials} random cases"],
     )
     return 0 if failures == 0 else 1
+
+
+def _identity_trial(func, a, x, b, mf):
+    report = check_identity(func, a, x, b, mf)
+    if report.equal:
+        return None
+    return {"lhs": format_scalar(report.lhs), "rhs": format_scalar(report.rhs)}
+
+
+def _cs_trial(func, a, x, b, mf):
+    # every case draws b, unused here, so a seed gives both checks the same cases
+    return None if check_cauchy_schwarz(func, a, x, mf).holds else {}
+
+
+def _cmd_gns_check(args) -> int:
+    return _run_trials(args, "gns-check", "equal", "identity holds", _identity_trial)
 
 
 def _cmd_cs_check(args) -> int:
-    mf = _load_measure(args.measure)
-    func = _load_functional(args.functional)
-    build_gns(mf, args.max_degree)
-    rng = random.Random(args.seed)
-    failures = 0
-    for _ in range(args.trials):
-        a, x, _ = _random_case(rng, func, mf, args.max_degree)
-        if not check_cauchy_schwarz(func, a, x, mf).holds:
-            failures += 1
-    payload = {
-        "check": "cs-check",
-        "inputs": {
-            "measure": args.measure,
-            "functional": _functional_echo(func, args.functional),
-            "max_degree": args.max_degree,
-            "trials": args.trials,
-            "seed": args.seed,
-        },
-        "failures": failures,
-        "holds": failures == 0,
-    }
-    _emit(
-        payload,
-        args.json,
-        [f"bound holds on {args.trials - failures}/{args.trials} random cases"],
-    )
-    return 0 if failures == 0 else 1
+    return _run_trials(args, "cs-check", "holds", "bound holds", _cs_trial)
 
 
 def _cmd_probe(args) -> int:

@@ -30,10 +30,10 @@ from the moment table on each read.
 * gauss-poly carries a polynomial weight w and sends w(q)p(q)exp(-q^2)
   to f(w p),
 * gauss-atoms carries one exact value v_i per atom x_i of an atomic
-  measure and is evaluated in atom coordinates, on the atom images
-  v_i p(x_i) of ``atom_images``.  The images are Gaussian integers over
-  one denominator, and its value, Cauchy-Schwarz bound and identity sides
-  are integer sums over the atoms, reduced once at the end.
+  measure and works in that measure's atom realization: its images
+  v_i p(x_i) (``atom_images``) are atom vectors, and its value
+  <images, phi>, Cauchy-Schwarz bound and identity sides each end in one
+  ``MomentFunctional.atom_pairing``.
 
 The operator theta(x) of the polynomial variants is stated once, as the
 terms (r, c, h) of ``theta_terms`` with theta(x) b = sum c h b^(r): the
@@ -58,9 +58,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
-from operator import mul
 
-from .algebra import P_ONE, Poly, Scalar, gauss_scalar, sum_of_products
+from .algebra import P_ONE, Poly, Scalar, sum_of_products
 from .bimodule import BimodElement, Generator
 from .errors import (
     MomentMismatchError,
@@ -201,9 +200,7 @@ class Functional:
         """F(x), exact; depends only on the semantic class of x."""
         if self.kind != "gauss-atoms":
             return mf.apply(self.coefficient_poly(x))
-        re, im, den = self.atom_images(x, mf)
-        _, _, ws, w_den = mf.atom_numerators()
-        return gauss_scalar(sum(map(mul, re, ws)), sum(map(mul, im, ws)), den * w_den)
+        return mf.atom_pairing(self.atom_images(x, mf), mf.at_atoms(P_ONE))
 
     def coefficient_poly(self, x: BimodElement) -> Poly:
         """The polynomial h with F(a^+ . x) = f(a^+ h); Cauchy-Schwarz partner.
@@ -262,23 +259,16 @@ class Functional:
             raise VariantMismatchError(
                 f"{len(self.atom_values)} values for {len(mf.atoms)} atoms"
             )
-        re, im, den = mf.at_atoms(x.gauss_poly())
         v_den = lcm(*(v.denominator for v in self.atom_values))
         vs = [v.numerator * (v_den // v.denominator) for v in self.atom_values]
-        return [a * v for a, v in zip(re, vs)], [b * v for b, v in zip(im, vs)], den * v_den
+        return mf.atom_product(mf.at_atoms(x.gauss_poly()), (vs, [0] * len(vs), v_den))
 
     def theta_atom_vector(self, x: BimodElement, b, mf: MomentFunctional):
         """theta(x) rho(b) phi in atom coordinates, for the gauss-atoms variant.
 
         Returned as ``(re, im, den)``, entry i being v_i p(x_i) b(x_i).
         """
-        re, im, den = self.atom_images(x, mf)
-        br, bi, b_den = mf.at_atoms(Poly.coerce(b))
-        return (
-            [u * c - v * d for u, v, c, d in zip(re, im, br, bi)],
-            [u * d + v * c for u, v, c, d in zip(re, im, br, bi)],
-            den * b_den,
-        )
+        return mf.atom_product(self.atom_images(x, mf), mf.at_atoms(Poly.coerce(b)))
 
     def describe(self) -> str:
         if self.kind == "gauss-poly":
@@ -314,22 +304,17 @@ def check_identity(
 
     The left side acts on the element first and evaluates F.  The right
     side forms the image polynomial theta(x)(b * phi) and pairs it with
-    rho(a^+) phi, which by the Gram pairing is f(a * theta-poly).  For the
-    gauss-atoms variant the right side is paired in atom coordinates.
+    rho(a^+) phi, which by the Gram pairing is f(a * theta-poly).  For
+    gauss-atoms the left side reads the atom images of a x b, the right
+    multiplies p, b and a^+ at the atoms pointwise; only the closing
+    ``atom_pairing`` is shared, as ``mf.apply`` is for the other variants.
     """
     a = Poly.coerce(a)
     b = Poly.coerce(b)
     lhs = func.value(x.act(a, b), mf)
     if func.kind == "gauss-atoms":
-        ur, ui, u_den = func.theta_atom_vector(x, b, mf)
         # rho(a^+) phi in atom coordinates, conjugated by the inner product
-        rr, ri, r_den = mf.at_atoms(a.conjugate())
-        _, _, ws, w_den = mf.atom_numerators()
-        re = im = 0
-        for u, v, c, d, w in zip(ur, ui, rr, ri, ws):
-            re += (u * c + v * d) * w
-            im += (v * c - u * d) * w
-        rhs = gauss_scalar(re, im, u_den * r_den * w_den)
+        rhs = mf.atom_pairing(func.theta_atom_vector(x, b, mf), mf.at_atoms(a.conjugate()))
     else:
         image = func.theta(x, b)
         rhs = mf.apply(a * image)
@@ -357,15 +342,14 @@ def check_cauchy_schwarz(
     """Exact check of |F(a^+ x)|^2 <= f(h^+ h) f(a^+ a).
 
     h is the variant's coefficient polynomial of x; for gauss-atoms the
-    squared norm of the weighted atom vector replaces f(h^+ h).
+    squared norm <images, images> of its atom images replaces f(h^+ h).
     """
     a = Poly.coerce(a)
     lhs = func.value(x.act(a.conjugate(), P_ONE), mf)
     gram_aa = mf.pairing(a, a)
     if func.kind == "gauss-atoms":
-        re, im, den = func.atom_images(x, mf)
-        _, _, ws, w_den = mf.atom_numerators()
-        c = Fraction(sum((u * u + v * v) * w for u, v, w in zip(re, im, ws)), den * den * w_den)
+        images = func.atom_images(x, mf)
+        c = mf.atom_pairing(images, images)
     else:
         h = func.coefficient_poly(x)
         c = mf.apply(h.conjugate() * h)

@@ -17,11 +17,12 @@ of a polynomial's numerators with that table (``apply`` reduces its value
 to a ``Scalar`` once, ``shifted_values`` keeps the numerators), and
 ``numerators`` hands out the table, which the GNS Hankel Gram slices.
 
-An atomic measure also gives its points and weights as integers over X
-and W (``atom_numerators``), and ``at_atoms`` evaluates a polynomial at
-every atom by integer Horner; the gauss-atoms functional sums on those.
-``power_sums`` forms sum_i c_i x_i^k on integers, for the moment table
-and for the probe's gauss-atoms sequence.
+An atomic measure is its own GNS realization: C^n, one coordinate per
+atom, with p acting as (p(x_i))_i and <u, v> = sum_i w_i u_i conj(v_i).
+Its atom vectors are ``(re, im, den)`` like the table: ``at_atoms``
+evaluates p at every atom by integer Horner, and ``atom_product``,
+``atom_pairing`` and ``atom_power_sums`` are that realization's
+arithmetic, for the table and every gauss-atoms sum.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from fractions import Fraction
 from math import lcm
 
 from .algebra import (
+    P_ONE,
     Poly,
     Scalar,
     format_scalar,
@@ -40,26 +42,6 @@ from .algebra import (
     parse_scalar,
 )
 from .errors import MomentOutOfRangeError
-
-
-def power_sums(re, im, xs, x_den: int, top: int):
-    """sum_i c_i x_i^k for k <= top, with c_i = re[i] + im[i]*i and x_i = xs[i] / X.
-
-    Returns ``(re, im)``, two int lists of the sums over X^top.
-    """
-    out_re, out_im = [], []
-    for _ in range(top + 1):
-        out_re.append(sum(re))
-        out_im.append(sum(im))
-        re = [c * x for c, x in zip(re, xs)]
-        im = [c * x for c, x in zip(im, xs)]
-    # the k-th sum is over X^k; bring each to X^top
-    scale = 1
-    for k in range(top, -1, -1):
-        out_re[k] *= scale
-        out_im[k] *= scale
-        scale *= x_den
-    return out_re, out_im
 
 
 class MomentFunctional:
@@ -163,17 +145,12 @@ class MomentFunctional:
 
     def _extend(self, top: int):
         """Fill the atomic cache: m_k = sum w x^k over W * X^top, k <= top."""
-        xs, x_den, ws, w_den = self._atom_nums
-        re, _ = power_sums(ws, (0,) * len(ws), xs, x_den, top)
-        nums = (tuple(re), (0,) * (top + 1), w_den * x_den**top)
+        nums = self.atom_power_sums(self.at_atoms(P_ONE), top + 1)
         object.__setattr__(self, "_nums", nums)
         return nums
 
-    def atom_numerators(self):
-        """``(xs, X, ws, W)``: atom i sits at xs[i] / X with weight ws[i] / W.
-
-        X and W are the lcms of the point and the weight denominators.
-        """
+    def _atoms(self):
+        """``(xs, X, ws, W)``: atom i at xs[i] / X with weight ws[i] / W (X, W the lcms)."""
         if self._atom_nums is None:
             raise ValueError("a moment list has no atoms")
         return self._atom_nums
@@ -184,7 +161,7 @@ class MomentFunctional:
         Horner on the numerators, homogeneous in X: with n the degree,
         sum_k c_k xs_i^k X^(n-k) over p.den * X^n.
         """
-        xs, x_den, _, _ = self.atom_numerators()
+        xs, x_den, _, _ = self._atoms()
         if not p.re:
             return [0] * len(xs), [0] * len(xs), 1
         # c_k X^(n-k), highest power first
@@ -202,6 +179,50 @@ class MomentFunctional:
             re.append(acc_re)
             im.append(acc_im)
         return re, im, p.den * (scale // x_den)
+
+    def atom_product(self, u, v):
+        """The pointwise product u_i v_i of two atom vectors, as ``(re, im, den)``."""
+        self._atoms()  # a moment list refuses, as in at_atoms
+        (ur, ui, u_den), (vr, vi, v_den) = u, v
+        return (
+            [a * c - b * d for a, b, c, d in zip(ur, ui, vr, vi)],
+            [a * d + b * c for a, b, c, d in zip(ur, ui, vr, vi)],
+            u_den * v_den,
+        )
+
+    def atom_pairing(self, u, v) -> Scalar:
+        """<u, v> = sum_i w_i u_i conj(v_i) of two atom vectors, reduced once."""
+        _, _, ws, w_den = self._atoms()
+        (ur, ui, u_den), (vr, vi, v_den) = u, v
+        re = im = 0
+        for a, b, c, d, w in zip(ur, ui, vr, vi, ws):
+            re += (a * c + b * d) * w
+            im += (b * c - a * d) * w
+        return gauss_scalar(re, im, u_den * v_den * w_den)
+
+    def atom_power_sums(self, u, count: int):
+        """[sum_i w_i u_i x_i^k for k < count] as ``(re, im, den)``.
+
+        ``re`` and ``im`` are tuples over one denominator, u's times
+        W * X^(count-1).  The moments are the power sums of the unit vector.
+        """
+        xs, x_den, ws, w_den = self._atoms()
+        re, im, den = u
+        re = [a * w for a, w in zip(re, ws)]
+        im = [b * w for b, w in zip(im, ws)]
+        out_re, out_im = [], []
+        for _ in range(count):
+            out_re.append(sum(re))
+            out_im.append(sum(im))
+            re = [a * x for a, x in zip(re, xs)]
+            im = [b * x for b, x in zip(im, xs)]
+        # the k-th sum is over X^k; bring each to X^(count-1)
+        scale = 1
+        for k in range(count - 1, -1, -1):
+            out_re[k] *= scale
+            out_im[k] *= scale
+            scale *= x_den
+        return tuple(out_re), tuple(out_im), den * w_den * x_den ** max(count - 1, 0)
 
     def moment(self, k: int) -> Scalar:
         if k < 0:

@@ -3,22 +3,27 @@
 The exact layer can certify identities but not (un)boundedness; these
 probes watch the Rayleigh quotient
 
-    lambda_N = max |F(a^+ x a)| / f(a^+ a)   over deg(a) <= N
+    lambda_N = max |Re F(a^+ x a)| / f(a^+ a)   over deg(a) <= N
 
 along a list of degrees and report a verdict: a plateau of the final
 three values within a relative tolerance reads as Bounded, anything else
 as GrowthDetected.  Neither verdict is a proof; the quotient is exact
-data, the verdict a finite-degree heuristic.
+data, the verdict a finite-degree heuristic.  The form read is the
+hermitian part (H + H^H)/2 of H[j][k] = F(q^j x q^k), whose value at a
+is Re F(a^+ x a).  For F0, and for gauss-poly and gauss-atoms with real
+data, H is hermitian and Re changes nothing; F1 and F2 are not
+hermitian functionals (F1(q d^2) = 0 but F1(d^2 q) = 1), and for them
+lambda_N is not max |F(a^+ x a)| / f(a^+ a).
 
-All exact work happens once, at the top degree M of the list.  The form
-H[j][k] = F(q^j x q^k) is built from its Hankel structure, one shifted
-moment sequence per term of ``Functional.theta_terms`` (gauss-atoms
-feeds its one sequence of weighted atom images instead), and hermitised
-exactly.  The factor G = L D L^H of the Hankel Gram G of degree M, in
-natural order, which skips the indices of an exact kernel, is read from
-the degree-M ``gns.build_gns`` realization, which also holds the rows
-of U = L^-1 and the kernel K: a measure object caches one realization,
-at the largest degree asked of it, and the positivity gate and every
+All exact work happens once, at the top degree M of the list.  H is
+built from its Hankel structure, one shifted moment sequence per term of
+``Functional.theta_terms`` (gauss-atoms feeds the measure's power sums
+of its atom images instead), and hermitised exactly.  The factor
+G = L D L^H of the Hankel Gram G of degree M, in natural order, which
+skips the indices of an exact kernel, is read from the degree-M
+``gns.build_gns`` realization, which also holds the rows of U = L^-1
+and the kernel K: a measure object caches one realization, at the
+largest degree asked of it, and the positivity gate and every
 probe at or below that degree read its leading part.  The congruence
 Z = L^-1 H_P L^-H on the pivot indices P is done once per probe.  All
 three steps run on Gaussian-integer numerators over shared denominators:
@@ -62,7 +67,7 @@ from .errors import DoubleRangeError, NotHermitianError, NotPositiveError, Singu
 from .exactla import Matrix, ldl_psd
 from .forms import FormMatrix
 from .gns import Functional, build_gns
-from .moments import MomentFunctional, power_sums
+from .moments import MomentFunctional
 
 BOUNDED = "Bounded"
 GROWTH = "GrowthDetected"
@@ -95,23 +100,18 @@ def form_numerators(
 ) -> Matrix:
     """The hermitised form (H + H^H)/2, a ``Matrix`` of Gaussian-integer numerators.
 
+    For a coefficient vector a, a^H (H + H^H)/2 a = Re F(a^+ x a).
     q^j x q^k = q^j theta(x) q^k, and ``theta_terms`` gives theta(x) q^k =
     sum c h (q^k)^(r) = sum c k!/(k-r)! h q^(k-r), so with the shifted
     moment sequence s[m] = f(q^m h) of each term H[j][k] = sum c k!/(k-r)!
     s[j+k-r].  gauss-atoms has one term with r = 0, c = 1 and the sequence
-    s[m] = sum_i w_i v_i p(x_i) x_i^m of its atom images.  The sequences
+    s[m] = sum_i w_i v_i p(x_i) x_i^m, the power sums of its atom images.  The sequences
     are brought to the lcm of their denominators; the entries are summed
     and hermitised on the numerators.
     """
     n = degree + 1
     if func.kind == "gauss-atoms":
-        re, im, den = func.atom_images(x, mf)
-        xs, x_den, ws, w_den = mf.atom_numerators()
-        top = 2 * n - 2
-        sr, si = power_sums(
-            [u * w for u, w in zip(re, ws)], [v * w for v, w in zip(im, ws)], xs, x_den, top
-        )
-        seqs = [(0, 1, (sr, si, den * w_den * x_den**top))]
+        seqs = [(0, 1, mf.atom_power_sums(func.atom_images(x, mf), 2 * n - 1))]
     else:
         # the r-th term needs k >= r, so it reaches index 2N - r only
         seqs = [
@@ -323,8 +323,9 @@ def boundedness_probe(
     """Track lambda_N over the degree list and classify the tail.
 
     The degrees must be strictly increasing, since a repeated degree would
-    read as a plateau, and the element hermitian so the quadratic form is
-    real-valued.
+    read as a plateau, and the element hermitian.  lambda_N is read from
+    the hermitian part of the form, max |Re F(a^+ x a)| / f(a^+ a), which
+    differs from max |F(a^+ x a)| / f(a^+ a) for F1 and F2.
     """
     degrees = tuple(degrees)
     if len(degrees) < 3 or any(a >= b for a, b in zip(degrees, degrees[1:])):

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from starbimod.algebra import P_ONE, Poly, Q, Scalar
+from starbimod.algebra import P_ONE, Poly, Q, Scalar, gauss_numerators
 from starbimod.bimodule import BimodElement, Generator
 from starbimod.errors import (
     MomentMismatchError,
@@ -423,6 +423,71 @@ class TestGaussAtomsIntegerSums:
             cs = check_cauchy_schwarz(func, a, x, mf)
             assert (cs.lhs_squared, cs.bound) == _ref_cauchy_schwarz(func, a, x, mf)
             assert type(cs.lhs_squared) is Fraction and type(cs.bound) is Fraction
+
+
+def _atom_vector(values):
+    """Scalars as an atom vector ``(re, im, den)``."""
+    [(re, im)], den = gauss_numerators([values])
+    return re, im, den
+
+
+def _rand_complex(rng, n):
+    return [Scalar(rand_fraction(rng), rand_fraction(rng)) for _ in range(n)]
+
+
+class TestAtomRealization:
+    """atom_power_sums, atom_pairing and atom_product against Fraction loops."""
+
+    MEASURES = {"mu3": mu3, "atoms012": atoms012, "cluster": _cluster}
+
+    @pytest.mark.parametrize("name", sorted(MEASURES))
+    def test_unit_power_sums_are_the_moments(self, name):
+        mf = self.MEASURES[name]()
+        re, im, den = mf.atom_power_sums(mf.at_atoms(P_ONE), 29)
+        sums = tuple(Scalar(Fraction(a, den), Fraction(b, den)) for a, b in zip(re, im))
+        assert sums == tuple(
+            Scalar(sum(w * x**k for x, w in mf.atoms)) for k in range(29)
+        )
+        assert sums == self.MEASURES[name]().moments_up_to(28)
+
+    @pytest.mark.parametrize("name", sorted(MEASURES))
+    def test_pairing_and_product_on_complex_vectors(self, name):
+        mf = self.MEASURES[name]()
+        n = len(mf.atoms)
+        rng = random.Random(17)
+
+        def pairing(u, v):  # the Fraction loop
+            return sum(
+                (w * a * b.conjugate() for (_, w), a, b in zip(mf.atoms, u, v)), Scalar(0)
+            )
+
+        for _ in range(20):
+            u, v, v2 = (_rand_complex(rng, n) for _ in range(3))
+            c = Scalar(rand_fraction(rng), rand_fraction(rng))
+            uu, vv, vv2 = _atom_vector(u), _atom_vector(v), _atom_vector(v2)
+            assert mf.atom_pairing(uu, vv) == pairing(u, v)
+            assert mf.atom_pairing(vv, uu) == mf.atom_pairing(uu, vv).conjugate()
+            combo = _atom_vector([c * b + b2 for b, b2 in zip(v, v2)])
+            assert mf.atom_pairing(uu, combo) == (
+                c.conjugate() * mf.atom_pairing(uu, vv) + mf.atom_pairing(uu, vv2)
+            )
+            re, im, den = mf.atom_product(uu, vv)
+            assert [Scalar(Fraction(a, den), Fraction(b, den)) for a, b in zip(re, im)] == [
+                a * b for a, b in zip(u, v)
+            ]
+
+    def test_a_moment_list_has_no_atom_realization(self):
+        mf = MomentFunctional.gaussian(8)
+        vec = ([1], [0], 1)
+        calls = [
+            lambda: mf.at_atoms(Q),
+            lambda: mf.atom_product(vec, vec),
+            lambda: mf.atom_pairing(vec, vec),
+            lambda: mf.atom_power_sums(vec, 3),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="a moment list has no atoms"):
+                call()
 
 
 class TestUniqueness:

@@ -298,6 +298,43 @@ class TestStructuredForm:
             boundedness_probe(func, x, truncated(length - 1), range(2, top + 1))
 
 
+class TestFormIsTheHermitianPart:
+    """The probe's form reads Re F(a^+ x a): F1 and F2 are not hermitian
+    functionals, so lambda_N is max |Re F(a^+ x a)| / f(a^+ a) for them."""
+
+    @pytest.mark.parametrize("kind", ["F1", "F2"])
+    @pytest.mark.parametrize("mname", ["gauss64", "mu3"])
+    def test_value_at_a_is_re_f(self, kind, mname):
+        mf = file_measure("gauss64.json") if mname == "gauss64" else mu3()
+        func = Functional(kind)
+        rng = random.Random(29)
+        degree = 4
+        unsymmetric = 0
+        for x in (D2, hermitian_d2(rng)):
+            form = form_numerators(func, x, mf, degree).rows
+            for _ in range(12):
+                a = rand_poly(rng, degree)
+                coeffs = [a.coefficient(k) for k in range(degree + 1)]
+                quad = sum(
+                    (
+                        u.conjugate() * form[j][k] * v
+                        for j, u in enumerate(coeffs)
+                        for k, v in enumerate(coeffs)
+                    ),
+                    Scalar(0),
+                )
+                value = func.value(x.act(a.conjugate(), a), mf)
+                assert quad == Scalar(value.re)
+                unsymmetric += value.im != 0
+        assert unsymmetric  # Re drops a nonzero imaginary part somewhere
+
+    def test_f1_witness_on_gauss64(self):
+        mf = file_measure("gauss64.json")
+        q_d2 = BimodElement(Generator.D2, [(Q, P_ONE)])
+        assert Functional.f1().value(q_d2, mf) == Scalar(0)
+        assert Functional.f1().value(q_d2.involution(), mf) == Scalar(1)
+
+
 def fresh_pencil(form, ldl):
     """The reduced pencil against ``ldl`` and its own rows of L^-1, no cache involved."""
     return _reduced_pencil(form, ldl.pivots, _inverse_rows(ldl.lower))

@@ -1,9 +1,14 @@
-"""The README's library example runs as documented."""
+"""The README's library example and CLI block run as documented."""
 
 import re
+import shlex
 from contextlib import redirect_stdout
 from io import StringIO
 from pathlib import Path
+
+import pytest
+
+from starbimod import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -22,3 +27,33 @@ def test_library_example_runs_and_prints_its_verdict():
     with redirect_stdout(out):
         exec(compile(library_example(), str(README), "exec"), {"__name__": "readme"})
     assert out.getvalue() == "Bounded\n"
+
+
+def cli_commands() -> list[list[str]]:
+    """The argv of each ``starbimod`` line of the sh block under "CLI", comments dropped."""
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("## CLI") :]
+    match = re.search(r"```sh\n(.*?)```", section, re.S)
+    assert match, "no sh block under CLI"
+    lines = match.group(1).replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line, comments=True) for line in lines if line.strip()]
+    assert all(argv[0] == "starbimod" for argv in commands)
+    return [argv[1:] for argv in commands]
+
+
+# selftest runs the acceptance battery, which tests/test_acceptance.py already runs
+CLI_COMMANDS = [argv for argv in cli_commands() if argv[0] != "selftest"]
+
+
+@pytest.mark.parametrize("argv", CLI_COMMANDS, ids=[" ".join(a) for a in CLI_COMMANDS])
+def test_cli_example_exits_0(argv, monkeypatch, capsys):
+    monkeypatch.chdir(README.parent)
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    if argv == ["normal-order", "d*q - q*d"]:
+        assert out == "1\n"
+
+
+def test_cli_block_has_the_documented_commands():
+    assert len(CLI_COMMANDS) == 7
+    assert ["normal-order", "d*q - q*d"] in CLI_COMMANDS
