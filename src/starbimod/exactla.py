@@ -58,6 +58,21 @@ class Matrix:
         return m
 
     @classmethod
+    def hankel(cls, values, den: int, n: int) -> "Matrix":
+        """The real n x n Hankel matrix values[j + k] / den, den > 0.
+
+        Reduced by one gcd over its 2n - 1 distinct values, not its n^2 entries.
+        """
+        values = values[: 2 * n - 1]
+        g = gcd(den, *values)
+        if g != 1:
+            values = [v // g for v in values]
+            den //= g
+        m = object.__new__(cls)
+        _set(m, tuple([tuple(values[j : j + n]) for j in range(n)]), ((0,) * n,) * n, den, n)
+        return m
+
+    @classmethod
     def identity(cls, n: int) -> "Matrix":
         return cls.diagonal([1] * n)
 
@@ -168,8 +183,13 @@ def _store(m: Matrix, re, im, den: int, ncols: int) -> None:
         im = [[x // g for x in row] for row in im]
         den //= g
     # tuples are built from lists, as in algebra._store
-    object.__setattr__(m, "re", tuple([tuple(row) for row in re]))
-    object.__setattr__(m, "im", tuple([tuple(row) for row in im]))
+    _set(m, tuple([tuple(row) for row in re]), tuple([tuple(row) for row in im]), den, ncols)
+
+
+def _set(m: Matrix, re, im, den: int, ncols: int) -> None:
+    """Set m's fields to data already in canonical form."""
+    object.__setattr__(m, "re", re)
+    object.__setattr__(m, "im", im)
     object.__setattr__(m, "den", den)
     object.__setattr__(m, "ncols", ncols)
 

@@ -22,6 +22,15 @@ gate has passed.  So the gate, the kernel and every probe at or below M
 share one elimination.  The Gram itself is not kept: ``gram`` builds it
 from the moment table on each read.
 
+The elimination runs at the moments' natural scale.  With m_k =
+N_k / (den x^k) from ``MomentFunctional.scaled_numerators`` (x = X, the
+lcm of an atomic measure's point denominators; x = 1 for a moment list)
+and S = diag(x^0..x^N), S G S is the integer Hankel matrix of the N_k
+over den.  That positive diagonal congruence keeps the pivots and the
+skipped indices, so the LDL, the rows of U and the kernel of S G S map
+back to those of G by exact powers of x (``_unscaled``), and the Bareiss
+minors never carry the powers of X of the table over W X^(2N).
+
 ``Functional`` bundles the five functional variants on the bimodules:
 
 * F0/F1/F2 on the d^2 bimodule pick off f(h0), f(h1), f(h2) of the
@@ -57,7 +66,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, gcd, lcm
 
 from .algebra import P_ONE, Poly, Scalar, sum_of_products
 from .bimodule import BimodElement, Generator
@@ -67,7 +76,7 @@ from .errors import (
     UnsupportedVariantError,
     VariantMismatchError,
 )
-from .exactla import LdlResult, Matrix, _inverse_rows, ldl_psd, nullspace
+from .exactla import LdlResult, Matrix, _inverse_rows, _reduced, ldl_psd, nullspace
 from .moments import MomentFunctional
 
 
@@ -105,30 +114,35 @@ class GnsRealization:
 def hankel_gram(mf: MomentFunctional, degree: int) -> Matrix:
     """The Gram matrix G_{jk} = m_{j+k} on q^0..q^N; needs moments up to 2N.
 
-    Built from Hankel slices of the moment table's numerators.
+    The Hankel matrix of the moment table's numerators, reduced once.
     """
     re, im, den = mf.numerators(2 * degree)
-    n = degree + 1
-    if any(im[k] for k in range(2 * n - 1)):
+    if any(im[: 2 * degree + 1]):
         raise NotPositiveError("moments of a positive functional must be real")
-    return Matrix.from_numerators([re[j : j + n] for j in range(n)], [[0] * n] * n, den, n)
+    return Matrix.hankel(re, den, degree + 1)
 
 
 def build_gns(mf: MomentFunctional, degree: int) -> GnsRealization:
     """The positivity-checked degree-N truncation, through the measure's cache.
 
-    Above the cached degree M (or on a new measure) the Gram is built and
-    factored, and the realization is cached once ``ldl_psd`` has passed it;
-    this raises NotPositiveError when the moment data is not a truncated
-    positive sequence, MomentOutOfRangeError when the moments are short.
-    At or below M it is the cached realization's leading part.
+    Above the cached degree M (or on a new measure) the Gram is factored
+    at the moments' natural scale, and the realization is cached once
+    ``ldl_psd`` has passed it; this raises NotPositiveError when the moment
+    data is not a truncated positive sequence, MomentOutOfRangeError when
+    the moments are short.  At or below M it is the cached realization's
+    leading part.
     """
     top = mf._gns
     if top is None or degree > top.degree:
-        gram = hankel_gram(mf, degree)
+        sums, _, den, x = mf.scaled_numerators(2 * degree)
+        # S G S = Hankel(sums) / den for S = diag(x^0..x^N); at x = 1 that is G
+        gram = hankel_gram(mf, degree) if x == 1 else Matrix.hankel(sums, den, degree + 1)
         ldl = ldl_psd(gram)
         rows = tuple(_inverse_rows(ldl.lower))
-        top = GnsRealization(mf, degree, ldl, rows, tuple(nullspace(gram, ldl, rows)))
+        kernel = tuple(nullspace(gram, ldl, rows))
+        if x != 1:
+            ldl, rows, kernel = _unscaled(ldl, rows, kernel, x, degree)
+        top = GnsRealization(mf, degree, ldl, rows, kernel)
         object.__setattr__(mf, "_gns", top)
     if degree == top.degree:
         return top
@@ -136,6 +150,41 @@ def build_gns(mf: MomentFunctional, degree: int) -> GnsRealization:
     r = bisect_right(pivots, degree)
     ldl = LdlResult(pivots[:r], diag[:r], lower[:r])
     return GnsRealization(mf, degree, ldl, top.rows[:r], top.kernel[: degree + 1 - r])
+
+
+def _unscaled(ldl: LdlResult, rows, kernel, x: int, degree: int):
+    """The LDL, rows of U and kernel of G, from those of S G S, S = diag(x^0..x^N), x > 0.
+
+    The congruence keeps the pivots p and the skipped indices: D_a =
+    D'_a / x^(2 p_a), L_ab = L'_ab x^(p_b - p_a), U_ab = U'_ab x^(p_b - p_a),
+    and the kernel vector of s is v_j = v'_j x^(j - s), still monic in q^s.
+    """
+    pivots, diag, lower = ldl
+    powers = [1]
+    for _ in range(degree):
+        powers.append(powers[-1] * x)
+    at = [powers[p] for p in pivots]
+    diag = tuple([d / (s * s) for d, s in zip(diag, at)])
+    lower = tuple(
+        tuple([_reduced(re, im, den * (sa // sb)) for (re, im, den), sb in zip(row, at)])
+        for row, sa in zip(lower, at)
+    )
+    out = []
+    for (re, im, den), sa in zip(rows, at):
+        re = [v * s for v, s in zip(re, at)]
+        im = [v * s for v, s in zip(im, at)]
+        den *= sa
+        g = gcd(den, *re, *im)
+        out.append(([v // g for v in re], [v // g for v in im], den // g))
+    kernel = tuple(
+        Poly.from_numerators(
+            [c * s for c, s in zip(v.re, powers)],
+            [c * s for c, s in zip(v.im, powers)],
+            v.den * powers[len(v.re) - 1],
+        )
+        for v in kernel
+    )
+    return LdlResult(pivots, diag, lower), tuple(out), kernel
 
 
 class Functional:

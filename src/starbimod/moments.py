@@ -16,13 +16,17 @@ denominators).  ``apply`` and ``shifted_values`` are integer dot products
 of a polynomial's numerators with that table (``apply`` reduces its value
 to a ``Scalar`` once, ``shifted_values`` keeps the numerators), and
 ``numerators`` hands out the table, which the GNS Hankel Gram slices.
+``scaled_numerators`` gives the same moments at their natural scale,
+m_k = N_k / (W * X^k) with the integer power sums N_k, for the GNS
+layer to factor the Gram without the powers of X of the table.
 
 An atomic measure is its own GNS realization: C^n, one coordinate per
 atom, with p acting as (p(x_i))_i and <u, v> = sum_i w_i u_i conj(v_i).
 Its atom vectors are ``(re, im, den)`` like the table: ``at_atoms``
 evaluates p at every atom by integer Horner, and ``atom_product``,
 ``atom_pairing`` and ``atom_power_sums`` are that realization's
-arithmetic, for the table and every gauss-atoms sum.
+arithmetic, for the table and every gauss-atoms sum; one power-sum loop
+serves the table, its natural-scale sums and ``atom_power_sums``.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ from fractions import Fraction
 from math import lcm
 
 from .algebra import (
-    P_ONE,
     Poly,
     Scalar,
     format_scalar,
@@ -141,13 +144,35 @@ class MomentFunctional:
             raise MomentOutOfRangeError(
                 f"moment {k} beyond stored truncation {len(re) - 1}"
             )
-        return self._extend(top)
+        return self._extend(top)[2]
+
+    def scaled_numerators(self, top: int):
+        """The moments to index ``top`` at their natural scale, ``(re, im, den, x)``.
+
+        m_k = (re[k] + im[k]*i) / (den * x^k).  An atomic measure gives the
+        integer power sums N_k = sum ws_i xs_i^k over den = W, with x = X,
+        and fills its table to ``top`` from them; a moment list gives its
+        table, with x = 1, and raises as ``numerators`` does.
+        """
+        if self.atoms is None:
+            return (*self.numerators(top), 1)
+        re, im, _ = self._extend(top)
+        _, x_den, _, w_den = self._atom_nums
+        return tuple(re), tuple(im), w_den, x_den
 
     def _extend(self, top: int):
-        """Fill the atomic cache: m_k = sum w x^k over W * X^top, k <= top."""
-        nums = self.atom_power_sums(self.at_atoms(P_ONE), top + 1)
-        object.__setattr__(self, "_nums", nums)
-        return nums
+        """The power sums N_k, k <= top, and the table over W * X^top made from them.
+
+        The table replaces the cache, whole, when it reaches further, and the
+        caller reads the one returned here, whatever another thread stores.
+        """
+        n = len(self.atoms)
+        re, im = self._power_sums([1] * n, [0] * n, top + 1)
+        _, x_den, _, w_den = self._atom_nums
+        table = _over_top(re, im, w_den, x_den)
+        if top >= len(self._nums[0]):
+            object.__setattr__(self, "_nums", table)
+        return re, im, table
 
     def _atoms(self):
         """``(xs, X, ws, W)``: atom i at xs[i] / X with weight ws[i] / W (X, W the lcms)."""
@@ -206,8 +231,13 @@ class MomentFunctional:
         ``re`` and ``im`` are tuples over one denominator, u's times
         W * X^(count-1).  The moments are the power sums of the unit vector.
         """
-        xs, x_den, ws, w_den = self._atoms()
         re, im, den = u
+        _, x_den, _, w_den = self._atoms()
+        return _over_top(*self._power_sums(re, im, count), den * w_den, x_den)
+
+    def _power_sums(self, re, im, count: int):
+        """[sum_i ws_i (re_i + im_i*i) xs_i^k for k < count], the k-th over X^k."""
+        xs, _, ws, _ = self._atoms()
         re = [a * w for a, w in zip(re, ws)]
         im = [b * w for b, w in zip(im, ws)]
         out_re, out_im = [], []
@@ -216,13 +246,7 @@ class MomentFunctional:
             out_im.append(sum(im))
             re = [a * x for a, x in zip(re, xs)]
             im = [b * x for b, x in zip(im, xs)]
-        # the k-th sum is over X^k; bring each to X^(count-1)
-        scale = 1
-        for k in range(count - 1, -1, -1):
-            out_re[k] *= scale
-            out_im[k] *= scale
-            scale *= x_den
-        return tuple(out_re), tuple(out_im), den * w_den * x_den ** max(count - 1, 0)
+        return out_re, out_im
 
     def moment(self, k: int) -> Scalar:
         if k < 0:
@@ -303,3 +327,14 @@ class MomentFunctional:
             return cls(values=[parse_scalar(v) for v in values])
         got = repr(kind) if isinstance(data, dict) else f"a JSON {type(data).__name__}"
         raise ValueError(f'a measure has "type" "atomic" or "moments", got {got}')
+
+
+def _over_top(re, im, den: int, x: int):
+    """Sums with the k-th over den * x^k, all brought to den * x^top: ``(re, im, den)``."""
+    re, im = list(re), list(im)
+    scale = 1
+    for k in range(len(re) - 1, -1, -1):
+        re[k] *= scale
+        im[k] *= scale
+        scale *= x
+    return tuple(re), tuple(im), den * x ** max(len(re) - 1, 0)

@@ -31,6 +31,7 @@ ROOT = Path(__file__).resolve().parents[1]
 GNS_SHA256 = "edc6447578d840811b0beb8a223b516da893c0c9ee0c00116a3694c065e939cf"
 FORM_SHA256 = "bd76741257260c4c5b92d615dc1eaf21a0a138f01ecc51ed712a2a2214c2c41c"
 PROBE_SHA256 = "03f4cbb79fb408d7e0e4490ffe0c02ce5c5ab31bbcb1717dd045572ed5383b93"
+TOWER_SHA256 = "172a57cb17f878b2f6903ec1b96f351ba530d91fd5a7be5d92a4f4064bf8b347"
 
 
 def _file_measure(name: str) -> MomentFunctional:
@@ -130,6 +131,16 @@ def _probe_lines():
     yield f"gauss-atoms mu3 {boundedness_probe(func, x, mu3(), range(0, 7))!r}"
 
 
+def _tower_lines():
+    """ProbeReport reprs of two cold high-degree towers on the 16-atom cluster,
+    a new measure object each: the generator over 2..24 and steep-on-cluster
+    (gauss-atoms) over 2..18."""
+    yield f"rho cluster {generator_probe(_cluster(), range(2, 25))!r}"
+    steep = Functional.gauss_atoms(range(1, 17))
+    report = boundedness_probe(steep, BimodElement.gauss(1), _cluster(), range(2, 19))
+    yield f"steep-on-cluster theta {report!r}"
+
+
 def test_gns_reports_pinned():
     assert _digest(_gns_lines()) == GNS_SHA256
 
@@ -140,3 +151,7 @@ def test_gauss_atoms_forms_pinned():
 
 def test_probe_reports_pinned():
     assert _digest(_probe_lines()) == PROBE_SHA256
+
+
+def test_cold_atomic_towers_pinned():
+    assert _digest(_tower_lines()) == TOWER_SHA256

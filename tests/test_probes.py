@@ -25,7 +25,7 @@ from starbimod.errors import (
     NotPositiveError,
     SingularGramError,
 )
-from starbimod.exactla import Matrix, _inverse_rows, inverse, ldl_psd
+from starbimod.exactla import Matrix, _inverse_rows, inverse, ldl_psd, nullspace
 from starbimod.gns import Functional, build_gns, check_intertwiner, hankel_gram
 from starbimod.moments import MomentFunctional
 from starbimod.probes import (
@@ -496,6 +496,18 @@ KERNEL_CASES = {
     "atoms012": (atoms012, 12),
     "point-mass": (lambda: MomentFunctional.atomic([(Fraction(-3, 2), Fraction(5, 7))]), 12),
     "cluster": (cluster, 18),
+    "negative-fractional": (
+        lambda: MomentFunctional.atomic(
+            [
+                (Fraction(-7, 3), Fraction(2, 9)),
+                (Fraction(-1, 4), Fraction(5, 6)),
+                (Fraction(-5, 6), Fraction(1, 10)),
+                (Fraction(3, 5), Fraction(3, 4)),
+                (Fraction(-9, 10), Fraction(7, 15)),
+            ]
+        ),
+        12,
+    ),
     **{name: (make, 12) for name, make in criterion_11_measures().items()},
 }
 
@@ -689,7 +701,11 @@ class TestGramFactorCache:
 
             monkeypatch.setattr(module, attr, counted)
         top = build_gns(mf, 12)
-        assert counts == {"hankel_gram": 1, "hermitian_ldl": 1, "_inverse_rows": 1, "nullspace": 1}
+        cold = {"hermitian_ldl": 1, "_inverse_rows": 1, "nullspace": 1}
+        # a measure with x != 1 (fractional points) is factored at natural scale, with no Gram
+        if CACHE_MEASURES[name]().scaled_numerators(0)[3] == 1:
+            cold["hankel_gram"] = 1
+        assert counts == cold
         counts.clear()
         for n in range(13):
             build_gns(mf, n)
@@ -728,6 +744,39 @@ class TestGramFactorCache:
                 assert boundedness_probe(func, D2, mf, degrees) == want
         finally:
             sys.setswitchinterval(interval)
+
+
+class TestScaledRealization:
+    """``build_gns`` factors S G S at the moments' natural scale and maps the factor back.
+
+    Every field must be what the direct route, ``ldl_psd`` of
+    ``hankel_gram`` and the rows and kernel read off it, gives.
+    """
+
+    @pytest.mark.parametrize("case", list(KERNEL_CASES))
+    def test_every_degree_equals_the_direct_route(self, case):
+        make, top = KERNEL_CASES[case]
+        for n in range(top + 1):
+            realization = build_gns(make(), n)
+            gram = hankel_gram(make(), n)
+            ldl = ldl_psd(gram)
+            rows = tuple(_inverse_rows(ldl.lower))
+            assert realization.ldl == ldl, n
+            assert realization.rows == rows, n
+            assert realization.kernel == tuple(nullspace(gram, ldl, rows)), n
+            assert realization.gram == gram, n
+
+    def test_the_cluster_gate_eliminates_the_integer_power_sums(self, monkeypatch):
+        calls = count_eliminations(monkeypatch)
+        build_gns(cluster(), 14)
+        [m] = calls
+        # m_k = N_k / (W X^k) with W = 2^16 and X = lcm(1..16)
+        w, x = 2**16, 720720
+        sums = [sum(Fraction(1, 2**n * n**k) for n in range(1, 17)) * w * x**k for k in range(29)]
+        assert all(s.denominator == 1 for s in sums)
+        assert m.den == w
+        assert m.re == tuple(tuple(sums[j + k] for k in range(15)) for j in range(15))
+        assert not any(map(any, m.im))
 
 
 class TestOneEliminationPerMeasure:

@@ -55,5 +55,5 @@ def test_cli_example_exits_0(argv, monkeypatch, capsys):
 
 
 def test_cli_block_has_the_documented_commands():
-    assert len(CLI_COMMANDS) == 7
+    assert len(CLI_COMMANDS) == 8
     assert ["normal-order", "d*q - q*d"] in CLI_COMMANDS
