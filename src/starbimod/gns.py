@@ -20,16 +20,17 @@ of a skipped index s only on the leading block up to s.  A larger degree
 is realized afresh and replaces the entry whole, once its positivity
 gate has passed.  So the gate, the kernel and every probe at or below M
 share one elimination.  The Gram itself is not kept: ``gram`` builds it
-from the moment table on each read.
+from the moments on each read.
 
 The elimination runs at the moments' natural scale.  With m_k =
-N_k / (den x^k) from ``MomentFunctional.scaled_numerators`` (x = X, the
-lcm of an atomic measure's point denominators; x = 1 for a moment list)
-and S = diag(x^0..x^N), S G S is the integer Hankel matrix of the N_k
-over den.  That positive diagonal congruence keeps the pivots and the
-skipped indices, so the LDL, the rows of U and the kernel of S G S map
-back to those of G by exact powers of x (``_unscaled``), and the Bareiss
-minors never carry the powers of X of the table over W X^(2N).
+N_k / (den x^k) from ``MomentFunctional.numerators`` (x = X, the lcm of
+an atomic measure's point denominators, and N_k its integer power sums;
+x = 1 for a moment list, whose table is G's) and S = diag(x^0..x^N),
+S G S is the integer Hankel matrix of the N_k over den.  That positive
+diagonal congruence keeps the pivots and the skipped indices, so the
+LDL, the rows of U and the kernel of S G S map back to those of G by
+exact powers of x (``_unscaled``), and the Bareiss minors never carry
+the powers of X that G over W X^(2N) has.
 
 ``Functional`` bundles the five functional variants on the bimodules:
 
@@ -77,7 +78,7 @@ from .errors import (
     VariantMismatchError,
 )
 from .exactla import LdlResult, Matrix, _inverse_rows, _reduced, ldl_psd, nullspace
-from .moments import MomentFunctional
+from .moments import MomentFunctional, _over_top
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -114,12 +115,19 @@ class GnsRealization:
 def hankel_gram(mf: MomentFunctional, degree: int) -> Matrix:
     """The Gram matrix G_{jk} = m_{j+k} on q^0..q^N; needs moments up to 2N.
 
-    The Hankel matrix of the moment table's numerators, reduced once.
+    The Hankel matrix of the moments' numerators over den * x^(2N),
+    reduced once.
     """
-    re, im, den = mf.numerators(2 * degree)
-    if any(im[: 2 * degree + 1]):
-        raise NotPositiveError("moments of a positive functional must be real")
+    re, _, den = _over_top(*_real_moments(mf, degree), 2 * degree)
     return Matrix.hankel(re, den, degree + 1)
+
+
+def _real_moments(mf: MomentFunctional, degree: int):
+    """``mf.numerators(2 * degree)``, refused unless the moments read are real."""
+    nums = mf.numerators(2 * degree)
+    if any(nums[1][: 2 * degree + 1]):
+        raise NotPositiveError("moments of a positive functional must be real")
+    return nums
 
 
 def build_gns(mf: MomentFunctional, degree: int) -> GnsRealization:
@@ -134,9 +142,9 @@ def build_gns(mf: MomentFunctional, degree: int) -> GnsRealization:
     """
     top = mf._gns
     if top is None or degree > top.degree:
-        sums, _, den, x = mf.scaled_numerators(2 * degree)
+        sums, _, den, x = _real_moments(mf, degree)
         # S G S = Hankel(sums) / den for S = diag(x^0..x^N); at x = 1 that is G
-        gram = hankel_gram(mf, degree) if x == 1 else Matrix.hankel(sums, den, degree + 1)
+        gram = Matrix.hankel(sums, den, degree + 1)
         ldl = ldl_psd(gram)
         rows = tuple(_inverse_rows(ldl.lower))
         kernel = tuple(nullspace(gram, ldl, rows))

@@ -6,27 +6,29 @@ moment-list source stores f(q^k) directly up to a truncation; whether it
 really is a positive functional is checked later, by the exact Gram
 factorisation in the GNS layer.
 
-Moments are held the way ``Poly`` holds coefficients: Gaussian-integer
-numerators ``(re, im)`` over one denominator.  A moment list converts its
-values once, at construction, to that canonical form (gcd of the
-denominator and all numerators 1).  An atomic measure fills the same
-kind of table on demand, up to the highest index read so far, over the
-denominator W * X^top (W and X the lcms of the weight and point
-denominators).  ``apply`` and ``shifted_values`` are integer dot products
-of a polynomial's numerators with that table (``apply`` reduces its value
-to a ``Scalar`` once, ``shifted_values`` keeps the numerators), and
-``numerators`` hands out the table, which the GNS Hankel Gram slices.
-``scaled_numerators`` gives the same moments at their natural scale,
-m_k = N_k / (W * X^k) with the integer power sums N_k, for the GNS
-layer to factor the Gram without the powers of X of the table.
+Moments come in one format, from ``numerators``: Gaussian-integer
+numerators ``(re, im)``, a denominator ``den`` and a scale ``x``, with
+m_k = (re[k] + im[k]*i) / (den * x^k).  A moment list converts its values
+once, at construction, to a table in the canonical form of a ``Poly``
+(gcd of the denominator and all numerators 1), with x = 1.  An atomic
+measure keeps its integer power sums N_k = sum_i ws_i xs_i^k over den = W,
+with x = X (W and X the lcms of the weight and point denominators), on
+demand up to the highest index read so far; the cache only grows, a
+growth continues from the sums it has, and an entry never changes with
+its reach.  ``apply`` and ``shifted_values``
+bring the moments they read to one denominator, den * x^top (``_over_top``,
+which at x = 1 has nothing to do), and take integer dot products of a
+polynomial's numerators with them (``apply`` reduces its value to a
+``Scalar`` once, ``shifted_values`` keeps the numerators).  The GNS layer
+factors the Hankel matrix of the N_k themselves.
 
 An atomic measure is its own GNS realization: C^n, one coordinate per
 atom, with p acting as (p(x_i))_i and <u, v> = sum_i w_i u_i conj(v_i).
-Its atom vectors are ``(re, im, den)`` like the table: ``at_atoms``
-evaluates p at every atom by integer Horner, and ``atom_product``,
-``atom_pairing`` and ``atom_power_sums`` are that realization's
-arithmetic, for the table and every gauss-atoms sum; one power-sum loop
-serves the table, its natural-scale sums and ``atom_power_sums``.
+Its atom vectors are ``(re, im, den)``: ``at_atoms`` evaluates p at every
+atom by integer Horner, and ``atom_product``, ``atom_pairing`` and
+``atom_power_sums`` are that realization's arithmetic, for every
+gauss-atoms sum; one power-sum loop serves the moments and
+``atom_power_sums``.
 """
 
 from __future__ import annotations
@@ -50,8 +52,8 @@ from .errors import MomentOutOfRangeError
 class MomentFunctional:
     """f(p) = integral of p against a measure, exactly."""
 
-    # _nums is the moment table (re, im, den); an atomic measure's table
-    # is a cache that grows, and is not part of ==, hash or repr.
+    # _nums is ``numerators``' (re, im, den, x); an atomic measure's power
+    # sums are a cache that grows, and is not part of ==, hash or repr.
     # _atom_nums is (xs, X, ws, W) of an atomic measure, else None.
     # _gns is the ``gns.GnsRealization`` at the largest degree realized so
     # far (the LDL of the Hankel Gram, every row of L^-1 and the kernel),
@@ -72,9 +74,9 @@ class MomentFunctional:
                     raise ValueError(f"negative atom weight {w}")
                 pts.append((x, w))
             object.__setattr__(self, "atoms", tuple(pts))
-            object.__setattr__(self, "_nums", ((), (), 1))
             x_den = lcm(*(x.denominator for x, _ in pts))
             w_den = lcm(*(w.denominator for _, w in pts))
+            object.__setattr__(self, "_nums", ((), (), w_den, x_den))
             nums = (
                 tuple([x.numerator * (x_den // x.denominator) for x, _ in pts]),
                 x_den,
@@ -85,7 +87,7 @@ class MomentFunctional:
         else:
             [(re, im)], den = gauss_numerators([[Scalar.coerce(v) for v in values]])
             object.__setattr__(self, "atoms", None)
-            object.__setattr__(self, "_nums", (tuple(re), tuple(im), den))
+            object.__setattr__(self, "_nums", (tuple(re), tuple(im), den, 1))
             object.__setattr__(self, "_atom_nums", None)
         object.__setattr__(self, "_gns", None)
 
@@ -123,20 +125,24 @@ class MomentFunctional:
         """The stored moments of a moment list as Scalars; None when atomic."""
         if self.atoms is not None:
             return None
-        re, im, den = self._nums
+        re, im, den, _ = self._nums
         return tuple([gauss_scalar(a, b, den) for a, b in zip(re, im)])
 
     def numerators(self, top: int, low: int = 0, reads: Poly | None = None):
-        """The moment table ``(re, im, den)``, reaching at least index ``top``.
+        """The moments to index ``top`` at their natural scale, ``(re, im, den, x)``.
 
-        An atomic measure extends its cache to ``top``.  A moment list that
-        stops short raises at the first index it lacks among those the
-        caller reads: every index from ``low`` up, or with ``reads`` the
-        indices of that polynomial's nonzero coefficients.
+        m_k = (re[k] + im[k]*i) / (den * x^k).  A moment list gives its
+        table, with x = 1; one that stops short raises at the first index it
+        lacks among those the caller reads: every index from ``low`` up, or
+        with ``reads`` the indices of that polynomial's nonzero
+        coefficients.  An atomic measure gives its integer power sums N_k =
+        sum ws_i xs_i^k over den = W, with x = X, and grows its cache to
+        ``top``; an entry never changes with the cache's reach.
         """
-        re, im, den = self._nums
+        nums = self._nums
+        re, im, den, x = nums
         if top < len(re):
-            return self._nums
+            return nums
         if self.atoms is None:
             k = max(low, len(re))
             while reads is not None and not (reads.re[k] or reads.im[k]):
@@ -144,35 +150,15 @@ class MomentFunctional:
             raise MomentOutOfRangeError(
                 f"moment {k} beyond stored truncation {len(re) - 1}"
             )
-        return self._extend(top)[2]
-
-    def scaled_numerators(self, top: int):
-        """The moments to index ``top`` at their natural scale, ``(re, im, den, x)``.
-
-        m_k = (re[k] + im[k]*i) / (den * x^k).  An atomic measure gives the
-        integer power sums N_k = sum ws_i xs_i^k over den = W, with x = X,
-        and fills its table to ``top`` from them; a moment list gives its
-        table, with x = 1, and raises as ``numerators`` does.
-        """
-        if self.atoms is None:
-            return (*self.numerators(top), 1)
-        re, im, _ = self._extend(top)
-        _, x_den, _, w_den = self._atom_nums
-        return tuple(re), tuple(im), w_den, x_den
-
-    def _extend(self, top: int):
-        """The power sums N_k, k <= top, and the table over W * X^top made from them.
-
-        The table replaces the cache, whole, when it reaches further, and the
-        caller reads the one returned here, whatever another thread stores.
-        """
-        n = len(self.atoms)
-        re, im = self._power_sums([1] * n, [0] * n, top + 1)
-        _, x_den, _, w_den = self._atom_nums
-        table = _over_top(re, im, w_den, x_den)
+        # the sums from len(re) on continue the cached ones, and the cache is
+        # replaced whole when it reaches further; the caller reads the one
+        # made here, whatever another thread stores
+        start = [a ** len(re) for a in self._atom_nums[0]]
+        more_re, more_im = self._power_sums(start, [0] * len(start), top + 1 - len(re))
+        nums = (re + tuple(more_re), im + tuple(more_im), den, x)
         if top >= len(self._nums[0]):
-            object.__setattr__(self, "_nums", table)
-        return re, im, table
+            object.__setattr__(self, "_nums", nums)
+        return nums
 
     def _atoms(self):
         """``(xs, X, ws, W)``: atom i at xs[i] / X with weight ws[i] / W (X, W the lcms)."""
@@ -187,23 +173,17 @@ class MomentFunctional:
         sum_k c_k xs_i^k X^(n-k) over p.den * X^n.
         """
         xs, x_den, _, _ = self._atoms()
-        if not p.re:
-            return [0] * len(xs), [0] * len(xs), 1
-        # c_k X^(n-k), highest power first
-        scaled = []
-        scale = 1
-        for cr, ci in zip(reversed(p.re), reversed(p.im)):
-            scaled.append((cr * scale, ci * scale))
-            scale *= x_den
+        cr, ci, den = _over_top(p.re, p.im, p.den, x_den, p.degree)
+        scaled = list(zip(reversed(cr), reversed(ci)))  # c_k X^(n-k), highest power first
         re, im = [], []
         for x in xs:
             acc_re = acc_im = 0
-            for cr, ci in scaled:
-                acc_re = acc_re * x + cr
-                acc_im = acc_im * x + ci
+            for a, b in scaled:
+                acc_re = acc_re * x + a
+                acc_im = acc_im * x + b
             re.append(acc_re)
             im.append(acc_im)
-        return re, im, p.den * (scale // x_den)
+        return re, im, den
 
     def atom_product(self, u, v):
         """The pointwise product u_i v_i of two atom vectors, as ``(re, im, den)``."""
@@ -233,7 +213,7 @@ class MomentFunctional:
         """
         re, im, den = u
         _, x_den, _, w_den = self._atoms()
-        return _over_top(*self._power_sums(re, im, count), den * w_den, x_den)
+        return _over_top(*self._power_sums(re, im, count), den * w_den, x_den, count - 1)
 
     def _power_sums(self, re, im, count: int):
         """[sum_i ws_i (re_i + im_i*i) xs_i^k for k < count], the k-th over X^k."""
@@ -251,24 +231,27 @@ class MomentFunctional:
     def moment(self, k: int) -> Scalar:
         if k < 0:
             raise MomentOutOfRangeError(f"negative moment index {k}")
-        re, im, den = self.numerators(k, low=k)
-        return gauss_scalar(re[k], im[k], den)
+        re, im, den, x = self.numerators(k, low=k)
+        return gauss_scalar(re[k], im[k], den * x**k)
 
     def apply(self, p: Poly) -> Scalar:
         """f(p) by linearity in the moments: one integer dot product."""
-        mr, mi, den = self.numerators(p.degree, reads=p)
+        mr, mi, den = _over_top(*self.numerators(p.degree, reads=p), p.degree)
         return gauss_scalar(*gauss_dot(p.re, p.im, mr, mi), p.den * den)
 
     def shifted_values(self, p: Poly, count: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
-        """[f(q^s p) for s < count] as ``(re, im, den)``, over p.den times the table's den.
+        """[f(q^s p) for s < count] as ``(re, im, den)``, over one denominator.
 
         The moments read are those of f(q^(count-1) p) and below it, so
-        this fails exactly where ``apply`` on the top shift would.
+        this fails exactly where ``apply`` on the top shift would.  The
+        denominator is p.den * den * x^top of those moments' ``numerators``,
+        top = count - 1 + deg p, whatever the cache's reach.
         """
         if count <= 0 or not p.re:
             return (0,) * max(count, 0), (0,) * max(count, 0), 1
         low = next(k for k, (a, b) in enumerate(zip(p.re, p.im)) if a or b)
-        mr, mi, den = self.numerators(count - 1 + p.degree, low=low)
+        top = count - 1 + p.degree
+        mr, mi, den = _over_top(*self.numerators(top, low=low), top)
         n = len(p.re)
         re, im = zip(*[gauss_dot(p.re, p.im, mr[s : s + n], mi[s : s + n]) for s in range(count)])
         return re, im, p.den * den
@@ -278,7 +261,7 @@ class MomentFunctional:
         return self.apply(v.conjugate() * u)
 
     def moments_up_to(self, degree: int) -> tuple[Scalar, ...]:
-        re, im, den = self.numerators(degree)
+        re, im, den = _over_top(*self.numerators(degree), degree)
         return tuple([gauss_scalar(re[k], im[k], den) for k in range(degree + 1)])
 
     def __eq__(self, other):
@@ -329,12 +312,18 @@ class MomentFunctional:
         raise ValueError(f'a measure has "type" "atomic" or "moments", got {got}')
 
 
-def _over_top(re, im, den: int, x: int):
-    """Sums with the k-th over den * x^k, all brought to den * x^top: ``(re, im, den)``."""
-    re, im = list(re), list(im)
+def _over_top(re, im, den: int, x: int, top: int):
+    """Entries k <= top, the k-th over den * x^k, all brought to den * x^top: ``(re, im, den)``.
+
+    At x = 1 they share den already and come back whole, any entries past
+    ``top`` included.
+    """
+    if x == 1:
+        return tuple(re), tuple(im), den
+    re, im = list(re[: top + 1]), list(im[: top + 1])
     scale = 1
-    for k in range(len(re) - 1, -1, -1):
+    for k in range(top, -1, -1):
         re[k] *= scale
         im[k] *= scale
         scale *= x
-    return tuple(re), tuple(im), den * x ** max(len(re) - 1, 0)
+    return tuple(re), tuple(im), den * x ** max(top, 0)

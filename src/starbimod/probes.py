@@ -30,11 +30,11 @@ three steps run on Gaussian-integer numerators over shared denominators:
 the form is summed and hermitised on them into a ``Matrix``,
 ``ldl_psd`` eliminates fraction-free on the Gram's stored numerators,
 and the rows of U are integer rows over one denominator du_a each.  Z is
-kept as a ``Pencil``: integer numerators N with
-Z[a][c] = N[a][c] / (du_a den du_c), formed as the products U H_P and
-(U H_P) U^H on the real and imaginary parts, where a part that is zero
-everywhere takes no product (U is real for every moment Gram, and H for
-every real element and functional).  One gcd per nonzero part of Z
+kept as a ``Pencil``, the upper triangle of integer numerators N with
+Z[a][c] = N[a][c] / (du_a den du_c), c >= a, formed as the products
+U H_P and (U H_P) U^H on the real and imaginary parts, where a part that
+is zero everywhere takes no product (U is real for every moment Gram,
+and H for every real element and functional).  One gcd per nonzero part of Z
 gives the reduced bit lengths behind ``max_bits`` and the float shifts;
 nothing on this path builds a ``Scalar``.  Natural order nests the
 tower: the degree-N pencil is the leading r_N x r_N block of Z, with
@@ -138,15 +138,18 @@ def form_numerators(
 
 
 class Pencil(NamedTuple):
-    """Z = L^-1 H_P L^-H on integers: Z[a][c] = (re[a][c] + i im[a][c]) / (du[a] den du[c]).
+    """Z = L^-1 H_P L^-H on integers, stored as its upper triangle.
 
-    ``re`` and ``im`` are the hermitian Gaussian-integer numerators, ``du``
-    the row denominators of U = L^-1 and ``den`` the form's denominator.
-    Entries are not reduced; ``reduced_bits`` takes each part to lowest terms.
+    For c >= a, Z[a][c] = (re[a][c-a] + i im[a][c-a]) / (du[a] den du[c]),
+    and Z[c][a] is its conjugate.  ``re`` and ``im`` hold the
+    Gaussian-integer numerators, ``im`` None when it is zero everywhere;
+    ``du`` the row denominators of U = L^-1 and ``den`` the form's
+    denominator.  Entries are not reduced; ``reduced_bits`` takes each part
+    to lowest terms.
     """
 
     re: list[list[int]]
-    im: list[list[int]]
+    im: list[list[int]] | None
     du: list[int]
     den: int
 
@@ -158,13 +161,15 @@ class Pencil(NamedTuple):
         numerator or denominator, 1 (the denominator of a zero) if none is
         larger.  One gcd per nonzero part.
         """
+        parts = (self.re,) if self.im is None else (self.re, self.im)
         cols = []
         top = 1
         for c, dc in enumerate(self.du):
             col = []
             for a in range(c + 1):
                 d = self.du[a] * self.den * dc
-                for x in (self.re[a][c], self.im[a][c]):
+                for part in parts:
+                    x = part[a][c - a]
                     if x:
                         g = gcd(x, d)
                         nb, db = (x // g).bit_length(), (d // g).bit_length()
@@ -220,16 +225,7 @@ def _reduced_pencil(form: Matrix, piv, inv) -> Pencil:
     # Z[a][c] = sum_b Y[a][b] conj(U[c][b]); only c >= a is formed
     uc = None if ui is None else [[-v for v in row] for row in ui]
     zr, zi = _times_rows(yr, yi, ur, uc, upper=True)
-    n = len(piv)
-    re = [[0] * n for _ in range(n)]
-    im = [[0] * n for _ in range(n)]
-    for a in range(n):
-        for c in range(a, n):
-            re[a][c] = re[c][a] = zr[a][c - a]
-            if zi is not None:
-                im[c][a] = -zi[a][c - a]
-                im[a][c] = zi[a][c - a]
-    return Pencil(re, im, [d for _, _, d in inv], form.den)
+    return Pencil(zr, zi, [d for _, _, d in inv], form.den)
 
 
 def _block_lambdas(z: Pencil, cols, diag, ranks) -> list[float]:
@@ -262,7 +258,7 @@ def _block_lambdas(z: Pencil, cols, diag, ranks) -> list[float]:
 
     def block(size: int, shift: int) -> np.ndarray:
         def entry(a: int, c: int) -> complex:
-            x, y = zr[a][c], zi[a][c]
+            x, y = zr[a][c - a], 0 if zi is None else zi[a][c - a]
             if not (x or y):
                 return 0j
             d, s = dens[a] * du[c], exps[a] + exps[c] + shift

@@ -23,11 +23,18 @@ def lower_scalars(ldl) -> tuple[tuple[Scalar, ...], ...]:
 
 
 def pencil_scalars(z) -> list[list[Scalar]]:
-    """The entries of a ``probes.Pencil`` as Scalars, row by row."""
-    return [
-        [gauss_scalar(a, b, z.du[i] * z.den * dc) for a, b, dc in zip(rr, ri, z.du)]
-        for i, (rr, ri) in enumerate(zip(z.re, z.im))
-    ]
+    """The full hermitian matrix of a ``probes.Pencil`` as Scalars, row by row.
+
+    The pencil stores its upper triangle; each entry below the diagonal is
+    the conjugate of its mirror.
+    """
+
+    def upper(a: int, c: int) -> Scalar:
+        im = 0 if z.im is None else z.im[a][c - a]
+        return gauss_scalar(z.re[a][c - a], im, z.du[a] * z.den * z.du[c])
+
+    n = len(z.du)
+    return [[upper(a, c) if a <= c else upper(c, a).conjugate() for c in range(n)] for a in range(n)]
 
 
 def vector_scalars(p, n: int) -> tuple[Scalar, ...]:

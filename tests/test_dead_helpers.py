@@ -1,0 +1,56 @@
+"""Every private helper of the package has a use in the package.
+
+No linter runs on this project, so this scan stands in for its
+unused-code check: a ``_``-prefixed function, method or class (dunders
+aside) defined in ``src/starbimod`` must be named somewhere in
+``src/starbimod`` outside its own definition, as a name, an attribute or
+an imported name.  Tests do not count as a use.  A helper that a
+refactor leaves without a caller fails here.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "starbimod"
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _scan():
+    """The private definitions ``(file, name, first, last line)`` and every
+    reference ``(file, name, line)`` in the package."""
+    defs, refs = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if _is_private(node.name):
+                    defs.append((path.name, node.name, node.lineno, node.end_lineno))
+            elif isinstance(node, ast.Name):
+                refs.append((path.name, node.id, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                refs.append((path.name, node.attr, node.lineno))
+            elif isinstance(node, ast.ImportFrom):
+                refs.extend((path.name, alias.name, node.lineno) for alias in node.names)
+    return defs, refs
+
+
+def test_the_scan_sees_the_package():
+    defs, refs = _scan()
+    assert ("moments.py", "_over_top") in {(f, n) for f, n, _, _ in defs}
+    assert len(refs) > 1000
+
+
+def test_every_private_helper_is_referenced():
+    defs, refs = _scan()
+    unused = [
+        f"{file}:{first} {name}"
+        for file, name, first, last in defs
+        if not any(
+            r_name == name and (r_file != file or not first <= line <= last)
+            for r_file, r_name, line in refs
+        )
+    ]
+    assert unused == []
