@@ -88,7 +88,8 @@ class GnsRealization:
     ``ldl`` is ``ldl_psd`` of the Hankel Gram, ``rows`` the rows of
     U = L^-1 as ``_inverse_rows(ldl.lower)`` gives them, one per pivot, and
     ``kernel`` the kernel polynomials of ``nullspace``, one per skipped
-    index.
+    index.  All three are real: ``build_gns`` admits only real moments,
+    so every row's imaginary part is zero.
     """
 
     functional: MomentFunctional
@@ -166,6 +167,8 @@ def _unscaled(ldl: LdlResult, rows, kernel, x: int, degree: int):
     The congruence keeps the pivots p and the skipped indices: D_a =
     D'_a / x^(2 p_a), L_ab = L'_ab x^(p_b - p_a), U_ab = U'_ab x^(p_b - p_a),
     and the kernel vector of s is v_j = v'_j x^(j - s), still monic in q^s.
+    The rows are real (see ``GnsRealization``), so each row's zero
+    imaginary part is passed on as it is.
     """
     pivots, diag, lower = ldl
     powers = [1]
@@ -180,10 +183,8 @@ def _unscaled(ldl: LdlResult, rows, kernel, x: int, degree: int):
     out = []
     for (re, im, den), sa in zip(rows, at):
         re = [v * s for v, s in zip(re, at)]
-        im = [v * s for v, s in zip(im, at)]
-        den *= sa
-        g = gcd(den, *re, *im)
-        out.append(([v // g for v in re], [v // g for v in im], den // g))
+        g = gcd(den * sa, *re)
+        out.append(([v // g for v in re], im, den * sa // g))
     kernel = tuple(
         Poly.from_numerators(
             [c * s for c, s in zip(v.re, powers)],

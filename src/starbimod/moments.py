@@ -27,7 +27,8 @@ atom, with p acting as (p(x_i))_i and <u, v> = sum_i w_i u_i conj(v_i).
 Its atom vectors are ``(re, im, den)``: ``at_atoms`` evaluates p at every
 atom by integer Horner, and ``atom_product``, ``atom_pairing`` and
 ``atom_power_sums`` are that realization's arithmetic, for every
-gauss-atoms sum; one power-sum loop serves the moments and
+gauss-atoms sum.  One power-sum loop, over one integer sequence, serves
+the moments, which sum the real atoms and weights only, and each part of
 ``atom_power_sums``.
 """
 
@@ -153,9 +154,9 @@ class MomentFunctional:
         # the sums from len(re) on continue the cached ones, and the cache is
         # replaced whole when it reaches further; the caller reads the one
         # made here, whatever another thread stores
-        start = [a ** len(re) for a in self._atom_nums[0]]
-        more_re, more_im = self._power_sums(start, [0] * len(start), top + 1 - len(re))
-        nums = (re + tuple(more_re), im + tuple(more_im), den, x)
+        # atoms and weights are real, so only the real sums are formed
+        more = self._power_sums([a ** len(re) for a in self._atom_nums[0]], top + 1 - len(re))
+        nums = (re + tuple(more), im + (0,) * len(more), den, x)
         if top >= len(self._nums[0]):
             object.__setattr__(self, "_nums", nums)
         return nums
@@ -209,24 +210,23 @@ class MomentFunctional:
         """[sum_i w_i u_i x_i^k for k < count] as ``(re, im, den)``.
 
         ``re`` and ``im`` are tuples over one denominator, u's times
-        W * X^(count-1).  The moments are the power sums of the unit vector.
+        W * X^(count-1).  The real and imaginary parts of u are summed
+        apart.  The moments are the power sums of the unit vector.
         """
         re, im, den = u
         _, x_den, _, w_den = self._atoms()
-        return _over_top(*self._power_sums(re, im, count), den * w_den, x_den, count - 1)
+        sums = self._power_sums(re, count), self._power_sums(im, count)
+        return _over_top(*sums, den * w_den, x_den, count - 1)
 
-    def _power_sums(self, re, im, count: int):
-        """[sum_i ws_i (re_i + im_i*i) xs_i^k for k < count], the k-th over X^k."""
+    def _power_sums(self, vals, count: int):
+        """[sum_i ws_i vals_i xs_i^k for k < count] for integers vals_i, the k-th over X^k."""
         xs, _, ws, _ = self._atoms()
-        re = [a * w for a, w in zip(re, ws)]
-        im = [b * w for b, w in zip(im, ws)]
-        out_re, out_im = [], []
+        vals = [a * w for a, w in zip(vals, ws)]
+        out = []
         for _ in range(count):
-            out_re.append(sum(re))
-            out_im.append(sum(im))
-            re = [a * x for a, x in zip(re, xs)]
-            im = [b * x for b, x in zip(im, xs)]
-        return out_re, out_im
+            out.append(sum(vals))
+            vals = [a * x for a, x in zip(vals, xs)]
+        return out
 
     def moment(self, k: int) -> Scalar:
         if k < 0:

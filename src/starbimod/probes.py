@@ -25,24 +25,26 @@ skips the indices of an exact kernel, is read from the degree-M
 and the kernel K: a measure object caches one realization, at the
 largest degree asked of it, and the positivity gate and every
 probe at or below that degree read its leading part.  The congruence
-Z = L^-1 H_P L^-H on the pivot indices P is done once per probe.  All
-three steps run on Gaussian-integer numerators over shared denominators:
-the form is summed and hermitised on them into a ``Matrix``,
-``ldl_psd`` eliminates fraction-free on the Gram's stored numerators,
-and the rows of U are integer rows over one denominator du_a each.  Z is
+Z = L^-1 H_P L^-T on the pivot indices P is done once per probe.  All
+three steps run on integer numerators over shared denominators: the form
+is summed and hermitised on its Gaussian-integer numerators into a
+``Matrix``, ``ldl_psd`` eliminates fraction-free on the Gram's stored
+numerators, and the rows of U are integer rows over one denominator du_a
+each.  ``GnsRealization`` guarantees that the Gram, L and U are real,
+so U reduces the real and imaginary parts of H apart.  Z is
 kept as a ``Pencil``, the upper triangle of integer numerators N with
-Z[a][c] = N[a][c] / (du_a den du_c), c >= a, formed as the products
-U H_P and (U H_P) U^H on the real and imaginary parts, where a part that
-is zero everywhere takes no product (U is real for every moment Gram,
-and H for every real element and functional).  One gcd per nonzero part of Z
-gives the reduced bit lengths behind ``max_bits`` and the float shifts;
-nothing on this path builds a ``Scalar``.  Natural order nests the
-tower: the degree-N pencil is the leading r_N x r_N block of Z, with
-r_N the number of pivots <= N.  Only the diagonal scaling by d^-1/2 and
-one hermitian eigensolve per degree run in doubles, on entries whose
-exact powers of two are put back on each lambda afterwards.  Moment Gram
-matrices in the monomial basis are far too ill-conditioned for a float
-Cholesky, so this exact reduction is what keeps degree ten reachable.
+Z[a][c] = N[a][c] / (du_a den du_c), c >= a, formed per part A of H as
+the products U A_P and (U A_P) U^T; an imaginary part that is zero
+everywhere, as for every real element and functional, takes no product.
+One gcd per nonzero part of Z gives the reduced bit lengths behind
+``max_bits`` and the float shifts; nothing on this path builds a
+``Scalar``.  Natural order nests the tower: the degree-N pencil is the
+leading r_N x r_N block of Z, with r_N the number of pivots <= N.  Only
+the diagonal scaling by d^-1/2 and one hermitian eigensolve per degree
+run in doubles, on entries whose exact powers of two are put back on
+each lambda afterwards.  Moment Gram matrices in the monomial basis are
+far too ill-conditioned for a float Cholesky, so this exact reduction is
+what keeps degree ten reachable.
 
 The norm lemma ||T|| <= 4 w(T) is decided here too, exactly: floats only
 pick two vectors and a bound, from which exact arithmetic proves the
@@ -138,7 +140,7 @@ def form_numerators(
 
 
 class Pencil(NamedTuple):
-    """Z = L^-1 H_P L^-H on integers, stored as its upper triangle.
+    """Z = L^-1 H_P L^-T on integers, stored as its upper triangle.
 
     For c >= a, Z[a][c] = (re[a][c-a] + i im[a][c-a]) / (du[a] den du[c]),
     and Z[c][a] is its conjugate.  ``re`` and ``im`` hold the
@@ -179,53 +181,28 @@ class Pencil(NamedTuple):
         return cols, top
 
 
-def _times_rows(ar, ai, br, bi, upper=False):
-    """(re, im) of A B^T for Gaussian-integer matrices A = ar + i ai, B = br + i bi.
-
-    Entry (a, c) is the dot product of row a of A with row c of B, over the
-    shorter of the two.  An imaginary part given as None is zero everywhere
-    and takes no product; the result's is None when both are.  With
-    ``upper``, row a holds the entries c >= a only.
-    """
-
-    def prod(x, y):
-        return [
-            [sum(map(mul, row, col)) for col in (y[a:] if upper else y)]
-            for a, row in enumerate(x)
-        ]
-
-    re = prod(ar, br)
-    if ai is not None and bi is not None:
-        re = [[u - v for u, v in zip(p, q)] for p, q in zip(re, prod(ai, bi))]
-    im = None
-    for x, y in ((ar, bi), (ai, br)):
-        if x is not None and y is not None:
-            part = prod(x, y)
-            im = part if im is None else [[u + v for u, v in zip(p, q)] for p, q in zip(im, part)]
-    return re, im
-
-
 def _reduced_pencil(form: Matrix, piv, inv) -> Pencil:
-    """Z = U H_P U^H with U = L^-1 on the pivot indices P, exactly.
+    """Z = U H_P U^T with U = L^-1 on the pivot indices P, exactly.
 
     ``form`` is the hermitian H, ``piv`` the pivots P and ``inv`` the rows
-    of U as ``_inverse_rows`` gives them.  Each row of U is a
-    Gaussian-integer row over its own denominator, so Y = U H_P and
-    Z = Y U^H are integer products on the real and imaginary parts, and a
-    part that is zero everywhere takes none: a moment Gram is real, so U
-    is, and a real element and functional give a real H.  The leading
-    r x r block of Z is the reduction of the leading block of H against
-    the factor of the leading block of the Gram.
+    of U as ``build_gns`` gives them, each an integer row over its own
+    denominator.  ``GnsRealization`` guarantees that those rows are real,
+    and only their real parts are read.  So each part of H
+    reduces on its own: for the real part A, and for the imaginary part A
+    when it is not zero everywhere, Y = U A_P and the upper triangle of
+    Y U^T are integer dot products.  The leading r x r block of Z is the
+    reduction of the leading block of H against the factor of the
+    leading block of the Gram.
     """
-    ur = [row for row, _, _ in inv]
-    ui = [row for _, row, _ in inv] if any(any(row) for _, row, _ in inv) else None
-    hr = [[form.re[b][c] for b in piv] for c in piv]  # the columns of H_P
-    hi = [[form.im[b][c] for b in piv] for c in piv] if any(map(any, form.im)) else None
-    yr, yi = _times_rows(ur, ui, hr, hi)
-    # Z[a][c] = sum_b Y[a][b] conj(U[c][b]); only c >= a is formed
-    uc = None if ui is None else [[-v for v in row] for row in ui]
-    zr, zi = _times_rows(yr, yi, ur, uc, upper=True)
-    return Pencil(zr, zi, [d for _, _, d in inv], form.den)
+    u = [row for row, _, _ in inv]
+    parts = []
+    for part in (form.re, form.im) if any(map(any, form.im)) else (form.re,):
+        cols = [[part[b][c] for b in piv] for c in piv]  # the columns of A_P
+        y = [[sum(map(mul, row, col)) for col in cols] for row in u]
+        # Z[a][c] = sum_b Y[a][b] U[c][b]; only c >= a is formed
+        parts.append([[sum(map(mul, row, uc)) for uc in u[a:]] for a, row in enumerate(y)])
+    zr, *zi = parts
+    return Pencil(zr, zi[0] if zi else None, [d for _, _, d in inv], form.den)
 
 
 def _block_lambdas(z: Pencil, cols, diag, ranks) -> list[float]:

@@ -1,11 +1,13 @@
-"""Every private helper of the package has a use in the package.
+"""Every private helper and every import of the package has a use in the package.
 
-No linter runs on this project, so this scan stands in for its
-unused-code check: a ``_``-prefixed function, method or class (dunders
+No linter runs on this project, so these scans stand in for its
+unused-code checks.  A ``_``-prefixed function, method or class (dunders
 aside) defined in ``src/starbimod`` must be named somewhere in
 ``src/starbimod`` outside its own definition, as a name, an attribute or
-an imported name.  Tests do not count as a use.  A helper that a
-refactor leaves without a caller fails here.
+an imported name.  A name that a module-level import binds must be read
+in that module, or re-exported through its ``__all__``.  Tests do not
+count as a use.  A helper that a refactor leaves without a caller, or an
+import it leaves without a reader, fails here.
 """
 
 import ast
@@ -52,5 +54,37 @@ def test_every_private_helper_is_referenced():
             r_name == name and (r_file != file or not first <= line <= last)
             for r_file, r_name, line in refs
         )
+    ]
+    assert unused == []
+
+
+def _unused_imports(tree: ast.Module) -> list[tuple[str, int]]:
+    """The names ``(name, line)`` that the module's top-level imports bind
+    and that the module neither reads nor lists in ``__all__``."""
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound += [((a.asname or a.name).split(".")[0], node.lineno) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [(a.asname or a.name, node.lineno) for a in node.names]
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= set(ast.literal_eval(node.value))
+    return [(name, line) for name, line in bound if name not in used]
+
+
+def test_the_import_scan_sees_an_unused_import():
+    tree = ast.parse("import os\nfrom math import gcd, lcm\n__all__ = ['lcm']\n")
+    assert _unused_imports(tree) == [("os", 1), ("gcd", 2)]
+
+
+def test_every_import_is_used():
+    unused = [
+        f"{path.name}:{line} {name}"
+        for path in sorted(SRC.glob("*.py"))
+        for name, line in _unused_imports(ast.parse(path.read_text(encoding="utf-8")))
     ]
     assert unused == []

@@ -475,6 +475,11 @@ class TestAtomRealization:
             assert [Scalar(Fraction(a, den), Fraction(b, den)) for a, b in zip(re, im)] == [
                 a * b for a, b in zip(u, v)
             ]
+            re, im, den = mf.atom_power_sums(uu, 7)
+            assert [Scalar(Fraction(a, den), Fraction(b, den)) for a, b in zip(re, im)] == [
+                sum((w * a * x**k for (x, w), a in zip(mf.atoms, u)), Scalar(0))
+                for k in range(7)
+            ]
 
     def test_a_moment_list_has_no_atom_realization(self):
         mf = MomentFunctional.gaussian(8)

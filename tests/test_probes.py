@@ -385,7 +385,7 @@ def congruence_cases():
 
 
 class TestPencilCongruence:
-    """Z = L^-1 H_P L^-H, checked with sympy rather than the triangular solves."""
+    """Z = L^-1 H_P L^-T, checked with sympy rather than the triangular solves."""
 
     @pytest.mark.parametrize("mname, top, func, x", congruence_cases())
     def test_congruence_restores_the_form(self, mname, top, func, x):
@@ -415,24 +415,30 @@ class TestPencilCongruence:
         assert report.pivots == piv
 
     def test_complex_factor(self):
-        # moment Grams are real; a Gaussian-complex Gram B^H B exercises the
-        # conjugations of the congruence
+        # a moment Gram is real, so a rational B gives the real Gram B^T B the
+        # congruence needs; the form H = Y + Y^H is Gaussian-complex, which
+        # exercises its imaginary part
         rng = random.Random(23)
 
         def scalar():
             return Scalar(rand_fraction(rng), rand_fraction(rng))
 
+        complex_forms = 0
         for _ in range(20):
             n = rng.randint(1, 6)
-            b = Matrix([[scalar() for _ in range(n)] for _ in range(rng.randint(1, n))])
+            b = Matrix([[rand_fraction(rng) for _ in range(n)] for _ in range(rng.randint(1, n))])
             ldl = ldl_psd(b.adjoint() @ b)
+            assert not any(im for row in ldl.lower for _, im, _ in row)
             y = Matrix([[scalar() for _ in range(n)] for _ in range(n)])
             h = y + y.adjoint()
-            z = pencil_scalars(fresh_pencil(h, ldl))
+            pencil = fresh_pencil(h, ldl)
+            complex_forms += pencil.im is not None
+            z = pencil_scalars(pencil)
             piv = ldl.pivots
             lower = _dm(lower_scalars(ldl))
             expected = _dm([[h[a, c] for c in piv] for a in piv])
             assert (lower * _dm(z) * _adjoint(lower)).to_dense() == expected.to_dense()
+        assert complex_forms
 
     @pytest.mark.parametrize("mname, top, func, x", congruence_cases())
     def test_leading_block_is_the_lower_degree_reduction(self, mname, top, func, x):
@@ -762,6 +768,15 @@ class TestScaledRealization:
             assert realization.rows == rows, n
             assert realization.kernel == tuple(nullspace(gram, ldl, rows)), n
             assert realization.gram == gram, n
+
+    @pytest.mark.parametrize("case", list(KERNEL_CASES))
+    def test_the_realization_is_real(self, case):
+        # the probe's congruence reads only the real parts of the rows of U
+        make, top = KERNEL_CASES[case]
+        realization = build_gns(make(), top)
+        assert not any(im for row in realization.ldl.lower for _, im, _ in row)
+        assert not any(any(im) for _, im, _ in realization.rows)
+        assert not any(any(v.im) for v in realization.kernel)
 
     def test_the_cluster_gate_eliminates_the_integer_power_sums(self, monkeypatch):
         calls = count_eliminations(monkeypatch)
