@@ -11,6 +11,8 @@ Horner and ``inverse`` fraction-free Gauss-Jordan on the numerators and
 build one matrix at the end, ``ldl_psd`` eliminates fraction-free
 (Bareiss), and ``nullspace`` solves the kernel through the integer rows
 of L^-1, with no second elimination; each output is normalised once.
+Those two, ``nullspace`` and ``_inverse_rows``, are the real routines of
+the GNS realization's Hankel Gram: they read real integers only.
 Sizes stay in the low tens, so the cubic algorithms are fine.
 """
 
@@ -23,7 +25,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import NamedTuple
 
-from .algebra import Poly, Scalar, gauss_dot, gauss_numerators, gauss_scalar
+from .algebra import Poly, Scalar, gauss_numerators, gauss_scalar
 from .errors import DimensionMismatchError, NotPositiveError
 
 
@@ -309,61 +311,59 @@ def _reduced(re: int, im: int, den: int) -> tuple[int, int, int]:
 
 
 def nullspace(gram: Matrix, ldl: LdlResult, rows) -> list[Poly]:
-    """Kernel basis of a hermitian PSD matrix, read off ``ldl = ldl_psd(gram)``.
+    """Kernel basis of a real PSD matrix, read off ``ldl = ldl_psd(gram)``.
 
     ``rows`` are the rows of U = L^-1, as ``_inverse_rows(ldl.lower)``
-    gives them.  For a skipped index s, with P the pivots below s, U on P
-    and g column s of the Gram on P, v = e_s - U^H D^-1 U g is the one
-    kernel vector with 1 at s and weight only on P: the reduced-row-echelon
-    basis vector of the free column s.  It is summed on Gaussian-integer
-    numerators over one denominator and returned as the ``Poly`` of v.
+    gives them, and only ``gram.re`` is read: the one caller, ``build_gns``,
+    passes a real Hankel Gram.  For a skipped index s, with P the pivots
+    below s, U on P and g column s of the Gram on P, v = e_s - U^T D^-1 U g
+    is the one kernel vector with 1 at s and weight only on P: the
+    reduced-row-echelon basis vector of the free column s, summed on
+    integers over one denominator and returned as a real ``Poly``.
     """
     skipped = [s for s in range(gram.nrows) if s not in ldl.pivots]
     inv = rows[: bisect_left(ldl.pivots, max(skipped, default=0))]
-    # D^-1 with the two row denominators of U^H D^-1 U, over one lcm
-    dens = [d.numerator * du * du for d, (_, _, du) in zip(ldl.diag, inv)]
+    # D^-1 with the two row denominators of U^T D^-1 U, over one lcm
+    dens = [d.numerator * du * du for d, (_, du) in zip(ldl.diag, inv)]
     common = lcm(*dens)
     weights = [d.denominator * (common // e) for d, e in zip(ldl.diag, dens)]
     den = common * gram.den
     basis = []
     for s in skipped:
         below = ldl.pivots[: bisect_left(ldl.pivots, s)]
-        gr, gi = [gram.re[b][s] for b in below], [gram.im[b][s] for b in below]
-        vr, vi = [0] * len(below), [0] * len(below)
-        for (ur, ui, _), f in zip(inv, weights[: len(below)]):
-            wr, wi = (f * w for w in gauss_dot(ur, ui, gr, gi))
-            for b, (xr, xi) in enumerate(zip(ur, ui)):  # v -= conj(u_a) w_a
-                vr[b] -= xr * wr + xi * wi
-                vi[b] -= xr * wi - xi * wr
-        re, im = [0] * (s + 1), [0] * (s + 1)
+        g = [gram.re[b][s] for b in below]
+        v = [0] * len(below)
+        for (u, _), f in zip(inv, weights[: len(below)]):
+            w = f * sum(map(mul, u, g))
+            for b, x in enumerate(u):  # v -= u_a w_a
+                v[b] -= x * w
+        re = [0] * (s + 1)
         re[s] = den
-        for b, xr, xi in zip(below, vr, vi):
-            re[b], im[b] = xr, xi
-        basis.append(Poly.from_numerators(re, im, den))
+        for b, x in zip(below, v):
+            re[b] = x
+        basis.append(Poly.from_numerators(re, [0] * (s + 1), den))
     return basis
 
 
-def _inverse_rows(lower) -> list[tuple[list[int], list[int], int]]:
-    """Rows of U = L^-1 for L as in ``LdlResult.lower``, each ``(re, im, den)``.
+def _inverse_rows(lower) -> list[tuple[list[int], int]]:
+    """Rows of U = L^-1 for a real L as in ``LdlResult.lower``, each ``(re, den)``.
 
     Row a is e_a - sum_(c<a) L[a][c] U_c over the lcm of the denominator
     products of its terms, then divided by the gcd of its entries and den.
+    Only L's real parts are read: ``build_gns``, the one caller, has a real L.
     """
     out = []
     for a, row in enumerate(lower):
-        used = [(c, xr, xi, xd) for c, (xr, xi, xd) in enumerate(row) if xr or xi]
-        dd = lcm(*(xd * out[c][2] for c, _, _, xd in used))
+        used = [(c, x, xd) for c, (x, _, xd) in enumerate(row) if x]
+        dd = lcm(*(xd * out[c][1] for c, _, xd in used))
         nr = [0] * a + [dd]
-        ni = [0] * (a + 1)
-        for c, xr, xi, xd in used:
-            ur, ui, dc = out[c]
-            f = dd // (xd * dc)
-            xr, xi = xr * f, xi * f
-            for b, (vr, vi) in enumerate(zip(ur, ui)):
-                nr[b] -= xr * vr - xi * vi
-                ni[b] -= xr * vi + xi * vr
-        g = gcd(dd, *nr, *ni)
-        out.append(([v // g for v in nr], [v // g for v in ni], dd // g))
+        for c, x, xd in used:
+            u, dc = out[c]
+            x *= dd // (xd * dc)
+            for b, v in enumerate(u):
+                nr[b] -= x * v
+        g = gcd(dd, *nr)
+        out.append(([v // g for v in nr], dd // g))
     return out
 
 

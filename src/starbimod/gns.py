@@ -86,10 +86,10 @@ class GnsRealization:
     """Truncated quotient data of a moment functional at degree N.
 
     ``ldl`` is ``ldl_psd`` of the Hankel Gram, ``rows`` the rows of
-    U = L^-1 as ``_inverse_rows(ldl.lower)`` gives them, one per pivot, and
-    ``kernel`` the kernel polynomials of ``nullspace``, one per skipped
-    index.  All three are real: ``build_gns`` admits only real moments,
-    so every row's imaginary part is zero.
+    U = L^-1 as ``_inverse_rows(ldl.lower)`` gives them, one ``(re, den)``
+    pair of an integer row over its denominator per pivot, and ``kernel``
+    the kernel polynomials of ``nullspace``, one per skipped index.  All
+    three are real: ``build_gns`` admits only real moments.
     """
 
     functional: MomentFunctional
@@ -167,8 +167,8 @@ def _unscaled(ldl: LdlResult, rows, kernel, x: int, degree: int):
     The congruence keeps the pivots p and the skipped indices: D_a =
     D'_a / x^(2 p_a), L_ab = L'_ab x^(p_b - p_a), U_ab = U'_ab x^(p_b - p_a),
     and the kernel vector of s is v_j = v'_j x^(j - s), still monic in q^s.
-    The rows are real (see ``GnsRealization``), so each row's zero
-    imaginary part is passed on as it is.
+    All three are real (see ``GnsRealization``), so only real parts are
+    rescaled, and a kernel vector's zero imaginary part is passed on.
     """
     pivots, diag, lower = ldl
     powers = [1]
@@ -177,18 +177,18 @@ def _unscaled(ldl: LdlResult, rows, kernel, x: int, degree: int):
     at = [powers[p] for p in pivots]
     diag = tuple([d / (s * s) for d, s in zip(diag, at)])
     lower = tuple(
-        tuple([_reduced(re, im, den * (sa // sb)) for (re, im, den), sb in zip(row, at)])
+        tuple([_reduced(re, 0, den * (sa // sb)) for (re, _, den), sb in zip(row, at)])
         for row, sa in zip(lower, at)
     )
     out = []
-    for (re, im, den), sa in zip(rows, at):
+    for (re, den), sa in zip(rows, at):
         re = [v * s for v, s in zip(re, at)]
         g = gcd(den * sa, *re)
-        out.append(([v // g for v in re], im, den * sa // g))
+        out.append(([v // g for v in re], den * sa // g))
     kernel = tuple(
         Poly.from_numerators(
             [c * s for c, s in zip(v.re, powers)],
-            [c * s for c, s in zip(v.im, powers)],
+            v.im,
             v.den * powers[len(v.re) - 1],
         )
         for v in kernel

@@ -184,17 +184,15 @@ class Pencil(NamedTuple):
 def _reduced_pencil(form: Matrix, piv, inv) -> Pencil:
     """Z = U H_P U^T with U = L^-1 on the pivot indices P, exactly.
 
-    ``form`` is the hermitian H, ``piv`` the pivots P and ``inv`` the rows
-    of U as ``build_gns`` gives them, each an integer row over its own
-    denominator.  ``GnsRealization`` guarantees that those rows are real,
-    and only their real parts are read.  So each part of H
-    reduces on its own: for the real part A, and for the imaginary part A
-    when it is not zero everywhere, Y = U A_P and the upper triangle of
-    Y U^T are integer dot products.  The leading r x r block of Z is the
-    reduction of the leading block of H against the factor of the
-    leading block of the Gram.
+    ``form`` is the hermitian H, ``piv`` the pivots P and ``inv`` the real
+    rows of U, ``(row, den)`` as ``build_gns`` gives them for the one
+    caller, ``boundedness_probe``.  So each part of H reduces on its own:
+    for the real part A, and for the imaginary part A when it is not zero
+    everywhere, Y = U A_P and the upper triangle of Y U^T are integer dot
+    products.  The leading r x r block of Z is the reduction of the leading
+    block of H against the factor of the leading block of the Gram.
     """
-    u = [row for row, _, _ in inv]
+    u = [row for row, _ in inv]
     parts = []
     for part in (form.re, form.im) if any(map(any, form.im)) else (form.re,):
         cols = [[part[b][c] for b in piv] for c in piv]  # the columns of A_P
@@ -202,7 +200,7 @@ def _reduced_pencil(form: Matrix, piv, inv) -> Pencil:
         # Z[a][c] = sum_b Y[a][b] U[c][b]; only c >= a is formed
         parts.append([[sum(map(mul, row, uc)) for uc in u[a:]] for a, row in enumerate(y)])
     zr, *zi = parts
-    return Pencil(zr, zi[0] if zi else None, [d for _, _, d in inv], form.den)
+    return Pencil(zr, zi[0] if zi else None, [d for _, d in inv], form.den)
 
 
 def _block_lambdas(z: Pencil, cols, diag, ranks) -> list[float]:

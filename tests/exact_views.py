@@ -1,8 +1,10 @@
 """Scalar views of the integer data that the LDL, kernel and moment routines return.
 
 ``ldl_psd`` keeps L's strictly lower entries as triples (re, im, den),
-``nullspace`` returns each kernel vector as a ``Poly``,
-``MomentFunctional.shifted_values`` returns ``(re, im, den)`` sequences and
+``_inverse_rows`` returns each row of U = L^-1 as a real ``(re, den)``
+pair, ``nullspace`` each kernel vector as a ``Poly`` with a zero
+imaginary part, ``MomentFunctional.shifted_values`` returns
+``(re, im, den)`` sequences and
 the probe's ``_reduced_pencil`` returns a ``Pencil`` of integer numerators.
 The tests compare them with sympy and with each other through these
 views, built here with ``gauss_scalar`` and nothing else.

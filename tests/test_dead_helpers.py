@@ -8,6 +8,9 @@ an imported name.  A name that a module-level import binds must be read
 in that module, or re-exported through its ``__all__``.  Tests do not
 count as a use.  A helper that a refactor leaves without a caller, or an
 import it leaves without a reader, fails here.
+
+The routines that read only the real parts of their input rely on their
+one caller to pass real data; a scan pins each to that caller.
 """
 
 import ast
@@ -88,3 +91,53 @@ def test_every_import_is_used():
         for name, line in _unused_imports(ast.parse(path.read_text(encoding="utf-8")))
     ]
     assert unused == []
+
+
+# each routine that reads only real data, with the one function that may use it
+ONE_CALLER = {
+    "_inverse_rows": ("gns.py", "build_gns"),
+    "nullspace": ("gns.py", "build_gns"),
+    "_reduced_pencil": ("probes.py", "boundedness_probe"),
+}
+
+
+def _users(tree: ast.Module, names) -> list[tuple[str, str | None]]:
+    """``(name, enclosing function)`` of every read of one of ``names``, as a
+    name or an attribute; None for a read outside any function."""
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Name) and child.id in names:
+                found.append((child.id, func))
+            elif isinstance(child, ast.Attribute) and child.attr in names:
+                found.append((child.attr, func))
+            visit(child, func)
+
+    visit(tree, None)
+    return found
+
+
+def test_the_caller_scan_sees_an_extra_caller():
+    tree = ast.parse(
+        "def build_gns():\n    return nullspace(g)\n"
+        "def other():\n    return exactla.nullspace(g)\n"
+        "f = nullspace\n"
+    )
+    assert _users(tree, {"nullspace"}) == [
+        ("nullspace", "build_gns"),
+        ("nullspace", "other"),
+        ("nullspace", None),
+    ]
+
+
+def test_the_real_only_routines_have_one_caller():
+    found = {
+        (name, path.name, func)
+        for path in sorted(SRC.glob("*.py"))
+        for name, func in _users(ast.parse(path.read_text(encoding="utf-8")), ONE_CALLER)
+    }
+    assert found == {(name, file, func) for name, (file, func) in ONE_CALLER.items()}

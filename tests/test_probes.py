@@ -6,7 +6,7 @@ import sys
 import threading
 from collections import Counter
 from fractions import Fraction
-from math import comb, factorial, inf
+from math import comb, factorial, gcd, inf
 from pathlib import Path
 
 import numpy as np
@@ -771,11 +771,15 @@ class TestScaledRealization:
 
     @pytest.mark.parametrize("case", list(KERNEL_CASES))
     def test_the_realization_is_real(self, case):
-        # the probe's congruence reads only the real parts of the rows of U
+        # each row of U is (re, den): a real integer row in lowest terms,
+        # unit lower triangular, so its own index holds den
         make, top = KERNEL_CASES[case]
         realization = build_gns(make(), top)
         assert not any(im for row in realization.ldl.lower for _, im, _ in row)
-        assert not any(any(im) for _, im, _ in realization.rows)
+        for a, (re, den) in enumerate(realization.rows):
+            assert all(type(v) is int for v in (*re, den))
+            assert den > 0 and gcd(den, *re) == 1
+            assert len(re) == a + 1 and re[a] == den
         assert not any(any(v.im) for v in realization.kernel)
 
     def test_the_cluster_gate_eliminates_the_integer_power_sums(self, monkeypatch):
@@ -899,9 +903,8 @@ def legendre_rows(top: int) -> list[list[Fraction]]:
 
 
 def row_fractions(rows) -> list[list[Fraction]]:
-    """Rows of U = L^-1 as ``_inverse_rows`` gives them, as Fractions; each must be real."""
-    assert all(not any(im) for _, im, _ in rows)
-    return [[Fraction(v, den) for v in re] for re, _, den in rows]
+    """Rows of U = L^-1 as ``_inverse_rows`` gives them, ``(re, den)``, as Fractions."""
+    return [[Fraction(v, den) for v in re] for re, den in rows]
 
 
 # the two continuous sample measures: their U rows and pivots D_k in closed form
@@ -974,7 +977,7 @@ class TestHermiteOracle:
         assert ldl.pivots == tuple(range(self.TOP + 1))
         assert ldl.diag == tuple(factorial(k) for k in range(self.TOP + 1))
         he = hermite_rows(self.TOP)
-        assert _inverse_rows(ldl.lower) == [(h, [0] * len(h), 1) for h in he]
+        assert _inverse_rows(ldl.lower) == [(h, 1) for h in he]
 
     def test_integer_pencil_is_the_derivative(self):
         mf = self.GAUSS64
