@@ -1,13 +1,15 @@
 """Exact coefficient arithmetic: Gaussian rationals and polynomials in q.
 
-Everything here is exact.  A ``Scalar`` is a complex number with rational
-real and imaginary parts (``fractions.Fraction`` keeps them reduced with
-positive denominators).  A ``Poly`` is a dense univariate polynomial in
-the hermitian generator q, stored as Gaussian-integer numerators over one
-denominator, ``(re, im, den)`` with coefficient k equal to
-(re[k] + im[k]*i) / den, in canonical form: den > 0, gcd(den, *re, *im)
-== 1, and no trailing zero coefficient; the zero polynomial is
-((), (), 1).  Equality and hashing are structural on that form.
+Everything here is exact, and stored as Gaussian-integer numerators over
+one denominator.  A ``Scalar`` is a complex number with rational real and
+imaginary parts, held as three ints ``(re_num, im_num, den)`` with value
+(re_num + im_num*i) / den, in canonical form: den > 0 and
+gcd(re_num, im_num, den) == 1.  A ``Poly`` is a dense univariate
+polynomial in the hermitian generator q, stored as ``(re, im, den)`` with
+coefficient k equal to (re[k] + im[k]*i) / den, in canonical form: den > 0,
+gcd(den, *re, *im) == 1, and no trailing zero coefficient; the zero
+polynomial is ((), (), 1).  Equality and hashing are structural on both
+forms.
 
 Every Poly operation runs on the numerators and normalises its result
 once: sums and differences over the lcm of the two denominators, scalar
@@ -21,10 +23,14 @@ orders 0, 1, 2, and a functional F_t reads order t alone.
 two canonical denominators, and a zero or a unit factor costs it no
 product.
 
-Scalars meet numerators only at the boundaries: ``Poly(seq)`` and
-``gauss_numerators`` convert Scalars in, over the lcm of their
-denominators; ``Poly.coeffs``, ``coefficient`` and ``gauss_scalar``
-build reduced Scalars out, for the parser, JSON, text and ``Matrix``.
+Scalar arithmetic runs on its three ints as well, and normalises each
+result by one gcd in ``gauss_scalar``.  ``Poly(seq)`` and
+``gauss_numerators`` bring Scalars to one denominator, the lcm of theirs;
+``Poly.coeffs``, ``coefficient`` and ``gauss_scalar`` read a coefficient
+out as a Scalar, with no reduction beyond that gcd.  ``Fraction`` meets
+the numerators only at the boundaries: literals and ``Fraction`` inputs
+come in through ``Scalar(re, im)``, and ``Scalar.re``, ``Scalar.im`` and
+``abs2`` hand reduced Fractions out.  Text is printed from the ints.
 """
 
 from __future__ import annotations
@@ -56,30 +62,58 @@ def _rational(text: str) -> Fraction | None:
     return None
 
 
-def _frac(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
+def _ratio(value) -> tuple[int, int]:
+    """(numerator, denominator) of an int, a Fraction or a rational literal."""
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value), 1
     if isinstance(value, str):
         q = _rational(value)
         if q is None:
             raise ParseError(f"not a rational literal: {value!r}", 0)
-        return q
+        return q.numerator, q.denominator
+    if isinstance(value, Fraction):
+        return value.numerator, value.denominator
     raise TypeError(f"cannot build a rational from {type(value).__name__}")
 
 
 class Scalar:
-    """A Gaussian rational re + im*i."""
+    """A Gaussian rational (re_num + im_num*i) / den, stored as three ints.
 
-    __slots__ = ("re", "im")
+    The form is canonical, as one ``Poly`` coefficient is: den > 0 and
+    gcd(re_num, im_num, den) == 1, so equality is structural.  Arithmetic
+    runs on the ints and normalises each result once.  ``.re`` and
+    ``.im`` are read-only views, reduced ``Fraction``s built per read.
+    """
+
+    __slots__ = ("re_num", "im_num", "den")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", _frac(re))
-        object.__setattr__(self, "im", _frac(im))
+        if type(re) is int and type(im) is int:
+            # over den 1 there is nothing to reduce
+            _set_re(self, re)
+            _set_im(self, im)
+            _set_den(self, 1)
+            return
+        (a, rd), (b, id_) = _ratio(re), _ratio(im)
+        # both parts are reduced, so over the lcm of their denominators
+        # the three ints have no common factor
+        den = rd if rd == id_ else lcm(rd, id_)
+        _set_re(self, a * (den // rd))
+        _set_im(self, b * (den // id_))
+        _set_den(self, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
+
+    @property
+    def re(self) -> Fraction:
+        """The real part, a reduced Fraction built per read."""
+        return Fraction(self.re_num, self.den)
+
+    @property
+    def im(self) -> Fraction:
+        """The imaginary part, a reduced Fraction built per read."""
+        return Fraction(self.im_num, self.den)
 
     @staticmethod
     def coerce(value) -> "Scalar":
@@ -93,15 +127,19 @@ class Scalar:
         if not isinstance(other, (Scalar, int, Fraction)):
             return NotImplemented
         other = Scalar.coerce(other)
-        return Scalar(self.re + other.re, self.im + other.im)
+        d, e = self.den, other.den
+        if d == e:
+            return gauss_scalar(self.re_num + other.re_num, self.im_num + other.im_num, d)
+        return gauss_scalar(
+            self.re_num * e + other.re_num * d, self.im_num * e + other.im_num * d, d * e
+        )
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if not isinstance(other, (Scalar, int, Fraction)):
             return NotImplemented
-        other = Scalar.coerce(other)
-        return Scalar(self.re - other.re, self.im - other.im)
+        return self + -Scalar.coerce(other)
 
     def __rsub__(self, other):
         if not isinstance(other, (Scalar, int, Fraction)):
@@ -109,65 +147,102 @@ class Scalar:
         return Scalar.coerce(other) - self
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Scalar(self.re * other, self.im * other)
-        if isinstance(other, Scalar):
-            return Scalar(
-                self.re * other.re - self.im * other.im,
-                self.re * other.im + self.im * other.re,
-            )
-        return NotImplemented
+        if not isinstance(other, (Scalar, int, Fraction)):
+            return NotImplemented
+        other = Scalar.coerce(other)
+        a, b, c, e = self.re_num, self.im_num, other.re_num, other.im_num
+        return gauss_scalar(a * c - b * e, a * e + b * c, self.den * other.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         other = Scalar.coerce(other)
-        d = other.re * other.re + other.im * other.im
-        if d == 0:
+        a, b, c, e = self.re_num, self.im_num, other.re_num, other.im_num
+        norm = c * c + e * e
+        if not norm:
             raise ZeroDivisionError("division by zero Scalar")
-        return Scalar(
-            (self.re * other.re + self.im * other.im) / d,
-            (self.im * other.re - self.re * other.im) / d,
-        )
+        # (a + b*i) / d over (c + e*i) / f is f (a + b*i)(c - e*i) / (d |c + e*i|^2)
+        f = other.den
+        return gauss_scalar(f * (a * c + b * e), f * (b * c - a * e), self.den * norm)
 
     def __neg__(self):
-        return Scalar(-self.re, -self.im)
+        return _canonical(-self.re_num, -self.im_num, self.den)
 
     def conjugate(self) -> "Scalar":
-        return Scalar(self.re, -self.im)
+        return _canonical(self.re_num, -self.im_num, self.den)
 
     def abs2(self) -> Fraction:
         """|z|^2, exact."""
-        return self.re * self.re + self.im * self.im
+        return Fraction(self.re_num * self.re_num + self.im_num * self.im_num, self.den * self.den)
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not (self.re_num or self.im_num)
 
     def is_real(self) -> bool:
-        return self.im == 0
+        return not self.im_num
 
     def __bool__(self):
-        return not self.is_zero()
+        return bool(self.re_num or self.im_num)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Scalar(other)
-        if not isinstance(other, Scalar):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        if isinstance(other, Scalar):
+            return (
+                self.re_num == other.re_num
+                and self.im_num == other.im_num
+                and self.den == other.den
+            )
+        # a real canonical Scalar is re_num / den in lowest terms
+        if isinstance(other, int):
+            return not self.im_num and self.den == 1 and self.re_num == other
+        if isinstance(other, Fraction):
+            return (
+                not self.im_num
+                and self.den == other.denominator
+                and self.re_num == other.numerator
+            )
+        return NotImplemented
 
     def __hash__(self):
         # a real Scalar equals its rational part, so it must hash like it
-        return hash(self.re) if self.im == 0 else hash((self.re, self.im))
+        if not self.im_num:
+            return hash(self.re_num) if self.den == 1 else hash(self.re)
+        return hash((self.re, self.im))
 
     def __complex__(self):
-        return complex(float(self.re), float(self.im))
+        # int / int rounds correctly, as float(Fraction) does
+        return complex(self.re_num / self.den, self.im_num / self.den)
 
     def __repr__(self):
         return f"Scalar({self.re!r}, {self.im!r})"
 
     def __str__(self):
         return format_scalar(self)
+
+
+# the slots' own setters, past the immutable __setattr__
+_set_re = Scalar.re_num.__set__
+_set_im = Scalar.im_num.__set__
+_set_den = Scalar.den.__set__
+
+
+def _canonical(re: int, im: int, den: int) -> Scalar:
+    """The Scalar of three ints already in canonical form."""
+    z = object.__new__(Scalar)
+    _set_re(z, re)
+    _set_im(z, im)
+    _set_den(z, den)
+    return z
+
+
+def gauss_scalar(re: int, im: int, den: int) -> Scalar:
+    """The Scalar (re + im*i) / den, den > 0, brought to canonical form by one gcd."""
+    if den != 1:
+        g = gcd(re, im, den)
+        if g != 1:
+            re //= g
+            im //= g
+            den //= g
+    return _canonical(re, im, den)
 
 
 ZERO = Scalar(0)
@@ -177,11 +252,19 @@ I = Scalar(0, 1)
 
 def format_scalar(z: Scalar) -> str:
     """Render per the literal grammar: ``<rat>`` | ``<rat>i`` | ``<rat>+<rat>i``."""
-    if z.im == 0:
-        return str(z.re)
-    if z.re == 0:
-        return f"{z.im}i"
-    return f"{z.re}+{z.im}i"
+    if not z.im_num:
+        return _rat_text(z.re_num, z.den)
+    if not z.re_num:
+        return f"{_rat_text(z.im_num, z.den)}i"
+    return f"{_rat_text(z.re_num, z.den)}+{_rat_text(z.im_num, z.den)}i"
+
+
+def _rat_text(n: int, den: int) -> str:
+    """``str(Fraction(n, den))`` for den > 0, reduced once from the ints."""
+    if den == 1:
+        return str(n)
+    g = gcd(n, den)
+    return str(n // g) if g == den else f"{n // g}/{den // g}"
 
 
 def parse_scalar(text: str) -> Scalar:
@@ -250,7 +333,8 @@ class Poly:
 
     @classmethod
     def monomial(cls, power: int, coeff=ONE) -> "Poly":
-        cr, ci, cd = (1, 0, 1) if coeff is ONE else _parts(Scalar.coerce(coeff))
+        c = Scalar.coerce(coeff)
+        cr, ci, cd = c.re_num, c.im_num, c.den
         if not (cr or ci):
             return cls()
         pad = (0,) * power
@@ -331,7 +415,8 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):
-            cr, ci, cd = _parts(Scalar.coerce(other))
+            c = Scalar.coerce(other)
+            cr, ci, cd = c.re_num, c.im_num, c.den
             return Poly.from_numerators(
                 [a * cr - b * ci for a, b in zip(self.re, self.im)],
                 [a * ci + b * cr for a, b in zip(self.re, self.im)],
@@ -379,7 +464,8 @@ class Poly:
         """
         if not self.re:
             return ZERO
-        a, b, e = _parts(Scalar.coerce(point))
+        z = Scalar.coerce(point)
+        a, b, e = z.re_num, z.im_num, z.den
         acc_re, acc_im = self.re[-1], self.im[-1]
         scale = 1
         for cr, ci in zip(reversed(self.re[:-1]), reversed(self.im[:-1])):
@@ -442,11 +528,16 @@ def format_sum(terms) -> str:
 
 
 def _term_expr(mono: str, c: Scalar) -> str:
-    im = "i" if c.im == 1 else "-i" if c.im == -1 else f"{c.im}*i"
-    if c.re and c.im:
-        coeff = f"({c.re} - {im[1:]})" if im.startswith("-") else f"({c.re} + {im})"
+    a, b, den = c.re_num, c.im_num, c.den
+    if b:
+        im = "i" if b == den else "-i" if b == -den else f"{_rat_text(b, den)}*i"
+        if a:
+            re = _rat_text(a, den)
+            coeff = f"({re} - {im[1:]})" if im.startswith("-") else f"({re} + {im})"
+        else:
+            coeff = im
     else:
-        coeff = im if c.im else str(c.re)
+        coeff = _rat_text(a, den)
     if not mono:
         return coeff
     if coeff in ("1", "-1"):
@@ -472,13 +563,6 @@ def _store(p: Poly, re, im, den: int) -> None:
     object.__setattr__(p, "den", den)
 
 
-def _parts(c: Scalar) -> tuple[int, int, int]:
-    """(re, im, den) with c == (re + im*i) / den and den the lcm of its parts'."""
-    rd, id_ = c.re.denominator, c.im.denominator
-    den = rd if rd == id_ else lcm(rd, id_)
-    return c.re.numerator * (den // rd), c.im.numerator * (den // id_), den
-
-
 P_ONE = Poly.constant(1)
 Q = Poly.monomial(1)
 
@@ -490,27 +574,15 @@ def gauss_numerators(seqs):
     every real and imaginary part, and ``nums`` holds one ``(re, im)``
     pair of int lists per sequence, with ``seq[k] == (re[k] + im[k]*i) / den``.
     """
-    dens = {c.re.denominator for seq in seqs for c in seq}
-    dens.update(c.im.denominator for seq in seqs for c in seq)
-    den = lcm(*dens)
+    den = lcm(*{c.den for seq in seqs for c in seq})
     nums = [
         (
-            [c.re.numerator * (den // c.re.denominator) for c in seq],
-            [c.im.numerator * (den // c.im.denominator) for c in seq],
+            [c.re_num * (den // c.den) for c in seq],
+            [c.im_num * (den // c.den) for c in seq],
         )
         for seq in seqs
     ]
     return nums, den
-
-
-def gauss_scalar(re: int, im: int, den: int) -> Scalar:
-    """The Scalar (re + im*i) / den, each part reduced once."""
-    return Scalar(_over(re, den), _over(im, den))
-
-
-def _over(n: int, den: int) -> Fraction:
-    # Fraction(n) skips the gcd, which n/1 and 0/den do not need
-    return Fraction(n) if den == 1 or not n else Fraction(n, den)
 
 
 def gauss_dot(ar, ai, br, bi) -> tuple[int, int]:

@@ -1,8 +1,9 @@
 """Scalar and polynomial layer: exact arithmetic, involution, literals."""
 
+import hashlib
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -17,10 +18,12 @@ from starbimod.algebra import (
     Q,
     Scalar,
     format_scalar,
+    format_sum,
     parse_scalar,
 )
 from starbimod.errors import ParseError
 from starbimod.parser import parse_expression
+from starbimod.sampling import rand_weyl
 from starbimod.weyl import WeylElement
 
 fractions = st.fractions(min_value=-40, max_value=40, max_denominator=12)
@@ -87,6 +90,157 @@ class TestScalar:
         assert Scalar("1/٣", "-٣/٠٤") == Scalar(Fraction(1, 3), Fraction(-3, 4))
         with pytest.raises(ParseError):
             Scalar("1/٠")
+
+
+def _assert_canonical(z: Scalar) -> None:
+    parts = (z.re_num, z.im_num, z.den)
+    assert all(type(n) is int for n in parts), parts
+    assert z.den > 0 and gcd(*parts) == 1, parts
+
+
+rationals = st.one_of(st.integers(-40, 40), fractions)
+
+
+class TestScalarAgainstFractionPairs:
+    """Scalar arithmetic on its ints against (re, im) Fraction arithmetic."""
+
+    @given(scalars, scalars)
+    @settings(max_examples=300)
+    def test_field_ops(self, z, w):
+        a, b, c, d = z.re, z.im, w.re, w.im
+        expected = [
+            (z + w, (a + c, b + d)),
+            (z - w, (a - c, b - d)),
+            (z * w, (a * c - b * d, a * d + b * c)),
+            (-z, (-a, -b)),
+            (z.conjugate(), (a, -b)),
+        ]
+        norm = c * c + d * d
+        if norm:
+            expected.append((z / w, ((a * c + b * d) / norm, (b * c - a * d) / norm)))
+        else:
+            with pytest.raises(ZeroDivisionError):
+                z / w
+        for got, (re, im) in expected:
+            _assert_canonical(got)
+            assert (got.re, got.im) == (re, im)
+            assert got == Scalar(re, im)
+        assert type(z.abs2()) is Fraction and z.abs2() == a * a + b * b
+        assert z.is_real() == (b == 0)
+        assert z.is_zero() == (not a and not b) == (not z)
+        assert (z == w) == ((a, b) == (c, d))
+        assert complex(z) == complex(float(a), float(b))
+
+    @given(scalars, rationals)
+    @settings(max_examples=200)
+    def test_mixed_ops_with_rationals(self, z, q):
+        a, b = z.re, z.im
+        for got, (re, im) in [
+            (z + q, (a + q, b)),
+            (q + z, (a + q, b)),
+            (z - q, (a - q, b)),
+            (q - z, (q - a, -b)),
+            (z * q, (a * q, b * q)),
+            (q * z, (a * q, b * q)),
+        ]:
+            _assert_canonical(got)
+            assert (got.re, got.im) == (re, im)
+        if q:
+            assert z / q == Scalar(a / q, b / q)
+        else:
+            with pytest.raises(ZeroDivisionError):
+                z / q
+
+    @given(scalars)
+    def test_construction_is_canonical(self, z):
+        _assert_canonical(z)
+        assert (z.re, z.im) == (Fraction(z.re_num, z.den), Fraction(z.im_num, z.den))
+        assert type(z.re) is Fraction and type(z.im) is Fraction
+
+    @given(rationals)
+    def test_a_real_scalar_equals_and_hashes_like_its_rational(self, q):
+        z = Scalar(q)
+        _assert_canonical(z)
+        assert z == q and q == z and not (z != q)
+        assert hash(z) == hash(q)
+        assert z != q + 1 and z != Scalar(q, 1)
+
+    @given(scalars)
+    def test_complex_hash_and_repr(self, z):
+        if z.im:
+            assert hash(z) == hash((z.re, z.im))
+        assert repr(z) == f"Scalar({z.re!r}, {z.im!r})"
+
+    def test_pinned_repr_and_int_input(self):
+        assert repr(Scalar(Fraction(2, 4), -3)) == "Scalar(Fraction(1, 2), Fraction(-3, 1))"
+        z = Scalar(6, -4)
+        assert (z.re_num, z.im_num, z.den) == (6, -4, 1)
+        assert Scalar(True) == 1 and type(Scalar(True).re_num) is int
+
+    def test_division_by_zero(self):
+        for zero in (Scalar(0), 0, Fraction(0)):
+            with pytest.raises(ZeroDivisionError):
+                Scalar(1, 2) / zero
+
+    def test_immutable_views(self):
+        z = Scalar(1, 2)
+        for name in ("re", "im", "re_num", "im_num", "den"):
+            with pytest.raises(AttributeError):
+                setattr(z, name, 1)
+
+
+def _fraction_text(re: Fraction, im: Fraction) -> str:
+    """format_scalar written on the Fraction parts."""
+    if im == 0:
+        return str(re)
+    if re == 0:
+        return f"{im}i"
+    return f"{re}+{im}i"
+
+
+def _fraction_term(mono: str, re: Fraction, im: Fraction) -> str:
+    """One term of format_sum written on the Fraction parts."""
+    i_text = "i" if im == 1 else "-i" if im == -1 else f"{im}*i"
+    if re and im:
+        coeff = f"({re} - {i_text[1:]})" if i_text.startswith("-") else f"({re} + {i_text})"
+    else:
+        coeff = i_text if im else str(re)
+    if not mono:
+        return coeff
+    if coeff in ("1", "-1"):
+        return coeff[:-1] + mono
+    return f"{coeff}*{mono}"
+
+
+units = st.sampled_from([ONE, -ONE, I, -I, Scalar(1, 1), Scalar(-1, -1), Scalar(Fraction(1, 2), -3)])
+
+
+class TestScalarText:
+    """Text printed from the ints is the text of the reduced Fraction parts."""
+
+    @given(st.one_of(scalars, units), st.sampled_from(["", "q", "d", "q^2*d"]))
+    @settings(max_examples=300)
+    def test_matches_the_fraction_text(self, z, mono):
+        assert format_scalar(z) == _fraction_text(z.re, z.im)
+        if z:
+            assert format_sum([(mono, z)]) == _fraction_term(mono, z.re, z.im)
+
+    def test_pinned_strings(self):
+        assert format_scalar(Scalar(2, -3)) == "2+-3i"
+        assert format_scalar(Scalar(0, Fraction(-4, 8))) == "-1/2i"
+        assert format_sum([("", Scalar(Fraction(1, 2), -3))]) == "(1/2 - 3*i)"
+        assert format_sum([("q^2*d", -I)]) == "-i*q^2*d"
+        assert format_sum([("q", Scalar(Fraction(6, 4))), ("", -ONE)]) == "3/2*q - 1"
+
+    def test_weyl_expressions_are_pinned(self):
+        # sha256 of the text printed when Scalar held Fraction parts
+        rng = random.Random(27)
+        lines = []
+        for _ in range(150):
+            u, v = rand_weyl(rng), rand_weyl(rng)
+            lines += [u.to_expression(), (u * v).to_expression()]
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == "4d1f839056240c23c727b5de90daff18f3345bc25ac868f43bf5fef6e0a03073"
 
 
 class TestPolyBasics:

@@ -30,7 +30,7 @@ from starbimod.errors import DimensionMismatchError, MomentOutOfRangeError, NotP
 from starbimod import selftest
 from starbimod.exactla import Matrix, _inverse_rows, inverse, ldl_psd, nullspace, poly_at
 from starbimod.forms import FormMatrix
-from starbimod.gns import Functional, build_gns, hankel_gram
+from starbimod.gns import Functional, build_gns, check_cauchy_schwarz, check_identity, hankel_gram
 from starbimod.moments import MomentFunctional
 from starbimod.probes import boundedness_probe
 from starbimod.sampling import atoms012, mu3, rand_d2_element, rand_poly
@@ -979,3 +979,66 @@ class TestGramRouteStaysOnNumerators:
         assert calls == []
         Poly([1, Fraction(1, 2)])
         assert calls == [1]  # the wrapper was live: Poly(...) converts Scalars in
+
+
+class TestIdentityChecksStayOnNumerators:
+    """check_identity builds no Fraction, and check_cauchy_schwarz builds
+    only the two Fractions of its report: every functional value and
+    pairing on the way is a Scalar of ints."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        original = Fraction.__new__
+        counts = [0]
+
+        def counted(cls, *args, **kwargs):
+            counts[0] += 1
+            return original(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counted)
+        return counts
+
+    @staticmethod
+    def _cases():
+        rng = random.Random(11)
+        measures = {"mu3": mu3(), "atoms012": atoms012()}
+        measures.update((name, MEASURES[name]()) for name in ("gauss64", "lebesgue01-64"))
+        cases = []
+        for name, mf in measures.items():
+            for kind in ("F0", "F1", "F2", "gauss-poly", "gauss-atoms"):
+                if kind == "gauss-poly":
+                    func = Functional.gauss_poly(rand_poly(rng, 2, nonzero=True))
+                elif kind == "gauss-atoms":
+                    if not mf.is_atomic:
+                        continue
+                    func = Functional.gauss_atoms(
+                        [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in mf.atoms]
+                    )
+                else:
+                    func = Functional(kind)
+                if kind in ("F0", "F1", "F2"):
+                    x = rand_d2_element(rng, 3, 3)
+                else:
+                    x = BimodElement.gauss(rand_poly(rng, 3))
+                cases.append((func, rand_poly(rng, 3), x, rand_poly(rng, 3), mf))
+        return cases
+
+    def test_no_fraction_in_the_identity_checks(self, built):
+        cases = self._cases()
+        assert len(cases) == 18
+        for func, a, x, b, mf in cases:
+            built[0] = 0
+            assert check_identity(func, a, x, b, mf).equal
+            assert built[0] == 0, func
+            report = check_cauchy_schwarz(func, a, x, mf)
+            assert report.holds
+            assert built[0] == 2, func  # lhs_squared and bound
+            # the equality case of the bound takes the same route
+            if func.kind != "gauss-atoms":
+                built[0] = 0
+                h = func.coefficient_poly(x)
+                report = check_cauchy_schwarz(func, h, x, mf)
+                assert report.lhs_squared == report.bound and built[0] == 2, func
+        built[0] = 0
+        assert Scalar(1, 2).re == 1
+        assert built[0] == 1  # the wrapper was live: the view .re built one Fraction
