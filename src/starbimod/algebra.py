@@ -105,6 +105,10 @@ class Scalar:
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild from the canonical ints, not through __setattr__
+        return gauss_scalar, (self.re_num, self.im_num, self.den)
+
     @property
     def re(self) -> Fraction:
         """The real part, a reduced Fraction built per read."""
@@ -323,6 +327,9 @@ class Poly:
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
+
+    def __reduce__(self):
+        return Poly.from_numerators, (self.re, self.im, self.den)
 
     @classmethod
     def from_numerators(cls, re, im, den: int) -> "Poly":

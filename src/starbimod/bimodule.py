@@ -58,6 +58,9 @@ class BimodElement:
     def __setattr__(self, name, value):
         raise AttributeError("BimodElement is immutable")
 
+    def __reduce__(self):
+        return BimodElement, (self.tag, self.terms)
+
     @classmethod
     def zero(cls, tag: Generator = Generator.D2) -> "BimodElement":
         return cls(tag)

@@ -5,12 +5,15 @@ LDL^H factorisation that doubles as the positive-semidefiniteness gate
 (leading-minor tests are unsound for singular matrices), the kernel basis
 read off that factor, and inversion.  A ``Matrix`` stores Gaussian-integer
 numerator rows over one denominator, as ``Poly`` does its coefficients,
-and every routine runs on those integers: ``Matrix.__matmul__``,
-``__add__`` and ``adjoint`` normalise each result once, ``poly_at`` runs
-Horner and ``inverse`` fraction-free Gauss-Jordan on the numerators and
-build one matrix at the end, ``ldl_psd`` eliminates fraction-free
-(Bareiss), and ``nullspace`` solves the kernel through the integer rows
-of L^-1, with no second elimination; each output is normalised once.
+and every routine runs on those integers: ``Matrix.__matmul__`` sums
+each row of the product as a combination of the right factor's rows and,
+like ``__add__``, normalises the result once; ``adjoint`` keeps den and
+the content gcd, so it needs no normalisation; ``poly_at`` runs Horner
+with the same row kernel and ``inverse`` fraction-free Gauss-Jordan on
+the numerators, and both build one matrix at the end; ``ldl_psd``
+eliminates fraction-free (Bareiss), and ``nullspace`` solves the kernel
+through the integer rows of L^-1, with no second elimination; each
+output is normalised once.
 Those two, ``nullspace`` and ``_inverse_rows``, are the real routines of
 the GNS realization's Hankel Gram: they read real integers only.
 Sizes stay in the low tens, so the cubic algorithms are fine.
@@ -51,6 +54,9 @@ class Matrix:
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
+
+    def __reduce__(self):
+        return Matrix.from_numerators, (self.re, self.im, self.den, self.ncols)
 
     @classmethod
     def from_numerators(cls, re, im, den: int, ncols: int) -> "Matrix":
@@ -126,20 +132,28 @@ class Matrix:
                 f"cannot multiply {self.nrows}x{self.ncols} by "
                 f"{other.nrows}x{other.ncols}"
             )
-        # with no rows, each of other's ncols columns is empty
-        cols = list(zip(zip(*other.re), zip(*other.im))) or [((), ())] * other.ncols
         return Matrix.from_numerators(
-            *_products(self.re, self.im, cols), self.den * other.den, other.ncols
+            *_products(self.re, self.im, other.re, other.im, other.ncols),
+            self.den * other.den,
+            other.ncols,
         )
 
     def adjoint(self) -> "Matrix":
-        """Conjugate transpose."""
-        return Matrix.from_numerators(
-            list(zip(*self.re)) or [()] * self.ncols,
-            [[-x for x in col] for col in zip(*self.im)] or [()] * self.ncols,
+        """Conjugate transpose.
+
+        A transpose and a conjugation keep den and the content gcd, so the
+        result is canonical as it stands and takes no gcd.
+        """
+        m = object.__new__(Matrix)
+        empty = ((),) * self.ncols  # the columns of a matrix with no rows
+        _set(
+            m,
+            tuple(zip(*self.re)) or empty,
+            tuple([tuple([-x for x in col]) for col in zip(*self.im)]) or empty,
             self.den,
             self.nrows,
         )
+        return m
 
     def is_hermitian(self) -> bool:
         return self.nrows == self.ncols and self == self.adjoint()
@@ -163,18 +177,39 @@ class Matrix:
         return f"Matrix({[list(map(str, r)) for r in self.rows]!r})"
 
 
-def _products(re, im, cols) -> tuple[list[list[int]], list[list[int]]]:
-    """Numerator rows of (re + im*i) times the Gaussian-integer ``cols``.
+def _products(re, im, bre, bim, ncols: int) -> tuple[list[list[int]], list[list[int]]]:
+    """Numerator rows of (re + im*i)(bre + bim*i), the right factor ``ncols`` wide.
 
-    ``cols`` holds each column as a (real, imaginary) pair of int tuples.
+    Row i of the product is the sum over k of A[i][k] times row k of B,
+    summed in place into two int lists.  A zero A[i][k] is skipped, and a
+    real or purely imaginary one costs two products per column, not four.
+    On the 2x2 and 3x3 products of the form layer the cost of a dot-product
+    call per entry outweighed the integer multiplies.
     """
-    rows = list(zip(re, im))
-    # gauss_dot inlined: a call per entry cost about 15% on the 2x2 and
-    # 3x3 products of the form layer
-    return (
-        [[sum(map(mul, rr, cr)) - sum(map(mul, ri, ci)) for cr, ci in cols] for rr, ri in rows],
-        [[sum(map(mul, rr, ci)) + sum(map(mul, ri, cr)) for cr, ci in cols] for rr, ri in rows],
-    )
+    out_re, out_im = [], []
+    cols = range(ncols)
+    for ar, ai in zip(re, im):
+        sr = [0] * ncols
+        si = [0] * ncols
+        for x, y, br, bi in zip(ar, ai, bre, bim):
+            if y:
+                if x:
+                    for j in cols:
+                        u = br[j]
+                        v = bi[j]
+                        sr[j] += x * u - y * v
+                        si[j] += x * v + y * u
+                else:
+                    for j in cols:
+                        sr[j] -= y * bi[j]
+                        si[j] += y * br[j]
+            elif x:
+                for j in cols:
+                    sr[j] += x * br[j]
+                    si[j] += x * bi[j]
+        out_re.append(sr)
+        out_im.append(si)
+    return out_re, out_im
 
 
 def _store(m: Matrix, re, im, den: int, ncols: int) -> None:
@@ -208,14 +243,13 @@ def poly_at(p: Poly, m: Matrix) -> Matrix:
     n = m.nrows
     if not p.re:
         return Matrix.zeros(n, n)
-    cols = list(zip(zip(*m.re), zip(*m.im)))
     top = len(p.re) - 1
     sr = [[p.re[top] if i == j else 0 for j in range(n)] for i in range(n)]
     si = [[p.im[top] if i == j else 0 for j in range(n)] for i in range(n)]
     scale = 1
     for cr, ci in zip(reversed(p.re[:top]), reversed(p.im[:top])):
         scale *= m.den
-        sr, si = _products(sr, si, cols)
+        sr, si = _products(sr, si, m.re, m.im, n)
         for i in range(n):
             sr[i][i] += cr * scale
             si[i][i] += ci * scale

@@ -81,6 +81,9 @@ class FormMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("FormMatrix is immutable")
 
+    def __reduce__(self):
+        return FormMatrix, (self.mat,)
+
     @property
     def dim(self) -> int:
         return self.mat.nrows
@@ -106,7 +109,11 @@ class FormMatrix:
 
     def value(self, phi, psi):
         """Evaluate the form on coordinate vectors: the 1x1 product psi^H M phi."""
-        if not (self.dim or phi or psi):
+        if len(phi) != self.dim or len(psi) != self.dim:
+            raise DimensionMismatchError(
+                f"vectors of lengths {len(phi)} and {len(psi)} for a form of dimension {self.dim}"
+            )
+        if not self.dim:
             return ZERO  # the empty sum; Matrix([]) is 0x0, not a 0x1 column
         row = Matrix([[c] for c in psi]).adjoint()
         return (row @ self.mat @ Matrix([[c] for c in phi]))[0, 0]

@@ -224,6 +224,9 @@ class Functional:
     def __setattr__(self, name, value):
         raise AttributeError("Functional is immutable")
 
+    def __reduce__(self):
+        return Functional, (self.kind, self.weight, self.atom_values)
+
     @classmethod
     def f0(cls):
         return cls("F0")

@@ -46,6 +46,10 @@ class WeylElement:
     def __setattr__(self, name, value):
         raise AttributeError("WeylElement is immutable")
 
+    def __reduce__(self):
+        # the stored dict is a read-only view, which pickle cannot take
+        return _new, ([(mn, a, b) for mn, (a, b) in self.nums.items()], self.den)
+
     @classmethod
     def zero(cls) -> "WeylElement":
         return cls()

@@ -1,6 +1,11 @@
-"""Scalar and polynomial layer: exact arithmetic, involution, literals."""
+"""Scalar and polynomial layer: exact arithmetic, involution, literals.
 
+Also the copy and pickle contract of every immutable value type.
+"""
+
+import copy
 import hashlib
+import pickle
 import random
 from fractions import Fraction
 from math import comb, gcd
@@ -21,7 +26,11 @@ from starbimod.algebra import (
     format_sum,
     parse_scalar,
 )
+from starbimod.bimodule import BimodElement
 from starbimod.errors import ParseError
+from starbimod.exactla import Matrix
+from starbimod.forms import FormMatrix
+from starbimod.gns import Functional
 from starbimod.parser import parse_expression
 from starbimod.sampling import rand_weyl
 from starbimod.weyl import WeylElement
@@ -394,3 +403,50 @@ class TestEqHashContract:
         assert len({Poly(), 0}) == 1
         assert len({WeylElement.one() * 3, 3, Scalar(3), Poly.constant(3)}) == 1
         assert len({WeylElement.from_poly(Q), Q}) == 1
+
+
+# one value of each immutable type, with fractional and complex parts
+_COPY_VALUES = {
+    "Scalar": Scalar(Fraction(-2, 3), Fraction(5, 6)),
+    "Poly": Poly([Scalar(1, Fraction(1, 4)), 0, Fraction(-7, 2)]),
+    "Matrix": Matrix([[Fraction(1, 2), Scalar(0, 3)], [Scalar(-1, Fraction(2, 5)), 4]]),
+    "Matrix-0x3": Matrix.zeros(0, 3),
+    "FormMatrix": FormMatrix(Matrix([[1, Scalar(0, Fraction(1, 3))], [Scalar(0, -2), 5]])),
+    "BimodElement-d2": BimodElement.d_squared().act(Q + Scalar(0, 1), Q * Q - Fraction(1, 2)),
+    "BimodElement-gauss": BimodElement.gauss(Q * Fraction(3, 2) + I),
+    "Functional-F1": Functional.f1(),
+    "Functional-gauss-poly": Functional.gauss_poly(Q * Q + Fraction(1, 3)),
+    "Functional-gauss-atoms": Functional.gauss_atoms([1, Fraction(1, 2), 2]),
+    "WeylElement": WeylElement({(1, 2): Scalar(Fraction(1, 2), -1), (0, 1): 3, (2, 0): I}),
+}
+_ROUTES = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda v: pickle.loads(pickle.dumps(v)),
+}
+
+
+def _canonical_fields(v):
+    if isinstance(v, FormMatrix):
+        return _canonical_fields(v.mat)
+    if isinstance(v, WeylElement):
+        return dict(v.nums), v.den
+    return tuple(getattr(v, name) for name in type(v).__slots__)
+
+
+@pytest.mark.parametrize("route", _ROUTES)
+@pytest.mark.parametrize("name", _COPY_VALUES)
+def test_value_types_survive_copy_and_pickle(name, route):
+    """Each route rebuilds the value from its canonical fields.
+
+    Types with value equality must also give an equal value with an equal
+    hash; a ``BimodElement`` must stay equivalent.
+    """
+    value = _COPY_VALUES[name]
+    out = _ROUTES[route](value)
+    assert type(out) is type(value)
+    assert _canonical_fields(out) == _canonical_fields(value)
+    if type(value).__eq__ is not object.__eq__:
+        assert out == value and hash(out) == hash(value)
+    if isinstance(value, BimodElement):
+        assert out.equivalent(value)

@@ -3,12 +3,16 @@
 ``Poly``, ``MomentFunctional`` and ``Matrix`` store Gaussian-integer
 numerators over one denominator, ``Poly.__mul__``, ``BimodElement.triple``
 and ``Matrix.__matmul__``, ``__add__`` and ``adjoint`` compute on such
-numerators, and ``ldl_psd`` eliminates fraction-free on them.  Each is compared here with
-sympy's own arithmetic over the Gaussian rationals, on
+numerators, and ``ldl_psd`` eliminates fraction-free on them.  Each is
+compared here with sympy's own arithmetic over the Gaussian rationals, on
 seeded inputs as tall as the shipped measures: the 43-digit integers of
 the Gaussian moments and denominators up to 129, as in the Lebesgue
 moments 1/(k+1) paired up to degree 64.  Zero polynomials and entries,
-and purely real and purely imaginary inputs, are drawn on purpose.
+and purely real and purely imaginary inputs, are drawn on purpose; the
+"mixed" shape draws each entry's shape on its own, so that one row of a
+matrix product takes every branch of the row kernel (a zero entry is
+skipped, a real or imaginary one costs two products per column, a complex
+one four), and so does Horner's step in ``poly_at``.
 """
 
 import json
@@ -42,7 +46,9 @@ T = sympy.Symbol("t")
 # the odd double factorials of MomentFunctional.gaussian(64), up to 43 digits
 TALL = [m.re.numerator for m in MomentFunctional.gaussian(64).values if m]
 MAX_DEN = 129
-SHAPES = ("real", "imag", "complex")
+# "mixed" draws each entry's shape on its own, so that one row of a
+# matrix product meets zero, real, imaginary and complex entries
+SHAPES = ("real", "imag", "complex", "mixed")
 
 
 def _qq(c: Scalar):
@@ -69,7 +75,9 @@ def _part(rng) -> Fraction:
 
 
 def _scalar(rng, shape: str) -> Scalar:
-    if rng.random() < 0.2:
+    if shape == "mixed":
+        shape = rng.choice(("zero", "real", "imag", "complex"))
+    if shape == "zero" or rng.random() < 0.2:
         return Scalar(0)
     re = _part(rng) if shape != "imag" else 0
     im = _part(rng) if shape != "real" else 0
@@ -318,6 +326,18 @@ class TestMatmul:
         assert a @ Matrix.zeros(4, 2) == Matrix.zeros(3, 2)
         assert Matrix.identity(3) @ a == a
         assert a @ Matrix.identity(4) == a
+        # an all-zero row of the left factor and column of the right one
+        rows = [list(r) for r in a.rows]
+        rows[1] = [0] * 4
+        cols = [list(r) for r in self._matrix(rng, 4, 3, "mixed").rows]
+        for row in cols:
+            row[2] = 0
+        a, b = Matrix(rows), Matrix(cols)
+        product = a @ b
+        assert self._dm(product) == self._dm(a) * self._dm(b)
+        assert all(product[1, j] == 0 for j in range(3))
+        assert all(product[i, 2] == 0 for i in range(3))
+        _assert_canonical_matrix(product)
 
 
 class TestPolyAt:
@@ -625,6 +645,15 @@ class TestFormValue:
             x.value([1, 1, 1], [1, 1])
         with pytest.raises(DimensionMismatchError):
             x.value([1, 1], [1])
+
+    @pytest.mark.parametrize("phi, psi", [([1], [1, 2]), ([], [])])
+    def test_mismatch_names_the_vector_lengths(self, phi, psi):
+        """The caller's vectors are checked before any product is formed."""
+        with pytest.raises(DimensionMismatchError) as err:
+            FormMatrix(Matrix.identity(2)).value(phi, psi)
+        message = str(err.value)
+        assert f"lengths {len(phi)} and {len(psi)}" in message and "dimension 2" in message
+        assert "multiply" not in message
 
 
 def _scalar_of(z) -> Scalar:
