@@ -340,12 +340,21 @@ class Poly:
 
     @classmethod
     def monomial(cls, power: int, coeff=ONE) -> "Poly":
+        """coeff * q^power.
+
+        A Scalar is canonical, gcd(re_num, im_num, den) == 1, so its
+        numerators padded with zeros below are the canonical form as they
+        stand, and no gcd is taken.
+        """
         c = Scalar.coerce(coeff)
-        cr, ci, cd = c.re_num, c.im_num, c.den
-        if not (cr or ci):
+        if not c:
             return cls()
         pad = (0,) * power
-        return cls.from_numerators(pad + (cr,), pad + (ci,), cd)
+        p = object.__new__(cls)
+        _set_pre(p, pad + (c.re_num,))
+        _set_pim(p, pad + (c.im_num,))
+        _set_pden(p, c.den)
+        return p
 
     @classmethod
     def constant(cls, value) -> "Poly":
@@ -553,22 +562,34 @@ def _term_expr(mono: str, c: Scalar) -> str:
 
 
 def _store(p: Poly, re, im, den: int) -> None:
-    """Set p to (re + im*i) / den in canonical form: one gcd, no trailing zeros."""
+    """Set p to (re + im*i) / den in canonical form: one gcd, no trailing zeros.
+
+    ``re`` and ``im`` are int lists or tuples of one length.  Trailing
+    zeros are trimmed first, so the gcd runs over the coefficients that
+    stay; the lists are divided only when that gcd is not 1, and each
+    stored tuple is built once.
+    """
     n = len(re)
     while n and not (re[n - 1] or im[n - 1]):
         n -= 1
-    # tuples are built from lists: a tuple fed by a generator is resized
-    # into place, which bypasses and overfills the tuple free lists
-    re, im = tuple(re[:n]), tuple(im[:n])
+    if n != len(re):
+        re, im = re[:n], im[:n]
     g = gcd(den, *re, *im)
     if g != 1:
-        re = tuple([c // g for c in re])
-        im = tuple([c // g for c in im])
+        re = [c // g for c in re]
+        im = [c // g for c in im]
         den //= g
-    object.__setattr__(p, "re", re)
-    object.__setattr__(p, "im", im)
-    object.__setattr__(p, "den", den)
+    # tuples are built from lists: a tuple fed by a generator is resized
+    # into place, which bypasses and overfills the tuple free lists
+    _set_pre(p, tuple(re))
+    _set_pim(p, tuple(im))
+    _set_pden(p, den)
 
+
+# Poly's slot setters, past the immutable __setattr__
+_set_pre = Poly.re.__set__
+_set_pim = Poly.im.__set__
+_set_pden = Poly.den.__set__
 
 P_ONE = Poly.constant(1)
 Q = Poly.monomial(1)

@@ -380,12 +380,19 @@ def build_arg_parser() -> argparse.ArgumentParser:
             p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("normal-order", help="normal order an expression")
-    p.add_argument("expression")
+    p.add_argument(
+        "expression",
+        help="an expression that starts with '-' goes after '--': normal-order -- \"-q + d\"",
+    )
     common(p)
     p.set_defaults(func=_cmd_normal_order)
 
     p = sub.add_parser("theta-map", help="apply the order-lowering map")
-    p.add_argument("--element", required=True, help="expression or JSON file")
+    p.add_argument(
+        "--element",
+        required=True,
+        help="expression or JSON file; one that starts with '-' takes '=': --element=-d^2",
+    )
     p.add_argument(
         "--max-degree",
         type=_at_least(0),
@@ -407,7 +414,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("probe", help="finite-degree boundedness probe")
     common(p, measure=True, functional=True)
-    p.add_argument("--element", default=None, help="expression or JSON file")
+    p.add_argument(
+        "--element",
+        default=None,
+        help="expression or JSON file; one that starts with '-' takes '=': --element=-d^2",
+    )
     p.add_argument("--degrees", default="2..10", help="degree range A..B")
     p.add_argument("--tolerance", type=_tolerance, default=1e-3)
     p.set_defaults(func=_cmd_probe)

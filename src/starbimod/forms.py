@@ -50,6 +50,10 @@ class ActionTable:
     def __setattr__(self, name, value):
         raise AttributeError("ActionTable is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, which checks the data again; _memo is dropped
+        return ActionTable, (self.gen, self.gram)
+
     def operator(self, a: Poly) -> Matrix:
         """The polynomial a evaluated at the generator matrix."""
         p = Poly.coerce(a)

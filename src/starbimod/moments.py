@@ -95,6 +95,12 @@ class MomentFunctional:
     def __setattr__(self, name, value):
         raise AttributeError("MomentFunctional is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild from the constructor's data; the caches are dropped
+        if self.atoms is not None:
+            return MomentFunctional.atomic, (self.atoms,)
+        return MomentFunctional.from_moments, (self.values,)
+
     @classmethod
     def atomic(cls, pairs) -> "MomentFunctional":
         return cls(atoms=pairs)

@@ -15,7 +15,9 @@ A power may raise the degree of its base to at most ``MAX_EXPONENT``:
 ``x^n`` is refused when n times the larger of the q- and d-degree of x
 exceeds it.  Measuring against the base's degree bounds nested powers
 too, and a constant base counts as degree 1, so no exponent exceeds
-``MAX_EXPONENT``; square-and-multiply forms ``x^n`` in at most
+``MAX_EXPONENT``.  A power of the generator ``q`` or ``d`` is built as the
+monomial q^n or d^n once those checks pass; any other base, ``p`` and
+``i`` among them, is raised by square-and-multiply, in at most
 2*floor(log2 n) products.
 
 No number in a parsed expression has more than ``MAX_DIGITS`` decimal
@@ -25,6 +27,9 @@ at its exponent.  ``x^n`` is refused before it is computed when n times
 the bit length of the largest numerator or denominator of x exceeds the
 bit length of 10^MAX_DIGITS.  This keeps every result well inside the
 interpreter's limit on int-to-string conversion, so it can be printed.
+Each sum, product and power is checked by one scan of its stored
+numerators; the reduced coefficient parts are read only when that scan
+reaches the cap.
 
 Parentheses nest at most ``MAX_NESTING`` deep: each level costs a few
 frames of the recursive descent, so a deeper ``(`` is refused at its
@@ -143,6 +148,21 @@ def exceeds_digits(value: WeylElement) -> bool:
     return _stored_max(value) >= _LIMIT and any(part >= _LIMIT for part in _parts(value))
 
 
+def _check_size(value: WeylElement, offset: int) -> WeylElement:
+    """Refuse a value with a numerator or denominator above MAX_DIGITS digits.
+
+    This runs on every parsed sum, product and power, so it scans the
+    stored numerators as ``_stored_max`` does, with no call; the reduced
+    parts are read, through ``exceeds_digits``, only at the cap.
+    """
+    if (
+        max([value.den, *map(abs, chain.from_iterable(value.nums.values()))]) >= _LIMIT
+        and exceeds_digits(value)
+    ):
+        raise _too_long(offset)
+    return value
+
+
 def _power_too_long(value: WeylElement, n: int) -> bool:
     """Does n times the largest bit length of a part exceed that of 10^MAX_DIGITS?"""
     cap = _LIMIT.bit_length()
@@ -151,64 +171,60 @@ def _power_too_long(value: WeylElement, n: int) -> bool:
     return n * max((part.bit_length() for part in _parts(value)), default=0) > cap
 
 
-def _check_size(value: WeylElement, offset: int) -> WeylElement:
-    """Refuse a value with a numerator or denominator above MAX_DIGITS digits."""
-    if exceeds_digits(value):
-        raise _too_long(offset)
-    return value
-
-
 _Q = WeylElement.q_power(1)
-_I = WeylElement.monomial(0, 0, I)
+_ATOMS = {"q": _Q, "d": D, "p": P, "i": WeylElement.monomial(0, 0, I)}
+# p = -i*d and i are raised by square-and-multiply: i^n is not a monomial in i
+_GENERATOR_POWERS = {"q": WeylElement.q_power, "d": WeylElement.d_power}
 
 
 class _Parser:
+    """Recursive descent over the token list.
+
+    The lookahead is ``self.tokens[self.pos]``.  Only an operator token
+    has the text "+", "-", "*" or "^", so a lookahead is matched on its
+    text alone.
+    """
+
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
         self.depth = 0  # parentheses open at the current token
 
-    @property
-    def current(self) -> Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
     def fail(self, expected):
-        tok = self.current
+        tok = self.tokens[self.pos]
         shown = tok.text or "end of input"
         raise ParseError(f"unexpected {shown!r}", tok.offset, expected)
 
     def parse_expr(self) -> WeylElement:
+        tokens = self.tokens
         value = self.parse_term()
-        while self.current.kind == "op" and self.current.text in "+-":
-            op = self.advance()
+        while (op := tokens[self.pos]).text in ("+", "-"):
+            self.pos += 1
             rhs = self.parse_term()
             value = _check_size(value + rhs if op.text == "+" else value - rhs, op.offset)
         return value
 
     def parse_term(self) -> WeylElement:
+        tokens = self.tokens
         value = self.parse_factor()
-        while self.current.kind == "op" and self.current.text == "*":
-            op = self.advance()
+        while (op := tokens[self.pos]).text == "*":
+            self.pos += 1
             value = _check_size(value * self.parse_factor(), op.offset)
         return value
 
     def parse_factor(self) -> WeylElement:
-        negate = False
-        if self.current.kind == "op" and self.current.text == "-":
-            self.advance()
-            negate = True
+        tokens = self.tokens
+        negate = tokens[self.pos].text == "-"
+        if negate:
+            self.pos += 1
+        base = tokens[self.pos].text
         value = self.parse_atom()
-        if self.current.kind == "op" and self.current.text == "^":
-            self.advance()
-            tok = self.current
+        if tokens[self.pos].text == "^":
+            self.pos += 1
+            tok = tokens[self.pos]
             if tok.kind != "number" or "/" in tok.text:
                 self.fail({"nonnegative integer"})
-            self.advance()
+            self.pos += 1
             n = int(tok.text)
             degree = max(value.max_q_degree, value.max_d_degree, 1)
             if n * degree > MAX_EXPONENT:
@@ -220,16 +236,20 @@ class _Parser:
                 )
             if _power_too_long(value, n):
                 raise _too_long(tok.offset)
-            value = _check_size(value**n, tok.offset)
+            generator_power = _GENERATOR_POWERS.get(base)
+            if generator_power is None:
+                value = _check_size(value**n, tok.offset)
+            else:
+                value = generator_power(n)
         return -value if negate else value
 
     def parse_atom(self) -> WeylElement:
-        tok = self.current
+        tok = self.tokens[self.pos]
         if tok.kind == "sym":
-            self.advance()
-            return {"q": _Q, "d": D, "p": P, "i": _I}[tok.text]
+            self.pos += 1
+            return _ATOMS[tok.text]
         if tok.kind == "number":
-            self.advance()
+            self.pos += 1
             num, _, den = tok.text.partition("/")
             return _new([((0, 0), int(num), 0)], int(den or 1))
         if tok.kind == "lparen":
@@ -239,12 +259,12 @@ class _Parser:
                     tok.offset,
                     {f"at most {MAX_NESTING} nested '('"},
                 )
-            self.advance()
+            self.pos += 1
             self.depth += 1
             value = self.parse_expr()
-            if self.current.kind != "rparen":
+            if self.tokens[self.pos].kind != "rparen":
                 self.fail({")"})
-            self.advance()
+            self.pos += 1
             self.depth -= 1
             return value
         self.fail({"q", "p", "d", "i", "number", "("})
@@ -254,6 +274,6 @@ def parse_expression(src: str) -> WeylElement:
     """Parse and normal-order an expression; total on well-formed input."""
     parser = _Parser(tokenize(src))
     value = parser.parse_expr()
-    if parser.current.kind != "end":
+    if parser.tokens[parser.pos].kind != "end":
         parser.fail({"+", "-", "*", "end of input"})
     return value

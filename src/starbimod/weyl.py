@@ -60,7 +60,8 @@ class WeylElement:
 
     @classmethod
     def monomial(cls, m: int, n: int, coeff=ONE) -> "WeylElement":
-        return cls({(m, n): coeff})
+        c = Scalar.coerce(coeff)
+        return _new([((m, n), c.re_num, c.im_num)], c.den)
 
     @classmethod
     def q_power(cls, m: int) -> "WeylElement":
@@ -191,7 +192,10 @@ class WeylElement:
         The term c q^m d^n sends a t^j to c a j!/(j-n)! t^(j-n+m), so the
         image is built by shifting coefficient indices in one pass, on the
         numerators of p and of the element.  The loop visits only the
-        nonzero coefficients of p, each against every term.
+        nonzero coefficients of p, each against every term; a real
+        coefficient (every one of q^k) costs two products per term, not
+        the four of a Gaussian one.  This is the oracle for the product,
+        and it shares no code with ``__mul__`` or ``_normal_dq``.
         """
         terms = self.nums.items()
         re, im = p.re, p.im
@@ -200,12 +204,18 @@ class WeylElement:
         out_im = out_re[:]
         for j, a in enumerate(re):
             b = im[j]
-            if a or b:
+            if b:
                 for (m, n), (tr, ti) in terms:
                     if j >= n:
                         f, k = perm(j, n), j - n + m
                         out_re[k] += f * (tr * a - ti * b)
                         out_im[k] += f * (tr * b + ti * a)
+            elif a:
+                for (m, n), (tr, ti) in terms:
+                    if j >= n:
+                        fa, k = perm(j, n) * a, j - n + m
+                        out_re[k] += fa * tr
+                        out_im[k] += fa * ti
         return Poly.from_numerators(out_re, out_im, p.den * self.den)
 
     def __eq__(self, other):
@@ -246,10 +256,20 @@ def _store(u: WeylElement, triples, den: int) -> None:
         else:
             c[0] += a
             c[1] += b
-    g = gcd(den, *chain.from_iterable(acc.values()))
-    nums = {mn: (a // g, b // g) for mn, (a, b) in acc.items() if a or b}
-    object.__setattr__(u, "nums", MappingProxyType(nums))
-    object.__setattr__(u, "den", den // g)
+    # over den 1 there is nothing to reduce
+    g = gcd(den, *chain.from_iterable(acc.values())) if den != 1 else 1
+    if g == 1:
+        nums = {mn: (a, b) for mn, (a, b) in acc.items() if a or b}
+    else:
+        nums = {mn: (a // g, b // g) for mn, (a, b) in acc.items() if a or b}
+        den //= g
+    _set_nums(u, MappingProxyType(nums))
+    _set_den(u, den)
+
+
+# WeylElement's slot setters, past the immutable __setattr__
+_set_nums = WeylElement.nums.__set__
+_set_den = WeylElement.den.__set__
 
 
 def _new(triples, den: int) -> WeylElement:

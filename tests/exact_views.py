@@ -50,6 +50,16 @@ def sequence_scalars(values) -> list[Scalar]:
     return [gauss_scalar(a, b, den) for a, b in zip(re, im)]
 
 
+def assert_canonical_poly(p):
+    """A ``Poly`` in canonical form: int tuples of one length, den > 0,
+    gcd(den, every numerator) == 1 and no trailing zero coefficient."""
+    assert isinstance(p.den, int) and p.den > 0
+    assert type(p.re) is tuple and type(p.im) is tuple and len(p.re) == len(p.im)
+    assert all(type(x) is int for x in p.re + p.im)
+    assert not p.re or p.re[-1] or p.im[-1]
+    assert gcd(p.den, *p.re, *p.im) == 1
+
+
 def assert_canonical_triple(t):
     """An entry (re, im, den) in lowest terms: ints, den > 0, gcd 1."""
     re, im, den = t

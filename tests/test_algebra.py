@@ -29,11 +29,14 @@ from starbimod.algebra import (
 from starbimod.bimodule import BimodElement
 from starbimod.errors import ParseError
 from starbimod.exactla import Matrix
-from starbimod.forms import FormMatrix
+from starbimod.forms import ActionTable, FormMatrix
 from starbimod.gns import Functional
+from starbimod.moments import MomentFunctional
 from starbimod.parser import parse_expression
 from starbimod.sampling import rand_weyl
 from starbimod.weyl import WeylElement
+
+from exact_views import assert_canonical_poly
 
 fractions = st.fractions(min_value=-40, max_value=40, max_denominator=12)
 scalars = st.builds(Scalar, fractions, fractions)
@@ -294,6 +297,77 @@ class TestPolyBasics:
         assert Poly.from_coeff_strings(strings) == p
 
 
+def _fraction_pairs(p: Poly) -> list:
+    return [(c.re, c.im) for c in p.coeffs]
+
+
+def _trimmed(pairs: list) -> list:
+    while pairs and pairs[-1] == (0, 0):
+        pairs.pop()
+    return pairs
+
+
+class TestPolyStoreAgainstFractionPairs:
+    """``from_numerators`` and ``monomial`` against (re, im) Fraction pairs."""
+
+    NUMERATORS = [
+        ([], [], 1),
+        ([0, 0, 0], [0, 0, 0], 7),
+        ([1, 2], [0, 0], 1),
+        ([2, -4, 6, 0, 0], [0, 8, -2, 0, 0], 10),
+        ([-3, 0, 9], [6, 0, 0], 3),
+        ([0, 0, -5], [0, 0, 0], 15),
+        ([-12, 18, 0], [0, -6, 0], 4),
+        ([0, 5, 0], [-7, 0, 0], 35),
+        ([-4, 0], [0, -4], 4),
+    ]
+
+    @pytest.mark.parametrize("kind", [list, tuple])
+    @pytest.mark.parametrize("re, im, den", NUMERATORS)
+    def test_from_numerators(self, kind, re, im, den):
+        args = kind(re), kind(im)
+        p = Poly.from_numerators(*args, den)
+        assert_canonical_poly(p)
+        expected = [(Fraction(a, den), Fraction(b, den)) for a, b in zip(re, im)]
+        assert _fraction_pairs(p) == _trimmed(expected)
+        assert args == (kind(re), kind(im))
+
+    def test_from_numerators_random(self):
+        rng = random.Random(51)
+        for _ in range(300):
+            n = rng.randint(0, 8)
+            factor = rng.choice([1, 1, 2, 3, 6, 12])
+            re = [factor * rng.randint(-9, 9) * rng.randint(0, 1) for _ in range(n)]
+            im = [factor * rng.randint(-9, 9) * rng.randint(0, 1) for _ in range(n)]
+            den = factor * rng.randint(1, 5)
+            p = Poly.from_numerators(re, im, den)
+            assert_canonical_poly(p)
+            expected = [(Fraction(a, den), Fraction(b, den)) for a, b in zip(re, im)]
+            assert _fraction_pairs(p) == _trimmed(expected)
+
+    @pytest.mark.parametrize(
+        "coeff, re, im",
+        [
+            (Scalar(Fraction(-3, 4), Fraction(5, 6)), Fraction(-3, 4), Fraction(5, 6)),
+            (Scalar(Fraction(2, 3)), Fraction(2, 3), 0),
+            (Fraction(-5, 2), Fraction(-5, 2), 0),
+            (7, 7, 0),
+            (Scalar(0, Fraction(-7, 2)), 0, Fraction(-7, 2)),
+            (I, 0, 1),
+            (Scalar(0), 0, 0),
+            (Fraction(0), 0, 0),
+            (0, 0, 0),
+        ],
+    )
+    def test_monomial(self, coeff, re, im):
+        for k in range(13):
+            p = Poly.monomial(k, coeff)
+            assert_canonical_poly(p)
+            expected = [(Fraction(0), Fraction(0))] * k + [(Fraction(re), Fraction(im))]
+            assert _fraction_pairs(p) == _trimmed(expected)
+            assert p.degree == (k if re or im else -1)
+
+
 class TestPolyPower:
     def test_convolutions_per_power(self, monkeypatch):
         calls = []
@@ -405,6 +479,12 @@ class TestEqHashContract:
         assert len({WeylElement.from_poly(Q), Q}) == 1
 
 
+def _used(value, use):
+    """``value`` after ``use(value)`` has filled its caches."""
+    use(value)
+    return value
+
+
 # one value of each immutable type, with fractional and complex parts
 _COPY_VALUES = {
     "Scalar": Scalar(Fraction(-2, 3), Fraction(5, 6)),
@@ -418,6 +498,18 @@ _COPY_VALUES = {
     "Functional-gauss-poly": Functional.gauss_poly(Q * Q + Fraction(1, 3)),
     "Functional-gauss-atoms": Functional.gauss_atoms([1, Fraction(1, 2), 2]),
     "WeylElement": WeylElement({(1, 2): Scalar(Fraction(1, 2), -1), (0, 1): 3, (2, 0): I}),
+    "MomentFunctional-atoms": _used(
+        MomentFunctional.atomic([(-1, Fraction(1, 2)), (Fraction(2, 3), 3)]),
+        lambda mf: mf.apply(Q**5),
+    ),
+    "MomentFunctional-values": _used(
+        MomentFunctional.from_moments([1, Scalar(0, Fraction(1, 2)), Fraction(5, 3), 0]),
+        lambda mf: mf.apply(Q**2),
+    ),
+    "ActionTable": _used(
+        ActionTable(Matrix([[1, 2], [1, 3]]), Matrix([[1, 0], [0, 2]])),
+        lambda table: table.left_factor(Q + I),
+    ),
 }
 _ROUTES = {
     "copy": copy.copy,
@@ -431,6 +523,11 @@ def _canonical_fields(v):
         return _canonical_fields(v.mat)
     if isinstance(v, WeylElement):
         return dict(v.nums), v.den
+    # the caches of these two are not part of the value
+    if isinstance(v, MomentFunctional):
+        return v.atoms, v.values
+    if isinstance(v, ActionTable):
+        return _canonical_fields(v.gen), _canonical_fields(v.gram)
     return tuple(getattr(v, name) for name in type(v).__slots__)
 
 

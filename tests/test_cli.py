@@ -85,6 +85,43 @@ class TestNormalOrder:
         assert "Traceback" not in err
 
 
+class TestLeadingMinus:
+    """An expression that starts with '-' is read as an option unless it
+    follows '--' or is attached to its option with '=', as the README says."""
+
+    @pytest.mark.parametrize(
+        "argv, out",
+        [
+            (["normal-order", "--", "-1/2*q"], "-1/2*q"),
+            (["normal-order", "--", "-q + d"], "-q + d"),
+            (["normal-order", "--json", "--", "-d*q"], None),
+            (["theta-map", "--element=-d^2"], "-i*d"),
+        ],
+    )
+    def test_documented_forms_exit_0(self, capsys, argv, out):
+        assert main(argv) == 0
+        printed = capsys.readouterr().out
+        if out is None:
+            assert json.loads(printed)["canonical"] == "-q*d - 1"
+        else:
+            assert printed.strip() == out
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["normal-order", "-1/2*q"], "the following arguments are required: expression"),
+            (["theta-map", "--element", "-d^2"], "argument --element: expected one argument"),
+        ],
+    )
+    def test_bare_forms_exit_2(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert message in err
+
+
 class TestThetaMap:
     def test_image_of_generator(self, capsys):
         assert main(["theta-map", "--element", "d^2"]) == 0

@@ -1,0 +1,76 @@
+"""Mutants of the source that the selftest must kill.
+
+Each mutant is a (file, old text, new text) patch applied to a copy of the
+``starbimod`` package under ``tmp_path``.  The test asserts that the patch
+applied, so a mutant whose text no longer occurs in the source fails here
+instead of passing unnoticed, then runs the criteria the mutant names from
+``selftest.ALL_CHECKS`` on the copy, in a subprocess, and asserts that
+each of them fails.
+"""
+
+import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import starbimod
+
+PACKAGE = Path(starbimod.__file__).resolve().parent
+
+# name: (file, old text, new text, criteria that must fail)
+MUTANTS = {
+    "apply-without-falling-factorial": ("weyl.py", "perm(j, n)", "1", (5,)),
+    "normal-order-without-perm": ("weyl.py", "comb(n, k) * perm(m, k)", "comb(n, k)", (5,)),
+    "generator-power-one-too-high": (
+        "parser.py",
+        "value = generator_power(n)",
+        "value = generator_power(n + 1)",
+        (12,),
+    ),
+}
+
+# runs the named criteria of the copy and prints, as JSON, where the
+# package was imported from and each criterion's result
+RUNNER = """
+import json, sys
+import starbimod
+from starbimod import selftest
+results = [selftest.ALL_CHECKS[i - 1]() for i in json.loads(sys.argv[1])]
+print(json.dumps([starbimod.__file__, [[r.index, r.passed, r.detail] for r in results]]))
+"""
+
+
+def mutated_copy(root: Path, file: str, old: str, new: str) -> Path:
+    """A copy of the package under ``root`` with every ``old`` in ``file`` made ``new``."""
+    target = root / "starbimod"
+    shutil.copytree(PACKAGE, target, ignore=shutil.ignore_patterns("__pycache__"))
+    path = target / file
+    source = path.read_text(encoding="utf-8")
+    assert old in source, f"the mutant's text is gone from {file}: {old!r}"
+    path.write_text(source.replace(old, new), encoding="utf-8")
+    return root
+
+
+@pytest.mark.parametrize("name", MUTANTS)
+def test_selftest_kills_mutant(name, tmp_path):
+    file, old, new, criteria = MUTANTS[name]
+    root = mutated_copy(tmp_path, file, old, new)
+    env = {**os.environ, "PYTHONPATH": str(root), "PYTHONDONTWRITEBYTECODE": "1"}
+    run = subprocess.run(
+        [sys.executable, "-c", RUNNER, json.dumps(criteria)],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=root,
+        timeout=120,
+    )
+    # the criterion must return FAIL, not crash
+    assert run.returncode == 0, run.stderr
+    imported, results = json.loads(run.stdout)
+    assert Path(imported).parent == root / "starbimod"
+    assert [index for index, _, _ in results] == list(criteria)
+    assert not any(passed for _, passed, _ in results), results

@@ -12,6 +12,8 @@ from starbimod.parser import parse_expression
 from starbimod.sampling import rand_poly, rand_scalar, rand_weyl
 from starbimod.weyl import D, P, WeylElement
 
+from exact_views import assert_canonical_poly
+
 T = sympy.Symbol("t")
 QW = WeylElement.q_power(1)
 
@@ -117,7 +119,9 @@ class TestApplyAgainstSympy:
     """``apply`` checked exactly against sympy's derivative over QQ(i)."""
 
     def check(self, u, p):
-        assert _sym_poly(u.apply(p)) == sympy_apply(u, p)
+        image = u.apply(p)
+        assert_canonical_poly(image)
+        assert _sym_poly(image) == sympy_apply(u, p)
 
     def test_random_elements_on_dense_polys(self):
         rng = random.Random(21)
@@ -153,6 +157,25 @@ class TestApplyAgainstSympy:
             c = rand_scalar(rng) + I
             self.check(WeylElement.monomial(rng.randint(0, 5), 0, c), p)
             self.check(WeylElement.monomial(0, rng.randint(1, 5), c), p)
+
+    @pytest.mark.parametrize("part", ["real", "imaginary"])
+    def test_real_and_imaginary_polys(self, part):
+        """Each coefficient of p real, or each purely imaginary, on Gaussian
+        and on real elements, with interior zero coefficients too."""
+        rng = random.Random(26 if part == "real" else 27)
+        unit = Scalar(1) if part == "real" else I
+        for _ in range(100):
+            degree = rng.randint(0, 9)
+            coeffs = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) * unit for _ in range(degree + 1)]
+            coeffs[-1] = unit * rng.choice([1, -2, Fraction(3, 4)])
+            p = Poly(coeffs)
+            assert all(c.is_real() if part == "real" else not c.re for c in p.coeffs)
+            u = rand_weyl(rng, max_terms=4, max_exp=6)
+            self.check(u, p)
+            real = WeylElement(
+                [((m, n), Fraction(rng.randint(-6, 6), rng.randint(1, 4))) for m, n in u.nums]
+            )
+            self.check(real, p)
 
 
 class TestOracle:
@@ -359,15 +382,6 @@ class TestToExpression:
         assert WeylElement.zero().to_expression() == "0"
 
 
-def _assert_canonical_poly(p: Poly):
-    """den > 0, gcd(den, every numerator) == 1, no trailing zero, int tuples."""
-    assert isinstance(p.den, int) and p.den > 0
-    assert type(p.re) is tuple and type(p.im) is tuple and len(p.re) == len(p.im)
-    assert all(type(x) is int for x in p.re + p.im)
-    assert not p.re or p.re[-1] or p.im[-1]
-    assert gcd(p.den, *p.re, *p.im) == 1
-
-
 class TestSquareAndMultiply:
     def bases(self):
         rng = random.Random(41)
@@ -417,12 +431,45 @@ class TestSquareAndMultiply:
         assert len(calls) <= 5
 
 
+class TestMonomialsAndGeneratorPowers:
+    """``WeylElement.monomial`` against Fraction pairs; parsed generator
+    powers against square-and-multiply."""
+
+    @pytest.mark.parametrize(
+        "coeff, re, im",
+        [
+            (Scalar(Fraction(-3, 4), Fraction(5, 6)), Fraction(-3, 4), Fraction(5, 6)),
+            (Fraction(2, 3), Fraction(2, 3), 0),
+            (-4, -4, 0),
+            (Scalar(0, Fraction(-7, 2)), 0, Fraction(-7, 2)),
+            (Scalar(0), 0, 0),
+            (0, 0, 0),
+        ],
+    )
+    def test_monomial(self, coeff, re, im):
+        for m, n in [(0, 0), (3, 0), (0, 5), (2, 7)]:
+            u = WeylElement.monomial(m, n, coeff)
+            assert_canonical(u)
+            expected = {(m, n): (Fraction(re), Fraction(im))} if re or im else {}
+            assert {mn: (c.re, c.im) for mn, c in u.terms.items()} == expected
+
+    @pytest.mark.parametrize("symbol, generator", [("q", QW), ("d", D)])
+    def test_parsed_generator_powers(self, symbol, generator):
+        for n in range(65):
+            parsed = parse_expression(f"{symbol}^{n}")
+            expected = generator**n
+            assert parsed == expected == parse_expression(f"({symbol})^{n}")
+            assert parsed.den == expected.den and dict(parsed.nums) == dict(expected.nums)
+            assert_canonical(parsed)
+            assert parse_expression(f"-2*{symbol}^{n}") == -2 * expected
+
+
 class TestApplyNonzeroCoefficients:
     """``apply`` reads only the nonzero coefficients of its argument."""
 
     def check(self, u, p):
         image = u.apply(p)
-        _assert_canonical_poly(image)
+        assert_canonical_poly(image)
         assert _sym_poly(image) == sympy_apply(u, p)
 
     def elements(self):
