@@ -340,12 +340,14 @@ class Poly:
 
     @classmethod
     def monomial(cls, power: int, coeff=ONE) -> "Poly":
-        """coeff * q^power.
+        """coeff * q^power, for power >= 0.
 
         A Scalar is canonical, gcd(re_num, im_num, den) == 1, so its
         numerators padded with zeros below are the canonical form as they
         stand, and no gcd is taken.
         """
+        if power < 0:
+            raise ValueError("negative power")
         c = Scalar.coerce(coeff)
         if not c:
             return cls()

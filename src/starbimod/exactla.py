@@ -11,21 +11,20 @@ like ``__add__``, normalises the result once; ``adjoint`` keeps den and
 the content gcd, so it needs no normalisation; ``poly_at`` runs Horner
 with the same row kernel and ``inverse`` fraction-free Gauss-Jordan on
 the numerators, and both build one matrix at the end; ``ldl_psd``
-eliminates fraction-free (Bareiss), and ``nullspace`` solves the kernel
-through the integer rows of L^-1, with no second elimination; each
-output is normalised once.
-Those two, ``nullspace`` and ``_inverse_rows``, are the real routines of
-the GNS realization's Hankel Gram: they read real integers only.
+eliminates fraction-free (Bareiss) and keeps L's row at every index, so
+that G = L D L^H holds with the n x r factor; each output is normalised
+once.  ``nullspace``, the real routine of the GNS realization's Hankel
+Gram, reads real integers only: one triangular recurrence over the rows
+of L gives the rows of L^-1 at the pivots and a kernel vector at each
+skipped index, with no second elimination and no read of the Gram.
 Sizes stay in the low tens, so the cubic algorithms are fine.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
-from operator import mul
 from typing import NamedTuple
 
 from .algebra import Poly, Scalar, gauss_numerators, gauss_scalar
@@ -260,12 +259,14 @@ class LdlResult(NamedTuple):
     """LDL^H data of a hermitian PSD matrix, eliminated in natural order.
 
     ``pivots`` are the increasing indices that carried a positive pivot,
-    ``diag`` the positive pivot values, ``lower`` the unit lower triangle
-    on those indices: lower[a][b] for b < a, a triple (re, im, den) in
-    lowest terms.  Skipped indices had a vanishing residual row.  The
-    factor of a leading block is the leading part of the factor of the
-    whole matrix: the pivots below the block size, and the matching
-    leading entries of ``diag`` and ``lower``.
+    ``diag`` the positive pivot values, ``lower`` the rank-revealing factor
+    L, n x r with G = L D L^H on the whole matrix: lower[a] holds one row
+    per index a, the entries L[a][k] on the pivots p_k < a, each a triple
+    (re, im, den) in lowest terms; L[p_k][k] = 1 and every other entry is
+    0.  A skipped index had a vanishing residual row, and its row of L
+    sits on the pivots below it.  The factor of a leading block of size m
+    is the leading part of the factor of the whole matrix: the pivots
+    below m, the matching entries of ``diag``, and ``lower[:m]``.
     """
 
     pivots: tuple[int, ...]
@@ -330,10 +331,10 @@ def hermitian_ldl(m: Matrix) -> LdlResult:
                 wr[j] = (pivot * wr[j] - xr * yr + xi * yi) // prev
                 wi[j] = (pivot * wi[j] - xr * yi - xi * yr) // prev
         prev = pivot
-    # L[a][b] = conj(a_ba) / p_b on the pivot indices
+    # L[a][b] = conj(a_ba) / p_b for every index a and the pivots b < a
     lower = tuple(
-        tuple([_reduced(nums[b][0][a], -nums[b][1][a], nums[b][0][b]) for b in pivots[:k]])
-        for k, a in enumerate(pivots)
+        tuple([_reduced(nums[b][0][a], -nums[b][1][a], nums[b][0][b]) for b in pivots if b < a])
+        for a in range(n)
     )
     return LdlResult(tuple(pivots), tuple(diag), lower)
 
@@ -344,61 +345,42 @@ def _reduced(re: int, im: int, den: int) -> tuple[int, int, int]:
     return (re, im, den) if g == 1 else (re // g, im // g, den // g)
 
 
-def nullspace(gram: Matrix, ldl: LdlResult, rows) -> list[Poly]:
-    """Kernel basis of a real PSD matrix, read off ``ldl = ldl_psd(gram)``.
+def nullspace(ldl: LdlResult) -> tuple[tuple, tuple[Poly, ...]]:
+    """The rows of U = L^-1 and the kernel basis of a real PSD matrix, from its ``ldl``.
 
-    ``rows`` are the rows of U = L^-1, as ``_inverse_rows(ldl.lower)``
-    gives them, and only ``gram.re`` is read: the one caller, ``build_gns``,
-    passes a real Hankel Gram.  For a skipped index s, with P the pivots
-    below s, U on P and g column s of the Gram on P, v = e_s - U^T D^-1 U g
-    is the one kernel vector with 1 at s and weight only on P: the
-    reduced-row-echelon basis vector of the free column s, summed on
-    integers over one denominator and returned as a real ``Poly``.
+    One recurrence over every index a: v_a = e_a - sum_(pivots c<a)
+    L[a][c] U_c, summed on integers over the lcm of the denominator
+    products of its terms.  At a pivot, v_a is that pivot's row of U,
+    returned as ``(re, den)`` in pivot coordinates and divided by the gcd
+    of its entries and den.  At a skipped index s, L^H v_s = 0, so v_s
+    is the one kernel vector with 1 at s and weight only on the pivots
+    below it: the reduced-row-echelon basis vector of the free column s,
+    returned as a real ``Poly`` monic in q^s.  Only L's real parts are
+    read: the one caller, ``build_gns``, factors a real Hankel Gram.
     """
-    skipped = [s for s in range(gram.nrows) if s not in ldl.pivots]
-    inv = rows[: bisect_left(ldl.pivots, max(skipped, default=0))]
-    # D^-1 with the two row denominators of U^T D^-1 U, over one lcm
-    dens = [d.numerator * du * du for d, (_, du) in zip(ldl.diag, inv)]
-    common = lcm(*dens)
-    weights = [d.denominator * (common // e) for d, e in zip(ldl.diag, dens)]
-    den = common * gram.den
-    basis = []
-    for s in skipped:
-        below = ldl.pivots[: bisect_left(ldl.pivots, s)]
-        g = [gram.re[b][s] for b in below]
-        v = [0] * len(below)
-        for (u, _), f in zip(inv, weights[: len(below)]):
-            w = f * sum(map(mul, u, g))
-            for b, x in enumerate(u):  # v -= u_a w_a
-                v[b] -= x * w
-        re = [0] * (s + 1)
-        re[s] = den
-        for b, x in zip(below, v):
-            re[b] = x
-        basis.append(Poly.from_numerators(re, [0] * (s + 1), den))
-    return basis
-
-
-def _inverse_rows(lower) -> list[tuple[list[int], int]]:
-    """Rows of U = L^-1 for a real L as in ``LdlResult.lower``, each ``(re, den)``.
-
-    Row a is e_a - sum_(c<a) L[a][c] U_c over the lcm of the denominator
-    products of its terms, then divided by the gcd of its entries and den.
-    Only L's real parts are read: ``build_gns``, the one caller, has a real L.
-    """
-    out = []
-    for a, row in enumerate(lower):
+    pivots = ldl.pivots
+    rows: list[tuple[list[int], int]] = []
+    kernel = []
+    for a, row in enumerate(ldl.lower):
+        k = len(row)
         used = [(c, x, xd) for c, (x, _, xd) in enumerate(row) if x]
-        dd = lcm(*(xd * out[c][1] for c, _, xd in used))
-        nr = [0] * a + [dd]
+        dd = lcm(*(xd * rows[c][1] for c, _, xd in used))
+        nr = [0] * k + [dd]
         for c, x, xd in used:
-            u, dc = out[c]
+            u, dc = rows[c]
             x *= dd // (xd * dc)
             for b, v in enumerate(u):
                 nr[b] -= x * v
-        g = gcd(dd, *nr)
-        out.append(([v // g for v in nr], dd // g))
-    return out
+        if k < len(pivots) and pivots[k] == a:
+            g = gcd(dd, *nr)
+            rows.append(([v // g for v in nr], dd // g))
+            continue
+        re = [0] * (a + 1)
+        for p, v in zip(pivots[:k], nr):
+            re[p] = v
+        re[a] = dd
+        kernel.append(Poly.from_numerators(re, [0] * (a + 1), dd))
+    return tuple(rows), tuple(kernel)
 
 
 def inverse(m: Matrix) -> Matrix:

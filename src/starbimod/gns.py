@@ -2,10 +2,12 @@
 
 ``build_gns`` turns a moment functional into the truncated quotient data:
 an exact positivity certificate of the Hankel Gram matrix
-G_{jk} = m_{j+k} on the monomials q^0..q^N (natural-order LDL, with the
-rows of U = L^-1), and an exact basis of the kernel polynomials, solved
-from that same LDL (one per skipped index s, monic in q^s, on the pivot
-monomials below it).  No orthonormalisation happens anywhere; all inner
+G_{jk} = m_{j+k} on the monomials q^0..q^N (natural-order LDL, of which
+the pivots and D are kept), and what one recurrence over the rows of L
+reads off it: the rows of U = L^-1 at the pivots and an exact basis of
+the kernel polynomials at the skipped indices (one per skipped index s,
+monic in q^s, on the pivot monomials below it).  L itself is not kept.
+No orthonormalisation happens anywhere; all inner
 products go through the Gram matrix so the whole exact path stays in
 rational arithmetic.
 
@@ -13,10 +15,10 @@ The realization belongs to f alone, not to a bimodule functional or an
 element, and ``build_gns`` is the one route to it: each
 ``MomentFunctional`` object keeps the realization of the largest degree
 M asked so far, and a degree N <= M gets its leading part (the pivots
-<= N, the matching entries of D, L and U, and the kernel vectors of the
+<= N, the matching entries of D and U, and the kernel vectors of the
 skipped indices <= N).  That is exact because natural-order elimination
-nests, row a of U depends only on rows <= a of L, and the kernel vector
-of a skipped index s only on the leading block up to s.  A larger degree
+nests, and the recurrence's vector at an index a, a row of U or a kernel
+vector, depends only on the rows <= a of L.  A larger degree
 is realized afresh and replaces the entry whole, once its positivity
 gate has passed.  So the gate, the kernel and every probe at or below M
 share one elimination.  The Gram itself is not kept: ``gram`` builds it
@@ -27,9 +29,9 @@ N_k / (den x^k) from ``MomentFunctional.numerators`` (x = X, the lcm of
 an atomic measure's point denominators, and N_k its integer power sums;
 x = 1 for a moment list, whose table is G's) and S = diag(x^0..x^N),
 S G S is the integer Hankel matrix of the N_k over den.  That positive
-diagonal congruence keeps the pivots and the skipped indices, so the
-LDL, the rows of U and the kernel of S G S map back to those of G by
-exact powers of x (``_unscaled``), and the Bareiss minors never carry
+diagonal congruence keeps the pivots and the skipped indices, so D,
+the rows of U and the kernel of S G S map back to those of G by exact
+powers of x (``_unscaled``), and the Bareiss minors never carry
 the powers of X that G over W X^(2N) has.
 
 ``Functional`` bundles the five functional variants on the bimodules:
@@ -77,7 +79,7 @@ from .errors import (
     UnsupportedVariantError,
     VariantMismatchError,
 )
-from .exactla import LdlResult, Matrix, _inverse_rows, _reduced, ldl_psd, nullspace
+from .exactla import Matrix, ldl_psd, nullspace
 from .moments import MomentFunctional, _over_top
 
 
@@ -85,16 +87,18 @@ from .moments import MomentFunctional, _over_top
 class GnsRealization:
     """Truncated quotient data of a moment functional at degree N.
 
-    ``ldl`` is ``ldl_psd`` of the Hankel Gram, ``rows`` the rows of
-    U = L^-1 as ``_inverse_rows(ldl.lower)`` gives them, one ``(re, den)``
-    pair of an integer row over its denominator per pivot, and ``kernel``
-    the kernel polynomials of ``nullspace``, one per skipped index.  All
-    three are real: ``build_gns`` admits only real moments.
+    ``pivots`` are the monomial exponents of the positive pivots of the
+    Hankel Gram's ``ldl_psd`` and ``diag`` their values D; ``rows`` and
+    ``kernel`` are what ``nullspace`` reads off that factor: the rows of
+    U = L^-1, one ``(re, den)`` pair of an integer row over its
+    denominator per pivot, and one kernel polynomial per skipped index.
+    Both are real: ``build_gns`` admits only real moments.
     """
 
     functional: MomentFunctional
     degree: int
-    ldl: LdlResult
+    pivots: tuple[int, ...]
+    diag: tuple[Fraction, ...]
     rows: tuple
     kernel: tuple[Poly, ...]
 
@@ -105,12 +109,7 @@ class GnsRealization:
 
     @property
     def rank(self) -> int:
-        return self.ldl.rank
-
-    @property
-    def pivots(self) -> tuple[int, ...]:
-        """Monomial exponents spanning a positive-definite complement."""
-        return self.ldl.pivots
+        return len(self.pivots)
 
 
 def hankel_gram(mf: MomentFunctional, degree: int) -> Matrix:
@@ -145,41 +144,35 @@ def build_gns(mf: MomentFunctional, degree: int) -> GnsRealization:
     if top is None or degree > top.degree:
         sums, _, den, x = _real_moments(mf, degree)
         # S G S = Hankel(sums) / den for S = diag(x^0..x^N); at x = 1 that is G
-        gram = Matrix.hankel(sums, den, degree + 1)
-        ldl = ldl_psd(gram)
-        rows = tuple(_inverse_rows(ldl.lower))
-        kernel = tuple(nullspace(gram, ldl, rows))
+        ldl = ldl_psd(Matrix.hankel(sums, den, degree + 1))
+        pivots, diag = ldl.pivots, ldl.diag
+        rows, kernel = nullspace(ldl)
         if x != 1:
-            ldl, rows, kernel = _unscaled(ldl, rows, kernel, x, degree)
-        top = GnsRealization(mf, degree, ldl, rows, kernel)
+            diag, rows, kernel = _unscaled(pivots, diag, rows, kernel, x, degree)
+        top = GnsRealization(mf, degree, pivots, diag, rows, kernel)
         object.__setattr__(mf, "_gns", top)
     if degree == top.degree:
         return top
-    pivots, diag, lower = top.ldl
-    r = bisect_right(pivots, degree)
-    ldl = LdlResult(pivots[:r], diag[:r], lower[:r])
-    return GnsRealization(mf, degree, ldl, top.rows[:r], top.kernel[: degree + 1 - r])
+    r = bisect_right(top.pivots, degree)
+    return GnsRealization(
+        mf, degree, top.pivots[:r], top.diag[:r], top.rows[:r], top.kernel[: degree + 1 - r]
+    )
 
 
-def _unscaled(ldl: LdlResult, rows, kernel, x: int, degree: int):
-    """The LDL, rows of U and kernel of G, from those of S G S, S = diag(x^0..x^N), x > 0.
+def _unscaled(pivots, diag, rows, kernel, x: int, degree: int):
+    """D, the rows of U and the kernel of G, from those of S G S, S = diag(x^0..x^N), x > 0.
 
     The congruence keeps the pivots p and the skipped indices: D_a =
-    D'_a / x^(2 p_a), L_ab = L'_ab x^(p_b - p_a), U_ab = U'_ab x^(p_b - p_a),
-    and the kernel vector of s is v_j = v'_j x^(j - s), still monic in q^s.
-    All three are real (see ``GnsRealization``), so only real parts are
-    rescaled, and a kernel vector's zero imaginary part is passed on.
+    D'_a / x^(2 p_a), U_ab = U'_ab x^(p_b - p_a), and the kernel vector
+    of s is v_j = v'_j x^(j - s), still monic in q^s.  Both are real (see
+    ``GnsRealization``), so only real parts are rescaled, and a kernel
+    vector's zero imaginary part is passed on.
     """
-    pivots, diag, lower = ldl
     powers = [1]
     for _ in range(degree):
         powers.append(powers[-1] * x)
     at = [powers[p] for p in pivots]
     diag = tuple([d / (s * s) for d, s in zip(diag, at)])
-    lower = tuple(
-        tuple([_reduced(re, 0, den * (sa // sb)) for (re, _, den), sb in zip(row, at)])
-        for row, sa in zip(lower, at)
-    )
     out = []
     for (re, den), sa in zip(rows, at):
         re = [v * s for v, s in zip(re, at)]
@@ -193,7 +186,7 @@ def _unscaled(ldl: LdlResult, rows, kernel, x: int, degree: int):
         )
         for v in kernel
     )
-    return LdlResult(pivots, diag, lower), tuple(out), kernel
+    return diag, tuple(out), kernel
 
 
 class Functional:

@@ -21,16 +21,17 @@ built from its Hankel structure, one shifted moment sequence per term of
 of its atom images instead), and hermitised exactly.  The factor
 G = L D L^H of the Hankel Gram G of degree M, in natural order, which
 skips the indices of an exact kernel, is read from the degree-M
-``gns.build_gns`` realization, which also holds the rows of U = L^-1
-and the kernel K: a measure object caches one realization, at the
-largest degree asked of it, and the positivity gate and every
-probe at or below that degree read its leading part.  The congruence
+``gns.build_gns`` realization as its pivots, D and the rows of
+U = L^-1 (it also holds the kernel K, and not L): a measure object
+caches one realization, at the largest degree asked of it, and the
+positivity gate and every probe at or below that degree read its
+leading part.  The congruence
 Z = L^-1 H_P L^-T on the pivot indices P is done once per probe.  All
 three steps run on integer numerators over shared denominators: the form
 is summed and hermitised on its Gaussian-integer numerators into a
 ``Matrix``, ``ldl_psd`` eliminates fraction-free on the Gram's stored
-numerators, and the rows of U are integer rows over one denominator du_a
-each.  ``GnsRealization`` guarantees that the Gram, L and U are real,
+numerators, and the rows of U, read off L by ``nullspace``, are integer
+rows over one denominator du_a each.  ``GnsRealization`` guarantees that the Gram and U are real,
 so U reduces the real and imaginary parts of H apart.  Z is
 kept as a ``Pencil``, the upper triangle of integer numerators N with
 Z[a][c] = N[a][c] / (du_a den du_c), c >= a, formed per part A of H as
@@ -305,21 +306,21 @@ def boundedness_probe(
         raise NotHermitianError("probe element must be hermitian")
     top = degrees[-1]
     realization = build_gns(mf, top)
-    ldl = realization.ldl
+    pivots = realization.pivots
     form = form_numerators(func, x, mf, top)
-    z = _reduced_pencil(form, ldl.pivots, realization.rows)
-    ranks = tuple(bisect_right(ldl.pivots, n) for n in degrees)
+    z = _reduced_pencil(form, pivots, realization.rows)
+    ranks = tuple(bisect_right(pivots, n) for n in degrees)
     if ranks[0] == 0:
         raise SingularGramError("Gram matrix vanishes at this degree")
     # Z is hermitian, so its upper triangle holds every bit length
     cols, max_bits = z.reduced_bits()
-    lam = _block_lambdas(z, cols, ldl.diag, ranks)
+    lam = _block_lambdas(z, cols, realization.diag, ranks)
     return ProbeReport(
         degrees,
         tuple(lam),
         tolerance,
         plateau_verdict(lam, tolerance),
-        ldl.pivots,
+        pivots,
         ranks,
         max_bits,
     )

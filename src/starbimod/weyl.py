@@ -60,6 +60,9 @@ class WeylElement:
 
     @classmethod
     def monomial(cls, m: int, n: int, coeff=ONE) -> "WeylElement":
+        """coeff * q^m d^n, for m, n >= 0."""
+        if m < 0 or n < 0:
+            raise ValueError("negative power")
         c = Scalar.coerce(coeff)
         return _new([((m, n), c.re_num, c.im_num)], c.den)
 

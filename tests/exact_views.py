@@ -1,12 +1,11 @@
 """Scalar views of the integer data that the LDL, kernel and moment routines return.
 
-``ldl_psd`` keeps L's strictly lower entries as triples (re, im, den),
-``_inverse_rows`` returns each row of U = L^-1 as a real ``(re, den)``
-pair, ``nullspace`` each kernel vector as a ``Poly`` with a zero
-imaginary part, ``MomentFunctional.shifted_values`` returns
-``(re, im, den)`` sequences and
-the probe's ``_reduced_pencil`` returns a ``Pencil`` of integer numerators.
-The tests compare them with sympy and with each other through these
+``ldl_psd`` keeps the entries of L below its unit entries as triples
+(re, im, den), one row per index, ``nullspace`` returns each row of
+U = L^-1 as a real ``(re, den)`` pair and each kernel vector as a
+``Poly`` with a zero imaginary part, ``MomentFunctional.shifted_values``
+returns ``(re, im, den)`` sequences and the probe's ``_reduced_pencil``
+returns a ``Pencil`` of integer numerators.  The tests compare them with sympy and with each other through these
 views, built here with ``gauss_scalar`` and nothing else.
 """
 
@@ -16,12 +15,21 @@ from starbimod.algebra import Scalar, gauss_scalar
 
 
 def lower_scalars(ldl) -> tuple[tuple[Scalar, ...], ...]:
-    """The unit lower triangle L of an ``LdlResult``: 1 on the diagonal, 0 above."""
-    r = ldl.rank
+    """The n x r factor L of an ``LdlResult``, row by row: column k is 1 at
+    pivot p_k, 0 above it, and the stored entries below it."""
     return tuple(
-        tuple(gauss_scalar(*row[b]) if b < a else Scalar(int(a == b)) for b in range(r))
+        tuple(
+            gauss_scalar(*row[k]) if k < len(row) else Scalar(int(a == p))
+            for k, p in enumerate(ldl.pivots)
+        )
         for a, row in enumerate(ldl.lower)
     )
+
+
+def pivot_lower_scalars(ldl) -> tuple[tuple[Scalar, ...], ...]:
+    """The r x r unit lower triangle of L on the pivot rows, whose inverse is U."""
+    rows = lower_scalars(ldl)
+    return tuple(rows[p] for p in ldl.pivots)
 
 
 def pencil_scalars(z) -> list[list[Scalar]]:

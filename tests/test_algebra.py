@@ -367,6 +367,13 @@ class TestPolyStoreAgainstFractionPairs:
             assert _fraction_pairs(p) == _trimmed(expected)
             assert p.degree == (k if re or im else -1)
 
+    @pytest.mark.parametrize("coeff", [5, Scalar(0, 1), 0])
+    def test_monomial_refuses_a_negative_power(self, coeff):
+        # q^-2 is no polynomial; a zero coefficient does not excuse it
+        for k in (-1, -2, -10**30):
+            with pytest.raises(ValueError, match="negative power"):
+                Poly.monomial(k, coeff)
+
 
 class TestPolyPower:
     def test_convolutions_per_power(self, monkeypatch):

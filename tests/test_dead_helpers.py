@@ -95,8 +95,8 @@ def test_every_import_is_used():
 
 # each routine that reads only real data, with the one function that may use it
 ONE_CALLER = {
-    "_inverse_rows": ("gns.py", "build_gns"),
     "nullspace": ("gns.py", "build_gns"),
+    "_unscaled": ("gns.py", "build_gns"),
     "_reduced_pencil": ("probes.py", "boundedness_probe"),
 }
 

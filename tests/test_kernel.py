@@ -32,14 +32,20 @@ from starbimod.algebra import Poly, Scalar
 from starbimod.bimodule import BimodElement, Generator
 from starbimod.errors import DimensionMismatchError, MomentOutOfRangeError, NotPositiveError
 from starbimod import selftest
-from starbimod.exactla import Matrix, _inverse_rows, inverse, ldl_psd, nullspace, poly_at
+from starbimod.exactla import Matrix, inverse, ldl_psd, nullspace, poly_at
 from starbimod.forms import FormMatrix
 from starbimod.gns import Functional, build_gns, check_cauchy_schwarz, check_identity, hankel_gram
 from starbimod.moments import MomentFunctional
 from starbimod.probes import boundedness_probe
 from starbimod.sampling import atoms012, mu3, rand_d2_element, rand_poly
 
-from exact_views import assert_canonical_triple, lower_scalars, sequence_scalars, vector_scalars
+from exact_views import (
+    assert_canonical_triple,
+    lower_scalars,
+    pivot_lower_scalars,
+    sequence_scalars,
+    vector_scalars,
+)
 
 T = sympy.Symbol("t")
 
@@ -704,16 +710,19 @@ class TestLdl:
         ranks = [g.extract(list(range(k)), list(range(k))).rank() if k else 0 for k in range(n + 1)]
         assert list(res.pivots) == [k for k in range(n) if ranks[k + 1] > ranks[k]]
         assert r == ranks[n]
-        # L D L^H equals G on the pivot indices, exactly
+        # L D L^H equals G on the whole matrix, exactly, with the n x r L
         rows = lower_scalars(res)
-        lower = DomainMatrix([[_qq(c) for c in row] for row in rows], (r, r), QQ_I)
-        for a in range(r):
-            assert len(res.lower[a]) == a  # only the strictly lower part is stored
-            assert rows[a][a] == 1
-            assert all(rows[a][b] == 0 for b in range(a + 1, r))
+        lower = DomainMatrix([[_qq(c) for c in row] for row in rows], (n, r), QQ_I)
+        assert len(res.lower) == n
+        for a in range(n):
+            # one stored entry per pivot below a; column k is 1 at p_k and 0 above it
+            assert len(res.lower[a]) == sum(p < a for p in res.pivots)
+            for k, p in enumerate(res.pivots):
+                if p >= a:
+                    assert rows[a][k] == int(p == a)
         d = DomainMatrix.diag([QQ_I(sympy.Rational(v.numerator, v.denominator), 0) for v in res.diag], QQ_I, (r, r))
-        lh = DomainMatrix([[_conj(lower[b, a].element) for b in range(r)] for a in range(r)], (r, r), QQ_I)
-        assert (lower * d * lh).to_dense() == g.extract(list(res.pivots), list(res.pivots)).to_dense()
+        lh = DomainMatrix([[_conj(lower[b, a].element) for b in range(n)] for a in range(r)], (r, n), QQ_I)
+        assert (lower * d * lh).to_dense() == g.to_dense()
         assert all(v > 0 for v in res.diag)
         _assert_lowest_terms(Scalar(v) for v in res.diag)
         for row in res.lower:
@@ -773,9 +782,8 @@ class TestLdl:
 
 
 def kernel_of(gram: Matrix) -> list:
-    """``nullspace`` of gram against its own LDL and rows of L^-1."""
-    ldl = ldl_psd(gram)
-    return nullspace(gram, ldl, _inverse_rows(ldl.lower))
+    """The kernel basis that ``nullspace`` reads off gram's own LDL."""
+    return list(nullspace(ldl_psd(gram))[1])
 
 
 class TestNullspace:
@@ -812,14 +820,13 @@ class TestNullspace:
     def test_hankel_grams(self, mf):
         for n in range(15):
             realization = build_gns(mf, n)
-            ldl = realization.ldl
-            vectors = nullspace(realization.gram, ldl, _inverse_rows(ldl.lower))
+            vectors = kernel_of(realization.gram)
             self._check(realization.gram, vectors)
             assert realization.kernel == tuple(vectors)
             assert len(vectors) == max(0, n + 1 - len(mf.atoms))
 
     def test_rank_deficient_real(self):
-        # nullspace reads real Grams only: its one caller factors a Hankel Gram
+        # nullspace reads a real L only: its one caller factors a Hankel Gram
         middle_skips = 0
         for gram, rank_b, _ in _rank_deficient_grams(("real",), "real"):
             vectors = kernel_of(gram)
@@ -838,6 +845,45 @@ class TestNullspace:
             assert kernel_of(gram) == []
         zero = Matrix.zeros(2, 2)
         assert [vector_scalars(v, 2) for v in kernel_of(zero)] == [(1, 0), (0, 1)]
+
+    def test_rows_invert_the_pivot_block_of_l(self):
+        # the same recurrence yields U at the pivots: U L_P = I, against sympy
+        grams = [hankel_gram(mf, n) for mf in (mu3(), atoms012()) for n in (2, 5, 9)]
+        grams += [gram for gram, _, _ in _rank_deficient_grams(("real",), "real")]
+        for gram in grams:
+            ldl = ldl_psd(gram)
+            rows, kernel = nullspace(ldl)
+            r = ldl.rank
+            assert len(rows) == r and len(kernel) == gram.nrows - r
+            u = DomainMatrix(
+                [[_qq(Scalar(Fraction(v, den))) for v in re] + [QQ_I(0)] * (r - len(re)) for re, den in rows],
+                (r, r),
+                QQ_I,
+            )
+            lower = DomainMatrix([[_qq(c) for c in row] for row in pivot_lower_scalars(ldl)], (r, r), QQ_I)
+            assert (u * lower).to_dense() == DomainMatrix.eye(r, QQ_I).to_dense()
+            for a, (re, den) in enumerate(rows):
+                assert len(re) == a + 1 and re[a] == den and gcd(den, *re) == 1
+
+    def test_skipped_index_below_a_later_pivot(self):
+        # moments 1, 0, 0, 0, 1: G = diag(1, 0, 1) at N = 2, so index 1 is
+        # skipped and index 2 still pivots; the kernel is [q]
+        mf = MomentFunctional.from_moments([1, 0, 0, 0, 1])
+        top = build_gns(mf, 2)
+        assert top.pivots == (0, 2) and top.diag == (1, 1)
+        assert top.rows == (([1], 1), ([0, 1], 1))
+        assert top.kernel == (Poly.monomial(1),)
+        self._check(top.gram, top.kernel)
+        # the cached leading parts equal a new measure's realization, and sympy
+        for n, pivots, kernel in ((0, (0,), ()), (1, (0,), (Poly.monomial(1),))):
+            cached = build_gns(mf, n)
+            fresh = build_gns(MomentFunctional.from_moments([1, 0, 0, 0, 1]), n)
+            for got in (cached, fresh):
+                assert got.degree == n
+                assert got.pivots == pivots and got.diag == (1,)
+                assert got.rows == (([1], 1),)
+                assert got.kernel == kernel
+                self._check(got.gram, got.kernel)
 
 
 ROOT = Path(__file__).resolve().parents[1]

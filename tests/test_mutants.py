@@ -5,7 +5,9 @@ Each mutant is a (file, old text, new text) patch applied to a copy of the
 applied, so a mutant whose text no longer occurs in the source fails here
 instead of passing unnoticed, then runs the criteria the mutant names from
 ``selftest.ALL_CHECKS`` on the copy, in a subprocess, and asserts that
-each of them fails.
+each of them fails.  A mutant that no criterion kills yet is marked
+``xfail(strict=True)`` with the ROADMAP item that should kill it, so the
+mark fails once that item lands.
 """
 
 import json
@@ -31,6 +33,23 @@ MUTANTS = {
         "value = generator_power(n + 1)",
         (12,),
     ),
+    "kernel-vector-without-its-l-terms": ("exactla.py", "re[p] = v", "re[p] = 0", (11,)),
+    "unscaled-d-by-one-power-of-x": ("gns.py", "d / (s * s)", "d / s", (9,)),
+    "ldl-accepts-a-negative-pivot": ("exactla.py", "if pivot < 0:", "if False:", (11,)),
+    "build-gns-drops-its-last-kernel-vector": (
+        "gns.py",
+        "GnsRealization(mf, degree, pivots, diag, rows, kernel)",
+        "GnsRealization(mf, degree, pivots, diag, rows, kernel[:-1])",
+        (10, 11),
+    ),
+}
+
+# mutants that survive every criterion today, with the reason
+SURVIVORS = {
+    "build-gns-drops-its-last-kernel-vector": (
+        "both presentations in criterion 10 lose the same vector and criterion 11 "
+        "checks only the vectors kept; ROADMAP item 5 (the concrete intertwiner) should kill it"
+    ),
 }
 
 # runs the named criteria of the copy and prints, as JSON, where the
@@ -55,7 +74,15 @@ def mutated_copy(root: Path, file: str, old: str, new: str) -> Path:
     return root
 
 
-@pytest.mark.parametrize("name", MUTANTS)
+@pytest.mark.parametrize(
+    "name",
+    [
+        pytest.param(name, marks=pytest.mark.xfail(strict=True, reason=SURVIVORS[name]))
+        if name in SURVIVORS
+        else name
+        for name in MUTANTS
+    ],
+)
 def test_selftest_kills_mutant(name, tmp_path):
     file, old, new, criteria = MUTANTS[name]
     root = mutated_copy(tmp_path, file, old, new)

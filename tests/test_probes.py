@@ -25,7 +25,7 @@ from starbimod.errors import (
     NotPositiveError,
     SingularGramError,
 )
-from starbimod.exactla import Matrix, _inverse_rows, inverse, ldl_psd, nullspace
+from starbimod.exactla import Matrix, inverse, ldl_psd, nullspace
 from starbimod.gns import Functional, build_gns, check_intertwiner, hankel_gram
 from starbimod.moments import MomentFunctional
 from starbimod.probes import (
@@ -47,7 +47,7 @@ from starbimod.sampling import (
     rand_poly,
 )
 
-from exact_views import lower_scalars, pencil_scalars
+from exact_views import lower_scalars, pencil_scalars, pivot_lower_scalars
 
 D2 = BimodElement.d_squared()
 ROOT = Path(__file__).resolve().parents[1]
@@ -193,11 +193,11 @@ def reference_form(func, x, mf, degree):
 
 
 def reference_lambda(func, x, mf, degree):
-    """lambda_N from the degree-N realization alone, by dense exact inverses."""
-    ldl = build_gns(mf, degree).ldl
+    """lambda_N from the degree-N Gram's own LDL alone, by dense exact inverses."""
+    ldl = ldl_psd(hankel_gram(mf, degree))
     h = reference_form(func, x, mf, degree)
     piv = ldl.pivots
-    linv = inverse(Matrix(lower_scalars(ldl)))
+    linv = inverse(Matrix(pivot_lower_scalars(ldl)))
     z = linv @ Matrix([[h[a][b] for b in piv] for a in piv]) @ linv.adjoint()
     scale = np.array([1.0 / np.sqrt(float(d)) for d in ldl.diag])
     mat = np.array([[complex(v) for v in row] for row in z.rows], dtype=complex)
@@ -337,7 +337,7 @@ class TestFormIsTheHermitianPart:
 
 def fresh_pencil(form, ldl):
     """The reduced pencil against ``ldl`` and its own rows of L^-1, no cache involved."""
-    return _reduced_pencil(form, ldl.pivots, _inverse_rows(ldl.lower))
+    return _reduced_pencil(form, ldl.pivots, nullspace(ldl)[0])
 
 
 def _dm(rows) -> DomainMatrix:
@@ -394,7 +394,7 @@ class TestPencilCongruence:
         z = pencil_scalars(fresh_pencil(form_numerators(func, x, mf, top), ldl))
         h = reference_form(func, x, mf, top)
         piv = ldl.pivots
-        lower = _dm(lower_scalars(ldl))
+        lower = _dm(pivot_lower_scalars(ldl))
         expected = _dm([[h[a][b] for b in piv] for a in piv])
         assert (lower * _dm(z) * _adjoint(lower)).to_dense() == expected.to_dense()
         # max_bits reads the reduced entries of the same Z, here from sympy
@@ -435,7 +435,7 @@ class TestPencilCongruence:
             complex_forms += pencil.im is not None
             z = pencil_scalars(pencil)
             piv = ldl.pivots
-            lower = _dm(lower_scalars(ldl))
+            lower = _dm(pivot_lower_scalars(ldl))
             expected = _dm([[h[a, c] for c in piv] for a in piv])
             assert (lower * _dm(z) * _adjoint(lower)).to_dense() == expected.to_dense()
         assert complex_forms
@@ -464,8 +464,9 @@ class TestNestedFactor:
             r = sum(p < n for p in full.pivots)
             assert block.pivots == full.pivots[:r]
             assert block.diag == full.diag[:r]
-            assert lower_scalars(block) == tuple(row[:r] for row in lower_scalars(full)[:r])
-            assert block.lower == full.lower[:r]
+            # every row of L below n, skipped or pivot, nests with its entries
+            assert lower_scalars(block) == tuple(row[:r] for row in lower_scalars(full)[:n])
+            assert block.lower == full.lower[:n]
 
 
 def cluster() -> MomentFunctional:
@@ -531,12 +532,17 @@ def count_eliminations(monkeypatch) -> list:
     return calls
 
 
+def factor_fields(realization) -> tuple:
+    """The factor a realization holds: pivots, D, rows of L^-1 and kernel."""
+    return realization.pivots, realization.diag, realization.rows, realization.kernel
+
+
 def assert_fresh_factor(factor, name, degree):
     """``factor`` is the degree-N factor of a new measure: its LDL and rows of L^-1."""
     ldl = ldl_psd(hankel_gram(CACHE_MEASURES[name](), degree))
     assert factor.degree == degree
-    assert factor.ldl == ldl
-    assert factor.rows[: ldl.rank] == tuple(_inverse_rows(ldl.lower))
+    assert (factor.pivots, factor.diag) == (ldl.pivots, ldl.diag)
+    assert factor.rows[: ldl.rank] == nullspace(ldl)[0]
 
 
 class TestGramFactorCache:
@@ -567,9 +573,8 @@ class TestGramFactorCache:
         for n in (0, 2, 5, 12):
             realization = build_gns(mf, n)
             fresh = build_gns(CACHE_MEASURES[name](), n)
-            assert realization.ldl == fresh.ldl
+            assert factor_fields(realization) == factor_fields(fresh)
             assert realization.gram == fresh.gram
-            assert realization.kernel == fresh.kernel
 
     @pytest.mark.parametrize("name", sorted(CACHE_MEASURES))
     def test_probe_reports_do_not_depend_on_the_cache(self, name):
@@ -610,8 +615,8 @@ class TestGramFactorCache:
         with pytest.raises(error) as fresh:
             build_gns(MomentFunctional.from_moments(values), 5)
         message = str(fresh.value)
-        fresh_ldls = [
-            ldl_psd(hankel_gram(MomentFunctional.from_moments(values), n)) for n in range(5)
+        fresh_factors = [
+            factor_fields(build_gns(MomentFunctional.from_moments(values), n)) for n in range(5)
         ]
         mf = MomentFunctional.from_moments(values)
         build_gns(mf, 4)
@@ -627,7 +632,7 @@ class TestGramFactorCache:
                 assert str(got.value) == message
             # degrees <= 4 are still served from the cache, with no elimination
             before = len(calls)
-            assert [build_gns(mf, n).ldl for n in range(5)] == fresh_ldls
+            assert [factor_fields(build_gns(mf, n)) for n in range(5)] == fresh_factors
             generator_probe(mf, range(1, 4))
             assert len(calls) == before
 
@@ -658,21 +663,21 @@ class TestGramFactorCache:
     def test_every_read_holds_all_its_rows(self, name, monkeypatch):
         mf = CACHE_MEASURES[name]()
         calls = []
-        original = gns._inverse_rows
+        original = gns.nullspace
 
-        def counted(lower):
-            calls.append(lower)
-            return original(lower)
+        def counted(ldl):
+            calls.append(ldl)
+            return original(ldl)
 
-        monkeypatch.setattr(gns, "_inverse_rows", counted)
+        monkeypatch.setattr(gns, "nullspace", counted)
         for top in (6, 12):
             factor = build_gns(mf, top)
-            assert isinstance(factor.rows, tuple) and len(factor.rows) == factor.ldl.rank
+            assert isinstance(factor.rows, tuple) and len(factor.rows) == factor.rank
             assert len(calls) == 1
             calls.clear()
             for n in (*range(top + 1), 3):
                 factor = build_gns(mf, n)
-                assert isinstance(factor.rows, tuple) and len(factor.rows) == factor.ldl.rank
+                assert isinstance(factor.rows, tuple) and len(factor.rows) == factor.rank
             build_gns(mf, top)
             assert calls == []
 
@@ -685,9 +690,7 @@ class TestGramFactorCache:
             realization = build_gns(mf, n)
             fresh = build_gns(make(), n)
             assert realization.degree == n
-            assert realization.ldl == fresh.ldl
-            assert realization.rows == fresh.rows
-            assert realization.kernel == fresh.kernel
+            assert factor_fields(realization) == factor_fields(fresh)
             assert realization.gram == fresh.gram
 
     @pytest.mark.parametrize("name", sorted(CACHE_MEASURES))
@@ -697,7 +700,6 @@ class TestGramFactorCache:
         for module, attr in (
             (gns, "hankel_gram"),
             (exactla, "hermitian_ldl"),
-            (gns, "_inverse_rows"),
             (gns, "nullspace"),
         ):
 
@@ -708,7 +710,7 @@ class TestGramFactorCache:
             monkeypatch.setattr(module, attr, counted)
         top = build_gns(mf, 12)
         # every measure is factored at its moments' natural scale, with no Gram read
-        assert counts == {"hermitian_ldl": 1, "_inverse_rows": 1, "nullspace": 1}
+        assert counts == {"hermitian_ldl": 1, "nullspace": 1}
         counts.clear()
         for n in range(13):
             build_gns(mf, n)
@@ -763,10 +765,7 @@ class TestScaledRealization:
             realization = build_gns(make(), n)
             gram = hankel_gram(make(), n)
             ldl = ldl_psd(gram)
-            rows = tuple(_inverse_rows(ldl.lower))
-            assert realization.ldl == ldl, n
-            assert realization.rows == rows, n
-            assert realization.kernel == tuple(nullspace(gram, ldl, rows)), n
+            assert factor_fields(realization) == (ldl.pivots, ldl.diag, *nullspace(ldl)), n
             assert realization.gram == gram, n
 
     @pytest.mark.parametrize("case", list(KERNEL_CASES))
@@ -775,7 +774,7 @@ class TestScaledRealization:
         # unit lower triangular, so its own index holds den
         make, top = KERNEL_CASES[case]
         realization = build_gns(make(), top)
-        assert not any(im for row in realization.ldl.lower for _, im, _ in row)
+        assert not any(im for row in ldl_psd(hankel_gram(make(), top)).lower for _, im, _ in row)
         for a, (re, den) in enumerate(realization.rows):
             assert all(type(v) is int for v in (*re, den))
             assert den > 0 and gcd(den, *re) == 1
@@ -903,7 +902,7 @@ def legendre_rows(top: int) -> list[list[Fraction]]:
 
 
 def row_fractions(rows) -> list[list[Fraction]]:
-    """Rows of U = L^-1 as ``_inverse_rows`` gives them, ``(re, den)``, as Fractions."""
+    """Rows of U = L^-1 as ``nullspace`` gives them, ``(re, den)``, as Fractions."""
     return [[Fraction(v, den) for v in re] for re, den in rows]
 
 
@@ -937,7 +936,7 @@ class TestClassicalFactors:
         ldl = ldl_psd(hankel_gram(file_measure("lebesgue01-64.json"), self.TOP))
         assert ldl.pivots == tuple(range(self.TOP + 1))
         assert ldl.diag == tuple(pivot(k) for k in range(self.TOP + 1))
-        assert row_fractions(_inverse_rows(ldl.lower)) == rows(self.TOP)
+        assert row_fractions(nullspace(ldl)[0]) == rows(self.TOP)
 
     @pytest.mark.parametrize("name", sorted(CLASSICAL))
     def test_cached_reads_below_the_top(self, name, monkeypatch):
@@ -947,8 +946,8 @@ class TestClassicalFactors:
         calls = count_eliminations(monkeypatch)
         for n in (10, 20, self.TOP):
             factor = build_gns(mf, n)
-            assert factor.ldl.pivots == tuple(range(n + 1))
-            assert factor.ldl.diag == tuple(pivot(k) for k in range(n + 1))
+            assert factor.pivots == tuple(range(n + 1))
+            assert factor.diag == tuple(pivot(k) for k in range(n + 1))
             assert row_fractions(factor.rows[: n + 1]) == rows(n)
         assert calls == []
 
@@ -977,7 +976,7 @@ class TestHermiteOracle:
         assert ldl.pivots == tuple(range(self.TOP + 1))
         assert ldl.diag == tuple(factorial(k) for k in range(self.TOP + 1))
         he = hermite_rows(self.TOP)
-        assert _inverse_rows(ldl.lower) == [(h, 1) for h in he]
+        assert nullspace(ldl) == (tuple((h, 1) for h in he), ())
 
     def test_integer_pencil_is_the_derivative(self):
         mf = self.GAUSS64

@@ -453,6 +453,18 @@ class TestMonomialsAndGeneratorPowers:
             expected = {(m, n): (Fraction(re), Fraction(im))} if re or im else {}
             assert {mn: (c.re, c.im) for mn, c in u.terms.items()} == expected
 
+    @pytest.mark.parametrize("m, n", [(-1, 0), (0, -1), (-3, 2), (2, -3), (-1, -1)])
+    @pytest.mark.parametrize("coeff", [1, Scalar(0, -2), 0])
+    def test_monomial_refuses_a_negative_power(self, m, n, coeff):
+        with pytest.raises(ValueError, match="negative power"):
+            WeylElement.monomial(m, n, coeff)
+
+    @pytest.mark.parametrize("k", [-1, -3])
+    def test_generator_powers_refuse_a_negative_power(self, k):
+        for make in (WeylElement.q_power, WeylElement.d_power):
+            with pytest.raises(ValueError, match="negative power"):
+                make(k)
+
     @pytest.mark.parametrize("symbol, generator", [("q", QW), ("d", D)])
     def test_parsed_generator_powers(self, symbol, generator):
         for n in range(65):
