@@ -13,13 +13,16 @@ forms.
 
 Every Poly operation runs on the numerators and normalises its result
 once: sums and differences over the lcm of the two denominators, scalar
-products, the conjugate (negate ``im``), derivatives, Horner evaluation
-at a rational or Gaussian point, and ``sum_of_products``, which brings
-the left and the right factors each to a common denominator by integer
-rescaling and accumulates, in plain ints, sum_j u_j * v_j^(r) for each
-derivative order r it is asked for: the d^2 coefficient triple is its
-orders 0, 1, 2, and a functional F_t reads order t alone.
-``Poly.__mul__`` convolves its one pair directly, over the product of the
+products, derivatives, Horner evaluation at a rational or Gaussian
+point, and ``sum_of_products``, which brings the left and the right
+factors each to a common denominator by integer rescaling and
+accumulates, in plain ints, sum_j u_j * v_j^(r) for each derivative
+order r it is asked for: the d^2 coefficient triple is its orders 0, 1,
+2, and a functional F_t reads order t alone.  The conjugate negates
+``im``, which keeps the canonical form, so it takes no gcd.
+``Poly.__mul__`` and ``__eq__`` test for a Poly operand before the
+scalar types (``Fraction`` is an ABC, so that test is the dear one);
+the product convolves its one pair directly, over the product of the
 two canonical denominators, and a zero or a unit factor costs it no
 product.
 
@@ -432,6 +435,19 @@ class Poly:
         )
 
     def __mul__(self, other):
+        # a Poly operand first: the ABC check for Fraction costs more than the product's set-up
+        if isinstance(other, Poly):
+            # a zero or a unit factor costs no product
+            if not self.re or other.is_one():
+                return self
+            if not other.re or self.is_one():
+                return other
+            # both factors are canonical, so the product is over den * den as it is
+            size = len(self.re) + len(other.re) - 1
+            acc_re = [0] * size
+            acc_im = [0] * size
+            _convolve_into(acc_re, acc_im, self.re, self.im, other.re, other.im)
+            return Poly.from_numerators(acc_re, acc_im, self.den * other.den)
         if isinstance(other, (int, Fraction, Scalar)):
             c = Scalar.coerce(other)
             cr, ci, cd = c.re_num, c.im_num, c.den
@@ -440,19 +456,7 @@ class Poly:
                 [a * ci + b * cr for a, b in zip(self.re, self.im)],
                 self.den * cd,
             )
-        if not isinstance(other, Poly):
-            return NotImplemented
-        # a zero or a unit factor costs no product
-        if not self.re or other.is_one():
-            return self
-        if not other.re or self.is_one():
-            return other
-        # both factors are canonical, so the product is over den * den as it is
-        size = len(self.re) + len(other.re) - 1
-        acc_re = [0] * size
-        acc_im = [0] * size
-        _convolve_into(acc_re, acc_im, self.re, self.im, other.re, other.im)
-        return Poly.from_numerators(acc_re, acc_im, self.den * other.den)
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -460,8 +464,16 @@ class Poly:
         return power(self, n, P_ONE)
 
     def conjugate(self) -> "Poly":
-        """The involution of C[q]: conjugate coefficients, q fixed."""
-        return Poly.from_numerators(self.re, [-c for c in self.im], self.den)
+        """The involution of C[q]: conjugate coefficients, q fixed.
+
+        Negating ``im`` keeps den, the content gcd and the length, so the
+        result is canonical as it stands and takes no gcd.
+        """
+        p = object.__new__(Poly)
+        _set_pre(p, self.re)
+        _set_pim(p, tuple([-c for c in self.im]))
+        _set_pden(p, self.den)
+        return p
 
     def derivative(self, order: int = 1) -> "Poly":
         if order < 0:
@@ -495,10 +507,10 @@ class Poly:
         return gauss_scalar(acc_re, acc_im, self.den * scale)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, Scalar)):
-            other = Poly.constant(other)
         if not isinstance(other, Poly):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction, Scalar)):
+                return NotImplemented
+            other = Poly.constant(other)
         return self.den == other.den and self.re == other.re and self.im == other.im
 
     def __hash__(self):

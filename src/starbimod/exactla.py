@@ -218,16 +218,22 @@ def _store(m: Matrix, re, im, den: int, ncols: int) -> None:
         re = [[x // g for x in row] for row in re]
         im = [[x // g for x in row] for row in im]
         den //= g
-    # tuples are built from lists, as in algebra._store
-    _set(m, tuple([tuple(row) for row in re]), tuple([tuple(row) for row in im]), den, ncols)
+    _set(m, tuple(map(tuple, re)), tuple(map(tuple, im)), den, ncols)
 
 
 def _set(m: Matrix, re, im, den: int, ncols: int) -> None:
     """Set m's fields to data already in canonical form."""
-    object.__setattr__(m, "re", re)
-    object.__setattr__(m, "im", im)
-    object.__setattr__(m, "den", den)
-    object.__setattr__(m, "ncols", ncols)
+    _set_re(m, re)
+    _set_im(m, im)
+    _set_den(m, den)
+    _set_ncols(m, ncols)
+
+
+# Matrix's slot setters, past the immutable __setattr__
+_set_re = Matrix.re.__set__
+_set_im = Matrix.im.__set__
+_set_den = Matrix.den.__set__
+_set_ncols = Matrix.ncols.__set__
 
 
 def poly_at(p: Poly, m: Matrix) -> Matrix:

@@ -40,6 +40,8 @@ class WeylElement:
 
     def __init__(self, terms=()):
         items = list(terms.items() if isinstance(terms, dict) else terms)
+        if any(m < 0 or n < 0 for (m, n), _ in items):
+            raise ValueError("negative power")
         [(re, im)], den = gauss_numerators([[Scalar.coerce(c) for _, c in items]])
         _store(self, (((m, n), a, b) for ((m, n), _), a, b in zip(items, re, im)), den)
 
@@ -81,7 +83,9 @@ class WeylElement:
 
     @classmethod
     def from_profile(cls, profile: dict[int, Poly]) -> "WeylElement":
-        """The element sum_n h_n(q) d^n of {n: h_n}; the inverse of ``d_profile``."""
+        """The element sum_n h_n(q) d^n of {n: h_n}, n >= 0; the inverse of ``d_profile``."""
+        if any(n < 0 for n in profile):
+            raise ValueError("negative power")
         den = lcm(*(h.den for h in profile.values()))
         triples = [
             ((m, n), den // h.den * a, den // h.den * b)

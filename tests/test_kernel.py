@@ -770,6 +770,13 @@ class TestLdl:
             ([[Fraction(1, 3), 1], [1, Fraction(1, 5)]], "negative pivot -14/5"),
             ([[0, 1], [1, 0]], "zero pivot with a nonzero residual row"),
             ([[1, 1, 0], [1, 1, 1], [0, 1, 1]], "zero pivot with a nonzero residual row"),
+            # eigenvalues +-1; the residual row of the zero pivot is imaginary only
+            ([[0, Scalar(0, 1)], [Scalar(0, -1), 0]], "zero pivot with a nonzero residual row"),
+            # its one nonzero residual entry is imaginary and right after the zero pivot
+            (
+                [[0, Scalar(0, 1), 0], [Scalar(0, -1), 1, 0], [0, 0, 1]],
+                "zero pivot with a nonzero residual row",
+            ),
         ],
     )
     def test_not_positive(self, rows, message):

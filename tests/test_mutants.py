@@ -42,6 +42,18 @@ MUTANTS = {
         "GnsRealization(mf, degree, pivots, diag, rows, kernel[:-1])",
         (10, 11),
     ),
+    "ldl-reads-the-residual-row-from-two-past-the-pivot": (
+        "exactla.py",
+        "any(pi[p + 1 :])",
+        "any(pi[p + 2 :])",
+        (11,),
+    ),
+    "atom-pairing-without-the-conjugate": (
+        "moments.py",
+        "re += (a * c + b * d) * w\n            im += (b * c - a * d) * w",
+        "re += (a * c - b * d) * w\n            im += (b * c + a * d) * w",
+        (2,),
+    ),
 }
 
 # mutants that survive every criterion today, with the reason
@@ -49,6 +61,11 @@ SURVIVORS = {
     "build-gns-drops-its-last-kernel-vector": (
         "both presentations in criterion 10 lose the same vector and criterion 11 "
         "checks only the vectors kept; ROADMAP item 5 (the concrete intertwiner) should kill it"
+    ),
+    "ldl-reads-the-residual-row-from-two-past-the-pivot": (
+        "no criterion factors a matrix whose zero pivot has a residual entry only right after "
+        "it; tier-1's refusals of [[0, i], [-i, 0]] kill it, and ROADMAP item 19 asks the "
+        "selftest to"
     ),
 }
 

@@ -459,6 +459,21 @@ class TestMonomialsAndGeneratorPowers:
         with pytest.raises(ValueError, match="negative power"):
             WeylElement.monomial(m, n, coeff)
 
+    @pytest.mark.parametrize("m, n", [(-1, 0), (0, -1), (-3, 2), (2, -3), (-1, -1)])
+    @pytest.mark.parametrize("coeff", [1, Scalar(0, -2), 0])
+    def test_constructor_refuses_a_negative_power(self, m, n, coeff):
+        # q^-1 would print as "q^-1" and apply(q^2) would read q
+        with pytest.raises(ValueError, match="negative power"):
+            WeylElement({(m, n): coeff})
+        with pytest.raises(ValueError, match="negative power"):
+            WeylElement([((0, 0), 1), ((m, n), coeff)])
+
+    @pytest.mark.parametrize("n", [-1, -2])
+    def test_from_profile_refuses_a_negative_power(self, n):
+        for h in (Q, Poly(), Poly([1, Scalar(0, 1)])):
+            with pytest.raises(ValueError, match="negative power"):
+                WeylElement.from_profile({0: Q, n: h})
+
     @pytest.mark.parametrize("k", [-1, -3])
     def test_generator_powers_refuse_a_negative_power(self, k):
         for make in (WeylElement.q_power, WeylElement.d_power):
