@@ -42,7 +42,6 @@ import re
 from fractions import Fraction
 from itertools import count
 from math import gcd, lcm, perm
-from operator import mul
 
 from .errors import ParseError
 
@@ -625,17 +624,6 @@ def gauss_numerators(seqs):
         for seq in seqs
     ]
     return nums, den
-
-
-def gauss_dot(ar, ai, br, bi) -> tuple[int, int]:
-    """(re, im) of sum_k a_k b_k for Gaussian integers a = ar + ai*i, b = br + bi*i.
-
-    The sum runs over the shorter of the two sequences.
-    """
-    return (
-        sum(map(mul, ar, br)) - sum(map(mul, ai, bi)),
-        sum(map(mul, ar, bi)) + sum(map(mul, ai, br)),
-    )
 
 
 def sum_of_products(pairs, orders=(0,)) -> tuple[Poly, ...]:

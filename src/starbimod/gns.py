@@ -92,7 +92,8 @@ class GnsRealization:
     ``kernel`` are what ``nullspace`` reads off that factor: the rows of
     U = L^-1, one ``(re, den)`` pair of an integer row over its
     denominator per pivot, and one kernel polynomial per skipped index.
-    Both are real: ``build_gns`` admits only real moments.
+    Both are real, as the moments are: ``MomentFunctional`` refuses a
+    non-real one at construction.
     """
 
     functional: MomentFunctional
@@ -118,16 +119,9 @@ def hankel_gram(mf: MomentFunctional, degree: int) -> Matrix:
     The Hankel matrix of the moments' numerators over den * x^(2N),
     reduced once.
     """
-    re, _, den = _over_top(*_real_moments(mf, degree), 2 * degree)
-    return Matrix.hankel(re, den, degree + 1)
-
-
-def _real_moments(mf: MomentFunctional, degree: int):
-    """``mf.numerators(2 * degree)``, refused unless the moments read are real."""
-    nums = mf.numerators(2 * degree)
-    if any(nums[1][: 2 * degree + 1]):
-        raise NotPositiveError("moments of a positive functional must be real")
-    return nums
+    nums, den, x = mf.numerators(2 * degree)
+    m, den = _over_top(den, x, 2 * degree, nums)
+    return Matrix.hankel(m, den, degree + 1)
 
 
 def build_gns(mf: MomentFunctional, degree: int) -> GnsRealization:
@@ -142,7 +136,7 @@ def build_gns(mf: MomentFunctional, degree: int) -> GnsRealization:
     """
     top = mf._gns
     if top is None or degree > top.degree:
-        sums, _, den, x = _real_moments(mf, degree)
+        sums, den, x = mf.numerators(2 * degree)
         # S G S = Hankel(sums) / den for S = diag(x^0..x^N); at x = 1 that is G
         ldl = ldl_psd(Matrix.hankel(sums, den, degree + 1))
         pivots, diag = ldl.pivots, ldl.diag

@@ -2,24 +2,27 @@
 
 An atomic source is a finite list of (point, weight) pairs with
 nonnegative rational weights, and every moment of it is computable.  A
-moment-list source stores f(q^k) directly up to a truncation; whether it
-really is a positive functional is checked later, by the exact Gram
+moment-list source stores f(q^k) directly up to a truncation.  q is
+hermitian, so every moment of a positive functional is real, and a list
+with a non-real value is refused at construction; whether the rest really
+is a positive functional is checked later, by the exact Gram
 factorisation in the GNS layer.
 
-Moments come in one format, from ``numerators``: Gaussian-integer
-numerators ``(re, im)``, a denominator ``den`` and a scale ``x``, with
-m_k = (re[k] + im[k]*i) / (den * x^k).  A moment list converts its values
-once, at construction, to a table in the canonical form of a ``Poly``
-(gcd of the denominator and all numerators 1), with x = 1.  An atomic
+Moments come in one format, from ``numerators``: integer numerators
+``nums``, a denominator ``den`` and a scale ``x``, with
+m_k = nums[k] / (den * x^k).  A moment list converts its values once, at
+construction, to a table in lowest terms (gcd of the denominator and all
+numerators 1), with x = 1.  An atomic
 measure keeps its integer power sums N_k = sum_i ws_i xs_i^k over den = W,
 with x = X (W and X the lcms of the weight and point denominators), on
 demand up to the highest index read so far; the cache only grows, a
 growth continues from the sums it has, and an entry never changes with
 its reach.  ``apply`` and ``shifted_values``
 bring the moments they read to one denominator, den * x^top (``_over_top``,
-which at x = 1 has nothing to do), and take integer dot products of a
-polynomial's numerators with them (``apply`` reduces its value to a
-``Scalar`` once, ``shifted_values`` keeps the numerators).  The GNS layer
+which at x = 1 has nothing to do), and take one integer dot product of
+them with a polynomial's real numerators and one with its imaginary
+numerators (``apply`` reduces its value to a ``Scalar`` once,
+``shifted_values`` keeps the numerators).  The GNS layer
 factors the Hankel matrix of the N_k themselves.
 
 An atomic measure is its own GNS realization: C^n, one coordinate per
@@ -36,24 +39,24 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 from .algebra import (
     Poly,
     Scalar,
     format_scalar,
-    gauss_dot,
     gauss_numerators,
     gauss_scalar,
     parse_real,
     parse_scalar,
 )
-from .errors import MomentOutOfRangeError
+from .errors import MomentOutOfRangeError, NotPositiveError
 
 
 class MomentFunctional:
     """f(p) = integral of p against a measure, exactly."""
 
-    # _nums is ``numerators``' (re, im, den, x); an atomic measure's power
+    # _nums is ``numerators``' (nums, den, x); an atomic measure's power
     # sums are a cache that grows, and is not part of ==, hash or repr.
     # _atom_nums is (xs, X, ws, W) of an atomic measure, else None.
     # _gns is the ``gns.GnsRealization`` at the largest degree realized so
@@ -77,7 +80,7 @@ class MomentFunctional:
             object.__setattr__(self, "atoms", tuple(pts))
             x_den = lcm(*(x.denominator for x, _ in pts))
             w_den = lcm(*(w.denominator for _, w in pts))
-            object.__setattr__(self, "_nums", ((), (), w_den, x_den))
+            object.__setattr__(self, "_nums", ((), w_den, x_den))
             nums = (
                 tuple([x.numerator * (x_den // x.denominator) for x, _ in pts]),
                 x_den,
@@ -87,8 +90,10 @@ class MomentFunctional:
             object.__setattr__(self, "_atom_nums", nums)
         else:
             [(re, im)], den = gauss_numerators([[Scalar.coerce(v) for v in values]])
+            if any(im):
+                raise NotPositiveError("moments of a positive functional must be real")
             object.__setattr__(self, "atoms", None)
-            object.__setattr__(self, "_nums", (tuple(re), tuple(im), den, 1))
+            object.__setattr__(self, "_nums", (tuple(re), den, 1))
             object.__setattr__(self, "_atom_nums", None)
         object.__setattr__(self, "_gns", None)
 
@@ -132,13 +137,13 @@ class MomentFunctional:
         """The stored moments of a moment list as Scalars; None when atomic."""
         if self.atoms is not None:
             return None
-        re, im, den, _ = self._nums
-        return tuple([gauss_scalar(a, b, den) for a, b in zip(re, im)])
+        nums, den, _ = self._nums
+        return tuple([gauss_scalar(a, 0, den) for a in nums])
 
     def numerators(self, top: int, low: int = 0, reads: Poly | None = None):
-        """The moments to index ``top`` at their natural scale, ``(re, im, den, x)``.
+        """The moments to index ``top`` at their natural scale, ``(nums, den, x)``.
 
-        m_k = (re[k] + im[k]*i) / (den * x^k).  A moment list gives its
+        m_k = nums[k] / (den * x^k), all real.  A moment list gives its
         table, with x = 1; one that stops short raises at the first index it
         lacks among those the caller reads: every index from ``low`` up, or
         with ``reads`` the indices of that polynomial's nonzero
@@ -146,26 +151,25 @@ class MomentFunctional:
         sum ws_i xs_i^k over den = W, with x = X, and grows its cache to
         ``top``; an entry never changes with the cache's reach.
         """
-        nums = self._nums
-        re, im, den, x = nums
-        if top < len(re):
-            return nums
+        cached = self._nums
+        nums, den, x = cached
+        if top < len(nums):
+            return cached
         if self.atoms is None:
-            k = max(low, len(re))
+            k = max(low, len(nums))
             while reads is not None and not (reads.re[k] or reads.im[k]):
                 k += 1
             raise MomentOutOfRangeError(
-                f"moment {k} beyond stored truncation {len(re) - 1}"
+                f"moment {k} beyond stored truncation {len(nums) - 1}"
             )
-        # the sums from len(re) on continue the cached ones, and the cache is
-        # replaced whole when it reaches further; the caller reads the one
+        # the sums from len(nums) on continue the cached ones, and the cache
+        # is replaced whole when it reaches further; the caller reads the one
         # made here, whatever another thread stores
-        # atoms and weights are real, so only the real sums are formed
-        more = self._power_sums([a ** len(re) for a in self._atom_nums[0]], top + 1 - len(re))
-        nums = (re + tuple(more), im + (0,) * len(more), den, x)
+        more = self._power_sums([a ** len(nums) for a in self._atom_nums[0]], top + 1 - len(nums))
+        grown = (nums + tuple(more), den, x)
         if top >= len(self._nums[0]):
-            object.__setattr__(self, "_nums", nums)
-        return nums
+            object.__setattr__(self, "_nums", grown)
+        return grown
 
     def _atoms(self):
         """``(xs, X, ws, W)``: atom i at xs[i] / X with weight ws[i] / W (X, W the lcms)."""
@@ -180,7 +184,7 @@ class MomentFunctional:
         sum_k c_k xs_i^k X^(n-k) over p.den * X^n.
         """
         xs, x_den, _, _ = self._atoms()
-        cr, ci, den = _over_top(p.re, p.im, p.den, x_den, p.degree)
+        cr, ci, den = _over_top(p.den, x_den, p.degree, p.re, p.im)
         scaled = list(zip(reversed(cr), reversed(ci)))  # c_k X^(n-k), highest power first
         re, im = [], []
         for x in xs:
@@ -222,7 +226,7 @@ class MomentFunctional:
         re, im, den = u
         _, x_den, _, w_den = self._atoms()
         sums = self._power_sums(re, count), self._power_sums(im, count)
-        return _over_top(*sums, den * w_den, x_den, count - 1)
+        return _over_top(den * w_den, x_den, count - 1, *sums)
 
     def _power_sums(self, vals, count: int):
         """[sum_i ws_i vals_i xs_i^k for k < count] for integers vals_i, the k-th over X^k."""
@@ -237,13 +241,14 @@ class MomentFunctional:
     def moment(self, k: int) -> Scalar:
         if k < 0:
             raise MomentOutOfRangeError(f"negative moment index {k}")
-        re, im, den, x = self.numerators(k, low=k)
-        return gauss_scalar(re[k], im[k], den * x**k)
+        nums, den, x = self.numerators(k, low=k)
+        return gauss_scalar(nums[k], 0, den * x**k)
 
     def apply(self, p: Poly) -> Scalar:
-        """f(p) by linearity in the moments: one integer dot product."""
-        mr, mi, den = _over_top(*self.numerators(p.degree, reads=p), p.degree)
-        return gauss_scalar(*gauss_dot(p.re, p.im, mr, mi), p.den * den)
+        """f(p) by linearity in the real moments: one integer dot product per part of p."""
+        nums, den, x = self.numerators(p.degree, reads=p)
+        m, den = _over_top(den, x, p.degree, nums)
+        return gauss_scalar(sum(map(mul, p.re, m)), sum(map(mul, p.im, m)), p.den * den)
 
     def shifted_values(self, p: Poly, count: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
         """[f(q^s p) for s < count] as ``(re, im, den)``, over one denominator.
@@ -257,9 +262,12 @@ class MomentFunctional:
             return (0,) * max(count, 0), (0,) * max(count, 0), 1
         low = next(k for k, (a, b) in enumerate(zip(p.re, p.im)) if a or b)
         top = count - 1 + p.degree
-        mr, mi, den = _over_top(*self.numerators(top, low=low), top)
+        nums, den, x = self.numerators(top, low=low)
+        m, den = _over_top(den, x, top, nums)
         n = len(p.re)
-        re, im = zip(*[gauss_dot(p.re, p.im, mr[s : s + n], mi[s : s + n]) for s in range(count)])
+        windows = [m[s : s + n] for s in range(count)]
+        re = tuple([sum(map(mul, p.re, w)) for w in windows])
+        im = tuple([sum(map(mul, p.im, w)) for w in windows])
         return re, im, p.den * den
 
     def pairing(self, u: Poly, v: Poly) -> Scalar:
@@ -267,8 +275,9 @@ class MomentFunctional:
         return self.apply(v.conjugate() * u)
 
     def moments_up_to(self, degree: int) -> tuple[Scalar, ...]:
-        re, im, den = _over_top(*self.numerators(degree), degree)
-        return tuple([gauss_scalar(re[k], im[k], den) for k in range(degree + 1)])
+        nums, den, x = self.numerators(degree)
+        m, den = _over_top(den, x, degree, nums)
+        return tuple([gauss_scalar(a, 0, den) for a in m[: degree + 1]])
 
     def __eq__(self, other):
         if not isinstance(other, MomentFunctional):
@@ -299,7 +308,8 @@ class MomentFunctional:
         ``{"type": "moments", "values": [..]}``.
 
         Every number is a string in the scalar literal grammar, and atoms
-        are real.  Any other shape raises ValueError.
+        are real.  A non-real moment raises NotPositiveError, as in the
+        constructor; any other shape raises ValueError.
         """
         kind = data.get("type") if isinstance(data, dict) else None
         if kind == "atomic":
@@ -318,18 +328,17 @@ class MomentFunctional:
         raise ValueError(f'a measure has "type" "atomic" or "moments", got {got}')
 
 
-def _over_top(re, im, den: int, x: int, top: int):
-    """Entries k <= top, the k-th over den * x^k, all brought to den * x^top: ``(re, im, den)``.
+def _over_top(den: int, x: int, top: int, *seqs):
+    """Each sequence's entries k <= top, the k-th over den * x^k, all
+    brought to den * x^top: ``(*seqs, den)``.
 
     At x = 1 they share den already and come back whole, any entries past
     ``top`` included.
     """
     if x == 1:
-        return tuple(re), tuple(im), den
-    re, im = list(re[: top + 1]), list(im[: top + 1])
-    scale = 1
-    for k in range(top, -1, -1):
-        re[k] *= scale
-        im[k] *= scale
-        scale *= x
-    return tuple(re), tuple(im), den * x ** max(top, 0)
+        return (*map(tuple, seqs), den)
+    scales = [1]
+    for _ in range(top):
+        scales.append(scales[-1] * x)
+    scales.reverse()  # scales[k] = x^(top - k)
+    return (*[tuple(map(mul, s, scales)) for s in seqs], den * scales[0])

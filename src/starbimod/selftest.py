@@ -447,10 +447,17 @@ ALL_CHECKS = (
 
 
 def run_all() -> list[CheckResult]:
-    """Run every criterion in order, recording each one's wall time."""
+    """Run every criterion in order, recording each one's wall time.
+
+    A criterion that raises fails, with a detail that names the exception,
+    and the criteria after it still run.
+    """
     results = []
-    for check in ALL_CHECKS:
+    for index, check in enumerate(ALL_CHECKS, 1):
         started = time.perf_counter()
-        result = check()
+        try:
+            result = check()
+        except Exception as exc:
+            result = CheckResult(index, check.__name__, False, f"raised {type(exc).__name__}: {exc}")
         results.append(replace(result, elapsed_s=time.perf_counter() - started))
     return results

@@ -510,7 +510,7 @@ _COPY_VALUES = {
         lambda mf: mf.apply(Q**5),
     ),
     "MomentFunctional-values": _used(
-        MomentFunctional.from_moments([1, Scalar(0, Fraction(1, 2)), Fraction(5, 3), 0]),
+        MomentFunctional.from_moments([1, Fraction(-1, 2), Fraction(5, 3), 0]),
         lambda mf: mf.apply(Q**2),
     ),
     "ActionTable": _used(

@@ -18,6 +18,7 @@ from starbimod.cli import (
     main,
 )
 from starbimod import selftest
+from starbimod.errors import NotPositiveError
 from starbimod.moments import MomentFunctional
 from starbimod.parser import MAX_NESTING
 from starbimod.probes import BOUNDED, GROWTH, norm_bound_trials, plateau_verdict
@@ -459,6 +460,22 @@ class TestSelftestReport:
             "FAIL   2 fake-2: detail",
         ]
 
+    def test_a_raising_criterion_fails_and_the_rest_still_run(self, capsys, monkeypatch):
+        def cauchy_schwarz():
+            raise NotPositiveError("Cauchy-Schwarz bound must be real")
+
+        monkeypatch.setattr(
+            selftest, "ALL_CHECKS", (self._fake(1, True), cauchy_schwarz, self._fake(3, True))
+        )
+        assert main(["selftest"]) == 1
+        out, err = capsys.readouterr()
+        assert out.splitlines() == [
+            "PASS   1 fake-1: detail",
+            "FAIL   2 cauchy_schwarz: raised NotPositiveError: Cauchy-Schwarz bound must be real",
+            "PASS   3 fake-3: detail",
+        ]
+        assert err == ""
+
 
 class TestLemmaCheck:
     def test_small_run(self, capsys):
@@ -798,6 +815,27 @@ class TestProbeMomentRange:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "double range" in captured.err
         assert len(captured.err.strip().splitlines()) == 1
+
+
+class TestNonRealMoments:
+    """A moments file with a non-real value is refused at load by every measure command."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gns-check", "--functional", "F0"],
+            ["cs-check", "--functional", "F0"],
+            ["probe", "--functional", "F0", "--degrees", "0..2"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_refused_with_one_error_line(self, capsys, tmp_path, argv):
+        path = tmp_path / "complex-moments.json"
+        path.write_text(json.dumps({"type": "moments", "values": ["1", "1+1i", "1"]}))
+        assert main([*argv, "--measure", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: moments of a positive functional must be real\n"
 
 
 # Random measure JSON for the measure-driven commands: moments and atoms

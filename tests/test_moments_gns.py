@@ -1,8 +1,10 @@
 """Moment functionals, the GNS truncation, and the paired functionals."""
 
+import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -114,8 +116,22 @@ class TestBuildGns:
             build_gns(MomentFunctional.from_moments([0, 1, 0]), 1)
 
     def test_complex_moments_rejected(self):
-        with pytest.raises(NotPositiveError):
-            build_gns(MomentFunctional.from_moments([Scalar(1), Scalar(0, 1), Scalar(1)]), 1)
+        # refused when the list is built, so no degree can realize it
+        data = {"type": "moments", "values": ["1", "1+1i", "1"]}
+        for build in (
+            lambda: MomentFunctional.from_moments([1, Scalar(0, 1)]),
+            lambda: MomentFunctional.from_json(data),
+        ):
+            with pytest.raises(NotPositiveError, match="^moments of a positive functional must be real$"):
+                build()
+
+    def test_shipped_measures_pass_the_gate(self):
+        # degree 14 is the probe workload's gate degree
+        paths = sorted((Path(__file__).resolve().parents[1] / "measures").glob("*.json"))
+        assert paths
+        for path in paths:
+            mf = MomentFunctional.from_json(json.loads(path.read_text(encoding="utf-8")))
+            assert build_gns(mf, 14).degree == 14, path.name
 
 
 class TestFunctionalValues:

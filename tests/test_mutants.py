@@ -54,6 +54,12 @@ MUTANTS = {
         "re += (a * c - b * d) * w\n            im += (b * c + a * d) * w",
         (2,),
     ),
+    "apply-reads-only-the-real-part-of-p": (
+        "moments.py",
+        "sum(map(mul, p.re, m)), sum(map(mul, p.im, m)), p.den * den",
+        "sum(map(mul, p.re, m)), 0, p.den * den",
+        (1, 2, 6),
+    ),
 }
 
 # mutants that survive every criterion today, with the reason
@@ -66,6 +72,11 @@ SURVIVORS = {
         "no criterion factors a matrix whose zero pivot has a residual entry only right after "
         "it; tier-1's refusals of [[0, i], [-i, 0]] kill it, and ROADMAP item 19 asks the "
         "selftest to"
+    ),
+    "apply-reads-only-the-real-part-of-p": (
+        "F(a x b) = f(a theta(x) b) is a polynomial identity, so both sides lose the same "
+        "imaginary part, and |Re z| <= |z| keeps Cauchy-Schwarz true; tier-1's pinned values "
+        "kill it, and ROADMAP item 19 asks the selftest to"
     ),
 }
 
