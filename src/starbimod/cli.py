@@ -15,7 +15,7 @@ import sys
 
 from .algebra import Poly, format_scalar, parse_real
 from .bimodule import BimodElement, Generator
-from .errors import ParseError, StarBimodError
+from .errors import StarBimodError
 from .gns import Functional, build_gns, check_cauchy_schwarz, check_identity
 from .moments import MomentFunctional
 from .parser import MAX_DIGITS, exceeds_digits, parse_expression
@@ -62,7 +62,7 @@ def _load_json(path: str, what: str, build):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return build(json.load(fh))
-    except (OSError, ValueError, ParseError, RecursionError) as exc:
+    except (OSError, ValueError, StarBimodError, RecursionError) as exc:
         raise InputError(f"cannot read {what} {path}: {exc}") from exc
 
 

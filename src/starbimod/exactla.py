@@ -15,8 +15,9 @@ eliminates fraction-free (Bareiss) and keeps L's row at every index, so
 that G = L D L^H holds with the n x r factor; each output is normalised
 once.  ``nullspace``, the real routine of the GNS realization's Hankel
 Gram, reads real integers only: one triangular recurrence over the rows
-of L gives the rows of L^-1 at the pivots and a kernel vector at each
-skipped index, with no second elimination and no read of the Gram.
+of L gives one real ``Poly`` per index, the orthogonal polynomial P_a (a
+row of L^-1) at a pivot and a kernel vector at a skipped index, with no
+second elimination and no read of the Gram.
 Sizes stay in the low tens, so the cubic algorithms are fine.
 """
 
@@ -351,41 +352,34 @@ def _reduced(re: int, im: int, den: int) -> tuple[int, int, int]:
     return (re, im, den) if g == 1 else (re // g, im // g, den // g)
 
 
-def nullspace(ldl: LdlResult) -> tuple[tuple, tuple[Poly, ...]]:
-    """The rows of U = L^-1 and the kernel basis of a real PSD matrix, from its ``ldl``.
+def nullspace(ldl: LdlResult) -> tuple[tuple[Poly, ...], tuple[Poly, ...]]:
+    """The rows P_a of U = L^-1 and the kernel basis of a real PSD matrix, from its ``ldl``.
 
     One recurrence over every index a: v_a = e_a - sum_(pivots c<a)
-    L[a][c] U_c, summed on integers over the lcm of the denominator
-    products of its terms.  At a pivot, v_a is that pivot's row of U,
-    returned as ``(re, den)`` in pivot coordinates and divided by the gcd
-    of its entries and den.  At a skipped index s, L^H v_s = 0, so v_s
-    is the one kernel vector with 1 at s and weight only on the pivots
-    below it: the reduced-row-echelon basis vector of the free column s,
-    returned as a real ``Poly`` monic in q^s.  Only L's real parts are
-    read: the one caller, ``build_gns``, factors a real Hankel Gram.
+    L[a][c] P_c, summed on the earlier rows' integer coefficients over the
+    lcm of the denominator products of its terms, and stored as one real
+    ``Poly`` monic in q^a.  At a pivot, v_a is that pivot's row of U =
+    L^-1: the monic orthogonal polynomial P_a, zero off the pivots.  At a
+    skipped index s, L^H v_s = 0, so v_s is the one kernel vector with 1
+    at s and weight only on the pivots below it: the reduced-row-echelon
+    basis vector of the free column s.  Only L's real parts are read: the
+    one caller, ``build_gns``, factors a real Hankel Gram.
     """
     pivots = ldl.pivots
-    rows: list[tuple[list[int], int]] = []
-    kernel = []
+    rows, kernel = [], []
     for a, row in enumerate(ldl.lower):
-        k = len(row)
-        used = [(c, x, xd) for c, (x, _, xd) in enumerate(row) if x]
-        dd = lcm(*(xd * rows[c][1] for c, _, xd in used))
-        nr = [0] * k + [dd]
-        for c, x, xd in used:
-            u, dc = rows[c]
-            x *= dd // (xd * dc)
-            for b, v in enumerate(u):
-                nr[b] -= x * v
-        if k < len(pivots) and pivots[k] == a:
-            g = gcd(dd, *nr)
-            rows.append(([v // g for v in nr], dd // g))
-            continue
-        re = [0] * (a + 1)
-        for p, v in zip(pivots[:k], nr):
-            re[p] = v
-        re[a] = dd
-        kernel.append(Poly.from_numerators(re, [0] * (a + 1), dd))
+        used = [(rows[c], x, xd) for c, (x, _, xd) in enumerate(row) if x]
+        dd = lcm(*(xd * u.den for u, _, xd in used))
+        nr = [0] * a + [dd]
+        for u, x, xd in used:
+            x *= dd // (xd * u.den)
+            for j, c in enumerate(u.re):
+                nr[j] -= x * c
+        v = Poly.from_numerators(nr, [0] * (a + 1), dd)
+        if a in pivots:
+            rows.append(v)
+        else:
+            kernel.append(v)
     return tuple(rows), tuple(kernel)
 
 

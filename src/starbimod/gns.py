@@ -4,12 +4,12 @@
 an exact positivity certificate of the Hankel Gram matrix
 G_{jk} = m_{j+k} on the monomials q^0..q^N (natural-order LDL, of which
 the pivots and D are kept), and what one recurrence over the rows of L
-reads off it: the rows of U = L^-1 at the pivots and an exact basis of
+reads off it: the rows of U = L^-1 at the pivots, which are the monic
+orthogonal polynomials P_a with ||P_a||^2 = D_a, and an exact basis of
 the kernel polynomials at the skipped indices (one per skipped index s,
 monic in q^s, on the pivot monomials below it).  L itself is not kept.
-No orthonormalisation happens anywhere; all inner
-products go through the Gram matrix so the whole exact path stays in
-rational arithmetic.
+No orthonormalisation happens anywhere; all inner products go through
+the Gram matrix so the whole exact path stays in rational arithmetic.
 
 The realization belongs to f alone, not to a bimodule functional or an
 element, and ``build_gns`` is the one route to it: each
@@ -30,7 +30,7 @@ an atomic measure's point denominators, and N_k its integer power sums;
 x = 1 for a moment list, whose table is G's) and S = diag(x^0..x^N),
 S G S is the integer Hankel matrix of the N_k over den.  That positive
 diagonal congruence keeps the pivots and the skipped indices, so D,
-the rows of U and the kernel of S G S map back to those of G by exact
+the P_a and the kernel of S G S map back to those of G by exact
 powers of x (``_unscaled``), and the Bareiss minors never carry
 the powers of X that G over W X^(2N) has.
 
@@ -69,7 +69,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb, lcm
 
 from .algebra import P_ONE, Poly, Scalar, sum_of_products
 from .bimodule import BimodElement, Generator
@@ -89,9 +89,9 @@ class GnsRealization:
 
     ``pivots`` are the monomial exponents of the positive pivots of the
     Hankel Gram's ``ldl_psd`` and ``diag`` their values D; ``rows`` and
-    ``kernel`` are what ``nullspace`` reads off that factor: the rows of
-    U = L^-1, one ``(re, den)`` pair of an integer row over its
-    denominator per pivot, and one kernel polynomial per skipped index.
+    ``kernel`` are what ``nullspace`` reads off that factor, one ``Poly``
+    per index, monic there: the rows of U = L^-1 are the orthogonal
+    polynomials P_a, zero off the pivots, with f(P_a P_b) = D_a delta_ab.
     Both are real, as the moments are: ``MomentFunctional`` refuses a
     non-real one at construction.
     """
@@ -100,7 +100,7 @@ class GnsRealization:
     degree: int
     pivots: tuple[int, ...]
     diag: tuple[Fraction, ...]
-    rows: tuple
+    rows: tuple[Poly, ...]
     kernel: tuple[Poly, ...]
 
     @property
@@ -154,33 +154,23 @@ def build_gns(mf: MomentFunctional, degree: int) -> GnsRealization:
 
 
 def _unscaled(pivots, diag, rows, kernel, x: int, degree: int):
-    """D, the rows of U and the kernel of G, from those of S G S, S = diag(x^0..x^N), x > 0.
+    """D, the P_a and the kernel of G, from those of S G S, S = diag(x^0..x^N), x > 0.
 
-    The congruence keeps the pivots p and the skipped indices: D_a =
-    D'_a / x^(2 p_a), U_ab = U'_ab x^(p_b - p_a), and the kernel vector
-    of s is v_j = v'_j x^(j - s), still monic in q^s.  Both are real (see
-    ``GnsRealization``), so only real parts are rescaled, and a kernel
-    vector's zero imaginary part is passed on.
+    The congruence keeps the pivots p and the skipped indices, and D_a =
+    D'_a / x^(2 p_a).  Every vector, a P_a or a kernel vector, follows one
+    rule: coefficient j of a vector of degree s gains x^(j - s), so it
+    stays monic in q^s.  Both are real (see ``GnsRealization``), so only
+    real parts are rescaled, and the zero imaginary part is passed on.
     """
-    powers = [1]
-    for _ in range(degree):
-        powers.append(powers[-1] * x)
-    at = [powers[p] for p in pivots]
-    diag = tuple([d / (s * s) for d, s in zip(diag, at)])
-    out = []
-    for (re, den), sa in zip(rows, at):
-        re = [v * s for v, s in zip(re, at)]
-        g = gcd(den * sa, *re)
-        out.append(([v // g for v in re], den * sa // g))
-    kernel = tuple(
-        Poly.from_numerators(
-            [c * s for c, s in zip(v.re, powers)],
-            v.im,
-            v.den * powers[len(v.re) - 1],
+    powers = [x**j for j in range(degree + 1)]
+    diag = tuple([d / powers[p] ** 2 for d, p in zip(diag, pivots)])
+
+    def unscaled(v: Poly) -> Poly:
+        return Poly.from_numerators(
+            [c * s for c, s in zip(v.re, powers)], v.im, v.den * powers[len(v.re) - 1]
         )
-        for v in kernel
-    )
-    return diag, tuple(out), kernel
+
+    return diag, tuple(map(unscaled, rows)), tuple(map(unscaled, kernel))
 
 
 class Functional:

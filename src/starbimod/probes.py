@@ -30,13 +30,14 @@ Z = L^-1 H_P L^-T on the pivot indices P is done once per probe.  All
 three steps run on integer numerators over shared denominators: the form
 is summed and hermitised on its Gaussian-integer numerators into a
 ``Matrix``, ``ldl_psd`` eliminates fraction-free on the Gram's stored
-numerators, and the rows of U, read off L by ``nullspace``, are integer
-rows over one denominator du_a each.  ``GnsRealization`` guarantees that the Gram and U are real,
-so U reduces the real and imaginary parts of H apart.  Z is
-kept as a ``Pencil``, the upper triangle of integer numerators N with
-Z[a][c] = N[a][c] / (du_a den du_c), c >= a, formed per part A of H as
-the products U A_P and (U A_P) U^T; an imaginary part that is zero
-everywhere, as for every real element and functional, takes no product.
+numerators, and the rows of U, read off L by ``nullspace``, are the
+orthogonal polynomials P_a, integers over one denominator du_a each.
+``GnsRealization`` guarantees that the Gram and U are real, so U
+reduces the real and imaginary parts of H apart.  Z is kept as a
+``Pencil``, the upper triangle of integer numerators N with Z[a][c] =
+N[a][c] / (du_a den du_c), c >= a, formed per part A of H as the
+products U A and (U A) U^T; an imaginary part that is zero everywhere,
+as for every real element and functional, takes no product.
 One gcd per nonzero part of Z gives the reduced bit lengths behind
 ``max_bits`` and the float shifts; nothing on this path builds a
 ``Scalar``.  Natural order nests the tower: the degree-N pencil is the
@@ -64,7 +65,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import Poly, Scalar
+from .algebra import Poly, Scalar, gauss_scalar
 from .bimodule import BimodElement
 from .errors import DoubleRangeError, NotHermitianError, NotPositiveError, SingularGramError
 from .exactla import Matrix, ldl_psd
@@ -182,26 +183,27 @@ class Pencil(NamedTuple):
         return cols, top
 
 
-def _reduced_pencil(form: Matrix, piv, inv) -> Pencil:
+def _reduced_pencil(form: Matrix, rows) -> Pencil:
     """Z = U H_P U^T with U = L^-1 on the pivot indices P, exactly.
 
-    ``form`` is the hermitian H, ``piv`` the pivots P and ``inv`` the real
-    rows of U, ``(row, den)`` as ``build_gns`` gives them for the one
-    caller, ``boundedness_probe``.  So each part of H reduces on its own:
-    for the real part A, and for the imaginary part A when it is not zero
-    everywhere, Y = U A_P and the upper triangle of Y U^T are integer dot
-    products.  The leading r x r block of Z is the reduction of the leading
-    block of H against the factor of the leading block of the Gram.
+    ``form`` is the hermitian H and ``rows`` the rows of U, the real P_a
+    as ``build_gns`` gives them for the one caller, ``boundedness_probe``.
+    So each part of H reduces on its own: for the real part A, and for the
+    imaginary part A when it is not zero everywhere, Y = U A and the upper
+    triangle of Y U^T are integer dot products, which equal U A_P U^T as
+    each P_a vanishes off the pivots.  The leading r x r block of Z is the
+    reduction of the leading block of H against the factor of the leading
+    block of the Gram.
     """
-    u = [row for row, _ in inv]
+    u = [p.re for p in rows]
     parts = []
     for part in (form.re, form.im) if any(map(any, form.im)) else (form.re,):
-        cols = [[part[b][c] for b in piv] for c in piv]  # the columns of A_P
+        cols = list(zip(*part))
         y = [[sum(map(mul, row, col)) for col in cols] for row in u]
-        # Z[a][c] = sum_b Y[a][b] U[c][b]; only c >= a is formed
+        # Z[a][c] = sum_j Y[a][j] P_c[j]; only c >= a is formed
         parts.append([[sum(map(mul, row, uc)) for uc in u[a:]] for a, row in enumerate(y)])
     zr, *zi = parts
-    return Pencil(zr, zi[0] if zi else None, [d for _, d in inv], form.den)
+    return Pencil(zr, zi[0] if zi else None, [p.den for p in rows], form.den)
 
 
 def _block_lambdas(z: Pencil, cols, diag, ranks) -> list[float]:
@@ -308,7 +310,7 @@ def boundedness_probe(
     realization = build_gns(mf, top)
     pivots = realization.pivots
     form = form_numerators(func, x, mf, top)
-    z = _reduced_pencil(form, pivots, realization.rows)
+    z = _reduced_pencil(form, realization.rows)
     ranks = tuple(bisect_right(pivots, n) for n in degrees)
     if ranks[0] == 0:
         raise SingularGramError("Gram matrix vanishes at this degree")
@@ -388,7 +390,7 @@ def numerical_radius_norm_check(t) -> NormBoundReport:
     for part in (s + s.conj().T, (s - s.conj().T) / 1j):
         w, v = np.linalg.eigh(part)
         seeds.append(v[:, np.argmax(np.abs(w))])
-    exact = [[Scalar(Fraction(z.real), Fraction(z.imag)) for z in row] for row in (*t, *seeds)]
+    exact = [[_dyadic(z) for z in row] for row in (*t, *seeds)]
     form = FormMatrix(Matrix(exact[:n]))
     lb = max(form.value(eta, eta).abs2() / sum(x.abs2() for x in eta) ** 2 for eta in exact[n:])
     unit = Fraction(4) ** e
@@ -404,6 +406,14 @@ def numerical_radius_norm_check(t) -> NormBoundReport:
         except OverflowError:  # |slack| beyond the double range
             slack = copysign(inf, slack)
     return NormBoundReport(lb, c, proved and c <= 16 * lb, slack)
+
+
+def _dyadic(z: complex) -> Scalar:
+    """The exact Scalar of a complex double, from the dyadic ratios of its parts."""
+    a, b = z.real.as_integer_ratio()
+    c, d = z.imag.as_integer_ratio()
+    den = max(b, d)  # both are powers of two
+    return gauss_scalar(a * (den // b), c * (den // d), den)
 
 
 def norm_bound_trials(trials: int, seed: int, max_dim: int) -> tuple[int, float]:

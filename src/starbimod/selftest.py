@@ -394,11 +394,16 @@ def psd_gate(seed: int = 707) -> CheckResult:
         mf = MomentFunctional.atomic(atoms)
         realization = build_gns(mf, 4)
         vanishing = all(
-            mf.pairing(v, Poly.monomial(k)).is_zero()
-            for v in realization.kernel
-            for k in range(5)
+            mf.pairing(v, Poly.monomial(k)).is_zero() for v in realization.kernel for k in range(5)
         )
-        if vanishing:
+        # the rows of U are the orthogonal polynomials: f(P_a P_b) = D_a delta_ab
+        rows = realization.rows
+        orthogonal = all(
+            mf.pairing(pa, pb) == (d if a == b else 0)
+            for a, (pa, d) in enumerate(zip(rows, realization.diag))
+            for b, pb in enumerate(rows)
+        )
+        if vanishing and orthogonal:
             accepted += 1
     ok = rejected == 2 and accepted == runs
     return CheckResult(

@@ -2,8 +2,8 @@
 
 ``ldl_psd`` keeps the entries of L below its unit entries as triples
 (re, im, den), one row per index, ``nullspace`` returns each row of
-U = L^-1 as a real ``(re, den)`` pair and each kernel vector as a
-``Poly`` with a zero imaginary part, ``MomentFunctional.shifted_values``
+U = L^-1, the orthogonal polynomial P_a, and each kernel vector as a
+real ``Poly`` with a zero imaginary part, ``MomentFunctional.shifted_values``
 returns ``(re, im, den)`` sequences and the probe's ``_reduced_pencil``
 returns a ``Pencil`` of integer numerators.  The tests compare them with sympy and with each other through these
 views, built here with ``gauss_scalar`` and nothing else.

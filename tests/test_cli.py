@@ -835,7 +835,9 @@ class TestNonRealMoments:
         assert main([*argv, "--measure", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: moments of a positive functional must be real\n"
+        assert captured.err == (
+            f"error: cannot read measure {path}: moments of a positive functional must be real\n"
+        )
 
 
 # Random measure JSON for the measure-driven commands: moments and atoms

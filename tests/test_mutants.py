@@ -33,8 +33,25 @@ MUTANTS = {
         "value = generator_power(n + 1)",
         (12,),
     ),
-    "kernel-vector-without-its-l-terms": ("exactla.py", "re[p] = v", "re[p] = 0", (11,)),
-    "unscaled-d-by-one-power-of-x": ("gns.py", "d / (s * s)", "d / s", (9,)),
+    "kernel-vector-without-its-l-terms": (
+        "exactla.py",
+        "kernel.append(v)",
+        "kernel.append(Poly.monomial(a))",
+        (11,),
+    ),
+    "nullspace-without-the-rescale-of-an-earlier-row": (
+        "exactla.py",
+        "x *= dd // (xd * u.den)",
+        "pass",
+        (9, 11),
+    ),
+    "unscaled-d-by-one-power-of-x": ("gns.py", "d / powers[p] ** 2", "d / powers[p]", (9, 11)),
+    "unscaled-vectors-by-one-power-of-x-too-many": (
+        "gns.py",
+        "v.den * powers[len(v.re) - 1]",
+        "v.den * powers[len(v.re) - 1] * x",
+        (11,),
+    ),
     "ldl-accepts-a-negative-pivot": ("exactla.py", "if pivot < 0:", "if False:", (11,)),
     "build-gns-drops-its-last-kernel-vector": (
         "gns.py",

@@ -6,7 +6,7 @@ import sys
 import threading
 from collections import Counter
 from fractions import Fraction
-from math import comb, factorial, gcd, inf
+from math import comb, factorial, inf
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +47,7 @@ from starbimod.sampling import (
     rand_poly,
 )
 
-from exact_views import lower_scalars, pencil_scalars, pivot_lower_scalars
+from exact_views import assert_canonical_poly, lower_scalars, pencil_scalars, pivot_lower_scalars
 
 D2 = BimodElement.d_squared()
 ROOT = Path(__file__).resolve().parents[1]
@@ -337,7 +337,7 @@ class TestFormIsTheHermitianPart:
 
 def fresh_pencil(form, ldl):
     """The reduced pencil against ``ldl`` and its own rows of L^-1, no cache involved."""
-    return _reduced_pencil(form, ldl.pivots, nullspace(ldl)[0])
+    return _reduced_pencil(form, nullspace(ldl)[0])
 
 
 def _dm(rows) -> DomainMatrix:
@@ -770,16 +770,15 @@ class TestScaledRealization:
 
     @pytest.mark.parametrize("case", list(KERNEL_CASES))
     def test_the_realization_is_real(self, case):
-        # each row of U is (re, den): a real integer row in lowest terms,
-        # unit lower triangular, so its own index holds den
+        # each row of U is P_a: a real canonical Poly, unit lower
+        # triangular, so monic at its own pivot
         make, top = KERNEL_CASES[case]
         realization = build_gns(make(), top)
         assert not any(im for row in ldl_psd(hankel_gram(make(), top)).lower for _, im, _ in row)
-        for a, (re, den) in enumerate(realization.rows):
-            assert all(type(v) is int for v in (*re, den))
-            assert den > 0 and gcd(den, *re) == 1
-            assert len(re) == a + 1 and re[a] == den
-        assert not any(any(v.im) for v in realization.kernel)
+        for p, row in zip(realization.pivots, realization.rows):
+            assert_canonical_poly(row)
+            assert row.degree == p and row.re[p] == row.den
+        assert not any(any(v.im) for v in realization.rows + realization.kernel)
 
     def test_the_cluster_gate_eliminates_the_integer_power_sums(self, monkeypatch):
         calls = count_eliminations(monkeypatch)
@@ -792,6 +791,39 @@ class TestScaledRealization:
         assert m.den == w
         assert m.re == tuple(tuple(sums[j + k] for k in range(15)) for j in range(15))
         assert not any(map(any, m.im))
+
+
+# the KERNEL_CASES and the two continuous sample measures, each at its top degree
+ORTHOGONAL_CASES = {
+    **KERNEL_CASES,
+    **{
+        name: (lambda name=name: file_measure(f"{name}.json"), 30)
+        for name in ("gauss64", "lebesgue01-64")
+    },
+}
+
+
+class TestRowsAreOrthogonalPolynomials:
+    """Row a of U = L^-1 is the monic orthogonal polynomial P_a of the measure.
+
+    P_a is real, monic at its pivot p_a and zero at every skipped index,
+    and f(P_a P_b) = D_a delta_ab, read off the moments by
+    ``MomentFunctional.pairing`` and not off the factor.
+    """
+
+    @pytest.mark.parametrize("case", list(ORTHOGONAL_CASES))
+    def test_rows_are_orthogonal_with_norms_d(self, case):
+        make, top = ORTHOGONAL_CASES[case]
+        mf = make()
+        realization = build_gns(mf, top)
+        pivots, rows = realization.pivots, realization.rows
+        skipped = set(range(top + 1)) - set(pivots)
+        for p, row in zip(pivots, rows):
+            assert row.degree == p and row.re[p] == row.den and not any(row.im)
+            assert not any(row.re[s] for s in skipped if s < p), p
+        for a, (pa, d) in enumerate(zip(rows, realization.diag)):
+            for b, pb in enumerate(rows):
+                assert mf.pairing(pa, pb) == (d if a == b else 0), (a, b)
 
 
 class TestReadsIgnoreTheCacheReach:
@@ -902,8 +934,8 @@ def legendre_rows(top: int) -> list[list[Fraction]]:
 
 
 def row_fractions(rows) -> list[list[Fraction]]:
-    """Rows of U = L^-1 as ``nullspace`` gives them, ``(re, den)``, as Fractions."""
-    return [[Fraction(v, den) for v in re] for re, den in rows]
+    """Rows of U = L^-1 as ``nullspace`` gives them, the ``Poly`` P_a, as Fractions."""
+    return [[Fraction(v, p.den) for v in p.re] for p in rows]
 
 
 # the two continuous sample measures: their U rows and pivots D_k in closed form
@@ -976,7 +1008,7 @@ class TestHermiteOracle:
         assert ldl.pivots == tuple(range(self.TOP + 1))
         assert ldl.diag == tuple(factorial(k) for k in range(self.TOP + 1))
         he = hermite_rows(self.TOP)
-        assert nullspace(ldl) == (tuple((h, 1) for h in he), ())
+        assert nullspace(ldl) == (tuple(Poly.from_numerators(h, [0] * len(h), 1) for h in he), ())
 
     def test_integer_pencil_is_the_derivative(self):
         mf = self.GAUSS64
