@@ -8,8 +8,10 @@ class StarBimodError(Exception):
 class ParseError(StarBimodError):
     """Raised on malformed expression input.
 
-    Carries the byte offset of the offending token and the set of token
-    kinds that would have been accepted there.
+    Carries the offset of the offending token, an index into the source
+    string (a code point, not a byte: the tokenizer reads decimal digits
+    of any script), and the set of token kinds that would have been
+    accepted there.
     """
 
     def __init__(self, message, offset, expected=()):

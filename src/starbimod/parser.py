@@ -8,17 +8,19 @@ Grammar (LL(1), juxtaposition is not multiplication):
     atom   := 'q' | 'p' | 'd' | 'i' | rational | '(' expr ')'
 
 ``p`` elaborates to -i*d, so every well-formed input lands in the
-normal-ordered ambient algebra.  Errors carry the byte offset and the
-token kinds that would have been accepted.
+normal-ordered ambient algebra.  Errors carry the offset of the offending
+token, as an index into the source string (a code point, not a byte),
+and the token kinds that would have been accepted.
 
 A power may raise the degree of its base to at most ``MAX_EXPONENT``:
 ``x^n`` is refused when n times the larger of the q- and d-degree of x
 exceeds it.  Measuring against the base's degree bounds nested powers
 too, and a constant base counts as degree 1, so no exponent exceeds
-``MAX_EXPONENT``.  A power of the generator ``q`` or ``d`` is built as the
-monomial q^n or d^n once those checks pass; any other base, ``p`` and
-``i`` among them, is raised by square-and-multiply, in at most
-2*floor(log2 n) products.
+``MAX_EXPONENT``.  A power of the generator ``q`` or ``d`` is read, once
+those checks pass, from a table of the monomials q^0..q^MAX_EXPONENT and
+d^0..d^MAX_EXPONENT built at import, so it builds no element per parse;
+any other base, ``p`` and ``i`` among them, is raised by
+square-and-multiply, in at most 2*floor(log2 n) products.
 
 No number in a parsed expression has more than ``MAX_DIGITS`` decimal
 digits, in a numerator or a denominator.  A longer literal is refused at
@@ -43,7 +45,7 @@ from typing import NamedTuple
 
 from .algebra import MAX_DIGITS, I
 from .errors import ParseError
-from .weyl import D, P, WeylElement, _new
+from .weyl import P, WeylElement, _new
 
 
 MAX_EXPONENT = 64
@@ -171,10 +173,18 @@ def _power_too_long(value: WeylElement, n: int) -> bool:
     return n * max((part.bit_length() for part in _parts(value)), default=0) > cap
 
 
-_Q = WeylElement.q_power(1)
-_ATOMS = {"q": _Q, "d": D, "p": P, "i": WeylElement.monomial(0, 0, I)}
-# p = -i*d and i are raised by square-and-multiply: i^n is not a monomial in i
-_GENERATOR_POWERS = {"q": WeylElement.q_power, "d": WeylElement.d_power}
+# q^0..q^MAX_EXPONENT and d^0..d^MAX_EXPONENT, built once; p = -i*d and i
+# are raised by square-and-multiply: i^n is not a monomial in i
+_GENERATOR_POWERS = {
+    "q": tuple(WeylElement.q_power(n) for n in range(MAX_EXPONENT + 1)),
+    "d": tuple(WeylElement.d_power(n) for n in range(MAX_EXPONENT + 1)),
+}
+_ATOMS = {
+    "q": _GENERATOR_POWERS["q"][1],
+    "d": _GENERATOR_POWERS["d"][1],
+    "p": P,
+    "i": WeylElement.monomial(0, 0, I),
+}
 
 
 class _Parser:
@@ -236,11 +246,12 @@ class _Parser:
                 )
             if _power_too_long(value, n):
                 raise _too_long(tok.offset)
-            generator_power = _GENERATOR_POWERS.get(base)
-            if generator_power is None:
+            powers = _GENERATOR_POWERS.get(base)
+            if powers is None:
                 value = _check_size(value**n, tok.offset)
             else:
-                value = generator_power(n)
+                # the degree check above bounds n by MAX_EXPONENT
+                value = powers[n]
         return -value if negate else value
 
     def parse_atom(self) -> WeylElement:

@@ -13,7 +13,9 @@ hermitian generator p, so the single rewrite rule has integer coefficients:
 
 ``apply`` realises q^m d^n as the differential operator t^m (d/dt)^n acting
 on polynomials; it is an independent model of the product and serves as
-the soundness oracle for the rewriting.
+the soundness oracle for the rewriting.  It reads the terms grouped by
+d-power from a cache that its first call fills; the cache is not part of
+the value.
 """
 
 from __future__ import annotations
@@ -36,7 +38,8 @@ def _normal_dq(n: int, m: int):
 class WeylElement:
     """Normal-ordered element sum c_{mn} q^m d^n."""
 
-    __slots__ = ("nums", "den")
+    # _groups caches the terms for apply; it is not part of the value
+    __slots__ = ("nums", "den", "_groups")
 
     def __init__(self, terms=()):
         items = list(terms.items() if isinstance(terms, dict) else terms)
@@ -193,34 +196,51 @@ class WeylElement:
             triples += [(mn, s * k * a, -s * k * b) for mn, k in _normal_dq(n, m)]
         return _new(triples, self.den)
 
-    def apply(self, p: Poly) -> Poly:
+    def apply(self, p) -> Poly:
         """Act as a differential operator: q^m d^n maps p to t^m p^(n).
 
         The term c q^m d^n sends a t^j to c a j!/(j-n)! t^(j-n+m), so the
         image is built by shifting coefficient indices in one pass, on the
-        numerators of p and of the element.  The loop visits only the
-        nonzero coefficients of p, each against every term; a real
-        coefficient (every one of q^k) costs two products per term, not
-        the four of a Gaussian one.  This is the oracle for the product,
-        and it shares no code with ``__mul__`` or ``_normal_dq``.
+        numerators of p and of the element.  The terms are read grouped by
+        d-power n, ascending, as (m - n, re, im) triples: the first apply
+        fills them into a cache that is not part of the value, so ``==``,
+        ``hash``, copy and pickle ignore it.  The loop visits only the
+        nonzero coefficients t^j of p; it takes j!/(j-n)! once per group
+        and stops at the first group with n > j.  A real coefficient
+        (every one of q^k) costs two products per term, not the four of a
+        Gaussian one.  A scalar p acts as the constant polynomial.  This
+        is the oracle for the product, and it shares no code with
+        ``__mul__`` or ``_normal_dq``.
         """
-        terms = self.nums.items()
+        if not isinstance(p, Poly):
+            p = Poly.coerce(p)
+        try:
+            groups, reach = self._groups
+        except AttributeError:
+            groups, reach = _fill_groups(self)
         re, im = p.re, p.im
-        # the largest key (m, n) has the largest q power m
-        out_re = [0] * (len(re) + max(self.nums, default=(0, 0))[0])
+        # the image has degree at most deg p + reach; a negative length gives []
+        out_re = [0] * (len(re) + reach)
         out_im = out_re[:]
         for j, a in enumerate(re):
             b = im[j]
             if b:
-                for (m, n), (tr, ti) in terms:
-                    if j >= n:
-                        f, k = perm(j, n), j - n + m
-                        out_re[k] += f * (tr * a - ti * b)
-                        out_im[k] += f * (tr * b + ti * a)
+                for n, group in groups:
+                    if j < n:
+                        break
+                    f = perm(j, n)
+                    fa, fb = f * a, f * b
+                    for s, tr, ti in group:
+                        k = j + s
+                        out_re[k] += tr * fa - ti * fb
+                        out_im[k] += tr * fb + ti * fa
             elif a:
-                for (m, n), (tr, ti) in terms:
-                    if j >= n:
-                        fa, k = perm(j, n) * a, j - n + m
+                for n, group in groups:
+                    if j < n:
+                        break
+                    fa = perm(j, n) * a
+                    for s, tr, ti in group:
+                        k = j + s
                         out_re[k] += fa * tr
                         out_im[k] += fa * ti
         return Poly.from_numerators(out_re, out_im, p.den * self.den)
@@ -277,6 +297,22 @@ def _store(u: WeylElement, triples, den: int) -> None:
 # WeylElement's slot setters, past the immutable __setattr__
 _set_nums = WeylElement.nums.__set__
 _set_den = WeylElement.den.__set__
+_set_groups = WeylElement._groups.__set__
+
+
+def _fill_groups(u: WeylElement):
+    """Cache and return u's terms for ``apply``: (groups, reach).
+
+    groups holds (n, ((m - n, re, im), ...)) for each d-power n of u,
+    ascending, and reach is the largest shift m - n (0 for zero).
+    """
+    by_n: dict = {}
+    for (m, n), (a, b) in u.nums.items():
+        by_n.setdefault(n, []).append((m - n, a, b))
+    groups = tuple([(n, tuple(by_n[n])) for n in sorted(by_n)])
+    reach = max([m - n for m, n in u.nums], default=0)
+    _set_groups(u, (groups, reach))
+    return groups, reach
 
 
 def _new(triples, den: int) -> WeylElement:

@@ -504,7 +504,10 @@ _COPY_VALUES = {
     "Functional-F1": Functional.f1(),
     "Functional-gauss-poly": Functional.gauss_poly(Q * Q + Fraction(1, 3)),
     "Functional-gauss-atoms": Functional.gauss_atoms([1, Fraction(1, 2), 2]),
-    "WeylElement": WeylElement({(1, 2): Scalar(Fraction(1, 2), -1), (0, 1): 3, (2, 0): I}),
+    "WeylElement": _used(
+        WeylElement({(1, 2): Scalar(Fraction(1, 2), -1), (0, 1): 3, (2, 0): I}),
+        lambda u: u.apply(Q**3),
+    ),
     "MomentFunctional-atoms": _used(
         MomentFunctional.atomic([(-1, Fraction(1, 2)), (Fraction(2, 3), 3)]),
         lambda mf: mf.apply(Q**5),

@@ -27,12 +27,15 @@ PACKAGE = Path(starbimod.__file__).resolve().parent
 MUTANTS = {
     "apply-without-falling-factorial": ("weyl.py", "perm(j, n)", "1", (5,)),
     "normal-order-without-perm": ("weyl.py", "comb(n, k) * perm(m, k)", "comb(n, k)", (5,)),
+    # q^n and d^n read one power too high, capped so that n = 64 still returns a value
     "generator-power-one-too-high": (
         "parser.py",
-        "value = generator_power(n)",
-        "value = generator_power(n + 1)",
+        "value = powers[n]",
+        "value = powers[min(n + 1, MAX_EXPONENT)]",
         (12,),
     ),
+    # d^n no longer acts on t^n: the group with n == j is skipped
+    "apply-stops-one-group-too-early": ("weyl.py", "if j < n:", "if j <= n:", (5,)),
     "kernel-vector-without-its-l-terms": (
         "exactla.py",
         "kernel.append(v)",

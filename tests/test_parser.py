@@ -95,6 +95,15 @@ class TestErrors:
         with pytest.raises(ParseError):
             parse_expression("q & d")
 
+    def test_offset_is_a_string_index_not_a_byte_offset(self):
+        # an Arabic-Indic one is a decimal digit of two bytes in UTF-8
+        src = "\u0661 + x"
+        with pytest.raises(ParseError) as info:
+            parse_expression(src)
+        assert info.value.offset == 4 == src.index("x")
+        assert len(src[:4].encode("utf-8")) == 5
+        assert "(offset 4)" in str(info.value)
+
 
 class TestExponentCap:
     """x^n is refused when n times the degree of x exceeds MAX_EXPONENT."""

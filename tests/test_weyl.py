@@ -1,5 +1,6 @@
 """Normal ordering against the differential-operator oracle."""
 
+import pickle
 import random
 from fractions import Fraction
 from math import gcd
@@ -533,6 +534,56 @@ class TestApplyNonzeroCoefficients:
         monkeypatch.setattr(weyl, "_normal_dq", refuse)
         monkeypatch.setattr(algebra, "sum_of_products", refuse)
         assert [_sym_poly(u.apply(Poly.monomial(k))) for k in range(8)] == expected
+
+
+class TestApplyCoercesItsArgument:
+    """``apply`` takes what ``Poly.coerce`` takes: a scalar is a constant."""
+
+    @pytest.mark.parametrize("c", [3, 0, Fraction(-2, 3), Scalar(0, 1), Scalar(Fraction(1, 2), -2)])
+    def test_scalar_acts_as_the_constant_polynomial(self, c):
+        rng = random.Random(47)
+        for u in [WeylElement.zero(), QW, D, QW * D + 2] + [rand_weyl(rng) for _ in range(10)]:
+            assert u.apply(c) == u.apply(Poly.constant(c))
+
+    @pytest.mark.parametrize("value", ["q", 1.5, None, QW, [1, 2]])
+    def test_foreign_argument_is_a_type_error(self, value):
+        with pytest.raises(TypeError, match="cannot coerce"):
+            QW.apply(value)
+
+
+class TestApplyCache:
+    """The terms cached by the first ``apply`` never change a result.
+
+    Cold and warm calls are interleaved over several elements, and each
+    image must equal the cold image of a pickled copy, which drops the
+    cache.
+    """
+
+    def polys(self):
+        rng = random.Random(48)
+        return [Poly(), Poly.monomial(0), Poly.monomial(9), Q**3 + I, 5] + [
+            rand_poly(rng, 8) for _ in range(6)
+        ]
+
+    def check(self, elements):
+        for p in self.polys():
+            for u in elements:
+                cold = pickle.loads(pickle.dumps(u))
+                assert cold == u and not hasattr(cold, "_groups")
+                image, expected = u.apply(p), cold.apply(p)
+                assert image == expected
+                assert (image.re, image.im, image.den) == (expected.re, expected.im, expected.den)
+
+    def test_random_elements(self):
+        rng = random.Random(49)
+        self.check([WeylElement.zero(), QW, D * D] + [rand_weyl(rng) for _ in range(12)])
+
+    @pytest.mark.parametrize("symbol", ["q", "d"])
+    def test_shared_generator_powers_of_the_parser(self, symbol):
+        # the parser hands out one shared element per power
+        powers = [parse_expression(f"{symbol}^{n}") for n in range(65)]
+        assert all(parse_expression(f"{symbol}^{n}") is u for n, u in enumerate(powers))
+        self.check(powers)
 
 
 class TestParsedLiterals:
