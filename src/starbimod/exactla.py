@@ -5,12 +5,14 @@ LDL^H factorisation that doubles as the positive-semidefiniteness gate
 (leading-minor tests are unsound for singular matrices), the kernel basis
 read off that factor, and inversion.  A ``Matrix`` stores Gaussian-integer
 numerator rows over one denominator, as ``Poly`` does its coefficients,
-and every routine runs on those integers: ``Matrix.__matmul__`` sums
-each row of the product as a combination of the right factor's rows and,
-like ``__add__``, normalises the result once; ``adjoint`` keeps den and
-the content gcd, so it needs no normalisation; ``poly_at`` runs Horner
-with the same row kernel and ``inverse`` fraction-free Gauss-Jordan on
-the numerators, and both build one matrix at the end; ``ldl_psd``
+and every routine runs on those integers: ``Matrix.product`` sums each
+row of a product as a combination of the right factor's rows, chains
+its factors left to right on the numerators and, like ``__add__``,
+normalises the result once (``@`` is that routine on two factors);
+``adjoint`` keeps den and the content gcd, so it needs no normalisation;
+``poly_at`` runs Horner with the same row kernel from c_N A, and
+``inverse`` fraction-free Gauss-Jordan on the numerators, and both build
+one matrix at the end; ``ldl_psd``
 eliminates fraction-free (Bareiss) and keeps L's row at every index, so
 that G = L D L^H holds with the n x r factor; each output is normalised
 once.  ``nullspace``, the real routine of the GNS realization's Hankel
@@ -127,16 +129,26 @@ class Matrix:
     def __matmul__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        if self.ncols != other.nrows:
-            raise DimensionMismatchError(
-                f"cannot multiply {self.nrows}x{self.ncols} by "
-                f"{other.nrows}x{other.ncols}"
-            )
-        return Matrix.from_numerators(
-            *_products(self.re, self.im, other.re, other.im, other.ncols),
-            self.den * other.den,
-            other.ncols,
-        )
+        return Matrix.product(self, other)
+
+    @staticmethod
+    def product(first: "Matrix", *rest: "Matrix") -> "Matrix":
+        """first @ rest[0] @ ..., left to right on the numerators, normalised once.
+
+        A single factor is returned as it is, with no product.
+        """
+        if not rest:
+            return first
+        re, im, den, ncols = first.re, first.im, first.den, first.ncols
+        for m in rest:
+            if ncols != m.nrows:
+                raise DimensionMismatchError(
+                    f"cannot multiply {len(re)}x{ncols} by {m.nrows}x{m.ncols}"
+                )
+            re, im = _products(re, im, m.re, m.im, m.ncols)
+            den *= m.den
+            ncols = m.ncols
+        return Matrix.from_numerators(re, im, den, ncols)
 
     def adjoint(self) -> "Matrix":
         """Conjugate transpose.
@@ -241,7 +253,9 @@ def poly_at(p: Poly, m: Matrix) -> Matrix:
     """Evaluate a polynomial at a square matrix: Horner on the numerators.
 
     With m = A / d and p = (c_k) / pden of degree N, S <- S A + c_k
-    d^(N-k) I runs on Gaussian integers from S = c_N I, and the result is
+    d^(N-k) I runs on Gaussian integers.  Its first step starts from
+    S = c_N A, one scalar pass over A, so a degree-N polynomial takes
+    N - 1 matrix products; a constant is c_0 I.  The result is
     S / (pden d^N), normalised once.
     """
     if m.nrows != m.ncols:
@@ -250,15 +264,22 @@ def poly_at(p: Poly, m: Matrix) -> Matrix:
     if not p.re:
         return Matrix.zeros(n, n)
     top = len(p.re) - 1
-    sr = [[p.re[top] if i == j else 0 for j in range(n)] for i in range(n)]
-    si = [[p.im[top] if i == j else 0 for j in range(n)] for i in range(n)]
+    tr, ti = p.re[top], p.im[top]
+    if not top:
+        sr = [[tr if i == j else 0 for j in range(n)] for i in range(n)]
+        si = [[ti if i == j else 0 for j in range(n)] for i in range(n)]
+        return Matrix.from_numerators(sr, si, p.den, n)
+    sr = [[tr * a - ti * b for a, b in zip(ra, rb)] for ra, rb in zip(m.re, m.im)]
+    si = [[tr * b + ti * a for a, b in zip(ra, rb)] for ra, rb in zip(m.re, m.im)]
     scale = 1
-    for cr, ci in zip(reversed(p.re[:top]), reversed(p.im[:top])):
+    for k in range(top - 1, -1, -1):
+        cr, ci = p.re[k], p.im[k]
         scale *= m.den
-        sr, si = _products(sr, si, m.re, m.im, n)
         for i in range(n):
             sr[i][i] += cr * scale
             si[i][i] += ci * scale
+        if k:
+            sr, si = _products(sr, si, m.re, m.im, n)
     return Matrix.from_numerators(sr, si, p.den * scale, n)
 
 

@@ -10,8 +10,10 @@ M with x(phi, psi) = psi^H M phi, so the two-sided action reads
 and the involution is the conjugate transpose.  R, G and M are exact
 ``Matrix`` values, so all of these are products and adjoints of them.
 An ``ActionTable`` evaluates each polynomial at R once and keeps the
-result, with the adjoint that a left factor needs, for its lifetime; a
-side whose polynomial is the unit acts without a product, as R(1) = I.
+result, with the adjoint that a left factor needs, for its lifetime.
+An act multiplies only the factors it has, in one ``Matrix.product``
+normalised once: a side whose polynomial is the unit contributes no
+factor, as R(1) = I, and an act with both sides units takes no product.
 """
 
 from __future__ import annotations
@@ -33,6 +35,11 @@ class ActionTable:
     __slots__ = ("dim", "gen", "gram", "_memo")
 
     def __init__(self, gen: Matrix, gram: Matrix):
+        """Check that G is hermitian PSD and R hermitian for G: G R = R^H G.
+
+        Since G is hermitian, (G R)^H = R^H G, so that holds exactly when
+        the one product G R is hermitian.
+        """
         if gen.nrows != gen.ncols or gram.nrows != gram.ncols:
             raise DimensionMismatchError("action data must be square")
         if gen.nrows != gram.nrows:
@@ -40,7 +47,7 @@ class ActionTable:
         if not gram.is_hermitian():
             raise ValueError("Gram matrix must be hermitian")
         hermitian_ldl(gram)  # raises NotPositiveError when indefinite
-        if gram @ gen != gen.adjoint() @ gram:
+        if not (gram @ gen).is_hermitian():
             raise ValueError("generator is not hermitian for the Gram form")
         object.__setattr__(self, "dim", gen.nrows)
         object.__setattr__(self, "gen", gen)
@@ -65,10 +72,11 @@ class ActionTable:
 
     def left_factor(self, a: Poly) -> Matrix:
         """R(a^+)^H, the factor that a contributes to a * x * b."""
-        key = ("left", a.re, a.im, a.den)
+        p = Poly.coerce(a)
+        key = ("left", p.re, p.im, p.den)
         out = self._memo.get(key)
         if out is None:
-            out = self._memo[key] = self.operator(a.conjugate()).adjoint()
+            out = self._memo[key] = self.operator(p.conjugate()).adjoint()
         return out
 
 
@@ -95,17 +103,16 @@ class FormMatrix:
     def act(self, a, b, table: ActionTable) -> "FormMatrix":
         """The two-sided action a * x * b for polynomials a, b.
 
-        A unit side contributes no product, since R(1) = I.
+        R(a^+)^H M R(b) as one ``Matrix.product`` of the factors present,
+        normalised once.  A unit side contributes no factor, since
+        R(1) = I, so an act with both sides units takes no product.
         """
         if self.dim != table.dim:
             raise DimensionMismatchError("form and action dimensions differ")
         a, b = Poly.coerce(a), Poly.coerce(b)
-        mat = self.mat
-        if not a.is_one():
-            mat = table.left_factor(a) @ mat
-        if not b.is_one():
-            mat = mat @ table.operator(b)
-        return FormMatrix(mat)
+        left = () if a.is_one() else (table.left_factor(a),)
+        right = () if b.is_one() else (table.operator(b),)
+        return FormMatrix(Matrix.product(*left, self.mat, *right))
 
     def involution(self) -> "FormMatrix":
         """x^+(phi, psi) = conjugate of x(psi, phi)."""

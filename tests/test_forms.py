@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from starbimod import forms, selftest
+from starbimod import exactla, forms, selftest
 from starbimod.algebra import I, P_ONE, Q, Poly, Scalar
 from starbimod.errors import DimensionMismatchError, NotPositiveError
 from starbimod.exactla import Matrix, inverse, ldl_psd, poly_at
@@ -89,6 +89,20 @@ def random_form(rng: random.Random, dim: int) -> FormMatrix:
     )
 
 
+def scalar_product(a, b) -> list:
+    """The product of two matrices given as Scalar rows, entry by entry, with no ``Matrix``."""
+    cols = list(zip(*b))
+    return [[sum((x * y for x, y in zip(row, col)), Scalar(0)) for col in cols] for row in a]
+
+
+def scalar_rows(m: Matrix) -> list:
+    return [list(r) for r in m.rows]
+
+
+def scalar_adjoint(a) -> list:
+    return [[x.conjugate() for x in col] for col in zip(*a)]
+
+
 class TestActionTable:
     def test_rejects_non_hermitian_gram(self):
         with pytest.raises(ValueError):
@@ -130,6 +144,116 @@ class TestActionTable:
                 grams.clear()
                 ActionTable(table.gen, table.gram)
                 assert sum(m is table.gram for m in grams) == 1
+
+
+class TestSelfAdjointnessCheck:
+    """A table is accepted exactly when G R = R^H G, computed entry by entry."""
+
+    @staticmethod
+    def oracle(gen: Matrix, gram: Matrix) -> bool:
+        r, g = scalar_rows(gen), scalar_rows(gram)
+        return scalar_product(g, r) == scalar_product(scalar_adjoint(r), g)
+
+    @staticmethod
+    def perturbation(rng: random.Random, dim: int) -> Matrix:
+        """A random nonzero matrix: one entry, a real or imaginary shift, or a dense draw."""
+        kind = rng.choice(["entry", "real shift", "imaginary shift", "dense"])
+        if kind == "entry":
+            rows = [[0] * dim for _ in range(dim)]
+            rows[rng.randrange(dim)][rng.randrange(dim)] = rand_scalar(rng) or 1
+            return Matrix(rows)
+        if kind == "real shift":
+            return Matrix.diagonal([rng.choice([-2, -1, 1, 2])] * dim)
+        if kind == "imaginary shift":
+            return Matrix.diagonal([I] * dim)
+        return Matrix([[rand_scalar(rng) or 1 for _ in range(dim)] for _ in range(dim)])
+
+    @pytest.mark.parametrize("make", [random_table, diagonal_table, singular_table])
+    def test_accepts_exactly_when_the_gram_form_is_symmetric(self, make):
+        rng = random.Random(89)
+        verdicts = Counter()
+        for _ in range(40):
+            dim = rng.randint(1 if make is not singular_table else 2, 3)
+            table = make(rng, dim)
+            for gen in (table.gen, table.gen + self.perturbation(rng, dim)):
+                expected = self.oracle(gen, table.gram)
+                try:
+                    ActionTable(gen, table.gram)
+                except ValueError as err:
+                    assert str(err) == "generator is not hermitian for the Gram form"
+                    accepted = False
+                else:
+                    accepted = True
+                assert accepted == expected
+                verdicts[accepted] += 1
+        # both verdicts occur, so the test can tell the check from a constant
+        assert verdicts[True] > 40 and verdicts[False] > 0
+
+    def test_takes_one_product(self, monkeypatch):
+        rng = random.Random(97)
+        products = []
+        matmul = Matrix.__matmul__
+
+        def counting(m, other):
+            products.append(m)
+            return matmul(m, other)
+
+        monkeypatch.setattr(Matrix, "__matmul__", counting)
+        for make in (random_table, diagonal_table, singular_table):
+            table = make(rng, 3)
+            products.clear()
+            ActionTable(table.gen, table.gram)
+            assert products == [table.gram]
+
+
+class TestPolyAtAgainstPowers:
+    """poly_at against sum c_k R^k, the powers built entry by entry with Scalars."""
+
+    @staticmethod
+    def oracle(p: Poly, r: Matrix) -> Matrix:
+        n = r.nrows
+        rows = scalar_rows(r)
+        total = [[Scalar(0)] * n for _ in range(n)]
+        power = [[Scalar(int(i == j)) for j in range(n)] for i in range(n)]
+        for c in p.coeffs:
+            total = [[t + c * x for t, x in zip(tr, pr)] for tr, pr in zip(total, power)]
+            power = scalar_product(power, rows)
+        return Matrix(total)
+
+    @staticmethod
+    def polys(rng: random.Random) -> list:
+        out = [Poly(), Poly([Scalar(0, 3)]), Poly([1, 0, Scalar(0, -2)])]
+        for degree in range(5):
+            imaginary = Scalar(0, Fraction(rng.randint(1, 5), rng.randint(1, 4)))
+            for leading in (rand_scalar(rng) or 1, imaginary):
+                out.append(Poly([rand_scalar(rng) for _ in range(degree)] + [leading]))
+        return out
+
+    @pytest.mark.parametrize("dim", [0, 1, 2, 3])
+    @pytest.mark.parametrize("complex_parts", [False, True])
+    def test_against_sum_of_powers(self, dim, complex_parts):
+        rng = random.Random(101 + dim)
+        for _ in range(4):
+            r = Matrix([[rand_scalar(rng, complex_parts) for _ in range(dim)] for _ in range(dim)])
+            for p in self.polys(rng):
+                assert poly_at(p, r) == self.oracle(p, r)
+
+    def test_degree_d_takes_d_minus_one_products(self, monkeypatch):
+        rng = random.Random(103)
+        calls = []
+        products = exactla._products
+
+        def counting(*args):
+            calls.append(args)
+            return products(*args)
+
+        monkeypatch.setattr(exactla, "_products", counting)
+        r = Matrix([[rand_scalar(rng) for _ in range(3)] for _ in range(3)])
+        for degree in range(6):
+            p = Poly([rand_scalar(rng) for _ in range(degree)] + [Scalar(1, 1)])
+            calls.clear()
+            poly_at(p, r)
+            assert len(calls) == max(degree - 1, 0)
 
 
 class TestActionMemo:
@@ -208,9 +332,56 @@ class TestActionMemo:
 
         monkeypatch.setattr(forms, "poly_at", None)  # any evaluation fails
         monkeypatch.setattr(Matrix, "__matmul__", counting)
+        monkeypatch.setattr(exactla, "_products", None)  # any product fails
         assert x.act(P_ONE, 1, table) == x
         assert x.act(Poly.constant(Fraction(2, 2)), Poly([Scalar(1, 0)]), table) == x
         assert products == []
+
+    @pytest.mark.parametrize("make", [random_table, diagonal_table, singular_table])
+    def test_an_act_normalises_once(self, make, monkeypatch):
+        rng = random.Random(107)
+        stores = []
+        store = exactla._store
+
+        def counting(m, *args):
+            stores.append(m)
+            return store(m, *args)
+
+        monkeypatch.setattr(exactla, "_store", counting)
+        for _ in range(5):
+            table = make(rng, 3)
+            x = random_form(rng, 3)
+            a, b = rand_poly(rng, 3, nonzero=True), rand_poly(rng, 3, nonzero=True)
+            for left, right in ((a, b), (a, P_ONE), (P_ONE, b), (P_ONE, P_ONE)):
+                table.left_factor(left), table.operator(right)  # the table's evaluations, once
+                stores.clear()
+                out = x.act(left, right, table)
+                units = left.is_one() + right.is_one()
+                if units == 2:
+                    assert stores == [] and out.mat is x.mat
+                else:
+                    assert stores == [out.mat]
+
+
+class TestLeftFactorCoerces:
+    """left_factor takes what Poly.coerce takes, as operator does."""
+
+    @pytest.mark.parametrize("c", [3, 1, 0, -2, Fraction(-1, 3), Scalar(2, -5), Scalar(0, 1)])
+    def test_scalars_act_as_constants(self, c):
+        table = random_table(random.Random(109), 3)
+        p = Poly.constant(c)
+        # R(c^+)^H = (conj(c) I)^H = c I
+        assert table.left_factor(c) == Matrix.diagonal([c] * 3)
+        assert table.left_factor(c) is table.left_factor(p)
+        assert table.operator(c) == table.operator(p)
+
+    @pytest.mark.parametrize("bad", ["q", 1.5, None, [1, 2]])
+    def test_foreign_types_raise_type_error(self, bad):
+        table = diag_table()
+        with pytest.raises(TypeError):
+            table.left_factor(bad)
+        with pytest.raises(TypeError):
+            table.operator(bad)
 
 
 class TestFormAction:

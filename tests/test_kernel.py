@@ -326,6 +326,38 @@ class TestMatmul:
             assert self._dm(product) == self._dm(a) * self._dm(b)
             _assert_lowest_terms(c for r in product.rows for c in r)
 
+    def test_product_of_a_chain(self):
+        rng = random.Random(63)
+        for _ in range(60):
+            shape = [rng.randint(0, 4) for _ in range(rng.randint(2, 5))]
+            factors = [
+                self._matrix(rng, r, c, rng.choice(SHAPES)) if r else Matrix.zeros(0, c)
+                for r, c in zip(shape, shape[1:])
+            ]
+            product = Matrix.product(*factors)
+            expected = self._dm(factors[0])
+            for m in factors[1:]:
+                expected = expected * self._dm(m)
+            assert (product.nrows, product.ncols) == (shape[0], shape[-1])
+            if product.nrows and product.ncols:
+                assert self._dm(product) == expected
+            else:
+                assert product == Matrix.zeros(shape[0], shape[-1])
+            _assert_canonical_matrix(product)
+            if len(factors) == 2:
+                assert product == factors[0] @ factors[1]
+
+    def test_product_of_one_factor_is_that_factor(self):
+        m = self._matrix(random.Random(64), 2, 3, "complex")
+        assert Matrix.product(m) is m
+
+    def test_product_refuses_a_mismatch_anywhere_in_the_chain(self):
+        a, b, c = Matrix.identity(2), Matrix.zeros(2, 3), Matrix.identity(2)
+        with pytest.raises(DimensionMismatchError, match="cannot multiply 2x3 by 2x2"):
+            Matrix.product(a, b, c)
+        with pytest.raises(DimensionMismatchError, match="cannot multiply 2x3 by 2x2"):
+            b @ c
+
     def test_zero_and_identity(self):
         rng = random.Random(62)
         a = self._matrix(rng, 3, 4, "complex")

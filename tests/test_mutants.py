@@ -36,6 +36,20 @@ MUTANTS = {
     ),
     # d^n no longer acts on t^n: the group with n == j is skipped
     "apply-stops-one-group-too-early": ("weyl.py", "if j < n:", "if j <= n:", (5,)),
+    # a two-sided act multiplies R(a^+)^H by M and drops R(b)
+    "two-sided-product-drops-its-right-factor": (
+        "exactla.py",
+        "for m in rest:",
+        "for m in rest[:1]:",
+        (8,),
+    ),
+    # Horner's first step c_N A adds the imaginary product where it subtracts it
+    "horner-start-adds-the-imaginary-product": (
+        "exactla.py",
+        "tr * a - ti * b",
+        "tr * a + ti * b",
+        (8,),
+    ),
     "kernel-vector-without-its-l-terms": (
         "exactla.py",
         "kernel.append(v)",
