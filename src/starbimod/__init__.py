@@ -1,7 +1,7 @@
 """Exact *-bimodule algebra over C[q] with GNS-style representation checks."""
 
 from .algebra import Poly, Scalar, format_scalar, parse_scalar
-from .bimodule import BimodElement, Generator, verify_quadratic_certificate
+from .bimodule import BimodElement, Generator
 from .errors import (
     DimensionMismatchError,
     DoubleRangeError,
@@ -17,7 +17,7 @@ from .errors import (
     VariantMismatchError,
 )
 from .exactla import Matrix
-from .forms import ActionTable, FormMatrix, form_from_operator, weak_commutant_test
+from .forms import ActionTable, FormMatrix, form_from_operator
 from .gns import (
     Functional,
     GnsRealization,
@@ -72,8 +72,6 @@ __all__ = [
     "numerical_radius_norm_check",
     "parse_expression",
     "parse_scalar",
-    "verify_quadratic_certificate",
-    "weak_commutant_test",
 ]
 
 __version__ = "0.1.0"

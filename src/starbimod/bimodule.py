@@ -24,7 +24,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .algebra import I, P_ONE, Poly, Q, Scalar, sum_of_products
-from .errors import NotHermitianError, TagMismatchError
+from .errors import TagMismatchError
 from .weyl import WeylElement
 
 
@@ -60,10 +60,6 @@ class BimodElement:
 
     def __reduce__(self):
         return BimodElement, (self.tag, self.terms)
-
-    @classmethod
-    def zero(cls, tag: Generator = Generator.D2) -> "BimodElement":
-        return cls(tag)
 
     @classmethod
     def d_squared(cls) -> "BimodElement":
@@ -239,19 +235,3 @@ class BimodElement:
         ]
         return cls(tag, terms)
 
-
-def verify_quadratic_certificate(target: BimodElement, certificate) -> bool:
-    """Check that sum_j a_j^+ * y_j * a_j equals the target.
-
-    Every y_j must be hermitian; a true result witnesses that the target
-    lies in the quadratic module generated by the y_j.
-    """
-    total = BimodElement.zero(target.tag)
-    for a, y in certificate:
-        a = Poly.coerce(a)
-        if y.tag is not target.tag:
-            raise TagMismatchError("certificate generator over a different tag")
-        if not y.is_hermitian():
-            raise NotHermitianError("certificate generator is not hermitian")
-        total = total + y.act(a.conjugate(), a)
-    return total.equivalent(target)

@@ -442,10 +442,7 @@ def main(argv=None) -> int:
     try:
         _check_limits(args)
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except StarBimodError as exc:
+    except (InputError, StarBimodError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -301,10 +301,6 @@ class LdlResult(NamedTuple):
     diag: tuple[Fraction, ...]
     lower: tuple[tuple[tuple[int, int, int], ...], ...]
 
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
-
 
 def ldl_psd(m: Matrix) -> LdlResult:
     """Factor a hermitian matrix, proving positive semidefiniteness.

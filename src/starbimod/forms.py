@@ -147,14 +147,3 @@ def form_from_operator(t: Matrix, table: ActionTable) -> FormMatrix:
         raise DimensionMismatchError("operator and action dimensions differ")
     return FormMatrix(table.gram @ t)
 
-
-def weak_commutant_test(t: Matrix, table: ActionTable) -> bool:
-    """Does the form of t commute with the algebra action?
-
-    Since C[q] is singly generated, commuting with q decides it:
-    x_t * q = q * x_t as forms.
-    """
-    x = form_from_operator(t, table)
-    return x.act(Poly.constant(1), Poly.monomial(1), table) == x.act(
-        Poly.monomial(1), Poly.constant(1), table
-    )

@@ -108,10 +108,6 @@ class GnsRealization:
         """The Hankel Gram, built afresh on every read."""
         return hankel_gram(self.functional, self.degree)
 
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
-
 
 def hankel_gram(mf: MomentFunctional, degree: int) -> Matrix:
     """The Gram matrix G_{jk} = m_{j+k} on q^0..q^N; needs moments up to 2N.

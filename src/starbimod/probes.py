@@ -90,13 +90,9 @@ class ProbeReport:
     lambdas: tuple[float, ...]
     tolerance: float
     verdict: str
-    pivots: tuple[int, ...] = ()
-    ranks: tuple[int, ...] = ()
-    max_bits: int = 0
-
-    @property
-    def bounded(self) -> bool:
-        return self.verdict == BOUNDED
+    pivots: tuple[int, ...]
+    ranks: tuple[int, ...]
+    max_bits: int
 
 
 def form_numerators(

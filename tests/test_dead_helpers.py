@@ -1,13 +1,15 @@
-"""Every private helper and every import of the package has a use in the package.
+"""Every private helper, export and import of the package has a use in the package.
 
 No linter runs on this project, so these scans stand in for its
 unused-code checks.  A ``_``-prefixed function, method or class (dunders
 aside) defined in ``src/starbimod`` must be named somewhere in
 ``src/starbimod`` outside its own definition, as a name, an attribute or
-an imported name.  A name that a module-level import binds must be read
-in that module, or re-exported through its ``__all__``.  Tests do not
-count as a use.  A helper that a refactor leaves without a caller, or an
-import it leaves without a reader, fails here.
+an imported name.  So must every name in ``starbimod.__all__``, and a
+use in ``__init__.py`` does not count for it.  Tests do not count as a
+use.  A name that a module-level import binds, in the package or in the
+tests, must be read in that module, or re-exported through its
+``__all__``.  A helper or export that a refactor leaves without a
+caller, or an import it leaves without a reader, fails here.
 
 The routines that read only the real parts of their input rely on their
 one caller to pass real data; a scan pins each to that caller.
@@ -16,41 +18,46 @@ one caller to pass real data; a scan pins each to that caller.
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "starbimod"
+import starbimod
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "starbimod"
 
 
 def _is_private(name: str) -> bool:
     return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
 
 
-def _scan():
-    """The private definitions ``(file, name, first, last line)`` and every
-    reference ``(file, name, line)`` in the package."""
+def _package() -> dict[str, ast.Module]:
+    """The parsed modules of the package, keyed by file name."""
+    return {
+        path.name: ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for path in sorted(SRC.glob("*.py"))
+    }
+
+
+def _scan(modules: dict[str, ast.Module], wanted):
+    """The definitions ``(file, name, first, last line)`` of every function,
+    method or class whose name passes ``wanted``, and every reference
+    ``(file, name, line)`` in ``modules``."""
     defs, refs = [], []
-    for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    for file, tree in modules.items():
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                if _is_private(node.name):
-                    defs.append((path.name, node.name, node.lineno, node.end_lineno))
+                if wanted(node.name):
+                    defs.append((file, node.name, node.lineno, node.end_lineno))
             elif isinstance(node, ast.Name):
-                refs.append((path.name, node.id, node.lineno))
+                refs.append((file, node.id, node.lineno))
             elif isinstance(node, ast.Attribute):
-                refs.append((path.name, node.attr, node.lineno))
+                refs.append((file, node.attr, node.lineno))
             elif isinstance(node, ast.ImportFrom):
-                refs.extend((path.name, alias.name, node.lineno) for alias in node.names)
+                refs.extend((file, alias.name, node.lineno) for alias in node.names)
     return defs, refs
 
 
-def test_the_scan_sees_the_package():
-    defs, refs = _scan()
-    assert ("moments.py", "_over_top") in {(f, n) for f, n, _, _ in defs}
-    assert len(refs) > 1000
-
-
-def test_every_private_helper_is_referenced():
-    defs, refs = _scan()
-    unused = [
+def _unreferenced(defs, refs) -> list[str]:
+    """``file:line name`` of each definition that no reference outside it names."""
+    return [
         f"{file}:{first} {name}"
         for file, name, first, last in defs
         if not any(
@@ -58,7 +65,40 @@ def test_every_private_helper_is_referenced():
             for r_file, r_name, line in refs
         )
     ]
-    assert unused == []
+
+
+def test_the_scan_sees_the_package():
+    defs, refs = _scan(_package(), _is_private)
+    assert ("moments.py", "_over_top") in {(f, n) for f, n, _, _ in defs}
+    assert len(refs) > 1000
+
+
+def test_every_private_helper_is_referenced():
+    assert _unreferenced(*_scan(_package(), _is_private)) == []
+
+
+def _unreached_exports(exported, modules: dict[str, ast.Module]) -> list[str]:
+    """``file:line name`` of each name in ``exported`` that ``modules``, with
+    ``__init__.py`` left out, never name outside its own definition; a name
+    they do not define has the empty definition ``:0``."""
+    modules = {f: t for f, t in modules.items() if f != "__init__.py"}
+    defs, refs = _scan(modules, lambda name: name in exported)
+    defined = {name for _, name, _, _ in defs}
+    defs += [("", name, 0, -1) for name in exported if name not in defined]
+    return _unreferenced(defs, refs)
+
+
+def test_the_export_scan_sees_an_unreached_export():
+    modules = {
+        "__init__.py": ast.parse("from .a import Used, lone, ghost\nlone()\nghost()\n"),
+        "a.py": ast.parse("class Used:\n    pass\ndef lone():\n    return lone()\n"),
+        "b.py": ast.parse("from .a import Used\nx = Used()\n"),
+    }
+    assert _unreached_exports(["Used", "lone", "ghost"], modules) == ["a.py:3 lone", ":0 ghost"]
+
+
+def test_every_export_is_used_in_the_package():
+    assert _unreached_exports(starbimod.__all__, _package()) == []
 
 
 def _unused_imports(tree: ast.Module) -> list[tuple[str, int]]:
@@ -85,9 +125,11 @@ def test_the_import_scan_sees_an_unused_import():
 
 
 def test_every_import_is_used():
+    paths = sorted(SRC.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    assert len(paths) > 30
     unused = [
-        f"{path.name}:{line} {name}"
-        for path in sorted(SRC.glob("*.py"))
+        f"{path.relative_to(ROOT)}:{line} {name}"
+        for path in paths
         for name, line in _unused_imports(ast.parse(path.read_text(encoding="utf-8")))
     ]
     assert unused == []

@@ -262,14 +262,14 @@ class TestTriple:
                 _assert_canonical(h)
 
     def test_zero_element(self):
-        assert BimodElement.zero().triple() == (Poly(), Poly(), Poly())
+        assert BimodElement(Generator.D2).triple() == (Poly(), Poly(), Poly())
 
     @pytest.mark.parametrize(
         "orders", [(0,), (1,), (2,), (0, 1), (0, 1, 2)], ids=lambda o: "".join(map(str, o))
     )
     def test_components_match_triple_and_sympy(self, orders):
         rng = random.Random(53 + len(orders))
-        elements = [BimodElement.zero()]
+        elements = [BimodElement(Generator.D2)]
         for _ in range(80):
             pairs = []
             for _ in range(rng.randint(1, 4)):
@@ -737,7 +737,7 @@ class TestLdl:
     def _check(gram: Matrix):
         res = ldl_psd(gram)
         g = TestMatmul._dm(gram)
-        n, r = gram.nrows, res.rank
+        n, r = gram.nrows, len(res.pivots)
         # natural order: a pivot exactly where the leading block gains rank
         ranks = [g.extract(list(range(k)), list(range(k))).rank() if k else 0 for k in range(n + 1)]
         assert list(res.pivots) == [k for k in range(n) if ranks[k + 1] > ranks[k]]
@@ -776,14 +776,14 @@ class TestLdl:
         for n in degrees:
             res = self._check(hankel_gram(mf, n))
             if mf.is_atomic:
-                assert res.rank == min(n + 1, len(mf.atoms))
+                assert len(res.pivots) == min(n + 1, len(mf.atoms))
 
     def test_rank_deficient_gaussian_complex(self):
         middle_skips = 0
         for gram, rank_b, k in _rank_deficient_grams():
             res = self._check(gram)
-            assert res.rank == rank_b <= k
-            middle_skips += res.pivots != tuple(range(res.rank))
+            assert len(res.pivots) == rank_b <= k
+            middle_skips += res.pivots != tuple(range(len(res.pivots)))
         assert middle_skips >= 5
 
     def test_skipped_pivot_in_the_middle(self):
@@ -816,7 +816,7 @@ class TestLdl:
             ldl_psd(Matrix(rows))
 
     def test_empty_and_zero_matrices(self):
-        assert ldl_psd(Matrix([])).rank == 0
+        assert len(ldl_psd(Matrix([])).pivots) == 0
         assert ldl_psd(Matrix.zeros(3, 3)).pivots == ()
 
 
@@ -892,7 +892,7 @@ class TestNullspace:
         for gram in grams:
             ldl = ldl_psd(gram)
             rows, kernel = nullspace(ldl)
-            r = ldl.rank
+            r = len(ldl.pivots)
             assert len(rows) == r and len(kernel) == gram.nrows - r
             piv = ldl.pivots
             u = DomainMatrix(

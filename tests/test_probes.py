@@ -447,7 +447,7 @@ class TestPencilCongruence:
         z = pencil_scalars(fresh_pencil(form_numerators(func, x, mf, top), ldl))
         for n in range(top):
             small = ldl_psd(hankel_gram(mf, n))
-            r = small.rank
+            r = len(small.pivots)
             assert r == sum(p <= n for p in ldl.pivots)
             zn = pencil_scalars(fresh_pencil(form_numerators(func, x, mf, n), small))
             assert zn == [row[:r] for row in z[:r]], n
@@ -542,7 +542,7 @@ def assert_fresh_factor(factor, name, degree):
     ldl = ldl_psd(hankel_gram(CACHE_MEASURES[name](), degree))
     assert factor.degree == degree
     assert (factor.pivots, factor.diag) == (ldl.pivots, ldl.diag)
-    assert factor.rows[: ldl.rank] == nullspace(ldl)[0]
+    assert factor.rows[: len(ldl.pivots)] == nullspace(ldl)[0]
 
 
 class TestGramFactorCache:
@@ -672,12 +672,12 @@ class TestGramFactorCache:
         monkeypatch.setattr(gns, "nullspace", counted)
         for top in (6, 12):
             factor = build_gns(mf, top)
-            assert isinstance(factor.rows, tuple) and len(factor.rows) == factor.rank
+            assert isinstance(factor.rows, tuple) and len(factor.rows) == len(factor.pivots)
             assert len(calls) == 1
             calls.clear()
             for n in (*range(top + 1), 3):
                 factor = build_gns(mf, n)
-                assert isinstance(factor.rows, tuple) and len(factor.rows) == factor.rank
+                assert isinstance(factor.rows, tuple) and len(factor.rows) == len(factor.pivots)
             build_gns(mf, top)
             assert calls == []
 
@@ -987,7 +987,7 @@ class TestClassicalFactors:
     def test_empty_kernel(self, name):
         realization = build_gns(file_measure(f"{name}.json"), self.TOP)
         assert realization.kernel == ()
-        assert realization.rank == self.TOP + 1
+        assert len(realization.pivots) == self.TOP + 1
 
 
 class TestHermiteOracle:
