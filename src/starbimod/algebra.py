@@ -31,9 +31,10 @@ result by one gcd in ``gauss_scalar``.  ``Poly(seq)`` and
 ``gauss_numerators`` bring Scalars to one denominator, the lcm of theirs;
 ``Poly.coeffs``, ``coefficient`` and ``gauss_scalar`` read a coefficient
 out as a Scalar, with no reduction beyond that gcd.  ``Fraction`` meets
-the numerators only at the boundaries: literals and ``Fraction`` inputs
-come in through ``Scalar(re, im)``, and ``Scalar.re``, ``Scalar.im`` and
-``abs2`` hand reduced Fractions out.  Text is printed from the ints.
+the numerators only at the boundaries: literals, which ``parse_scalar``
+alone reads, and ``Fraction`` inputs come in through ``Scalar(re, im)``,
+and ``Scalar.re``, ``Scalar.im`` and ``abs2`` hand reduced Fractions
+out.  Text is printed from the ints.
 """
 
 from __future__ import annotations
@@ -65,14 +66,9 @@ def _rational(text: str) -> Fraction | None:
 
 
 def _ratio(value) -> tuple[int, int]:
-    """(numerator, denominator) of an int, a Fraction or a rational literal."""
+    """(numerator, denominator) of an int or a Fraction."""
     if isinstance(value, int):
         return int(value), 1
-    if isinstance(value, str):
-        q = _rational(value)
-        if q is None:
-            raise ParseError(f"not a rational literal: {value!r}", 0)
-        return q.numerator, q.denominator
     if isinstance(value, Fraction):
         return value.numerator, value.denominator
     raise TypeError(f"cannot build a rational from {type(value).__name__}")

@@ -178,16 +178,12 @@ class BimodElement:
     def is_hermitian(self) -> bool:
         return self.equivalent(self.involution())
 
-    def weyl(self) -> WeylElement:
-        """Normal-ordered embedding of a D2 element: h0*d^2 + 2*h1*d + h2."""
-        h0, h1, h2 = self.triple()
-        return WeylElement.from_profile({2: h0, 1: 2 * h1, 0: h2})
-
     def weyl_by_products(self) -> WeylElement:
         """Embedding computed term by term in the ambient algebra.
 
-        Slower route used to cross-check ``weyl``; it multiplies out
-        a * d^2 * b with the normal-ordering product.
+        The reference for the classifying triple: it multiplies out each
+        a * d^2 * b with the normal-ordering product, and never reads
+        ``triple``, so h0*d^2 + 2*h1*d + h2 can be checked against it.
         """
         self._require(Generator.D2, "ambient embedding")
         d2 = WeylElement.d_power(2)
@@ -210,12 +206,6 @@ class BimodElement:
     def __repr__(self):
         body = ", ".join(f"({a!r}, {b!r})" for a, b in self.terms)
         return f"BimodElement({self.tag!r}, [{body}])"
-
-    def to_json(self) -> dict:
-        return {
-            "tag": self.tag.value,
-            "terms": [[a.coeff_strings(), b.coeff_strings()] for a, b in self.terms],
-        }
 
     @classmethod
     def from_json(cls, data) -> "BimodElement":

@@ -43,8 +43,8 @@ def _fmt_float(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _emit(report: dict, as_json: bool, text_lines=None):
-    if as_json or text_lines is None:
+def _emit(report: dict, as_json: bool, text_lines):
+    if as_json:
         json.dump(report, sys.stdout, indent=2)
         sys.stdout.write("\n")
     else:

@@ -83,10 +83,6 @@ class Matrix:
         return m
 
     @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        return cls.diagonal([1] * n)
-
-    @classmethod
     def zeros(cls, r: int, c: int) -> "Matrix":
         return cls.from_numerators([[0] * c] * r, [[0] * c] * r, 1, c)
 

@@ -21,8 +21,9 @@ nests, and the recurrence's vector at an index a, a row of U or a kernel
 vector, depends only on the rows <= a of L.  A larger degree
 is realized afresh and replaces the entry whole, once its positivity
 gate has passed.  So the gate, the kernel and every probe at or below M
-share one elimination.  The Gram itself is not kept: ``gram`` builds it
-from the moments on each read.
+share one elimination.  The Gram itself is not kept, and a realization
+holds no reference to its measure: ``hankel_gram`` builds the Gram from
+the moments on each call.
 
 The elimination runs at the moments' natural scale.  With m_k =
 N_k / (den x^k) from ``MomentFunctional.numerators`` (x = X, the lcm of
@@ -93,20 +94,16 @@ class GnsRealization:
     per index, monic there: the rows of U = L^-1 are the orthogonal
     polynomials P_a, zero off the pivots, with f(P_a P_b) = D_a delta_ab.
     Both are real, as the moments are: ``MomentFunctional`` refuses a
-    non-real one at construction.
+    non-real one at construction.  The Gram is not kept: ``hankel_gram``
+    builds it from the measure.  Nor is the measure, which caches this
+    realization, so the two form no reference cycle.
     """
 
-    functional: MomentFunctional
     degree: int
     pivots: tuple[int, ...]
     diag: tuple[Fraction, ...]
     rows: tuple[Poly, ...]
     kernel: tuple[Poly, ...]
-
-    @property
-    def gram(self) -> Matrix:
-        """The Hankel Gram, built afresh on every read."""
-        return hankel_gram(self.functional, self.degree)
 
 
 def hankel_gram(mf: MomentFunctional, degree: int) -> Matrix:
@@ -139,13 +136,13 @@ def build_gns(mf: MomentFunctional, degree: int) -> GnsRealization:
         rows, kernel = nullspace(ldl)
         if x != 1:
             diag, rows, kernel = _unscaled(pivots, diag, rows, kernel, x, degree)
-        top = GnsRealization(mf, degree, pivots, diag, rows, kernel)
+        top = GnsRealization(degree, pivots, diag, rows, kernel)
         object.__setattr__(mf, "_gns", top)
     if degree == top.degree:
         return top
     r = bisect_right(top.pivots, degree)
     return GnsRealization(
-        mf, degree, top.pivots[:r], top.diag[:r], top.rows[:r], top.kernel[: degree + 1 - r]
+        degree, top.pivots[:r], top.diag[:r], top.rows[:r], top.kernel[: degree + 1 - r]
     )
 
 
@@ -431,7 +428,7 @@ def check_intertwiner(
             raise MomentMismatchError(f"moment {k} differs: {u} vs {v}")
     r1 = build_gns(mf1, degree)
     r2 = build_gns(mf2, degree)
-    gram_equal = r1.gram == r2.gram
+    gram_equal = hankel_gram(mf1, degree) == hankel_gram(mf2, degree)
     kernel_equal = r1.kernel == r2.kernel
     shift_ok = True
     for j in range(degree):

@@ -44,7 +44,6 @@ from operator import mul
 from .algebra import (
     Poly,
     Scalar,
-    format_scalar,
     gauss_numerators,
     gauss_scalar,
     parse_real,
@@ -63,7 +62,7 @@ class MomentFunctional:
     # far (the LDL of the Hankel Gram, every row of L^-1 and the kernel),
     # set by ``gns.build_gns`` once its positivity gate has passed, else
     # None; replaced whole, never changed in place; a cache of this object
-    # alone, not part of ==, hash, repr or to_json.
+    # alone, not part of ==, hash or repr.
     __slots__ = ("atoms", "_nums", "_atom_nums", "_gns")
 
     def __init__(self, atoms=None, values=None):
@@ -238,12 +237,6 @@ class MomentFunctional:
             vals = [a * x for a, x in zip(vals, xs)]
         return out
 
-    def moment(self, k: int) -> Scalar:
-        if k < 0:
-            raise MomentOutOfRangeError(f"negative moment index {k}")
-        nums, den, x = self.numerators(k, low=k)
-        return gauss_scalar(nums[k], 0, den * x**k)
-
     def apply(self, p: Poly) -> Scalar:
         """f(p) by linearity in the real moments: one integer dot product per part of p."""
         nums, den, x = self.numerators(p.degree, reads=p)
@@ -293,14 +286,6 @@ class MomentFunctional:
         if self.atoms is not None:
             return f"MomentFunctional(atoms={self.atoms!r})"
         return f"MomentFunctional(values={[str(v) for v in self.values]!r})"
-
-    def to_json(self) -> dict:
-        if self.atoms is not None:
-            return {
-                "type": "atomic",
-                "atoms": [{"x": str(x), "w": str(w)} for x, w in self.atoms],
-            }
-        return {"type": "moments", "values": [format_scalar(v) for v in self.values]}
 
     @classmethod
     def from_json(cls, data) -> "MomentFunctional":

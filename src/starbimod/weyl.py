@@ -107,9 +107,6 @@ class WeylElement:
         den = self.den
         return {mn: gauss_scalar(a, b, den) for mn, (a, b) in self.nums.items()}
 
-    def coefficient(self, m: int, n: int) -> Scalar:
-        return gauss_scalar(*self.nums.get((m, n), (0, 0)), self.den)
-
     def is_zero(self) -> bool:
         return not self.nums
 

@@ -38,7 +38,18 @@ from starbimod.weyl import WeylElement
 
 from exact_views import assert_canonical_poly
 
-fractions = st.fractions(min_value=-40, max_value=40, max_denominator=12)
+
+@st.composite
+def _bounded_fractions(draw, bound: int, max_denominator: int):
+    """The set that ``st.fractions(min_value=-bound, max_value=bound,
+    max_denominator=max_denominator)`` draws, built from two integers at a
+    fraction of its cost: the denominator d first, so that a failure
+    shrinks towards an integer, then a numerator in [-bound*d, bound*d]."""
+    d = draw(st.integers(1, max_denominator))
+    return Fraction(draw(st.integers(-bound * d, bound * d)), d)
+
+
+fractions = _bounded_fractions(40, 12)
 scalars = st.builds(Scalar, fractions, fractions)
 polys = st.builds(Poly, st.lists(scalars, max_size=6))
 
@@ -98,10 +109,11 @@ class TestScalar:
         with pytest.raises(ParseError):
             parse_scalar(bad)
 
-    def test_rational_constructor_takes_the_same_literals(self):
-        assert Scalar("1/٣", "-٣/٠٤") == Scalar(Fraction(1, 3), Fraction(-3, 4))
-        with pytest.raises(ParseError):
-            Scalar("1/٠")
+    def test_rational_constructor_takes_no_text(self):
+        # text is read by parse_scalar alone, under its digit cap
+        for args in (("1/3",), (0, "1/3"), ("9" * 1500,)):
+            with pytest.raises(TypeError):
+                Scalar(*args)
 
 
 def _assert_canonical(z: Scalar) -> None:
@@ -455,7 +467,7 @@ class TestPolyLaws:
 
 
 # small values, so that equal pairs across the types are drawn often
-tiny_fractions = st.fractions(min_value=-2, max_value=2, max_denominator=2)
+tiny_fractions = _bounded_fractions(2, 2)
 tiny_scalars = st.builds(Scalar, tiny_fractions, st.sampled_from([0, 0, 1]))
 tiny_polys = st.builds(Poly, st.lists(tiny_scalars, max_size=2))
 tiny_weyls = st.builds(

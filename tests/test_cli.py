@@ -4,6 +4,7 @@ import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -22,21 +23,20 @@ from starbimod.errors import NotPositiveError
 from starbimod.moments import MomentFunctional
 from starbimod.parser import MAX_NESTING
 from starbimod.probes import BOUNDED, GROWTH, norm_bound_trials, plateau_verdict
-from starbimod.sampling import mu3
 
 
 @pytest.fixture
 def mu3_file(tmp_path):
     path = tmp_path / "mu3.json"
-    path.write_text(json.dumps(mu3().to_json()))
+    atoms = [{"x": x, "w": "1"} for x in ("-1", "0", "1")]
+    path.write_text(json.dumps({"type": "atomic", "atoms": atoms}))
     return str(path)
 
 
 @pytest.fixture
-def gauss_file(tmp_path):
-    path = tmp_path / "gauss.json"
-    path.write_text(json.dumps(MomentFunctional.gaussian(64).to_json()))
-    return str(path)
+def gauss_file():
+    # the standard Gaussian's moments m_0..m_64
+    return str(Path(__file__).resolve().parents[1] / "measures" / "gauss64.json")
 
 
 class TestNormalOrder:

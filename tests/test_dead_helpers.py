@@ -1,15 +1,18 @@
-"""Every private helper, export and import of the package has a use in the package.
+"""Every helper, public def, export and import of the package has a use in the package.
 
 No linter runs on this project, so these scans stand in for its
 unused-code checks.  A ``_``-prefixed function, method or class (dunders
 aside) defined in ``src/starbimod`` must be named somewhere in
 ``src/starbimod`` outside its own definition, as a name, an attribute or
-an imported name.  So must every name in ``starbimod.__all__``, and a
-use in ``__init__.py`` does not count for it.  Tests do not count as a
-use.  A name that a module-level import binds, in the package or in the
-tests, must be read in that module, or re-exported through its
-``__all__``.  A helper or export that a refactor leaves without a
-caller, or an import it leaves without a reader, fails here.
+an imported name.  So must every public function, method or class
+defined outside ``__init__.py``, but for the test references listed in
+``TEST_REFERENCES`` with the reason each is kept, and every name in
+``starbimod.__all__``; for these two a use in ``__init__.py`` does not
+count.  Tests do not count as a use.  A name that a module-level import
+binds, in the package or in the tests, must be read in that module, or
+re-exported through its ``__all__``.  A helper, method or export that a
+refactor leaves without a caller, or an import it leaves without a
+reader, fails here.
 
 The routines that read only the real parts of their input rely on their
 one caller to pass real data; a scan pins each to that caller.
@@ -99,6 +102,41 @@ def test_the_export_scan_sees_an_unreached_export():
 
 def test_every_export_is_used_in_the_package():
     assert _unreached_exports(starbimod.__all__, _package()) == []
+
+
+# public defs that only tests reach, each with the reason it is kept
+TEST_REFERENCES = {
+    "weyl_by_products": "the ambient-product reference that tests check the "
+    "classifying triple against; it never reads the triple, so it stays "
+    "independent of the fast path",
+}
+
+
+def _unreached_public_defs(modules: dict[str, ast.Module]) -> list[str]:
+    """``file:line name`` of each public function, method or class defined
+    outside ``__init__.py`` that no module but ``__init__.py`` names
+    outside its own definition, ``TEST_REFERENCES`` aside."""
+    modules = {f: t for f, t in modules.items() if f != "__init__.py"}
+    defs, refs = _scan(modules, lambda name: not name.startswith("_"))
+    return _unreferenced([d for d in defs if d[1] not in TEST_REFERENCES], refs)
+
+
+def test_the_public_def_scan_sees_an_unreached_method():
+    modules = {
+        "__init__.py": ast.parse("from .a import A, helper\nA().lone()\n"),
+        "a.py": ast.parse(
+            "class A:\n    def used(self):\n        return 1\n"
+            "    def lone(self):\n        return self.lone()\n"
+            "    def weyl_by_products(self):\n        return 2\n"
+            "def helper():\n    return A().used()\n"
+        ),
+        "b.py": ast.parse("from .a import helper\nhelper()\n"),
+    }
+    assert _unreached_public_defs(modules) == ["a.py:4 lone"]
+
+
+def test_every_public_def_is_reached():
+    assert _unreached_public_defs(_package()) == []
 
 
 def _unused_imports(tree: ast.Module) -> list[tuple[str, int]]:

@@ -20,7 +20,7 @@ def operator_adjoint(t: Matrix, table: ActionTable) -> Matrix:
 
 
 def diag_table():
-    return ActionTable(Matrix.diagonal([0, 1]), Matrix.identity(2))
+    return ActionTable(Matrix.diagonal([0, 1]), Matrix.diagonal([1] * 2))
 
 
 def shift_form():
@@ -101,7 +101,7 @@ def scalar_adjoint(a) -> list:
 class TestActionTable:
     def test_rejects_non_hermitian_gram(self):
         with pytest.raises(ValueError):
-            ActionTable(Matrix.identity(2), Matrix([[0, 1], [0, 0]]))
+            ActionTable(Matrix.diagonal([1] * 2), Matrix([[0, 1], [0, 0]]))
 
     def test_rejects_indefinite_gram(self):
         with pytest.raises(NotPositiveError):
@@ -109,7 +109,7 @@ class TestActionTable:
 
     def test_rejects_non_symmetric_generator(self):
         with pytest.raises(ValueError):
-            ActionTable(Matrix([[0, 1], [0, 0]]), Matrix.identity(2))
+            ActionTable(Matrix([[0, 1], [0, 0]]), Matrix.diagonal([1] * 2))
 
     def test_singular_gram_allowed(self):
         table = ActionTable(Matrix.diagonal([2, 3]), Matrix.diagonal([1, 0]))
@@ -117,7 +117,7 @@ class TestActionTable:
 
     def test_size_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            ActionTable(Matrix.identity(2), Matrix.identity(3))
+            ActionTable(Matrix.diagonal([1] * 2), Matrix.diagonal([1] * 3))
 
     def test_operator_evaluates_polynomials(self):
         table = diag_table()
@@ -393,7 +393,7 @@ class TestFormAction:
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            FormMatrix(Matrix.identity(3)).act(Q, Q, diag_table())
+            FormMatrix(Matrix.diagonal([1] * 3)).act(Q, Q, diag_table())
 
 
 class TestInvolution:
@@ -421,7 +421,7 @@ class TestFromOperator:
 
     def test_identity_operator(self):
         table = ActionTable(Matrix.diagonal([1, 2]), Matrix.diagonal([3, 2]))
-        assert form_from_operator(Matrix.identity(2), table) == FormMatrix(
+        assert form_from_operator(Matrix.diagonal([1] * 2), table) == FormMatrix(
             table.gram
         )
 

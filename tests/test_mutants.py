@@ -72,8 +72,8 @@ MUTANTS = {
     "ldl-accepts-a-negative-pivot": ("exactla.py", "if pivot < 0:", "if False:", (11,)),
     "build-gns-drops-its-last-kernel-vector": (
         "gns.py",
-        "GnsRealization(mf, degree, pivots, diag, rows, kernel)",
-        "GnsRealization(mf, degree, pivots, diag, rows, kernel[:-1])",
+        "GnsRealization(degree, pivots, diag, rows, kernel)",
+        "GnsRealization(degree, pivots, diag, rows, kernel[:-1])",
         (10, 11),
     ),
     "ldl-reads-the-residual-row-from-two-past-the-pivot": (

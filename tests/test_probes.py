@@ -156,7 +156,8 @@ class TestBoundednessProbe:
         # one power of two for the whole pencil would flush block 0 to zero
         mf = MomentFunctional.atomic([(Fraction(1, 10**300), 1), (10**100, Fraction(1, 10**700))])
         report = generator_probe(mf, range(0, 3))
-        exact = mf.moment(1).re / mf.moment(0).re
+        m0, m1 = mf.moments_up_to(1)
+        exact = m1.re / m0.re
         assert abs(report.lambdas[0] - float(exact)) <= 1e-12 * float(exact)
         assert all(abs(v - 1e100) <= 1e-12 * 1e100 for v in report.lambdas[1:])
 
@@ -561,7 +562,7 @@ class TestGramFactorCache:
         for top in tower:
             build_gns(mf, top)
             # an atomic measure's cached power sums grow past the factored degree
-            mf.moment(40)
+            mf.moments_up_to(40)
             # ascending, so the rows of L^-1 grow in steps; then a low degree again
             for n in (*range(top + 1), 3):
                 assert_fresh_factor(build_gns(mf, n), name, n)
@@ -574,7 +575,7 @@ class TestGramFactorCache:
             realization = build_gns(mf, n)
             fresh = build_gns(CACHE_MEASURES[name](), n)
             assert factor_fields(realization) == factor_fields(fresh)
-            assert realization.gram == fresh.gram
+            assert hankel_gram(mf, n) == hankel_gram(CACHE_MEASURES[name](), n)
 
     @pytest.mark.parametrize("name", sorted(CACHE_MEASURES))
     def test_probe_reports_do_not_depend_on_the_cache(self, name):
@@ -652,9 +653,9 @@ class TestGramFactorCache:
     @pytest.mark.parametrize("name", sorted(CACHE_MEASURES))
     def test_value_semantics_ignore_the_factor(self, name):
         mf = CACHE_MEASURES[name]()
-        before = (hash(mf), repr(mf), mf.to_json())
+        before = (hash(mf), repr(mf))
         build_gns(mf, 10).rows[:3]
-        assert (hash(mf), repr(mf), mf.to_json()) == before
+        assert (hash(mf), repr(mf)) == before
         assert mf == CACHE_MEASURES[name]()
         with pytest.raises(AttributeError):
             mf._gns = None
@@ -691,7 +692,7 @@ class TestGramFactorCache:
             fresh = build_gns(make(), n)
             assert realization.degree == n
             assert factor_fields(realization) == factor_fields(fresh)
-            assert realization.gram == fresh.gram
+            assert hankel_gram(mf, n) == hankel_gram(make(), n)
 
     @pytest.mark.parametrize("name", sorted(CACHE_MEASURES))
     def test_a_warm_read_computes_nothing(self, name, monkeypatch):
@@ -708,7 +709,7 @@ class TestGramFactorCache:
                 return _original(*args)
 
             monkeypatch.setattr(module, attr, counted)
-        top = build_gns(mf, 12)
+        build_gns(mf, 12)
         # every measure is factored at its moments' natural scale, with no Gram read
         assert counts == {"hermitian_ldl": 1, "nullspace": 1}
         counts.clear()
@@ -718,7 +719,7 @@ class TestGramFactorCache:
         generator_probe(mf, range(2, 11))
         assert counts == {}
         # a Gram read builds the Gram from the moments, and nothing else
-        top.gram
+        gns.hankel_gram(mf, 12)
         assert counts == {"hankel_gram": 1}
 
     def test_two_threads_probing_one_measure(self):
@@ -766,7 +767,6 @@ class TestScaledRealization:
             gram = hankel_gram(make(), n)
             ldl = ldl_psd(gram)
             assert factor_fields(realization) == (ldl.pivots, ldl.diag, *nullspace(ldl)), n
-            assert realization.gram == gram, n
 
     @pytest.mark.parametrize("case", list(KERNEL_CASES))
     def test_the_realization_is_real(self, case):
