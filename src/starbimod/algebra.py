@@ -158,6 +158,8 @@ class Scalar:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        if not isinstance(other, (Scalar, int, Fraction)):
+            return NotImplemented
         other = Scalar.coerce(other)
         a, b, c, e = self.re_num, self.im_num, other.re_num, other.im_num
         norm = c * c + e * e
@@ -166,6 +168,11 @@ class Scalar:
         # (a + b*i) / d over (c + e*i) / f is f (a + b*i)(c - e*i) / (d |c + e*i|^2)
         f = other.den
         return gauss_scalar(f * (a * c + b * e), f * (b * c - a * e), self.den * norm)
+
+    def __rtruediv__(self, other):
+        if not isinstance(other, (Scalar, int, Fraction)):
+            return NotImplemented
+        return Scalar.coerce(other) / self
 
     def __neg__(self):
         return _canonical(-self.re_num, -self.im_num, self.den)

@@ -119,9 +119,6 @@ class BimodElement:
             return NotImplemented
         if self.tag is not other.tag:
             raise TagMismatchError("cannot add elements over different generators")
-        if self.tag is Generator.GAUSS:
-            # add the canonical polynomials; no product with the unit left factor
-            return BimodElement.gauss(self.gauss_poly() + other.gauss_poly())
         return BimodElement(self.tag, self.terms + other.terms)
 
     def __sub__(self, other):
@@ -130,15 +127,10 @@ class BimodElement:
         return self + (-other)
 
     def __neg__(self):
-        if self.tag is Generator.GAUSS:
-            # scale the canonical polynomial; no product with a constant left factor
-            return BimodElement.gauss(-self.gauss_poly())
         return BimodElement(self.tag, [(-a, b) for a, b in self.terms])
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):
-            if self.tag is Generator.GAUSS:
-                return BimodElement.gauss(self.gauss_poly() * other)
             c = Scalar.coerce(other)
             return BimodElement(self.tag, [(a * c, b) for a, b in self.terms])
         return NotImplemented
@@ -187,7 +179,7 @@ class BimodElement:
         """
         self._require(Generator.D2, "ambient embedding")
         d2 = WeylElement.d_power(2)
-        out = WeylElement.zero()
+        out = WeylElement()
         for a, b in self.terms:
             out = out + WeylElement.from_poly(a) * d2 * WeylElement.from_poly(b)
         return out

@@ -24,15 +24,14 @@ from .sampling import rand_d2_element, rand_gauss_element, rand_poly
 from .selftest import run_all
 
 
-# Upper limits on size arguments, refused with exit 2 before any work.
-# The probe builds its whole tower at the top degree up front, a Gram of
-# (B+1)^2 exact entries; the shipped moment lists stop at degree 31.  The
-# same cap bounds every other degree argument.  lemma-check runs an exact
-# LDL per trial, whose integers grow with --max-dim.
+# Upper limits on size arguments, which ``_int_in`` refuses at parse time
+# with exit 2.  The probe builds its whole tower at the top degree up
+# front, a Gram of (B+1)^2 exact entries; the shipped moment lists stop at
+# degree 31.  The same cap bounds every other degree argument.  lemma-check
+# runs an exact LDL per trial, whose integers grow with --max-dim.
 MAX_DEGREE = 64
 MAX_DIM = 24
 MAX_TRIALS = 10_000
-_LIMITS = {"max_degree": MAX_DEGREE, "max_dim": MAX_DIM, "trials": MAX_TRIALS}
 
 
 class InputError(Exception):
@@ -138,8 +137,8 @@ def _parse_degrees(text: str) -> list[int]:
     return list(range(lo, hi + 1))
 
 
-def _at_least(minimum: int):
-    """argparse type: an integer no smaller than ``minimum``."""
+def _int_in(minimum: int, cap: int | None):
+    """argparse type: an integer from ``minimum`` to ``cap`` (None: no cap)."""
 
     def parse(text: str) -> int:
         try:
@@ -148,6 +147,8 @@ def _at_least(minimum: int):
             raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        if cap is not None and value > cap:
+            raise argparse.ArgumentTypeError(f"{value} exceeds the limit of {cap}")
         return value
 
     return parse
@@ -162,14 +163,6 @@ def _tolerance(text: str) -> float:
     if not (math.isfinite(value) and value >= 0):
         raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
     return value
-
-
-def _check_limits(args) -> None:
-    for dest, cap in _LIMITS.items():
-        value = getattr(args, dest, None)
-        if value is not None and value > cap:
-            flag = "--" + dest.replace("_", "-")
-            raise InputError(f"{flag} {value} exceeds the limit of {cap}")
 
 
 def _cmd_normal_order(args) -> int:
@@ -359,14 +352,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     def common(p, measure=False, functional=False, trials=False):
-        fmt = p.add_mutually_exclusive_group()
-        fmt.add_argument("--json", action="store_true", help="JSON report output")
-        fmt.add_argument(
-            "--text",
-            action="store_false",
-            dest="json",
-            help="plain text output (default)",
-        )
+        p.add_argument("--json", action="store_true", help="JSON report output")
         if measure:
             p.add_argument("--measure", required=True, help="measure JSON file")
         if functional:
@@ -376,7 +362,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
                 help="F0 | F1 | F2 | gauss-poly:<expr> | gauss-atoms:<file>",
             )
         if trials:
-            p.add_argument("--trials", type=_at_least(1), default=200)
+            p.add_argument("--trials", type=_int_in(1, MAX_TRIALS), default=200)
             p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("normal-order", help="normal order an expression")
@@ -395,7 +381,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--max-degree",
-        type=_at_least(0),
+        type=_int_in(0, MAX_DEGREE),
         default=None,
         help="also print the operator table",
     )
@@ -404,12 +390,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gns-check", help="random exact representation-identity checks")
     common(p, measure=True, functional=True, trials=True)
-    p.add_argument("--max-degree", type=_at_least(0), default=6)
+    p.add_argument("--max-degree", type=_int_in(0, MAX_DEGREE), default=6)
     p.set_defaults(func=_cmd_gns_check)
 
     p = sub.add_parser("cs-check", help="random exact Cauchy-Schwarz checks")
     common(p, measure=True, functional=True, trials=True)
-    p.add_argument("--max-degree", type=_at_least(0), default=6)
+    p.add_argument("--max-degree", type=_int_in(0, MAX_DEGREE), default=6)
     p.set_defaults(func=_cmd_cs_check)
 
     p = sub.add_parser("probe", help="finite-degree boundedness probe")
@@ -425,9 +411,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lemma-check", help="numerical-radius norm bound on random matrices")
     common(p)
-    p.add_argument("--trials", type=_at_least(1), default=100)
-    p.add_argument("--seed", type=_at_least(0), default=0)
-    p.add_argument("--max-dim", type=_at_least(1), default=8)
+    p.add_argument("--trials", type=_int_in(1, MAX_TRIALS), default=100)
+    p.add_argument("--seed", type=_int_in(0, None), default=0)
+    p.add_argument("--max-dim", type=_int_in(1, MAX_DIM), default=8)
     p.set_defaults(func=_cmd_lemma_check)
 
     p = sub.add_parser("selftest", help="run the full acceptance battery")
@@ -440,7 +426,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_arg_parser().parse_args(argv)
     try:
-        _check_limits(args)
         return args.func(args)
     except (InputError, StarBimodError) as exc:
         print(f"error: {exc}", file=sys.stderr)

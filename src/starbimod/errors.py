@@ -16,8 +16,13 @@ class ParseError(StarBimodError):
 
     def __init__(self, message, offset, expected=()):
         super().__init__(f"{message} (offset {offset})")
+        self.message = message
         self.offset = offset
         self.expected = frozenset(expected)
+
+    def __reduce__(self):
+        # Exception's own reduce replays only the formatted message
+        return type(self), (self.message, self.offset, self.expected)
 
 
 class TagMismatchError(StarBimodError):

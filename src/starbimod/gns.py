@@ -198,18 +198,6 @@ class Functional:
         return Functional, (self.kind, self.weight, self.atom_values)
 
     @classmethod
-    def f0(cls):
-        return cls("F0")
-
-    @classmethod
-    def f1(cls):
-        return cls("F1")
-
-    @classmethod
-    def f2(cls):
-        return cls("F2")
-
-    @classmethod
     def gauss_poly(cls, weight) -> "Functional":
         return cls("gauss-poly", weight=weight)
 

@@ -71,7 +71,7 @@ def _measures():
 def representation_identity_d2(trials: int = 1000, seed: int = 101) -> CheckResult:
     rng = random.Random(seed)
     measures = list(_measures().items())
-    variants = [Functional.f0(), Functional.f1(), Functional.f2()]
+    variants = [Functional("F0"), Functional("F1"), Functional("F2")]
     started = time.monotonic()
     failures = 0
     for _ in range(trials):
@@ -132,9 +132,9 @@ def pinned_operator_values(degree: int = 10) -> CheckResult:
     ok = True
     for k in range(degree + 1):
         mono = Poly.monomial(k)
-        ok &= Functional.f0().theta(d2, mono) == mono
-        ok &= Functional.f1().theta(d2, mono) == mono.derivative()
-        ok &= Functional.f2().theta(d2, mono) == mono.derivative(2)
+        ok &= Functional("F0").theta(d2, mono) == mono
+        ok &= Functional("F1").theta(d2, mono) == mono.derivative()
+        ok &= Functional("F2").theta(d2, mono) == mono.derivative(2)
     # p inside the d^2 span: p = (-i/2)(d^2 q - q d^2)
     p_elem = (
         BimodElement(Generator.D2, [(P_ONE, Q)])
@@ -190,7 +190,7 @@ def normal_order_soundness(trials: int = 500, seed: int = 303) -> CheckResult:
 def cauchy_schwarz_suite(trials: int = 1000, seed: int = 404) -> CheckResult:
     rng = random.Random(seed)
     measures = list(_measures().values())
-    variants = [Functional.f0(), Functional.f1(), Functional.f2()]
+    variants = [Functional("F0"), Functional("F1"), Functional("F2")]
     failures = 0
     equality_failures = 0
     for n in range(trials):

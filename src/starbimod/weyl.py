@@ -56,14 +56,6 @@ class WeylElement:
         return _new, ([(mn, a, b) for mn, (a, b) in self.nums.items()], self.den)
 
     @classmethod
-    def zero(cls) -> "WeylElement":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "WeylElement":
-        return cls({(0, 0): ONE})
-
-    @classmethod
     def monomial(cls, m: int, n: int, coeff=ONE) -> "WeylElement":
         """coeff * q^m d^n, for m, n >= 0."""
         if m < 0 or n < 0:
@@ -328,6 +320,6 @@ def _coerce(value):
     return NotImplemented
 
 
-_ONE = WeylElement.one()
+_ONE = WeylElement.monomial(0, 0)
 D = WeylElement.d_power(1)
 P = WeylElement.p_generator()

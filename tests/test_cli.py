@@ -14,7 +14,6 @@ from starbimod.cli import (
     MAX_DEGREE,
     MAX_DIM,
     MAX_TRIALS,
-    _check_limits,
     build_arg_parser,
     main,
 )
@@ -292,13 +291,16 @@ class TestChecks:
         )
         assert code == 0
 
-    def test_explicit_text_flag(self, capsys, mu3_file):
-        code = main(
-            ["cs-check", "--measure", mu3_file, "--functional", "F0",
-             "--trials", "5", "--seed", "2", "--text"]
-        )
-        assert code == 0
-        assert "5/5" in capsys.readouterr().out
+    def test_text_flag_is_unknown(self, capsys, mu3_file):
+        # text is the default output; --text is no option
+        with pytest.raises(SystemExit) as exc:
+            main(["cs-check", "--measure", mu3_file, "--functional", "F0",
+                  "--trials", "5", "--seed", "2", "--text"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert "unrecognized arguments: --text" in captured.err.strip().splitlines()[-1]
 
 
 class TestProbe:
@@ -543,12 +545,12 @@ class TestSizeArguments:
         ],
     )
     def test_above_cap_refused(self, capsys, mu3_file, argv):
-        assert main(_argv(argv, mu3_file)) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: --")
-        assert "exceeds the limit" in captured.err
-        assert len(captured.err.strip().splitlines()) == 1
+        with pytest.raises(SystemExit) as exc:
+            main(_argv(argv, mu3_file))
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "exceeds the limit" in err.strip().splitlines()[-1]
 
     def test_theta_map_table_at_cap(self, capsys):
         code = main(
@@ -577,13 +579,13 @@ class TestSizeArguments:
 
     @pytest.mark.parametrize("command", ["gns-check", "cs-check", "lemma-check"])
     def test_trials_at_cap_accepted(self, mu3_file, command):
-        # a full run at the cap takes minutes, so only the gate is exercised
+        # a full run at the cap takes minutes, so only the parse, which
+        # holds the cap check, is exercised
         argv = [command, "--trials", str(MAX_TRIALS)]
         if command != "lemma-check":
             argv += ["--measure", mu3_file, "--functional", "F0"]
         args = build_arg_parser().parse_args(argv)
         assert args.trials == MAX_TRIALS
-        _check_limits(args)
 
 
 # A random expression grammar for the CLI contract: literals up to and far

@@ -12,7 +12,8 @@ count.  Tests do not count as a use.  A name that a module-level import
 binds, in the package or in the tests, must be read in that module, or
 re-exported through its ``__all__``.  A helper, method or export that a
 refactor leaves without a caller, or an import it leaves without a
-reader, fails here.
+reader, fails here.  These scans match names, not owners, so each public
+method name that two classes share is pinned to its owners.
 
 The routines that read only the real parts of their input rely on their
 one caller to pass real data; a scan pins each to that caller.
@@ -137,6 +138,59 @@ def test_the_public_def_scan_sees_an_unreached_method():
 
 def test_every_public_def_is_reached():
     assert _unreached_public_defs(_package()) == []
+
+
+# each public method name that more than one class defines, with its
+# owners.  The public-def scan matches names, not owners, so an owner that
+# nothing reaches passes behind another owner's use, as
+# ``WeylElement.coefficient`` once did behind ``Poly.coefficient``.  Check
+# that each owner is reached on its own before adding a name or an owner.
+SHARED_METHOD_OWNERS = {
+    "act": {"bimodule.BimodElement", "forms.FormMatrix"},
+    "apply": {"moments.MomentFunctional", "weyl.WeylElement"},
+    "coerce": {"algebra.Poly", "algebra.Scalar"},
+    "conjugate": {"algebra.Poly", "algebra.Scalar"},
+    "from_json": {"bimodule.BimodElement", "moments.MomentFunctional"},
+    "from_numerators": {"algebra.Poly", "exactla.Matrix"},
+    "gauss_poly": {"bimodule.BimodElement", "gns.Functional"},
+    "involution": {"bimodule.BimodElement", "forms.FormMatrix", "weyl.WeylElement"},
+    "is_hermitian": {"bimodule.BimodElement", "exactla.Matrix"},
+    "is_zero": {"algebra.Poly", "algebra.Scalar", "bimodule.BimodElement", "weyl.WeylElement"},
+    "monomial": {"algebra.Poly", "weyl.WeylElement"},
+    "value": {"forms.FormMatrix", "gns.Functional"},
+}
+
+
+def _shared_method_owners(modules: dict[str, ast.Module]) -> dict[str, set[str]]:
+    """``name: {"module.Class", ..}`` for each public method name that more
+    than one class in ``modules`` defines."""
+    owners = {}
+    for file, tree in modules.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+                    item.name.startswith("_")
+                ):
+                    owners.setdefault(item.name, set()).add(f"{file[:-3]}.{node.name}")
+    return {name: found for name, found in owners.items() if len(found) > 1}
+
+
+def test_the_owner_scan_sees_a_planted_name_and_owner():
+    modules = dict(_package())
+    modules["planted.py"] = ast.parse(
+        "class Planted:\n    def is_zero(self):\n        return True\n"
+        "    def triple(self):\n        return ()\n    def _require(self):\n        return 0\n"
+    )
+    found = _shared_method_owners(modules)
+    changed = {name for name in found if found[name] != SHARED_METHOD_OWNERS.get(name)}
+    assert changed == {"is_zero", "triple"}
+    assert found["triple"] == {"bimodule.BimodElement", "planted.Planted"}
+
+
+def test_every_shared_method_name_has_its_pinned_owners():
+    assert _shared_method_owners(_package()) == SHARED_METHOD_OWNERS
 
 
 def _unused_imports(tree: ast.Module) -> list[tuple[str, int]]:

@@ -154,15 +154,15 @@ class TestBuildGns:
 
 class TestFunctionalValues:
     def test_f0_counts_mass(self):
-        assert Functional.f0().value(D2, mu3()) == Scalar(3)
+        assert Functional("F0").value(D2, mu3()) == Scalar(3)
 
     def test_f1_example(self):
         x = BimodElement(Generator.D2, [(Q, Q)])
-        assert Functional.f1().value(x, atoms012()) == Scalar(3)
+        assert Functional("F1").value(x, atoms012()) == Scalar(3)
 
     def test_f2_example(self):
         x = BimodElement(Generator.D2, [(P_ONE, Q * Q)])
-        assert Functional.f2().value(x, mu3()) == Scalar(6)
+        assert Functional("F2").value(x, mu3()) == Scalar(6)
 
     def test_gauss_poly_weight(self):
         func = Functional.gauss_poly(Q)
@@ -175,7 +175,7 @@ class TestFunctionalValues:
 
     def test_tag_mismatch(self):
         with pytest.raises(VariantMismatchError):
-            Functional.f0().value(BimodElement.gauss(1), mu3())
+            Functional("F0").value(BimodElement.gauss(1), mu3())
         with pytest.raises(VariantMismatchError):
             Functional.gauss_poly(Q).value(D2, mu3())
 
@@ -187,7 +187,7 @@ class TestFunctionalValues:
     def test_gauss_atoms_checks_in_order(self):
         func = Functional.gauss_atoms([1, 2, 3])
         with pytest.raises(UnsupportedVariantError):
-            Functional.f0().theta_atom_vector(D2, Q, mu3())
+            Functional("F0").theta_atom_vector(D2, Q, mu3())
         calls = [
             func.value,
             lambda x, mf: func.theta_atom_vector(x, "not a polynomial", mf),
@@ -209,24 +209,24 @@ class TestFunctionalValues:
         for _ in range(80):
             x = rand_d2_element(rng, 3, 3)
             y = BimodElement.from_weyl(x.weyl_by_products())
-            for func in (Functional.f0(), Functional.f1(), Functional.f2()):
+            for func in (Functional("F0"), Functional("F1"), Functional("F2")):
                 assert func.value(x, mu3()) == func.value(y, mu3())
 
 
 class TestThetaPolynomials:
     def test_lowered_identity(self):
         b = rand_poly(random.Random(5), 4)
-        assert Functional.f0().theta(D2, b) == b
+        assert Functional("F0").theta(D2, b) == b
 
     def test_lowered_derivative(self):
-        assert Functional.f1().theta(D2, Q * Q) == 2 * Q
+        assert Functional("F1").theta(D2, Q * Q) == 2 * Q
 
     def test_lowered_second_derivative(self):
-        assert Functional.f2().theta(D2, Q**3) == 6 * Q
+        assert Functional("F2").theta(D2, Q**3) == 6 * Q
 
     def test_sandwiched_zero(self):
         x = BimodElement(Generator.D2, [(Q, Q)])
-        assert Functional.f2().theta(x, P_ONE).is_zero()
+        assert Functional("F2").theta(x, P_ONE).is_zero()
 
     def test_atom_variant_has_no_polynomial_operator(self):
         with pytest.raises(UnsupportedVariantError):
@@ -239,7 +239,7 @@ class TestThetaPolynomials:
         for _ in range(60):
             x = rand_d2_element(rng, 3, 3)
             b = rand_poly(rng, 4)
-            for func in (Functional.f0(), Functional.f1(), Functional.f2()):
+            for func in (Functional("F0"), Functional("F1"), Functional("F2")):
                 assert func.theta(x, b) == func.coefficient_poly(x.act(P_ONE, b))
             func = Functional.gauss_poly(rand_poly(rng, 2))
             y = rand_gauss_element(rng, 3)
@@ -251,19 +251,19 @@ class TestThetaPolynomials:
             x = rand_d2_element(rng, 3, 3)
             y = BimodElement.from_weyl(x.weyl_by_products())
             b = rand_poly(rng, 3)
-            for func in (Functional.f0(), Functional.f1(), Functional.f2()):
+            for func in (Functional("F0"), Functional("F1"), Functional("F2")):
                 assert func.theta(x, b) == func.theta(y, b)
 
 
 class TestIdentity:
     def test_pinned_d2_case(self):
-        report = check_identity(Functional.f0(), Q, D2, Q, mu3())
+        report = check_identity(Functional("F0"), Q, D2, Q, mu3())
         assert report.lhs == Scalar(2)
         assert report.rhs == Scalar(2)
         assert report.equal
 
     def test_pinned_f1_case(self):
-        report = check_identity(Functional.f1(), P_ONE, D2, Q, atoms012())
+        report = check_identity(Functional("F1"), P_ONE, D2, Q, atoms012())
         assert report.lhs == Scalar(3) and report.equal
 
     def test_pinned_gauss_case(self):
@@ -277,7 +277,7 @@ class TestIdentity:
         measures = [mu3(), atoms012(), MomentFunctional.gaussian(40)]
         for _ in range(150):
             func = rng.choice(
-                [Functional.f0(), Functional.f1(), Functional.f2()]
+                [Functional("F0"), Functional("F1"), Functional("F2")]
             )
             mf = rng.choice(measures)
             report = check_identity(
@@ -308,7 +308,7 @@ class TestIdentity:
 class TestHermiticity:
     def test_f0_is_hermitian(self):
         rng = random.Random(103)
-        f0 = Functional.f0()
+        f0 = Functional("F0")
         for _ in range(100):
             x = rand_d2_element(rng, 3, 3)
             assert f0.value(x.involution(), mu3()) == f0.value(x, mu3()).conjugate()
@@ -330,11 +330,11 @@ class TestHermiticity:
         for _ in range(100):
             x = rand_d2_element(rng, 3, 3)
             h0, h1, h2 = x.triple()
-            f1 = Functional.f1()
+            f1 = Functional("F1")
             lhs1 = f1.value(x.involution(), mf)
             rhs1 = mf.apply(h0.derivative() - h1).conjugate()
             assert lhs1 == rhs1
-            f2 = Functional.f2()
+            f2 = Functional("F2")
             lhs2 = f2.value(x.involution(), mf)
             rhs2 = mf.apply(
                 h0.derivative(2) - 2 * h1.derivative() + h2
@@ -344,27 +344,27 @@ class TestHermiticity:
 
 class TestCauchySchwarz:
     def test_pinned_case(self):
-        report = check_cauchy_schwarz(Functional.f0(), Q, D2, mu3())
+        report = check_cauchy_schwarz(Functional("F0"), Q, D2, mu3())
         assert report.lhs_squared == 0
         assert report.bound == 6
         assert report.holds
 
     def test_equality_at_proportional_input(self):
         x = BimodElement(Generator.D2, [(Q, Q * Q - 1)])
-        func = Functional.f1()
+        func = Functional("F1")
         h = func.coefficient_poly(x)
         report = check_cauchy_schwarz(func, h, x, mu3())
         assert report.lhs_squared == report.bound
 
     def test_pinned_equality_case(self):
         x = BimodElement(Generator.D2, [(P_ONE, Q * Q)])
-        report = check_cauchy_schwarz(Functional.f2(), P_ONE, x, mu3())
+        report = check_cauchy_schwarz(Functional("F2"), P_ONE, x, mu3())
         assert report.lhs_squared == 36 and report.bound == 36
 
     def test_random_cases_hold(self):
         rng = random.Random(113)
         measures = [mu3(), atoms012(), MomentFunctional.lebesgue_unit(40)]
-        variants = [Functional.f0(), Functional.f1(), Functional.f2()]
+        variants = [Functional("F0"), Functional("F1"), Functional("F2")]
         for _ in range(150):
             report = check_cauchy_schwarz(
                 rng.choice(variants),

@@ -60,14 +60,14 @@ def file_measure(name: str) -> MomentFunctional:
 class TestBoundednessProbe:
     def test_identity_operator_is_flat(self):
         report = boundedness_probe(
-            Functional.f0(), D2, MomentFunctional.gaussian(64), range(2, 9)
+            Functional("F0"), D2, MomentFunctional.gaussian(64), range(2, 9)
         )
         assert report.verdict == BOUNDED
         assert all(abs(v - 1.0) < 1e-9 for v in report.lambdas)
 
     def test_derivative_grows_on_gaussian(self):
         report = boundedness_probe(
-            Functional.f1(), D2, MomentFunctional.gaussian(64), range(2, 11)
+            Functional("F1"), D2, MomentFunctional.gaussian(64), range(2, 11)
         )
         assert report.verdict == GROWTH
         assert all(b >= a - 1e-9 for a, b in zip(report.lambdas, report.lambdas[1:]))
@@ -92,7 +92,7 @@ class TestBoundednessProbe:
         for _ in range(10):
             x = rand_d2_element(rng, 2, 2)
             x = x + x.involution()
-            report = boundedness_probe(Functional.f0(), x, mf, range(2, 8))
+            report = boundedness_probe(Functional("F0"), x, mf, range(2, 8))
             assert all(
                 b >= a - 1e-9 for a, b in zip(report.lambdas, report.lambdas[1:])
             )
@@ -101,13 +101,13 @@ class TestBoundednessProbe:
         skew = BimodElement(Generator.D2, [(Q, P_ONE)])
         with pytest.raises(NotHermitianError):
             boundedness_probe(
-                Functional.f0(), skew, MomentFunctional.gaussian(32), range(2, 5)
+                Functional("F0"), skew, MomentFunctional.gaussian(32), range(2, 5)
             )
 
     def test_requires_three_degrees(self):
         with pytest.raises(ValueError):
             boundedness_probe(
-                Functional.f0(), D2, MomentFunctional.gaussian(32), [2, 3]
+                Functional("F0"), D2, MomentFunctional.gaussian(32), [2, 3]
             )
 
     @pytest.mark.parametrize(
@@ -124,7 +124,7 @@ class TestBoundednessProbe:
     def test_zero_measure_has_no_positive_part(self):
         mf = MomentFunctional.atomic([(0, 0)])
         with pytest.raises(SingularGramError):
-            boundedness_probe(Functional.f0(), D2, mf, range(2, 5))
+            boundedness_probe(Functional("F0"), D2, mf, range(2, 5))
 
     @pytest.mark.parametrize("scale", [10**400, Fraction(1, 10**400)], ids=["1e400", "1e-400"])
     def test_moments_beyond_the_double_range(self, scale):
@@ -132,7 +132,7 @@ class TestBoundednessProbe:
         # the pencil and its lambdas do not change
         plain = MomentFunctional.gaussian(32)
         scaled = MomentFunctional.from_moments([v * scale for v in plain.values])
-        for func in (Functional.f1(), Functional.f2()):
+        for func in (Functional("F1"), Functional("F2")):
             want = boundedness_probe(func, D2, plain, range(2, 9))
             got = boundedness_probe(func, D2, scaled, range(2, 9))
             assert got.verdict == want.verdict
@@ -174,7 +174,7 @@ class TestBoundednessProbe:
 
     def test_singular_gram_is_projected(self):
         # mu3 has rank 3 at every degree; the probe still runs to degree 8
-        report = boundedness_probe(Functional.f0(), D2, mu3(), range(2, 9))
+        report = boundedness_probe(Functional("F0"), D2, mu3(), range(2, 9))
         assert report.verdict == BOUNDED
         assert all(abs(v - 1.0) < 1e-9 for v in report.lambdas)
 
@@ -250,9 +250,9 @@ class TestStructuredForm:
     @pytest.mark.parametrize(
         "func, x, mf",
         [
-            (Functional.f1(), D2, MomentFunctional.gaussian(64)),
-            (Functional.f2(), hermitian_d2(random.Random(5)), MomentFunctional.lebesgue_unit(64)),
-            (Functional.f1(), hermitian_d2(random.Random(6)), mu3()),
+            (Functional("F1"), D2, MomentFunctional.gaussian(64)),
+            (Functional("F2"), hermitian_d2(random.Random(5)), MomentFunctional.lebesgue_unit(64)),
+            (Functional("F1"), hermitian_d2(random.Random(6)), mu3()),
             (Functional.gauss_poly(Q), BimodElement.gauss(1), atoms012()),
             (Functional.gauss_atoms([1, -2, 3]), BimodElement.gauss(Q), atoms012()),
         ],
@@ -267,9 +267,9 @@ class TestStructuredForm:
     @pytest.mark.parametrize(
         "func, x",
         [
-            (Functional.f0(), None),
-            (Functional.f1(), None),
-            (Functional.f2(), None),
+            (Functional("F0"), None),
+            (Functional("F1"), None),
+            (Functional("F2"), None),
             (Functional.gauss_poly(Q), BimodElement.gauss(Q * Q)),
         ],
     )
@@ -332,8 +332,8 @@ class TestFormIsTheHermitianPart:
     def test_f1_witness_on_gauss64(self):
         mf = file_measure("gauss64.json")
         q_d2 = BimodElement(Generator.D2, [(Q, P_ONE)])
-        assert Functional.f1().value(q_d2, mf) == Scalar(0)
-        assert Functional.f1().value(q_d2.involution(), mf) == Scalar(1)
+        assert Functional("F1").value(q_d2, mf) == Scalar(0)
+        assert Functional("F1").value(q_d2.involution(), mf) == Scalar(1)
 
 
 def fresh_pencil(form, ldl):
@@ -586,8 +586,8 @@ class TestGramFactorCache:
             mf = CACHE_MEASURES[name]()
             warm(mf)
             return (
-                boundedness_probe(Functional.f1(), x, mf, degrees),
-                boundedness_probe(Functional.f2(), x, mf, degrees),
+                boundedness_probe(Functional("F1"), x, mf, degrees),
+                boundedness_probe(Functional("F2"), x, mf, degrees),
                 generator_probe(mf, degrees),
             )
 
@@ -626,7 +626,7 @@ class TestGramFactorCache:
             for request in (
                 lambda: build_gns(mf, 5),
                 lambda: generator_probe(mf, range(3, 6)),
-                lambda: boundedness_probe(Functional.f0(), D2, mf, range(2, 6)),
+                lambda: boundedness_probe(Functional("F0"), D2, mf, range(2, 6)),
             ):
                 with pytest.raises(error) as got:
                     request()
@@ -715,7 +715,7 @@ class TestGramFactorCache:
         counts.clear()
         for n in range(13):
             build_gns(mf, n)
-        boundedness_probe(Functional.f1(), D2, mf, range(2, 13))
+        boundedness_probe(Functional("F1"), D2, mf, range(2, 13))
         generator_probe(mf, range(2, 11))
         assert counts == {}
         # a Gram read builds the Gram from the moments, and nothing else
@@ -725,7 +725,7 @@ class TestGramFactorCache:
     def test_two_threads_probing_one_measure(self):
         # the gate at the top realizes the measure, so both probes read one cached realization
         degrees = range(2, 15)
-        func = Functional.f1()
+        func = Functional("F1")
         want = boundedness_probe(func, D2, file_measure("lebesgue01-64.json"), degrees)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -866,7 +866,7 @@ class TestOneEliminationPerMeasure:
         calls = count_eliminations(monkeypatch)
         generator_probe(mf, range(2, 11))
         assert len(calls) == 1
-        boundedness_probe(Functional.f1(), D2, mf, range(2, 11))
+        boundedness_probe(Functional("F1"), D2, mf, range(2, 11))
         boundedness_probe(Functional.gauss_poly(Q), BimodElement.gauss(1), mf, range(2, 8))
         assert len(calls) == 1
         # a higher tower eliminates once more, and then reads that factor
@@ -880,7 +880,7 @@ class TestOneEliminationPerMeasure:
         mf = CACHE_MEASURES[name]()
         build_gns(mf, gate)
         calls = count_eliminations(monkeypatch)
-        boundedness_probe(Functional.f2(), D2, mf, range(2, 11))
+        boundedness_probe(Functional("F2"), D2, mf, range(2, 11))
         generator_probe(mf, range(2, 11))
         build_gns(mf, 10)
         assert calls == []
@@ -1013,7 +1013,7 @@ class TestHermiteOracle:
     def test_integer_pencil_is_the_derivative(self):
         mf = self.GAUSS64
         ldl = ldl_psd(hankel_gram(mf, self.TOP))
-        z = pencil_scalars(fresh_pencil(form_numerators(Functional.f1(), D2, mf, self.TOP), ldl))
+        z = pencil_scalars(fresh_pencil(form_numerators(Functional("F1"), D2, mf, self.TOP), ldl))
         for a in range(self.TOP + 1):
             for c in range(self.TOP + 1):
                 k = max(a, c)
@@ -1022,7 +1022,7 @@ class TestHermiteOracle:
 
     def test_lambda_is_half_the_top_hermite_zero(self):
         degrees = range(2, self.TOP + 1)
-        report = boundedness_probe(Functional.f1(), D2, self.GAUSS64, degrees)
+        report = boundedness_probe(Functional("F1"), D2, self.GAUSS64, degrees)
         for n, lam in zip(degrees, report.lambdas):
             want = hermite_top_zero(n + 1) / 2
             assert abs(lam - want) <= 1e-12 * want, n

@@ -61,14 +61,14 @@ class TestPinnedProducts:
         assert D * D * QW * QW == expected
 
     def test_defining_relation(self):
-        assert D * QW - QW * D == WeylElement.one()
+        assert D * QW - QW * D == WeylElement.monomial(0, 0)
         assert P * QW - QW * P == WeylElement.monomial(0, 0, -I)
 
     def test_unit_is_neutral(self):
         rng = random.Random(5)
         u = rand_weyl(rng)
-        assert u * WeylElement.one() == u
-        assert WeylElement.one() * u == u
+        assert u * WeylElement.monomial(0, 0) == u
+        assert WeylElement.monomial(0, 0) * u == u
 
 
 class TestInvolution:
@@ -77,7 +77,7 @@ class TestInvolution:
 
     def test_qd(self):
         # (q d)^+ = -q d - 1
-        assert (QW * D).involution() == -(QW * D) - WeylElement.one()
+        assert (QW * D).involution() == -(QW * D) - WeylElement.monomial(0, 0)
 
     def test_q_powers_fixed(self):
         for m in range(5):
@@ -148,8 +148,8 @@ class TestApplyAgainstSympy:
 
     def test_zero_element(self):
         p = rand_nonmonomial(random.Random(24), 5)
-        self.check(WeylElement.zero(), p)
-        assert WeylElement.zero().apply(p).is_zero()
+        self.check(WeylElement(), p)
+        assert WeylElement().apply(p).is_zero()
 
     def test_pure_q_and_pure_d_terms(self):
         rng = random.Random(25)
@@ -215,7 +215,7 @@ class TestOracle:
 
 class TestStructure:
     def test_d_profile(self):
-        u = QW * QW * D + WeylElement.monomial(1, 1, 3) + WeylElement.one()
+        u = QW * QW * D + WeylElement.monomial(1, 1, 3) + WeylElement.monomial(0, 0)
         profile = u.d_profile()
         assert profile[1] == Q * Q + 3 * Q
         assert profile[0] == Poly.constant(1)
@@ -266,7 +266,7 @@ class TestCanonicalStorage:
 
     def test_zero_is_empty_over_one(self):
         u = rand_weyl(random.Random(32))
-        for z in (WeylElement.zero(), u - u, u * 0, WeylElement.from_profile({})):
+        for z in (WeylElement(), u - u, u * 0, WeylElement.from_profile({})):
             assert dict(z.nums) == {} and z.den == 1
 
     def test_from_profile_inverts_d_profile(self):
@@ -330,7 +330,7 @@ class TestImmutable:
     def test_foreign_operand_is_a_type_error(self):
         for op in (lambda u: "a" - u, lambda u: u - "a", lambda u: "a" * u):
             with pytest.raises(TypeError):
-                op(WeylElement.one())
+                op(WeylElement.monomial(0, 0))
 
 
 _EXPRESSIONS = [
@@ -380,15 +380,15 @@ class TestToExpression:
             }
         )
         assert u.to_expression() == "q^2 - 2*i*q*d - 3/4*d + (1 - i)"
-        assert WeylElement.zero().to_expression() == "0"
+        assert WeylElement().to_expression() == "0"
 
 
 class TestSquareAndMultiply:
     def bases(self):
         rng = random.Random(41)
         return [
-            WeylElement.zero(),
-            WeylElement.one(),
+            WeylElement(),
+            WeylElement.monomial(0, 0),
             WeylElement.monomial(0, 0, rand_scalar(rng) + I),
             QW,
             WeylElement.monomial(2, 0, Fraction(-1, 3)),
@@ -402,7 +402,7 @@ class TestSquareAndMultiply:
 
     def test_power_is_the_repeated_product(self):
         for x in self.bases():
-            folded = WeylElement.one()
+            folded = WeylElement.monomial(0, 0)
             for n in range(10):
                 power = x**n
                 assert power == folded, (x, n)
@@ -411,7 +411,7 @@ class TestSquareAndMultiply:
                 folded = folded * x
 
     def test_negative_exponent_raises(self):
-        for x in (WeylElement.zero(), QW, QW + D):
+        for x in (WeylElement(), QW, QW + D):
             with pytest.raises(ValueError):
                 x**-1
 
@@ -502,7 +502,7 @@ class TestApplyNonzeroCoefficients:
 
     def elements(self):
         rng = random.Random(43)
-        return [WeylElement.zero(), QW * D, D * D] + [rand_weyl(rng) for _ in range(20)]
+        return [WeylElement(), QW * D, D * D] + [rand_weyl(rng) for _ in range(20)]
 
     def test_monomials(self):
         for u in self.elements():
@@ -542,7 +542,7 @@ class TestApplyCoercesItsArgument:
     @pytest.mark.parametrize("c", [3, 0, Fraction(-2, 3), Scalar(0, 1), Scalar(Fraction(1, 2), -2)])
     def test_scalar_acts_as_the_constant_polynomial(self, c):
         rng = random.Random(47)
-        for u in [WeylElement.zero(), QW, D, QW * D + 2] + [rand_weyl(rng) for _ in range(10)]:
+        for u in [WeylElement(), QW, D, QW * D + 2] + [rand_weyl(rng) for _ in range(10)]:
             assert u.apply(c) == u.apply(Poly.constant(c))
 
     @pytest.mark.parametrize("value", ["q", 1.5, None, QW, [1, 2]])
@@ -576,7 +576,7 @@ class TestApplyCache:
 
     def test_random_elements(self):
         rng = random.Random(49)
-        self.check([WeylElement.zero(), QW, D * D] + [rand_weyl(rng) for _ in range(12)])
+        self.check([WeylElement(), QW, D * D] + [rand_weyl(rng) for _ in range(12)])
 
     @pytest.mark.parametrize("symbol", ["q", "d"])
     def test_shared_generator_powers_of_the_parser(self, symbol):
