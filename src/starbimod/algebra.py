@@ -18,13 +18,17 @@ point, and ``sum_of_products``, which brings the left and the right
 factors each to a common denominator by integer rescaling and
 accumulates, in plain ints, sum_j u_j * v_j^(r) for each derivative
 order r it is asked for: the d^2 coefficient triple is its orders 0, 1,
-2, and a functional F_t reads order t alone.  The conjugate negates
-``im``, which keeps the canonical form, so it takes no gcd.
-``Poly.__mul__`` and ``__eq__`` test for a Poly operand before the
-scalar types (``Fraction`` is an ABC, so that test is the dear one);
-the product convolves its one pair directly, over the product of the
-two canonical denominators, and a zero or a unit factor costs it no
-product.
+2, and a functional F_t reads order t alone.  Optional outer factors
+``left`` and ``right`` make those the sums of the acted pairs
+(left u_j, v_j right), so the components of a * x * b come from x's
+pairs with one normalisation per order: each acted pair is convolved on
+the numerators and never normalised.  The conjugate negates ``im``,
+which keeps the canonical form, so it takes no gcd.  ``Poly.__mul__``
+and ``__eq__`` test for a Poly operand before the scalar types
+(``Fraction`` is an ABC, so that test is the dear one); the product
+convolves its one pair directly, over the product of the two canonical
+denominators, and a zero or a unit factor costs it no product.  Every
+convolution runs its outer loop over the shorter factor.
 
 Scalar arithmetic runs on its three ints as well, and normalises each
 result by one gcd in ``gauss_scalar``.  ``Poly(seq)`` and
@@ -445,11 +449,8 @@ class Poly:
             if not other.re or self.is_one():
                 return other
             # both factors are canonical, so the product is over den * den as it is
-            size = len(self.re) + len(other.re) - 1
-            acc_re = [0] * size
-            acc_im = [0] * size
-            _convolve_into(acc_re, acc_im, self.re, self.im, other.re, other.im)
-            return Poly.from_numerators(acc_re, acc_im, self.den * other.den)
+            re, im = _product(self.re, self.im, other.re, other.im)
+            return Poly.from_numerators(re, im, self.den * other.den)
         if isinstance(other, (int, Fraction, Scalar)):
             c = Scalar.coerce(other)
             cr, ci, cd = c.re_num, c.im_num, c.den
@@ -629,25 +630,42 @@ def gauss_numerators(seqs):
     return nums, den
 
 
-def sum_of_products(pairs, orders=(0,)) -> tuple[Poly, ...]:
-    """The sums sum_j u_j * v_j^(r) over (u_j, v_j), one per derivative order r.
+def sum_of_products(pairs, orders=(0,), left=None, right=None) -> tuple[Poly, ...]:
+    """The sums sum_j (left u_j) * (v_j right)^(r) over (u_j, v_j), one per derivative order r.
 
     ``orders`` lists the derivative orders r ascending, and only those
     sums are formed: (0,) is sum_j u_j v_j, (0, 1, 2) the d^2 triple.
+    The outer factors ``left`` and ``right`` are shared by every pair, so
+    the sums are those of the acted pairs (left u_j, v_j right); a None or
+    unit factor costs no product, and a zero one leaves every sum zero.
     The u_j are brought to the lcm of their denominators, and so are the
-    v_j, by integer rescaling; the derivatives are taken step by step on
-    the integer numerators, every sum is accumulated in ints, and each
-    output is normalised once.  A single product goes to ``Poly.__mul__``,
-    which needs none of that set-up and skips a unit factor.
+    v_j, by integer rescaling; each outer factor then multiplies them by
+    one convolution per pair on the numerators, with no normalisation.
+    The derivatives are taken step by step on the integer numerators,
+    every sum is accumulated in ints, and each output is normalised once.
+    A single product with no outer factor goes to ``Poly.__mul__``, which
+    needs none of that set-up and skips a unit factor.
     """
+    if left is not None and left.is_one():
+        left = None
+    if right is not None and right.is_one():
+        right = None
+    if (left is not None and not left.re) or (right is not None and not right.re):
+        pairs = ()
     pairs = [(u, v) for u, v in pairs if u.re and v.re]
-    if len(pairs) == 1 and tuple(orders) == (0,):
+    if len(pairs) == 1 and left is right is None and tuple(orders) == (0,):
         ((u, v),) = pairs
         return (u * v,)
     du = lcm(*(u.den for u, _ in pairs))
     dv = lcm(*(v.den for _, v in pairs))
     terms = [(_rescaled(u, du), _rescaled(v, dv)) for u, v in pairs]
     den = du * dv
+    if left is not None:
+        terms = [(_product(left.re, left.im, ur, ui), v) for (ur, ui), v in terms]
+        den *= left.den
+    if right is not None:
+        terms = [(u, _product(vr, vi, right.re, right.im)) for u, (vr, vi) in terms]
+        den *= right.den
     out = []
     at = 0
     for r in orders:
@@ -662,6 +680,15 @@ def sum_of_products(pairs, orders=(0,)) -> tuple[Poly, ...]:
             _convolve_into(acc_re, acc_im, ur, ui, vr, vi)
         out.append(Poly.from_numerators(acc_re, acc_im, den))
     return tuple(out)
+
+
+def _product(ur, ui, vr, vi):
+    """The numerators of u * v, unnormalised, from those of two nonzero factors."""
+    size = len(ur) + len(vr) - 1
+    acc_re = [0] * size
+    acc_im = [0] * size
+    _convolve_into(acc_re, acc_im, ur, ui, vr, vi)
+    return acc_re, acc_im
 
 
 def _rescaled(p: Poly, den: int):
@@ -694,7 +721,13 @@ def power(base, n: int, one):
 
 
 def _convolve_into(acc_re, acc_im, ur, ui, vr, vi) -> None:
-    """acc += u * v on Gaussian-integer coefficient lists."""
+    """acc += u * v on Gaussian-integer coefficient lists.
+
+    The shorter factor drives the outer loop, so the fewest inner loops
+    are set up.
+    """
+    if len(ur) > len(vr):
+        ur, ui, vr, vi = vr, vi, ur, ui
     for j, (ar, ai) in enumerate(zip(ur, ui)):
         if ai:
             for k, br, bi in zip(count(j), vr, vi):

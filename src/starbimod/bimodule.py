@@ -137,11 +137,17 @@ class BimodElement:
 
     __rmul__ = __mul__
 
-    def components(self, orders) -> tuple[Poly, ...]:
-        """The triple components h_r = sum a_j b_j^(r) of a D2 element, for
-        the ascending orders r in ``orders``; no other component is formed."""
+    def components(self, orders, a=P_ONE, b=P_ONE) -> tuple[Poly, ...]:
+        """The triple components h_r = sum a_j b_j^(r) of the D2 element
+        a * x * b, for the ascending orders r in ``orders``; no other
+        component is formed.
+
+        They are read off the acted pairs (a a_j, b_j b), which
+        ``sum_of_products`` forms on the numerators: no acted element is
+        built, and a unit side costs no product.
+        """
         self._require(Generator.D2, "coefficient triple")
-        return sum_of_products(self.terms, orders)
+        return sum_of_products(self.terms, orders, Poly.coerce(a), Poly.coerce(b))
 
     def triple(self) -> tuple[Poly, Poly, Poly]:
         """Classifying triple (sum a b, sum a b', sum a b'') of a D2 element."""

@@ -363,7 +363,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
             )
         if trials:
             p.add_argument("--trials", type=_int_in(1, MAX_TRIALS), default=200)
-            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--seed", type=_int_in(0, None), default=0)
 
     p = sub.add_parser("normal-order", help="normal order an expression")
     p.add_argument(

@@ -59,10 +59,12 @@ The central check, ``check_identity``, verifies
     F(a * x * b) = < theta(x) rho(b) phi, rho(a^+) phi >
 
 exactly, computing the two sides along genuinely different routes (act
-then classify, versus classify then multiply out).  The left side reads
-component t of the acted element's own pairs; it must never be computed
-from the triple of x by the closed form of the action, whose component t
-is term for term the Leibniz sum of the right side.
+then classify, versus classify then multiply out).  For F_t the left side
+reads component t of the acted pairs (a a_j, b_j b), which
+``sum_of_products`` forms on the integer numerators: it builds no
+canonical a * x * b and never reads the triple of x.  It must never be
+computed from that triple by the closed form of the action, whose
+component t is term for term the Leibniz sum of the right side.
 """
 
 from __future__ import annotations
@@ -215,9 +217,19 @@ class Functional:
                 f"{self.kind} expects a {self.tag.value} element, got {x.tag.value}"
             )
 
-    def value(self, x: BimodElement, mf: MomentFunctional) -> Scalar:
-        """F(x), exact; depends only on the semantic class of x."""
-        if self.kind != "gauss-atoms":
+    def value(self, x: BimodElement, mf: MomentFunctional, a=P_ONE, b=P_ONE) -> Scalar:
+        """F(a * x * b), exact; depends only on the semantic class of x.
+
+        F_t reads component t of the acted pairs (a a_j, b_j b), formed on
+        the numerators by ``BimodElement.components``: it builds no a * x * b
+        and never reads the triple of x.  The Gaussian variants act on x
+        first, and a unit side costs them no product.
+        """
+        if self.kind in self._D2_KINDS:
+            self._check_tag(x)
+            return mf.apply(x.components((self._D2_KINDS.index(self.kind),), a, b)[0])
+        x = x.act(a, b)
+        if self.kind == "gauss-poly":
             return mf.apply(self.coefficient_poly(x))
         return mf.atom_pairing(self.atom_images(x, mf), mf.at_atoms(P_ONE))
 
@@ -321,16 +333,19 @@ def check_identity(
 ) -> IdentityReport:
     """Exact two-route check of the representation identity.
 
-    The left side acts on the element first and evaluates F.  The right
-    side forms the image polynomial theta(x)(b * phi) and pairs it with
-    rho(a^+) phi, which by the Gram pairing is f(a * theta-poly).  For
-    gauss-atoms the left side reads the atom images of a x b, the right
-    multiplies p, b and a^+ at the atoms pointwise; only the closing
-    ``atom_pairing`` is shared, as ``mf.apply`` is for the other variants.
+    The left side is F(a * x * b): for F_t, component t of the acted
+    pairs (a a_j, b_j b), formed on the numerators with no canonical
+    a * x * b and no read of x's triple; the Gaussian variants act on x
+    first.  The right side forms the image polynomial theta(x)(b * phi)
+    and pairs it with rho(a^+) phi, which by the Gram pairing is
+    f(a * theta-poly).  For gauss-atoms the left side reads the atom
+    images of a x b, the right multiplies p, b and a^+ at the atoms
+    pointwise; only the closing ``atom_pairing`` is shared, as
+    ``mf.apply`` is for the other variants.
     """
     a = Poly.coerce(a)
     b = Poly.coerce(b)
-    lhs = func.value(x.act(a, b), mf)
+    lhs = func.value(x, mf, a, b)
     if func.kind == "gauss-atoms":
         # rho(a^+) phi in atom coordinates, conjugated by the inner product
         rhs = mf.atom_pairing(func.theta_atom_vector(x, b, mf), mf.at_atoms(a.conjugate()))
@@ -360,11 +375,13 @@ def check_cauchy_schwarz(
 ) -> CauchySchwarzReport:
     """Exact check of |F(a^+ x)|^2 <= f(h^+ h) f(a^+ a).
 
-    h is the variant's coefficient polynomial of x; for gauss-atoms the
-    squared norm <images, images> of its atom images replaces f(h^+ h).
+    F(a^+ x) reads, for F_t, component t of the acted pairs (a^+ a_j,
+    b_j), as ``check_identity``'s left side does.  h is the variant's
+    coefficient polynomial of x; for gauss-atoms the squared norm
+    <images, images> of its atom images replaces f(h^+ h).
     """
     a = Poly.coerce(a)
-    lhs = func.value(x.act(a.conjugate(), P_ONE), mf)
+    lhs = func.value(x, mf, a.conjugate())
     gram_aa = mf.pairing(a, a)
     if func.kind == "gauss-atoms":
         images = func.atom_images(x, mf)

@@ -21,8 +21,9 @@ its reach.  ``apply`` and ``shifted_values``
 bring the moments they read to one denominator, den * x^top (``_over_top``,
 which at x = 1 has nothing to do), and take one integer dot product of
 them with a polynomial's real numerators and one with its imaginary
-numerators (``apply`` reduces its value to a ``Scalar`` once,
-``shifted_values`` keeps the numerators).  The GNS layer
+numerators (``apply`` reduces its value to a ``Scalar`` once, and reads
+the cached table directly when it already reaches the polynomial's
+degree; ``shifted_values`` keeps the numerators).  The GNS layer
 factors the Hankel matrix of the N_k themselves.
 
 An atomic measure is its own GNS realization: C^n, one coordinate per
@@ -239,8 +240,11 @@ class MomentFunctional:
 
     def apply(self, p: Poly) -> Scalar:
         """f(p) by linearity in the real moments: one integer dot product per part of p."""
-        nums, den, x = self.numerators(p.degree, reads=p)
-        m, den = _over_top(den, x, p.degree, nums)
+        top = len(p.re) - 1
+        nums, den, x = self._nums
+        if top >= len(nums):
+            nums, den, x = self.numerators(top, reads=p)
+        m, den = _over_top(den, x, top, nums)
         return gauss_scalar(sum(map(mul, p.re, m)), sum(map(mul, p.im, m)), p.den * den)
 
     def shifted_values(self, p: Poly, count: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:

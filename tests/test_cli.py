@@ -517,6 +517,8 @@ class TestSizeArguments:
             ["cs-check", "--measure", MEASURE, "--functional", "F0", "--trials", "0"],
             ["lemma-check", "--trials", "-1"],
             ["lemma-check", "--seed", "-1"],
+            ["gns-check", "--measure", MEASURE, "--functional", "F0", "--seed", "-1"],
+            ["cs-check", "--measure", MEASURE, "--functional", "F0", "--seed", "-1"],
         ],
     )
     def test_below_range_refused(self, capsys, mu3_file, argv):
@@ -525,6 +527,7 @@ class TestSizeArguments:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err
+        assert [ln for ln in err.splitlines() if "error:" in ln] == err.strip().splitlines()[-1:]
         assert "must be at least" in err.strip().splitlines()[-1]
 
     @pytest.mark.parametrize(

@@ -28,9 +28,15 @@ from sympy import QQ_I
 from sympy.polys.matrices import DomainMatrix
 
 from starbimod import algebra
-from starbimod.algebra import Poly, Scalar
+from starbimod.algebra import P_ONE, Poly, Scalar
 from starbimod.bimodule import BimodElement, Generator
-from starbimod.errors import DimensionMismatchError, MomentOutOfRangeError, NotPositiveError
+from starbimod.errors import (
+    DimensionMismatchError,
+    MomentOutOfRangeError,
+    NotPositiveError,
+    TagMismatchError,
+    VariantMismatchError,
+)
 from starbimod import selftest
 from starbimod.exactla import Matrix, inverse, ldl_psd, nullspace, poly_at
 from starbimod.forms import FormMatrix
@@ -305,6 +311,98 @@ class TestTriple:
                 expected += _sym_poly(a) * _sym_poly(b)
             x = BimodElement(Generator.GAUSS, pairs)
             assert _sym_poly(x.gauss_poly()) == expected
+
+
+# every ascending subset of the triple's orders
+_ORDER_SETS = [(), (0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]
+
+
+def _nonzero_poly(rng, max_degree: int = 7) -> Poly:
+    while True:
+        p = _poly(rng, rng.choice(SHAPES), max_degree)
+        if p:
+            return p
+
+
+class TestActedComponents:
+    """The components of a * x * b read off the acted pairs (a a_j, b_j b),
+    formed on the numerators, equal those of the acted element."""
+
+    @staticmethod
+    def _sides(rng):
+        """Outer factors: zero, the unit in three forms, scalars, and polynomials."""
+        return [
+            Poly(),
+            0,
+            P_ONE,
+            1,
+            Poly.constant(Fraction(2, 2)),
+            Fraction(-3, 7),
+            Scalar(Fraction(1, 2), -5),
+            Poly.constant(_scalar(rng, "complex") or Scalar(0, 1)),
+            _nonzero_poly(rng, 3),
+            _nonzero_poly(rng),
+        ]
+
+    @pytest.mark.parametrize("orders", _ORDER_SETS, ids=lambda o: "".join(map(str, o)) or "none")
+    def test_equal_to_the_acted_element(self, orders):
+        rng = random.Random(61 + len(orders) + sum(orders))
+        for _ in range(12):
+            x = BimodElement(
+                Generator.D2,
+                [(_nonzero_poly(rng), _nonzero_poly(rng, rng.choice((0, 1, 2, 7))))
+                 for _ in range(rng.randint(1, 4))],
+            )
+            assert 1 <= len(x.terms) <= 4
+            sides = self._sides(rng)
+            for a in sides:
+                for b in sides:
+                    parts = x.components(orders, a, b)
+                    assert parts == x.act(a, b).components(orders), (orders, a, b)
+                    for h in parts:
+                        _assert_canonical(h)
+
+    def test_f_t_builds_no_acted_element(self, monkeypatch):
+        """F_t's value at a * x * b sums x's own pairs under the outer factors
+        a and b, and takes neither ``act`` nor a canonical product."""
+        from starbimod import bimodule
+
+        rng = random.Random(71)
+        mf = mu3()
+        pairs = [(_nonzero_poly(rng, 3), _nonzero_poly(rng, 3)) for _ in range(2)]
+        x = BimodElement(Generator.D2, pairs)
+        a, b = _nonzero_poly(rng, 3), _nonzero_poly(rng, 3)
+        expected = {kind: Functional(kind).value(x.act(a, b), mf) for kind in ("F0", "F1", "F2")}
+        calls = []
+        original = bimodule.sum_of_products
+
+        def spied(terms, orders, left, right):
+            calls.append((terms, tuple(orders), left, right))
+            return original(terms, orders, left, right)
+
+        def refuse(*args):
+            raise AssertionError("the left side built a canonical product")
+
+        monkeypatch.setattr(bimodule, "sum_of_products", spied)
+        monkeypatch.setattr(BimodElement, "act", refuse)
+        monkeypatch.setattr(Poly, "__mul__", refuse)
+        for t, (kind, value) in enumerate(expected.items()):
+            calls.clear()
+            assert Functional(kind).value(x, mf, a, b) == value
+            assert calls == [(x.terms, (t,), a, b)]
+
+    @pytest.mark.parametrize("kind", ["F0", "F1", "F2"])
+    def test_gauss_element_is_a_variant_mismatch(self, kind):
+        func = Functional(kind)
+        x = BimodElement.gauss(Poly([1, 2]))
+        a, b = Poly([0, 1]), Poly([3])
+        for check in (
+            lambda: check_identity(func, a, x, b, mu3()),
+            lambda: check_cauchy_schwarz(func, a, x, mu3()),
+        ):
+            with pytest.raises(VariantMismatchError) as exc:
+                check()
+            assert not isinstance(exc.value, TagMismatchError)
 
 
 class TestMatmul:
