@@ -14,15 +14,15 @@ forms.
 Every Poly operation runs on the numerators and normalises its result
 once: sums and differences over the lcm of the two denominators, scalar
 products, derivatives, Horner evaluation at a rational or Gaussian
-point, and ``sum_of_products``, which brings the left and the right
-factors each to a common denominator by integer rescaling and
-accumulates, in plain ints, sum_j u_j * v_j^(r) for each derivative
-order r it is asked for: the d^2 coefficient triple is its orders 0, 1,
-2, and a functional F_t reads order t alone.  Optional outer factors
-``left`` and ``right`` make those the sums of the acted pairs
-(left u_j, v_j right), so the components of a * x * b come from x's
-pairs with one normalisation per order: each acted pair is convolved on
-the numerators and never normalised.  The conjugate negates ``im``,
+point, and ``sum_of_products``, which accumulates, in plain ints,
+left * sum_j u_j * (v_j right)^(r) for each derivative order r it is
+asked for: the d^2 coefficient triple is its orders 0, 1, 2, and a
+functional F_t reads order t alone.  Each pair is convolved on its
+stored numerators, with its share of the common denominator applied as
+an integer scale inside the convolution; ``right`` multiplies each v_j
+before the derivative, and ``left`` multiplies each order's sum once,
+so the components of a * x * b come from x's pairs with no acted pair
+built and one normalisation per order.  The conjugate negates ``im``,
 which keeps the canonical form, so it takes no gcd.  ``Poly.__mul__``
 and ``__eq__`` test for a Poly operand before the scalar types
 (``Fraction`` is an ABC, so that test is the dear one); the product
@@ -631,20 +631,21 @@ def gauss_numerators(seqs):
 
 
 def sum_of_products(pairs, orders=(0,), left=None, right=None) -> tuple[Poly, ...]:
-    """The sums sum_j (left u_j) * (v_j right)^(r) over (u_j, v_j), one per derivative order r.
+    """The sums left * sum_j u_j * (v_j right)^(r) over (u_j, v_j), one per derivative order r.
 
-    ``orders`` lists the derivative orders r ascending, and only those
-    sums are formed: (0,) is sum_j u_j v_j, (0, 1, 2) the d^2 triple.
-    The outer factors ``left`` and ``right`` are shared by every pair, so
-    the sums are those of the acted pairs (left u_j, v_j right); a None or
-    unit factor costs no product, and a zero one leaves every sum zero.
-    The u_j are brought to the lcm of their denominators, and so are the
-    v_j, by integer rescaling; each outer factor then multiplies them by
-    one convolution per pair on the numerators, with no normalisation.
-    The derivatives are taken step by step on the integer numerators,
-    every sum is accumulated in ints, and each output is normalised once.
-    A single product with no outer factor goes to ``Poly.__mul__``, which
-    needs none of that set-up and skips a unit factor.
+    ``orders`` lists the orders r ascending from 0 (else ValueError), and
+    only those sums are formed: (0,) is sum_j u_j v_j, (0, 1, 2) the d^2
+    triple.  The outer factors are shared by every pair, so the sums are
+    those of the acted pairs (left u_j, v_j right); a None or unit factor
+    costs no product, and a zero one leaves every sum zero.  Each pair
+    keeps its stored numerators, and its scale L / (u_j.den * v_j.den),
+    with L the lcm of those products, goes into its convolution.  ``left``
+    multiplies each order's sum once, by bilinearity.  ``right`` multiplies
+    each v_j before the derivative, and each acted right factor
+    (v_j right)^(r) is differentiated, an order gap at a time: no Leibniz
+    sum is formed, so the left route of ``check_identity`` shares none of
+    theta's.  Every sum is accumulated in ints and normalised once.  A
+    single product with no outer factor goes to ``Poly.__mul__``.
     """
     if left is not None and left.is_one():
         left = None
@@ -656,28 +657,33 @@ def sum_of_products(pairs, orders=(0,), left=None, right=None) -> tuple[Poly, ..
     if len(pairs) == 1 and left is right is None and tuple(orders) == (0,):
         ((u, v),) = pairs
         return (u * v,)
-    du = lcm(*(u.den for u, _ in pairs))
-    dv = lcm(*(v.den for _, v in pairs))
-    terms = [(_rescaled(u, du), _rescaled(v, dv)) for u, v in pairs]
-    den = du * dv
-    if left is not None:
-        terms = [(_product(left.re, left.im, ur, ui), v) for (ur, ui), v in terms]
-        den *= left.den
+    den = lcm(*(u.den * v.den for u, v in pairs))
+    terms = [(u, den // (u.den * v.den), v.re, v.im) for u, v in pairs]
     if right is not None:
-        terms = [(u, _product(vr, vi, right.re, right.im)) for u, (vr, vi) in terms]
+        terms = [(u, f, *_product(vr, vi, right.re, right.im)) for u, f, vr, vi in terms]
         den *= right.den
+    if left is not None:
+        den *= left.den
     out = []
     at = 0
     for r in orders:
-        for _ in range(r - at):
-            # a v_j of degree below the order has no derivative left
-            terms = [(u, (_derive(vr), _derive(vi))) for u, (vr, vi) in terms if len(vr) > 1]
-        at = r
-        size = max((len(ur) + len(vr) - 1 for (ur, _), (vr, _) in terms), default=0)
+        if r < at:
+            raise ValueError(f"derivative orders must ascend from 0: {orders!r}")
+        s, at = r - at, r
+        if s:
+            # a v_j of degree below the gap has no derivative left
+            terms = [
+                (u, f, [perm(k, s) * c for k, c in enumerate(vr[s:], s)],
+                 [perm(k, s) * c for k, c in enumerate(vi[s:], s)])
+                for u, f, vr, vi in terms if len(vr) > s
+            ]
+        size = max((len(u.re) + len(vr) - 1 for u, _, vr, _ in terms), default=0)
         acc_re = [0] * size
         acc_im = [0] * size
-        for (ur, ui), (vr, vi) in terms:
-            _convolve_into(acc_re, acc_im, ur, ui, vr, vi)
+        for u, f, vr, vi in terms:
+            _convolve_into(acc_re, acc_im, u.re, u.im, vr, vi, f)
+        if left is not None and size:
+            acc_re, acc_im = _product(left.re, left.im, acc_re, acc_im)
         out.append(Poly.from_numerators(acc_re, acc_im, den))
     return tuple(out)
 
@@ -689,18 +695,6 @@ def _product(ur, ui, vr, vi):
     acc_im = [0] * size
     _convolve_into(acc_re, acc_im, ur, ui, vr, vi)
     return acc_re, acc_im
-
-
-def _rescaled(p: Poly, den: int):
-    """The numerators of p over ``den``, a multiple of p.den."""
-    f = den // p.den
-    if f == 1:
-        return p.re, p.im
-    return [f * c for c in p.re], [f * c for c in p.im]
-
-
-def _derive(cs: list[int]) -> list[int]:
-    return [k * c for k, c in enumerate(cs[1:], 1)]
 
 
 def power(base, n: int, one):
@@ -720,20 +714,25 @@ def power(base, n: int, one):
         base = base * base
 
 
-def _convolve_into(acc_re, acc_im, ur, ui, vr, vi) -> None:
-    """acc += u * v on Gaussian-integer coefficient lists.
+def _convolve_into(acc_re, acc_im, ur, ui, vr, vi, f=1) -> None:
+    """acc += f * u * v on Gaussian-integer coefficient lists.
 
-    The shorter factor drives the outer loop, so the fewest inner loops
-    are set up.
+    The integer scale f multiplies each outer coefficient once, so
+    ``sum_of_products`` brings a pair to its common denominator with no
+    rescaled copy.  The shorter factor drives the outer loop, so the
+    fewest inner loops are set up.
     """
     if len(ur) > len(vr):
         ur, ui, vr, vi = vr, vi, ur, ui
     for j, (ar, ai) in enumerate(zip(ur, ui)):
         if ai:
+            ar *= f
+            ai *= f
             for k, br, bi in zip(count(j), vr, vi):
                 acc_re[k] += ar * br - ai * bi
                 acc_im[k] += ar * bi + ai * br
         elif ar:
+            ar *= f
             for k, br, bi in zip(count(j), vr, vi):
                 acc_re[k] += ar * br
                 acc_im[k] += ar * bi

@@ -139,12 +139,14 @@ class BimodElement:
 
     def components(self, orders, a=P_ONE, b=P_ONE) -> tuple[Poly, ...]:
         """The triple components h_r = sum a_j b_j^(r) of the D2 element
-        a * x * b, for the ascending orders r in ``orders``; no other
-        component is formed.
+        a * x * b, for the orders r in ``orders``, ascending from 0 (else
+        ValueError); no other component is formed.
 
-        They are read off the acted pairs (a a_j, b_j b), which
-        ``sum_of_products`` forms on the numerators: no acted element is
-        built, and a unit side costs no product.
+        They are read off x's pairs by ``sum_of_products`` on the
+        numerators: b multiplies each b_j, and each acted right factor
+        (b_j b)^(r) is differentiated, while a multiplies each order's
+        sum once.  No acted element is built, and a unit side costs no
+        product.
         """
         self._require(Generator.D2, "coefficient triple")
         return sum_of_products(self.terms, orders, Poly.coerce(a), Poly.coerce(b))

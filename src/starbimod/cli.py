@@ -260,7 +260,10 @@ def _identity_trial(func, a, x, b, mf):
 
 def _cs_trial(func, a, x, b, mf):
     # every case draws b, unused here, so a seed gives both checks the same cases
-    return None if check_cauchy_schwarz(func, a, x, mf).holds else {}
+    report = check_cauchy_schwarz(func, a, x, mf)
+    if report.holds:
+        return None
+    return {"lhs_squared": str(report.lhs_squared), "bound": str(report.bound)}
 
 
 def _cmd_gns_check(args) -> int:

@@ -60,11 +60,13 @@ The central check, ``check_identity``, verifies
 
 exactly, computing the two sides along genuinely different routes (act
 then classify, versus classify then multiply out).  For F_t the left side
-reads component t of the acted pairs (a a_j, b_j b), which
-``sum_of_products`` forms on the integer numerators: it builds no
-canonical a * x * b and never reads the triple of x.  It must never be
-computed from that triple by the closed form of the action, whose
-component t is term for term the Leibniz sum of the right side.
+is a * sum_j a_j (b_j b)^(t), which ``sum_of_products`` forms on the
+integer numerators: a multiplies the sum once, by bilinearity, but each
+acted right factor b_j b is still differentiated on its own.  It builds
+no canonical a * x * b and never reads the triple of x.  It must never
+be computed from that triple by the closed form of the action, whose
+component t is term for term the right side's Leibniz sum
+sum_r C(t, r) h_(t-r) b^(r): the two routes would then be one.
 """
 
 from __future__ import annotations
@@ -220,10 +222,12 @@ class Functional:
     def value(self, x: BimodElement, mf: MomentFunctional, a=P_ONE, b=P_ONE) -> Scalar:
         """F(a * x * b), exact; depends only on the semantic class of x.
 
-        F_t reads component t of the acted pairs (a a_j, b_j b), formed on
-        the numerators by ``BimodElement.components``: it builds no a * x * b
-        and never reads the triple of x.  The Gaussian variants act on x
-        first, and a unit side costs them no product.
+        F_t reads a * sum_j a_j (b_j b)^(t) through
+        ``BimodElement.components``: a multiplies the sum once, each acted
+        right factor b_j b is differentiated, and neither a * x * b nor the
+        triple of x is formed, so the left route of ``check_identity``
+        stays apart from theta's Leibniz sum.  The Gaussian variants act on
+        x first, and a unit side costs them no product.
         """
         if self.kind in self._D2_KINDS:
             self._check_tag(x)
@@ -375,10 +379,11 @@ def check_cauchy_schwarz(
 ) -> CauchySchwarzReport:
     """Exact check of |F(a^+ x)|^2 <= f(h^+ h) f(a^+ a).
 
-    F(a^+ x) reads, for F_t, component t of the acted pairs (a^+ a_j,
-    b_j), as ``check_identity``'s left side does.  h is the variant's
-    coefficient polynomial of x; for gauss-atoms the squared norm
-    <images, images> of its atom images replaces f(h^+ h).
+    F(a^+ x) reads, for F_t, a^+ * sum_j a_j b_j^(t), with a^+ applied to
+    the sum once and each b_j differentiated, as ``check_identity``'s left
+    side does.  h is the variant's coefficient polynomial of x; for
+    gauss-atoms the squared norm <images, images> of its atom images
+    replaces f(h^+ h).
     """
     a = Poly.coerce(a)
     lhs = func.value(x, mf, a.conjugate())

@@ -10,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from starbimod import cli
+from starbimod.algebra import Scalar
 from starbimod.cli import (
     MAX_DEGREE,
     MAX_DIM,
@@ -19,6 +21,12 @@ from starbimod.cli import (
 )
 from starbimod import selftest
 from starbimod.errors import NotPositiveError
+from starbimod.gns import (
+    CauchySchwarzReport,
+    IdentityReport,
+    check_cauchy_schwarz,
+    check_identity,
+)
 from starbimod.moments import MomentFunctional
 from starbimod.parser import MAX_NESTING
 from starbimod.probes import BOUNDED, GROWTH, norm_bound_trials, plateau_verdict
@@ -216,6 +224,49 @@ class TestChecks:
             ]
         )
         assert code == 0
+
+    def test_gns_check_failure_exits_1_with_its_witness(self, capsys, monkeypatch, mu3_file):
+        """The third of five cases fails: exit 1, one failure, and its two sides."""
+        reports = []
+
+        def third_fails(*args):
+            report = check_identity(*args)
+            if len(reports) == 2:
+                report = IdentityReport(report.lhs, report.rhs + Scalar(Fraction(1, 3), -1))
+            reports.append(report)
+            return report
+
+        monkeypatch.setattr(cli, "check_identity", third_fails)
+        argv = ["gns-check", "--measure", mu3_file, "--functional", "F1",
+                "--trials", "5", "--seed", "4", "--json"]
+        assert main(argv) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert len(reports) == 5
+        witness = reports[2]
+        assert (report["failures"], report["equal"]) == (1, False)
+        assert (report["lhs"], report["rhs"]) == (str(witness.lhs), str(witness.rhs))
+        assert witness.lhs != witness.rhs
+
+    def test_cs_check_failure_exits_1_with_its_witness(self, capsys, monkeypatch, mu3_file):
+        """The third of five cases fails in each run: exit 1, one failure, and its exact sides."""
+        calls = []
+
+        def third_fails(*args):
+            calls.append(args)
+            if len(calls) % 5 == 3:
+                return CauchySchwarzReport(Fraction(169, 9), Fraction(-1, 2))
+            return check_cauchy_schwarz(*args)
+
+        monkeypatch.setattr(cli, "check_cauchy_schwarz", third_fails)
+        argv = ["cs-check", "--measure", mu3_file, "--functional", "F2",
+                "--trials", "5", "--seed", "4"]
+        assert main(argv) == 1
+        assert capsys.readouterr().out.strip() == "bound holds on 4/5 random cases"
+        assert main(argv + ["--json"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert len(calls) == 10
+        assert (report["failures"], report["holds"]) == (1, False)
+        assert (report["lhs_squared"], report["bound"]) == ("169/9", "-1/2")
 
     def test_deterministic_reports(self, capsys, mu3_file):
         args = [

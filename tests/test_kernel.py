@@ -362,6 +362,79 @@ class TestActedComponents:
                     for h in parts:
                         _assert_canonical(h)
 
+    def test_pairwise_coprime_pair_denominators_against_sympy(self):
+        """Pairs over 1, 2, 3, 5 and 7, so that each is scaled into the lcm 210 of
+        their denominators, and outer factors over 11 and 13, against sympy."""
+        rng = random.Random(83)
+
+        def over(den, degree):
+            # the coefficient 1/den keeps the denominator den exactly
+            rest = [
+                Scalar(Fraction(rng.randint(-9, 9), den), Fraction(rng.randint(-9, 9), den))
+                for _ in range(degree)
+            ]
+            return Poly([Fraction(1, den), *rest])
+
+        for _ in range(6):
+            pairs = [
+                (over(d, 3), over(1, 4)) if j % 2 else (over(1, 2), over(d, 4))
+                for j, d in enumerate((1, 2, 3, 5, 7))
+            ]
+            assert [u.den * v.den for u, v in pairs] == [1, 2, 3, 5, 7]
+            x = BimodElement(Generator.D2, pairs)
+            a, b = over(11, 2), over(13, 3)
+            assert (a.den, b.den) == (11, 13)
+            expected = [sympy.Poly(0, T, domain=QQ_I) for _ in range(3)]
+            for u, v in x.terms:
+                su, sv = _sym_poly(a) * _sym_poly(u), _sym_poly(v) * _sym_poly(b)
+                for r in range(3):
+                    expected[r] += su * (sv.diff((T, r)) if r else sv)
+            for orders in _ORDER_SETS:
+                parts = x.components(orders, a, b)
+                assert [_sym_poly(h) for h in parts] == [expected[r] for r in orders]
+                for h in parts:
+                    _assert_canonical(h)
+
+    def test_convolutions_per_component(self, monkeypatch):
+        """b multiplies each of k right factors and each pair is convolved once,
+        while a multiplies the sum once: 2k + 1 convolutions, k + 1 with a alone."""
+        rng = random.Random(89)
+        cases = []
+        for k in range(1, 5):
+            # right factors of degree >= 2 keep every pair up to the second derivative
+            pairs = [
+                (_nonzero_poly(rng), _nonzero_poly(rng) + Poly.monomial(3, 1)) for _ in range(k)
+            ]
+            x = BimodElement(Generator.D2, pairs)
+            a, b = _nonzero_poly(rng, 3), _nonzero_poly(rng, 3)
+            assert len(x.terms) == k and all(v.degree >= 2 for _, v in x.terms)
+            assert not (a.is_one() or b.is_one())
+            cases.append((x, a, b))
+        calls = []
+        original = algebra._convolve_into
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(algebra, "_convolve_into", counted)
+        for x, a, b in cases:
+            k = len(x.terms)
+            for t in range(3):
+                calls.clear()
+                x.components((t,), a, b)
+                assert len(calls) == 2 * k + 1, (k, t)
+                calls.clear()
+                x.components((t,), a)
+                assert len(calls) == k + 1, (k, t)
+
+    @pytest.mark.parametrize("orders", [(2, 0), (0, 2, 1), (-1,), (0, -1)], ids=str)
+    def test_negative_or_descending_orders_raise(self, orders):
+        for x in (BimodElement(Generator.D2), BimodElement.d_squared() * 3):
+            for sides in ((), (Poly([0, 2]),), (Poly([0, 2]), Poly([1, 1]))):
+                with pytest.raises(ValueError, match="ascend"):
+                    x.components(orders, *sides)
+
     def test_f_t_builds_no_acted_element(self, monkeypatch):
         """F_t's value at a * x * b sums x's own pairs under the outer factors
         a and b, and takes neither ``act`` nor a canonical product."""

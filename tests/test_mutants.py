@@ -88,6 +88,13 @@ MUTANTS = {
         "re += (a * c - b * d) * w\n            im += (b * c + a * d) * w",
         (2,),
     ),
+    # each pair is convolved at its own denominator, not scaled into the lcm
+    "pair-sum-drops-its-denominator-scale": (
+        "algebra.py",
+        "_convolve_into(acc_re, acc_im, u.re, u.im, vr, vi, f)",
+        "_convolve_into(acc_re, acc_im, u.re, u.im, vr, vi, 1)",
+        (1,),
+    ),
     "apply-reads-only-the-real-part-of-p": (
         "moments.py",
         "sum(map(mul, p.re, m)), sum(map(mul, p.im, m)), p.den * den",
