@@ -98,15 +98,12 @@ class BimodElement:
     def act(self, a, b) -> "BimodElement":
         """The two-sided action a * x * b, termwise on the pairs.
 
-        A unit side contributes no product.
+        A unit side costs no product: ``Poly.__mul__`` returns the other
+        factor.
         """
         a = Poly.coerce(a)
         b = Poly.coerce(b)
-        left, right = a.is_one(), b.is_one()
-        return BimodElement(
-            self.tag,
-            [(aj if left else a * aj, bj if right else bj * b) for aj, bj in self.terms],
-        )
+        return BimodElement(self.tag, [(a * aj, bj * b) for aj, bj in self.terms])
 
     def involution(self) -> "BimodElement":
         """(a * g * b)^+ = b^+ * g * a^+; both generators are hermitian."""
@@ -186,10 +183,10 @@ class BimodElement:
         ``triple``, so h0*d^2 + 2*h1*d + h2 can be checked against it.
         """
         self._require(Generator.D2, "ambient embedding")
-        d2 = WeylElement.d_power(2)
+        d2 = WeylElement.monomial(0, 2)
         out = WeylElement()
         for a, b in self.terms:
-            out = out + WeylElement.from_poly(a) * d2 * WeylElement.from_poly(b)
+            out = out + WeylElement.from_profile({0: a}) * d2 * WeylElement.from_profile({0: b})
         return out
 
     def theta_map(self) -> WeylElement:

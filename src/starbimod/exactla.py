@@ -12,14 +12,15 @@ normalises the result once (``@`` is that routine on two factors);
 ``adjoint`` keeps den and the content gcd, so it needs no normalisation;
 ``poly_at`` runs Horner with the same row kernel from c_N A, and
 ``inverse`` fraction-free Gauss-Jordan on the numerators, and both build
-one matrix at the end; ``ldl_psd``
-eliminates fraction-free (Bareiss) and keeps L's row at every index, so
-that G = L D L^H holds with the n x r factor; each output is normalised
-once.  ``nullspace``, the real routine of the GNS realization's Hankel
-Gram, reads real integers only: one triangular recurrence over the rows
-of L gives one real ``Poly`` per index, the orthogonal polynomial P_a (a
-row of L^-1) at a pivot and a kernel vector at a skipped index, with no
-second elimination and no read of the Gram.
+one matrix at the end; ``ldl_psd``, the one LDL entry, checks shape
+and hermitian symmetry itself, eliminates fraction-free (Bareiss) and
+keeps L's row at every index, so that G = L D L^H holds with the n x r
+factor; each output is normalised once.  ``nullspace``, the real
+routine of the GNS realization's Hankel Gram, reads real integers only:
+one triangular recurrence over the rows of L gives one real ``Poly`` per
+index, the orthogonal polynomial P_a (a row of L^-1) at a pivot and a
+kernel vector at a skipped index, with no second elimination and no read
+of the Gram.
 Sizes stay in the low tens, so the cubic algorithms are fine.
 """
 
@@ -317,15 +318,6 @@ def ldl_psd(m: Matrix) -> LdlResult:
         raise NotPositiveError("non-real diagonal entry")
     if m != m.adjoint():
         raise NotPositiveError("matrix is not hermitian")
-    return hermitian_ldl(m)
-
-
-def hermitian_ldl(m: Matrix) -> LdlResult:
-    """``ldl_psd`` without its shape and hermitian checks.
-
-    For a caller that has already found m hermitian, so that its adjoint
-    is built once; the PSD gate of the elimination is unchanged.
-    """
     n = m.nrows
     nums = [(list(re), list(im)) for re, im in zip(m.re, m.im)]
     # the residual stays hermitian, so only its upper triangle is updated;

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from .algebra import ZERO, Poly
 from .errors import DimensionMismatchError
-from .exactla import Matrix, hermitian_ldl, poly_at
+from .exactla import Matrix, ldl_psd, poly_at
 
 
 class ActionTable:
@@ -37,16 +37,16 @@ class ActionTable:
     def __init__(self, gen: Matrix, gram: Matrix):
         """Check that G is hermitian PSD and R hermitian for G: G R = R^H G.
 
-        Since G is hermitian, (G R)^H = R^H G, so that holds exactly when
-        the one product G R is hermitian.
+        ``ldl_psd`` is the one gate on G: it refuses a G that is not
+        hermitian, or not PSD, with NotPositiveError.  Since G is then
+        hermitian, (G R)^H = R^H G, so G R = R^H G holds exactly when the
+        one product G R is hermitian.
         """
         if gen.nrows != gen.ncols or gram.nrows != gram.ncols:
             raise DimensionMismatchError("action data must be square")
         if gen.nrows != gram.nrows:
             raise DimensionMismatchError("generator and Gram sizes differ")
-        if not gram.is_hermitian():
-            raise ValueError("Gram matrix must be hermitian")
-        hermitian_ldl(gram)  # raises NotPositiveError when indefinite
+        ldl_psd(gram)
         if not (gram @ gen).is_hermitian():
             raise ValueError("generator is not hermitian for the Gram form")
         object.__setattr__(self, "dim", gen.nrows)

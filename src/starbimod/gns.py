@@ -44,7 +44,8 @@ the powers of X that G over W X^(2N) has.
   to f(w p),
 * gauss-atoms carries one exact value v_i per atom x_i of an atomic
   measure and works in that measure's atom realization: its images
-  v_i p(x_i) (``atom_images``) are atom vectors, and its value
+  v_i p(x_i) (``atom_images``) are atom vectors, theta(x) rho(b) phi is
+  their ``atom_product`` with b at the atoms, and its value
   <images, phi>, Cauchy-Schwarz bound and identity sides each end in one
   ``MomentFunctional.atom_pairing``.
 
@@ -76,7 +77,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
 
-from .algebra import P_ONE, Poly, Scalar, sum_of_products
+from .algebra import P_ONE, Poly, Scalar, _ratio, sum_of_products
 from .bimodule import BimodElement, Generator
 from .errors import (
     MomentMismatchError,
@@ -129,8 +130,10 @@ def build_gns(mf: MomentFunctional, degree: int) -> GnsRealization:
     ``ldl_psd`` has passed it; this raises NotPositiveError when the moment
     data is not a truncated positive sequence, MomentOutOfRangeError when
     the moments are short.  At or below M it is the cached realization's
-    leading part.
+    leading part.  A negative degree raises ValueError.
     """
+    if degree < 0:
+        raise ValueError(f"negative degree {degree}")
     top = mf._gns
     if top is None or degree > top.degree:
         sums, den, x = mf.numerators(2 * degree)
@@ -188,7 +191,8 @@ class Functional:
         elif kind == "gauss-atoms":
             if atom_values is None or weight is not None:
                 raise ValueError("gauss-atoms needs per-atom values")
-            atom_values = tuple(Fraction(v) for v in atom_values)
+            # an int or a Fraction only, as for a Scalar: text comes through parse_real
+            atom_values = tuple(Fraction(*_ratio(v)) for v in atom_values)
         else:
             raise ValueError(f"unknown functional kind {kind!r}")
         object.__setattr__(self, "kind", kind)
@@ -298,13 +302,6 @@ class Functional:
         vs = [v.numerator * (v_den // v.denominator) for v in self.atom_values]
         return mf.atom_product(mf.at_atoms(x.gauss_poly()), (vs, [0] * len(vs), v_den))
 
-    def theta_atom_vector(self, x: BimodElement, b, mf: MomentFunctional):
-        """theta(x) rho(b) phi in atom coordinates, for the gauss-atoms variant.
-
-        Returned as ``(re, im, den)``, entry i being v_i p(x_i) b(x_i).
-        """
-        return mf.atom_product(self.atom_images(x, mf), mf.at_atoms(Poly.coerce(b)))
-
     def describe(self) -> str:
         if self.kind == "gauss-poly":
             return f"gauss-poly:{self.weight}"
@@ -351,8 +348,10 @@ def check_identity(
     b = Poly.coerce(b)
     lhs = func.value(x, mf, a, b)
     if func.kind == "gauss-atoms":
+        # theta(x) rho(b) phi, entry i being v_i p(x_i) b(x_i), paired with
         # rho(a^+) phi in atom coordinates, conjugated by the inner product
-        rhs = mf.atom_pairing(func.theta_atom_vector(x, b, mf), mf.at_atoms(a.conjugate()))
+        image = mf.atom_product(func.atom_images(x, mf), mf.at_atoms(b))
+        rhs = mf.atom_pairing(image, mf.at_atoms(a.conjugate()))
     else:
         image = func.theta(x, b)
         rhs = mf.apply(a * image)

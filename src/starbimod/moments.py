@@ -45,6 +45,7 @@ from operator import mul
 from .algebra import (
     Poly,
     Scalar,
+    _ratio,
     gauss_numerators,
     gauss_scalar,
     parse_real,
@@ -72,8 +73,8 @@ class MomentFunctional:
         if atoms is not None:
             pts = []
             for x, w in atoms:
-                x = Fraction(x)
-                w = Fraction(w)
+                # an int or a Fraction only, as for a Scalar: text comes through parse_real
+                x, w = Fraction(*_ratio(x)), Fraction(*_ratio(w))
                 if w < 0:
                     raise ValueError(f"negative atom weight {w}")
                 pts.append((x, w))
@@ -116,16 +117,22 @@ class MomentFunctional:
 
     @classmethod
     def gaussian(cls, count: int) -> "MomentFunctional":
-        """Standard normal moments: m_0 = 1, m_{2n} = (2n-1) m_{2n-2}, odd zero."""
+        """The first ``count`` standard normal moments.
+
+        m_0 = 1, m_{2n} = (2n-1) m_{2n-2}, and every odd moment is zero.
+        """
+        if count < 0:
+            raise ValueError(f"negative moment count {count}")
         vals = [Fraction(0)] * count
-        vals[0] = Fraction(1)
-        for k in range(2, count, 2):
-            vals[k] = (k - 1) * vals[k - 2]
+        for k in range(0, count, 2):
+            vals[k] = (k - 1) * vals[k - 2] if k else Fraction(1)
         return cls(values=vals)
 
     @classmethod
     def lebesgue_unit(cls, count: int) -> "MomentFunctional":
-        """Lebesgue measure on [0, 1]: m_k = 1/(k+1)."""
+        """The first ``count`` moments of Lebesgue measure on [0, 1]: m_k = 1/(k+1)."""
+        if count < 0:
+            raise ValueError(f"negative moment count {count}")
         return cls(values=[Fraction(1, k + 1) for k in range(count)])
 
     @property

@@ -151,16 +151,8 @@ def exceeds_digits(value: WeylElement) -> bool:
 
 
 def _check_size(value: WeylElement, offset: int) -> WeylElement:
-    """Refuse a value with a numerator or denominator above MAX_DIGITS digits.
-
-    This runs on every parsed sum, product and power, so it scans the
-    stored numerators as ``_stored_max`` does, with no call; the reduced
-    parts are read, through ``exceeds_digits``, only at the cap.
-    """
-    if (
-        max([value.den, *map(abs, chain.from_iterable(value.nums.values()))]) >= _LIMIT
-        and exceeds_digits(value)
-    ):
+    """Refuse a value with a numerator or denominator above MAX_DIGITS digits."""
+    if exceeds_digits(value):
         raise _too_long(offset)
     return value
 
@@ -176,8 +168,8 @@ def _power_too_long(value: WeylElement, n: int) -> bool:
 # q^0..q^MAX_EXPONENT and d^0..d^MAX_EXPONENT, built once; p = -i*d and i
 # are raised by square-and-multiply: i^n is not a monomial in i
 _GENERATOR_POWERS = {
-    "q": tuple(WeylElement.q_power(n) for n in range(MAX_EXPONENT + 1)),
-    "d": tuple(WeylElement.d_power(n) for n in range(MAX_EXPONENT + 1)),
+    "q": tuple(WeylElement.monomial(n, 0) for n in range(MAX_EXPONENT + 1)),
+    "d": tuple(WeylElement.monomial(0, n) for n in range(MAX_EXPONENT + 1)),
 }
 _ATOMS = {
     "q": _GENERATOR_POWERS["q"][1],

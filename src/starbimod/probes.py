@@ -292,14 +292,15 @@ def boundedness_probe(
 ) -> ProbeReport:
     """Track lambda_N over the degree list and classify the tail.
 
-    The degrees must be strictly increasing, since a repeated degree would
-    read as a plateau, and the element hermitian.  lambda_N is read from
-    the hermitian part of the form, max |Re F(a^+ x a)| / f(a^+ a), which
-    differs from max |F(a^+ x a)| / f(a^+ a) for F1 and F2.
+    The degrees must be nonnegative and strictly increasing, since a
+    repeated degree would read as a plateau, and the element hermitian.
+    lambda_N is read from the hermitian part of the form,
+    max |Re F(a^+ x a)| / f(a^+ a), which differs from
+    max |F(a^+ x a)| / f(a^+ a) for F1 and F2.
     """
     degrees = tuple(degrees)
-    if len(degrees) < 3 or any(a >= b for a, b in zip(degrees, degrees[1:])):
-        raise ValueError("need an increasing list of at least three degrees")
+    if len(degrees) < 3 or degrees[0] < 0 or any(a >= b for a, b in zip(degrees, degrees[1:])):
+        raise ValueError("need an increasing list of at least three degrees, none negative")
     if not x.is_hermitian():
         raise NotHermitianError("probe element must be hermitian")
     top = degrees[-1]

@@ -6,8 +6,11 @@ numerators over one denominator: ``nums`` maps (m, n) to the read-only
 pair (re, im) of the coefficient (re + im*i) / den of q^m d^n, with
 den > 0, gcd(den, every numerator) == 1 and no zero entry.  Every
 operation runs on the integers and normalises its result once; ``terms``
-is a Scalar view built per read.  The generator d is i*p for the
-hermitian generator p, so the single rewrite rule has integer coefficients:
+is a Scalar view built per read.  An element is built from its terms,
+as ``monomial(m, n, c)``, or as ``from_profile`` of its d-profile (a
+polynomial p is ``from_profile({0: p})``).  The generator d is i*p for the
+hermitian generator p, ``P``, so the single rewrite rule has integer
+coefficients:
 
     d^n q^m = sum_k  C(n, k) * m!/(m-k)! * q^(m-k) d^(n-k).
 
@@ -64,19 +67,6 @@ class WeylElement:
         return _new([((m, n), c.re_num, c.im_num)], c.den)
 
     @classmethod
-    def q_power(cls, m: int) -> "WeylElement":
-        return cls.monomial(m, 0)
-
-    @classmethod
-    def d_power(cls, n: int) -> "WeylElement":
-        return cls.monomial(0, n)
-
-    @classmethod
-    def p_generator(cls) -> "WeylElement":
-        """The hermitian generator p = -i*d."""
-        return cls.monomial(0, 1, -I)
-
-    @classmethod
     def from_profile(cls, profile: dict[int, Poly]) -> "WeylElement":
         """The element sum_n h_n(q) d^n of {n: h_n}, n >= 0; the inverse of ``d_profile``."""
         if any(n < 0 for n in profile):
@@ -88,10 +78,6 @@ class WeylElement:
             for m, (a, b) in enumerate(zip(h.re, h.im))
         ]
         return _new(triples, den)
-
-    @classmethod
-    def from_poly(cls, p: Poly) -> "WeylElement":
-        return cls.from_profile({0: p})
 
     @property
     def terms(self) -> dict[tuple[int, int], Scalar]:
@@ -316,10 +302,9 @@ def _coerce(value):
     if isinstance(value, (int, Fraction, Scalar)):
         return WeylElement({(0, 0): value})
     if isinstance(value, Poly):
-        return WeylElement.from_poly(value)
+        return WeylElement.from_profile({0: value})
     return NotImplemented
 
 
 _ONE = WeylElement.monomial(0, 0)
-D = WeylElement.d_power(1)
-P = WeylElement.p_generator()
+P = WeylElement.monomial(0, 1, -I)  # the hermitian generator p = -i*d

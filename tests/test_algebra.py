@@ -439,7 +439,7 @@ class TestPolyText:
         ]
         for _ in range(200):
             p = Poly([rng.choice(draws)() for _ in range(rng.randint(1, 6))])
-            assert parse_expression(str(p)) == WeylElement.from_poly(p), str(p)
+            assert parse_expression(str(p)) == WeylElement.from_profile({0: p}), str(p)
 
 
 class TestPolyLaws:
@@ -504,7 +504,7 @@ class TestEqHashContract:
         assert len({Poly.constant(2), 2}) == 1
         assert len({Poly(), 0}) == 1
         assert len({WeylElement.monomial(0, 0) * 3, 3, Scalar(3), Poly.constant(3)}) == 1
-        assert len({WeylElement.from_poly(Q), Q}) == 1
+        assert len({WeylElement.from_profile({0: Q}), Q}) == 1
 
 
 def _used(value, use):

@@ -5,11 +5,14 @@ from fractions import Fraction
 
 import pytest
 
+from starbimod import algebra
 from starbimod.algebra import I, P_ONE, Poly, Q, Scalar
 from starbimod.bimodule import BimodElement, Generator
 from starbimod.errors import TagMismatchError
 from starbimod.sampling import rand_d2_element, rand_poly, rand_scalar
-from starbimod.weyl import WeylElement
+from starbimod.weyl import P, WeylElement
+
+from draws import nonzero_poly
 
 D2 = BimodElement.d_squared()
 
@@ -48,21 +51,22 @@ class TestActionAndInvolution:
     def test_unit_side_takes_no_product(self, monkeypatch):
         rng = random.Random(5)
         x = rand_d2_element(rng, 4, 4)
-        a = rand_poly(rng, 4, nonzero=True)
-        b = rand_poly(rng, 4, nonzero=True)
+        a = nonzero_poly(rng, 4)
+        b = nonzero_poly(rng, 4)
         # the product route, built before the counter is live
         by_products = {
             "left": [(P_ONE * aj, bj * b) for aj, bj in x.terms],
             "right": [(a * aj, bj * P_ONE) for aj, bj in x.terms],
         }
+        # a unit factor costs ``Poly.__mul__`` no convolution
         products = []
-        original = Poly.__mul__
+        original = algebra._product
 
-        def counted(self, other):
-            products.append(other)
-            return original(self, other)
+        def counted(*numerators):
+            products.append(numerators)
+            return original(*numerators)
 
-        monkeypatch.setattr(Poly, "__mul__", counted)
+        monkeypatch.setattr(algebra, "_product", counted)
         n = len(x.terms)
         cases = [
             ("left", P_ONE, b, n),
@@ -124,7 +128,7 @@ class TestGaussSum:
         # element of the same arithmetic on the polynomials
         rng = random.Random(41)
         polys = [rand_poly(rng, 4) for _ in range(12)] + [Poly(), Q * Fraction(1, 3) - I]
-        p = rand_poly(rng, 4, nonzero=True)
+        p = nonzero_poly(rng, 4)
         cases = [(rng.choice(polys), rng.choice(polys)) for _ in range(30)]
         cases += [(p, -p), (p, p), (Poly(), p)]
         scalars = [rand_scalar(rng) for _ in range(6)] + [0, 3, Fraction(-2, 7), I]
@@ -212,9 +216,9 @@ class TestLowering:
             b = rand_poly(rng, 3)
             lhs = x.act(a, b).theta_map()
             rhs = (
-                WeylElement.from_poly(a)
+                WeylElement.from_profile({0: a})
                 * x.theta_map()
-                * WeylElement.from_poly(b)
+                * WeylElement.from_profile({0: b})
             )
             assert lhs == rhs
 
@@ -242,10 +246,10 @@ class TestSchrodingerTable:
 class TestFromWeyl:
     def test_needs_low_d_degree(self):
         with pytest.raises(ValueError):
-            BimodElement.from_weyl(WeylElement.d_power(3))
+            BimodElement.from_weyl(WeylElement.monomial(0, 3))
 
     def test_momentum_reachable(self):
-        elem = BimodElement.from_weyl(WeylElement.p_generator())
+        elem = BimodElement.from_weyl(P)
         assert elem.triple() == (Poly(), Poly.constant(Scalar(0, Fraction(-1, 2))), Poly())
 
     def test_roundtrip_on_random_elements(self):

@@ -6,12 +6,14 @@ aside) defined in ``src/starbimod`` must be named somewhere in
 ``src/starbimod`` outside its own definition, as a name, an attribute or
 an imported name.  So must every public function, method or class
 defined outside ``__init__.py``, but for the test references listed in
-``TEST_REFERENCES`` with the reason each is kept, and every name in
-``starbimod.__all__``; for these two a use in ``__init__.py`` does not
-count.  Tests do not count as a use.  A name that a module-level import
-binds, in the package or in the tests, must be read in that module, or
-re-exported through its ``__all__``.  A helper, method or export that a
-refactor leaves without a caller, or an import it leaves without a
+``TEST_REFERENCES`` with the reason each is kept, every name in
+``starbimod.__all__``, and every public module constant (a name that a
+module-level assignment outside ``__init__.py`` binds); for these three
+a use in ``__init__.py`` does not count.  Tests do not count as a use.
+A name that a module-level import binds, in the package or in the
+tests, must be read in that module, or re-exported through its
+``__all__``.  A helper, method, export or constant that a refactor
+leaves without a caller or reader, or an import it leaves without a
 reader, fails here.  These scans match names, not owners, so each public
 method name that two classes share is pinned to its owners.
 
@@ -103,6 +105,35 @@ def test_the_export_scan_sees_an_unreached_export():
 
 def test_every_export_is_used_in_the_package():
     assert _unreached_exports(starbimod.__all__, _package()) == []
+
+
+def _unread_constants(modules: dict[str, ast.Module]) -> list[str]:
+    """``file:line name`` of each public name that a module-level assignment
+    outside ``__init__.py`` binds and that no module but ``__init__.py``
+    names outside that assignment."""
+    modules = {f: t for f, t in modules.items() if f != "__init__.py"}
+    constants = [
+        (file, target.id, node.lineno, node.end_lineno)
+        for file, tree in modules.items()
+        for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name) and not target.id.startswith("_")
+    ]
+    return _unreferenced(constants, _scan(modules, lambda name: False)[1])
+
+
+def test_the_constant_scan_sees_an_unread_constant():
+    modules = {
+        "__init__.py": ast.parse("from .a import LONE, TYPED\n"),
+        "a.py": ast.parse("USED = 1\nLONE = 2\n_HIDDEN = 3\nTYPED: int = USED\nSELF = SELF\n"),
+        "b.py": ast.parse("from .a import TYPED\n\ndef f():\n    return TYPED\n"),
+    }
+    assert _unread_constants(modules) == ["a.py:2 LONE", "a.py:5 SELF"]
+
+
+def test_every_public_constant_is_read_in_the_package():
+    assert _unread_constants(_package()) == []
 
 
 # public defs that only tests reach, each with the reason it is kept

@@ -13,6 +13,8 @@ from starbimod.exactla import Matrix, inverse, ldl_psd, poly_at
 from starbimod.forms import ActionTable, FormMatrix, form_from_operator
 from starbimod.sampling import rand_poly, rand_scalar
 
+from draws import nonzero_poly, real_scalar
+
 
 def operator_adjoint(t: Matrix, table: ActionTable) -> Matrix:
     """G^-1 t^H G; defined only for invertible Gram matrices."""
@@ -100,7 +102,7 @@ def scalar_adjoint(a) -> list:
 
 class TestActionTable:
     def test_rejects_non_hermitian_gram(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(NotPositiveError, match="matrix is not hermitian"):
             ActionTable(Matrix.diagonal([1] * 2), Matrix([[0, 1], [0, 0]]))
 
     def test_rejects_indefinite_gram(self):
@@ -225,11 +227,12 @@ class TestPolyAtAgainstPowers:
         return out
 
     @pytest.mark.parametrize("dim", [0, 1, 2, 3])
-    @pytest.mark.parametrize("complex_parts", [False, True])
-    def test_against_sum_of_powers(self, dim, complex_parts):
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    def test_against_sum_of_powers(self, dim, complex_entries):
         rng = random.Random(101 + dim)
+        draw = rand_scalar if complex_entries else real_scalar
         for _ in range(4):
-            r = Matrix([[rand_scalar(rng, complex_parts) for _ in range(dim)] for _ in range(dim)])
+            r = Matrix([[draw(rng) for _ in range(dim)] for _ in range(dim)])
             for p in self.polys(rng):
                 assert poly_at(p, r) == self.oracle(p, r)
 
@@ -346,7 +349,7 @@ class TestActionMemo:
         for _ in range(5):
             table = make(rng, 3)
             x = random_form(rng, 3)
-            a, b = rand_poly(rng, 3, nonzero=True), rand_poly(rng, 3, nonzero=True)
+            a, b = nonzero_poly(rng, 3), nonzero_poly(rng, 3)
             for left, right in ((a, b), (a, P_ONE), (P_ONE, b), (P_ONE, P_ONE)):
                 table.left_factor(left), table.operator(right)  # the table's evaluations, once
                 stores.clear()

@@ -45,6 +45,7 @@ from starbimod.moments import MomentFunctional
 from starbimod.probes import boundedness_probe
 from starbimod.sampling import atoms012, mu3, rand_d2_element, rand_poly
 
+from draws import nonzero_poly, real_poly
 from exact_views import (
     assert_canonical_triple,
     lower_scalars,
@@ -1252,8 +1253,8 @@ class TestGramRouteStaysOnNumerators:
         rng = random.Random(3)
         y = rand_d2_element(rng, 2, 3)
         x = y + y.involution()
-        gauss = BimodElement.gauss(rand_poly(rng, 3, complex_parts=False))
-        weight = rand_poly(rng, 2, nonzero=True)
+        gauss = BimodElement.gauss(real_poly(rng, 3))
+        weight = nonzero_poly(rng, 2)
         calls.clear()
         build_gns(mf, 12)
         for kind in ("F0", "F1", "F2"):
@@ -1293,7 +1294,7 @@ class TestIdentityChecksStayOnNumerators:
         for name, mf in measures.items():
             for kind in ("F0", "F1", "F2", "gauss-poly", "gauss-atoms"):
                 if kind == "gauss-poly":
-                    func = Functional.gauss_poly(rand_poly(rng, 2, nonzero=True))
+                    func = Functional.gauss_poly(nonzero_poly(rng, 2))
                 elif kind == "gauss-atoms":
                     if not mf.is_atomic:
                         continue

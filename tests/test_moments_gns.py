@@ -4,6 +4,7 @@ import gc
 import json
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -75,11 +76,52 @@ class TestMoments:
             for k in range(4):
                 assert mf.pairing(Poly.monomial(j), Poly.monomial(k)) == m[j + k]
 
+    @pytest.mark.parametrize("count", [0, 1, 2])
+    @pytest.mark.parametrize("make", [MomentFunctional.gaussian, MomentFunctional.lebesgue_unit])
+    def test_short_standard_lists(self, make, count):
+        assert make(count).values == make(8).values[:count]
+
+    @pytest.mark.parametrize("make", [MomentFunctional.gaussian, MomentFunctional.lebesgue_unit])
+    def test_negative_count_refused(self, make):
+        with pytest.raises(ValueError, match="negative moment count -1"):
+            make(-1)
+
     def test_json_roundtrip(self):
         atoms = [{"x": x, "w": "1"} for x in ("-1", "0", "1")]
         assert MomentFunctional.from_json({"type": "atomic", "atoms": atoms}) == mu3()
         values = {"type": "moments", "values": ["3", "0", "2"]}
         assert MomentFunctional.from_json(values) == MomentFunctional.from_moments([3, 0, 2])
+
+
+# a float, a Decimal and a string, the last past MAX_DIGITS: not an int or a Fraction
+INEXACT = [0.1, Decimal("0.1"), "1/2", "1" * 3000]
+
+
+class TestExactInputs:
+    """Atoms and atom values take an int or a Fraction, as a Scalar part does."""
+
+    @pytest.mark.parametrize("value", INEXACT, ids=["float", "Decimal", "str", "long-str"])
+    @pytest.mark.parametrize("slot", [0, 1], ids=["point", "weight"])
+    def test_atom_refuses_an_inexact_number(self, slot, value):
+        atom = [1, 1]
+        atom[slot] = value
+        with pytest.raises(TypeError, match="cannot build a rational from"):
+            MomentFunctional.atomic([(0, 1), tuple(atom)])
+
+    @pytest.mark.parametrize("value", INEXACT, ids=["float", "Decimal", "str", "long-str"])
+    def test_atom_value_refuses_an_inexact_number(self, value):
+        with pytest.raises(TypeError, match="cannot build a rational from"):
+            Functional.gauss_atoms([1, value, 3])
+
+    def test_ints_and_fractions_are_kept_exactly(self):
+        half = Fraction(1, 2)
+        assert MomentFunctional.atomic([(half, 3)]).atoms == ((half, Fraction(3)),)
+        assert Functional.gauss_atoms([half, 2]).atom_values == (half, Fraction(2))
+        # text enters through the literal grammar, as JSON and the CLI read it
+        atoms = [{"x": "1/2", "w": "3"}]
+        assert MomentFunctional.from_json({"type": "atomic", "atoms": atoms}).atoms == (
+            (half, Fraction(3)),
+        )
 
 
 class TestBuildGns:
@@ -128,6 +170,14 @@ class TestBuildGns:
     def test_indefinite_sequence_rejected(self):
         with pytest.raises(NotPositiveError):
             build_gns(MomentFunctional.from_moments([1, 0, -1]), 1)
+
+    @pytest.mark.parametrize(
+        "mf, degree", [(mu3(), -1), (MomentFunctional.gaussian(8), -3)], ids=["mu3", "gaussian"]
+    )
+    def test_negative_degree_refused(self, mf, degree):
+        with pytest.raises(ValueError, match=f"negative degree {degree}"):
+            build_gns(mf, degree)
+        assert mf._gns is None
 
     def test_zero_diagonal_rejected(self):
         with pytest.raises(NotPositiveError):
@@ -187,10 +237,11 @@ class TestFunctionalValues:
     def test_gauss_atoms_checks_in_order(self):
         func = Functional.gauss_atoms([1, 2, 3])
         with pytest.raises(UnsupportedVariantError):
-            Functional("F0").theta_atom_vector(D2, Q, mu3())
+            Functional("F0").atom_images(D2, mu3())
         calls = [
             func.value,
-            lambda x, mf: func.theta_atom_vector(x, "not a polynomial", mf),
+            func.atom_images,
+            lambda x, mf: check_identity(func, Q, x, Q, mf),
             lambda x, mf: check_cauchy_schwarz(func, Q, x, mf),
         ]
         four_atoms = MomentFunctional.atomic([(0, 1), (1, 1), (2, 1), (3, 1)])
@@ -202,7 +253,7 @@ class TestFunctionalValues:
             with pytest.raises(VariantMismatchError, match="3 values for 4 atoms"):
                 call(BimodElement.gauss(1), four_atoms)
         with pytest.raises(TypeError):
-            func.theta_atom_vector(BimodElement.gauss(1), "not a polynomial", mu3())
+            check_identity(func, Q, BimodElement.gauss(1), "not a polynomial", mu3())
 
     def test_value_is_class_function(self):
         rng = random.Random(83)
@@ -401,14 +452,14 @@ def _ref_value(func, x, mf):
     return Scalar(re, im)
 
 
-def _ref_theta_atom_vector(func, x, b, mf):
+def _ref_theta_image(func, x, b, mf):
     return tuple(u * b(pt) for (pt, _), u in zip(mf.atoms, _ref_images(func, x, mf)))
 
 
 def _ref_identity(func, a, x, b, mf):
     lhs = _ref_value(func, x.act(a, b), mf)
     rhs = Scalar(0)
-    for (pt, w), u in zip(mf.atoms, _ref_theta_atom_vector(func, x, b, mf)):
+    for (pt, w), u in zip(mf.atoms, _ref_theta_image(func, x, b, mf)):
         rhs = rhs + u * a.conjugate()(pt).conjugate() * w
     return lhs, rhs
 
@@ -427,7 +478,7 @@ def _cluster():
 
 
 class TestGaussAtomsIntegerSums:
-    """value, theta_atom_vector, check_identity and check_cauchy_schwarz of
+    """value, atom_images, check_identity and check_cauchy_schwarz of
     gauss-atoms against the Scalar loops, exactly."""
 
     @staticmethod
@@ -448,9 +499,9 @@ class TestGaussAtomsIntegerSums:
         mf = {"mu3": mu3, "atoms012": atoms012, "cluster": _cluster}[name]()
         for func, a, x, b in self._cases(mf, 131):
             assert func.value(x, mf) == _ref_value(func, x, mf)
-            re, im, den = func.theta_atom_vector(x, b, mf)
-            vector = tuple(Scalar(Fraction(u, den), Fraction(v, den)) for u, v in zip(re, im))
-            assert vector == _ref_theta_atom_vector(func, x, b, mf)
+            re, im, den = func.atom_images(x, mf)
+            vector = [Scalar(Fraction(u, den), Fraction(v, den)) for u, v in zip(re, im)]
+            assert vector == _ref_images(func, x, mf)
             report = check_identity(func, a, x, b, mf)
             assert (report.lhs, report.rhs) == _ref_identity(func, a, x, b, mf)
             assert report.equal
@@ -543,6 +594,11 @@ class TestUniqueness:
     def test_mismatch_detected(self):
         with pytest.raises(MomentMismatchError):
             check_intertwiner(mu3(), atoms012(), 4)
+
+    def test_negative_degree_is_no_pass(self):
+        # it compares no moment, so it must not read as verified
+        with pytest.raises(ValueError, match="negative degree -1"):
+            check_intertwiner(mu3(), mu3(), -1)
 
 
 class TestUnitWeightProducts:

@@ -15,7 +15,7 @@ import sympy
 from sympy import QQ_I
 from sympy.polys.matrices import DomainMatrix
 
-from starbimod import exactla, gns, probes
+from starbimod import gns, probes
 from starbimod.algebra import P_ONE, Poly, Q, Scalar
 from starbimod.bimodule import BimodElement, Generator
 from starbimod.errors import (
@@ -47,6 +47,7 @@ from starbimod.sampling import (
     rand_poly,
 )
 
+from draws import nonzero_poly, real_poly
 from exact_views import assert_canonical_poly, lower_scalars, pencil_scalars, pivot_lower_scalars
 
 D2 = BimodElement.d_squared()
@@ -120,6 +121,12 @@ class TestBoundednessProbe:
         assert generator_probe(mf, range(2, 11)).verdict == GROWTH
         with pytest.raises(ValueError, match="need an increasing list of at least three degrees"):
             generator_probe(mf, degrees)
+
+    @pytest.mark.parametrize("degrees", [[-1, 2, 3], [-3, -2, -1]], ids=str)
+    def test_refuses_negative_degrees(self, degrees):
+        # a negative degree has no Gram, so it must not read as a singular one
+        with pytest.raises(ValueError, match="none negative"):
+            boundedness_probe(Functional("F0"), D2, MomentFunctional.gaussian(32), degrees)
 
     def test_zero_measure_has_no_positive_part(self):
         mf = MomentFunctional.atomic([(0, 0)])
@@ -213,7 +220,7 @@ def hermitian_d2(rng):
 
 
 def hermitian_gauss(rng):
-    return BimodElement.gauss(rand_poly(rng, 3, complex_parts=False))
+    return BimodElement.gauss(real_poly(rng, 3))
 
 
 MEASURES = {
@@ -237,7 +244,7 @@ class TestStructuredForm:
         rng = random.Random(degree * 31 + len(mname))
         cases = [(Functional(k), hermitian_d2(rng)) for k in ("F0", "F1", "F2")]
         cases.append(
-            (Functional.gauss_poly(rand_poly(rng, 2, nonzero=True)), hermitian_gauss(rng))
+            (Functional.gauss_poly(nonzero_poly(rng, 2)), hermitian_gauss(rng))
         )
         if mf.is_atomic:
             values = [rand_fraction(rng) for _ in mf.atoms]
@@ -374,7 +381,7 @@ def congruence_cases():
     for mname, top in (("mu3", 7), ("atoms012", 6), ("lebesgue", 6), ("gaussian", 6)):
         mf = MEASURES[mname]
         funcs = [(Functional(kind), hermitian_d2(rng)) for kind in ("F0", "F1", "F2")]
-        weight = rand_poly(rng, 2, nonzero=True)
+        weight = nonzero_poly(rng, 2)
         funcs.append((Functional.gauss_poly(weight), hermitian_gauss(rng)))
         if mf.is_atomic:
             values = [rand_fraction(rng) for _ in mf.atoms]
@@ -521,15 +528,15 @@ KERNEL_CASES = {
 
 
 def count_eliminations(monkeypatch) -> list:
-    """The matrices of every ``exactla.hermitian_ldl`` call from now on."""
+    """The matrices of every ``ldl_psd`` call of ``build_gns`` from now on."""
     calls = []
-    original = exactla.hermitian_ldl
+    original = gns.ldl_psd
 
     def counted(m):
         calls.append(m)
         return original(m)
 
-    monkeypatch.setattr(exactla, "hermitian_ldl", counted)
+    monkeypatch.setattr(gns, "ldl_psd", counted)
     return calls
 
 
@@ -700,7 +707,7 @@ class TestGramFactorCache:
         counts = Counter()
         for module, attr in (
             (gns, "hankel_gram"),
-            (exactla, "hermitian_ldl"),
+            (gns, "ldl_psd"),
             (gns, "nullspace"),
         ):
 
@@ -711,7 +718,7 @@ class TestGramFactorCache:
             monkeypatch.setattr(module, attr, counted)
         build_gns(mf, 12)
         # every measure is factored at its moments' natural scale, with no Gram read
-        assert counts == {"hermitian_ldl": 1, "nullspace": 1}
+        assert counts == {"ldl_psd": 1, "nullspace": 1}
         counts.clear()
         for n in range(13):
             build_gns(mf, n)

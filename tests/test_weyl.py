@@ -11,12 +11,13 @@ import sympy
 from starbimod.algebra import I, Poly, Q, Scalar
 from starbimod.parser import parse_expression
 from starbimod.sampling import rand_poly, rand_scalar, rand_weyl
-from starbimod.weyl import D, P, WeylElement
+from starbimod.weyl import P, WeylElement
 
 from exact_views import assert_canonical_poly
 
 T = sympy.Symbol("t")
-QW = WeylElement.q_power(1)
+QW = WeylElement.monomial(1, 0)
+D = WeylElement.monomial(0, 1)
 
 
 def _sym(c: Scalar):
@@ -81,7 +82,7 @@ class TestInvolution:
 
     def test_q_powers_fixed(self):
         for m in range(5):
-            assert WeylElement.q_power(m).involution() == WeylElement.q_power(m)
+            assert WeylElement.monomial(m, 0).involution() == WeylElement.monomial(m, 0)
 
     def test_antimultiplicative(self):
         rng = random.Random(7)
@@ -138,7 +139,7 @@ class TestApplyAgainstSympy:
             u = WeylElement.monomial(2, n, rand_scalar(rng) + I)
             self.check(u, p)
         assert WeylElement.monomial(5, 4, 2).apply(p).is_zero()
-        assert WeylElement.d_power(3).apply(p).degree == 0
+        assert WeylElement.monomial(0, 3).apply(p).degree == 0
 
     def test_zero_polynomial(self):
         rng = random.Random(23)
@@ -228,11 +229,11 @@ class TestStructure:
         assert D**3 == D * D * D
         assert (QW + D) ** 2 == QW * QW + QW * D + D * QW + D * D
 
-    def test_from_poly_respects_products(self):
+    def test_from_profile_respects_products(self):
         p = Q * Q - 2
         r = Q + 1
-        assert WeylElement.from_poly(p * r) == (
-            WeylElement.from_poly(p) * WeylElement.from_poly(r)
+        assert WeylElement.from_profile({0: p * r}) == (
+            WeylElement.from_profile({0: p}) * WeylElement.from_profile({0: r})
         )
 
 
@@ -424,7 +425,7 @@ class TestSquareAndMultiply:
             return original(self, other)
 
         monkeypatch.setattr(WeylElement, "__mul__", counted)
-        assert parse_expression("q^64") == WeylElement.q_power(64)
+        assert parse_expression("q^64") == WeylElement.monomial(64, 0)
         assert len(calls) <= 12
         expected = (QW + D) * (QW + D) * (QW + D) * (QW + D) * (QW + D)
         calls.clear()
@@ -477,9 +478,9 @@ class TestMonomialsAndGeneratorPowers:
 
     @pytest.mark.parametrize("k", [-1, -3])
     def test_generator_powers_refuse_a_negative_power(self, k):
-        for make in (WeylElement.q_power, WeylElement.d_power):
+        for m, n in ((k, 0), (0, k)):
             with pytest.raises(ValueError, match="negative power"):
-                make(k)
+                WeylElement.monomial(m, n)
 
     @pytest.mark.parametrize("symbol, generator", [("q", QW), ("d", D)])
     def test_parsed_generator_powers(self, symbol, generator):
