@@ -7,6 +7,7 @@ One binary, scriptable subcommands, JSON reports on stdout.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -331,16 +332,7 @@ def _cmd_selftest(args) -> int:
     results = run_all()
     payload = {
         "check": "selftest",
-        "results": [
-            {
-                "index": r.index,
-                "name": r.name,
-                "passed": r.passed,
-                "detail": r.detail,
-                "elapsed_s": r.elapsed_s,
-            }
-            for r in results
-        ],
+        "results": [dataclasses.asdict(r) for r in results],
         "passed": all(r.passed for r in results),
     }
     _emit(payload, args.json, [r.line() for r in results])

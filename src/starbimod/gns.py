@@ -72,6 +72,7 @@ sum_r C(t, r) h_(t-r) b^(r): the two routes would then be one.
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -81,7 +82,6 @@ from .algebra import P_ONE, Poly, Scalar, _ratio, sum_of_products
 from .bimodule import BimodElement, Generator
 from .errors import (
     MomentMismatchError,
-    NotPositiveError,
     UnsupportedVariantError,
     VariantMismatchError,
 )
@@ -130,8 +130,10 @@ def build_gns(mf: MomentFunctional, degree: int) -> GnsRealization:
     ``ldl_psd`` has passed it; this raises NotPositiveError when the moment
     data is not a truncated positive sequence, MomentOutOfRangeError when
     the moments are short.  At or below M it is the cached realization's
-    leading part.  A negative degree raises ValueError.
+    leading part.  A negative degree raises ValueError, and one that is not
+    an integer TypeError.
     """
+    degree = operator.index(degree)
     if degree < 0:
         raise ValueError(f"negative degree {degree}")
     top = mf._gns
@@ -393,10 +395,9 @@ def check_cauchy_schwarz(
     else:
         h = func.coefficient_poly(x)
         c = mf.apply(h.conjugate() * h)
-    bound = c * gram_aa
-    if not bound.is_real():
-        raise NotPositiveError("Cauchy-Schwarz bound must be real")
-    return CauchySchwarzReport(lhs.abs2(), bound.re)
+    # both factors are real: the moments are, h^+ h and a^+ a have real
+    # coefficients, and <u, u> sums to a zero imaginary part
+    return CauchySchwarzReport(lhs.abs2(), (c * gram_aa).re)
 
 
 @dataclass(frozen=True)

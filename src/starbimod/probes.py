@@ -59,7 +59,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import copysign, frexp, gcd, inf, isfinite, lcm, ldexp, perm, sqrt
-from operator import mul
+from operator import index, mul
 from sys import float_info
 from typing import NamedTuple
 
@@ -292,13 +292,14 @@ def boundedness_probe(
 ) -> ProbeReport:
     """Track lambda_N over the degree list and classify the tail.
 
-    The degrees must be nonnegative and strictly increasing, since a
-    repeated degree would read as a plateau, and the element hermitian.
+    The degrees must be integers, nonnegative and strictly increasing, since
+    a repeated degree would read as a plateau, and the element hermitian;
+    a degree that is not an integer raises TypeError.
     lambda_N is read from the hermitian part of the form,
     max |Re F(a^+ x a)| / f(a^+ a), which differs from
     max |F(a^+ x a)| / f(a^+ a) for F1 and F2.
     """
-    degrees = tuple(degrees)
+    degrees = tuple(map(index, degrees))
     if len(degrees) < 3 or degrees[0] < 0 or any(a >= b for a, b in zip(degrees, degrees[1:])):
         raise ValueError("need an increasing list of at least three degrees, none negative")
     if not x.is_hermitian():

@@ -15,8 +15,8 @@ from .moments import MomentFunctional
 from .weyl import WeylElement
 
 
-def rand_fraction(rng: random.Random, span: int = 6, max_den: int = 4) -> Fraction:
-    return Fraction(rng.randint(-span, span), rng.randint(1, max_den))
+def rand_fraction(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
 
 
 def rand_scalar(rng: random.Random) -> Scalar:

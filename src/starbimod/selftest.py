@@ -1,16 +1,23 @@
-"""The acceptance suite: every release-gating check as a callable.
+"""The acceptance suite: the release gate as one table.
 
-Each criterion function returns a CheckResult; ``run_all`` executes the
-whole battery.  The CLI ``selftest`` command and the acceptance test
-module both drive exactly these functions, so the gate is one piece of
-code.  Counts, degrees and tolerances are pinned here and nowhere else.
+``ALL_CHECKS`` lists the criteria as ``(name, criterion)`` rows in gate
+order; a criterion's index is its position in the table, counted from 1,
+so a new criterion is one function and one row.  A criterion takes no
+argument and returns ``(passed, detail)``.  Its counts, seeds, degrees
+and tolerances are literals in its body, pinned there and nowhere else.
+
+``run_check(index)`` is the one driver: it times the criterion, turns an
+exception into a FAIL whose detail names it, and builds the CheckResult
+under the table's name.  ``run_all`` runs it over the table; the CLI
+``selftest`` command and the acceptance tests drive the criteria through
+it, so the gate is one piece of code.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import I, P_ONE, Poly, Q, Scalar
@@ -52,7 +59,7 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
-    elapsed_s: float | None = None  # wall time, set by run_all
+    elapsed_s: float  # wall time of the criterion
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -68,8 +75,9 @@ def _measures():
     }
 
 
-def representation_identity_d2(trials: int = 1000, seed: int = 101) -> CheckResult:
-    rng = random.Random(seed)
+def representation_identity_d2() -> tuple[bool, str]:
+    trials = 1000
+    rng = random.Random(101)
     measures = list(_measures().items())
     variants = [Functional("F0"), Functional("F1"), Functional("F2")]
     started = time.monotonic()
@@ -83,18 +91,12 @@ def representation_identity_d2(trials: int = 1000, seed: int = 101) -> CheckResu
         if not check_identity(func, a, x, b, mf).equal:
             failures += 1
     elapsed = time.monotonic() - started
-    return CheckResult(
-        1,
-        "gns-identity-d2",
-        failures == 0 and elapsed < 60.0,
-        f"{trials - failures}/{trials} exact in {elapsed:.1f}s",
-    )
+    return failures == 0 and elapsed < 60.0, f"{trials - failures}/{trials} exact in {elapsed:.1f}s"
 
 
-def representation_identity_gauss(
-    trials: int = 500, atom_trials: int = 100, seed: int = 202
-) -> CheckResult:
-    rng = random.Random(seed)
+def representation_identity_gauss() -> tuple[bool, str]:
+    trials, atom_trials = 500, 100
+    rng = random.Random(202)
     measures = list(_measures().values())
     weights = [P_ONE, Q, Q * Q - 1]
     failures = 0
@@ -117,17 +119,15 @@ def representation_identity_gauss(
         x = rand_gauss_element(rng, max_degree=4)
         if not check_identity(func, a, x, b, base).equal:
             atom_failures += 1
-    ok = failures == 0 and atom_failures == 0
-    return CheckResult(
-        2,
-        "gns-identity-gauss",
-        ok,
+    return (
+        failures == 0 and atom_failures == 0,
         f"{trials - failures}/{trials} poly-weight, "
         f"{atom_trials - atom_failures}/{atom_trials} atom-coordinate",
     )
 
 
-def pinned_operator_values(degree: int = 10) -> CheckResult:
+def pinned_operator_values() -> tuple[bool, str]:
+    degree = 10
     d2 = BimodElement.d_squared()
     ok = True
     for k in range(degree + 1):
@@ -143,15 +143,10 @@ def pinned_operator_values(degree: int = 10) -> CheckResult:
     table = p_elem.schrodinger_table(degree)
     half = Fraction(1, 2)
     ok &= all(table[k] == Poly.monomial(k) * half for k in range(degree + 1))
-    return CheckResult(
-        3,
-        "pinned-operator-values",
-        ok,
-        f"three lowered-operator images and the half-identity on q^0..q^{degree}",
-    )
+    return ok, f"three lowered-operator images and the half-identity on q^0..q^{degree}"
 
 
-def order_lowering_noninjective() -> CheckResult:
+def order_lowering_noninjective() -> tuple[bool, str]:
     x0 = BimodElement(
         Generator.D2,
         [(Q * Q, P_ONE), (Poly.monomial(1, -2), Q), (P_ONE, Q * Q)],
@@ -159,16 +154,15 @@ def order_lowering_noninjective() -> CheckResult:
     nonzero = not x0.is_zero()
     killed = x0.theta_map().is_zero()
     triple_ok = x0.triple() == (Poly(), Poly(), Poly.constant(2))
-    return CheckResult(
-        4,
-        "lowering-noninjective",
+    return (
         nonzero and killed and triple_ok,
         "q^2 d^2 - 2q d^2 q + d^2 q^2 is nonzero with zero image",
     )
 
 
-def normal_order_soundness(trials: int = 500, seed: int = 303) -> CheckResult:
-    rng = random.Random(seed)
+def normal_order_soundness() -> tuple[bool, str]:
+    trials = 500
+    rng = random.Random(303)
     failures = 0
     for _ in range(trials):
         u = rand_weyl(rng, max_terms=4, max_exp=6)
@@ -179,16 +173,15 @@ def normal_order_soundness(trials: int = 500, seed: int = 303) -> CheckResult:
             if uv.apply(mono) != u.apply(v.apply(mono)):
                 failures += 1
                 break
-    return CheckResult(
-        5,
-        "normal-order-oracle",
+    return (
         failures == 0,
         f"{trials - failures}/{trials} product pairs match the differential oracle",
     )
 
 
-def cauchy_schwarz_suite(trials: int = 1000, seed: int = 404) -> CheckResult:
-    rng = random.Random(seed)
+def cauchy_schwarz_suite() -> tuple[bool, str]:
+    trials = 1000
+    rng = random.Random(404)
     measures = list(_measures().values())
     variants = [Functional("F0"), Functional("F1"), Functional("F2")]
     failures = 0
@@ -206,20 +199,16 @@ def cauchy_schwarz_suite(trials: int = 1000, seed: int = 404) -> CheckResult:
             report = check_cauchy_schwarz(func, h, x, mf)
             if report.lhs_squared != report.bound:
                 equality_failures += 1
-    ok = failures == 0 and equality_failures == 0
-    return CheckResult(
-        6,
-        "cauchy-schwarz",
-        ok,
+    return (
+        failures == 0 and equality_failures == 0,
         f"{trials - failures}/{trials} bounded, equality met at proportional inputs",
     )
 
 
-def norm_bound_suite(trials: int = 1000, seed: int = 505) -> CheckResult:
-    failures, worst = norm_bound_trials(trials, seed, max_dim=8)
-    return CheckResult(
-        7,
-        "norm-vs-numerical-radius",
+def norm_bound_suite() -> tuple[bool, str]:
+    trials = 1000
+    failures, worst = norm_bound_trials(trials, 505, max_dim=8)
+    return (
         failures == 0,
         f"{trials - failures}/{trials} certified, max norm-bound slack {worst:.2e}",
     )
@@ -258,8 +247,9 @@ def _rand_form(rng: random.Random, dim: int) -> FormMatrix:
     )
 
 
-def bimodule_axiom_suites(trials: int = 1000, seed: int = 606) -> CheckResult:
-    rng = random.Random(seed)
+def bimodule_axiom_suites() -> tuple[bool, str]:
+    trials = 1000
+    rng = random.Random(606)
     failures = 0
     for _ in range(trials):
         tag = rng.choice([Generator.D2, Generator.GAUSS])
@@ -311,17 +301,15 @@ def bimodule_axiom_suites(trials: int = 1000, seed: int = 606) -> CheckResult:
         ok &= xt.act(a, b, table) == sandwich
         if not ok:
             forms_failures += 1
-    ok_all = failures == 0 and forms_failures == 0
-    return CheckResult(
-        8,
-        "bimodule-axioms",
-        ok_all,
+    return (
+        failures == 0 and forms_failures == 0,
         f"{trials - failures}/{trials} element cases, "
         f"{trials - forms_failures}/{trials} form cases",
     )
 
 
-def boundedness_classification(tolerance: float = 1e-3) -> CheckResult:
+def boundedness_classification() -> tuple[bool, str]:
+    tolerance = 1e-3
     degrees = range(2, 11)
     gaussian = MomentFunctional.gaussian(64)
     bounded_measure = mu3()
@@ -348,10 +336,11 @@ def boundedness_classification(tolerance: float = 1e-3) -> CheckResult:
         rho = generator_probe(mf, degrees, tolerance)
         got.append(f"{name}=({theta.verdict},{rho.verdict})")
         ok &= theta.verdict == want_theta and rho.verdict == want_rho
-    return CheckResult(9, "boundedness-four-cases", ok, "; ".join(got))
+    return ok, "; ".join(got)
 
 
-def uniqueness_suite(max_degree: int = 8) -> CheckResult:
+def uniqueness_suite() -> tuple[bool, str]:
+    max_degree = 8
     base = mu3()
     permuted = MomentFunctional.atomic([(1, 1), (0, 1), (-1, 1)])
     point = MomentFunctional.atomic([(0, 2)])
@@ -367,23 +356,20 @@ def uniqueness_suite(max_degree: int = 8) -> CheckResult:
         check_intertwiner(base, atoms012(), max_degree)
     except MomentMismatchError:
         mismatch_seen = True
-    return CheckResult(
-        10,
-        "uniqueness-intertwiner",
+    return (
         ok and mismatch_seen,
-        f"equal-moment presentations agree for degrees 1..{max_degree}, "
-        "mismatch rejected",
+        f"equal-moment presentations agree for degrees 1..{max_degree}, mismatch rejected",
     )
 
 
-def psd_gate(seed: int = 707) -> CheckResult:
+def psd_gate() -> tuple[bool, str]:
     rejected = 0
     for bad in ([1, 0, -1], [0, 1, 0]):
         try:
             build_gns(MomentFunctional.from_moments([Fraction(v) for v in bad]), 1)
         except NotPositiveError:
             rejected += 1
-    rng = random.Random(seed)
+    rng = random.Random(707)
     accepted = 0
     runs = 50
     for _ in range(runs):
@@ -405,17 +391,15 @@ def psd_gate(seed: int = 707) -> CheckResult:
         )
         if vanishing and orthogonal:
             accepted += 1
-    ok = rejected == 2 and accepted == runs
-    return CheckResult(
-        11,
-        "psd-gate",
-        ok,
+    return (
+        rejected == 2 and accepted == runs,
         f"2/2 indefinite sequences rejected, {accepted}/{runs} atomic measures pass",
     )
 
 
-def parser_roundtrip(trials: int = 500, seed: int = 808) -> CheckResult:
-    rng = random.Random(seed)
+def parser_roundtrip() -> tuple[bool, str]:
+    trials = 500
+    rng = random.Random(808)
     failures = 0
     for _ in range(trials):
         u = rand_weyl(rng, max_terms=4, max_exp=6)
@@ -427,42 +411,44 @@ def parser_roundtrip(trials: int = 500, seed: int = 808) -> CheckResult:
         == WeylElement([((0, 0), 2)])
         and parse_expression("p*q - q*p") == WeylElement([((0, 0), -I)])
     )
-    return CheckResult(
-        12,
-        "parser-roundtrip",
+    return (
         failures == 0 and pinned,
         f"{trials - failures}/{trials} round trips, pinned parses agree",
     )
 
 
 ALL_CHECKS = (
-    representation_identity_d2,
-    representation_identity_gauss,
-    pinned_operator_values,
-    order_lowering_noninjective,
-    normal_order_soundness,
-    cauchy_schwarz_suite,
-    norm_bound_suite,
-    bimodule_axiom_suites,
-    boundedness_classification,
-    uniqueness_suite,
-    psd_gate,
-    parser_roundtrip,
+    ("gns-identity-d2", representation_identity_d2),
+    ("gns-identity-gauss", representation_identity_gauss),
+    ("pinned-operator-values", pinned_operator_values),
+    ("lowering-noninjective", order_lowering_noninjective),
+    ("normal-order-oracle", normal_order_soundness),
+    ("cauchy-schwarz", cauchy_schwarz_suite),
+    ("norm-vs-numerical-radius", norm_bound_suite),
+    ("bimodule-axioms", bimodule_axiom_suites),
+    ("boundedness-four-cases", boundedness_classification),
+    ("uniqueness-intertwiner", uniqueness_suite),
+    ("psd-gate", psd_gate),
+    ("parser-roundtrip", parser_roundtrip),
 )
 
 
-def run_all() -> list[CheckResult]:
-    """Run every criterion in order, recording each one's wall time.
+def run_check(index: int) -> CheckResult:
+    """Run criterion ``index`` of ``ALL_CHECKS``, counted from 1, and time it.
 
-    A criterion that raises fails, with a detail that names the exception,
-    and the criteria after it still run.
+    A criterion that raises fails, with a detail that names the exception.
     """
-    results = []
-    for index, check in enumerate(ALL_CHECKS, 1):
-        started = time.perf_counter()
-        try:
-            result = check()
-        except Exception as exc:
-            result = CheckResult(index, check.__name__, False, f"raised {type(exc).__name__}: {exc}")
-        results.append(replace(result, elapsed_s=time.perf_counter() - started))
-    return results
+    if index < 1:
+        raise IndexError(f"criteria are counted from 1, got {index}")
+    name, criterion = ALL_CHECKS[index - 1]
+    started = time.perf_counter()
+    try:
+        passed, detail = criterion()
+    except Exception as exc:
+        passed, detail = False, f"raised {type(exc).__name__}: {exc}"
+    return CheckResult(index, name, passed, detail, time.perf_counter() - started)
+
+
+def run_all() -> list[CheckResult]:
+    """Run every criterion in table order; one that raises does not stop the rest."""
+    return [run_check(index) for index in range(1, len(ALL_CHECKS) + 1)]

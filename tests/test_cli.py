@@ -486,10 +486,7 @@ class TestProbeTolerance:
 class TestSelftestReport:
     @staticmethod
     def _fake(index, passed):
-        def check():
-            return selftest.CheckResult(index, f"fake-{index}", passed, "detail")
-
-        return check
+        return f"fake-{index}", lambda: (passed, "detail")
 
     def test_json_results_carry_elapsed_time(self, capsys, monkeypatch):
         monkeypatch.setattr(
@@ -499,7 +496,7 @@ class TestSelftestReport:
         report = json.loads(capsys.readouterr().out)
         assert report["passed"] is True
         for entry, index in zip(report["results"], (1, 2)):
-            assert set(entry) == {"index", "name", "passed", "detail", "elapsed_s"}
+            assert list(entry) == ["index", "name", "passed", "detail", "elapsed_s"]
             assert entry["index"] == index
             assert isinstance(entry["elapsed_s"], float) and entry["elapsed_s"] >= 0
 
@@ -515,19 +512,25 @@ class TestSelftestReport:
 
     def test_a_raising_criterion_fails_and_the_rest_still_run(self, capsys, monkeypatch):
         def cauchy_schwarz():
-            raise NotPositiveError("Cauchy-Schwarz bound must be real")
+            raise NotPositiveError("matrix is not hermitian")
 
         monkeypatch.setattr(
-            selftest, "ALL_CHECKS", (self._fake(1, True), cauchy_schwarz, self._fake(3, True))
+            selftest,
+            "ALL_CHECKS",
+            (self._fake(1, True), ("cauchy-schwarz", cauchy_schwarz), self._fake(3, True)),
         )
         assert main(["selftest"]) == 1
         out, err = capsys.readouterr()
         assert out.splitlines() == [
             "PASS   1 fake-1: detail",
-            "FAIL   2 cauchy_schwarz: raised NotPositiveError: Cauchy-Schwarz bound must be real",
+            "FAIL   2 cauchy-schwarz: raised NotPositiveError: matrix is not hermitian",
             "PASS   3 fake-3: detail",
         ]
         assert err == ""
+        assert main(["selftest", "--json"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        names = [entry["name"] for entry in report["results"]]
+        assert names == ["fake-1", "cauchy-schwarz", "fake-3"]
 
 
 class TestLemmaCheck:

@@ -19,6 +19,14 @@ method name that two classes share is pinned to its owners.
 
 The routines that read only the real parts of their input rely on their
 one caller to pass real data; a scan pins each to that caller.
+
+Every defaulted parameter of a function in the package must be passed,
+by position or by keyword, by some call in the package, so no setting
+is reached only by its default; ``DEFAULT_ONLY`` lists the exemptions
+with their reasons.  And the arithmetic is exact: a ``float(`` or
+``complex(`` call, a float or complex literal, or a numpy import or name
+may appear only in the functions that ``FLOAT_ISLANDS`` lists, each with
+its reason.
 """
 
 import ast
@@ -306,3 +314,207 @@ def test_the_real_only_routines_have_one_caller():
         for name, func in _users(ast.parse(path.read_text(encoding="utf-8")), ONE_CALLER)
     }
     assert found == {(name, file, func) for name, (file, func) in ONE_CALLER.items()}
+
+
+# defaulted parameters that no call in the package passes, each with the
+# reason it is kept
+DEFAULT_ONLY = {
+    ("main", "argv"): "the entry point's test seam: the console script calls main() "
+    "with no argument, and tests pass the argument list",
+}
+
+
+def _functions(tree: ast.Module) -> list[tuple[ast.FunctionDef, ast.ClassDef | None]]:
+    """``(function, class)`` of every function in ``tree``, with the class
+    whose body defines it, None for a function outside a class body."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found.append((child, owner))
+                visit(child, None)
+            else:
+                visit(child, child if isinstance(child, ast.ClassDef) else owner)
+
+    visit(tree, None)
+    return found
+
+
+def _defaulted(args: ast.arguments, bound: bool) -> list[tuple[str, int | None]]:
+    """``(parameter, position)`` of each defaulted parameter, the position
+    counted among a call's positional arguments, past the bound first
+    parameter, and None for a keyword-only one."""
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    return [(arg.arg, k - bound) for k, arg in enumerate(positional) if k >= first] + [
+        (arg.arg, None)
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+        if default is not None
+    ]
+
+
+def _calls(node) -> list[tuple[str, ast.Call]]:
+    """``(callee name, call)`` of every call in ``node`` to a name or an attribute."""
+    return [
+        (call.func.id if isinstance(call.func, ast.Name) else call.func.attr, call)
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call) and isinstance(call.func, (ast.Name, ast.Attribute))
+    ]
+
+
+def _passes(call: ast.Call, name: str, position: int | None) -> bool:
+    """Whether ``call`` passes the parameter ``name``, at ``position`` among
+    the call's positional arguments (None for keyword-only)."""
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    if any(k.arg in (None, name) for k in call.keywords):
+        return True
+    return position is not None and len(call.args) > position
+
+
+def _unpassed_defaults(modules: dict[str, ast.Module]) -> list[str]:
+    """``file:line function(parameter)`` of each defaulted parameter that no
+    call in ``modules`` passes, by position or by keyword, ``DEFAULT_ONLY``
+    aside.  A call matches by the function's name; an ``__init__`` is
+    called by its class's name, or as ``cls`` inside its class.  A method's
+    first parameter is bound, unless it is a staticmethod, and a call with
+    ``*`` or ``**`` arguments passes every parameter."""
+    calls = [found for tree in modules.values() for found in _calls(tree)]
+    unpassed = []
+    for file, tree in modules.items():
+        for func, owner in _functions(tree):
+            name, candidates = func.name, calls
+            if owner is not None and func.name == "__init__":
+                name = owner.name
+                candidates = calls + [(name, call) for c, call in _calls(owner) if c == "cls"]
+            bound = owner is not None and not any(
+                isinstance(d, ast.Name) and d.id == "staticmethod" for d in func.decorator_list
+            )
+            unpassed += [
+                f"{file}:{func.lineno} {name}({param})"
+                for param, position in _defaulted(func.args, bound)
+                if (name, param) not in DEFAULT_ONLY
+                and not any(
+                    callee == name and _passes(call, param, position)
+                    for callee, call in candidates
+                )
+            ]
+    return unpassed
+
+
+def test_the_default_scan_sees_a_default_only_parameter():
+    modules = {
+        "a.py": ast.parse(
+            "def f(a, b=1, *, c=2, d=3):\n    return a\n"
+            "class K:\n"
+            "    def __init__(self, y=None, z=None):\n        self.y = y\n"
+            "    def m(self, x=0, w=0):\n        return x\n"
+            "    @staticmethod\n    def s(v=0):\n        return v\n"
+            "    @classmethod\n    def make(cls):\n        return cls(z=1)\n"
+            "def g(u=0):\n    return u\n"
+            "def main(argv=None):\n    return argv\n"
+        ),
+        "b.py": ast.parse("from .a import K, f, g\nf(0, 1, d=4)\nK(2).m(1)\nK.s(1)\ng(*[0])\n"),
+    }
+    assert _unpassed_defaults(modules) == ["a.py:1 f(c)", "a.py:6 m(w)"]
+
+
+def test_every_defaulted_parameter_is_passed():
+    assert _unpassed_defaults(_package()) == []
+
+
+# each place in the package that may use floats, keyed by its file and
+# enclosing function (None outside any function), with the reason: the
+# arithmetic is exact everywhere else
+FLOAT_ISLANDS = {
+    ("algebra.py", "Scalar.__complex__"): "the float view of an exact Scalar",
+    ("cli.py", "_tolerance"): "parses --tolerance, the probe's float plateau tolerance",
+    ("cli.py", "build_arg_parser"): "the --tolerance default",
+    ("probes.py", None): "the numpy import of the one module with eigensolves",
+    ("probes.py", "_block_lambdas"): "the per-degree hermitian eigensolve",
+    ("probes.py", "_block_lambdas.block"): "the scaled pencil block as a numpy array",
+    ("probes.py", "_block_lambdas.block.entry"): "one pencil entry as a complex double",
+    ("probes.py", "plateau_verdict"): "compares float lambdas within the tolerance",
+    ("probes.py", "boundedness_probe"): "the tolerance default",
+    ("probes.py", "generator_probe"): "the tolerance default",
+    ("probes.py", "numerical_radius_norm_check"): "the float eigensolve that picks the "
+    "seed vectors and the float norm raised into an exact bound",
+    ("probes.py", "norm_bound_trials"): "draws float matrices for the norm lemma",
+    ("sampling.py", "rand_scalar"): "the draw threshold of an imaginary part",
+    ("sampling.py", "rand_poly"): "the draw threshold of a zero coefficient",
+    ("selftest.py", "representation_identity_d2"): "criterion 1's 60 s budget",
+    ("selftest.py", "_random_action_table"): "the draw threshold of a diagonal table",
+    ("selftest.py", "boundedness_classification"): "criterion 9's plateau tolerance",
+}
+
+
+def _numpy_names(tree: ast.Module) -> set[str]:
+    """The names that the module's numpy imports bind."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {
+                a.asname or a.name.split(".")[0]
+                for a in node.names
+                if a.name.split(".")[0] == "numpy"
+            }
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy":
+            names |= {a.asname or a.name for a in node.names}
+    return names
+
+
+def _is_float_use(node: ast.AST, numpy: set[str]) -> bool:
+    """Whether ``node`` is a float or complex literal, a ``float(`` or
+    ``complex(`` call, a numpy import or a numpy name."""
+    if isinstance(node, ast.Constant):
+        return type(node.value) in (float, complex)
+    if isinstance(node, ast.Call):
+        return isinstance(node.func, ast.Name) and node.func.id in ("float", "complex")
+    if isinstance(node, ast.Name):
+        return node.id in numpy
+    if isinstance(node, ast.Import):
+        return any(a.name.split(".")[0] == "numpy" for a in node.names)
+    if isinstance(node, ast.ImportFrom):
+        return (node.module or "").split(".")[0] == "numpy"
+    return False
+
+
+def _float_uses(modules: dict[str, ast.Module]) -> set[tuple[str, str | None]]:
+    """``(file, enclosing function)`` of each float use in ``modules``; the
+    function is dotted through its enclosing classes and functions, None
+    outside any function."""
+    found = set()
+    for file, tree in modules.items():
+        numpy = _numpy_names(tree)
+
+        def visit(node, prefix, where):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    name = prefix + child.name
+                    visit(child, name + ".", where if isinstance(child, ast.ClassDef) else name)
+                    continue
+                if _is_float_use(child, numpy):
+                    found.add((file, where))
+                visit(child, prefix, where)
+
+        visit(tree, "", None)
+    return found
+
+
+def test_the_float_scan_sees_a_planted_float():
+    modules = dict(_package())
+    tree = modules["moments.py"]
+    owner = next(n for n in tree.body if getattr(n, "name", "") == "MomentFunctional")
+    apply = next(n for n in owner.body if getattr(n, "name", "") == "apply")
+    apply.body.insert(0, ast.parse("half = 0.5").body[0])
+    assert _float_uses(modules) - set(FLOAT_ISLANDS) == {("moments.py", "MomentFunctional.apply")}
+    planted = ast.parse(
+        "import numpy.linalg as la\n"
+        "class A:\n    def f(self):\n        return la.norm(complex(1))\n"
+    )
+    assert _float_uses({"a.py": planted}) == {("a.py", None), ("a.py", "A.f")}
+
+
+def test_floats_stay_in_their_islands():
+    assert _float_uses(_package()) == set(FLOAT_ISLANDS)

@@ -312,9 +312,9 @@ class TestActionMemo:
             return evaluate(p, m)
 
         monkeypatch.setattr(forms, "poly_at", counting)
-        result = selftest.bimodule_axiom_suites(trials=12)
-        assert result.passed
-        assert len({id(m) for m in gens}) == 12
+        passed, _ = selftest.bimodule_axiom_suites()
+        assert passed
+        assert len({id(m) for m in gens}) == 1000
         assert max(calls.values()) == 1
 
     def test_unit_sides_take_no_evaluation_or_product(self, monkeypatch):

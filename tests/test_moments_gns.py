@@ -183,6 +183,13 @@ class TestBuildGns:
         with pytest.raises(NotPositiveError):
             build_gns(MomentFunctional.from_moments([0, 1, 0]), 1)
 
+    @pytest.mark.parametrize("degree", [2.0, 2.5, Fraction(2)], ids=repr)
+    def test_non_integer_degree_refused(self, degree):
+        mf = MomentFunctional.gaussian(8)
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            build_gns(mf, degree)
+        assert mf._gns is None
+
     def test_complex_moments_rejected(self):
         # refused when the list is built, so no degree can realize it
         data = {"type": "moments", "values": ["1", "1+1i", "1"]}
@@ -424,6 +431,40 @@ class TestCauchySchwarz:
                 rng.choice(measures),
             )
             assert report.holds
+
+    def test_the_bound_is_real(self):
+        # the report keeps the real part of c f(a^+ a): for complex a and x,
+        # on every variant and sample measure, both factors are real
+        rng = random.Random(131)
+        measures = [
+            mu3(),
+            atoms012(),
+            MomentFunctional.lebesgue_unit(64),
+            MomentFunctional.gaussian(64),
+        ]
+        complex_unit = Scalar(1, 1)
+        for mf in measures:
+            variants = [Functional(kind) for kind in ("F0", "F1", "F2")]
+            variants.append(Functional.gauss_poly(rand_poly(rng, 2) * complex_unit))
+            if mf.is_atomic:
+                variants.append(Functional.gauss_atoms([rand_fraction(rng) for _ in mf.atoms]))
+            for func in variants:
+                for _ in range(8):
+                    a = rand_poly(rng, 4) * complex_unit
+                    if func.tag is Generator.D2:
+                        x = rand_d2_element(rng, 3, 3) * complex_unit
+                    else:
+                        x = rand_gauss_element(rng, 3) * complex_unit
+                    gram = mf.pairing(a, a)
+                    if func.kind == "gauss-atoms":
+                        images = func.atom_images(x, mf)
+                        c = mf.atom_pairing(images, images)
+                    else:
+                        h = func.coefficient_poly(x)
+                        c = mf.apply(h.conjugate() * h)
+                    assert gram.is_real() and c.is_real(), func.describe()
+                    report = check_cauchy_schwarz(func, a, x, mf)
+                    assert report.bound == (c * gram).re
 
     def test_gauss_atom_variant_holds(self):
         rng = random.Random(127)

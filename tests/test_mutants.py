@@ -122,13 +122,15 @@ SURVIVORS = {
 }
 
 # runs the named criteria of the copy and prints, as JSON, where the
-# package was imported from and each criterion's result
+# package was imported from and each criterion's index, verdict and detail;
+# it calls each criterion's body, not ``run_check``, so a crash exits
+# nonzero and fails the test instead of reading as a FAIL
 RUNNER = """
 import json, sys
 import starbimod
 from starbimod import selftest
-results = [selftest.ALL_CHECKS[i - 1]() for i in json.loads(sys.argv[1])]
-print(json.dumps([starbimod.__file__, [[r.index, r.passed, r.detail] for r in results]]))
+results = [[i, *selftest.ALL_CHECKS[i - 1][1]()] for i in json.loads(sys.argv[1])]
+print(json.dumps([starbimod.__file__, results]))
 """
 
 

@@ -128,6 +128,30 @@ class TestBoundednessProbe:
         with pytest.raises(ValueError, match="none negative"):
             boundedness_probe(Functional("F0"), D2, MomentFunctional.gaussian(32), degrees)
 
+    @pytest.mark.parametrize("degrees", [[1.5, 2, 3], [Fraction(1), 2, 3], [1, 2, 3.0]], ids=str)
+    def test_refuses_non_integer_degrees(self, degrees):
+        # 1.5 would read degree 1's rank under a report that names 1.5
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            boundedness_probe(Functional("F0"), D2, MomentFunctional.gaussian(8), degrees)
+
+    @pytest.mark.parametrize("mname", ["gauss64", "mu3"])
+    @pytest.mark.parametrize(
+        "func, x",
+        [
+            (Functional("F0"), BimodElement(Generator.D2)),
+            (Functional("F2"), BimodElement(Generator.D2)),
+            (Functional.gauss_poly(Q), BimodElement(Generator.GAUSS)),
+        ],
+        ids=["F0", "F2", "gauss-poly"],
+    )
+    def test_zero_element_reads_zero_at_every_degree(self, func, x, mname):
+        # every leading block of the pencil is exactly zero
+        mf = file_measure("gauss64.json") if mname == "gauss64" else mu3()
+        report = boundedness_probe(func, x, mf, range(2, 7))
+        assert report.lambdas == (0.0,) * 5
+        assert report.verdict == BOUNDED
+        assert report.max_bits == 1
+
     def test_zero_measure_has_no_positive_part(self):
         mf = MomentFunctional.atomic([(0, 0)])
         with pytest.raises(SingularGramError):
