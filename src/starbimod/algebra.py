@@ -90,12 +90,6 @@ class Scalar:
     __slots__ = ("re_num", "im_num", "den")
 
     def __init__(self, re=0, im=0):
-        if type(re) is int and type(im) is int:
-            # over den 1 there is nothing to reduce
-            _set_re(self, re)
-            _set_im(self, im)
-            _set_den(self, 1)
-            return
         (a, rd), (b, id_) = _ratio(re), _ratio(im)
         # both parts are reduced, so over the lcm of their denominators
         # the three ints have no common factor
@@ -134,8 +128,6 @@ class Scalar:
             return NotImplemented
         other = Scalar.coerce(other)
         d, e = self.den, other.den
-        if d == e:
-            return gauss_scalar(self.re_num + other.re_num, self.im_num + other.im_num, d)
         return gauss_scalar(
             self.re_num * e + other.re_num * d, self.im_num * e + other.im_num * d, d * e
         )
@@ -464,7 +456,7 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        return power(self, n, P_ONE)
+        return power(self, n, P_ONE, Poly.__mul__)
 
     def conjugate(self) -> "Poly":
         """The involution of C[q]: conjugate coefficients, q fixed.
@@ -630,14 +622,14 @@ def gauss_numerators(seqs):
     return nums, den
 
 
-def sum_of_products(pairs, orders=(0,), left=None, right=None) -> tuple[Poly, ...]:
+def sum_of_products(pairs, orders=(0,), left=P_ONE, right=P_ONE) -> tuple[Poly, ...]:
     """The sums left * sum_j u_j * (v_j right)^(r) over (u_j, v_j), one per derivative order r.
 
     ``orders`` lists the orders r ascending from 0 (else ValueError), and
     only those sums are formed: (0,) is sum_j u_j v_j, (0, 1, 2) the d^2
     triple.  The outer factors are shared by every pair, so the sums are
-    those of the acted pairs (left u_j, v_j right); a None or unit factor
-    costs no product, and a zero one leaves every sum zero.  Each pair
+    those of the acted pairs (left u_j, v_j right); a unit factor costs
+    no product, and a zero one leaves every sum zero.  Each pair
     keeps its stored numerators, and its scale L / (u_j.den * v_j.den),
     with L the lcm of those products, goes into its convolution.  ``left``
     multiplies each order's sum once, by bilinearity.  ``right`` multiplies
@@ -645,25 +637,20 @@ def sum_of_products(pairs, orders=(0,), left=None, right=None) -> tuple[Poly, ..
     (v_j right)^(r) is differentiated, an order gap at a time: no Leibniz
     sum is formed, so the left route of ``check_identity`` shares none of
     theta's.  Every sum is accumulated in ints and normalised once.  A
-    single product with no outer factor goes to ``Poly.__mul__``.
+    single product with unit outer factors goes to ``Poly.__mul__``.
     """
-    if left is not None and left.is_one():
-        left = None
-    if right is not None and right.is_one():
-        right = None
-    if (left is not None and not left.re) or (right is not None and not right.re):
+    if not (left.re and right.re):
         pairs = ()
     pairs = [(u, v) for u, v in pairs if u.re and v.re]
-    if len(pairs) == 1 and left is right is None and tuple(orders) == (0,):
+    by_left, by_right = not left.is_one(), not right.is_one()
+    if len(pairs) == 1 and not (by_left or by_right) and tuple(orders) == (0,):
         ((u, v),) = pairs
         return (u * v,)
     den = lcm(*(u.den * v.den for u, v in pairs))
     terms = [(u, den // (u.den * v.den), v.re, v.im) for u, v in pairs]
-    if right is not None:
+    if by_right:
         terms = [(u, f, *_product(vr, vi, right.re, right.im)) for u, f, vr, vi in terms]
-        den *= right.den
-    if left is not None:
-        den *= left.den
+    den *= left.den * right.den
     out = []
     at = 0
     for r in orders:
@@ -682,7 +669,7 @@ def sum_of_products(pairs, orders=(0,), left=None, right=None) -> tuple[Poly, ..
         acc_im = [0] * size
         for u, f, vr, vi in terms:
             _convolve_into(acc_re, acc_im, u.re, u.im, vr, vi, f)
-        if left is not None and size:
+        if by_left and size:
             acc_re, acc_im = _product(left.re, left.im, acc_re, acc_im)
         out.append(Poly.from_numerators(acc_re, acc_im, den))
     return tuple(out)
@@ -697,9 +684,10 @@ def _product(ur, ui, vr, vi):
     return acc_re, acc_im
 
 
-def power(base, n: int, one):
+def power(base, n: int, one, mul):
     """base**n by square-and-multiply, ``one`` for n == 0: at most
-    2*floor(log2 n) products, and no square beyond the last one the result needs."""
+    2*floor(log2 n) products ``mul(u, v)``, and no square beyond the last
+    one the result needs."""
     if n < 0:
         raise ValueError("negative power")
     if not n:
@@ -707,11 +695,11 @@ def power(base, n: int, one):
     out = None
     while True:
         if n & 1:
-            out = base if out is None else out * base
+            out = base if out is None else mul(out, base)
         n >>= 1
         if not n:
             return out
-        base = base * base
+        base = mul(base, base)
 
 
 def _convolve_into(acc_re, acc_im, ur, ui, vr, vi, f=1) -> None:

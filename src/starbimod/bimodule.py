@@ -9,7 +9,9 @@ and classified, completely, by its coefficient triple
 which is exactly the data of its normal-ordered embedding
 h0*d^2 + 2*h1*d + h2.  ``Generator.GAUSS`` is the span of w(q)*exp(-q^2);
 since the weight commutes with everything, the canonical form is the
-single polynomial factor.
+single polynomial factor.  A ``BimodElement`` is a frozen slotted
+dataclass of its tag and its canonical pairs, compared by identity:
+``equivalent`` compares the classes.
 
 The order-lowering map sends a*d^2*b to i*a*d*b.  The factor i (rather
 than the sign-only variant) is what makes the map compatible with the
@@ -20,6 +22,7 @@ composed position/derivative representation.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
@@ -35,31 +38,30 @@ class Generator(Enum):
     GAUSS = "gauss"
 
 
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class BimodElement:
-    """Finite sum of a_j * g * b_j over the generator g of the tag."""
+    """Finite sum of a_j * g * b_j over the generator g of the tag.
 
-    __slots__ = ("tag", "terms")
+    ``terms`` is stored as a tuple of (a_j, b_j) Poly pairs with no zero
+    factor; a GAUSS element keeps at most the one pair (1, sum a_j b_j).
+    """
 
-    def __init__(self, tag: Generator, terms=()):
+    tag: Generator
+    terms: tuple[tuple[Poly, Poly], ...] = ()
+
+    def __post_init__(self):
         pairs = []
-        for a, b in terms:
+        for a, b in self.terms:
             a = Poly.coerce(a)
             b = Poly.coerce(b)
             if a.is_zero() or b.is_zero():
                 continue
             pairs.append((a, b))
-        if tag is Generator.GAUSS and pairs:
+        if self.tag is Generator.GAUSS and pairs:
             # the weight commutes: a * g * b = g * (a*b)
             (total,) = sum_of_products(pairs)
             pairs = [(P_ONE, total)] if total else []
-        object.__setattr__(self, "tag", tag)
         object.__setattr__(self, "terms", tuple(pairs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BimodElement is immutable")
-
-    def __reduce__(self):
-        return BimodElement, (self.tag, self.terms)
 
     @classmethod
     def d_squared(cls) -> "BimodElement":

@@ -20,7 +20,7 @@ from .errors import StarBimodError
 from .gns import Functional, build_gns, check_cauchy_schwarz, check_identity
 from .moments import MomentFunctional
 from .parser import MAX_DIGITS, exceeds_digits, parse_expression
-from .probes import boundedness_probe, norm_bound_trials
+from .probes import PLATEAU_TOLERANCE, boundedness_probe, norm_bound_trials
 from .sampling import rand_d2_element, rand_gauss_element, rand_poly
 from .selftest import run_all
 
@@ -401,7 +401,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
         help="expression or JSON file; one that starts with '-' takes '=': --element=-d^2",
     )
     p.add_argument("--degrees", default="2..10", help="degree range A..B")
-    p.add_argument("--tolerance", type=_tolerance, default=1e-3)
+    p.add_argument("--tolerance", type=_tolerance, default=PLATEAU_TOLERANCE)
     p.set_defaults(func=_cmd_probe)
 
     p = sub.add_parser("lemma-check", help="numerical-radius norm bound on random matrices")

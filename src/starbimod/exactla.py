@@ -69,21 +69,6 @@ class Matrix:
         return m
 
     @classmethod
-    def hankel(cls, values, den: int, n: int) -> "Matrix":
-        """The real n x n Hankel matrix values[j + k] / den, den > 0.
-
-        Reduced by one gcd over its 2n - 1 distinct values, not its n^2 entries.
-        """
-        values = values[: 2 * n - 1]
-        g = gcd(den, *values)
-        if g != 1:
-            values = [v // g for v in values]
-            den //= g
-        m = object.__new__(cls)
-        _set(m, tuple([tuple(values[j : j + n]) for j in range(n)]), ((0,) * n,) * n, den, n)
-        return m
-
-    @classmethod
     def zeros(cls, r: int, c: int) -> "Matrix":
         return cls.from_numerators([[0] * c] * r, [[0] * c] * r, 1, c)
 

@@ -14,9 +14,16 @@ result, with the adjoint that a left factor needs, for its lifetime.
 An act multiplies only the factors it has, in one ``Matrix.product``
 normalised once: a side whose polynomial is the unit contributes no
 factor, as R(1) = I, and an act with both sides units takes no product.
+
+A ``FormMatrix`` is a frozen slotted dataclass of its one matrix, which
+its ``==`` and ``hash`` compare.  ``ActionTable`` keeps its hand-written
+slots: a copy rebuilds it through ``__init__``, which checks the data
+again and starts with an empty memo.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 from .algebra import ZERO, Poly
 from .errors import DimensionMismatchError
@@ -80,21 +87,15 @@ class ActionTable:
         return out
 
 
+@dataclass(frozen=True, repr=False, slots=True)
 class FormMatrix:
-    """A sesquilinear form x(phi, psi) = psi^H M phi."""
+    """A sesquilinear form x(phi, psi) = psi^H M phi, compared by its matrix."""
 
-    __slots__ = ("mat",)
+    mat: Matrix
 
-    def __init__(self, mat: Matrix):
-        if mat.nrows != mat.ncols:
+    def __post_init__(self):
+        if self.mat.nrows != self.mat.ncols:
             raise DimensionMismatchError("form matrix must be square")
-        object.__setattr__(self, "mat", mat)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FormMatrix is immutable")
-
-    def __reduce__(self):
-        return FormMatrix, (self.mat,)
 
     @property
     def dim(self) -> int:
@@ -128,14 +129,6 @@ class FormMatrix:
             return ZERO  # the empty sum; Matrix([]) is 0x0, not a 0x1 column
         row = Matrix([[c] for c in psi]).adjoint()
         return (row @ self.mat @ Matrix([[c] for c in phi]))[0, 0]
-
-    def __eq__(self, other):
-        if not isinstance(other, FormMatrix):
-            return NotImplemented
-        return self.mat == other.mat
-
-    def __hash__(self):
-        return hash(self.mat)
 
     def __repr__(self):
         return f"FormMatrix({self.mat!r})"

@@ -35,7 +35,8 @@ the P_a and the kernel of S G S map back to those of G by exact
 powers of x (``_unscaled``), and the Bareiss minors never carry
 the powers of X that G over W X^(2N) has.
 
-``Functional`` bundles the five functional variants on the bimodules:
+``Functional`` bundles the five functional variants on the bimodules, a
+frozen slotted dataclass compared by identity, as ``GnsRealization`` is:
 
 * F0/F1/F2 on the d^2 bimodule pick off f(h0), f(h1), f(h2) of the
   coefficient triple of the argument; F_t forms its one component h_t
@@ -119,7 +120,13 @@ def hankel_gram(mf: MomentFunctional, degree: int) -> Matrix:
     """
     nums, den, x = mf.numerators(2 * degree)
     m, den = _over_top(den, x, 2 * degree, nums)
-    return Matrix.hankel(m, den, degree + 1)
+    return _hankel(m, den, degree + 1)
+
+
+def _hankel(values, den: int, n: int) -> Matrix:
+    """The real n x n Hankel matrix values[j + k] / den, den > 0, reduced once."""
+    rows = [values[j : j + n] for j in range(n)]
+    return Matrix.from_numerators(rows, [[0] * n] * n, den, n)
 
 
 def build_gns(mf: MomentFunctional, degree: int) -> GnsRealization:
@@ -140,7 +147,7 @@ def build_gns(mf: MomentFunctional, degree: int) -> GnsRealization:
     if top is None or degree > top.degree:
         sums, den, x = mf.numerators(2 * degree)
         # S G S = Hankel(sums) / den for S = diag(x^0..x^N); at x = 1 that is G
-        ldl = ldl_psd(Matrix.hankel(sums, den, degree + 1))
+        ldl = ldl_psd(_hankel(sums, den, degree + 1))
         pivots, diag = ldl.pivots, ldl.diag
         rows, kernel = nullspace(ldl)
         if x != 1:
@@ -175,37 +182,36 @@ def _unscaled(pivots, diag, rows, kernel, x: int, degree: int):
     return diag, tuple(map(unscaled, rows)), tuple(map(unscaled, kernel))
 
 
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Functional:
-    """One of the functional variants F0, F1, F2, gauss-poly, gauss-atoms."""
+    """One of the functional variants F0, F1, F2, gauss-poly, gauss-atoms.
 
-    __slots__ = ("kind", "weight", "atom_values")
+    ``weight`` is the gauss-poly weight as a ``Poly``, ``atom_values`` the
+    gauss-atoms values as reduced Fractions; each is None for the others.
+    """
+
+    kind: str
+    weight: Poly | None = None
+    atom_values: tuple[Fraction, ...] | None = None
 
     _D2_KINDS = ("F0", "F1", "F2")
 
-    def __init__(self, kind: str, weight=None, atom_values=None):
-        if kind in self._D2_KINDS:
-            if weight is not None or atom_values is not None:
-                raise ValueError(f"{kind} takes no parameters")
-        elif kind == "gauss-poly":
-            if weight is None or atom_values is not None:
+    def __post_init__(self):
+        if self.kind in self._D2_KINDS:
+            if self.weight is not None or self.atom_values is not None:
+                raise ValueError(f"{self.kind} takes no parameters")
+        elif self.kind == "gauss-poly":
+            if self.weight is None or self.atom_values is not None:
                 raise ValueError("gauss-poly needs a polynomial weight")
-            weight = Poly.coerce(weight)
-        elif kind == "gauss-atoms":
-            if atom_values is None or weight is not None:
+            object.__setattr__(self, "weight", Poly.coerce(self.weight))
+        elif self.kind == "gauss-atoms":
+            if self.atom_values is None or self.weight is not None:
                 raise ValueError("gauss-atoms needs per-atom values")
             # an int or a Fraction only, as for a Scalar: text comes through parse_real
-            atom_values = tuple(Fraction(*_ratio(v)) for v in atom_values)
+            values = tuple(Fraction(*_ratio(v)) for v in self.atom_values)
+            object.__setattr__(self, "atom_values", values)
         else:
-            raise ValueError(f"unknown functional kind {kind!r}")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "weight", weight)
-        object.__setattr__(self, "atom_values", atom_values)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Functional is immutable")
-
-    def __reduce__(self):
-        return Functional, (self.kind, self.weight, self.atom_values)
+            raise ValueError(f"unknown functional kind {self.kind!r}")
 
     @classmethod
     def gauss_poly(cls, weight) -> "Functional":
@@ -296,13 +302,14 @@ class Functional:
         self._check_tag(x)
         if not mf.is_atomic:
             raise VariantMismatchError("gauss-atoms needs an atomic measure")
-        if len(self.atom_values) != len(mf.atoms):
+        images = mf.at_atoms(x.gauss_poly())
+        if len(self.atom_values) != len(images[0]):
             raise VariantMismatchError(
-                f"{len(self.atom_values)} values for {len(mf.atoms)} atoms"
+                f"{len(self.atom_values)} values for {len(images[0])} atoms"
             )
         v_den = lcm(*(v.denominator for v in self.atom_values))
         vs = [v.numerator * (v_den // v.denominator) for v in self.atom_values]
-        return mf.atom_product(mf.at_atoms(x.gauss_poly()), (vs, [0] * len(vs), v_den))
+        return mf.atom_product(images, (vs, [0] * len(vs), v_den))
 
     def describe(self) -> str:
         if self.kind == "gauss-poly":
@@ -394,7 +401,7 @@ def check_cauchy_schwarz(
         c = mf.atom_pairing(images, images)
     else:
         h = func.coefficient_poly(x)
-        c = mf.apply(h.conjugate() * h)
+        c = mf.pairing(h, h)
     # both factors are real: the moments are, h^+ h and a^+ a have real
     # coefficients, and <u, u> sums to a zero imaginary part
     return CauchySchwarzReport(lhs.abs2(), (c * gram_aa).re)

@@ -13,17 +13,20 @@ Moments come in one format, from ``numerators``: integer numerators
 m_k = nums[k] / (den * x^k).  A moment list converts its values once, at
 construction, to a table in lowest terms (gcd of the denominator and all
 numerators 1), with x = 1.  An atomic
-measure keeps its integer power sums N_k = sum_i ws_i xs_i^k over den = W,
-with x = X (W and X the lcms of the weight and point denominators), on
+measure stores its atoms once, as integer numerators: point i is
+xs_i / X and its weight ws_i / W, with X and W the lcms of the point and
+weight denominators; ``atoms`` is a view of them as reduced Fractions,
+built per read.  It keeps its integer power sums N_k = sum_i ws_i xs_i^k
+over den = W, with x = X, on
 demand up to the highest index read so far; the cache only grows, a
 growth continues from the sums it has, and an entry never changes with
-its reach.  ``apply`` and ``shifted_values``
+its reach.  ``apply`` and ``shifted_values`` read the moments through
+``numerators`` alone,
 bring the moments they read to one denominator, den * x^top (``_over_top``,
 which at x = 1 has nothing to do), and take one integer dot product of
 them with a polynomial's real numerators and one with its imaginary
-numerators (``apply`` reduces its value to a ``Scalar`` once, and reads
-the cached table directly when it already reaches the polynomial's
-degree; ``shifted_values`` keeps the numerators).  The GNS layer
+numerators (``apply`` reduces its value to a ``Scalar`` once;
+``shifted_values`` keeps the numerators).  The GNS layer
 factors the Hankel matrix of the N_k themselves.
 
 An atomic measure is its own GNS realization: C^n, one coordinate per
@@ -59,13 +62,14 @@ class MomentFunctional:
 
     # _nums is ``numerators``' (nums, den, x); an atomic measure's power
     # sums are a cache that grows, and is not part of ==, hash or repr.
-    # _atom_nums is (xs, X, ws, W) of an atomic measure, else None.
+    # _atom_nums is (xs, X, ws, W) of an atomic measure, its one store of
+    # the atoms, else None.
     # _gns is the ``gns.GnsRealization`` at the largest degree realized so
     # far (the LDL of the Hankel Gram, every row of L^-1 and the kernel),
     # set by ``gns.build_gns`` once its positivity gate has passed, else
     # None; replaced whole, never changed in place; a cache of this object
     # alone, not part of ==, hash or repr.
-    __slots__ = ("atoms", "_nums", "_atom_nums", "_gns")
+    __slots__ = ("_nums", "_atom_nums", "_gns")
 
     def __init__(self, atoms=None, values=None):
         if (atoms is None) == (values is None):
@@ -78,7 +82,6 @@ class MomentFunctional:
                 if w < 0:
                     raise ValueError(f"negative atom weight {w}")
                 pts.append((x, w))
-            object.__setattr__(self, "atoms", tuple(pts))
             x_den = lcm(*(x.denominator for x, _ in pts))
             w_den = lcm(*(w.denominator for _, w in pts))
             object.__setattr__(self, "_nums", ((), w_den, x_den))
@@ -93,7 +96,6 @@ class MomentFunctional:
             [(re, im)], den = gauss_numerators([[Scalar.coerce(v) for v in values]])
             if any(im):
                 raise NotPositiveError("moments of a positive functional must be real")
-            object.__setattr__(self, "atoms", None)
             object.__setattr__(self, "_nums", (tuple(re), den, 1))
             object.__setattr__(self, "_atom_nums", None)
         object.__setattr__(self, "_gns", None)
@@ -103,7 +105,7 @@ class MomentFunctional:
 
     def __reduce__(self):
         # copy and pickle rebuild from the constructor's data; the caches are dropped
-        if self.atoms is not None:
+        if self._atom_nums is not None:
             return MomentFunctional.atomic, (self.atoms,)
         return MomentFunctional.from_moments, (self.values,)
 
@@ -137,12 +139,21 @@ class MomentFunctional:
 
     @property
     def is_atomic(self) -> bool:
-        return self.atoms is not None
+        return self._atom_nums is not None
+
+    @property
+    def atoms(self) -> tuple[tuple[Fraction, Fraction], ...] | None:
+        """The (point, weight) pairs of an atomic measure, in input order, as
+        reduced Fractions built per read from the stored numerators; None for
+        a moment list."""
+        if self._atom_nums is not None:
+            xs, x_den, ws, w_den = self._atom_nums
+            return tuple([(Fraction(x, x_den), Fraction(w, w_den)) for x, w in zip(xs, ws)])
 
     @property
     def values(self) -> tuple[Scalar, ...] | None:
         """The stored moments of a moment list as Scalars; None when atomic."""
-        if self.atoms is not None:
+        if self._atom_nums is not None:
             return None
         nums, den, _ = self._nums
         return tuple([gauss_scalar(a, 0, den) for a in nums])
@@ -162,7 +173,7 @@ class MomentFunctional:
         nums, den, x = cached
         if top < len(nums):
             return cached
-        if self.atoms is None:
+        if self._atom_nums is None:
             k = max(low, len(nums))
             while reads is not None and not (reads.re[k] or reads.im[k]):
                 k += 1
@@ -248,9 +259,7 @@ class MomentFunctional:
     def apply(self, p: Poly) -> Scalar:
         """f(p) by linearity in the real moments: one integer dot product per part of p."""
         top = len(p.re) - 1
-        nums, den, x = self._nums
-        if top >= len(nums):
-            nums, den, x = self.numerators(top, reads=p)
+        nums, den, x = self.numerators(top, reads=p)
         m, den = _over_top(den, x, top, nums)
         return gauss_scalar(sum(map(mul, p.re, m)), sum(map(mul, p.im, m)), p.den * den)
 
@@ -286,15 +295,15 @@ class MomentFunctional:
     def __eq__(self, other):
         if not isinstance(other, MomentFunctional):
             return NotImplemented
-        if self.atoms is not None or other.atoms is not None:
-            return self.atoms == other.atoms
+        if self._atom_nums is not None or other._atom_nums is not None:
+            return self._atom_nums == other._atom_nums
         return self._nums == other._nums
 
     def __hash__(self):
-        return hash(self.atoms if self.atoms is not None else self._nums)
+        return hash(self._atom_nums if self._atom_nums is not None else self._nums)
 
     def __repr__(self):
-        if self.atoms is not None:
+        if self._atom_nums is not None:
             return f"MomentFunctional(atoms={self.atoms!r})"
         return f"MomentFunctional(values={[str(v) for v in self.values]!r})"
 

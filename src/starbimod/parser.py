@@ -22,6 +22,18 @@ d^0..d^MAX_EXPONENT built at import, so it builds no element per parse;
 any other base, ``p`` and ``i`` among them, is raised by
 square-and-multiply, in at most 2*floor(log2 n) products.
 
+A product costs about one normal-ordering step per term pair, one term
+of each factor, whatever the degree it reaches: the last squaring of
+``(q+d+q*d)^64`` pairs two 1089-term elements.  So no product of the
+parse, of a term or of a power, may pair more than ``MAX_TERM_PAIRS``
+terms: the term counts of its factors are multiplied before the product
+is formed, an O(1) check, and a product over the cap is refused at its
+``*``, or at the exponent of the power whose squaring or step it is.
+At the cap, the slowest product of two powers inside the degree and
+digit caps takes about a second on a 2-vCPU host.  A pair costs more
+when both factors reach a higher degree through chains of products, and
+this cap does not bound that.
+
 No number in a parsed expression has more than ``MAX_DIGITS`` decimal
 digits, in a numerator or a denominator.  A longer literal is refused at
 its offset, a longer sum or product at its operator, and a longer power
@@ -43,12 +55,15 @@ from __future__ import annotations
 from itertools import chain
 from typing import NamedTuple
 
-from .algebra import MAX_DIGITS, I
+from .algebra import MAX_DIGITS, I, power
 from .errors import ParseError
-from .weyl import P, WeylElement, _new
+from .weyl import _ONE, P, WeylElement, _new
 
 
 MAX_EXPONENT = 64
+# term pairs of one product: two polynomials of degree MAX_EXPONENT in one
+# monomial, 65 terms each, still multiply
+MAX_TERM_PAIRS = (MAX_EXPONENT + 1) ** 2
 MAX_NESTING = 100
 _LIMIT = 10**MAX_DIGITS
 
@@ -165,6 +180,19 @@ def _power_too_long(value: WeylElement, n: int) -> bool:
     return n * max((part.bit_length() for part in _parts(value)), default=0) > cap
 
 
+def _product(u: WeylElement, v: WeylElement, offset: int) -> WeylElement:
+    """u * v, refused at ``offset`` when it pairs more than MAX_TERM_PAIRS terms."""
+    m, n = len(u.nums), len(v.nums)
+    if m * n > MAX_TERM_PAIRS:
+        raise ParseError(
+            f"product of factors of {m} and {n} terms makes {m * n} term pairs, "
+            f"exceeding the limit of {MAX_TERM_PAIRS}",
+            offset,
+            {f"at most {MAX_TERM_PAIRS} term pairs"},
+        )
+    return u * v
+
+
 # q^0..q^MAX_EXPONENT and d^0..d^MAX_EXPONENT, built once; p = -i*d and i
 # are raised by square-and-multiply: i^n is not a monomial in i
 _GENERATOR_POWERS = {
@@ -211,7 +239,7 @@ class _Parser:
         value = self.parse_factor()
         while (op := tokens[self.pos]).text == "*":
             self.pos += 1
-            value = _check_size(value * self.parse_factor(), op.offset)
+            value = _check_size(_product(value, self.parse_factor(), op.offset), op.offset)
         return value
 
     def parse_factor(self) -> WeylElement:
@@ -240,7 +268,8 @@ class _Parser:
                 raise _too_long(tok.offset)
             powers = _GENERATOR_POWERS.get(base)
             if powers is None:
-                value = _check_size(value**n, tok.offset)
+                at = tok.offset
+                value = _check_size(power(value, n, _ONE, lambda u, v: _product(u, v, at)), at)
             else:
                 # the degree check above bounds n by MAX_EXPONENT
                 value = powers[n]

@@ -75,6 +75,7 @@ from .moments import MomentFunctional
 
 BOUNDED = "Bounded"
 GROWTH = "GrowthDetected"
+PLATEAU_TOLERANCE = 1e-3  # the default relative spread of a plateau's final three lambdas
 
 
 @dataclass(frozen=True)
@@ -288,7 +289,7 @@ def boundedness_probe(
     x: BimodElement,
     mf: MomentFunctional,
     degrees,
-    tolerance: float = 1e-3,
+    tolerance: float = PLATEAU_TOLERANCE,
 ) -> ProbeReport:
     """Track lambda_N over the degree list and classify the tail.
 
@@ -327,7 +328,7 @@ def boundedness_probe(
 
 
 def generator_probe(
-    mf: MomentFunctional, degrees, tolerance: float = 1e-3
+    mf: MomentFunctional, degrees, tolerance: float = PLATEAU_TOLERANCE
 ) -> ProbeReport:
     """Probe of multiplication by q in the GNS representation.
 

@@ -161,7 +161,7 @@ class WeylElement:
         return other * self
 
     def __pow__(self, n: int):
-        return power(self, n, _ONE)
+        return power(self, n, _ONE, WeylElement.__mul__)
 
     def involution(self) -> "WeylElement":
         """Antilinear involution with q^+ = q and d^+ = -d."""

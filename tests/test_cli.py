@@ -2,6 +2,7 @@
 
 import io
 import json
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -817,6 +818,18 @@ class TestDeepNesting:
         assert out == "" and "Traceback" not in err
         lines = err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "expression", ["(q+d+q*d)^64", "(q+d+q*d)^32*(q+d+q*d)^32", "(q+d)^64*(q+d)^64"]
+    )
+    def test_too_many_term_pairs_exit_2_within_a_second(self, expression):
+        start = time.perf_counter()
+        code, out, err = _run(["normal-order", expression])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == "" and "Traceback" not in err
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and "term pairs" in lines[0]
 
     def test_nesting_at_the_limit_runs(self, capsys):
         at_limit = "(" * MAX_NESTING + "q" + ")" * MAX_NESTING

@@ -20,10 +20,10 @@ method name that two classes share is pinned to its owners.
 The routines that read only the real parts of their input rely on their
 one caller to pass real data; a scan pins each to that caller.
 
-Every defaulted parameter of a function in the package must be passed,
-by position or by keyword, by some call in the package, so no setting
-is reached only by its default; ``DEFAULT_ONLY`` lists the exemptions
-with their reasons.  And the arithmetic is exact: a ``float(`` or
+Every defaulted parameter of a function in the package, and every
+defaulted field of a dataclass, must be passed, by position or by
+keyword, by some call in the package, so no setting is reached only by
+its default; ``DEFAULT_ONLY`` lists the exemptions with their reasons.  And the arithmetic is exact: a ``float(`` or
 ``complex(`` call, a float or complex literal, or a numpy import or name
 may appear only in the functions that ``FLOAT_ISLANDS`` lists, each with
 its reason.
@@ -373,34 +373,66 @@ def _passes(call: ast.Call, name: str, position: int | None) -> bool:
     return position is not None and len(call.args) > position
 
 
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    """Whether a ``dataclass`` decorator, bare or called, decorates the class."""
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def _field_defaults(node: ast.ClassDef) -> list[tuple[str, int]]:
+    """``(field, position)`` of each defaulted field of a dataclass, the
+    position counted among its ``__init__``'s positional arguments.  Every
+    annotated name of the class body is a field, as in this package."""
+    fields = [
+        item
+        for item in node.body
+        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+    ]
+    return [(item.target.id, k) for k, item in enumerate(fields) if item.value is not None]
+
+
 def _unpassed_defaults(modules: dict[str, ast.Module]) -> list[str]:
-    """``file:line function(parameter)`` of each defaulted parameter that no
+    """``file:line function(parameter)`` of each defaulted parameter, or
+    ``file:line Class(field)`` of each defaulted dataclass field, that no
     call in ``modules`` passes, by position or by keyword, ``DEFAULT_ONLY``
-    aside.  A call matches by the function's name; an ``__init__`` is
-    called by its class's name, or as ``cls`` inside its class.  A method's
-    first parameter is bound, unless it is a staticmethod, and a call with
-    ``*`` or ``**`` arguments passes every parameter."""
+    aside.  A call matches by the function's name; an ``__init__``, or a
+    dataclass's generated one, is called by its class's name, or as ``cls``
+    inside its class.  A method's first parameter is bound, unless it is a
+    staticmethod, and a call with ``*`` or ``**`` arguments passes every
+    parameter."""
     calls = [found for tree in modules.values() for found in _calls(tree)]
-    unpassed = []
+
+    def by_class(owner: ast.ClassDef):
+        return calls + [(owner.name, call) for c, call in _calls(owner) if c == "cls"]
+
+    # (file, line, callee name, [(parameter, position)], the calls that may pass them)
+    targets = []
     for file, tree in modules.items():
         for func, owner in _functions(tree):
             name, candidates = func.name, calls
             if owner is not None and func.name == "__init__":
-                name = owner.name
-                candidates = calls + [(name, call) for c, call in _calls(owner) if c == "cls"]
+                name, candidates = owner.name, by_class(owner)
             bound = owner is not None and not any(
                 isinstance(d, ast.Name) and d.id == "staticmethod" for d in func.decorator_list
             )
-            unpassed += [
-                f"{file}:{func.lineno} {name}({param})"
-                for param, position in _defaulted(func.args, bound)
-                if (name, param) not in DEFAULT_ONLY
-                and not any(
-                    callee == name and _passes(call, param, position)
-                    for callee, call in candidates
-                )
-            ]
-    return unpassed
+            targets.append((file, func.lineno, name, _defaulted(func.args, bound), candidates))
+        targets += [
+            (file, node.lineno, node.name, _field_defaults(node), by_class(node))
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node)
+        ]
+    return [
+        f"{file}:{line} {name}({param})"
+        for file, line, name, params, candidates in targets
+        for param, position in params
+        if (name, param) not in DEFAULT_ONLY
+        and not any(
+            callee == name and _passes(call, param, position) for callee, call in candidates
+        )
+    ]
 
 
 def test_the_default_scan_sees_a_default_only_parameter():
@@ -420,6 +452,30 @@ def test_the_default_scan_sees_a_default_only_parameter():
     assert _unpassed_defaults(modules) == ["a.py:1 f(c)", "a.py:6 m(w)"]
 
 
+def test_the_default_scan_sees_a_default_only_dataclass_field():
+    modules = {
+        "a.py": ast.parse(
+            "import dataclasses\nfrom dataclasses import dataclass\n"
+            "@dataclass(frozen=True)\nclass R:\n"
+            "    a: int\n    b: int = 0\n    c: int = 1\n    d: int = 2\n    LIMIT = 9\n"
+            "    @classmethod\n    def make(cls):\n        return cls(1, d=3)\n"
+            "@dataclasses.dataclass\nclass S:\n    x: int = 0\n"
+            "class Plain:\n    y: int = 0\n"
+        ),
+        "b.py": ast.parse("from .a import R, S\nR(0, 1)\nS()\n"),
+    }
+    assert _unpassed_defaults(modules) == ["a.py:4 R(c)", "a.py:14 S(x)"]
+    # the package's defaulted fields are in the scan's reach
+    found = {
+        (node.name, field)
+        for tree in _package().values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and _is_dataclass(node)
+        for field, _ in _field_defaults(node)
+    }
+    assert found == {("BimodElement", "terms"), ("Functional", "weight"), ("Functional", "atom_values")}
+
+
 def test_every_defaulted_parameter_is_passed():
     assert _unpassed_defaults(_package()) == []
 
@@ -430,14 +486,12 @@ def test_every_defaulted_parameter_is_passed():
 FLOAT_ISLANDS = {
     ("algebra.py", "Scalar.__complex__"): "the float view of an exact Scalar",
     ("cli.py", "_tolerance"): "parses --tolerance, the probe's float plateau tolerance",
-    ("cli.py", "build_arg_parser"): "the --tolerance default",
-    ("probes.py", None): "the numpy import of the one module with eigensolves",
+    ("probes.py", None): "the numpy import of the one module with eigensolves, and "
+    "PLATEAU_TOLERANCE, the probe's default float plateau tolerance",
     ("probes.py", "_block_lambdas"): "the per-degree hermitian eigensolve",
     ("probes.py", "_block_lambdas.block"): "the scaled pencil block as a numpy array",
     ("probes.py", "_block_lambdas.block.entry"): "one pencil entry as a complex double",
     ("probes.py", "plateau_verdict"): "compares float lambdas within the tolerance",
-    ("probes.py", "boundedness_probe"): "the tolerance default",
-    ("probes.py", "generator_probe"): "the tolerance default",
     ("probes.py", "numerical_radius_norm_check"): "the float eigensolve that picks the "
     "seed vectors and the float norm raised into an exact bound",
     ("probes.py", "norm_bound_trials"): "draws float matrices for the norm lemma",

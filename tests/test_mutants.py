@@ -70,6 +70,9 @@ MUTANTS = {
         (11,),
     ),
     "ldl-accepts-a-negative-pivot": ("exactla.py", "if pivot < 0:", "if False:", (11,)),
+    # each Bareiss update keeps the previous pivot as a factor: positive, so the
+    # pivot signs stay, but D and L scale away from the Gram's
+    "bareiss-drops-its-exact-division": ("exactla.py", ") // prev", ")", (9, 11)),
     "build-gns-drops-its-last-kernel-vector": (
         "gns.py",
         "GnsRealization(degree, pivots, diag, rows, kernel)",
@@ -101,6 +104,13 @@ MUTANTS = {
         "sum(map(mul, p.re, m)), 0, p.den * den",
         (1, 2, 6),
     ),
+    # the probe's form reads the term c h b^(r) as c h b for r > 0
+    "form-drops-the-falling-factorial": (
+        "probes.py",
+        "c * perm(k, r) * (den // d)",
+        "c * (den // d)",
+        (9,),
+    ),
 }
 
 # mutants that survive every criterion today, with the reason
@@ -118,6 +128,11 @@ SURVIVORS = {
         "F(a x b) = f(a theta(x) b) is a polynomial identity, so both sides lose the same "
         "imaginary part, and |Re z| <= |z| keeps Cauchy-Schwarz true; tier-1's pinned values "
         "kill it, and ROADMAP item 19 asks the selftest to"
+    ),
+    "form-drops-the-falling-factorial": (
+        "criterion 9 probes only gauss-poly and gauss-atoms, whose one theta term has r = 0; "
+        "tier-1's pinned probe values kill it, and ROADMAP items 3 (certified verdicts) and 11 "
+        "(F1 and F2 in the probe) should"
     ),
 }
 

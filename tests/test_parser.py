@@ -10,7 +10,14 @@ import pytest
 from starbimod.algebra import I, Scalar
 from starbimod.errors import ParseError
 from starbimod import parser
-from starbimod.parser import MAX_DIGITS, MAX_EXPONENT, MAX_NESTING, parse_expression, tokenize
+from starbimod.parser import (
+    MAX_DIGITS,
+    MAX_EXPONENT,
+    MAX_NESTING,
+    MAX_TERM_PAIRS,
+    parse_expression,
+    tokenize,
+)
 from starbimod.sampling import rand_weyl
 from starbimod.weyl import WeylElement
 
@@ -151,6 +158,59 @@ class TestExponentCap:
 
     def test_zero_exponent(self):
         assert parse_expression("(q+d)^0") == WeylElement.monomial(0, 0)
+
+
+class TestTermPairCap:
+    """A product of more than MAX_TERM_PAIRS term pairs is refused before it is formed."""
+
+    # the three hostile inputs once parsed for a minute or more
+    HOSTILE = [
+        ("(q+d+q*d)^64", 10),
+        ("(q+d+q*d)^32*(q+d+q*d)^32", 10),
+        ("(q+d)^64*(q+d)^64", 6),
+    ]
+
+    @pytest.fixture
+    def largest(self, monkeypatch):
+        """The largest term-pair count of a product formed while the test runs."""
+        seen = [0]
+        original = WeylElement.__mul__
+
+        def counted(u, v):
+            if isinstance(v, WeylElement):
+                seen[0] = max(seen[0], len(u.nums) * len(v.nums))
+            return original(u, v)
+
+        monkeypatch.setattr(WeylElement, "__mul__", counted)
+        return seen
+
+    @pytest.mark.parametrize(
+        "src, offset",
+        HOSTILE
+        + [
+            # 65 by 66 terms, one pair over the cap, at the '*'
+            ("(1+q)^64*((1+d)^64+q^2)", 8),
+            ("((1+d)^64+q^2)*(1+q)^64", 14),
+        ],
+    )
+    def test_refused_at_its_operator(self, src, offset, largest):
+        with pytest.raises(ParseError) as info:
+            parse_expression(src)
+        assert info.value.offset == offset
+        assert f"exceeding the limit of {MAX_TERM_PAIRS}" in str(info.value)
+        assert 0 < largest[0] <= MAX_TERM_PAIRS
+
+    def test_at_the_cap_parses(self, largest):
+        # two degree-64 polynomials in one monomial, 65 terms each
+        assert MAX_TERM_PAIRS == 65 * 65
+        value = parse_expression("(1+q)^64*(1+d)^64")
+        assert largest[0] == MAX_TERM_PAIRS
+        assert len(value.nums) == MAX_TERM_PAIRS
+        assert parse_expression("(1+q*d)^64*(1+q*d)^64") == parse_expression("(1+q*d)^64") ** 2
+
+    def test_the_largest_tested_power_is_well_inside(self, largest):
+        assert parse_expression("(2*q + 1)^64") == parse_expression("2*q + 1") ** 64
+        assert largest[0] == 33 * 33
 
 
 class TestNestingCap:
