@@ -18,9 +18,9 @@ lambda_N is not max |F(a^+ x a)| / f(a^+ a).
 All exact work happens once, at the top degree M of the list.  H is
 built from its Hankel structure, one shifted moment sequence per term of
 ``Functional.theta_terms`` (gauss-atoms feeds the measure's power sums
-of its atom images instead), and hermitised exactly.  The factor
-G = L D L^H of the Hankel Gram G of degree M, in natural order, which
-skips the indices of an exact kernel, is read from the degree-M
+of its atom images instead), and assembled hermitian in one pass.  The
+factor G = L D L^H of the Hankel Gram G of degree M, in natural order,
+which skips the indices of an exact kernel, is read from the degree-M
 ``gns.build_gns`` realization as its pivots, D and the rows of
 U = L^-1 (it also holds the kernel K, and not L): a measure object
 caches one realization, at the largest degree asked of it, and the
@@ -28,25 +28,25 @@ positivity gate and every probe at or below that degree read its
 leading part.  The congruence
 Z = L^-1 H_P L^-T on the pivot indices P is done once per probe.  All
 three steps run on integer numerators over shared denominators: the form
-is summed and hermitised on its Gaussian-integer numerators into a
-``Matrix``, ``ldl_psd`` eliminates fraction-free on the Gram's stored
-numerators, and the rows of U, read off L by ``nullspace``, are the
-orthogonal polynomials P_a, integers over one denominator du_a each.
+is summed on its Gaussian-integer numerators into a ``Matrix``,
+``ldl_psd`` eliminates fraction-free on the Gram's stored numerators,
+and the rows of U, read off L by ``nullspace``, are the orthogonal
+polynomials P_a, integers over one denominator du_a each.
 ``GnsRealization`` guarantees that the Gram and U are real, so U
-reduces the real and imaginary parts of H apart.  Z is kept as a
-``Pencil``, the upper triangle of integer numerators N with Z[a][c] =
-N[a][c] / (du_a den du_c), c >= a, formed per part A of H as the
-products U A and (U A) U^T; an imaginary part that is zero everywhere,
-as for every real element and functional, takes no product.
-One gcd per nonzero part of Z gives the reduced bit lengths behind
-``max_bits`` and the float shifts; nothing on this path builds a
-``Scalar``.  Natural order nests the tower: the degree-N pencil is the
-leading r_N x r_N block of Z, with r_N the number of pivots <= N.  Only
-the diagonal scaling by d^-1/2 and one hermitian eigensolve per degree
-run in doubles, on entries whose exact powers of two are put back on
-each lambda afterwards.  Moment Gram matrices in the monomial basis are
-far too ill-conditioned for a float Cholesky, so this exact reduction is
-what keeps degree ten reachable.
+reduces the real and imaginary parts of H apart, each formed as the
+products U A and (U A) U^T on the upper triangle; an imaginary part that
+is zero everywhere, as for every real element and functional, takes no
+product.  Each nonzero part of Z[a][c] = N / (du_a den du_c), c >= a, is
+reduced once, by one gcd, where it is formed, and ``max_bits``, the
+power-of-two shifts and the float conversion all read that reduced
+pair; nothing on this path builds a ``Scalar``.  Natural order nests
+the tower: the degree-N pencil is the leading r_N x r_N block of Z, with
+r_N the number of pivots <= N.  Only the diagonal scaling by d^-1/2 and
+one hermitian eigensolve per distinct r_N run in doubles, on entries
+whose exact powers of two are put back on each lambda afterwards.
+Moment Gram matrices in the monomial basis are far too ill-conditioned
+for a float Cholesky, so this exact reduction is what keeps degree ten
+reachable.
 
 The norm lemma ||T|| <= 4 w(T) is decided here too, exactly: floats only
 pick two vectors and a bound, from which exact arithmetic proves the
@@ -58,10 +58,10 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import copysign, frexp, gcd, inf, isfinite, lcm, ldexp, perm, sqrt
 from operator import index, mul
 from sys import float_info
-from typing import NamedTuple
 
 import numpy as np
 
@@ -107,8 +107,10 @@ def form_numerators(
     moment sequence s[m] = f(q^m h) of each term H[j][k] = sum c k!/(k-r)!
     s[j+k-r].  gauss-atoms has one term with r = 0, c = 1 and the sequence
     s[m] = sum_i w_i v_i p(x_i) x_i^m, the power sums of its atom images.  The sequences
-    are brought to the lcm of their denominators; the entries are summed
-    and hermitised on the numerators.
+    are brought to the lcm of their denominators, and the hermitian form is
+    assembled in one pass on the numerators: with f_k = c k!/(k-r)!, zero
+    for k < r, entry (k, j) over twice that lcm gains (f_k + f_j) Re s[j+k-r]
+    and i (f_j - f_k) Im s[j+k-r].  At r = 0 the imaginary weight is zero.
     """
     n = degree + 1
     if func.kind == "gauss-atoms":
@@ -121,92 +123,72 @@ def form_numerators(
             if degree >= r and not h.is_zero()
         ]
     den = lcm(*(d for _, _, (_, _, d) in seqs))
-    # column k of H, H[j][k] for j < n, is re[k] + i im[k]; a zero part adds nothing
     re = [[0] * n for _ in range(n)]
     im = [[0] * n for _ in range(n)]
     for r, c, (sr, si, d) in seqs:
-        for acc, seq in ((re, sr), (im, si)) if any(si) else ((re, sr),):
-            for k in range(r, n):
-                f = c * perm(k, r) * (den // d)
-                acc[k] = [a + f * b for a, b in zip(acc[k], seq[k - r : k - r + n])]
-    # (H + H^H) / 2 over the doubled denominator
-    return Matrix.from_numerators(
-        [[a + b for a, b in zip(col, row)] for col, row in zip(re, zip(*re))],
-        [[b - a for a, b in zip(col, row)] for col, row in zip(im, zip(*im))],
-        2 * den,
-        n,
-    )
+        f = [c * perm(k, r) * (den // d) for k in range(n)]
+        # s[j+k-r] at index j + k; below j + k = r both weights are 0
+        sr, si = (0,) * r + sr, (0,) * r + si
+        for k, fk in enumerate(f):
+            re[k] = [a + (fk + fj) * b for a, fj, b in zip(re[k], f, sr[k : k + n])]
+        if r and any(si):
+            for k, fk in enumerate(f):
+                im[k] = [a + (fj - fk) * b for a, fj, b in zip(im[k], f, si[k : k + n])]
+    return Matrix.from_numerators(re, im, 2 * den, n)
 
 
-class Pencil(NamedTuple):
-    """Z = L^-1 H_P L^-T on integers, stored as its upper triangle.
-
-    For c >= a, Z[a][c] = (re[a][c-a] + i im[a][c-a]) / (du[a] den du[c]),
-    and Z[c][a] is its conjugate.  ``re`` and ``im`` hold the
-    Gaussian-integer numerators, ``im`` None when it is zero everywhere;
-    ``du`` the row denominators of U = L^-1 and ``den`` the form's
-    denominator.  Entries are not reduced; ``reduced_bits`` takes each part
-    to lowest terms.
-    """
-
-    re: list[list[int]]
-    im: list[list[int]] | None
-    du: list[int]
-    den: int
-
-    def reduced_bits(self) -> tuple[list[list[tuple[int, int]]], int]:
-        """The upper triangle's nonzero parts in lowest terms, by bit length.
-
-        Per column c, the pairs (a, n_bits - d_bits) of each nonzero part
-        n / d of Z[a][c], a <= c; and the largest bit length of a reduced
-        numerator or denominator, 1 (the denominator of a zero) if none is
-        larger.  One gcd per nonzero part.
-        """
-        parts = (self.re,) if self.im is None else (self.re, self.im)
-        cols = []
-        top = 1
-        for c, dc in enumerate(self.du):
-            col = []
-            for a in range(c + 1):
-                d = self.du[a] * self.den * dc
-                for part in parts:
-                    x = part[a][c - a]
-                    if x:
-                        g = gcd(x, d)
-                        nb, db = (x // g).bit_length(), (d // g).bit_length()
-                        top = max(top, nb, db)
-                        col.append((a, nb - db))
-            cols.append(col)
-        return cols, top
-
-
-def _reduced_pencil(form: Matrix, rows) -> Pencil:
-    """Z = U H_P U^T with U = L^-1 on the pivot indices P, exactly.
+def _reduced_pencil(form: Matrix, rows) -> tuple[dict, int]:
+    """Z = U H_P U^T with U = L^-1 on the pivot indices P, reduced once.
 
     ``form`` is the hermitian H and ``rows`` the rows of U, the real P_a
     as ``build_gns`` gives them for the one caller, ``boundedness_probe``.
     So each part of H reduces on its own: for the real part A, and for the
     imaginary part A when it is not zero everywhere, Y = U A and the upper
     triangle of Y U^T are integer dot products, which equal U A_P U^T as
-    each P_a vanishes off the pivots.  The leading r x r block of Z is the
-    reduction of the leading block of H against the factor of the leading
-    block of the Gram.
+    each P_a vanishes off the pivots.  H's rows serve as its columns, the
+    real part being symmetric and the imaginary part antisymmetric, whose
+    sign is put back.  The leading r x r block of Z is the reduction of the
+    leading block of H against the factor of the leading block of the Gram.
+
+    Returns the nonzero entries of the upper triangle, {(a, c): (re, im)}
+    for a <= c, each part a pair (numerator, denominator) in lowest terms
+    or None where it is zero, and ``max_bits``, the largest bit length of a
+    reduced numerator or denominator, 1 (the denominator of a zero) if
+    none is larger: one gcd per nonzero part.
     """
     u = [p.re for p in rows]
-    parts = []
+    zs = []
     for part in (form.re, form.im) if any(map(any, form.im)) else (form.re,):
-        cols = list(zip(*part))
-        y = [[sum(map(mul, row, col)) for col in cols] for row in u]
+        y = [[sum(map(mul, row, col)) for col in part] for row in u]
         # Z[a][c] = sum_j Y[a][j] P_c[j]; only c >= a is formed
-        parts.append([[sum(map(mul, row, uc)) for uc in u[a:]] for a, row in enumerate(y)])
-    zr, *zi = parts
-    return Pencil(zr, zi[0] if zi else None, [p.den for p in rows], form.den)
+        zs.append([[sum(map(mul, row, uc)) for uc in u[a:]] for a, row in enumerate(y)])
+    zr, *zi = zs
+    entries = {}
+    for a, ra in enumerate(rows):
+        for c in range(a, len(rows)):
+            d = ra.den * form.den * rows[c].den
+            # the imaginary part's pass formed -Z, H's rows serving as its columns
+            re, im = _lowest(zr[a][c - a], d), _lowest(-zi[0][a][c - a], d) if zi else None
+            if re or im:
+                entries[a, c] = re, im
+    bits = (x.bit_length() for parts in entries.values() for p in parts if p for x in p)
+    return entries, max(bits, default=1)
 
 
-def _block_lambdas(z: Pencil, cols, diag, ranks) -> list[float]:
+def _lowest(x: int, d: int) -> tuple[int, int] | None:
+    """x / d in lowest terms as (numerator, denominator), d > 0; None for x = 0."""
+    if not x:
+        return None
+    g = gcd(x, d)
+    return x // g, d // g
+
+
+def _block_lambdas(entries: dict, diag, ranks) -> list[float]:
     """max |eigenvalue| of each leading r x r block of D^-1/2 Z D^-1/2.
 
-    ``cols`` is the first value of ``z.reduced_bits()``.  Each pivot is
+    ``entries`` are the reduced upper entries of Z from ``_reduced_pencil``;
+    their bit lengths set the shifts and their pairs are converted to
+    doubles, so no entry is reduced or converted twice.  Each pivot is
     split exactly as d = 4^e * r with 1 <= r < 4, so entry (a, b) is
     Z_ab * 2^-(e_a + e_b) / sqrt(r_a r_b); the bit lengths of its reduced
     parts give its power of two t to within one.  The largest t of the
@@ -214,7 +196,8 @@ def _block_lambdas(z: Pencil, cols, diag, ranks) -> list[float]:
     float conversion and put back on each lambda with ldexp; a block whose
     own largest t is far below is converted again with its own.  So no
     entry overflows or vanishes, only an exactly zero block gives 0, and a
-    lambda outside the normal double range raises DoubleRangeError.
+    lambda outside the normal double range raises DoubleRangeError.  The
+    ranks are nondecreasing, and each distinct r_N is solved once.
     """
     exps, roots = [], []
     for d in diag:
@@ -225,42 +208,42 @@ def _block_lambdas(z: Pencil, cols, diag, ranks) -> list[float]:
         e = k >> 1
         exps.append(e)
         roots.append(sqrt(_shifted(n, m, 2 * e)))
-    tops = [-inf]  # the largest t of each leading block, -inf while it is zero
-    for ec, col in zip(exps, cols):
-        tops.append(max([tops[-1], *(t - exps[a] - ec for a, t in col)]))
-    zr, zi, du, den = z
-    dens = [d * den for d in du]
+    cols = [-inf] * len(diag)  # the largest t of each column
+    for (a, c), parts in entries.items():
+        for n, m in filter(None, parts):
+            cols[c] = max(cols[c], n.bit_length() - m.bit_length() - exps[a] - exps[c])
+    tops = list(accumulate(cols, max, initial=-inf))  # -inf while a leading block is zero
 
     def block(size: int, shift: int) -> np.ndarray:
-        def entry(a: int, c: int) -> complex:
-            x, y = zr[a][c - a], 0 if zi is None else zi[a][c - a]
-            if not (x or y):
-                return 0j
-            d, s = dens[a] * du[c], exps[a] + exps[c] + shift
-            return complex(_shifted(x, d, s), _shifted(y, d, s)) / (roots[a] * roots[c])
-
-        # the upper triangle, then its conjugate below: Z is hermitian
-        mat = np.array([[0j] * a + [entry(a, c) for c in range(a, size)] for a in range(size)])
-        return mat + np.triu(mat, 1).conj().T
+        # eigvalsh reads the lower triangle only, so each entry is written
+        # there as its conjugate; + 0j makes a negative zero +0.0, since
+        # LAPACK's reflectors read the sign of an entry's real part
+        mat = np.zeros((size, size), complex)
+        for (a, c), parts in entries.items():
+            if c < size:
+                s = exps[a] + exps[c] + shift
+                z = complex(*(_shifted(*p, s) if p else 0.0 for p in parts))
+                mat[c, a] = (z / (roots[a] * roots[c])).conjugate() + 0j
+        return mat
 
     top = tops[-1]
     whole = block(len(diag), top) if top > -inf else None
-    lambdas = []
-    for r in ranks:
+    solved = {}
+    for r in dict.fromkeys(ranks):  # each distinct r_N once, in ascending order
         t = tops[r]
         if t == -inf:
-            lambdas.append(0.0)
+            solved[r] = 0.0
             continue
         # 900 binary orders below the top, the block's entries are still normal
         shift, mat = (top, whole[:r, :r]) if t > top - 900 else (t, block(r, t))
+        w = np.linalg.eigvalsh(mat)  # ascending
         try:
-            lam = ldexp(float(np.max(np.abs(np.linalg.eigvalsh(mat)))), shift)
+            solved[r] = lam = ldexp(float(max(-w[0], w[-1])), shift)
         except OverflowError:
             raise DoubleRangeError("lambda is above the double range") from None
         if lam < float_info.min:
             raise DoubleRangeError("lambda is below the normal double range")
-        lambdas.append(lam)
-    return lambdas
+    return [solved[r] for r in ranks]
 
 
 def _shifted(n: int, m: int, s: int) -> float:
@@ -309,13 +292,11 @@ def boundedness_probe(
     realization = build_gns(mf, top)
     pivots = realization.pivots
     form = form_numerators(func, x, mf, top)
-    z = _reduced_pencil(form, realization.rows)
+    entries, max_bits = _reduced_pencil(form, realization.rows)
     ranks = tuple(bisect_right(pivots, n) for n in degrees)
     if ranks[0] == 0:
         raise SingularGramError("Gram matrix vanishes at this degree")
-    # Z is hermitian, so its upper triangle holds every bit length
-    cols, max_bits = z.reduced_bits()
-    lam = _block_lambdas(z, cols, realization.diag, ranks)
+    lam = _block_lambdas(entries, realization.diag, ranks)
     return ProbeReport(
         degrees,
         tuple(lam),

@@ -19,6 +19,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 from .algebra import I, P_ONE, Poly, Q, Scalar
 from .bimodule import BimodElement, Generator
@@ -38,6 +39,7 @@ from .probes import (
     BOUNDED,
     GROWTH,
     boundedness_probe,
+    form_numerators,
     generator_probe,
     norm_bound_trials,
 )
@@ -184,8 +186,7 @@ def cauchy_schwarz_suite() -> tuple[bool, str]:
     rng = random.Random(404)
     measures = list(_measures().values())
     variants = [Functional("F0"), Functional("F1"), Functional("F2")]
-    failures = 0
-    equality_failures = 0
+    failures = equality_failures = h_failures = 0
     for n in range(trials):
         func = rng.choice(variants)
         mf = rng.choice(measures)
@@ -193,6 +194,12 @@ def cauchy_schwarz_suite() -> tuple[bool, str]:
         x = rand_d2_element(rng, max_terms=4, max_degree=4)
         if not check_cauchy_schwarz(func, a, x, mf).holds:
             failures += 1
+        # the bound's h on a second route: x is h0 d^2 + 2 h1 d + h2 in the
+        # Weyl algebra, read off the products a d^2 b that make it up
+        profile = x.weyl_by_products().d_profile()
+        h0, h1, h2 = (profile.get(n, Poly()) for n in (2, 1, 0))
+        if func.coefficient_poly(x) != (h0, h1 * Fraction(1, 2), h2)[variants.index(func)]:
+            h_failures += 1
         if n % 20 == 0:
             # proportional case: a equal to the coefficient polynomial
             h = func.coefficient_poly(x)
@@ -200,8 +207,9 @@ def cauchy_schwarz_suite() -> tuple[bool, str]:
             if report.lhs_squared != report.bound:
                 equality_failures += 1
     return (
-        failures == 0 and equality_failures == 0,
-        f"{trials - failures}/{trials} bounded, equality met at proportional inputs",
+        failures == 0 and equality_failures == 0 and h_failures == 0,
+        f"{trials - failures}/{trials} bounded, equality met at proportional inputs, "
+        f"{trials - h_failures}/{trials} h read off the ambient products",
     )
 
 
@@ -336,7 +344,24 @@ def boundedness_classification() -> tuple[bool, str]:
         rho = generator_probe(mf, degrees, tolerance)
         got.append(f"{name}=({theta.verdict},{rho.verdict})")
         ok &= theta.verdict == want_theta and rho.verdict == want_rho
-    return ok, "; ".join(got)
+    # the form law: the probe's form is the hermitised F on monomials,
+    # checked through F.value, which reads the components of x and never
+    # forms theta(x), the route of form_numerators
+    rng = random.Random(3)
+    elements = [rand_d2_element(rng, 3, 3) for _ in range(5)]
+    monomials = [Poly.monomial(k) for k in range(5)]
+    measures = _measures().values()
+    entries = mismatches = 0
+    for func in (Functional("F0"), Functional("F1"), Functional("F2")):
+        for x in elements:
+            for mf in measures:
+                form = form_numerators(func, x, mf, 4).rows
+                value = [[func.value(x, mf, a, b) for b in monomials] for a in monomials]
+                for j, k in product(range(5), repeat=2):
+                    entries += 1
+                    mismatches += form[j][k] != (value[j][k] + value[k][j].conjugate()) / 2
+    got.append(f"form law {entries - mismatches}/{entries} entries")
+    return ok and mismatches == 0, "; ".join(got)
 
 
 def uniqueness_suite() -> tuple[bool, str]:

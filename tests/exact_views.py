@@ -5,8 +5,9 @@
 U = L^-1, the orthogonal polynomial P_a, and each kernel vector as a
 real ``Poly`` with a zero imaginary part, ``MomentFunctional.shifted_values``
 returns ``(re, im, den)`` sequences and the probe's ``_reduced_pencil``
-returns a ``Pencil`` of integer numerators.  The tests compare them with sympy and with each other through these
-views, built here with ``gauss_scalar`` and nothing else.
+returns the upper entries of its pencil as reduced integer pairs.  The
+tests compare them with sympy and with each other through these views,
+built here with ``gauss_scalar`` and nothing else.
 """
 
 from math import gcd
@@ -32,18 +33,22 @@ def pivot_lower_scalars(ldl) -> tuple[tuple[Scalar, ...], ...]:
     return tuple(rows[p] for p in ldl.pivots)
 
 
-def pencil_scalars(z) -> list[list[Scalar]]:
-    """The full hermitian matrix of a ``probes.Pencil`` as Scalars, row by row.
+def pencil_scalars(entries, n: int) -> list[list[Scalar]]:
+    """The full n x n hermitian pencil of ``probes._reduced_pencil`` as Scalars, row by row.
 
-    The pencil stores its upper triangle; each entry below the diagonal is
-    the conjugate of its mirror.
+    ``entries`` maps (a, c), a <= c, to the parts (re, im) of Z[a][c], each
+    a (numerator, denominator) pair in lowest terms with a positive
+    denominator, or None for a zero part; an entry not listed is zero, and
+    each entry below the diagonal is the conjugate of its mirror.
     """
+    for parts in entries.values():
+        for num, den in filter(None, parts):
+            assert num and den > 0 and gcd(num, den) == 1, parts
 
     def upper(a: int, c: int) -> Scalar:
-        im = 0 if z.im is None else z.im[a][c - a]
-        return gauss_scalar(z.re[a][c - a], im, z.du[a] * z.den * z.du[c])
+        (rn, rd), (im, id_) = (p or (0, 1) for p in entries.get((a, c), (None, None)))
+        return gauss_scalar(rn * id_, im * rd, rd * id_)
 
-    n = len(z.du)
     return [[upper(a, c) if a <= c else upper(c, a).conjugate() for c in range(n)] for a in range(n)]
 
 

@@ -912,6 +912,49 @@ class TestNonRealMoments:
         )
 
 
+MU3 = str(Path(__file__).resolve().parents[1] / "measures" / "mu3.json")
+
+
+class TestInputRefusals:
+    """Refusals of a functional, a degree range or an element: exit 2 with one error line."""
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (
+                ["--functional", "gauss-poly:d", "--degrees", "2..6"],
+                "error: expected a polynomial in q, got 'd'",
+            ),
+            (
+                ["--functional", "F0", "--degrees", "2-6"],
+                "error: bad degree range '2-6'; expected A..B",
+            ),
+            (
+                ["--functional", "F0", "--degrees", "a..b"],
+                "error: bad degree range 'a..b'; expected A..B",
+            ),
+            (
+                ["--functional", "F0", "--degrees", "2..3"],
+                "error: need at least three degrees for a verdict",
+            ),
+        ],
+        ids=["weight-with-d", "range-without-dots", "range-not-integers", "two-degrees"],
+    )
+    def test_probe_refusal(self, capsys, argv, line):
+        assert main(["probe", "--measure", MU3, *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == line + "\n"
+
+    def test_theta_map_refuses_a_gaussian_element(self, capsys, tmp_path):
+        path = tmp_path / "gauss.json"
+        path.write_text(json.dumps({"tag": "gauss", "terms": [[["1"], ["1"]]]}))
+        assert main(["theta-map", "--element", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: theta-map needs an element of the d^2 span\n"
+
+
 # Random measure JSON for the measure-driven commands: moments and atoms
 # far beyond the double range either way, non-real and invalid literals,
 # negative and zero weights, repeated atoms, short moment lists, and the

@@ -5,11 +5,10 @@ unused-code checks.  A ``_``-prefixed function, method or class (dunders
 aside) defined in ``src/starbimod`` must be named somewhere in
 ``src/starbimod`` outside its own definition, as a name, an attribute or
 an imported name.  So must every public function, method or class
-defined outside ``__init__.py``, but for the test references listed in
-``TEST_REFERENCES`` with the reason each is kept, every name in
-``starbimod.__all__``, and every public module constant (a name that a
-module-level assignment outside ``__init__.py`` binds); for these three
-a use in ``__init__.py`` does not count.  Tests do not count as a use.
+defined outside ``__init__.py``, every name in ``starbimod.__all__``,
+and every public module constant (a name that a module-level assignment
+outside ``__init__.py`` binds); for these three a use in
+``__init__.py`` does not count.  Tests do not count as a use.
 A name that a module-level import binds, in the package or in the
 tests, must be read in that module, or re-exported through its
 ``__all__``.  A helper, method, export or constant that a refactor
@@ -144,21 +143,12 @@ def test_every_public_constant_is_read_in_the_package():
     assert _unread_constants(_package()) == []
 
 
-# public defs that only tests reach, each with the reason it is kept
-TEST_REFERENCES = {
-    "weyl_by_products": "the ambient-product reference that tests check the "
-    "classifying triple against; it never reads the triple, so it stays "
-    "independent of the fast path",
-}
-
-
 def _unreached_public_defs(modules: dict[str, ast.Module]) -> list[str]:
     """``file:line name`` of each public function, method or class defined
     outside ``__init__.py`` that no module but ``__init__.py`` names
-    outside its own definition, ``TEST_REFERENCES`` aside."""
+    outside its own definition."""
     modules = {f: t for f, t in modules.items() if f != "__init__.py"}
-    defs, refs = _scan(modules, lambda name: not name.startswith("_"))
-    return _unreferenced([d for d in defs if d[1] not in TEST_REFERENCES], refs)
+    return _unreferenced(*_scan(modules, lambda name: not name.startswith("_")))
 
 
 def test_the_public_def_scan_sees_an_unreached_method():
@@ -167,7 +157,6 @@ def test_the_public_def_scan_sees_an_unreached_method():
         "a.py": ast.parse(
             "class A:\n    def used(self):\n        return 1\n"
             "    def lone(self):\n        return self.lone()\n"
-            "    def weyl_by_products(self):\n        return 2\n"
             "def helper():\n    return A().used()\n"
         ),
         "b.py": ast.parse("from .a import helper\nhelper()\n"),
@@ -488,9 +477,9 @@ FLOAT_ISLANDS = {
     ("cli.py", "_tolerance"): "parses --tolerance, the probe's float plateau tolerance",
     ("probes.py", None): "the numpy import of the one module with eigensolves, and "
     "PLATEAU_TOLERANCE, the probe's default float plateau tolerance",
-    ("probes.py", "_block_lambdas"): "the per-degree hermitian eigensolve",
-    ("probes.py", "_block_lambdas.block"): "the scaled pencil block as a numpy array",
-    ("probes.py", "_block_lambdas.block.entry"): "one pencil entry as a complex double",
+    ("probes.py", "_block_lambdas"): "the hermitian eigensolve of each distinct rank",
+    ("probes.py", "_block_lambdas.block"): "the scaled pencil block as a numpy array of "
+    "complex doubles",
     ("probes.py", "plateau_verdict"): "compares float lambdas within the tolerance",
     ("probes.py", "numerical_radius_norm_check"): "the float eigensolve that picks the "
     "seed vectors and the float norm raised into an exact bound",

@@ -96,19 +96,30 @@ MUTANTS = {
         "algebra.py",
         "_convolve_into(acc_re, acc_im, u.re, u.im, vr, vi, f)",
         "_convolve_into(acc_re, acc_im, u.re, u.im, vr, vi, 1)",
-        (1,),
+        (1, 6),
     ),
+    # F.value reads f through apply and the probe's form through shifted_values,
+    # so criterion 9's form law sees the lost imaginary part
     "apply-reads-only-the-real-part-of-p": (
         "moments.py",
         "sum(map(mul, p.re, m)), sum(map(mul, p.im, m)), p.den * den",
         "sum(map(mul, p.re, m)), 0, p.den * den",
-        (1, 2, 6),
+        (9,),
     ),
     # the probe's form reads the term c h b^(r) as c h b for r > 0
     "form-drops-the-falling-factorial": (
         "probes.py",
         "c * perm(k, r) * (den // d)",
         "c * (den // d)",
+        (9,),
+    ),
+    # the hermitised form adds H's imaginary part to its mirror's, not the conjugate
+    "form-imaginary-weight-symmetric": ("probes.py", "(fj - fk) * b", "(fj + fk) * b", (9,)),
+    # every degree reads the lambda solved for the top rank
+    "probe-reads-the-top-rank-lambda": (
+        "probes.py",
+        "[solved[r] for r in ranks]",
+        "[solved[ranks[-1]] for r in ranks]",
         (9,),
     ),
 }
@@ -123,16 +134,6 @@ SURVIVORS = {
         "no criterion factors a matrix whose zero pivot has a residual entry only right after "
         "it; tier-1's refusals of [[0, i], [-i, 0]] kill it, and ROADMAP item 19 asks the "
         "selftest to"
-    ),
-    "apply-reads-only-the-real-part-of-p": (
-        "F(a x b) = f(a theta(x) b) is a polynomial identity, so both sides lose the same "
-        "imaginary part, and |Re z| <= |z| keeps Cauchy-Schwarz true; tier-1's pinned values "
-        "kill it, and ROADMAP item 19 asks the selftest to"
-    ),
-    "form-drops-the-falling-factorial": (
-        "criterion 9 probes only gauss-poly and gauss-atoms, whose one theta term has r = 0; "
-        "tier-1's pinned probe values kill it, and ROADMAP items 3 (certified verdicts) and 11 "
-        "(F1 and F2 in the probe) should"
     ),
 }
 

@@ -368,8 +368,10 @@ class TestFormIsTheHermitianPart:
 
 
 def fresh_pencil(form, ldl):
-    """The reduced pencil against ``ldl`` and its own rows of L^-1, no cache involved."""
-    return _reduced_pencil(form, nullspace(ldl)[0])
+    """The reduced pencil's entries against ``ldl`` and its own rows of L^-1,
+    no cache involved, with its size."""
+    rows = nullspace(ldl)[0]
+    return _reduced_pencil(form, rows)[0], len(rows)
 
 
 def _dm(rows) -> DomainMatrix:
@@ -423,7 +425,7 @@ class TestPencilCongruence:
     def test_congruence_restores_the_form(self, mname, top, func, x):
         mf = MEASURES[mname]
         ldl = ldl_psd(hankel_gram(mf, top))
-        z = pencil_scalars(fresh_pencil(form_numerators(func, x, mf, top), ldl))
+        z = pencil_scalars(*fresh_pencil(form_numerators(func, x, mf, top), ldl))
         h = reference_form(func, x, mf, top)
         piv = ldl.pivots
         lower = _dm(pivot_lower_scalars(ldl))
@@ -463,9 +465,9 @@ class TestPencilCongruence:
             assert not any(im for row in ldl.lower for _, im, _ in row)
             y = Matrix([[scalar() for _ in range(n)] for _ in range(n)])
             h = y + y.adjoint()
-            pencil = fresh_pencil(h, ldl)
-            complex_forms += pencil.im is not None
-            z = pencil_scalars(pencil)
+            entries, size = fresh_pencil(h, ldl)
+            complex_forms += any(im for _, im in entries.values())
+            z = pencil_scalars(entries, size)
             piv = ldl.pivots
             lower = _dm(pivot_lower_scalars(ldl))
             expected = _dm([[h[a, c] for c in piv] for a in piv])
@@ -476,12 +478,12 @@ class TestPencilCongruence:
     def test_leading_block_is_the_lower_degree_reduction(self, mname, top, func, x):
         mf = MEASURES[mname]
         ldl = ldl_psd(hankel_gram(mf, top))
-        z = pencil_scalars(fresh_pencil(form_numerators(func, x, mf, top), ldl))
+        z = pencil_scalars(*fresh_pencil(form_numerators(func, x, mf, top), ldl))
         for n in range(top):
             small = ldl_psd(hankel_gram(mf, n))
             r = len(small.pivots)
             assert r == sum(p <= n for p in ldl.pivots)
-            zn = pencil_scalars(fresh_pencil(form_numerators(func, x, mf, n), small))
+            zn = pencil_scalars(*fresh_pencil(form_numerators(func, x, mf, n), small))
             assert zn == [row[:r] for row in z[:r]], n
 
 
@@ -1044,7 +1046,7 @@ class TestHermiteOracle:
     def test_integer_pencil_is_the_derivative(self):
         mf = self.GAUSS64
         ldl = ldl_psd(hankel_gram(mf, self.TOP))
-        z = pencil_scalars(fresh_pencil(form_numerators(Functional("F1"), D2, mf, self.TOP), ldl))
+        z = pencil_scalars(*fresh_pencil(form_numerators(Functional("F1"), D2, mf, self.TOP), ldl))
         for a in range(self.TOP + 1):
             for c in range(self.TOP + 1):
                 k = max(a, c)
