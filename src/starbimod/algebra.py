@@ -78,7 +78,20 @@ def _ratio(value) -> tuple[int, int]:
     raise TypeError(f"cannot build a rational from {type(value).__name__}")
 
 
-class Scalar:
+class Immutable:
+    """A base for the hand-slotted value types: no attribute is set after construction.
+
+    Construction sets the slots through their descriptors or
+    ``object.__setattr__``, which this method does not reach.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class Scalar(Immutable):
     """A Gaussian rational (re_num + im_num*i) / den, stored as three ints.
 
     The form is canonical, as one ``Poly`` coefficient is: den > 0 and
@@ -97,9 +110,6 @@ class Scalar:
         _set_re(self, a * (den // rd))
         _set_im(self, b * (den // id_))
         _set_den(self, den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Scalar is immutable")
 
     def __reduce__(self):
         # copy and pickle rebuild from the canonical ints, not through __setattr__
@@ -311,7 +321,7 @@ def parse_real(text: str) -> Fraction:
     return z.re
 
 
-class Poly:
+class Poly(Immutable):
     """Polynomial in q with Gaussian-rational coefficients, in canonical form.
 
     Stored as Gaussian-integer numerators over one denominator: the
@@ -325,9 +335,6 @@ class Poly:
     def __init__(self, coeffs=()):
         [(re, im)], den = gauss_numerators([[Scalar.coerce(c) for c in coeffs]])
         _store(self, re, im, den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Poly is immutable")
 
     def __reduce__(self):
         return Poly.from_numerators, (self.re, self.im, self.den)

@@ -21,7 +21,7 @@ from .gns import Functional, build_gns, check_cauchy_schwarz, check_identity
 from .moments import MomentFunctional
 from .parser import MAX_DIGITS, exceeds_digits, parse_expression
 from .probes import PLATEAU_TOLERANCE, boundedness_probe, norm_bound_trials
-from .sampling import rand_d2_element, rand_gauss_element, rand_poly
+from .sampling import rand_case
 from .selftest import run_all
 
 
@@ -202,16 +202,6 @@ def _cmd_theta_map(args) -> int:
     return 0
 
 
-def _random_case(rng, func, mf, max_degree):
-    a = rand_poly(rng, max_degree)
-    b = rand_poly(rng, max_degree)
-    if func.tag is Generator.D2:
-        x = rand_d2_element(rng, max_terms=4, max_degree=min(4, max_degree))
-    else:
-        x = rand_gauss_element(rng, max_degree=min(4, max_degree))
-    return a, x, b
-
-
 def _run_trials(args, check: str, key: str, claim: str, trial) -> int:
     """Gate the measure, then run ``trial(func, a, x, b, mf)`` on seeded random cases.
 
@@ -225,7 +215,7 @@ def _run_trials(args, check: str, key: str, claim: str, trial) -> int:
     failures = 0
     witness = None
     for _ in range(args.trials):
-        a, x, b = _random_case(rng, func, mf, args.max_degree)
+        a, x, b = rand_case(rng, func.tag, args.max_degree)
         found = trial(func, a, x, b, mf)
         if found is not None:
             failures += 1

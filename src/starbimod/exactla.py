@@ -31,11 +31,11 @@ from itertools import chain
 from math import gcd, lcm
 from typing import NamedTuple
 
-from .algebra import Poly, Scalar, gauss_numerators, gauss_scalar
+from .algebra import Immutable, Poly, Scalar, gauss_numerators, gauss_scalar
 from .errors import DimensionMismatchError, NotPositiveError
 
 
-class Matrix:
+class Matrix(Immutable):
     """Immutable rectangular matrix of Gaussian rationals, in canonical form.
 
     Stored as Gaussian-integer numerator rows over one denominator: entry
@@ -54,9 +54,6 @@ class Matrix:
             raise DimensionMismatchError("ragged rows")
         nums, den = gauss_numerators(rows)
         _store(self, [r for r, _ in nums], [i for _, i in nums], den, ncols)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Matrix is immutable")
 
     def __reduce__(self):
         return Matrix.from_numerators, (self.re, self.im, self.den, self.ncols)

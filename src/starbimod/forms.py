@@ -25,12 +25,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import ZERO, Poly
+from .algebra import ZERO, Immutable, Poly
 from .errors import DimensionMismatchError
 from .exactla import Matrix, ldl_psd, poly_at
 
 
-class ActionTable:
+class ActionTable(Immutable):
     """Generator action R and Gram matrix G on a dim-dimensional domain.
 
     A table evaluates each polynomial p at R once: it keeps R(p) and the
@@ -60,9 +60,6 @@ class ActionTable:
         object.__setattr__(self, "gen", gen)
         object.__setattr__(self, "gram", gram)
         object.__setattr__(self, "_memo", {})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ActionTable is immutable")
 
     def __reduce__(self):
         # copy and pickle rebuild through __init__, which checks the data again; _memo is dropped

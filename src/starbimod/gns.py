@@ -79,7 +79,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
 
-from .algebra import P_ONE, Poly, Scalar, _ratio, sum_of_products
+from .algebra import P_ONE, Poly, Scalar, sum_of_products
 from .bimodule import BimodElement, Generator
 from .errors import (
     MomentMismatchError,
@@ -87,7 +87,7 @@ from .errors import (
     VariantMismatchError,
 )
 from .exactla import Matrix, ldl_psd, nullspace
-from .moments import MomentFunctional, _over_top
+from .moments import MomentFunctional
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -113,14 +113,9 @@ class GnsRealization:
 
 
 def hankel_gram(mf: MomentFunctional, degree: int) -> Matrix:
-    """The Gram matrix G_{jk} = m_{j+k} on q^0..q^N; needs moments up to 2N.
-
-    The Hankel matrix of the moments' numerators over den * x^(2N),
-    reduced once.
-    """
-    nums, den, x = mf.numerators(2 * degree)
-    m, den = _over_top(den, x, 2 * degree, nums)
-    return _hankel(m, den, degree + 1)
+    """The Gram matrix G_{jk} = m_{j+k} on q^0..q^N; needs moments up to 2N."""
+    m, n = mf.moments_up_to(2 * degree), degree + 1
+    return Matrix([m[j : j + n] for j in range(n)])
 
 
 def _hankel(values, den: int, n: int) -> Matrix:
@@ -207,8 +202,8 @@ class Functional:
         elif self.kind == "gauss-atoms":
             if self.atom_values is None or self.weight is not None:
                 raise ValueError("gauss-atoms needs per-atom values")
-            # an int or a Fraction only, as for a Scalar: text comes through parse_real
-            values = tuple(Fraction(*_ratio(v)) for v in self.atom_values)
+            # an int or a Fraction only: text comes through parse_real
+            values = tuple(Scalar(v).re for v in self.atom_values)
             object.__setattr__(self, "atom_values", values)
         else:
             raise ValueError(f"unknown functional kind {self.kind!r}")

@@ -46,9 +46,9 @@ from math import lcm
 from operator import mul
 
 from .algebra import (
+    Immutable,
     Poly,
     Scalar,
-    _ratio,
     gauss_numerators,
     gauss_scalar,
     parse_real,
@@ -57,7 +57,7 @@ from .algebra import (
 from .errors import MomentOutOfRangeError, NotPositiveError
 
 
-class MomentFunctional:
+class MomentFunctional(Immutable):
     """f(p) = integral of p against a measure, exactly."""
 
     # _nums is ``numerators``' (nums, den, x); an atomic measure's power
@@ -77,8 +77,8 @@ class MomentFunctional:
         if atoms is not None:
             pts = []
             for x, w in atoms:
-                # an int or a Fraction only, as for a Scalar: text comes through parse_real
-                x, w = Fraction(*_ratio(x)), Fraction(*_ratio(w))
+                # an int or a Fraction only: text comes through parse_real
+                x, w = Scalar(x).re, Scalar(w).re
                 if w < 0:
                     raise ValueError(f"negative atom weight {w}")
                 pts.append((x, w))
@@ -99,9 +99,6 @@ class MomentFunctional:
             object.__setattr__(self, "_nums", (tuple(re), den, 1))
             object.__setattr__(self, "_atom_nums", None)
         object.__setattr__(self, "_gns", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MomentFunctional is immutable")
 
     def __reduce__(self):
         # copy and pickle rebuild from the constructor's data; the caches are dropped

@@ -57,6 +57,18 @@ def rand_gauss_element(rng: random.Random, max_degree: int = 4) -> BimodElement:
     return BimodElement.gauss(rand_poly(rng, max_degree))
 
 
+def rand_case(
+    rng: random.Random, tag: Generator, max_degree: int
+) -> tuple[Poly, BimodElement, Poly]:
+    """One (a, x, b) case: a, then b, of degree up to ``max_degree``, then x
+    of generator ``tag`` at degree up to min(4, ``max_degree``)."""
+    a = rand_poly(rng, max_degree)
+    b = rand_poly(rng, max_degree)
+    if tag is Generator.D2:
+        return a, rand_d2_element(rng, max_terms=4, max_degree=min(4, max_degree)), b
+    return a, rand_gauss_element(rng, max_degree=min(4, max_degree)), b
+
+
 def mu3() -> MomentFunctional:
     """Unit masses at -1, 0, 1."""
     return MomentFunctional.atomic([(-1, 1), (0, 1), (1, 1)])

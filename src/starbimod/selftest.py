@@ -46,6 +46,7 @@ from .probes import (
 from .sampling import (
     atoms012,
     mu3,
+    rand_case,
     rand_d2_element,
     rand_gauss_element,
     rand_poly,
@@ -87,9 +88,7 @@ def representation_identity_d2() -> tuple[bool, str]:
     for _ in range(trials):
         func = rng.choice(variants)
         _, mf = rng.choice(measures)
-        a = rand_poly(rng, 6)
-        b = rand_poly(rng, 6)
-        x = rand_d2_element(rng, max_terms=4, max_degree=4)
+        a, x, b = rand_case(rng, func.tag, 6)
         if not check_identity(func, a, x, b, mf).equal:
             failures += 1
     elapsed = time.monotonic() - started
@@ -105,9 +104,7 @@ def representation_identity_gauss() -> tuple[bool, str]:
     for _ in range(trials):
         func = Functional.gauss_poly(rng.choice(weights))
         mf = rng.choice(measures)
-        a = rand_poly(rng, 6)
-        b = rand_poly(rng, 6)
-        x = rand_gauss_element(rng, max_degree=4)
+        a, x, b = rand_case(rng, func.tag, 6)
         if not check_identity(func, a, x, b, mf).equal:
             failures += 1
     base = mu3()
@@ -116,9 +113,7 @@ def representation_identity_gauss() -> tuple[bool, str]:
         func = Functional.gauss_atoms(
             [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in base.atoms]
         )
-        a = rand_poly(rng, 6)
-        b = rand_poly(rng, 6)
-        x = rand_gauss_element(rng, max_degree=4)
+        a, x, b = rand_case(rng, func.tag, 6)
         if not check_identity(func, a, x, b, base).equal:
             atom_failures += 1
     return (

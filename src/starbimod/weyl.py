@@ -28,7 +28,7 @@ from itertools import chain
 from math import comb, gcd, lcm, perm
 from types import MappingProxyType
 
-from .algebra import I, ONE, Poly, Scalar, format_sum, gauss_numerators, gauss_scalar
+from .algebra import I, ONE, Immutable, Poly, Scalar, format_sum, gauss_numerators, gauss_scalar
 from .algebra import power, power_text
 
 
@@ -38,7 +38,7 @@ def _normal_dq(n: int, m: int):
         yield (m - k, n - k), comb(n, k) * perm(m, k)
 
 
-class WeylElement:
+class WeylElement(Immutable):
     """Normal-ordered element sum c_{mn} q^m d^n."""
 
     # _groups caches the terms for apply; it is not part of the value
@@ -50,9 +50,6 @@ class WeylElement:
             raise ValueError("negative power")
         [(re, im)], den = gauss_numerators([[Scalar.coerce(c) for _, c in items]])
         _store(self, (((m, n), a, b) for ((m, n), _), a, b in zip(items, re, im)), den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("WeylElement is immutable")
 
     def __reduce__(self):
         # the stored dict is a read-only view, which pickle cannot take

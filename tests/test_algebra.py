@@ -19,6 +19,7 @@ from starbimod.algebra import (
     I,
     ONE,
     P_ONE,
+    Immutable,
     Poly,
     Q,
     Scalar,
@@ -578,3 +579,20 @@ def test_value_types_survive_copy_and_pickle(name, route):
         assert out == value and hash(out) == hash(value)
     if isinstance(value, BimodElement):
         assert out.equivalent(value)
+
+
+def test_the_hand_slotted_types_refuse_every_assignment():
+    """The six hand-slotted types share one guard, which names each type."""
+    guarded = [v for v in _COPY_VALUES.values() if isinstance(v, Immutable)]
+    assert {type(v).__name__ for v in guarded} == {
+        "Scalar",
+        "Poly",
+        "Matrix",
+        "WeylElement",
+        "MomentFunctional",
+        "ActionTable",
+    }
+    for value in guarded:
+        for name in (*type(value).__slots__, "extra"):
+            with pytest.raises(AttributeError, match=f"^{type(value).__name__} is immutable$"):
+                setattr(value, name, 1)

@@ -26,6 +26,11 @@ its default; ``DEFAULT_ONLY`` lists the exemptions with their reasons.  And the 
 ``complex(`` call, a float or complex literal, or a numpy import or name
 may appear only in the functions that ``FLOAT_ISLANDS`` lists, each with
 its reason.
+
+Every parameter of a package function is read in its body, and no module
+imports another module's ``_``-private name, so each job keeps one owner;
+``UNREAD_PARAMETERS`` and ``PRIVATE_IMPORTS`` list the exemptions with
+their reasons.
 """
 
 import ast
@@ -467,6 +472,113 @@ def test_the_default_scan_sees_a_default_only_dataclass_field():
 
 def test_every_defaulted_parameter_is_passed():
     assert _unpassed_defaults(_package()) == []
+
+
+# each parameter that a package function does not read, with the reason
+UNREAD_PARAMETERS = {
+    ("cli.py", "_cs_trial", "b"): "both trial functions share one signature, so one seed "
+    "gives gns-check and cs-check the same cases",
+}
+
+
+def _unread_parameters(modules: dict[str, ast.Module]) -> set[tuple[str, str, str]]:
+    """``(file, function, parameter)`` of each parameter that its function's
+    body, nested functions included, never reads.  A method's bound first
+    parameter and a dunder's, whose signature the data model fixes, are
+    left out."""
+    found = set()
+    for file, tree in modules.items():
+        for func, owner in _functions(tree):
+            if func.name.startswith("__") and func.name.endswith("__"):
+                continue
+            args = func.args
+            params = args.posonlyargs + args.args + args.kwonlyargs
+            params += [a for a in (args.vararg, args.kwarg) if a is not None]
+            if owner is not None and not any(
+                isinstance(d, ast.Name) and d.id == "staticmethod" for d in func.decorator_list
+            ):
+                params = params[1:]
+            read = {
+                n.id for n in ast.walk(func) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            }
+            found |= {(file, func.name, a.arg) for a in params if a.arg not in read}
+    return found
+
+
+def test_the_parameter_scan_sees_an_unread_parameter():
+    modules = {
+        "a.py": ast.parse(
+            "def f(a, b, *rest, c, **extra):\n    b = a\n    return extra\n"
+            "def g(u):\n    def inner():\n        return u\n    return inner\n"
+            "class K:\n"
+            "    def m(self, x):\n        return 0\n"
+            "    @staticmethod\n    def s(v):\n        return 0\n"
+            "    def __exit__(self, kind, value, trace):\n        return False\n"
+        ),
+    }
+    assert _unread_parameters(modules) == {
+        ("a.py", "f", "b"),
+        ("a.py", "f", "rest"),
+        ("a.py", "f", "c"),
+        ("a.py", "m", "x"),
+        ("a.py", "s", "v"),
+    }
+
+
+def test_every_parameter_is_read():
+    assert _unread_parameters(_package()) == set(UNREAD_PARAMETERS)
+
+
+# each ``_``-private name that a module imports from another module of the
+# package, with the reason
+PRIVATE_IMPORTS = {
+    ("parser.py", "weyl", "_new"): "the parser is the Weyl algebra's front end: it builds "
+    "each element from canonical numerators, as the Weyl module does",
+    ("parser.py", "weyl", "_ONE"): "the parser is the Weyl algebra's front end: the unit "
+    "element is its empty product",
+}
+
+
+def _private_imports(modules: dict[str, ast.Module]) -> set[tuple[str, str, str]]:
+    """``(file, module, name)`` of each ``_``-private name that a module of
+    ``modules`` imports from another module of the package, by a relative
+    import or as an attribute of a module that ``from . import`` binds."""
+    found = set()
+    for file, tree in modules.items():
+        siblings = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                if node.module is None:
+                    siblings |= {a.asname or a.name: a.name for a in node.names}
+                else:
+                    found |= {
+                        (file, node.module, a.name) for a in node.names if _is_private(a.name)
+                    }
+        found |= {
+            (file, siblings[node.value.id], node.attr)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in siblings
+            and _is_private(node.attr)
+        }
+    return found
+
+
+def test_the_private_import_scan_sees_a_planted_import():
+    modules = {
+        "a.py": ast.parse(
+            "from .b import _helper, Public, __version__\n"
+            "from . import c as sibling\n"
+            "from math import _private\n"
+            "sibling._cache.clear()\nsibling.public()\n"
+        ),
+    }
+    assert _private_imports(modules) == {("a.py", "b", "_helper"), ("a.py", "c", "_cache")}
+
+
+def test_no_module_imports_another_modules_private_name():
+    assert _private_imports(_package()) == set(PRIVATE_IMPORTS)
 
 
 # each place in the package that may use floats, keyed by its file and
