@@ -19,12 +19,12 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 from .algebra import I, P_ONE, Poly, Q, Scalar
 from .bimodule import BimodElement, Generator
 from .errors import MomentMismatchError, NotPositiveError
-from .exactla import Matrix, inverse
+from .exactla import Matrix, inverse, ldl_psd
 from .forms import ActionTable, FormMatrix, form_from_operator
 from .gns import (
     Functional,
@@ -76,6 +76,11 @@ def _measures():
         "lebesgue01": MomentFunctional.lebesgue_unit(64),
         "gaussian": MomentFunctional.gaussian(64),
     }
+
+
+def _cluster() -> MomentFunctional:
+    """Sixteen atoms, 1/n with weight 1/2^n for n = 1..16."""
+    return MomentFunctional.atomic([(Fraction(1, n), Fraction(1, 2**n)) for n in range(1, 17)])
 
 
 def representation_identity_d2() -> tuple[bool, str]:
@@ -316,9 +321,7 @@ def boundedness_classification() -> tuple[bool, str]:
     degrees = range(2, 11)
     gaussian = MomentFunctional.gaussian(64)
     bounded_measure = mu3()
-    cluster = MomentFunctional.atomic(
-        [(Fraction(1, n), Fraction(1, 2**n)) for n in range(1, 17)]
-    )
+    cluster = _cluster()
     unit = BimodElement.gauss(1)
     cases = [
         ("flat-on-atoms", Functional.gauss_poly(P_ONE), bounded_measure, BOUNDED, BOUNDED),
@@ -376,9 +379,24 @@ def uniqueness_suite() -> tuple[bool, str]:
         check_intertwiner(base, atoms012(), max_degree)
     except MomentMismatchError:
         mismatch_seen = True
+    # the tower law: a realization built afresh at N is the leading part of
+    # one built at the top, and its pivots and kernel vectors count N + 1
+    top, towers, tower_failures = 24, 0, 0
+    for make in (mu3, atoms012, _cluster):
+        warm = make()
+        build_gns(warm, top)
+        for n in range(1, top):
+            fresh, lead = build_gns(make(), n), build_gns(warm, n)
+            towers += 1
+            tower_failures += (
+                len(fresh.pivots) + len(fresh.kernel) != n + 1
+                or (fresh.degree, fresh.pivots, fresh.diag, fresh.rows, fresh.kernel)
+                != (lead.degree, lead.pivots, lead.diag, lead.rows, lead.kernel)
+            )
     return (
-        ok and mismatch_seen,
-        f"equal-moment presentations agree for degrees 1..{max_degree}, mismatch rejected",
+        ok and mismatch_seen and tower_failures == 0,
+        f"equal-moment presentations agree for degrees 1..{max_degree}, mismatch rejected, "
+        f"{towers - tower_failures}/{towers} fresh towers match the warm one's leading part",
     )
 
 
@@ -411,9 +429,33 @@ def psd_gate() -> tuple[bool, str]:
         )
         if vanishing and orthogonal:
             accepted += 1
+    # the principal-minor law: a PSD matrix has every 2 x 2 principal minor
+    # a_jj a_kk - |a_jk|^2 >= 0, computed here on its Gaussian integers
+    rng = random.Random(709)
+    matrices, passed, negative_minors = 2000, 0, 0
+    for _ in range(matrices):
+        n = rng.randint(2, 4)
+        re = [[rng.randint(0, 2) if j == k else 0 for k in range(n)] for j in range(n)]
+        im = [[0] * n for _ in range(n)]
+        for j, k in combinations(range(n), 2):
+            if rng.randrange(5) < 2:
+                re[j][k] = re[k][j] = rng.randint(-2, 2)
+                im[j][k] = rng.randint(-2, 2)
+                im[k][j] = -im[j][k]
+        try:
+            ldl_psd(Matrix.from_numerators(re, im, 1, n))
+        except NotPositiveError:
+            continue
+        passed += 1
+        negative_minors += sum(
+            re[j][j] * re[k][k] < re[j][k] ** 2 + im[j][k] ** 2
+            for j, k in combinations(range(n), 2)
+        )
     return (
-        rejected == 2 and accepted == runs,
-        f"2/2 indefinite sequences rejected, {accepted}/{runs} atomic measures pass",
+        rejected == 2 and accepted == runs and negative_minors == 0,
+        f"2/2 indefinite sequences rejected, {accepted}/{runs} atomic measures pass, "
+        f"{negative_minors} negative 2x2 principal minors among {passed}/{matrices} "
+        "matrices that ldl_psd passes",
     )
 
 

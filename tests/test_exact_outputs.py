@@ -4,14 +4,28 @@ Each test hashes the reprs of exact results over seeded inputs and
 compares the sha256 with the value recorded before the arithmetic under
 it was last rewritten.  A mismatch means some exact value changed; find
 it by printing the reprs at both commits.
+
+A probe report's lambda_N is a float from ``numpy.linalg.eigvalsh``, whose
+last bits depend on the BLAS kernel the host selects.  So the probe pins
+hash each report's exact fields (degrees, pivots, ranks, ``max_bits`` and
+the verdict) and compare each lambda_N with its value in
+``probe_lambdas.json`` to within ``LAMBDA_ULPS`` units in the last place.
 """
 
 import hashlib
 import json
+import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy
+import pytest
+
+import starbimod
 from starbimod.algebra import Poly
 from starbimod.bimodule import BimodElement
 from starbimod.gns import Functional, check_cauchy_schwarz, check_identity
@@ -30,8 +44,15 @@ ROOT = Path(__file__).resolve().parents[1]
 
 GNS_SHA256 = "edc6447578d840811b0beb8a223b516da893c0c9ee0c00116a3694c065e939cf"
 FORM_SHA256 = "bd76741257260c4c5b92d615dc1eaf21a0a138f01ecc51ed712a2a2214c2c41c"
-PROBE_SHA256 = "03f4cbb79fb408d7e0e4490ffe0c02ce5c5ab31bbcb1717dd045572ed5383b93"
-TOWER_SHA256 = "172a57cb17f878b2f6903ec1b96f351ba530d91fd5a7be5d92a4f4064bf8b347"
+PROBE_SHA256 = "de7c46c7cdf6397cdcc4d07c842639124238bfc96e95f0b2fcd20be70e6ec8b7"
+TOWER_SHA256 = "de541b9477376bf6414a82d10c8da4d2fc1dc1f6aa46ebfb831a5e4533463b96"
+LAMBDAS = ROOT / "tests" / "probe_lambdas.json"
+# Under every OpenBLAS kernel this AVX-512 host can force (SkylakeX, the
+# default; Haswell; Sandybridge; Nehalem; Katmai) the exact fields stay and
+# at most 64 of the 335 pinned lambdas move, by at most 8 ulps (9.9e-16
+# relative).  64 ulps leaves room for other kernels and is still some 70
+# times below a 1e-12 relative move.
+LAMBDA_ULPS = 64
 
 
 def _file_measure(name: str) -> MomentFunctional:
@@ -91,8 +112,8 @@ def _form_lines():
             yield f"{mname} {n} {form_numerators(func, x, mf, n)!r}"
 
 
-def _probe_lines():
-    """ProbeReport reprs: the probe benchmark's catalogue, a complex d^2 element
+def _probe_reports():
+    """(label, ProbeReport) pairs: the probe benchmark's catalogue, a complex d^2 element
     and a gauss-atoms probe on mu3."""
     gauss64 = _file_measure("gauss64.json")
     measures = {
@@ -108,7 +129,7 @@ def _probe_lines():
         for mname in ("gauss64", "lebesgue01-64"):
             for kind in ("F0", "F1", "F2"):
                 report = boundedness_probe(Functional(kind), d2, measures[mname], degrees)
-                yield f"{kind} d2 {mname} {report!r}"
+                yield f"{kind} d2 {mname} 2..{degrees.stop - 1}", report
     # the criterion-9 probes, theta and rho of each, on the short tower
     criterion9 = (
         ("flat-on-atoms", Functional.gauss_poly(Poly([1])), "mu3"),
@@ -117,28 +138,47 @@ def _probe_lines():
         ("linear-on-gaussian", Functional.gauss_poly(Poly([0, 1])), "gauss64"),
     )
     for name, func, mname in criterion9:
-        yield f"{name} theta {boundedness_probe(func, unit, measures[mname], short)!r}"
-        yield f"{name} rho {generator_probe(measures[mname], short)!r}"
+        yield f"{name} theta", boundedness_probe(func, unit, measures[mname], short)
+        yield f"{name} rho", generator_probe(measures[mname], short)
     # hermitian d^2 elements with Gaussian-complex coefficients; F2 makes H complex
     rng = random.Random(14)
     for mname, mf in measures.items():
         for kind in ("F0", "F1", "F2"):
             y = rand_d2_element(rng, 3, 3)
             report = boundedness_probe(Functional(kind), y + y.involution(), mf, range(2, 9))
-            yield f"{kind} complex-d2 {mname} {report!r}"
+            yield f"{kind} complex-d2 {mname}", report
     func = Functional.gauss_atoms([rand_fraction(rng) for _ in range(3)])
     x = BimodElement.gauss(Poly([rand_fraction(rng) for _ in range(4)]))
-    yield f"gauss-atoms mu3 {boundedness_probe(func, x, mu3(), range(0, 7))!r}"
+    yield "gauss-atoms mu3", boundedness_probe(func, x, mu3(), range(0, 7))
 
 
-def _tower_lines():
-    """ProbeReport reprs of two cold high-degree towers on the 16-atom cluster,
+def _tower_reports():
+    """(label, ProbeReport) pairs of two cold high-degree towers on the 16-atom cluster,
     a new measure object each: the generator over 2..24 and steep-on-cluster
     (gauss-atoms) over 2..18."""
-    yield f"rho cluster {generator_probe(_cluster(), range(2, 25))!r}"
+    yield "rho cluster", generator_probe(_cluster(), range(2, 25))
     steep = Functional.gauss_atoms(range(1, 17))
     report = boundedness_probe(steep, BimodElement.gauss(1), _cluster(), range(2, 19))
-    yield f"steep-on-cluster theta {report!r}"
+    yield "steep-on-cluster theta", report
+
+
+def _exact_lines(reports):
+    for label, r in reports:
+        yield f"{label} {r.degrees} {r.pivots} {r.ranks} {r.max_bits} {r.verdict}"
+
+
+def _lambdas_off_their_pins(reports, pins) -> list[str]:
+    """Each report whose lambdas are not its pinned ones to within
+    ``LAMBDA_ULPS`` ulps of the pin, as ``label: computed != pinned``."""
+    off = []
+    for label, report in reports:
+        pinned = [float.fromhex(h) for h in pins[label]]
+        if len(pinned) != len(report.lambdas) or any(
+            abs(value - pin) > LAMBDA_ULPS * math.ulp(pin)
+            for value, pin in zip(report.lambdas, pinned)
+        ):
+            off.append(f"{label}: {report.lambdas} != {pinned}")
+    return off
 
 
 def test_gns_reports_pinned():
@@ -149,9 +189,67 @@ def test_gauss_atoms_forms_pinned():
     assert _digest(_form_lines()) == FORM_SHA256
 
 
+def _assert_pinned(name: str, reports, exact_sha256: str) -> None:
+    reports = list(reports)
+    pins = json.loads(LAMBDAS.read_text(encoding="utf-8"))[name]
+    assert [label for label, _ in reports] == list(pins)
+    assert _digest(_exact_lines(reports)) == exact_sha256
+    assert _lambdas_off_their_pins(reports, pins) == []
+
+
 def test_probe_reports_pinned():
-    assert _digest(_probe_lines()) == PROBE_SHA256
+    _assert_pinned("probe", _probe_reports(), PROBE_SHA256)
 
 
 def test_cold_atomic_towers_pinned():
-    assert _digest(_tower_lines()) == TOWER_SHA256
+    _assert_pinned("tower", _tower_reports(), TOWER_SHA256)
+
+
+def test_the_lambda_pins_see_a_relative_move_of_1e_12():
+    label, report = next(_probe_reports())
+    pins = {label: [v.hex() for v in report.lambdas]}
+    assert _lambdas_off_their_pins([(label, report)], pins) == []
+    pins = {label: [(v * (1 + 1e-12)).hex() for v in report.lambdas]}
+    assert len(_lambdas_off_their_pins([(label, report)], pins)) == 1
+
+
+def _haswell_selectable() -> bool:
+    """Whether ``OPENBLAS_CORETYPE=Haswell`` selects a kernel this host runs:
+    numpy's BLAS is OpenBLAS built with DYNAMIC_ARCH, and the CPU has AVX2."""
+    config = numpy.show_config(mode="dicts")
+    blas = config["Build Dependencies"]["blas"]
+    simd = config["SIMD Extensions"]
+    return (
+        "openblas" in blas["name"]
+        and "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
+        and bool({"AVX2", "X86_V3"} & {*simd["baseline"], *simd["found"]})
+    )
+
+
+@pytest.mark.skipif(
+    not _haswell_selectable(),
+    reason="numpy's BLAS is not OpenBLAS with DYNAMIC_ARCH on an AVX2 CPU, "
+    "so OPENBLAS_CORETYPE=Haswell selects no kernel here",
+)
+def test_the_probe_pins_hold_under_the_haswell_kernel():
+    """The two probe pins pass with OpenBLAS forced to its AVX2 kernels, as on
+    most AMD and pre-2017 Intel hosts."""
+    env = {
+        **os.environ,
+        "OPENBLAS_CORETYPE": "Haswell",
+        "OPENBLAS_VERBOSE": "2",
+        "PYTHONPATH": os.pathsep.join(
+            [str(Path(starbimod.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+        ),
+    }
+    pins = (test_probe_reports_pinned, test_cold_atomic_towers_pinned)
+    tests = [f"{__file__}::{t.__name__}" for t in pins]
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-s", "-p", "no:cacheprovider", *tests],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert "Core: Haswell" in run.stdout + run.stderr
+    assert run.returncode == 0, run.stdout

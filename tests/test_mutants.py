@@ -4,20 +4,18 @@ Each mutant is a (file, old text, new text) patch applied to a copy of the
 ``starbimod`` package under ``tmp_path``.  The test asserts that the patch
 applied, so a mutant whose text no longer occurs in the source fails here
 instead of passing unnoticed, then runs the criteria the mutant names from
-``selftest.ALL_CHECKS`` on the copy, in a subprocess, and asserts that
-each of them fails.  A mutant that no criterion kills yet is marked
+``selftest.ALL_CHECKS`` on the copy, in a child forked by
+``forked.run_forked``, and asserts that each of them fails.  A mutant
+that no criterion kills yet is listed in ``SURVIVORS`` and marked
 ``xfail(strict=True)`` with the ROADMAP item that should kill it, so the
 mark fails once that item lands.
 """
 
-import json
-import os
 import shutil
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
+from forked import run_forked
 
 import starbimod
 
@@ -77,7 +75,7 @@ MUTANTS = {
         "gns.py",
         "GnsRealization(degree, pivots, diag, rows, kernel)",
         "GnsRealization(degree, pivots, diag, rows, kernel[:-1])",
-        (10, 11),
+        (10,),
     ),
     "ldl-reads-the-residual-row-from-two-past-the-pivot": (
         "exactla.py",
@@ -125,29 +123,17 @@ MUTANTS = {
 }
 
 # mutants that survive every criterion today, with the reason
-SURVIVORS = {
-    "build-gns-drops-its-last-kernel-vector": (
-        "both presentations in criterion 10 lose the same vector and criterion 11 "
-        "checks only the vectors kept; ROADMAP item 5 (the concrete intertwiner) should kill it"
-    ),
-    "ldl-reads-the-residual-row-from-two-past-the-pivot": (
-        "no criterion factors a matrix whose zero pivot has a residual entry only right after "
-        "it; tier-1's refusals of [[0, i], [-i, 0]] kill it, and ROADMAP item 19 asks the "
-        "selftest to"
-    ),
-}
+SURVIVORS: dict[str, str] = {}
 
-# runs the named criteria of the copy and prints, as JSON, where the
-# package was imported from and each criterion's index, verdict and detail;
-# it calls each criterion's body, not ``run_check``, so a crash exits
-# nonzero and fails the test instead of reading as a FAIL
-RUNNER = """
-import json, sys
-import starbimod
-from starbimod import selftest
-results = [[i, *selftest.ALL_CHECKS[i - 1][1]()] for i in json.loads(sys.argv[1])]
-print(json.dumps([starbimod.__file__, results]))
-"""
+
+def criteria_of_the_copy(criteria: list[int]) -> list:
+    """Where ``starbimod`` was imported from, and each named criterion's
+    index, verdict and detail.  It calls each criterion's body, not
+    ``run_check``, so a crash fails the test instead of reading as a FAIL."""
+    import starbimod
+    from starbimod import selftest
+
+    return [starbimod.__file__, [[i, *selftest.ALL_CHECKS[i - 1][1]()] for i in criteria]]
 
 
 def mutated_copy(root: Path, file: str, old: str, new: str) -> Path:
@@ -173,18 +159,8 @@ def mutated_copy(root: Path, file: str, old: str, new: str) -> Path:
 def test_selftest_kills_mutant(name, tmp_path):
     file, old, new, criteria = MUTANTS[name]
     root = mutated_copy(tmp_path, file, old, new)
-    env = {**os.environ, "PYTHONPATH": str(root), "PYTHONDONTWRITEBYTECODE": "1"}
-    run = subprocess.run(
-        [sys.executable, "-c", RUNNER, json.dumps(criteria)],
-        capture_output=True,
-        text=True,
-        env=env,
-        cwd=root,
-        timeout=120,
-    )
     # the criterion must return FAIL, not crash
-    assert run.returncode == 0, run.stderr
-    imported, results = json.loads(run.stdout)
+    imported, results = run_forked(root, criteria_of_the_copy, list(criteria))
     assert Path(imported).parent == root / "starbimod"
     assert [index for index, _, _ in results] == list(criteria)
     assert not any(passed for _, passed, _ in results), results
