@@ -38,7 +38,13 @@ out as a Scalar, with no reduction beyond that gcd.  ``Fraction`` meets
 the numerators only at the boundaries: literals, which ``parse_scalar``
 alone reads, and ``Fraction`` inputs come in through ``Scalar(re, im)``,
 and ``Scalar.re``, ``Scalar.im`` and ``abs2`` hand reduced Fractions
-out.  Text is printed from the ints.
+out.  Text is printed from the ints.  Past this module a Fraction is
+handed out only by an atomic measure's ``atoms`` view, the two sides of
+a Cauchy-Schwarz report, the LDL pivots and the norm lemma's bounds, so
+``gns-check`` and ``cs-check`` build no other.  A float, a ``Decimal`` or
+a string is refused with TypeError wherever a rational is taken, atoms
+and atom values included: text enters only through the literal grammar,
+under its cap of ``MAX_DIGITS`` digits per number.
 """
 
 from __future__ import annotations
@@ -50,23 +56,12 @@ from math import gcd, lcm, perm
 
 from .errors import ParseError
 
-_RAT_RE = re.compile(r"^-?\d+(?:/\d+)?$")  # decimal digits of any script
+# <rat>, <rat>i or <rat>[+-]<rat>i, <rat> in decimal digits of any script;
+# the sign takes its <rat> only before a final i
+_RAT = r"-?\d+(?:/\d+)?"
+_LITERAL_RE = re.compile(rf"({_RAT})(?:([+-])({_RAT})(?=i))?(i?)")
 _DIGITS_RE = re.compile(r"\d+")
 MAX_DIGITS = 1000  # digits of a literal's or a parsed number's numerator or denominator
-
-
-def _rational(text: str) -> Fraction | None:
-    """The value of a rational literal, or None if ``text`` is not one.
-
-    Numerator and denominator take the same decimal digits, of any
-    script; a zero denominator makes no literal.
-    """
-    if _RAT_RE.match(text):
-        try:
-            return Fraction(text)
-        except ZeroDivisionError:
-            pass
-    return None
 
 
 def _ratio(value) -> tuple[int, int]:
@@ -286,7 +281,8 @@ def parse_scalar(text: str) -> Scalar:
     """Parse the scalar literal grammar.
 
     Accepts the emitted form (``2+-3i``) and the tolerant variant ``2-3i``,
-    with no number of more than ``MAX_DIGITS`` digits.
+    with no number of more than ``MAX_DIGITS`` digits.  Whitespace around
+    the literal is ignored; none may stand inside it.
     """
     if not isinstance(text, str):
         raise ParseError(f"expected a scalar literal string, got {text!r}", 0)
@@ -294,22 +290,16 @@ def parse_scalar(text: str) -> Scalar:
     longest = max(map(len, _DIGITS_RE.findall(s)), default=0)
     if longest > MAX_DIGITS:
         raise ParseError(f"number of {longest} digits exceeds the limit of {MAX_DIGITS}", 0)
-    whole = _rational(s)
-    if whole is not None:
-        return Scalar(whole)
-    if not s.endswith("i"):
-        raise ParseError(f"bad scalar literal: {text!r}", 0)
-    body = s[:-1]
-    im = _rational(body)
-    if im is not None:
-        return Scalar(0, im)
-    # combined form: <rat> then a sign then <rat>
-    for idx in range(1, len(body)):
-        if body[idx] in "+-" and body[idx - 1].isdigit():
-            real, im = _rational(body[:idx]), _rational(body[idx + 1 :])
-            if real is not None and im is not None:
-                return Scalar(real, im if body[idx] == "+" else -im)
-            break
+    match = _LITERAL_RE.fullmatch(s)
+    try:
+        if match:
+            first, sign, second, imaginary = match.groups()
+            if sign:
+                im = Fraction(second)
+                return Scalar(Fraction(first), im if sign == "+" else -im)
+            return Scalar(0, Fraction(first)) if imaginary else Scalar(Fraction(first))
+    except ZeroDivisionError:  # a zero denominator makes no literal
+        pass
     raise ParseError(f"bad scalar literal: {text!r}", 0)
 
 

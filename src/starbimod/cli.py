@@ -13,6 +13,7 @@ import math
 import os
 import random
 import sys
+from functools import partial
 
 from .algebra import Poly, format_scalar, parse_real
 from .bimodule import BimodElement, Generator
@@ -203,7 +204,7 @@ def _cmd_theta_map(args) -> int:
 
 
 def _run_trials(args, check: str, key: str, claim: str, trial) -> int:
-    """Gate the measure, then run ``trial(func, a, x, b, mf)`` on seeded random cases.
+    """Gate the measure, then run ``trial(func, case, mf)`` on seeded random (a, x, b) cases.
 
     ``trial`` returns None when a case passes and otherwise the fields that
     the first failure adds to the report.
@@ -215,8 +216,7 @@ def _run_trials(args, check: str, key: str, claim: str, trial) -> int:
     failures = 0
     witness = None
     for _ in range(args.trials):
-        a, x, b = rand_case(rng, func.tag, args.max_degree)
-        found = trial(func, a, x, b, mf)
+        found = trial(func, rand_case(rng, func.tag, args.max_degree), mf)
         if found is not None:
             failures += 1
             if witness is None:
@@ -242,27 +242,19 @@ def _run_trials(args, check: str, key: str, claim: str, trial) -> int:
     return 0 if failures == 0 else 1
 
 
-def _identity_trial(func, a, x, b, mf):
-    report = check_identity(func, a, x, b, mf)
+def _identity_trial(func, case, mf):
+    report = check_identity(func, *case, mf)
     if report.equal:
         return None
     return {"lhs": format_scalar(report.lhs), "rhs": format_scalar(report.rhs)}
 
 
-def _cs_trial(func, a, x, b, mf):
+def _cs_trial(func, case, mf):
     # every case draws b, unused here, so a seed gives both checks the same cases
-    report = check_cauchy_schwarz(func, a, x, mf)
+    report = check_cauchy_schwarz(func, *case[:2], mf)
     if report.holds:
         return None
     return {"lhs_squared": str(report.lhs_squared), "bound": str(report.bound)}
-
-
-def _cmd_gns_check(args) -> int:
-    return _run_trials(args, "gns-check", "equal", "identity holds", _identity_trial)
-
-
-def _cmd_cs_check(args) -> int:
-    return _run_trials(args, "cs-check", "holds", "bound holds", _cs_trial)
 
 
 def _cmd_probe(args) -> int:
@@ -336,7 +328,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, measure=False, functional=False, trials=False):
+    def common(p, measure=False, functional=False):
         p.add_argument("--json", action="store_true", help="JSON report output")
         if measure:
             p.add_argument("--measure", required=True, help="measure JSON file")
@@ -346,9 +338,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
                 required=True,
                 help="F0 | F1 | F2 | gauss-poly:<expr> | gauss-atoms:<file>",
             )
-        if trials:
-            p.add_argument("--trials", type=_int_in(1, MAX_TRIALS), default=200)
-            p.add_argument("--seed", type=_int_in(0, None), default=0)
 
     p = sub.add_parser("normal-order", help="normal order an expression")
     p.add_argument(
@@ -373,15 +362,18 @@ def build_arg_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=_cmd_theta_map)
 
-    p = sub.add_parser("gns-check", help="random exact representation-identity checks")
-    common(p, measure=True, functional=True, trials=True)
-    p.add_argument("--max-degree", type=_int_in(0, MAX_DEGREE), default=6)
-    p.set_defaults(func=_cmd_gns_check)
-
-    p = sub.add_parser("cs-check", help="random exact Cauchy-Schwarz checks")
-    common(p, measure=True, functional=True, trials=True)
-    p.add_argument("--max-degree", type=_int_in(0, MAX_DEGREE), default=6)
-    p.set_defaults(func=_cmd_cs_check)
+    # the trial commands, one row each: name, help, report key, claim, trial
+    for check, help_text, key, claim, trial in (
+        ("gns-check", "random exact representation-identity checks", "equal", "identity holds",
+         _identity_trial),
+        ("cs-check", "random exact Cauchy-Schwarz checks", "holds", "bound holds", _cs_trial),
+    ):
+        p = sub.add_parser(check, help=help_text)
+        common(p, measure=True, functional=True)
+        p.add_argument("--trials", type=_int_in(1, MAX_TRIALS), default=200)
+        p.add_argument("--seed", type=_int_in(0, None), default=0)
+        p.add_argument("--max-degree", type=_int_in(0, MAX_DEGREE), default=6)
+        p.set_defaults(func=partial(_run_trials, check=check, key=key, claim=claim, trial=trial))
 
     p = sub.add_parser("probe", help="finite-degree boundedness probe")
     common(p, measure=True, functional=True)

@@ -36,13 +36,16 @@ atom by integer Horner, and ``atom_product``, ``atom_pairing`` and
 ``atom_power_sums`` are that realization's arithmetic, for every
 gauss-atoms sum.  One power-sum loop, over one integer sequence, serves
 the moments, which sum the real atoms and weights only, and each part of
-``atom_power_sums``.
+``atom_power_sums``.  The moments are the power sums of the unit vector;
+the gauss-atoms value, Cauchy-Schwarz bound and identity sides each end
+in one pairing, and the probe's sequence is the power sums of the atom
+images, so the GNS and probe layers read the points and weights only
+through these four.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from operator import mul
 
 from .algebra import (
@@ -75,23 +78,18 @@ class MomentFunctional(Immutable):
         if (atoms is None) == (values is None):
             raise ValueError("exactly one of atoms/values must be given")
         if atoms is not None:
-            pts = []
+            xs, ws = [], []
             for x, w in atoms:
                 # an int or a Fraction only: text comes through parse_real
-                x, w = Scalar(x).re, Scalar(w).re
-                if w < 0:
+                x, w = Scalar(x), Scalar(w)
+                if w.re_num < 0:
                     raise ValueError(f"negative atom weight {w}")
-                pts.append((x, w))
-            x_den = lcm(*(x.denominator for x, _ in pts))
-            w_den = lcm(*(w.denominator for _, w in pts))
+                xs.append(x)
+                ws.append(w)
+            [(x_nums, _)], x_den = gauss_numerators([xs])
+            [(w_nums, _)], w_den = gauss_numerators([ws])
             object.__setattr__(self, "_nums", ((), w_den, x_den))
-            nums = (
-                tuple([x.numerator * (x_den // x.denominator) for x, _ in pts]),
-                x_den,
-                tuple([w.numerator * (w_den // w.denominator) for _, w in pts]),
-                w_den,
-            )
-            object.__setattr__(self, "_atom_nums", nums)
+            object.__setattr__(self, "_atom_nums", (tuple(x_nums), x_den, tuple(w_nums), w_den))
         else:
             [(re, im)], den = gauss_numerators([[Scalar.coerce(v) for v in values]])
             if any(im):

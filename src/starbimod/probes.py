@@ -43,14 +43,16 @@ pair; nothing on this path builds a ``Scalar``.  Natural order nests
 the tower: the degree-N pencil is the leading r_N x r_N block of Z, with
 r_N the number of pivots <= N.  Only the diagonal scaling by d^-1/2 and
 one hermitian eigensolve per distinct r_N run in doubles, on entries
-whose exact powers of two are put back on each lambda afterwards.
+whose exact powers of two are put back on each lambda afterwards, so
+moments far outside the double range (1e+-400) still give a verdict.
 Moment Gram matrices in the monomial basis are far too ill-conditioned
 for a float Cholesky, so this exact reduction is what keeps degree ten
 reachable.
 
 The norm lemma ||T|| <= 4 w(T) is decided here too, exactly: floats only
 pick two vectors and a bound, from which exact arithmetic proves the
-lemma or refuses it.  This module is the only one that uses numpy.
+lemma or refuses it.  This module is the only one that uses numpy, but
+for the Hermite zeros that selftest criterion 9 compares lambda_N with.
 """
 
 from __future__ import annotations

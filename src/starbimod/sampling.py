@@ -37,9 +37,7 @@ def rand_weyl(
     for _ in range(rng.randint(1, max_terms)):
         m = rng.randint(0, max_exp)
         n = rng.randint(0, max_exp)
-        c = rand_scalar(rng)
-        if not c.is_zero():
-            terms.append(((m, n), c))
+        terms.append(((m, n), rand_scalar(rng)))
     return WeylElement(terms)
 
 

@@ -342,6 +342,16 @@ def boundedness_classification() -> tuple[bool, str]:
         rho = generator_probe(mf, degrees, tolerance)
         got.append(f"{name}=({theta.verdict},{rho.verdict})")
         ok &= theta.verdict == want_theta and rho.verdict == want_rho
+        if mf is gaussian:
+            gaussian_rho = rho
+    # the Gauss-Hermite law: on the standard normal measure, q cut to degree N
+    # has the zeros of He_(N+1) as its spectrum, so rho's lambda_N is the largest
+    from numpy.polynomial.hermite_e import hermeroots
+
+    hermite = [
+        abs(lam - max(hermeroots([0] * (n + 1) + [1]))) <= 1e-9 * lam
+        for n, lam in zip(gaussian_rho.degrees, gaussian_rho.lambdas)
+    ]
     # the form law: the probe's form is the hermitised F on monomials,
     # checked through F.value, which reads the components of x and never
     # forms theta(x), the route of form_numerators
@@ -359,7 +369,8 @@ def boundedness_classification() -> tuple[bool, str]:
                     entries += 1
                     mismatches += form[j][k] != (value[j][k] + value[k][j].conjugate()) / 2
     got.append(f"form law {entries - mismatches}/{entries} entries")
-    return ok and mismatches == 0, "; ".join(got)
+    got.append(f"Gauss-Hermite law {sum(hermite)}/{len(hermite)} degrees")
+    return ok and mismatches == 0 and all(hermite), "; ".join(got)
 
 
 def uniqueness_suite() -> tuple[bool, str]:

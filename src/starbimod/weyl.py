@@ -18,7 +18,8 @@ coefficients:
 on polynomials; it is an independent model of the product and serves as
 the soundness oracle for the rewriting.  It reads the terms grouped by
 d-power from a cache that its first call fills; the cache is not part of
-the value.
+the value, so ``==``, ``hash``, copy and pickle read only ``nums`` and
+``den``.
 """
 
 from __future__ import annotations

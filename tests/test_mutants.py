@@ -120,6 +120,21 @@ MUTANTS = {
         "[solved[ranks[-1]] for r in ranks]",
         (9,),
     ),
+    # every degree reads the lambda of the degree below, so on the standard
+    # normal measure rho's lambda_N is the top zero of He_N, not of He_(N+1)
+    "probe-ranks-read-one-degree-low": (
+        "probes.py",
+        "bisect_right(pivots, n) for n in degrees",
+        "bisect_right(pivots, n - 1) for n in degrees",
+        (9,),
+    ),
+    # the Gram of degree N is built N x N, one row and column short
+    "gram-built-one-degree-short": (
+        "gns.py",
+        "_hankel(sums, den, degree + 1)",
+        "_hankel(sums, den, degree)",
+        (10, 11),
+    ),
 }
 
 # mutants that survive every criterion today, with the reason

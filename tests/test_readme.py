@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from starbimod import cli
+from starbimod.selftest import ALL_CHECKS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -57,3 +58,30 @@ def test_cli_example_exits_0(argv, monkeypatch, capsys):
 def test_cli_block_has_the_documented_commands():
     assert len(CLI_COMMANDS) == 8
     assert ["normal-order", "d*q - q*d"] in CLI_COMMANDS
+
+
+def ledger_rows() -> list[list[str]]:
+    """The cells of each body row of the table under "What each PASS proves"."""
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("### What each PASS proves") :]
+    table = re.search(r"^\| # \|.*?\n\| --- .*?\n((?:\|.*\n)+)", section, re.M)
+    assert table, "no ledger table under What each PASS proves"
+    return [
+        [cell.strip() for cell in re.split(r"(?<!\\)\|", line)[1:-1]]
+        for line in table.group(1).splitlines()
+    ]
+
+
+def test_every_criterion_has_a_ledger_row():
+    rows = ledger_rows()
+    assert all(len(row) == 5 and all(row[1:]) for row in rows), rows
+    criteria = {int(row[0]): row[1].strip("`") for row in rows if row[0]}
+    assert criteria == {i: name for i, (name, _) in enumerate(ALL_CHECKS, 1)}
+    verdicts = [row[1] for row in rows if not row[0]]
+    assert verdicts == [
+        "`gns-check` exit 0",
+        "`cs-check` exit 0",
+        "`probe` `Bounded`",
+        "`probe` `GrowthDetected`",
+        "`lemma-check` exit 0",
+    ]

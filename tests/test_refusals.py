@@ -2,16 +2,26 @@
 
 import pytest
 
-from starbimod.algebra import Q
+from fractions import Fraction
+
+from starbimod.algebra import Q, parse_real, parse_scalar
 from starbimod.bimodule import BimodElement
-from starbimod.errors import DimensionMismatchError, UnsupportedVariantError
+from starbimod.errors import (
+    DimensionMismatchError,
+    ParseError,
+    TagMismatchError,
+    UnsupportedVariantError,
+)
 from starbimod.exactla import Matrix, inverse, ldl_psd, poly_at
 from starbimod.forms import ActionTable, FormMatrix, form_from_operator
 from starbimod.gns import Functional
+from starbimod.moments import MomentFunctional
 from starbimod.sampling import mu3
+from starbimod.selftest import run_check
 
 ATOMS = Functional.gauss_atoms([1, 2, 3])
 GAUSS = BimodElement.gauss(1)
+D2 = BimodElement.d_squared()
 WIDE = Matrix([[1, 2]])
 TABLE = ActionTable(Matrix.diagonal([1, 2]), Matrix.diagonal([1, 1]))
 FORM = FormMatrix(Matrix.diagonal([1, 1, 1]))
@@ -82,6 +92,107 @@ REFUSALS = {
         lambda: FORM.value([1], [1, 0, 0]),
         DimensionMismatchError,
         "vectors of lengths 1 and 3 for a form of dimension 3",
+    ),
+    "singular-inverse": (
+        lambda: inverse(Matrix([[1, 2], [2, 4]])),
+        ZeroDivisionError,
+        "singular matrix",
+    ),
+    "negative-derivative": (lambda: Q.derivative(-1), ValueError, "negative derivative order"),
+    # bimodule elements over two generators
+    "sum-across-tags": (
+        lambda: D2 + GAUSS,
+        TagMismatchError,
+        "cannot add elements over different generators",
+    ),
+    "equivalent-across-tags": (
+        lambda: D2.equivalent(GAUSS),
+        TagMismatchError,
+        "cannot compare elements over different generators",
+    ),
+    "equivalent-to-a-non-element": (
+        lambda: D2.equivalent(1),
+        TypeError,
+        "can only compare BimodElement values",
+    ),
+    # MomentFunctional: its sources, and the atoms checked pair by pair in input order
+    "no-measure-source": (
+        lambda: MomentFunctional(),
+        ValueError,
+        "exactly one of atoms/values must be given",
+    ),
+    "two-measure-sources": (
+        lambda: MomentFunctional(atoms=[(0, 1)], values=[1]),
+        ValueError,
+        "exactly one of atoms/values must be given",
+    ),
+    "measure-type": (
+        lambda: MomentFunctional.from_json({"type": "x"}),
+        ValueError,
+        """a measure has "type" "atomic" or "moments", got 'x'""",
+    ),
+    "negative-weight": (
+        lambda: MomentFunctional.atomic([(0, 1), (1, Fraction(-1, 2))]),
+        ValueError,
+        "negative atom weight -1/2",
+    ),
+    "point-before-weight": (
+        lambda: MomentFunctional.atomic([(0.5, -1)]),
+        TypeError,
+        "cannot build a rational from float",
+    ),
+    "weight-type": (
+        lambda: MomentFunctional.atomic([(0, "1")]),
+        TypeError,
+        "cannot build a rational from str",
+    ),
+    "atoms-in-order": (
+        lambda: MomentFunctional.atomic([(0, -2), (0.5, 1)]),
+        ValueError,
+        "negative atom weight -2",
+    ),
+    "criterion-zero": (lambda: run_check(0), IndexError, "criteria are counted from 1, got 0"),
+    # the scalar literal grammar
+    "literal-not-text": (
+        lambda: parse_scalar(5),
+        ParseError,
+        "expected a scalar literal string, got 5 (offset 0)",
+    ),
+    "literal-digits": (
+        lambda: parse_scalar("1/" + "3" * 1001 + "i"),
+        ParseError,
+        "number of 1001 digits exceeds the limit of 1000 (offset 0)",
+    ),
+    "literal-no-imaginary-digits": (
+        lambda: parse_scalar("1+i"),
+        ParseError,
+        "bad scalar literal: '1+i' (offset 0)",
+    ),
+    # the grammar has no whitespace inside a literal: "2 i" is refused, and so is a newline
+    "literal-newline": (
+        lambda: parse_scalar("2\ni"),
+        ParseError,
+        "bad scalar literal: '2\\ni' (offset 0)",
+    ),
+    "literal-newline-in-sum": (
+        lambda: parse_scalar("1+2\ni"),
+        ParseError,
+        "bad scalar literal: '1+2\\ni' (offset 0)",
+    ),
+    "literal-zero-denominator": (
+        lambda: parse_scalar("2+1/00i"),
+        ParseError,
+        "bad scalar literal: '2+1/00i' (offset 0)",
+    ),
+    "literal-not-real": (
+        lambda: parse_real("1+2i"),
+        ParseError,
+        "expected a real literal: '1+2i' (offset 0)",
+    ),
+    "real-literal-zero-denominator": (
+        lambda: parse_real(" 1/0 "),
+        ParseError,
+        "bad scalar literal: ' 1/0 ' (offset 0)",
     ),
 }
 
