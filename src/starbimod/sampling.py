@@ -1,7 +1,10 @@
-"""Deterministic random generators for elements, used by checks and tests.
+"""Deterministic random generators: every seeded object the gate draws.
 
 Each generator draws from one fixed distribution, so a seed fixes the
-cases of the selftest, the CLI and the benchmark alike.
+cases of the selftest, the CLI and the benchmark alike.  The selftest
+draws its elements, action tables, forms and atomic measures here and
+nowhere else, and the tests draw the same objects through the same
+functions; ``tests/test_exact_outputs.py`` pins each stream.
 """
 
 from __future__ import annotations
@@ -11,6 +14,8 @@ from fractions import Fraction
 
 from .algebra import Poly, Scalar
 from .bimodule import BimodElement, Generator
+from .exactla import Matrix, inverse
+from .forms import ActionTable, FormMatrix
 from .moments import MomentFunctional
 from .weyl import WeylElement
 
@@ -67,6 +72,50 @@ def rand_case(
     return a, rand_gauss_element(rng, max_degree=min(4, max_degree)), b
 
 
+def rand_hermitian(rng: random.Random, dim: int) -> Matrix:
+    """A hermitian S: an integer diagonal, each row's lower entries drawn left to right."""
+    s = [[Scalar(0)] * dim for _ in range(dim)]
+    for i in range(dim):
+        s[i][i] = Scalar(rng.randint(-2, 2))
+        for j in range(i):
+            z = rand_scalar(rng)
+            s[i][j] = z
+            s[j][i] = z.conjugate()
+    return Matrix(s)
+
+
+def rand_dense_table(rng: random.Random, dim: int) -> ActionTable:
+    """G = B^H B for a lower-triangular B with positive integer diagonal, so
+    G is positive definite, and the generator G^-1 S for a hermitian S."""
+    b = Matrix(
+        [
+            [rand_scalar(rng) for _ in range(i)] + [rng.randint(1, 3)] + [0] * (dim - 1 - i)
+            for i in range(dim)
+        ]
+    )
+    gram = b.adjoint() @ b
+    return ActionTable(inverse(gram) @ rand_hermitian(rng, dim), gram)
+
+
+def rand_diagonal_table(rng: random.Random, dim: int) -> ActionTable:
+    """A diagonal Gram, drawn first, which may be singular, and a diagonal generator."""
+    gram = Matrix.diagonal([rng.randint(0, 3) for _ in range(dim)])
+    return ActionTable(Matrix.diagonal([rng.randint(-2, 2) for _ in range(dim)]), gram)
+
+
+def rand_form(rng: random.Random, dim: int) -> FormMatrix:
+    return FormMatrix(Matrix([[rand_scalar(rng) for _ in range(dim)] for _ in range(dim)]))
+
+
+def rand_atoms(rng: random.Random) -> list[tuple[Fraction, Fraction]]:
+    """One to five (point, weight) atoms: points a/b with |a| <= 4 and
+    b <= 3, integer weights 0..3."""
+    return [
+        (Fraction(rng.randint(-4, 4), rng.randint(1, 3)), Fraction(rng.randint(0, 3)))
+        for _ in range(rng.randint(1, 5))
+    ]
+
+
 def mu3() -> MomentFunctional:
     """Unit masses at -1, 0, 1."""
     return MomentFunctional.atomic([(-1, 1), (0, 1), (1, 1)])
@@ -75,3 +124,8 @@ def mu3() -> MomentFunctional:
 def atoms012() -> MomentFunctional:
     """Unit masses at 0, 1, 2."""
     return MomentFunctional.atomic([(0, 1), (1, 1), (2, 1)])
+
+
+def cluster16() -> MomentFunctional:
+    """Sixteen atoms 1/n with weights 1/2^n, n = 1..16."""
+    return MomentFunctional.atomic([(Fraction(1, n), Fraction(1, 2**n)) for n in range(1, 17)])

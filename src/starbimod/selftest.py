@@ -5,6 +5,9 @@ order; a criterion's index is its position in the table, counted from 1,
 so a new criterion is one function and one row.  A criterion takes no
 argument and returns ``(passed, detail)``.  Its counts, seeds, degrees
 and tolerances are literals in its body, pinned there and nowhere else.
+Every seeded object it draws comes from ``sampling``, which the tests
+draw through too, and each law it checks on more than one model is
+written once, as ``_bimodule_laws`` is for criterion 8's two models.
 
 ``run_check(index)`` is the one driver: it times the criterion, turns an
 exception into a FAIL whose detail names it, and builds the CheckResult
@@ -20,12 +23,13 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
+from operator import eq
 
 from .algebra import I, P_ONE, Poly, Q, Scalar
 from .bimodule import BimodElement, Generator
 from .errors import MomentMismatchError, NotPositiveError
-from .exactla import Matrix, inverse, ldl_psd
-from .forms import ActionTable, FormMatrix, form_from_operator
+from .exactla import Matrix, ldl_psd
+from .forms import form_from_operator
 from .gns import (
     Functional,
     build_gns,
@@ -45,9 +49,15 @@ from .probes import (
 )
 from .sampling import (
     atoms012,
+    cluster16,
     mu3,
+    rand_atoms,
     rand_case,
     rand_d2_element,
+    rand_dense_table,
+    rand_diagonal_table,
+    rand_form,
+    rand_fraction,
     rand_gauss_element,
     rand_poly,
     rand_scalar,
@@ -69,33 +79,30 @@ class CheckResult:
         return f"{status}  {self.index:2d} {self.name}: {self.detail}"
 
 
-def _measures():
-    return {
-        "mu3": mu3(),
-        "atoms012": atoms012(),
-        "lebesgue01": MomentFunctional.lebesgue_unit(64),
-        "gaussian": MomentFunctional.gaussian(64),
-    }
+def _measures() -> list[MomentFunctional]:
+    return [mu3(), atoms012(), MomentFunctional.lebesgue_unit(64), MomentFunctional.gaussian(64)]
 
 
-def _cluster() -> MomentFunctional:
-    """Sixteen atoms, 1/n with weight 1/2^n for n = 1..16."""
-    return MomentFunctional.atomic([(Fraction(1, n), Fraction(1, 2**n)) for n in range(1, 17)])
+def _identity_failures(rng: random.Random, trials: int, draw) -> int:
+    """How many of ``trials`` cases fail ``check_identity``: ``draw(rng)``
+    gives each case's functional and measure, then ``rand_case`` its
+    (a, x, b) at degree 6."""
+    failures = 0
+    for _ in range(trials):
+        func, mf = draw(rng)
+        a, x, b = rand_case(rng, func.tag, 6)
+        failures += not check_identity(func, a, x, b, mf).equal
+    return failures
 
 
 def representation_identity_d2() -> tuple[bool, str]:
     trials = 1000
-    rng = random.Random(101)
-    measures = list(_measures().items())
+    measures = _measures()
     variants = [Functional("F0"), Functional("F1"), Functional("F2")]
     started = time.monotonic()
-    failures = 0
-    for _ in range(trials):
-        func = rng.choice(variants)
-        _, mf = rng.choice(measures)
-        a, x, b = rand_case(rng, func.tag, 6)
-        if not check_identity(func, a, x, b, mf).equal:
-            failures += 1
+    failures = _identity_failures(
+        random.Random(101), trials, lambda rng: (rng.choice(variants), rng.choice(measures))
+    )
     elapsed = time.monotonic() - started
     return failures == 0 and elapsed < 60.0, f"{trials - failures}/{trials} exact in {elapsed:.1f}s"
 
@@ -103,24 +110,17 @@ def representation_identity_d2() -> tuple[bool, str]:
 def representation_identity_gauss() -> tuple[bool, str]:
     trials, atom_trials = 500, 100
     rng = random.Random(202)
-    measures = list(_measures().values())
+    measures = _measures()
     weights = [P_ONE, Q, Q * Q - 1]
-    failures = 0
-    for _ in range(trials):
-        func = Functional.gauss_poly(rng.choice(weights))
-        mf = rng.choice(measures)
-        a, x, b = rand_case(rng, func.tag, 6)
-        if not check_identity(func, a, x, b, mf).equal:
-            failures += 1
+    failures = _identity_failures(
+        rng, trials, lambda rng: (Functional.gauss_poly(rng.choice(weights)), rng.choice(measures))
+    )
     base = mu3()
-    atom_failures = 0
-    for _ in range(atom_trials):
-        func = Functional.gauss_atoms(
-            [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in base.atoms]
-        )
-        a, x, b = rand_case(rng, func.tag, 6)
-        if not check_identity(func, a, x, b, base).equal:
-            atom_failures += 1
+    atom_failures = _identity_failures(
+        rng,
+        atom_trials,
+        lambda rng: (Functional.gauss_atoms([rand_fraction(rng) for _ in base.atoms]), base),
+    )
     return (
         failures == 0 and atom_failures == 0,
         f"{trials - failures}/{trials} poly-weight, "
@@ -184,7 +184,7 @@ def normal_order_soundness() -> tuple[bool, str]:
 def cauchy_schwarz_suite() -> tuple[bool, str]:
     trials = 1000
     rng = random.Random(404)
-    measures = list(_measures().values())
+    measures = _measures()
     variants = [Functional("F0"), Functional("F1"), Functional("F2")]
     failures = equality_failures = h_failures = 0
     for n in range(trials):
@@ -222,36 +222,19 @@ def norm_bound_suite() -> tuple[bool, str]:
     )
 
 
-def _random_action_table(rng: random.Random, dim: int) -> ActionTable:
-    if rng.random() < 0.25:
-        gram = Matrix.diagonal(
-            [Fraction(rng.randint(0, 3)) for _ in range(dim)]
-        )
-        gen = Matrix.diagonal([Fraction(rng.randint(-2, 2)) for _ in range(dim)])
-        return ActionTable(gen, gram)
-    rows = [
-        [
-            rand_scalar(rng) if j < i else (Scalar(rng.randint(1, 3)) if j == i else Scalar(0))
-            for j in range(dim)
-        ]
-        for i in range(dim)
-    ]
-    b = Matrix(rows)
-    gram = b.adjoint() @ b
-    s_rows = [[Scalar(0)] * dim for _ in range(dim)]
-    for i in range(dim):
-        s_rows[i][i] = Scalar(rng.randint(-2, 2))
-        for j in range(i):
-            z = rand_scalar(rng)
-            s_rows[i][j] = z
-            s_rows[j][i] = z.conjugate()
-    gen = inverse(gram) @ Matrix(s_rows)
-    return ActionTable(gen, gram)
-
-
-def _rand_form(rng: random.Random, dim: int) -> FormMatrix:
-    return FormMatrix(
-        Matrix([[rand_scalar(rng) for _ in range(dim)] for _ in range(dim)])
+def _bimodule_laws(x, a, b, act, same) -> bool:
+    """The six *-bimodule laws at x, a, b, where ``act(x, a, b)`` is a x b
+    and ``same`` compares two results: each action is associative, the two
+    commute, (a x b)^+ = b^+ x^+ a^+, and the left action is the right one
+    through the involutions."""
+    axb = act(x, a, b)
+    return (
+        same(act(x, a * b, P_ONE), act(act(x, b, P_ONE), a, P_ONE))
+        and same(act(x, P_ONE, a * b), act(act(x, P_ONE, a), P_ONE, b))
+        and same(axb, act(act(x, a, P_ONE), P_ONE, b))
+        and same(axb, act(act(x, P_ONE, b), a, P_ONE))
+        and same(axb.involution(), act(x.involution(), b.conjugate(), a.conjugate()))
+        and same(act(x, a, P_ONE), act(x.involution(), P_ONE, a.conjugate()).involution())
     )
 
 
@@ -261,54 +244,26 @@ def bimodule_axiom_suites() -> tuple[bool, str]:
     failures = 0
     for _ in range(trials):
         tag = rng.choice([Generator.D2, Generator.GAUSS])
-        x = (
-            rand_d2_element(rng, 3, 3)
-            if tag is Generator.D2
-            else rand_gauss_element(rng, 3)
-        )
-        a = rand_poly(rng, 3)
-        b = rand_poly(rng, 3)
-        c = rand_poly(rng, 3)
-        ok = x.act(a * b, P_ONE).equivalent(x.act(b, P_ONE).act(a, P_ONE))
-        ok &= x.act(P_ONE, a * b).equivalent(x.act(P_ONE, a).act(P_ONE, b))
-        ok &= x.act(a, b).equivalent(x.act(a, P_ONE).act(P_ONE, b))
-        ok &= x.act(a, b).equivalent(x.act(P_ONE, b).act(a, P_ONE))
-        lhs = x.act(a, b).involution()
-        rhs = x.involution().act(b.conjugate(), a.conjugate())
-        ok &= lhs.equivalent(rhs)
-        # left action recovered from the right action through the involutions
-        left = x.act(a, P_ONE)
-        via = x.involution().act(P_ONE, a.conjugate()).involution()
-        ok &= left.equivalent(via)
-        if not ok:
-            failures += 1
+        x = rand_d2_element(rng, 3, 3) if tag is Generator.D2 else rand_gauss_element(rng, 3)
+        a, b = rand_poly(rng, 3), rand_poly(rng, 3)
+        failures += not _bimodule_laws(x, a, b, BimodElement.act, BimodElement.equivalent)
     forms_failures = 0
     for _ in range(trials):
         dim = rng.randint(2, 3)
-        table = _random_action_table(rng, dim)
-        x = _rand_form(rng, dim)
-        a = rand_poly(rng, 2)
-        b = rand_poly(rng, 2)
-        ok = x.act(a, P_ONE, table).act(P_ONE, b, table) == x.act(a, b, table)
-        ok &= x.act(P_ONE, b, table).act(a, P_ONE, table) == x.act(a, b, table)
-        ok &= (
-            x.act(b, P_ONE, table).act(a, P_ONE, table)
-            == x.act(a * b, P_ONE, table)
-        )
-        ok &= x.act(a, b, table).involution() == x.involution().act(
-            b.conjugate(), a.conjugate(), table
-        )
-        ok &= x.act(a, P_ONE, table) == x.involution().act(
-            P_ONE, a.conjugate(), table
-        ).involution()
-        t = Matrix([[rand_scalar(rng) for _ in range(dim)] for _ in range(dim)])
-        xt = form_from_operator(t, table)
-        sandwich = form_from_operator(
-            table.operator(a) @ t @ table.operator(b), table
-        )
-        ok &= xt.act(a, b, table) == sandwich
-        if not ok:
+        try:
+            table = (rand_diagonal_table if rng.random() < 0.25 else rand_dense_table)(rng, dim)
+        except ValueError:  # G^-1 S not hermitian for G: ``inverse`` is wrong
             forms_failures += 1
+            continue
+        x = rand_form(rng, dim)
+        a, b = rand_poly(rng, 2), rand_poly(rng, 2)
+        t = Matrix([[rand_scalar(rng) for _ in range(dim)] for _ in range(dim)])
+        forms_failures += not (
+            _bimodule_laws(x, a, b, lambda x, a, b: x.act(a, b, table), eq)
+            # the operator sandwich: a x_t b is the form of R(a) t R(b)
+            and form_from_operator(t, table).act(a, b, table)
+            == form_from_operator(table.operator(a) @ t @ table.operator(b), table)
+        )
     return (
         failures == 0 and forms_failures == 0,
         f"{trials - failures}/{trials} element cases, "
@@ -321,7 +276,7 @@ def boundedness_classification() -> tuple[bool, str]:
     degrees = range(2, 11)
     gaussian = MomentFunctional.gaussian(64)
     bounded_measure = mu3()
-    cluster = _cluster()
+    cluster = cluster16()
     unit = BimodElement.gauss(1)
     cases = [
         ("flat-on-atoms", Functional.gauss_poly(P_ONE), bounded_measure, BOUNDED, BOUNDED),
@@ -358,7 +313,7 @@ def boundedness_classification() -> tuple[bool, str]:
     rng = random.Random(3)
     elements = [rand_d2_element(rng, 3, 3) for _ in range(5)]
     monomials = [Poly.monomial(k) for k in range(5)]
-    measures = _measures().values()
+    measures = _measures()
     entries = mismatches = 0
     for func in (Functional("F0"), Functional("F1"), Functional("F2")):
         for x in elements:
@@ -393,7 +348,7 @@ def uniqueness_suite() -> tuple[bool, str]:
     # the tower law: a realization built afresh at N is the leading part of
     # one built at the top, and its pivots and kernel vectors count N + 1
     top, towers, tower_failures = 24, 0, 0
-    for make in (mu3, atoms012, _cluster):
+    for make in (mu3, atoms012, cluster16):
         warm = make()
         build_gns(warm, top)
         for n in range(1, top):
@@ -422,11 +377,7 @@ def psd_gate() -> tuple[bool, str]:
     accepted = 0
     runs = 50
     for _ in range(runs):
-        atoms = [
-            (Fraction(rng.randint(-4, 4), rng.randint(1, 3)), Fraction(rng.randint(0, 3)))
-            for _ in range(rng.randint(1, 5))
-        ]
-        mf = MomentFunctional.atomic(atoms)
+        mf = MomentFunctional.atomic(rand_atoms(rng))
         realization = build_gns(mf, 4)
         vanishing = all(
             mf.pairing(v, Poly.monomial(k)).is_zero() for v in realization.kernel for k in range(5)

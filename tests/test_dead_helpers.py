@@ -596,7 +596,7 @@ FLOAT_ISLANDS = {
     ("sampling.py", "rand_scalar"): "the draw threshold of an imaginary part",
     ("sampling.py", "rand_poly"): "the draw threshold of a zero coefficient",
     ("selftest.py", "representation_identity_d2"): "criterion 1's 60 s budget",
-    ("selftest.py", "_random_action_table"): "the draw threshold of a diagonal table",
+    ("selftest.py", "bimodule_axiom_suites"): "the draw threshold of a diagonal table",
     ("selftest.py", "boundedness_classification"): "criterion 9's plateau tolerance, and "
     "the zeros of He_(N+1) from numpy that its Gauss-Hermite law compares lambda_N with",
 }

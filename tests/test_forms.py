@@ -11,7 +11,14 @@ from starbimod.algebra import I, P_ONE, Q, Poly, Scalar
 from starbimod.errors import DimensionMismatchError, NotPositiveError
 from starbimod.exactla import Matrix, inverse, ldl_psd, poly_at
 from starbimod.forms import ActionTable, FormMatrix, form_from_operator
-from starbimod.sampling import rand_poly, rand_scalar
+from starbimod.sampling import (
+    rand_dense_table,
+    rand_diagonal_table,
+    rand_form,
+    rand_hermitian,
+    rand_poly,
+    rand_scalar,
+)
 
 from draws import nonzero_poly, real_scalar
 
@@ -29,45 +36,6 @@ def shift_form():
     return FormMatrix(Matrix([[0, 1], [0, 0]]))
 
 
-def random_table(rng: random.Random, dim: int) -> ActionTable:
-    rows = [
-        [
-            rand_scalar(rng)
-            if j < i
-            else (Scalar(rng.randint(1, 3)) if j == i else Scalar(0))
-            for j in range(dim)
-        ]
-        for i in range(dim)
-    ]
-    b = Matrix(rows)
-    gram = b.adjoint() @ b
-    s = [[Scalar(0)] * dim for _ in range(dim)]
-    for i in range(dim):
-        s[i][i] = Scalar(rng.randint(-2, 2))
-        for j in range(i):
-            z = rand_scalar(rng)
-            s[i][j] = z
-            s[j][i] = z.conjugate()
-    return ActionTable(inverse(gram) @ Matrix(s), gram)
-
-
-def random_hermitian(rng: random.Random, dim: int) -> Matrix:
-    s = [[Scalar(0)] * dim for _ in range(dim)]
-    for i in range(dim):
-        s[i][i] = Scalar(rng.randint(-2, 2))
-        for j in range(i):
-            z = rand_scalar(rng)
-            s[i][j] = z
-            s[j][i] = z.conjugate()
-    return Matrix(s)
-
-
-def diagonal_table(rng: random.Random, dim: int) -> ActionTable:
-    """The diagonal draw of criterion 8: the Gram may be singular."""
-    gram = Matrix.diagonal([rng.randint(0, 3) for _ in range(dim)])
-    return ActionTable(Matrix.diagonal([rng.randint(-2, 2) for _ in range(dim)]), gram)
-
-
 def singular_table(rng: random.Random, dim: int) -> ActionTable:
     """A dense Gram B^H B of rank dim - 1, and gen = S G, which is not hermitian."""
     rows = [
@@ -77,13 +45,15 @@ def singular_table(rng: random.Random, dim: int) -> ActionTable:
     b = Matrix(rows + [[0] * dim])
     gram = b.adjoint() @ b
     assert len(ldl_psd(gram).pivots) == dim - 1
-    return ActionTable(random_hermitian(rng, dim) @ gram, gram)
+    return ActionTable(rand_hermitian(rng, dim) @ gram, gram)
 
 
-def random_form(rng: random.Random, dim: int) -> FormMatrix:
-    return FormMatrix(
-        Matrix([[rand_scalar(rng) for _ in range(dim)] for _ in range(dim)])
-    )
+# the three table draws, under the ids the suite reports them by
+TABLE_DRAWS = pytest.mark.parametrize(
+    "make",
+    [rand_dense_table, rand_diagonal_table, singular_table],
+    ids=["random_table", "diagonal_table", "singular_table"],
+)
 
 
 def scalar_product(a, b) -> list:
@@ -135,7 +105,7 @@ class TestActionTable:
 
         monkeypatch.setattr(Matrix, "adjoint", counting)
         rng = random.Random(73)
-        for make in (random_table, diagonal_table, singular_table):
+        for make in (rand_dense_table, rand_diagonal_table, singular_table):
             for dim in (2, 3):
                 table = make(rng, dim)
                 grams.clear()
@@ -165,7 +135,7 @@ class TestSelfAdjointnessCheck:
             return Matrix.diagonal([I] * dim)
         return Matrix([[rand_scalar(rng) or 1 for _ in range(dim)] for _ in range(dim)])
 
-    @pytest.mark.parametrize("make", [random_table, diagonal_table, singular_table])
+    @TABLE_DRAWS
     def test_accepts_exactly_when_the_gram_form_is_symmetric(self, make):
         rng = random.Random(89)
         verdicts = Counter()
@@ -196,7 +166,7 @@ class TestSelfAdjointnessCheck:
             return matmul(m, other)
 
         monkeypatch.setattr(Matrix, "__matmul__", counting)
-        for make in (random_table, diagonal_table, singular_table):
+        for make in (rand_dense_table, rand_diagonal_table, singular_table):
             table = make(rng, 3)
             products.clear()
             ActionTable(table.gen, table.gram)
@@ -285,13 +255,13 @@ class TestActionMemo:
         a, b = Poly.coerce(a), Poly.coerce(b)
         return FormMatrix(poly_at(a.conjugate(), gen).adjoint() @ x.mat @ poly_at(b, gen))
 
-    @pytest.mark.parametrize("make", [random_table, diagonal_table, singular_table])
+    @TABLE_DRAWS
     @pytest.mark.parametrize("dim", [2, 3])
     def test_act_against_poly_at(self, make, dim):
         rng = random.Random(79 + dim)
         for _ in range(3):
             table = make(rng, dim)
-            x = random_form(rng, dim)
+            x = rand_form(rng, dim)
             polys = self.polys(rng)
             cases = [(a, b, self.oracle(x, a, b, table.gen)) for a in polys for b in polys]
             for _ in range(3):  # first calls, then calls the table has seen
@@ -319,8 +289,8 @@ class TestActionMemo:
 
     def test_unit_sides_take_no_evaluation_or_product(self, monkeypatch):
         rng = random.Random(83)
-        table = random_table(rng, 3)
-        x = random_form(rng, 3)
+        table = rand_dense_table(rng, 3)
+        x = rand_form(rng, 3)
         products = []
         matmul = Matrix.__matmul__
 
@@ -335,7 +305,7 @@ class TestActionMemo:
         assert x.act(Poly.constant(Fraction(2, 2)), Poly([Scalar(1, 0)]), table) == x
         assert products == []
 
-    @pytest.mark.parametrize("make", [random_table, diagonal_table, singular_table])
+    @TABLE_DRAWS
     def test_an_act_normalises_once(self, make, monkeypatch):
         rng = random.Random(107)
         stores = []
@@ -348,7 +318,7 @@ class TestActionMemo:
         monkeypatch.setattr(exactla, "_store", counting)
         for _ in range(5):
             table = make(rng, 3)
-            x = random_form(rng, 3)
+            x = rand_form(rng, 3)
             a, b = nonzero_poly(rng, 3), nonzero_poly(rng, 3)
             for left, right in ((a, b), (a, P_ONE), (P_ONE, b), (P_ONE, P_ONE)):
                 table.left_factor(left), table.operator(right)  # the table's evaluations, once
@@ -366,7 +336,7 @@ class TestLeftFactorCoerces:
 
     @pytest.mark.parametrize("c", [3, 1, 0, -2, Fraction(-1, 3), Scalar(2, -5), Scalar(0, 1)])
     def test_scalars_act_as_constants(self, c):
-        table = random_table(random.Random(109), 3)
+        table = rand_dense_table(random.Random(109), 3)
         p = Poly.constant(c)
         # R(c^+)^H = (conj(c) I)^H = c I
         assert table.left_factor(c) == Matrix.diagonal([c] * 3)
@@ -431,7 +401,7 @@ class TestFromOperator:
     def test_adjoint_compatibility_when_invertible(self):
         rng = random.Random(61)
         for _ in range(50):
-            table = random_table(rng, 3)
+            table = rand_dense_table(rng, 3)
             t = Matrix([[rand_scalar(rng) for _ in range(3)] for _ in range(3)])
             lhs = form_from_operator(t, table).involution()
             rhs = form_from_operator(operator_adjoint(t, table), table)
@@ -443,8 +413,8 @@ class TestBimoduleAxioms:
         rng = random.Random(67)
         for _ in range(150):
             dim = rng.randint(2, 3)
-            table = random_table(rng, dim)
-            x = random_form(rng, dim)
+            table = rand_dense_table(rng, dim)
+            x = rand_form(rng, dim)
             a = rand_poly(rng, 2)
             b = rand_poly(rng, 2)
             assert x.act(b, P_ONE, table).act(a, P_ONE, table) == x.act(
@@ -468,7 +438,7 @@ class TestBimoduleAxioms:
         rng = random.Random(71)
         for _ in range(100):
             dim = rng.randint(2, 3)
-            table = random_table(rng, dim)
+            table = rand_dense_table(rng, dim)
             t = Matrix(
                 [[rand_scalar(rng) for _ in range(dim)] for _ in range(dim)]
             )

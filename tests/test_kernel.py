@@ -37,13 +37,13 @@ from starbimod.errors import (
     TagMismatchError,
     VariantMismatchError,
 )
-from starbimod import selftest
+from starbimod import sampling
 from starbimod.exactla import Matrix, inverse, ldl_psd, nullspace, poly_at
 from starbimod.forms import FormMatrix
 from starbimod.gns import Functional, build_gns, check_cauchy_schwarz, check_identity, hankel_gram
 from starbimod.moments import MomentFunctional
 from starbimod.probes import boundedness_probe
-from starbimod.sampling import atoms012, mu3, rand_d2_element, rand_poly
+from starbimod.sampling import atoms012, cluster16, mu3, rand_d2_element, rand_poly
 
 from draws import nonzero_poly, real_poly
 from exact_views import (
@@ -651,7 +651,7 @@ class TestInverse:
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_criterion_8_tables(self, dim, monkeypatch):
-        """The seeded tables of criterion 8 (gen = G^-1 S) against sympy's G^-1 S."""
+        """Criterion 8's dense tables (gen = G^-1 S) against sympy's G^-1 S."""
         seen = []
 
         class _Recorder:
@@ -662,13 +662,11 @@ class TestInverse:
                 seen.append((self.gram, s))
                 return inverse(self.gram) @ s
 
-        monkeypatch.setattr(selftest, "inverse", _Recorder)
+        monkeypatch.setattr(sampling, "inverse", _Recorder)
         rng = random.Random(606)
         for _ in range(20):
             seen.clear()
-            table = selftest._random_action_table(rng, dim)
-            if not seen:  # the diagonal draws take no inverse
-                continue
+            table = sampling.rand_dense_table(rng, dim)
             [(gram, s)] = seen
             assert gram == table.gram
             expected = TestMatmul._dm(gram).inv() * TestMatmul._dm(s)
@@ -1105,11 +1103,6 @@ def _file_measure(name: str) -> MomentFunctional:
     return MomentFunctional.from_json(json.loads((ROOT / "measures" / name).read_text()))
 
 
-def _cluster() -> MomentFunctional:
-    """Sixteen atoms x = 1/n with weights 1/2^n, n = 1..16."""
-    return MomentFunctional.atomic([(Fraction(1, n), Fraction(1, 2**n)) for n in range(1, 17)])
-
-
 # each measure with its moments computed by sympy, independently of the class
 def _oracle_moments(name: str, count: int) -> list:
     rat = sympy.Rational
@@ -1128,7 +1121,7 @@ MEASURES = {
     "gauss64": lambda: _file_measure("gauss64.json"),
     "lebesgue01-64": lambda: _file_measure("lebesgue01-64.json"),
     "mu3": lambda: _file_measure("mu3.json"),
-    "cluster": _cluster,
+    "cluster": cluster16,
 }
 
 
@@ -1218,7 +1211,7 @@ class TestMoments:
                 call()
 
     def test_atomic_cache_is_not_part_of_equality(self):
-        a, b = _cluster(), _cluster()
+        a, b = cluster16(), cluster16()
         before = (hash(a), repr(a))
         assert a.moments_up_to(3) == b.moments_up_to(3)
         a.apply(Poly.monomial(40))

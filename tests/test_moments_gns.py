@@ -31,6 +31,7 @@ from starbimod.gns import (
 from starbimod.moments import MomentFunctional
 from starbimod.sampling import (
     atoms012,
+    cluster16,
     mu3,
     rand_d2_element,
     rand_fraction,
@@ -513,11 +514,6 @@ def _ref_cauchy_schwarz(func, a, x, mf):
     return lhs.abs2(), (c * mf.pairing(a, a)).re
 
 
-def _cluster():
-    """Sixteen atoms x = 1/n with weights 1/2^n, n = 1..16."""
-    return MomentFunctional.atomic([(Fraction(1, n), Fraction(1, 2**n)) for n in range(1, 17)])
-
-
 class TestGaussAtomsIntegerSums:
     """value, atom_images, check_identity and check_cauchy_schwarz of
     gauss-atoms against the Scalar loops, exactly."""
@@ -537,7 +533,7 @@ class TestGaussAtomsIntegerSums:
 
     @pytest.mark.parametrize("name", ["mu3", "atoms012", "cluster"])
     def test_against_scalar_loops(self, name):
-        mf = {"mu3": mu3, "atoms012": atoms012, "cluster": _cluster}[name]()
+        mf = {"mu3": mu3, "atoms012": atoms012, "cluster": cluster16}[name]()
         for func, a, x, b in self._cases(mf, 131):
             assert func.value(x, mf) == _ref_value(func, x, mf)
             re, im, den = func.atom_images(x, mf)
@@ -564,7 +560,7 @@ def _rand_complex(rng, n):
 class TestAtomRealization:
     """atom_power_sums, atom_pairing and atom_product against Fraction loops."""
 
-    MEASURES = {"mu3": mu3, "atoms012": atoms012, "cluster": _cluster}
+    MEASURES = {"mu3": mu3, "atoms012": atoms012, "cluster": cluster16}
 
     @pytest.mark.parametrize("name", sorted(MEASURES))
     def test_unit_power_sums_are_the_moments(self, name):

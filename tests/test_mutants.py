@@ -48,6 +48,14 @@ MUTANTS = {
         "tr * a + ti * b",
         (8,),
     ),
+    # inverse's imaginary row update adds f_r d where it subtracts it: G^-1 S is
+    # then not hermitian for G, and criterion 8 counts the refused table
+    "inverse-update-adds-a-real-product": (
+        "exactla.py",
+        "- fr * d - fi * c",
+        "+ fr * d - fi * c",
+        (8,),
+    ),
     "kernel-vector-without-its-l-terms": (
         "exactla.py",
         "kernel.append(v)",

@@ -41,7 +41,9 @@ from starbimod.probes import (
 )
 from starbimod.sampling import (
     atoms012,
+    cluster16,
     mu3,
+    rand_atoms,
     rand_d2_element,
     rand_fraction,
     rand_poly,
@@ -503,18 +505,13 @@ class TestNestedFactor:
             assert block.lower == full.lower[:n]
 
 
-def cluster() -> MomentFunctional:
-    """Sixteen atoms x = 1/n with weights 1/2^n, n = 1..16."""
-    return MomentFunctional.atomic([(Fraction(1, n), Fraction(1, 2**n)) for n in range(1, 17)])
-
-
 # each call builds a new object, so no two tests share a cached realization
 CACHE_MEASURES = {
     "gauss64": lambda: file_measure("gauss64.json"),
     "lebesgue01-64": lambda: file_measure("lebesgue01-64.json"),
     "mu3": mu3,
     "atoms012": atoms012,
-    "cluster": cluster,
+    "cluster": cluster16,
 }
 
 
@@ -523,11 +520,7 @@ def criterion_11_measures() -> dict:
     rng = random.Random(707)
     makers = {}
     for k in range(50):
-        atoms = [
-            (Fraction(rng.randint(-4, 4), rng.randint(1, 3)), Fraction(rng.randint(0, 3)))
-            for _ in range(rng.randint(1, 5))
-        ]
-        makers[f"random{k}"] = lambda atoms=atoms: MomentFunctional.atomic(atoms)
+        makers[f"random{k}"] = lambda atoms=rand_atoms(rng): MomentFunctional.atomic(atoms)
     return makers
 
 
@@ -536,7 +529,7 @@ KERNEL_CASES = {
     "mu3": (mu3, 12),
     "atoms012": (atoms012, 12),
     "point-mass": (lambda: MomentFunctional.atomic([(Fraction(-3, 2), Fraction(5, 7))]), 12),
-    "cluster": (cluster, 18),
+    "cluster": (cluster16, 18),
     "negative-fractional": (
         lambda: MomentFunctional.atomic(
             [
@@ -815,7 +808,7 @@ class TestScaledRealization:
 
     def test_the_cluster_gate_eliminates_the_integer_power_sums(self, monkeypatch):
         calls = count_eliminations(monkeypatch)
-        build_gns(cluster(), 14)
+        build_gns(cluster16(), 14)
         [m] = calls
         # m_k = N_k / (W X^k) with W = 2^16 and X = lcm(1..16)
         w, x = 2**16, 720720
@@ -864,7 +857,7 @@ class TestReadsIgnoreTheCacheReach:
     one whose cache earlier reads took far beyond it."""
 
     MEASURES = {
-        "cluster": cluster,
+        "cluster": cluster16,
         "negative-fractional": KERNEL_CASES["negative-fractional"][0],
         "mu3": mu3,
     }

@@ -1,10 +1,16 @@
-"""The library's refusals of malformed calls, each driven once: its exact type and message."""
+"""The library's refusals of malformed calls, each driven once: its exact type and message.
+
+A foreign operand of an arithmetic operator is refused by Python's
+``TypeError``, after each operand has returned ``NotImplemented``, and
+``==`` with one is False.
+"""
+
+import operator
+from fractions import Fraction
 
 import pytest
 
-from fractions import Fraction
-
-from starbimod.algebra import Q, parse_real, parse_scalar
+from starbimod.algebra import Q, Scalar, parse_real, parse_scalar
 from starbimod.bimodule import BimodElement
 from starbimod.errors import (
     DimensionMismatchError,
@@ -17,6 +23,7 @@ from starbimod.forms import ActionTable, FormMatrix, form_from_operator
 from starbimod.gns import Functional
 from starbimod.moments import MomentFunctional
 from starbimod.sampling import mu3
+from starbimod.weyl import WeylElement
 from starbimod.selftest import run_check
 
 ATOMS = Functional.gauss_atoms([1, 2, 3])
@@ -99,6 +106,7 @@ REFUSALS = {
         "singular matrix",
     ),
     "negative-derivative": (lambda: Q.derivative(-1), ValueError, "negative derivative order"),
+    "coerce-text": (lambda: Scalar.coerce("1"), TypeError, "cannot coerce str to Scalar"),
     # bimodule elements over two generators
     "sum-across-tags": (
         lambda: D2 + GAUSS,
@@ -109,6 +117,11 @@ REFUSALS = {
         lambda: D2.equivalent(GAUSS),
         TagMismatchError,
         "cannot compare elements over different generators",
+    ),
+    "triple-of-gauss": (
+        lambda: GAUSS.triple(),
+        TagMismatchError,
+        "coefficient triple needs a d2 element",
     ),
     "equivalent-to-a-non-element": (
         lambda: D2.equivalent(1),
@@ -130,6 +143,11 @@ REFUSALS = {
         lambda: MomentFunctional.from_json({"type": "x"}),
         ValueError,
         """a measure has "type" "atomic" or "moments", got 'x'""",
+    ),
+    "moment-values-not-a-list": (
+        lambda: MomentFunctional.from_json({"type": "moments", "values": "1"}),
+        ValueError,
+        '"values" must be a list of scalar literals',
     ),
     "negative-weight": (
         lambda: MomentFunctional.atomic([(0, 1), (1, Fraction(-1, 2))]),
@@ -204,3 +222,32 @@ def test_refusal(name):
         call()
     assert type(info.value) is error
     assert str(info.value) == message
+
+
+# (value, the operators that refuse a foreign operand on either side)
+OPERATORS = {
+    "scalar": (Scalar(1, 2), ("sub", "truediv")),
+    "poly": (Q, ("sub", "mul")),
+    "element": (D2, ("add", "sub", "mul")),
+    "matrix": (WIDE, ("matmul",)),
+    "weyl": (WeylElement([((1, 1), 1)]), ("mul",)),
+}
+
+
+@pytest.mark.parametrize("name", list(OPERATORS))
+def test_a_foreign_operand_is_refused(name):
+    value, ops = OPERATORS[name]
+    foreign = object()
+    for op in ops:
+        with pytest.raises(TypeError):
+            getattr(operator, op)(value, foreign)
+        with pytest.raises(TypeError):
+            getattr(operator, op)(foreign, value)
+
+
+@pytest.mark.parametrize(
+    "value", [WIDE, WeylElement([((1, 1), 1)]), mu3()], ids=lambda v: type(v).__name__
+)
+def test_equality_with_a_foreign_value_is_false(value):
+    assert value != object()
+    assert not value == "1"
