@@ -22,8 +22,9 @@ vector, depends only on the rows <= a of L.  A larger degree
 is realized afresh and replaces the entry whole, once its positivity
 gate has passed.  So the gate, the kernel and every probe at or below M
 share one elimination.  The Gram itself is not kept, and a realization
-holds no reference to its measure: ``hankel_gram`` builds the Gram from
-the moments on each call.
+holds no reference to its measure.  Realizations compare by value, so
+``check_intertwiner`` reads the uniqueness of the quotient as ``==`` of
+two presentations' realizations.
 
 The elimination runs at the moments' natural scale.  With m_k =
 N_k / (den x^k) from ``MomentFunctional.numerators`` (x = X, the lcm of
@@ -37,7 +38,7 @@ the powers of X that G over W X^(2N) has (the 16-atom cluster at degree
 30 factored in 1.3 s at W X^60, and in 0.12 s at natural scale).
 
 ``Functional`` bundles the five functional variants on the bimodules, a
-frozen slotted dataclass compared by identity, as ``GnsRealization`` is:
+frozen slotted dataclass compared by identity:
 
 * F0/F1/F2 on the d^2 bimodule pick off f(h0), f(h1), f(h2) of the
   coefficient triple of the argument; F_t forms its one component h_t
@@ -91,7 +92,7 @@ from .exactla import Matrix, ldl_psd, nullspace
 from .moments import MomentFunctional
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(frozen=True, slots=True)
 class GnsRealization:
     """Truncated quotient data of a moment functional at degree N.
 
@@ -101,9 +102,10 @@ class GnsRealization:
     per index, monic there: the rows of U = L^-1 are the orthogonal
     polynomials P_a, zero off the pivots, with f(P_a P_b) = D_a delta_ab.
     Both are real, as the moments are: ``MomentFunctional`` refuses a
-    non-real one at construction.  The Gram is not kept: ``hankel_gram``
-    builds it from the measure.  Nor is the measure, which caches this
-    realization, so the two form no reference cycle.
+    non-real one at construction.  The Gram is not kept, nor is the
+    measure, which caches this realization, so the two form no reference
+    cycle.  ``==`` and ``hash`` read the five fields; identity is the
+    cache's: a read at the cached degree returns the cached object itself.
     """
 
     degree: int
@@ -111,12 +113,6 @@ class GnsRealization:
     diag: tuple[Fraction, ...]
     rows: tuple[Poly, ...]
     kernel: tuple[Poly, ...]
-
-
-def hankel_gram(mf: MomentFunctional, degree: int) -> Matrix:
-    """The Gram matrix G_{jk} = m_{j+k} on q^0..q^N; needs moments up to 2N."""
-    m, n = mf.moments_up_to(2 * degree), degree + 1
-    return Matrix([m[j : j + n] for j in range(n)])
 
 
 def _hankel(values, den: int, n: int) -> Matrix:
@@ -405,22 +401,10 @@ def check_cauchy_schwarz(
 
 @dataclass(frozen=True)
 class UniquenessReport:
-    """Consistency data for two presentations of one functional."""
+    """Whether two presentations of one functional realize alike at a degree."""
 
     degree: int
-    gram_equal: bool
-    kernel_equal: bool
-    shift_consistent: bool
-    cyclic_preserved: bool
-
-    @property
-    def verified(self) -> bool:
-        return (
-            self.gram_equal
-            and self.kernel_equal
-            and self.shift_consistent
-            and self.cyclic_preserved
-        )
+    verified: bool
 
 
 def check_intertwiner(
@@ -428,28 +412,19 @@ def check_intertwiner(
 ) -> UniquenessReport:
     """Verify the canonical unitary between two equal-moment presentations.
 
-    The map sends the class of q^k to the class of q^k.  When the moments
-    agree up to 2N this is inner-product preserving by construction; this
-    check recomputes both Gram matrices, both kernels, and the pairing of
-    shifted basis vectors, all exactly.  Differing moments raise
-    MomentMismatchError.
+    The map sends the class of q^k to the class of q^k, and it preserves
+    inner products when the moments agree up to 2N: differing moments
+    raise MomentMismatchError at the first that differs.  The two
+    realizations at N, each built through its measure's cache, must then
+    be equal: the same pivots, D, orthogonal polynomials P_a and kernel.
+    A negative degree raises ValueError before any moment is read.
     """
+    degree = operator.index(degree)
+    if degree < 0:
+        raise ValueError(f"negative degree {degree}")
     m1 = mf1.moments_up_to(2 * degree)
     m2 = mf2.moments_up_to(2 * degree)
     for k, (u, v) in enumerate(zip(m1, m2)):
         if u != v:
             raise MomentMismatchError(f"moment {k} differs: {u} vs {v}")
-    r1 = build_gns(mf1, degree)
-    r2 = build_gns(mf2, degree)
-    gram_equal = hankel_gram(mf1, degree) == hankel_gram(mf2, degree)
-    kernel_equal = r1.kernel == r2.kernel
-    shift_ok = True
-    for j in range(degree):
-        shifted = Poly.monomial(j + 1)
-        for k in range(degree + 1):
-            if mf1.pairing(shifted, Poly.monomial(k)) != mf2.pairing(
-                shifted, Poly.monomial(k)
-            ):
-                shift_ok = False
-    cyclic = mf1.pairing(P_ONE, P_ONE) == mf2.pairing(P_ONE, P_ONE)
-    return UniquenessReport(degree, gram_equal, kernel_equal, shift_ok, cyclic)
+    return UniquenessReport(degree, build_gns(mf1, degree) == build_gns(mf2, degree))

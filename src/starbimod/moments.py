@@ -46,7 +46,7 @@ through these four.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import mul
+from operator import index, mul
 
 from .algebra import (
     Immutable,
@@ -283,6 +283,10 @@ class MomentFunctional(Immutable):
         return self.apply(v.conjugate() * u)
 
     def moments_up_to(self, degree: int) -> tuple[Scalar, ...]:
+        """m_0..m_degree, reduced; a negative degree raises ValueError."""
+        degree = index(degree)
+        if degree < 0:
+            raise ValueError(f"negative degree {degree}")
         nums, den, x = self.numerators(degree)
         m, den = _over_top(den, x, degree, nums)
         return tuple([gauss_scalar(a, 0, den) for a in m[: degree + 1]])

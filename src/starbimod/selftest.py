@@ -336,10 +336,11 @@ def uniqueness_suite() -> tuple[bool, str]:
     point_moments = MomentFunctional.from_moments(
         [Fraction(2)] + [Fraction(0)] * (2 * max_degree)
     )
-    ok = True
-    for n in range(1, max_degree + 1):
-        ok &= check_intertwiner(base, permuted, n).verified
-        ok &= check_intertwiner(point, point_moments, n).verified
+    # the cluster's atoms 1/n are realized at x = lcm(1..16), its moment list at x = 1
+    cluster = cluster16()
+    cluster_moments = MomentFunctional.from_moments(cluster.moments_up_to(2 * max_degree))
+    pairs = [(base, permuted), (point, point_moments), (cluster, cluster_moments)]
+    ok = all(check_intertwiner(a, b, n).verified for n in range(1, max_degree + 1) for a, b in pairs)
     mismatch_seen = False
     try:
         check_intertwiner(base, atoms012(), max_degree)
@@ -354,11 +355,7 @@ def uniqueness_suite() -> tuple[bool, str]:
         for n in range(1, top):
             fresh, lead = build_gns(make(), n), build_gns(warm, n)
             towers += 1
-            tower_failures += (
-                len(fresh.pivots) + len(fresh.kernel) != n + 1
-                or (fresh.degree, fresh.pivots, fresh.diag, fresh.rows, fresh.kernel)
-                != (lead.degree, lead.pivots, lead.diag, lead.rows, lead.kernel)
-            )
+            tower_failures += len(fresh.pivots) + len(fresh.kernel) != n + 1 or fresh != lead
     return (
         ok and mismatch_seen and tower_failures == 0,
         f"equal-moment presentations agree for degrees 1..{max_degree}, mismatch rejected, "

@@ -7,12 +7,22 @@ real ``Poly`` with a zero imaginary part, ``MomentFunctional.shifted_values``
 returns ``(re, im, den)`` sequences and the probe's ``_reduced_pencil``
 returns the upper entries of its pencil as reduced integer pairs.  The
 tests compare them with sympy and with each other through these views,
-built here with ``gauss_scalar`` and nothing else.
+built here with ``gauss_scalar`` and nothing else.  ``hankel_gram`` is
+the tests' Scalar-route Gram: it reads the reduced moments as Scalars,
+where ``build_gns`` forms G from integer numerators at the moments'
+natural scale.
 """
 
 from math import gcd
 
 from starbimod.algebra import Scalar, gauss_scalar
+from starbimod.exactla import Matrix
+
+
+def hankel_gram(mf, degree: int) -> Matrix:
+    """The Gram matrix G_{jk} = m_{j+k} on q^0..q^N; needs moments up to 2N."""
+    m, n = mf.moments_up_to(2 * degree), degree + 1
+    return Matrix([m[j : j + n] for j in range(n)])
 
 
 def lower_scalars(ldl) -> tuple[tuple[Scalar, ...], ...]:

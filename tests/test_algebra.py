@@ -31,10 +31,10 @@ from starbimod.bimodule import BimodElement
 from starbimod.errors import ParseError
 from starbimod.exactla import Matrix
 from starbimod.forms import ActionTable, FormMatrix
-from starbimod.gns import Functional
+from starbimod.gns import Functional, build_gns
 from starbimod.moments import MomentFunctional
 from starbimod.parser import parse_expression
-from starbimod.sampling import rand_weyl
+from starbimod.sampling import atoms012, cluster16, mu3, rand_weyl
 from starbimod.weyl import WeylElement
 
 from exact_views import assert_canonical_poly
@@ -506,6 +506,16 @@ class TestEqHashContract:
         assert len({Poly(), 0}) == 1
         assert len({WeylElement.monomial(0, 0) * 3, 3, Scalar(3), Poly.constant(3)}) == 1
         assert len({WeylElement.from_profile({0: Q}), Q}) == 1
+
+    def test_equal_realizations_hash_alike(self):
+        # one functional in two presentations, factored at x = lcm(1..16) and at x = 1
+        cluster = cluster16()
+        listed = MomentFunctional.from_moments(cluster.moments_up_to(24))
+        for n in range(13):
+            r1, r2 = build_gns(cluster, n), build_gns(listed, n)
+            assert r1 is not r2 and r1 == r2 and hash(r1) == hash(r2)
+            assert len({r1, r2}) == 1
+        assert build_gns(mu3(), 2) != build_gns(atoms012(), 2)
 
 
 def _used(value, use):

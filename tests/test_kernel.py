@@ -40,7 +40,7 @@ from starbimod.errors import (
 from starbimod import sampling
 from starbimod.exactla import Matrix, inverse, ldl_psd, nullspace, poly_at
 from starbimod.forms import FormMatrix
-from starbimod.gns import Functional, build_gns, check_cauchy_schwarz, check_identity, hankel_gram
+from starbimod.gns import Functional, build_gns, check_cauchy_schwarz, check_identity
 from starbimod.moments import MomentFunctional
 from starbimod.probes import boundedness_probe
 from starbimod.sampling import atoms012, cluster16, mu3, rand_d2_element, rand_poly
@@ -48,6 +48,7 @@ from starbimod.sampling import atoms012, cluster16, mu3, rand_d2_element, rand_p
 from draws import nonzero_poly, real_poly
 from exact_views import (
     assert_canonical_triple,
+    hankel_gram,
     lower_scalars,
     pivot_lower_scalars,
     sequence_scalars,

@@ -1,5 +1,6 @@
 """Moment functionals, the GNS truncation, and the paired functionals."""
 
+import dataclasses
 import gc
 import json
 import math
@@ -22,11 +23,11 @@ from starbimod.errors import (
 from starbimod.exactla import Matrix
 from starbimod.gns import (
     Functional,
+    UniquenessReport,
     build_gns,
     check_cauchy_schwarz,
     check_identity,
     check_intertwiner,
-    hankel_gram,
 )
 from starbimod.moments import MomentFunctional
 from starbimod.sampling import (
@@ -38,6 +39,8 @@ from starbimod.sampling import (
     rand_gauss_element,
     rand_poly,
 )
+
+from exact_views import hankel_gram
 
 D2 = BimodElement.d_squared()
 
@@ -208,6 +211,20 @@ class TestBuildGns:
         for path in paths:
             mf = MomentFunctional.from_json(json.loads(path.read_text(encoding="utf-8")))
             assert build_gns(mf, 14).degree == 14, path.name
+
+    @pytest.mark.parametrize(
+        "make",
+        [mu3, atoms012, cluster16, lambda: MomentFunctional.gaussian(25)],
+        ids=["mu3", "atoms012", "cluster16", "gaussian"],
+    )
+    def test_a_cached_leading_part_equals_a_fresh_build(self, make):
+        warm = make()
+        top = build_gns(warm, 12)
+        for n in range(13):
+            lead, fresh = build_gns(warm, n), build_gns(make(), n)
+            assert lead == fresh and hash(lead) == hash(fresh)
+            # identity is the cache's: only a read at the cached degree returns its object
+            assert (lead is top) == (n == 12)
 
 
 class TestFunctionalValues:
@@ -636,6 +653,26 @@ class TestUniqueness:
         # it compares no moment, so it must not read as verified
         with pytest.raises(ValueError, match="negative degree -1"):
             check_intertwiner(mu3(), mu3(), -1)
+
+    def test_non_integer_atoms_against_their_moment_list(self):
+        # the atoms are factored at x = lcm(3, 7, 4, 5, 2) = 420, the list at x = 1
+        atoms = MomentFunctional.atomic(
+            [
+                (Fraction(-2, 3), Fraction(1, 5)),
+                (Fraction(1, 7), Fraction(3, 2)),
+                (Fraction(5, 4), Fraction(2, 9)),
+                (Fraction(2, 5), 1),
+                (Fraction(-1, 2), Fraction(7, 3)),
+            ]
+        )
+        moments = MomentFunctional.from_moments(atoms.moments_up_to(16))
+        for n in range(1, 9):
+            assert check_intertwiner(atoms, moments, n) == UniquenessReport(n, True)
+        # five atoms: degrees 5..8 have a kernel to compare
+        assert len(build_gns(moments, 8).kernel) == 4
+
+    def test_the_report_is_the_degree_and_the_verdict(self):
+        assert [f.name for f in dataclasses.fields(UniquenessReport)] == ["degree", "verified"]
 
 
 class TestUnitWeightProducts:

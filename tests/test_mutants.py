@@ -68,12 +68,17 @@ MUTANTS = {
         "pass",
         (9, 11),
     ),
-    "unscaled-d-by-one-power-of-x": ("gns.py", "d / powers[p] ** 2", "d / powers[p]", (9, 11)),
+    "unscaled-d-by-one-power-of-x": (
+        "gns.py",
+        "d / powers[p] ** 2",
+        "d / powers[p]",
+        (9, 10, 11),
+    ),
     "unscaled-vectors-by-one-power-of-x-too-many": (
         "gns.py",
         "v.den * powers[len(v.re) - 1]",
         "v.den * powers[len(v.re) - 1] * x",
-        (11,),
+        (10, 11),
     ),
     "ldl-accepts-a-negative-pivot": ("exactla.py", "if pivot < 0:", "if False:", (11,)),
     # each Bareiss update keeps the previous pivot as a factor: positive, so the

@@ -26,7 +26,7 @@ from starbimod.errors import (
     SingularGramError,
 )
 from starbimod.exactla import Matrix, inverse, ldl_psd, nullspace
-from starbimod.gns import Functional, build_gns, check_intertwiner, hankel_gram
+from starbimod.gns import Functional, build_gns, check_intertwiner
 from starbimod.moments import MomentFunctional
 from starbimod.probes import (
     BOUNDED,
@@ -50,7 +50,13 @@ from starbimod.sampling import (
 )
 
 from draws import nonzero_poly, real_poly
-from exact_views import assert_canonical_poly, lower_scalars, pencil_scalars, pivot_lower_scalars
+from exact_views import (
+    assert_canonical_poly,
+    hankel_gram,
+    lower_scalars,
+    pencil_scalars,
+    pivot_lower_scalars,
+)
 
 D2 = BimodElement.d_squared()
 ROOT = Path(__file__).resolve().parents[1]
@@ -725,7 +731,7 @@ class TestGramFactorCache:
         mf = CACHE_MEASURES[name]()
         counts = Counter()
         for module, attr in (
-            (gns, "hankel_gram"),
+            (gns, "_hankel"),
             (gns, "ldl_psd"),
             (gns, "nullspace"),
         ):
@@ -736,17 +742,14 @@ class TestGramFactorCache:
 
             monkeypatch.setattr(module, attr, counted)
         build_gns(mf, 12)
-        # every measure is factored at its moments' natural scale, with no Gram read
-        assert counts == {"ldl_psd": 1, "nullspace": 1}
+        # every measure is factored once, on its natural-scale Hankel matrix
+        assert counts == {"_hankel": 1, "ldl_psd": 1, "nullspace": 1}
         counts.clear()
         for n in range(13):
             build_gns(mf, n)
         boundedness_probe(Functional("F1"), D2, mf, range(2, 13))
         generator_probe(mf, range(2, 11))
         assert counts == {}
-        # a Gram read builds the Gram from the moments, and nothing else
-        gns.hankel_gram(mf, 12)
-        assert counts == {"hankel_gram": 1}
 
     def test_two_threads_probing_one_measure(self):
         # the gate at the top realizes the measure, so both probes read one cached realization

@@ -20,7 +20,7 @@ from starbimod.errors import (
 )
 from starbimod.exactla import Matrix, inverse, ldl_psd, poly_at
 from starbimod.forms import ActionTable, FormMatrix, form_from_operator
-from starbimod.gns import Functional
+from starbimod.gns import Functional, check_intertwiner
 from starbimod.moments import MomentFunctional
 from starbimod.sampling import mu3
 from starbimod.weyl import WeylElement
@@ -168,6 +168,23 @@ REFUSALS = {
         lambda: MomentFunctional.atomic([(0, -2), (0.5, 1)]),
         ValueError,
         "negative atom weight -2",
+    ),
+    # a negative degree: a moment list once returned its table minus its tail
+    "moments-to-a-negative-degree": (
+        lambda: MomentFunctional.gaussian(6).moments_up_to(-2),
+        ValueError,
+        "negative degree -2",
+    ),
+    "atom-moments-to-a-negative-degree": (
+        lambda: mu3().moments_up_to(-1),
+        ValueError,
+        "negative degree -1",
+    ),
+    # refused at its own degree, before the differing moments are read
+    "intertwiner-negative-degree": (
+        lambda: check_intertwiner(mu3(), MomentFunctional.gaussian(6), -1),
+        ValueError,
+        "negative degree -1",
     ),
     "criterion-zero": (lambda: run_check(0), IndexError, "criteria are counted from 1, got 0"),
     # the scalar literal grammar
