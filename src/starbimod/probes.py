@@ -414,6 +414,5 @@ def norm_bound_trials(trials: int, seed: int, max_dim: int) -> tuple[int, float]
         t = rng.uniform(-1, 1, (dim, dim)) + 1j * rng.uniform(-1, 1, (dim, dim))
         report = numerical_radius_norm_check(t)
         worst = max(worst, report.slack)
-        if not report.certified:
-            failures += 1
+        failures += not report.certified
     return failures, worst

@@ -35,31 +35,21 @@ _files = {str(path) for path in PACKAGE.glob("*.py")}
 _ran: set[tuple[str, int]] = set()
 
 # (module file, enclosing function, stripped source line): why no traced test runs it.
-# A selftest failure counter runs only under a mutant that fails its criterion, and
-# tests/test_mutants.py runs each mutant in a forked child, which is not traced.
-_COUNTER = "a selftest failure counter: only a mutant that fails criterion {} runs it"
+# Criterion 8 counts a refused table only under a mutant that makes ``inverse``
+# wrong, and tests/test_mutants.py runs each mutant in a forked child, which is
+# not traced.
+_REFUSED = "criterion 8's refused-table branch: only a mutant that fails criterion 8 runs it"
 REVIEWED = {
     ("cli.py", "<module>", "sys.exit(main())"): (
         "runs only as `python -m starbimod.cli`, in the CLI tests' subprocesses"
     ),
-    ("probes.py", "norm_bound_trials", "failures += 1"): (
-        "counts an uncertified ||T|| <= 4 w(T); no mutant in tests/test_mutants.py fails criterion 7"
-    ),
-    ("selftest.py", "normal_order_soundness", "failures += 1"): _COUNTER.format(5),
-    ("selftest.py", "normal_order_soundness", "break"): _COUNTER.format(5),
-    ("selftest.py", "cauchy_schwarz_suite", "failures += 1"): _COUNTER.format(6),
-    ("selftest.py", "cauchy_schwarz_suite", "h_failures += 1"): _COUNTER.format(6),
-    ("selftest.py", "cauchy_schwarz_suite", "equality_failures += 1"): _COUNTER.format(6),
     (
         "selftest.py",
         "bimodule_axiom_suites",
         "except ValueError:  # G^-1 S not hermitian for G: ``inverse`` is wrong",
-    ): _COUNTER.format("8 by a refused table"),
-    ("selftest.py", "bimodule_axiom_suites", "forms_failures += 1"): _COUNTER.format(
-        "8 by a refused table"
-    ),
-    ("selftest.py", "bimodule_axiom_suites", "continue"): _COUNTER.format("8 by a refused table"),
-    ("selftest.py", "parser_roundtrip", "failures += 1"): _COUNTER.format(12),
+    ): _REFUSED,
+    ("selftest.py", "bimodule_axiom_suites", "forms_failures += 1"): _REFUSED,
+    ("selftest.py", "bimodule_axiom_suites", "continue"): _REFUSED,
 }
 _report: dict = {}
 

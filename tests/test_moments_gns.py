@@ -212,20 +212,6 @@ class TestBuildGns:
             mf = MomentFunctional.from_json(json.loads(path.read_text(encoding="utf-8")))
             assert build_gns(mf, 14).degree == 14, path.name
 
-    @pytest.mark.parametrize(
-        "make",
-        [mu3, atoms012, cluster16, lambda: MomentFunctional.gaussian(25)],
-        ids=["mu3", "atoms012", "cluster16", "gaussian"],
-    )
-    def test_a_cached_leading_part_equals_a_fresh_build(self, make):
-        warm = make()
-        top = build_gns(warm, 12)
-        for n in range(13):
-            lead, fresh = build_gns(warm, n), build_gns(make(), n)
-            assert lead == fresh and hash(lead) == hash(fresh)
-            # identity is the cache's: only a read at the cached degree returns its object
-            assert (lead is top) == (n == 12)
-
 
 class TestFunctionalValues:
     def test_f0_counts_mass(self):

@@ -56,6 +56,23 @@ MUTANTS = {
         "+ fr * d - fi * c",
         (8,),
     ),
+    # inverse's row update and its output row add the pivot's imaginary product
+    # where they subtract it: criterion 8's hermitian Grams have real pivots, so
+    # only its inverse law on the drawn operator t reaches these terms
+    "inverse-update-adds-the-pivot-imaginary-product": (
+        "exactla.py",
+        "pr * a - pi * b - fr * c + fi * d",
+        "pr * a + pi * b - fr * c + fi * d",
+        (8,),
+    ),
+    "inverse-output-adds-the-pivot-imaginary-product": (
+        "exactla.py",
+        "f * (pr * a - pi * b)",
+        "f * (pr * a + pi * b)",
+        (8,),
+    ),
+    # d^+ = d: the lowering is then no longer a *-map
+    "involution-keeps-the-sign-of-d": ("weyl.py", "s = (-1) ** n", "s = 1", (4,)),
     "kernel-vector-without-its-l-terms": (
         "exactla.py",
         "kernel.append(v)",

@@ -565,49 +565,84 @@ def count_eliminations(monkeypatch) -> list:
     return calls
 
 
-def factor_fields(realization) -> tuple:
-    """The factor a realization holds: pivots, D, rows of L^-1 and kernel."""
-    return realization.pivots, realization.diag, realization.rows, realization.kernel
+# every measure the realization laws run on, with the degree M cached first: the
+# two continuous sample measures, a moment list that reaches M + 2, and the KERNEL_CASES
+REALIZATIONS = {
+    **{
+        name: (lambda name=name: file_measure(f"{name}.json"), 12)
+        for name in ("gauss64", "lebesgue01-64")
+    },
+    "gaussian32": (lambda: MomentFunctional.gaussian(32), 12),
+    **KERNEL_CASES,
+}
+STAGES = ("_hankel", "ldl_psd", "nullspace")
 
 
-def assert_fresh_factor(factor, name, degree):
-    """``factor`` is the degree-N factor of a new measure: its LDL and rows of L^-1."""
-    ldl = ldl_psd(hankel_gram(CACHE_MEASURES[name](), degree))
-    assert factor.degree == degree
-    assert (factor.pivots, factor.diag) == (ldl.pivots, ldl.diag)
-    assert factor.rows[: len(ldl.pivots)] == nullspace(ldl)[0]
+class TestRealizationLaws:
+    """The contract of ``build_gns``, the one route to the realization, on every measure.
 
-
-class TestGramFactorCache:
-    """``build_gns`` keeps one realization per measure object, at the largest degree asked.
-
-    Every read at or below that degree must be the realization a new
-    measure would compute (its factor, rows of L^-1, kernel and Gram),
-    every read above it must fail where a new measure fails, and no two
-    objects share a realization, however equal.
+    The route law: a build on a new measure is ``ldl_psd`` of the Hankel
+    Gram and what ``nullspace`` reads off it.  The cache-and-work law: each
+    build above the cached degree M runs each stage once, and every read at
+    or below M is the fresh build, computed from nothing, and the cached
+    object itself exactly at M.
     """
 
-    @pytest.mark.parametrize("name", sorted(CACHE_MEASURES))
-    @pytest.mark.parametrize("tower", [(6, 12), (12, 6)], ids=["short-first", "long-first"])
-    def test_every_degree_reads_the_fresh_factor(self, name, tower):
-        mf = CACHE_MEASURES[name]()
-        for top in tower:
-            build_gns(mf, top)
-            # an atomic measure's cached power sums grow past the factored degree
-            mf.moments_up_to(40)
-            # ascending, so the rows of L^-1 grow in steps; then a low degree again
-            for n in (*range(top + 1), 3):
-                assert_fresh_factor(build_gns(mf, n), name, n)
+    @pytest.mark.parametrize("name", list(REALIZATIONS))
+    def test_a_build_is_the_direct_route(self, name):
+        make, top = REALIZATIONS[name]
+        for n in range(top + 1):
+            realization = build_gns(make(), n)
+            assert realization.degree == n
+            assert len(realization.pivots) + len(realization.kernel) == n + 1
+            ldl = ldl_psd(hankel_gram(make(), n))
+            fields = realization.pivots, realization.diag, realization.rows, realization.kernel
+            assert fields == (ldl.pivots, ldl.diag, *nullspace(ldl)), n
 
-    @pytest.mark.parametrize("name", sorted(CACHE_MEASURES))
-    def test_build_gns_reads_the_fresh_factor(self, name):
-        mf = CACHE_MEASURES[name]()
-        build_gns(mf, 12)
-        for n in (0, 2, 5, 12):
+    @pytest.mark.parametrize("name", list(REALIZATIONS))
+    @pytest.mark.parametrize("half_first", [True, False], ids=["half-then-top", "top"])
+    def test_reads_are_fresh_builds_and_cost_nothing(self, name, half_first, monkeypatch):
+        make, top = REALIZATIONS[name]
+        fresh = [build_gns(make(), n) for n in range(top + 1)]
+        counts = Counter()
+        for stage in STAGES:
+
+            def counted(*args, _stage=stage, _original=getattr(gns, stage)):
+                counts[_stage] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(gns, stage, counted)
+        mf = make()
+        for m in (top // 2, top) if half_first else (top,):
+            cached = build_gns(mf, m)
+            assert counts == dict.fromkeys(STAGES, 1)
+            counts.clear()
+        if mf.is_atomic:
+            # an atomic measure's cached power sums grow past the factored degree
+            mf.moments_up_to(2 * top + 16)
+        # ascending, so the leading parts grow in steps; then a low degree again
+        for n in (*range(top + 1), 3):
             realization = build_gns(mf, n)
-            fresh = build_gns(CACHE_MEASURES[name](), n)
-            assert factor_fields(realization) == factor_fields(fresh)
-            assert hankel_gram(mf, n) == hankel_gram(CACHE_MEASURES[name](), n)
+            assert realization == fresh[n] and hash(realization) == hash(fresh[n]), n
+            assert (realization is cached) == (n == top), n
+            assert hankel_gram(mf, n) == hankel_gram(make(), n), n
+        if not name.startswith("random"):
+            # a random measure may have zero weight, where the probes refuse
+            boundedness_probe(Functional("F1"), D2, mf, range(2, top + 1))
+            generator_probe(mf, range(2, top + 1))
+        assert counts == {}
+        build_gns(mf, top + 2)
+        assert counts == dict.fromkeys(STAGES, 1)
+
+
+class TestRealizationCache:
+    """``build_gns`` keeps one realization per measure object, at the largest degree asked.
+
+    Every read above that degree must fail where a new measure fails, no
+    two objects share a realization, however equal, and no probe report
+    depends on what the cache holds; ``TestRealizationLaws`` checks the
+    reads at or below it.
+    """
 
     @pytest.mark.parametrize("name", sorted(CACHE_MEASURES))
     def test_probe_reports_do_not_depend_on_the_cache(self, name):
@@ -648,9 +683,7 @@ class TestGramFactorCache:
         with pytest.raises(error) as fresh:
             build_gns(MomentFunctional.from_moments(values), 5)
         message = str(fresh.value)
-        fresh_factors = [
-            factor_fields(build_gns(MomentFunctional.from_moments(values), n)) for n in range(5)
-        ]
+        reads = [build_gns(MomentFunctional.from_moments(values), n) for n in range(5)]
         mf = MomentFunctional.from_moments(values)
         build_gns(mf, 4)
         calls = count_eliminations(monkeypatch)
@@ -665,7 +698,7 @@ class TestGramFactorCache:
                 assert str(got.value) == message
             # degrees <= 4 are still served from the cache, with no elimination
             before = len(calls)
-            assert [factor_fields(build_gns(mf, n)) for n in range(5)] == fresh_factors
+            assert [build_gns(mf, n) for n in range(5)] == reads
             generator_probe(mf, range(1, 4))
             assert len(calls) == before
 
@@ -691,65 +724,6 @@ class TestGramFactorCache:
         assert mf == CACHE_MEASURES[name]()
         with pytest.raises(AttributeError):
             mf._gns = None
-
-    @pytest.mark.parametrize("name", sorted(CACHE_MEASURES))
-    def test_every_read_holds_all_its_rows(self, name, monkeypatch):
-        mf = CACHE_MEASURES[name]()
-        calls = []
-        original = gns.nullspace
-
-        def counted(ldl):
-            calls.append(ldl)
-            return original(ldl)
-
-        monkeypatch.setattr(gns, "nullspace", counted)
-        for top in (6, 12):
-            factor = build_gns(mf, top)
-            assert isinstance(factor.rows, tuple) and len(factor.rows) == len(factor.pivots)
-            assert len(calls) == 1
-            calls.clear()
-            for n in (*range(top + 1), 3):
-                factor = build_gns(mf, n)
-                assert isinstance(factor.rows, tuple) and len(factor.rows) == len(factor.pivots)
-            build_gns(mf, top)
-            assert calls == []
-
-    @pytest.mark.parametrize("case", list(KERNEL_CASES))
-    def test_every_read_has_the_fresh_kernel_and_gram(self, case):
-        make, top = KERNEL_CASES[case]
-        mf = make()
-        build_gns(mf, top)
-        for n in range(top + 1):
-            realization = build_gns(mf, n)
-            fresh = build_gns(make(), n)
-            assert realization.degree == n
-            assert factor_fields(realization) == factor_fields(fresh)
-            assert hankel_gram(mf, n) == hankel_gram(make(), n)
-
-    @pytest.mark.parametrize("name", sorted(CACHE_MEASURES))
-    def test_a_warm_read_computes_nothing(self, name, monkeypatch):
-        mf = CACHE_MEASURES[name]()
-        counts = Counter()
-        for module, attr in (
-            (gns, "_hankel"),
-            (gns, "ldl_psd"),
-            (gns, "nullspace"),
-        ):
-
-            def counted(*args, _attr=attr, _original=getattr(module, attr)):
-                counts[_attr] += 1
-                return _original(*args)
-
-            monkeypatch.setattr(module, attr, counted)
-        build_gns(mf, 12)
-        # every measure is factored once, on its natural-scale Hankel matrix
-        assert counts == {"_hankel": 1, "ldl_psd": 1, "nullspace": 1}
-        counts.clear()
-        for n in range(13):
-            build_gns(mf, n)
-        boundedness_probe(Functional("F1"), D2, mf, range(2, 13))
-        generator_probe(mf, range(2, 11))
-        assert counts == {}
 
     def test_two_threads_probing_one_measure(self):
         # the gate at the top realizes the measure, so both probes read one cached realization
@@ -784,18 +758,9 @@ class TestGramFactorCache:
 class TestScaledRealization:
     """``build_gns`` factors S G S at the moments' natural scale and maps the factor back.
 
-    Every field must be what the direct route, ``ldl_psd`` of
-    ``hankel_gram`` and the rows and kernel read off it, gives.
+    The fields map back real, and the elimination reads the integer power
+    sums; ``TestRealizationLaws`` checks them against the direct route.
     """
-
-    @pytest.mark.parametrize("case", list(KERNEL_CASES))
-    def test_every_degree_equals_the_direct_route(self, case):
-        make, top = KERNEL_CASES[case]
-        for n in range(top + 1):
-            realization = build_gns(make(), n)
-            gram = hankel_gram(make(), n)
-            ldl = ldl_psd(gram)
-            assert factor_fields(realization) == (ldl.pivots, ldl.diag, *nullspace(ldl)), n
 
     @pytest.mark.parametrize("case", list(KERNEL_CASES))
     def test_the_realization_is_real(self, case):
@@ -884,35 +849,6 @@ class TestReadsIgnoreTheCacheReach:
         nums, den, x = make().numerators(8)
         assert warm.numerators(8)[1:] == (den, x)
         assert warm.numerators(8)[0][:9] == nums[:9]
-
-
-class TestOneEliminationPerMeasure:
-    """The probe's saving: the Gram of a measure object is eliminated once."""
-
-    @pytest.mark.parametrize("name", sorted(CACHE_MEASURES))
-    def test_cold_probe_eliminates_once_and_a_warm_one_never(self, name, monkeypatch):
-        mf = CACHE_MEASURES[name]()
-        calls = count_eliminations(monkeypatch)
-        generator_probe(mf, range(2, 11))
-        assert len(calls) == 1
-        boundedness_probe(Functional("F1"), D2, mf, range(2, 11))
-        boundedness_probe(Functional.gauss_poly(Q), BimodElement.gauss(1), mf, range(2, 8))
-        assert len(calls) == 1
-        # a higher tower eliminates once more, and then reads that factor
-        generator_probe(mf, range(2, 15))
-        generator_probe(mf, range(2, 11))
-        assert len(calls) == 2
-
-    @pytest.mark.parametrize("name", sorted(CACHE_MEASURES))
-    @pytest.mark.parametrize("gate", [10, 14])
-    def test_probe_after_build_gns_at_or_above_its_top(self, name, gate, monkeypatch):
-        mf = CACHE_MEASURES[name]()
-        build_gns(mf, gate)
-        calls = count_eliminations(monkeypatch)
-        boundedness_probe(Functional("F2"), D2, mf, range(2, 11))
-        generator_probe(mf, range(2, 11))
-        build_gns(mf, 10)
-        assert calls == []
 
 
 def hermite_top_zero(n: int) -> float:
