@@ -1011,6 +1011,10 @@ class TestPlateauRule:
     def test_zero_tail(self):
         assert plateau_verdict([0.0, 0.0, 0.0], 1e-3) == BOUNDED
 
+    def test_zero_tolerance(self):
+        assert plateau_verdict([1.0, 2.0, 2.0, 2.0], 0.0) == BOUNDED
+        assert plateau_verdict([1.0, 2.0, 2.0, 2.5], 0.0) == GROWTH
+
 
 class TestNumericalRadiusBound:
     def test_nilpotent_shift(self):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from starbimod import cli
+from cli_contract import run
 from starbimod.selftest import ALL_CHECKS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -47,10 +47,9 @@ CLI_COMMANDS = [argv for argv in cli_commands() if argv[0] != "selftest"]
 
 
 @pytest.mark.parametrize("argv", CLI_COMMANDS, ids=[" ".join(a) for a in CLI_COMMANDS])
-def test_cli_example_exits_0(argv, monkeypatch, capsys):
+def test_cli_example_exits_0(argv, monkeypatch):
     monkeypatch.chdir(README.parent)
-    assert cli.main(argv) == 0
-    out = capsys.readouterr().out
+    out = run(argv, codes=(0,))[1]
     if argv == ["normal-order", "d*q - q*d"]:
         assert out == "1\n"
 

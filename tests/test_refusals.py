@@ -22,6 +22,7 @@ from starbimod.exactla import Matrix, inverse, ldl_psd, poly_at
 from starbimod.forms import ActionTable, FormMatrix, form_from_operator
 from starbimod.gns import Functional, check_intertwiner
 from starbimod.moments import MomentFunctional
+from starbimod.probes import plateau_verdict
 from starbimod.sampling import mu3
 from starbimod.weyl import WeylElement
 from starbimod.selftest import run_check
@@ -187,6 +188,28 @@ REFUSALS = {
         "negative degree -1",
     ),
     "criterion-zero": (lambda: run_check(0), IndexError, "criteria are counted from 1, got 0"),
+    # the plateau rule's tolerance: a negative or NaN one reads every tail as
+    # growth, an infinite one every tail as bounded
+    "tolerance-negative": (
+        lambda: plateau_verdict([1.0, 1.0, 1.0], -1.0),
+        ValueError,
+        "tolerance must be finite and >= 0, got -1.0",
+    ),
+    "tolerance-nan": (
+        lambda: plateau_verdict([1.0, 1.0, 1.0], float("nan")),
+        ValueError,
+        "tolerance must be finite and >= 0, got nan",
+    ),
+    "tolerance-inf": (
+        lambda: plateau_verdict([1.0, 1.0, 1.0], float("inf")),
+        ValueError,
+        "tolerance must be finite and >= 0, got inf",
+    ),
+    "tolerance-minus-inf": (
+        lambda: plateau_verdict([1.0, 1.0, 1.0], float("-inf")),
+        ValueError,
+        "tolerance must be finite and >= 0, got -inf",
+    ),
     # the scalar literal grammar
     "literal-not-text": (
         lambda: parse_scalar(5),
