@@ -218,10 +218,6 @@ class Scalar(Immutable):
             return hash(self.re_num) if self.den == 1 else hash(self.re)
         return hash((self.re, self.im))
 
-    def __complex__(self):
-        # int / int rounds correctly, as float(Fraction) does
-        return complex(self.re_num / self.den, self.im_num / self.den)
-
     def __repr__(self):
         return f"Scalar({self.re!r}, {self.im!r})"
 

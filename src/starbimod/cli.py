@@ -67,8 +67,19 @@ def _load_json(path: str, what: str, build):
         raise InputError(f"cannot read {what} {path}: {exc}") from exc
 
 
-def _load_measure(path: str) -> MomentFunctional:
-    return _load_json(path, "measure", MomentFunctional.from_json)
+def _load_measure(path: str, degree: int) -> MomentFunctional:
+    """The measure at ``path``, gated: ``build_gns`` must realize it at ``degree``.
+
+    A measure that fails the gate, with an indefinite Gram or moments that
+    stop short of 2 * ``degree``, is refused like an unreadable file.
+    """
+
+    def build(data) -> MomentFunctional:
+        mf = MomentFunctional.from_json(data)
+        build_gns(mf, degree)
+        return mf
+
+    return _load_json(path, "measure", build)
 
 
 def _expression_poly(text: str) -> Poly:
@@ -204,14 +215,13 @@ def _cmd_theta_map(args) -> int:
 
 
 def _run_trials(args, check: str, key: str, claim: str, trial) -> int:
-    """Gate the measure, then run ``trial(func, case, mf)`` on seeded random (a, x, b) cases.
+    """Run ``trial(func, case, mf)`` on seeded random (a, x, b) cases, on a gated measure.
 
     ``trial`` returns None when a case passes and otherwise the fields that
     the first failure adds to the report.
     """
-    mf = _load_measure(args.measure)
+    mf = _load_measure(args.measure, args.max_degree)
     func = _load_functional(args.functional)
-    build_gns(mf, args.max_degree)  # positivity gate
     rng = random.Random(args.seed)
     failures = 0
     witness = None
@@ -258,10 +268,10 @@ def _cs_trial(func, case, mf):
 
 
 def _cmd_probe(args) -> int:
-    mf = _load_measure(args.measure)
+    degrees = _parse_degrees(args.degrees)
+    mf = _load_measure(args.measure, degrees[-1])
     func = _load_functional(args.functional)
     element = _load_element(args.element, func)
-    degrees = _parse_degrees(args.degrees)
     report = boundedness_probe(func, element, mf, degrees, args.tolerance)
     payload = {
         "check": "probe",

@@ -11,12 +11,58 @@ built here with ``gauss_scalar`` and nothing else.  ``hankel_gram`` is
 the tests' Scalar-route Gram: it reads the reduced moments as Scalars,
 where ``build_gns`` forms G from integer numerators at the moments'
 natural scale.
+
+The sympy bridge is here too, once: ``qq`` is a Scalar as an element of
+sympy's QQ_I, ``sym_poly`` a ``Poly`` as a sympy polynomial in ``T``, and
+``domain_matrix`` a matrix as a DomainMatrix over QQ_I, with ``conj``
+and ``adjoint_dm`` for their conjugates.
 """
 
 from math import gcd
 
-from starbimod.algebra import Scalar, gauss_scalar
+import sympy
+from sympy import QQ_I
+from sympy.polys.matrices import DomainMatrix
+
+from starbimod.algebra import Poly, Scalar, gauss_scalar
 from starbimod.exactla import Matrix
+
+T = sympy.Symbol("t")
+
+
+def qq(c: Scalar):
+    """A Scalar as an element of QQ_I."""
+    return QQ_I(
+        sympy.Rational(c.re.numerator, c.re.denominator),
+        sympy.Rational(c.im.numerator, c.im.denominator),
+    )
+
+
+def conj(z):
+    """The conjugate of a QQ_I element."""
+    return QQ_I(z.x, -z.y)
+
+
+def sym_poly(p: Poly) -> sympy.Poly:
+    """A ``Poly`` as a sympy polynomial in T over QQ_I."""
+    return sympy.Poly.from_list([qq(c) for c in reversed(p.coeffs)], T, domain=QQ_I)
+
+
+def domain_matrix(m) -> DomainMatrix:
+    """A ``Matrix``, or a list of equal-length Scalar rows, as a DomainMatrix over QQ_I."""
+    if isinstance(m, Matrix):
+        rows, shape = m.rows, (m.nrows, m.ncols)
+    else:
+        rows, shape = m, (len(m), len(m[0]) if m else 0)
+    return DomainMatrix([[qq(c) for c in r] for r in rows], shape, QQ_I)
+
+
+def adjoint_dm(d: DomainMatrix) -> DomainMatrix:
+    """The conjugate transpose of a DomainMatrix over QQ_I."""
+    rows, cols = d.shape
+    return DomainMatrix(
+        [[conj(d[i, j].element) for i in range(rows)] for j in range(cols)], (cols, rows), QQ_I
+    )
 
 
 def hankel_gram(mf, degree: int) -> Matrix:

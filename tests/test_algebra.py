@@ -154,7 +154,6 @@ class TestScalarAgainstFractionPairs:
         assert z.is_real() == (b == 0)
         assert z.is_zero() == (not a and not b) == (not z)
         assert (z == w) == ((a, b) == (c, d))
-        assert complex(z) == complex(float(a), float(b))
 
     @given(scalars, rationals)
     @settings(max_examples=200)

@@ -32,7 +32,7 @@ from starbimod.probes import norm_bound_trials
 
 MEASURES = Path(__file__).resolve().parents[1] / "measures"
 MU3 = str(MEASURES / "mu3.json")  # atoms -1, 0 and 1, each of weight 1
-GAUSS64 = str(MEASURES / "gauss64.json")  # the standard Gaussian's moments m_0..m_64
+GAUSS64 = str(MEASURES / "gauss64.json")  # the standard Gaussian's moments m_0..m_63
 
 
 # A fake ``cli.main`` for each way to break the contract; the runner must
@@ -169,9 +169,18 @@ REFUSALS = _by_name(
      f"error: cannot read element {FILE}: {TOO_DEEP}"),
     ("deep-element-json-theta-map", ["theta-map", "--element", FILE], DEEP_JSON,
      f"error: cannot read element {FILE}: {TOO_DEEP}"),
-    # measures
+    # measures; the positivity gate runs as the file is read, at --max-degree
+    # or at the probe's top degree, whose Gram needs the moments up to twice it
     ("indefinite-measure", ["gns-check", "--measure", FILE, "--functional", "F0", *ONE_TRIAL],
-     {"type": "moments", "values": ["1", "0", "-1"]}, "error: negative pivot -1"),
+     {"type": "moments", "values": ["1", "0", "-1"]},
+     f"error: cannot read measure {FILE}: negative pivot -1"),
+    ("indefinite-measure-probe",
+     ["probe", "--measure", FILE, "--functional", "F0", "--degrees", "0..2"],
+     {"type": "moments", "values": ["1", "0", "-1", "0", "1"]},
+     f"error: cannot read measure {FILE}: negative pivot -1"),
+    ("probe-past-the-stored-moments",
+     ["probe", "--measure", GAUSS64, "--functional", "F0", "--degrees", "2..40"], None,
+     f"error: cannot read measure {GAUSS64}: moment 64 beyond stored truncation 63"),
     ("measure-zero-denominator",
      ["gns-check", "--measure", FILE, "--functional", "F0", *ONE_TRIAL],
      {"type": "moments", "values": ["1", "1/0", "2"]},

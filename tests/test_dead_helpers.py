@@ -582,7 +582,6 @@ def test_no_module_imports_another_modules_private_name():
 # enclosing function (None outside any function), with the reason: the
 # arithmetic is exact everywhere else
 FLOAT_ISLANDS = {
-    ("algebra.py", "Scalar.__complex__"): "the float view of an exact Scalar",
     ("cli.py", "_tolerance"): "parses --tolerance, the probe's float plateau tolerance",
     ("probes.py", None): "the numpy import of the one module with eigensolves, and "
     "PLATEAU_TOLERANCE, the probe's default float plateau tolerance",

@@ -409,47 +409,6 @@ class TestFromOperator:
 
 
 class TestBimoduleAxioms:
-    def test_axiom_suite(self):
-        rng = random.Random(67)
-        for _ in range(150):
-            dim = rng.randint(2, 3)
-            table = rand_dense_table(rng, dim)
-            x = rand_form(rng, dim)
-            a = rand_poly(rng, 2)
-            b = rand_poly(rng, 2)
-            assert x.act(b, P_ONE, table).act(a, P_ONE, table) == x.act(
-                a * b, P_ONE, table
-            )
-            assert x.act(a, P_ONE, table).act(P_ONE, b, table) == x.act(
-                a, b, table
-            )
-            assert x.act(P_ONE, b, table).act(a, P_ONE, table) == x.act(
-                a, b, table
-            )
-            assert x.act(a, b, table).involution() == x.involution().act(
-                b.conjugate(), a.conjugate(), table
-            )
-            # left action through the involutions
-            assert x.act(a, P_ONE, table) == x.involution().act(
-                P_ONE, a.conjugate(), table
-            ).involution()
-
-    def test_operator_sandwich(self):
-        rng = random.Random(71)
-        for _ in range(100):
-            dim = rng.randint(2, 3)
-            table = rand_dense_table(rng, dim)
-            t = Matrix(
-                [[rand_scalar(rng) for _ in range(dim)] for _ in range(dim)]
-            )
-            a = rand_poly(rng, 2)
-            b = rand_poly(rng, 2)
-            lhs = form_from_operator(t, table).act(a, b, table)
-            rhs = form_from_operator(
-                table.operator(a) @ t @ table.operator(b), table
-            )
-            assert lhs == rhs
-
     def test_form_values_match_matrix(self):
         table = diag_table()
         x = shift_form()

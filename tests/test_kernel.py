@@ -47,15 +47,20 @@ from starbimod.sampling import atoms012, cluster16, mu3, rand_d2_element, rand_p
 
 from draws import nonzero_poly, real_poly
 from exact_views import (
+    T,
+    adjoint_dm,
+    assert_canonical_poly,
     assert_canonical_triple,
+    conj,
+    domain_matrix,
     hankel_gram,
     lower_scalars,
     pivot_lower_scalars,
+    qq,
     sequence_scalars,
+    sym_poly,
     vector_scalars,
 )
-
-T = sympy.Symbol("t")
 
 # the odd double factorials of MomentFunctional.gaussian(64), up to 43 digits
 TALL = [m.re.numerator for m in MomentFunctional.gaussian(64).values if m]
@@ -63,17 +68,6 @@ MAX_DEN = 129
 # "mixed" draws each entry's shape on its own, so that one row of a
 # matrix product meets zero, real, imaginary and complex entries
 SHAPES = ("real", "imag", "complex", "mixed")
-
-
-def _qq(c: Scalar):
-    return QQ_I(
-        sympy.Rational(c.re.numerator, c.re.denominator),
-        sympy.Rational(c.im.numerator, c.im.denominator),
-    )
-
-
-def _sym_poly(p: Poly) -> sympy.Poly:
-    return sympy.Poly.from_list([_qq(c) for c in reversed(p.coeffs)], T, domain=QQ_I)
 
 
 def _part(rng) -> Fraction:
@@ -104,16 +98,6 @@ def _poly(rng, shape: str, max_degree: int = 7) -> Poly:
     return Poly([_scalar(rng, shape) for _ in range(rng.randint(0, max_degree) + 1)])
 
 
-def _assert_canonical(p: Poly):
-    """The stored form: den > 0, content coprime to den, no trailing zero."""
-    assert type(p.re) is tuple and type(p.im) is tuple
-    assert len(p.re) == len(p.im)
-    assert all(type(c) is int for c in p.re + p.im)
-    assert p.den > 0
-    assert gcd(p.den, *p.re, *p.im) == 1
-    assert not p.re or p.re[-1] or p.im[-1]
-
-
 def _assert_lowest_terms(scalars):
     for c in scalars:
         for part in (c.re, c.im):
@@ -129,9 +113,9 @@ class TestPolyProduct:
             a = _poly(rng, rng.choice(SHAPES))
             b = _poly(rng, rng.choice(SHAPES))
             product = a * b
-            assert _sym_poly(product) == _sym_poly(a) * _sym_poly(b)
+            assert sym_poly(product) == sym_poly(a) * sym_poly(b)
             _assert_lowest_terms(product.coeffs)
-            _assert_canonical(product)
+            assert_canonical_poly(product)
 
     def test_every_shape_pair(self):
         rng = random.Random(42)
@@ -139,7 +123,7 @@ class TestPolyProduct:
             for sb in SHAPES:
                 for _ in range(20):
                     a, b = _poly(rng, sa), _poly(rng, sb)
-                    assert _sym_poly(a * b) == _sym_poly(a) * _sym_poly(b)
+                    assert sym_poly(a * b) == sym_poly(a) * sym_poly(b)
 
     def test_scalar_factors(self):
         rng = random.Random(43)
@@ -147,11 +131,11 @@ class TestPolyProduct:
             a = _poly(rng, rng.choice(SHAPES))
             c = _scalar(rng, rng.choice(SHAPES))
             for factor in (c, c.re, 7):
-                expected = _sym_poly(a) * _sym_poly(Poly.coerce(factor))
+                expected = sym_poly(a) * sym_poly(Poly.coerce(factor))
                 for product in (a * factor, factor * a):
-                    assert _sym_poly(product) == expected
+                    assert sym_poly(product) == expected
                     _assert_lowest_terms(product.coeffs)
-                    _assert_canonical(product)
+                    assert_canonical_poly(product)
 
     def test_zero_operands(self):
         rng = random.Random(44)
@@ -167,7 +151,7 @@ class TestPolyProduct:
         a = Poly([Scalar(0, big), Fraction(1, MAX_DEN)])
         b = Poly([Scalar(0, -big), Fraction(1, MAX_DEN)])
         product = a * b
-        assert _sym_poly(product) == _sym_poly(a) * _sym_poly(b)
+        assert sym_poly(product) == sym_poly(a) * sym_poly(b)
         assert all(c.is_real() for c in product.coeffs)
 
 
@@ -180,12 +164,12 @@ class TestPolyOperations:
             a = _poly(rng, rng.choice(SHAPES))
             b = _poly(rng, rng.choice(SHAPES))
             for result, expected in (
-                (a + b, _sym_poly(a) + _sym_poly(b)),
-                (a - b, _sym_poly(a) - _sym_poly(b)),
-                (-a, -_sym_poly(a)),
+                (a + b, sym_poly(a) + sym_poly(b)),
+                (a - b, sym_poly(a) - sym_poly(b)),
+                (-a, -sym_poly(a)),
             ):
-                assert _sym_poly(result) == expected
-                _assert_canonical(result)
+                assert sym_poly(result) == expected
+                assert_canonical_poly(result)
 
     def test_cancellation_to_zero_and_lower_degree(self):
         rng = random.Random(46)
@@ -193,7 +177,7 @@ class TestPolyOperations:
             a = _poly(rng, "complex")
             top = Poly.monomial(a.degree + 1, Scalar(Fraction(1, MAX_DEN), TALL[-1]))
             assert a - a == Poly() and (a - a).den == 1
-            _assert_canonical((a + top) - top)
+            assert_canonical_poly((a + top) - top)
             assert (a + top) - top == a
 
     def test_derivatives(self):
@@ -202,18 +186,18 @@ class TestPolyOperations:
             a = _poly(rng, rng.choice(SHAPES))
             for order in range(4):
                 result = a.derivative(order)
-                expected = _sym_poly(a).diff((T, order)) if order else _sym_poly(a)
-                assert _sym_poly(result) == expected
-                _assert_canonical(result)
+                expected = sym_poly(a).diff((T, order)) if order else sym_poly(a)
+                assert sym_poly(result) == expected
+                assert_canonical_poly(result)
 
     def test_conjugate(self):
         rng = random.Random(48)
         for _ in range(200):
             a = _poly(rng, rng.choice(SHAPES))
             result = a.conjugate()
-            expected = [_conj(c) for c in _coeffs(_sym_poly(a))]
-            assert _coeffs(_sym_poly(result)) == expected
-            _assert_canonical(result)
+            expected = [conj(c) for c in _coeffs(sym_poly(a))]
+            assert _coeffs(sym_poly(result)) == expected
+            assert_canonical_poly(result)
 
     @pytest.mark.parametrize("shape", ["real", "complex"])
     def test_evaluation(self, shape):
@@ -222,14 +206,14 @@ class TestPolyOperations:
             a = _poly(rng, rng.choice(SHAPES))
             point = _scalar(rng, shape)
             value = a(point)
-            assert _qq(value) == QQ_I.from_sympy(_sym_poly(a).eval(_qq(point)))
+            assert qq(value) == QQ_I.from_sympy(sym_poly(a).eval(qq(point)))
             _assert_lowest_terms([value])
 
     def test_evaluation_at_plain_numbers(self):
         rng = random.Random(50)
         a = _poly(rng, "complex")
         for point in (0, 3, Fraction(-2, MAX_DEN)):
-            assert _qq(a(point)) == QQ_I.from_sympy(_sym_poly(a).eval(_qq(Scalar(point))))
+            assert qq(a(point)) == QQ_I.from_sympy(sym_poly(a).eval(qq(Scalar(point))))
 
     def test_constructors_are_canonical(self):
         rng = random.Random(51)
@@ -237,11 +221,11 @@ class TestPolyOperations:
             coeffs = [_scalar(rng, rng.choice(SHAPES)) for _ in range(rng.randint(0, 6))]
             coeffs += [Scalar(0)] * rng.randint(0, 2)
             p = Poly(coeffs)
-            _assert_canonical(p)
+            assert_canonical_poly(p)
             assert p.coeffs == tuple(coeffs[: p.degree + 1])
             c = coeffs[0] if coeffs else Scalar(0)
             for q in (Poly.constant(c), Poly.monomial(rng.randint(0, 5), c), p * c):
-                _assert_canonical(q)
+                assert_canonical_poly(q)
         assert Poly().re == () and Poly().im == () and Poly().den == 1
 
 
@@ -250,7 +234,7 @@ class TestTriple:
     def _sympy_triple(x: BimodElement):
         sums = [sympy.Poly(0, T, domain=QQ_I) for _ in range(3)]
         for a, b in x.terms:
-            sa, sb = _sym_poly(a), _sym_poly(b)
+            sa, sb = sym_poly(a), sym_poly(b)
             for r in range(3):
                 sums[r] += sa * (sb.diff((T, r)) if r else sb)
         return sums
@@ -264,10 +248,10 @@ class TestTriple:
             ]
             x = BimodElement(Generator.D2, pairs)
             triple = x.triple()
-            assert [_sym_poly(h) for h in triple] == self._sympy_triple(x)
+            assert [sym_poly(h) for h in triple] == self._sympy_triple(x)
             for h in triple:
                 _assert_lowest_terms(h.coeffs)
-                _assert_canonical(h)
+                assert_canonical_poly(h)
 
     def test_zero_element(self):
         assert BimodElement(Generator.D2).triple() == (Poly(), Poly(), Poly())
@@ -290,15 +274,15 @@ class TestTriple:
             triple = x.triple()
             expected = self._sympy_triple(x)
             assert parts == tuple(triple[r] for r in orders)
-            assert [_sym_poly(h) for h in parts] == [expected[r] for r in orders]
+            assert [sym_poly(h) for h in parts] == [expected[r] for r in orders]
             for h in parts:
-                _assert_canonical(h)
+                assert_canonical_poly(h)
 
     def test_constant_right_factors_have_no_derivative_terms(self):
         a = Poly([Scalar(TALL[-1], 0), Scalar(0, Fraction(1, MAX_DEN))])
         x = BimodElement(Generator.D2, [(a, Poly([3]))])
         h0, h1, h2 = x.triple()
-        assert _sym_poly(h0) == _sym_poly(a) * 3
+        assert sym_poly(h0) == sym_poly(a) * 3
         assert h1.is_zero() and h2.is_zero()
 
     def test_gauss_canonical_polynomial(self):
@@ -310,9 +294,9 @@ class TestTriple:
             ]
             expected = sympy.Poly(0, T, domain=QQ_I)
             for a, b in pairs:
-                expected += _sym_poly(a) * _sym_poly(b)
+                expected += sym_poly(a) * sym_poly(b)
             x = BimodElement(Generator.GAUSS, pairs)
-            assert _sym_poly(x.gauss_poly()) == expected
+            assert sym_poly(x.gauss_poly()) == expected
 
 
 # every ascending subset of the triple's orders
@@ -362,7 +346,7 @@ class TestActedComponents:
                     parts = x.components(orders, a, b)
                     assert parts == x.act(a, b).components(orders), (orders, a, b)
                     for h in parts:
-                        _assert_canonical(h)
+                        assert_canonical_poly(h)
 
     def test_pairwise_coprime_pair_denominators_against_sympy(self):
         """Pairs over 1, 2, 3, 5 and 7, so that each is scaled into the lcm 210 of
@@ -388,14 +372,14 @@ class TestActedComponents:
             assert (a.den, b.den) == (11, 13)
             expected = [sympy.Poly(0, T, domain=QQ_I) for _ in range(3)]
             for u, v in x.terms:
-                su, sv = _sym_poly(a) * _sym_poly(u), _sym_poly(v) * _sym_poly(b)
+                su, sv = sym_poly(a) * sym_poly(u), sym_poly(v) * sym_poly(b)
                 for r in range(3):
                     expected[r] += su * (sv.diff((T, r)) if r else sv)
             for orders in _ORDER_SETS:
                 parts = x.components(orders, a, b)
-                assert [_sym_poly(h) for h in parts] == [expected[r] for r in orders]
+                assert [sym_poly(h) for h in parts] == [expected[r] for r in orders]
                 for h in parts:
-                    _assert_canonical(h)
+                    assert_canonical_poly(h)
 
     def test_convolutions_per_component(self, monkeypatch):
         """b multiplies each of k right factors and each pair is convolved once,
@@ -485,10 +469,6 @@ class TestMatmul:
     def _matrix(rng, nrows, ncols, shape):
         return Matrix([[_scalar(rng, shape) for _ in range(ncols)] for _ in range(nrows)])
 
-    @staticmethod
-    def _dm(m: Matrix) -> DomainMatrix:
-        return DomainMatrix([[_qq(c) for c in r] for r in m.rows], (m.nrows, m.ncols), QQ_I)
-
     def test_random_tall_products(self):
         rng = random.Random(61)
         for _ in range(120):
@@ -496,7 +476,7 @@ class TestMatmul:
             a = self._matrix(rng, n, k, rng.choice(SHAPES))
             b = self._matrix(rng, k, p, rng.choice(SHAPES))
             product = a @ b
-            assert self._dm(product) == self._dm(a) * self._dm(b)
+            assert domain_matrix(product) == domain_matrix(a) * domain_matrix(b)
             _assert_lowest_terms(c for r in product.rows for c in r)
 
     def test_product_of_a_chain(self):
@@ -508,12 +488,12 @@ class TestMatmul:
                 for r, c in zip(shape, shape[1:])
             ]
             product = Matrix.product(*factors)
-            expected = self._dm(factors[0])
+            expected = domain_matrix(factors[0])
             for m in factors[1:]:
-                expected = expected * self._dm(m)
+                expected = expected * domain_matrix(m)
             assert (product.nrows, product.ncols) == (shape[0], shape[-1])
             if product.nrows and product.ncols:
-                assert self._dm(product) == expected
+                assert domain_matrix(product) == expected
             else:
                 assert product == Matrix.zeros(shape[0], shape[-1])
             _assert_canonical_matrix(product)
@@ -545,7 +525,7 @@ class TestMatmul:
             row[2] = 0
         a, b = Matrix(rows), Matrix(cols)
         product = a @ b
-        assert self._dm(product) == self._dm(a) * self._dm(b)
+        assert domain_matrix(product) == domain_matrix(a) * domain_matrix(b)
         assert all(product[1, j] == 0 for j in range(3))
         assert all(product[i, 2] == 0 for i in range(3))
         _assert_canonical_matrix(product)
@@ -562,14 +542,14 @@ class TestPolyAt:
             m = TestMatmul._matrix(rng, n, n, rng.choice(SHAPES))
             p = _poly(rng, rng.choice(SHAPES), max_degree=8)
             fractional += m.den > 1 and p.degree > 0
-            dm = TestMatmul._dm(m)
+            dm = domain_matrix(m)
             expected = DomainMatrix.zeros((n, n), QQ_I)
             power = DomainMatrix.eye(n, QQ_I)
             for c in p.coeffs:
-                expected += power * _qq(c)
+                expected += power * qq(c)
                 power = power * dm
             result = poly_at(p, m)
-            assert TestMatmul._dm(result) == expected.to_dense()
+            assert domain_matrix(result) == expected.to_dense()
             _assert_canonical_matrix(result)
         # the powers of the matrix denominator in the constants are exercised
         assert fractional >= 20
@@ -592,7 +572,7 @@ class TestInverse:
     @staticmethod
     def _check(m: Matrix):
         inv = inverse(m)
-        assert TestMatmul._dm(inv) == TestMatmul._dm(m).inv().to_dense()
+        assert domain_matrix(inv) == domain_matrix(m).inv().to_dense()
         _assert_canonical_matrix(inv)
         assert m @ inv == Matrix.diagonal([1] * m.nrows)
 
@@ -602,7 +582,7 @@ class TestInverse:
         while min(checked.values()) < 30:
             n = rng.randint(1, 4)
             m = TestMatmul._matrix(rng, n, n, rng.choice(SHAPES))
-            if TestMatmul._dm(m).rank() < n:
+            if domain_matrix(m).rank() < n:
                 continue
             self._check(m)
             checked[n] += 1
@@ -630,7 +610,7 @@ class TestInverse:
     )
     def test_singular_inputs_raise(self, rows):
         m = Matrix(rows)
-        assert TestMatmul._dm(m).rank() < m.nrows
+        assert domain_matrix(m).rank() < m.nrows
         with pytest.raises(ZeroDivisionError):
             inverse(m)
 
@@ -670,8 +650,8 @@ class TestInverse:
             table = sampling.rand_dense_table(rng, dim)
             [(gram, s)] = seen
             assert gram == table.gram
-            expected = TestMatmul._dm(gram).inv() * TestMatmul._dm(s)
-            assert TestMatmul._dm(table.gen) == expected.to_dense()
+            expected = domain_matrix(gram).inv() * domain_matrix(s)
+            assert domain_matrix(table.gen) == expected.to_dense()
 
 
 def _assert_canonical_matrix(m: Matrix):
@@ -682,13 +662,6 @@ def _assert_canonical_matrix(m: Matrix):
     assert all(type(x) is int for r in rows for x in r)
     assert type(m.den) is int and m.den > 0
     assert gcd(m.den, *[x for r in rows for x in r]) == 1
-
-
-def _adjoint_dm(d: DomainMatrix) -> DomainMatrix:
-    rows, cols = d.shape
-    return DomainMatrix(
-        [[_conj(d[i, j].element) for i in range(rows)] for j in range(cols)], (cols, rows), QQ_I
-    )
 
 
 class TestMatrixRepresentation:
@@ -706,13 +679,13 @@ class TestMatrixRepresentation:
             a = TestMatmul._matrix(rng, n, k, rng.choice(SHAPES))
             b = TestMatmul._matrix(rng, k, p, rng.choice(SHAPES))
             c = TestMatmul._matrix(rng, n, k, rng.choice(SHAPES))
-            da, db, dc = (TestMatmul._dm(m) for m in (a, b, c))
+            da, db, dc = (domain_matrix(m) for m in (a, b, c))
             for result, expected in (
                 (a @ b, da * db),
                 (a + c, da + dc),
-                (a.adjoint(), _adjoint_dm(da)),
+                (a.adjoint(), adjoint_dm(da)),
             ):
-                assert TestMatmul._dm(result) == expected.to_dense()
+                assert domain_matrix(result) == expected.to_dense()
                 _assert_canonical_matrix(result)
 
     def test_cancellations_reduce_the_denominator(self):
@@ -833,11 +806,11 @@ class TestFormValue:
             m = TestMatmul._matrix(rng, n, n, rng.choice(SHAPES))
             phi = [_scalar(rng, rng.choice(SHAPES)) for _ in range(n)]
             psi = [_scalar(rng, rng.choice(SHAPES)) for _ in range(n)]
-            col = DomainMatrix([[_qq(c)] for c in phi], (n, 1), QQ_I)
-            row = DomainMatrix([[_conj(_qq(c)) for c in psi]], (1, n), QQ_I)
-            expected = (row * TestMatmul._dm(m) * col)[0, 0].element
+            col = domain_matrix([[c] for c in phi])
+            row = adjoint_dm(domain_matrix([[c] for c in psi]))
+            expected = (row * domain_matrix(m) * col)[0, 0].element
             value = FormMatrix(m).value(phi, psi)
-            assert _qq(value) == expected
+            assert qq(value) == expected
             _assert_lowest_terms([value])
 
     def test_dimension_zero_is_the_empty_sum(self):
@@ -873,10 +846,6 @@ def _scalar_of(z) -> Scalar:
     )
 
 
-def _conj(z):
-    return QQ_I(z.x, -z.y)
-
-
 def _coeffs(p: sympy.Poly) -> list:
     """Coefficients of a sympy polynomial as QQ_I elements, top first; [] for 0."""
     return [QQ_I.from_sympy(c) for c in p.all_coeffs()] if not p.is_zero else []
@@ -895,9 +864,8 @@ def _rank_deficient_grams(shapes=SHAPES, factor="complex"):
             if rng.random() < 0.3:
                 f = _scalar(rng, factor)
                 cols[j] = [f * c for c in cols[rng.randrange(j)]]
-        b = TestMatmul._dm(Matrix(list(zip(*cols))))
-        bh = DomainMatrix([[_conj(b[i, j].element) for i in range(k)] for j in range(n)], (n, k), QQ_I)
-        gram = bh * b
+        b = domain_matrix(Matrix(list(zip(*cols))))
+        gram = adjoint_dm(b) * b
         yield Matrix([[_scalar_of(z) for z in row] for row in gram.to_list()]), b.rank(), k
 
 
@@ -907,7 +875,7 @@ class TestLdl:
     @staticmethod
     def _check(gram: Matrix):
         res = ldl_psd(gram)
-        g = TestMatmul._dm(gram)
+        g = domain_matrix(gram)
         n, r = gram.nrows, len(res.pivots)
         # natural order: a pivot exactly where the leading block gains rank
         ranks = [g.extract(list(range(k)), list(range(k))).rank() if k else 0 for k in range(n + 1)]
@@ -915,7 +883,7 @@ class TestLdl:
         assert r == ranks[n]
         # L D L^H equals G on the whole matrix, exactly, with the n x r L
         rows = lower_scalars(res)
-        lower = DomainMatrix([[_qq(c) for c in row] for row in rows], (n, r), QQ_I)
+        lower = domain_matrix(rows)
         assert len(res.lower) == n
         for a in range(n):
             # one stored entry per pivot below a; column k is 1 at p_k and 0 above it
@@ -924,8 +892,7 @@ class TestLdl:
                 if p >= a:
                     assert rows[a][k] == int(p == a)
         d = DomainMatrix.diag([QQ_I(sympy.Rational(v.numerator, v.denominator), 0) for v in res.diag], QQ_I, (r, r))
-        lh = DomainMatrix([[_conj(lower[b, a].element) for b in range(n)] for a in range(r)], (r, n), QQ_I)
-        assert (lower * d * lh).to_dense() == g.to_dense()
+        assert (lower * d * adjoint_dm(lower)).to_dense() == g.to_dense()
         assert all(v > 0 for v in res.diag)
         _assert_lowest_terms(Scalar(v) for v in res.diag)
         for row in res.lower:
@@ -1006,11 +973,11 @@ class TestNullspace:
 
     @staticmethod
     def _check(gram: Matrix, kernel):
-        g = TestMatmul._dm(gram)
+        g = domain_matrix(gram)
         n = gram.nrows
         vectors = [vector_scalars(p, n) for p in kernel]
         expected = g.nullspace(divide_last=True).to_list() if n else []
-        assert [[_qq(c) for c in v] for v in vectors] == expected
+        assert [[qq(c) for c in v] for v in vectors] == expected
         pivots = ldl_psd(gram).pivots
         skipped = [s for s in range(n) if s not in pivots]
         assert len(kernel) == len(skipped)
@@ -1018,9 +985,9 @@ class TestNullspace:
             # 1 at the skipped index, weight only on the pivots below it
             assert v[s] == 1 and p.degree == s
             assert all(not c for b, c in enumerate(v) if b > s or (b != s and b not in pivots))
-            assert (g * DomainMatrix([[_qq(c)] for c in v], (n, 1), QQ_I)).is_zero_matrix
+            assert (g * domain_matrix([[c] for c in v])).is_zero_matrix
             _assert_lowest_terms(v)
-            _assert_canonical(p)
+            assert_canonical_poly(p)
 
     @pytest.mark.parametrize(
         "mf",
@@ -1066,12 +1033,8 @@ class TestNullspace:
             r = len(ldl.pivots)
             assert len(rows) == r and len(kernel) == gram.nrows - r
             piv = ldl.pivots
-            u = DomainMatrix(
-                [[_qq(vector_scalars(p, gram.nrows)[b]) for b in piv] for p in rows],
-                (r, r),
-                QQ_I,
-            )
-            lower = DomainMatrix([[_qq(c) for c in row] for row in pivot_lower_scalars(ldl)], (r, r), QQ_I)
+            u = domain_matrix([[vector_scalars(p, gram.nrows)[b] for b in piv] for p in rows])
+            lower = domain_matrix(pivot_lower_scalars(ldl))
             assert (u * lower).to_dense() == DomainMatrix.eye(r, QQ_I).to_dense()
             for b, p in zip(piv, rows):
                 assert p.degree == b and p.re[b] == p.den and gcd(p.den, *p.re) == 1
@@ -1127,7 +1090,7 @@ MEASURES = {
 
 
 def _sym_apply(p: Poly, ms) -> object:
-    coeffs = [_qq(c) for c in p.coeffs]
+    coeffs = [qq(c) for c in p.coeffs]
     return sum((c * m for c, m in zip(coeffs, ms)), QQ_I(0))
 
 
@@ -1141,14 +1104,14 @@ class TestMoments:
         rng = random.Random(91)
         for _ in range(60):
             p = _poly(rng, rng.choice(SHAPES), max_degree=40)
-            assert _qq(mf.apply(p)) == _sym_apply(p, ms)
+            assert qq(mf.apply(p)) == _sym_apply(p, ms)
             u = _poly(rng, rng.choice(SHAPES), max_degree=20)
             v = _poly(rng, rng.choice(SHAPES), max_degree=20)
-            v_conj = [_conj(c) for c in _coeffs(_sym_poly(v))]
-            vu = _sym_poly(u) * sympy.Poly.from_list(v_conj or [0], T, domain=QQ_I)
+            v_conj = [conj(c) for c in _coeffs(sym_poly(v))]
+            vu = sym_poly(u) * sympy.Poly.from_list(v_conj or [0], T, domain=QQ_I)
             expected = sum((c * m for c, m in zip(reversed(_coeffs(vu)), ms)), QQ_I(0))
             value = mf.pairing(u, v)
-            assert _qq(value) == expected
+            assert qq(value) == expected
             _assert_lowest_terms([value])
 
     @pytest.mark.parametrize("name", list(MEASURES))
@@ -1163,11 +1126,11 @@ class TestMoments:
             assert all(type(x) is int for x in (*re, *im, den)) and den > 0
             shifted = sequence_scalars((re, im, den))
             for s, value in enumerate(shifted):
-                assert _qq(value) == _sym_apply(p, ms[s:])
+                assert qq(value) == _sym_apply(p, ms[s:])
             assert len(shifted) == len(im) == count
         for degree in (0, 1, 17, 63):
             got = mf.moments_up_to(degree)
-            assert [_qq(m) for m in got] == ms[: degree + 1]
+            assert [qq(m) for m in got] == ms[: degree + 1]
             _assert_lowest_terms(got)
 
     @pytest.mark.parametrize("name", list(MEASURES))
@@ -1178,7 +1141,7 @@ class TestMoments:
             gram = hankel_gram(mf, degree)
             n = degree + 1
             expected = DomainMatrix([[ms[j + k] for k in range(n)] for j in range(n)], (n, n), QQ_I)
-            assert TestMatmul._dm(gram) == expected
+            assert domain_matrix(gram) == expected
             _assert_canonical_matrix(gram)
 
     def test_hankel_gram_refusals(self):

@@ -11,9 +11,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import sympy
-from sympy import QQ_I
-from sympy.polys.matrices import DomainMatrix
 
 from starbimod import gns, probes
 from starbimod.algebra import P_ONE, Poly, Q, Scalar
@@ -51,7 +48,9 @@ from starbimod.sampling import (
 
 from draws import nonzero_poly, real_poly
 from exact_views import (
+    adjoint_dm,
     assert_canonical_poly,
+    domain_matrix,
     hankel_gram,
     lower_scalars,
     pencil_scalars,
@@ -240,7 +239,9 @@ def reference_lambda(func, x, mf, degree):
     linv = inverse(Matrix(pivot_lower_scalars(ldl)))
     z = linv @ Matrix([[h[a][b] for b in piv] for a in piv]) @ linv.adjoint()
     scale = np.array([1.0 / np.sqrt(float(d)) for d in ldl.diag])
-    mat = np.array([[complex(v) for v in row] for row in z.rows], dtype=complex)
+    mat = np.array(
+        [[complex(float(v.re), float(v.im)) for v in row] for row in z.rows], dtype=complex
+    )
     mat = mat * np.outer(scale, scale)
     mat = 0.5 * (mat + mat.conj().T)
     return float(np.max(np.abs(np.linalg.eigvalsh(mat))))
@@ -382,33 +383,6 @@ def fresh_pencil(form, ldl):
     return _reduced_pencil(form, rows)[0], len(rows)
 
 
-def _dm(rows) -> DomainMatrix:
-    n = len(rows)
-    return DomainMatrix(
-        [
-            [
-                QQ_I(
-                    sympy.Rational(c.re.numerator, c.re.denominator),
-                    sympy.Rational(c.im.numerator, c.im.denominator),
-                )
-                for c in row
-            ]
-            for row in rows
-        ],
-        (n, n),
-        QQ_I,
-    )
-
-
-def _adjoint(m: DomainMatrix) -> DomainMatrix:
-    n = m.shape[0]
-    return DomainMatrix(
-        [[QQ_I(m[j, i].element.x, -m[j, i].element.y) for j in range(n)] for i in range(n)],
-        (n, n),
-        QQ_I,
-    )
-
-
 def congruence_cases():
     rng = random.Random(17)
     cases = []
@@ -436,12 +410,12 @@ class TestPencilCongruence:
         z = pencil_scalars(*fresh_pencil(form_numerators(func, x, mf, top), ldl))
         h = reference_form(func, x, mf, top)
         piv = ldl.pivots
-        lower = _dm(pivot_lower_scalars(ldl))
-        expected = _dm([[h[a][b] for b in piv] for a in piv])
-        assert (lower * _dm(z) * _adjoint(lower)).to_dense() == expected.to_dense()
+        lower = domain_matrix(pivot_lower_scalars(ldl))
+        expected = domain_matrix([[h[a][b] for b in piv] for a in piv])
+        assert (lower * domain_matrix(z) * adjoint_dm(lower)).to_dense() == expected.to_dense()
         # max_bits reads the reduced entries of the same Z, here from sympy
         linv = lower.inv()
-        zs = (linv * expected * _adjoint(linv)).to_list()
+        zs = (linv * expected * adjoint_dm(linv)).to_list()
         bits = max(
             (
                 abs(int(part)).bit_length()
@@ -477,9 +451,9 @@ class TestPencilCongruence:
             complex_forms += any(im for _, im in entries.values())
             z = pencil_scalars(entries, size)
             piv = ldl.pivots
-            lower = _dm(pivot_lower_scalars(ldl))
-            expected = _dm([[h[a, c] for c in piv] for a in piv])
-            assert (lower * _dm(z) * _adjoint(lower)).to_dense() == expected.to_dense()
+            lower = domain_matrix(pivot_lower_scalars(ldl))
+            expected = domain_matrix([[h[a, c] for c in piv] for a in piv])
+            assert (lower * domain_matrix(z) * adjoint_dm(lower)).to_dense() == expected.to_dense()
         assert complex_forms
 
     @pytest.mark.parametrize("mname, top, func, x", congruence_cases())
