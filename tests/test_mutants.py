@@ -165,6 +165,112 @@ MUTANTS = {
         "_hankel(sums, den, degree)",
         (10, 11),
     ),
+    # theta's Leibniz sum weighs every derivative b^(r) by 1, not C(t, r)
+    "theta-drops-the-binomial": ("gns.py", "(r, comb(t, r), hs[t - r])", "(r, 1, hs[t - r])", (1,)),
+    "atom-identity-pairs-with-a-unconjugated": (
+        "gns.py",
+        "mf.at_atoms(a.conjugate()))",
+        "mf.at_atoms(a))",
+        (2,),
+    ),
+    # theta reads b for b' in its r = 1 term
+    "theta-skips-the-first-derivative": (
+        "gns.py",
+        "b.derivative(r) if r else b",
+        "b.derivative(r) if r > 1 else b",
+        (1, 3),
+    ),
+    # the r-th derivative scales q^k by k^r, not k (k - 1) ... (k - r + 1)
+    "derivative-uses-powers": ("algebra.py", "perm(k, order) *", "k ** order *", (1,)),
+    "schrodinger-table-drops-q0": (
+        "bimodule.py",
+        "image.apply(Poly.monomial(k)) for k in range(degree + 1)",
+        "image.apply(Poly.monomial(k)) if k else Poly() for k in range(degree + 1)",
+        (3,),
+    ),
+    "theta-map-reads-h2-for-h0": (
+        "bimodule.py",
+        "h0, h1, _ = self.triple()",
+        "_, h1, h0 = self.triple()",
+        (4,),
+    ),
+    # (a, b)^+ = (b^+, a): criterion 8 fails too, at the cost of its 1000 element cases
+    "involution-leaves-a-unconjugated": (
+        "bimodule.py",
+        "(b.conjugate(), a.conjugate())",
+        "(b.conjugate(), a)",
+        (4,),
+    ),
+    "is-zero-ignores-h2": (
+        "bimodule.py",
+        "all(h.is_zero() for h in self.triple())",
+        "all(h.is_zero() for h in self.triple()[:2])",
+        (4,),
+    ),
+    "normal-order-drops-the-imaginary-factor": ("weyl.py", "k * cr, k * ci))", "k * cr, ci))", (5, 6)),
+    # Cauchy-Schwarz bounds |F(g^+ h)|^2 by F(g^+ g) F(h), not F(g^+ g) F(h^+ h)
+    "cs-bound-pairs-h-with-one": ("gns.py", "c = mf.pairing(h, h)", "c = mf.pairing(h, P_ONE)", (6,)),
+    # the left side is halved, so equality at proportional inputs is lost
+    "cs-halves-the-left-side": (
+        "gns.py",
+        "CauchySchwarzReport(lhs.abs2(),",
+        "CauchySchwarzReport(lhs.abs2() / 2,",
+        (6,),
+    ),
+    # the left action reads R(a)^H for R(a^+)^H
+    "left-factor-skips-the-conjugate": (
+        "forms.py",
+        "self.operator(p.conjugate()).adjoint()",
+        "self.operator(p).adjoint()",
+        (8,),
+    ),
+    # p and a p of the same real part share one memoised operator
+    "operator-memo-ignores-the-imaginary-part": (
+        "forms.py",
+        "key = (p.re, p.im, p.den)",
+        "key = (p.re, p.den)",
+        (8,),
+    ),
+    # equal realizations built apart compare unequal
+    "uniqueness-compares-identity": (
+        "gns.py",
+        "build_gns(mf1, degree) == build_gns(mf2, degree)",
+        "build_gns(mf1, degree) is build_gns(mf2, degree)",
+        (10,),
+    ),
+    "mismatch-reads-as-unverified": (
+        "gns.py",
+        'raise MomentMismatchError(f"moment {k} differs: {u} vs {v}")',
+        "return UniquenessReport(degree, False)",
+        (10,),
+    ),
+    "ldl-accepts-pivot-minus-one": ("exactla.py", "if pivot < 0:", "if pivot < -1:", (11,)),
+    # a - bi prints as a + bi
+    "negative-imaginary-part-prints-plus": (
+        "algebra.py",
+        'f"({re} - {im[1:]})"',
+        'f"({re} + {im[1:]})"',
+        (12,),
+    ),
+    # d^n q^m drops its k = min(n, m) term
+    "normal-order-drops-the-full-contraction": (
+        "weyl.py",
+        "for k in range(min(n, m) + 1):",
+        "for k in range(min(n, m)):",
+        (4, 5, 6, 12),
+    ),
+    "minus-subtracts-the-other-way": (
+        "parser.py",
+        'value + rhs if op.text == "+" else value - rhs',
+        'value + rhs if op.text == "+" else rhs - value',
+        (12,),
+    ),
+    "p-is-plus-i-d": (
+        "weyl.py",
+        "P = WeylElement.monomial(0, 1, -I)",
+        "P = WeylElement.monomial(0, 1, I)",
+        (12,),
+    ),
 }
 
 # mutants that survive every criterion today, with the reason
